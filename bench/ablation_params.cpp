@@ -14,7 +14,7 @@
 #include "bench_util.h"
 #include "common/table.h"
 #include "core/prop_engine.h"
-#include "sim/simulator.h"
+#include "sim/scheduler.h"
 #include "workload/lookups.h"
 
 namespace propsim::bench {
@@ -32,7 +32,7 @@ RunResult run_config(const PropParams& params, const BenchOptions& opts) {
   Rng rng(opts.seed);
   World world(TransitStubConfig::ts_large(), rng);
   OverlayNetwork net = build_unstructured(world, opts.scale_n(800), rng);
-  Simulator sim;
+  Scheduler sim;
   PropEngine engine(net, sim, params, opts.seed + 41);
   engine.start();
   net.traffic().reset();

@@ -13,7 +13,7 @@
 #include "common/stats.h"
 #include "common/table.h"
 #include "core/prop_engine.h"
-#include "sim/simulator.h"
+#include "sim/scheduler.h"
 #include "workload/lookups.h"
 
 namespace propsim::bench {
@@ -73,7 +73,7 @@ int run(const BenchOptions& opts) {
     World world(TransitStubConfig::ts_large(), rng);
     OverlayNetwork net = build_unstructured(world, n, rng);
     coop_before = snapshot(net, opts);
-    Simulator sim;
+    Scheduler sim;
     PropParams params = paper_prop_params(PropMode::kPropO);
     PropEngine engine(net, sim, params, opts.seed + 31);
     engine.start();

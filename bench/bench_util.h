@@ -51,9 +51,9 @@ void print_csv_block(const std::string& name, const std::string& csv);
 void print_verdict(bool holds, const std::string& detail);
 
 /// Host description stanza every BENCH_*.json embeds under "hardware":
-/// {"cores": N, "model": "..."}. CI's perf gates key the baseline tier
-/// (bench/baselines/1core/ vs multicore/) off `cores`, and the compare
-/// tool treats it as informational (never a regression) while
+/// {"cores": N, "model": "..."}. CI arms the 4-thread measure gate off
+/// `cores`, and the compare tool treats it as informational (never a
+/// regression) while
 /// `--require-metric hardware.cores` proves the stanza survives schema
 /// churn. `model` is a string, invisible to the numeric flattener.
 Json hardware_info();

@@ -10,7 +10,7 @@
 
 #include "bench_util.h"
 #include "core/prop_engine.h"
-#include "sim/simulator.h"
+#include "sim/scheduler.h"
 #include "workload/churn.h"
 #include "workload/host_selection.h"
 #include "workload/lookups.h"
@@ -38,7 +38,7 @@ int run(const BenchOptions& opts) {
   OverlayNetwork net =
       build_gnutella_overlay(gcfg, hosts, world.oracle, rng);
 
-  Simulator sim;
+  Scheduler sim;
   PropEngine engine(net, sim, paper_prop_params(PropMode::kPropO),
                     opts.seed + 1);
 

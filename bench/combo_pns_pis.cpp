@@ -16,7 +16,7 @@
 #include "common/table.h"
 #include "core/prop_engine.h"
 #include "measure/measure_engine.h"
-#include "sim/simulator.h"
+#include "sim/scheduler.h"
 #include "workload/host_selection.h"
 
 namespace propsim::bench {
@@ -74,7 +74,7 @@ int run(const BenchOptions& opts) {
     row.label = variant;
     row.before = measure.stretch(net, queries, router).stretch;
 
-    Simulator sim;
+    Scheduler sim;
     PropEngine engine(net, sim, paper_prop_params(PropMode::kPropG),
                       opts.seed + 23);
     engine.start();
@@ -94,7 +94,7 @@ int run(const BenchOptions& opts) {
     World world(TransitStubConfig::ts_large(), rng);
     const auto hosts = select_stub_hosts(world.topo, n, rng);
     Row row;
-    Simulator sim;
+    Scheduler sim;
     double after = 0.0;
     if (use_tapestry) {
       auto mesh = TapestryNetwork::build_random(n, TapestryConfig{}, rng);
@@ -164,7 +164,7 @@ int run(const BenchOptions& opts) {
     Row row;
     row.label = topo_aware ? "CAN-topo" : "CAN-plain";
     row.before = measure.stretch(net, queries, router).stretch;
-    Simulator sim;
+    Scheduler sim;
     PropEngine engine(net, sim, paper_prop_params(PropMode::kPropG),
                       opts.seed + 23);
     engine.start();

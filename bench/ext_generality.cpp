@@ -15,7 +15,7 @@
 #include "core/prop_engine.h"
 #include "overlay/isomorphism.h"
 #include "pastry/pastry.h"
-#include "sim/simulator.h"
+#include "sim/scheduler.h"
 #include "tapestry/tapestry.h"
 #include "workload/host_selection.h"
 #include "workload/lookups.h"
@@ -44,7 +44,7 @@ SubstrateResult drive(const std::string& name, OverlayNetwork& net,
   const auto edges_before = host_edges(net.graph(), net.placement());
   const Placement placement_before = net.placement();
 
-  Simulator sim;
+  Scheduler sim;
   PropEngine engine(net, sim, paper_prop_params(PropMode::kPropG),
                     opts.seed + 3);
   engine.start();

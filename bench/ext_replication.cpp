@@ -16,7 +16,7 @@
 #include "common/table.h"
 #include "core/prop_engine.h"
 #include "gnutella/flood_search.h"
-#include "sim/simulator.h"
+#include "sim/scheduler.h"
 
 namespace propsim::bench {
 namespace {
@@ -78,7 +78,7 @@ int run(const BenchOptions& opts) {
   World world(TransitStubConfig::ts_large(), rng);
   OverlayNetwork plain = build_unstructured(world, n, rng);
   OverlayNetwork tuned = plain;
-  Simulator sim;
+  Scheduler sim;
   PropParams params = paper_prop_params(PropMode::kPropO);
   PropEngine engine(tuned, sim, params, opts.seed + 1);
   engine.start();

@@ -19,7 +19,7 @@
 #include "common/table.h"
 #include "core/prop_engine.h"
 #include "core/swap_log.h"
-#include "sim/simulator.h"
+#include "sim/scheduler.h"
 #include "workload/host_selection.h"
 
 namespace propsim::bench {
@@ -74,7 +74,7 @@ int run(const BenchOptions& opts) {
   (void)unused0;
   (void)unused1;
 
-  Simulator sim;
+  Scheduler sim;
   PropEngine engine(net, sim, paper_prop_params(PropMode::kPropG),
                     opts.seed + 2);
   SwapLog log;

@@ -13,7 +13,7 @@
 #include "bench_util.h"
 #include "core/prop_engine.h"
 #include "metrics/convergence.h"
-#include "sim/simulator.h"
+#include "sim/scheduler.h"
 #include "workload/lookups.h"
 
 namespace propsim::bench {
@@ -39,7 +39,7 @@ TimeSeries run_scenario(const Scenario& sc, const BenchOptions& opts,
   const auto queries =
       uniform_queries(net.graph(), opts.scale_q(10000), qrng);
 
-  Simulator sim;
+  Scheduler sim;
   PropParams params = paper_prop_params(PropMode::kPropG);
   params.nhops = sc.random_target ? 2 : sc.nhops;
   params.random_target = sc.random_target;

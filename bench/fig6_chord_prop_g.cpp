@@ -13,7 +13,7 @@
 #include "chord/chord_ring.h"
 #include "core/prop_engine.h"
 #include "metrics/convergence.h"
-#include "sim/simulator.h"
+#include "sim/scheduler.h"
 #include "workload/host_selection.h"
 
 namespace propsim::bench {
@@ -42,7 +42,7 @@ TimeSeries run_scenario(const Scenario& sc, const BenchOptions& opts,
       sample_query_pairs(net.graph(), opts.scale_q(10000), qrng);
   const auto router = chord_router(net, ring);
 
-  Simulator sim;
+  Scheduler sim;
   PropParams params = paper_prop_params(PropMode::kPropG);
   params.nhops = sc.random_target ? 2 : sc.nhops;
   params.random_target = sc.random_target;

@@ -18,7 +18,7 @@
 #include "common/table.h"
 #include "core/prop_engine.h"
 #include "measure/measure_engine.h"
-#include "sim/simulator.h"
+#include "sim/scheduler.h"
 #include "workload/heterogeneity.h"
 #include "workload/lookups.h"
 
@@ -47,7 +47,7 @@ int run(const BenchOptions& opts) {
     policies.push_back(Policy{
         "PROP-O(m=" + std::to_string(m) + ")",
         [m](OverlayNetwork& net, double t, std::uint64_t seed) {
-          Simulator sim;
+          Scheduler sim;
           PropParams params = paper_prop_params(PropMode::kPropO);
           params.m = m;
           PropEngine engine(net, sim, params, seed);
@@ -57,7 +57,7 @@ int run(const BenchOptions& opts) {
   }
   policies.push_back(
       Policy{"PROP-G", [](OverlayNetwork& net, double t, std::uint64_t seed) {
-               Simulator sim;
+               Scheduler sim;
                PropEngine engine(net, sim,
                                  paper_prop_params(PropMode::kPropG), seed);
                engine.start();
@@ -65,7 +65,7 @@ int run(const BenchOptions& opts) {
              }});
   policies.push_back(
       Policy{"LTM", [](OverlayNetwork& net, double t, std::uint64_t seed) {
-               Simulator sim;
+               Scheduler sim;
                LtmParams params;
                LtmEngine engine(net, sim, params, seed);
                engine.start();

@@ -12,7 +12,7 @@
 #include "can/can_space.h"
 #include "chord/chord_ring.h"
 #include "core/exchange.h"
-#include "sim/simulator.h"
+#include "sim/scheduler.h"
 #include "topology/shortest_path.h"
 #include "workload/host_selection.h"
 
@@ -75,7 +75,7 @@ BENCHMARK(BM_CanRoute)->Arg(256)->Arg(1024);
 
 void BM_EventQueueScheduleRun(benchmark::State& state) {
   for (auto _ : state) {
-    Simulator sim;
+    Scheduler sim;
     Rng rng(6);
     int sink = 0;
     for (int i = 0; i < state.range(0); ++i) {

@@ -45,7 +45,7 @@
 #include "measure/measure_engine.h"
 #include "metrics/convergence.h"
 #include "metrics/metrics.h"
-#include "sim/simulator.h"
+#include "sim/scheduler.h"
 #include "workload/host_selection.h"
 #include "workload/lookups.h"
 
@@ -169,7 +169,7 @@ EndToEnd run_prop_g(const TransitStubTopology& topo,
   Rng qrng(seed ^ 0x517cc1b727220a95ULL);
   const auto queries = uniform_queries(net.graph(), query_count, qrng);
 
-  Simulator sim;
+  Scheduler sim;
   PropEngine engine(net, sim, paper_prop_params(PropMode::kPropG), seed + 7);
   ConvergenceSampler sampler(sim, "lookup_ms", 0.0, horizon_s, horizon_s / 8.0,
                              [&] {
@@ -215,7 +215,7 @@ SweepTiming time_sweeps(std::size_t threads, MeasureMode mode,
                         std::span<const QueryPair> queries,
                         std::size_t snapshots) {
   MeasureEngine engine(threads, mode);
-  Simulator sim;
+  Scheduler sim;
   OverlaySnapshot snap = OverlaySnapshot::capture(net);
   // Untimed warmup: sizes the per-thread flood scratch, the engine's
   // run/average buffers, and (fast mode) the bucket queue, so the timed

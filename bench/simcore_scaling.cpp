@@ -1,65 +1,31 @@
-// simcore_scaling — scheduler-core scaling bench (not a paper figure).
+// simcore_scaling — event-core throughput bench (not a paper figure).
 //
-// Measures the domain-sharded scheduler on a transit-stub event workload
-// at shard counts 1/2/4/8 over one physical topology, then repeats the
-// sharded counts with speculative shard-local execution armed. Full
-// scale builds an n >= 1M transit-stub network (25 transit domains x 5
-// transit nodes, 4 x 2000-node stub domains per transit node =
-// 1,000,125 nodes / 500 stub domains) and drives ~10M events through it
-// per run: per stub domain, one *global* self-rescheduling chain (10%
-// chance per hop of pinning the next event to a random other domain —
-// cross-shard handoff traffic — and a 5% chance of a zero-delay hop)
-// plus one *shard-local* chain that never leaves its domain's shard and
-// is scheduled Locality::kShardLocal, giving the speculative runs real
-// in-window work to overlap.
+// Drives the scheduler with independent self-rescheduling event chains:
+// 500 chains x 10,000 events at full scale. 5% of hops have zero delay,
+// which exercises the equal-time FIFO tie-break.
 //
-// Every chain folds (chain id, sequence number, sim clock bits) into
-// its own FNV-1a checksum *in its own execution order*; the run
-// checksum folds the per-chain sums in chain-index order. Per-chain
-// accumulation is what makes the workload speculation-safe: a local
-// chain's callback touches nothing but its own chain, so it obeys the
-// kShardLocal locality contract, while the fold order keeps the final
-// checksum independent of which pool thread ran which shard. The
-// sharded and speculative cores' contract is bit-identical execution at
-// any shard count, so every checksum must match the serial run exactly
-// — the bench exits non-zero if any does not. Wall-clock, resident
-// memory, and event throughput go to stdout and to BENCH_simcore.json
-// (stable schema `propsim.bench.simcore`, version 3: adds the
-// speculative rows with their conflict counters, the speculation
-// speedup gate, and the 1-core overhead ratio).
+// Every chain folds (chain id, sequence number, sim clock bits) into its
+// own FNV-1a checksum in execution order; the run checksum folds the
+// per-chain sums in chain-index order, so any change to the executed
+// event order moves it. Wall-clock, resident memory, event throughput
+// and the checksum go to stdout and to BENCH_simcore.json (stable
+// schema `propsim.bench.simcore`, version 4: one serial row). The bench
+// exits non-zero unless every chain ran to completion.
 //
-// Gates:
-//   - drain gate (v2): on a host with >= 4 hardware threads the
-//     non-speculative 4-shard run must finish within 1.25x serial.
-//   - speculation gate (v3): on a host with >= 4 hardware threads the
-//     speculative 4-shard run must beat serial (speedup > 1.0). On
-//     smaller hosts both are reported informationally, and
-//     `speculation_gate_checked` records which case this was.
-//   - overhead_ratio_1core (v3, informational): speculative 4-shard
-//     wall over serial wall — on a single-core host this isolates the
-//     pure bookkeeping cost of speculation, since no parallel win is
-//     possible.
-//
-// `--quick` shrinks to 120,024 nodes / 120 stub domains and ~600k
-// events per run so the bench fits in CI time.
+// `--quick` shrinks to 120 chains x 2,500 events so the bench fits in
+// CI time.
 #include <sys/resource.h>
-#include <unistd.h>
 
-#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
 #include "common/json.h"
-#include "sim/serial_scheduler.h"
-#include "sim/sharded_scheduler.h"
-#include "topology/transit_stub.h"
+#include "sim/scheduler.h"
 
 namespace propsim::bench {
 namespace {
@@ -79,65 +45,16 @@ double peak_rss_mb() {
   return static_cast<double>(usage.ru_maxrss) / 1024.0;
 }
 
-/// Current resident set in MiB via /proc/self/statm (Linux); 0 if
-/// unreadable.
-double current_rss_mb() {
-  std::FILE* f = std::fopen("/proc/self/statm", "r");
-  if (f == nullptr) return 0.0;
-  long pages = 0, resident = 0;
-  const int got = std::fscanf(f, "%ld %ld", &pages, &resident);
-  std::fclose(f);
-  if (got != 2) return 0.0;
-  const long page_kb = sysconf(_SC_PAGESIZE) / 1024;
-  return static_cast<double>(resident * page_kb) / 1024.0;
-}
-
-struct SimScale {
-  std::size_t transit_domains;
-  std::size_t transit_nodes_per_domain;
-  std::size_t stub_domains_per_transit;
-  std::size_t nodes_per_stub;
-  double stub_edge_probability;  // scaled down so edges stay O(nodes)
-  std::uint64_t events_per_domain;
-};
-
-TransitStubConfig scaled_config(const SimScale& scale) {
-  TransitStubConfig config = TransitStubConfig::ts_large();
-  config.transit_domains = scale.transit_domains;
-  config.transit_nodes_per_domain = scale.transit_nodes_per_domain;
-  config.stub_domains_per_transit = scale.stub_domains_per_transit;
-  config.nodes_per_stub = scale.nodes_per_stub;
-  config.stub_edge_probability = scale.stub_edge_probability;
-  return config;
-}
-
-/// Self-rescheduling event chains bound to stub domains: per domain one
-/// global chain (hops shards, exercises handoff) and one shard-local
-/// chain (never leaves home, scheduled Locality::kShardLocal). Each
-/// chain owns its Rng and its checksum, so a local chain's callback
-/// touches nothing outside its own shard — the speculative core may run
-/// it on a pool thread without any cross-thread traffic.
+/// Self-rescheduling event chains; each owns its Rng and its checksum.
 class SimWorkload {
  public:
-  SimWorkload(Scheduler& sim, std::size_t domains, std::uint64_t seed,
+  SimWorkload(Scheduler& sim, std::size_t chains, std::uint64_t seed,
               std::uint64_t events_per_chain)
-      : sim_(sim), domains_(domains) {
-    // One local chain per domain, but only one global chain per 16
-    // domains (with longer delays): the speculative cutoff is the
-    // earliest global event anywhere in the window, so global traffic
-    // has to be sparse for in-window prefixes to exist at all —
-    // mirroring the maintenance-heavy workloads speculation targets.
-    const std::size_t globals = std::max<std::size_t>(domains / 16, 1);
-    chains_.reserve(domains + globals);
-    for (std::size_t g = 0; g < globals; ++g) {
-      chains_.push_back(Chain{Rng(seed + 0x9e3779b97f4a7c15ULL * (g + 1)),
-                              static_cast<std::uint32_t>(g * domains /
-                                                         globals),
-                              false, events_per_chain});
-    }
-    for (std::size_t d = 0; d < domains; ++d) {
+      : sim_(sim) {
+    chains_.reserve(chains);
+    for (std::size_t d = 0; d < chains; ++d) {
       chains_.push_back(Chain{Rng(seed + 0xc2b2ae3d27d4eb4fULL * (d + 1)),
-                              static_cast<std::uint32_t>(d), true,
+                              static_cast<std::uint32_t>(d),
                               events_per_chain});
     }
   }
@@ -146,9 +63,7 @@ class SimWorkload {
     for (Chain& chain : chains_) schedule_next(chain);
   }
 
-  /// Per-chain checksums folded in chain-index order: independent of
-  /// which thread ran which shard, but still order-sensitive within
-  /// every chain, clocks included.
+  /// Per-chain checksums folded in chain-index order.
   std::uint64_t checksum() const {
     std::uint64_t h = kFnvOffset;
     for (const Chain& chain : chains_) {
@@ -172,8 +87,7 @@ class SimWorkload {
 
   struct Chain {
     Rng rng;
-    std::uint32_t id;  // stub-domain index
-    bool local;        // never hops; scheduled Locality::kShardLocal
+    std::uint32_t id;
     std::uint64_t remaining;
     std::uint64_t seq = 0;
     std::uint64_t fired = 0;
@@ -184,24 +98,10 @@ class SimWorkload {
     if (chain.remaining == 0) return;
     --chain.remaining;
     Chain* c = &chain;  // chains_ never reallocates after construction
-    if (chain.local) {
-      // Home shard only, marked shard-local: the speculative core may
-      // execute this callback early on a pool thread.
-      const double delay = chain.rng.uniform_double(0.0005, 0.5);
-      sim_.schedule_in(delay, sim_.shard_of(chain.id), Locality::kShardLocal,
-                       [this, c] { fire(*c); });
-      return;
-    }
-    // Mostly stay home; sometimes pin the next hop to another domain's
-    // shard so the window machinery sees real handoff traffic.
-    const std::uint32_t target =
-        chain.rng.bernoulli(0.1)
-            ? static_cast<std::uint32_t>(chain.rng.uniform(domains_))
-            : chain.id;
     const double delay = chain.rng.bernoulli(0.05)
                              ? 0.0
-                             : chain.rng.uniform_double(0.05, 2.0);
-    sim_.schedule_in(delay, sim_.shard_of(target), [this, c] { fire(*c); });
+                             : chain.rng.uniform_double(0.0005, 0.5);
+    sim_.schedule_in(delay, [this, c] { fire(*c); });
   }
 
   void fire(Chain& chain) {
@@ -220,7 +120,6 @@ class SimWorkload {
   }
 
   Scheduler& sim_;
-  std::size_t domains_;
   std::vector<Chain> chains_;
 };
 
@@ -231,236 +130,46 @@ std::string hex64(std::uint64_t v) {
   return buf;
 }
 
-struct RunResult {
-  std::size_t shards = 0;
-  bool speculative = false;
-  std::uint64_t events = 0;
-  double wall_ms = 0.0;
-  double throughput = 0.0;  // events per second
-  double rss_mb = 0.0;
-  std::uint64_t checksum = 0;
-  std::uint64_t speculated = 0;
-  std::uint64_t replayed = 0;
-  std::uint64_t conflicts = 0;
-  double conflict_rate = 0.0;
-};
+int run(const BenchOptions& opts) {
+  const std::size_t chains = opts.quick ? 120 : 500;
+  const std::uint64_t events_per_chain = opts.quick ? 2500 : 10000;
 
-RunResult run_one(std::size_t shards, bool speculative, double window_s,
-                  std::size_t domains, std::uint64_t seed,
-                  std::uint64_t events_per_chain) {
-  std::unique_ptr<Scheduler> sim_owner;
-  ShardedScheduler* sharded = nullptr;
-  if (shards > 1) {
-    auto owned =
-        std::make_unique<ShardedScheduler>(shards, window_s, speculative);
-    sharded = owned.get();
-    sim_owner = std::move(owned);
-  } else {
-    sim_owner = std::make_unique<SerialScheduler>();
-  }
-  Scheduler& sim = *sim_owner;
+  print_header("simcore_scaling: serial event-core throughput",
+               "every event chain runs to completion; the checksum pins "
+               "the executed event order");
 
-  // Slot namespace here is the stub-domain index itself: chain d pins to
-  // shard d % shards, matching the app's domain-major assignment.
-  std::vector<ShardId> map(domains);
-  for (std::size_t d = 0; d < domains; ++d) {
-    map[d] = static_cast<ShardId>(d % std::max<std::size_t>(shards, 1));
-  }
-  sim.set_shard_map(std::move(map));
-
-  SimWorkload workload(sim, domains, seed, events_per_chain);
+  Scheduler sim;
+  SimWorkload workload(sim, chains, opts.seed, events_per_chain);
   const double start = now_ms();
   workload.start();
-  sim.run_until(1e12);
-
-  RunResult r;
-  r.shards = shards;
-  r.speculative = speculative;
-  r.events = workload.fired();
-  r.wall_ms = now_ms() - start;
-  r.throughput =
-      r.wall_ms > 0.0
-          ? 1000.0 * static_cast<double>(r.events) / r.wall_ms
-          : 0.0;
-  r.rss_mb = current_rss_mb();
-  r.checksum = workload.checksum();
-  if (sharded != nullptr && sharded->speculative()) {
-    r.speculated = sharded->stats().speculated;
-    r.replayed = sharded->stats().replayed;
-    r.conflicts = sharded->stats().conflicts;
-    r.conflict_rate = sharded->stats().conflict_rate();
-  }
-  return r;
-}
-
-int run(const BenchOptions& opts) {
-  // Full: 25*5*(1 + 4*2000) = 1,000,125 nodes / 500 stub domains, ~10M
-  // events per run. Quick: 6*4*(1 + 5*1000) = 120,024 nodes / 120 stub
-  // domains, ~600k events per run.
-  const SimScale scale =
-      opts.quick ? SimScale{6, 4, 5, 1000, 0.005, 2500}
-                 : SimScale{25, 5, 4, 2000, 0.002, 10000};
-  const TransitStubConfig config = scaled_config(scale);
-
-  print_header(
-      "simcore_scaling: serial vs sharded vs speculative at 1/2/4/8 shards",
-      "sharded and speculative execution are bit-identical to serial at "
-      "every shard count");
-
-  std::printf("building transit-stub topology: %zu nodes, %zu stub "
-              "domains\n",
-              config.total_nodes(),
-              config.transit_domains * config.transit_nodes_per_domain *
-                  config.stub_domains_per_transit);
-  Rng rng(opts.seed + 211);
-  const double build_start = now_ms();
-  const TransitStubTopology topo = make_transit_stub(config, rng);
-  const double build_ms = now_ms() - build_start;
-  std::printf("built in %.0f ms (%zu edges, rss %.1f MiB)\n", build_ms,
-              topo.graph.edge_count(), current_rss_mb());
-
-  const std::size_t domains = topo.stub_domain_count;
-  const double window_s = ShardedScheduler::kDefaultWindowS;
-
-  const std::size_t cores = std::thread::hardware_concurrency();
-  constexpr double kMaxDrainRatio4s = 1.25;
-  constexpr double kMinSpeculativeSpeedup4s = 1.0;
+  sim.run_all();
+  const double wall_ms = now_ms() - start;
+  const std::uint64_t events = workload.fired();
+  const double throughput =
+      wall_ms > 0.0 ? 1000.0 * static_cast<double>(events) / wall_ms : 0.0;
+  const std::string checksum = hex64(workload.checksum());
+  std::printf("  serial: %zu chains, %llu events in %.0f ms (%.0f "
+              "events/s, checksum %s)\n",
+              chains, static_cast<unsigned long long>(events), wall_ms,
+              throughput, checksum.c_str());
 
   Json doc = Json::object();
   doc.set("schema", "propsim.bench.simcore");
-  doc.set("version", 3);
+  doc.set("version", 4);
   doc.set("quick", opts.quick);
   doc.set("seed", opts.seed);
   doc.set("hardware", hardware_info());
-  doc.set("window_s", window_s);
-  doc.set("max_drain_ratio_4s", kMaxDrainRatio4s);
-  doc.set("min_speedup_4s_speculative", kMinSpeculativeSpeedup4s);
-
-  Json topology = Json::object();
-  topology.set("nodes", static_cast<std::uint64_t>(config.total_nodes()))
-      .set("stub_domains", static_cast<std::uint64_t>(domains))
-      .set("edges", static_cast<std::uint64_t>(topo.graph.edge_count()))
-      .set("build_ms", build_ms);
-  doc.set("topology", std::move(topology));
-
-  struct RunPlan {
-    std::size_t shards;
-    bool speculative;
-  };
-  const RunPlan plan[] = {{1, false}, {2, false}, {4, false}, {8, false},
-                          {2, true},  {4, true},  {8, true}};
-
+  doc.set("chains", static_cast<std::uint64_t>(chains));
+  Json row = Json::object();
+  row.set("mode", "serial")
+      .set("events", events)
+      .set("wall_ms", wall_ms)
+      .set("throughput", throughput)
+      .set("checksum", checksum);
   Json rows = Json::array();
-  bool bit_identical = true;
-  std::uint64_t serial_checksum = 0;
-  std::uint64_t serial_events = 0;
-  double serial_wall_ms = 0.0;
-  double wall_4s_ms = 0.0;
-  double wall_4s_spec_ms = 0.0;
-  double conflict_rate_4s = 0.0;
-  std::uint64_t total_speculated = 0;
-  for (const RunPlan& p : plan) {
-    const RunResult r = run_one(p.shards, p.speculative, window_s, domains,
-                                opts.seed, scale.events_per_domain);
-    if (p.shards == 4 && !p.speculative) wall_4s_ms = r.wall_ms;
-    if (p.shards == 4 && p.speculative) {
-      wall_4s_spec_ms = r.wall_ms;
-      conflict_rate_4s = r.conflict_rate;
-    }
-    if (p.shards == 1) {
-      serial_checksum = r.checksum;
-      serial_events = r.events;
-      serial_wall_ms = r.wall_ms;
-    } else {
-      bit_identical = bit_identical && r.checksum == serial_checksum &&
-                      r.events == serial_events;
-    }
-    total_speculated += r.speculated;
-    std::printf("  %s shards %zu: %llu events in %.0f ms (%.0f events/s, "
-                "rss %.1f MiB, checksum %s",
-                p.speculative ? "speculative" : "sharded    ", p.shards,
-                static_cast<unsigned long long>(r.events), r.wall_ms,
-                r.throughput, r.rss_mb, hex64(r.checksum).c_str());
-    if (p.speculative) {
-      std::printf(", speculated %llu, replayed %llu, conflict rate %.3f",
-                  static_cast<unsigned long long>(r.speculated),
-                  static_cast<unsigned long long>(r.replayed),
-                  r.conflict_rate);
-    }
-    std::printf(")\n");
-    Json row = Json::object();
-    row.set("shards", static_cast<std::uint64_t>(r.shards))
-        .set("mode", p.shards == 1 ? "serial"
-                                   : (p.speculative ? "speculative"
-                                                    : "sharded"))
-        .set("events", r.events)
-        .set("wall_ms", r.wall_ms)
-        .set("throughput", r.throughput)
-        .set("rss_mb", r.rss_mb)
-        .set("checksum", hex64(r.checksum));
-    if (p.speculative) {
-      row.set("speculated", r.speculated)
-          .set("replayed", r.replayed)
-          .set("conflicts", r.conflicts)
-          .set("conflict_rate", r.conflict_rate);
-    }
-    rows.push_back(std::move(row));
-  }
+  rows.push_back(std::move(row));
   doc.set("runs", std::move(rows));
-  doc.set("bit_identical", bit_identical);
-  // A speculative bench run that never speculates is a configuration
-  // bug, not a perf result.
-  const bool speculation_exercised = total_speculated > 0;
-  doc.set("speculation_exercised", speculation_exercised);
-
-  // Drain gate: non-speculative 4-shard wall-clock relative to serial.
-  // Hard gate on multicore hosts, informational on smaller ones.
-  const double drain_ratio_4s =
-      serial_wall_ms > 0.0 ? wall_4s_ms / serial_wall_ms : 0.0;
-  const bool gate_drain_checked = cores >= 4;
-  bool drain_ok = true;
-  std::printf("  drain ratio (4 shards / serial): %.3f (%s, ceiling "
-              "%.2f)\n",
-              drain_ratio_4s,
-              gate_drain_checked ? "gated" : "informational",
-              kMaxDrainRatio4s);
-  if (gate_drain_checked && drain_ratio_4s > kMaxDrainRatio4s) {
-    std::printf("  drain gate FAILED: %.3f > %.2f\n", drain_ratio_4s,
-                kMaxDrainRatio4s);
-    drain_ok = false;
-  }
-  doc.set("drain_ratio_4s", drain_ratio_4s);
-  doc.set("gate_drain_checked", gate_drain_checked);
-
-  // Speculation gate: the speculative 4-shard run must beat serial on a
-  // host that can actually run 4 shard threads. On a single-core host
-  // the same ratio inverts into the informational overhead metric: how
-  // much the speculation bookkeeping costs when no parallel win is
-  // possible.
-  const double speedup_4s_speculative =
-      wall_4s_spec_ms > 0.0 ? serial_wall_ms / wall_4s_spec_ms : 0.0;
-  const double overhead_ratio_1core =
-      serial_wall_ms > 0.0 ? wall_4s_spec_ms / serial_wall_ms : 0.0;
-  const bool speculation_gate_checked = cores >= 4;
-  bool speculation_ok = true;
-  std::printf("  speculative speedup (serial / 4 shards): %.3f (%s, floor "
-              "%.2f); 1-core overhead ratio %.3f\n",
-              speedup_4s_speculative,
-              speculation_gate_checked ? "gated" : "informational",
-              kMinSpeculativeSpeedup4s, overhead_ratio_1core);
-  if (speculation_gate_checked &&
-      speedup_4s_speculative <= kMinSpeculativeSpeedup4s) {
-    std::printf("  speculation gate FAILED: %.3f <= %.2f\n",
-                speedup_4s_speculative, kMinSpeculativeSpeedup4s);
-    speculation_ok = false;
-  }
-  doc.set("speedup_4s_speculative", speedup_4s_speculative);
-  doc.set("overhead_ratio_1core", overhead_ratio_1core);
-  doc.set("conflict_rate_4s", conflict_rate_4s);
-  doc.set("speculation_gate_checked", speculation_gate_checked);
-
-  const bool pass =
-      bit_identical && speculation_exercised && drain_ok && speculation_ok;
+  const bool pass = events == chains * events_per_chain;
   doc.set("pass", pass);
   doc.set("peak_rss_mb", peak_rss_mb());
 
@@ -475,24 +184,8 @@ int run(const BenchOptions& opts) {
     std::fprintf(stderr, "could not write BENCH_simcore.json\n");
     return 1;
   }
-
-  std::string verdict;
-  if (pass) {
-    verdict = "all shard counts replayed the serial checksum";
-    verdict += gate_drain_checked
-                   ? "; drain and speculation gates hold"
-                   : " (drain and speculation gates informational)";
-  } else if (!bit_identical) {
-    verdict = "checksum mismatch: sharded/speculative execution diverged";
-  } else if (!speculation_exercised) {
-    verdict = "speculative runs never speculated: workload misconfigured";
-  } else if (!drain_ok) {
-    verdict = "drain gate failed: 4-shard run too far behind serial";
-  } else {
-    verdict = "speculation gate failed: speculative 4-shard run did not "
-              "beat serial";
-  }
-  print_verdict(pass, verdict);
+  print_verdict(pass, pass ? "every event chain ran to completion"
+                           : "event chains stopped early");
   return pass ? 0 : 1;
 }
 

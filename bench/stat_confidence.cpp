@@ -16,7 +16,7 @@
 #include "common/table.h"
 #include "common/thread_pool.h"
 #include "core/prop_engine.h"
-#include "sim/simulator.h"
+#include "sim/scheduler.h"
 #include "workload/lookups.h"
 
 namespace propsim::bench {
@@ -37,7 +37,7 @@ double run_variant(const Variant& variant, std::uint64_t seed,
   const auto queries =
       uniform_queries(net.graph(), opts.scale_q(5000), qrng);
 
-  Simulator sim;
+  Scheduler sim;
   std::unique_ptr<PropEngine> prop;
   std::unique_ptr<LtmEngine> ltm;
   if (variant.kind == 1 || variant.kind == 2) {

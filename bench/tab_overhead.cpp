@@ -13,7 +13,7 @@
 #include "common/table.h"
 #include "core/prop_engine.h"
 #include "metrics/convergence.h"
-#include "sim/simulator.h"
+#include "sim/scheduler.h"
 
 namespace propsim::bench {
 namespace {
@@ -47,7 +47,7 @@ Measurement measure(std::size_t attach_links, const BenchOptions& opts) {
         build_gnutella_overlay(gcfg, hosts, world.oracle, rng);
     out.avg_degree = net.graph().average_active_degree();
 
-    Simulator sim;
+    Scheduler sim;
     PropParams params = paper_prop_params(mode);
     params.m = 2;  // fixed m for a clean nhops + 2m prediction
     PropEngine engine(net, sim, params, opts.seed + 3);
@@ -114,7 +114,7 @@ int run(const BenchOptions& opts) {
     Rng rng(opts.seed);
     World world(TransitStubConfig::ts_large(), rng);
     OverlayNetwork net = build_unstructured(world, opts.scale_n(600), rng);
-    Simulator sim;
+    Scheduler sim;
     PropEngine engine(net, sim, paper_prop_params(PropMode::kPropG),
                       opts.seed + 5);
     const double horizon = opts.scale_t(14400.0);

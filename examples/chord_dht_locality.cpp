@@ -15,7 +15,7 @@
 #include "core/prop_engine.h"
 #include "metrics/metrics.h"
 #include "overlay/isomorphism.h"
-#include "sim/simulator.h"
+#include "sim/scheduler.h"
 #include "topology/transit_stub.h"
 #include "workload/host_selection.h"
 
@@ -66,7 +66,7 @@ int main() {
   const auto edges_before = host_edges(net.graph(), net.placement());
   const Placement placement_before = net.placement();
 
-  Simulator sim;
+  Scheduler sim;
   PropParams params;  // PROP-G
   PropEngine engine(net, sim, params, 21);
   engine.start();
@@ -104,7 +104,7 @@ int main() {
   OverlayNetwork pis_net = make_chord_overlay(pis_ring, hosts, oracle);
   const auto pis_router = chord_router(pis_net, pis_ring);
   const auto pis_before = stretch(pis_net, queries, pis_router);
-  Simulator sim2;
+  Scheduler sim2;
   PropEngine engine2(pis_net, sim2, params, 22);
   engine2.start();
   sim2.run_until(3600.0);

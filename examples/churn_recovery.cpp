@@ -10,7 +10,7 @@
 #include "core/prop_engine.h"
 #include "gnutella/gnutella.h"
 #include "metrics/metrics.h"
-#include "sim/simulator.h"
+#include "sim/scheduler.h"
 #include "topology/transit_stub.h"
 #include "workload/churn.h"
 #include "workload/host_selection.h"
@@ -27,7 +27,7 @@ int main() {
   GnutellaConfig gcfg;
   OverlayNetwork net = build_gnutella_overlay(gcfg, hosts, oracle, rng);
 
-  Simulator sim;
+  Scheduler sim;
   PropParams params;
   params.mode = PropMode::kPropO;
   PropEngine engine(net, sim, params, 56);

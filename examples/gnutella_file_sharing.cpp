@@ -11,7 +11,7 @@
 #include "core/prop_engine.h"
 #include "gnutella/flood_search.h"
 #include "gnutella/gnutella.h"
-#include "sim/simulator.h"
+#include "sim/scheduler.h"
 #include "topology/transit_stub.h"
 #include "workload/host_selection.h"
 
@@ -79,7 +79,7 @@ int main() {
   const SearchStats before = run_searches(net, catalogs, kTtl, 99);
 
   std::printf("optimizing overlay with PROP-O (degree-preserving)...\n");
-  Simulator sim;
+  Scheduler sim;
   PropParams params;
   params.mode = PropMode::kPropO;
   PropEngine engine(net, sim, params, 5);

@@ -12,7 +12,7 @@
 #include "core/prop_engine.h"
 #include "gnutella/gnutella.h"
 #include "metrics/metrics.h"
-#include "sim/simulator.h"
+#include "sim/scheduler.h"
 #include "topology/transit_stub.h"
 #include "workload/heterogeneity.h"
 #include "workload/host_selection.h"
@@ -75,7 +75,7 @@ int main() {
   const SwarmResult plain = run_swarm("baseline", [](OverlayNetwork&) {});
 
   const SwarmResult prop_o = run_swarm("PROP-O", [](OverlayNetwork& net) {
-    Simulator sim;
+    Scheduler sim;
     PropParams params;
     params.mode = PropMode::kPropO;
     PropEngine engine(net, sim, params, 36);
@@ -84,7 +84,7 @@ int main() {
   });
 
   const SwarmResult ltm = run_swarm("LTM", [](OverlayNetwork& net) {
-    Simulator sim;
+    Scheduler sim;
     LtmParams params;
     LtmEngine engine(net, sim, params, 37);
     engine.start();

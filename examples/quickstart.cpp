@@ -15,7 +15,7 @@
 #include "core/prop_engine.h"
 #include "gnutella/gnutella.h"
 #include "metrics/metrics.h"
-#include "sim/simulator.h"
+#include "sim/scheduler.h"
 #include "topology/transit_stub.h"
 #include "workload/host_selection.h"
 #include "workload/lookups.h"
@@ -43,7 +43,7 @@ int main() {
               net.graph().average_active_degree());
 
   // 3. Protocol: PROP-G with the paper's defaults (nhops=2, 60 s timer).
-  Simulator sim;
+  Scheduler sim;
   PropParams params;  // PropMode::kPropG by default
   PropEngine engine(net, sim, params, /*seed=*/7);
 

@@ -4,7 +4,6 @@
 #include <functional>
 #include <initializer_list>
 #include <memory>
-#include <thread>
 
 #include "analysis/invariant_checker.h"
 #include "can/can_space.h"
@@ -16,9 +15,7 @@
 #include "metrics/convergence.h"
 #include "metrics/metrics.h"
 #include "pastry/pastry.h"
-#include "sim/local_ticks.h"
-#include "sim/serial_scheduler.h"
-#include "sim/sharded_scheduler.h"
+#include "sim/scheduler.h"
 #include "tapestry/tapestry.h"
 #include "topology/random_graphs.h"
 #include "topology/transit_stub.h"
@@ -42,11 +39,9 @@ constexpr const char* kKnownKeys[] = {
     "fraction_fast_dest", "churn_join_rate", "churn_leave_rate",
     "churn_fail_rate", "churn_start",       "churn_end",
     "oracle",          "oracle_cache_rows", "measure_threads",
-    "measure_mode",    "sim_shards",        "shard_window",
-    "sim_speculative", "sim_local_ticks",
-    "trace",
-    "trace_buffer",    "fault_loss",        "fault_jitter",
-    "fault_crash",     "fault_max_retries", "fault_partition_domain",
+    "measure_mode",    "trace",             "trace_buffer",
+    "fault_loss",      "fault_jitter",      "fault_crash",
+    "fault_max_retries", "fault_partition_domain",
     "fault_partition_start", "fault_partition_end",
     "fault_storm_domain",    "fault_storm_start",
     "fault_storm_window",    "fault_loss_burst_len",
@@ -392,66 +387,6 @@ SpecResult ExperimentSpec::from_config(const Config& config) {
                 "; stretch metrics route instead of flooding");
   }
 
-  if (config.has("sim_shards")) {
-    const std::string ss = config.get_string("sim_shards", "");
-    if (ss == "auto") {
-      spec.sim_shards = kSimShardsAuto;
-    } else {
-      const std::int64_t v = p.get_int("sim_shards", 1);
-      if (v < 0 || v > static_cast<std::int64_t>(sim::ShardedScheduler::kMaxShards)) {
-        p.error("sim_shards", "must be in [0, 64] or 'auto'",
-                "0 and 1 both mean the serial scheduler");
-      } else {
-        spec.sim_shards = static_cast<std::size_t>(v);
-      }
-    }
-  }
-  const bool sharded =
-      spec.sim_shards == kSimShardsAuto || spec.sim_shards > 1;
-  spec.shard_window_s = p.get_double("shard_window", 0.25);
-  if (spec.shard_window_s <= 0.0) {
-    p.error("shard_window", "must be > 0 (simulated seconds)");
-    spec.shard_window_s = 0.25;
-  }
-  if (config.has("shard_window") && !sharded) {
-    p.error("shard_window",
-            "only meaningful together with a sharded event core",
-            "set sim_shards = auto or a shard count > 1");
-  }
-  if (sharded && spec.topology == Topology::kWaxman) {
-    p.error("sim_shards",
-            "event-core sharding decomposes by stub domain and requires "
-            "a transit-stub topology",
-            "use topology = ts-large | ts-small, or sim_shards = 1");
-  }
-  if (spec.sim_shards == kSimShardsAuto &&
-      spec.measure_threads == kMeasureThreadsAuto) {
-    p.error("sim_shards",
-            "sim_shards = auto and measure_threads = auto together would "
-            "both claim every hardware thread",
-            "give at least one of them an explicit count");
-  }
-
-  spec.sim_speculative = p.get_enum<ExperimentSpec::Speculative>(
-      "sim_speculative",
-      {{"off", ExperimentSpec::Speculative::kOff},
-       {"on", ExperimentSpec::Speculative::kOn},
-       {"auto", ExperimentSpec::Speculative::kAuto}},
-      ExperimentSpec::Speculative::kOff);
-
-  spec.local_tick_period_s = p.get_double("sim_local_ticks", 0.0);
-  if (spec.local_tick_period_s < 0.0) {
-    p.error("sim_local_ticks", "must be >= 0 (seconds; 0 disables)");
-    spec.local_tick_period_s = 0.0;
-  }
-  if (spec.local_tick_period_s > 0.0 &&
-      spec.topology == Topology::kWaxman) {
-    p.error("sim_local_ticks",
-            "local maintenance ticks run per stub domain and require a "
-            "transit-stub topology",
-            "use topology = ts-large | ts-small, or drop the key");
-  }
-
   spec.trace_path = config.get_string("trace", "");
   if (!spec.trace_path.empty() && !obs::trace_compiled_in()) {
     p.error("trace", "trace output requires a PROPSIM_TRACE=ON build",
@@ -725,13 +660,12 @@ ExperimentResult::counters() const {
       {"fault_losses", fault_losses},
       {"fault_partition_drops", fault_partition_drops},
       {"fault_crashes", fault_crashes},
-      // v4: scheduler counters — invariant across sim_shards, so a
-      // sharded run's counters stay byte-identical to the serial run's.
+      // v4: scheduler counters.
       {"sim_events_executed", sim_events_executed},
       {"sim_events_scheduled", sim_events_scheduled},
       {"sim_events_cancelled", sim_events_cancelled},
       // v5: measurement-engine counters — flood counts are invariant
-      // across measure_threads and sim_shards; the capture/reuse split
+      // across measure_threads; the capture/reuse split
       // depends on the trace build mode (OFF builds never reuse).
       {"measure_exact_floods", measure_exact_floods},
       {"measure_fast_floods", measure_fast_floods},
@@ -746,11 +680,10 @@ ExperimentResult::counters() const {
       {"adversary_eclipse_captures", adversary_eclipse_captures},
       {"fault_storm_failures", fault_storm_failures},
       {"fault_burst_losses", fault_burst_losses},
-      // v7: shard-local tick counters; zero unless sim_local_ticks is
-      // set, and then invariant across schedulers, shard counts and
-      // speculation — the digest witnesses event-order preservation.
-      {"local_ticks", local_ticks},
-      {"local_tick_digest", local_tick_digest},
+      // v7: reserved, always 0; dropping them would change the recorded
+      // benchmark digests (perfbench/workloads.json).
+      {"local_ticks", 0},
+      {"local_tick_digest", 0},
   };
 }
 
@@ -803,30 +736,7 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
   // engine reaches the bus through the overlay. The bus is created
   // unconditionally: its counters never touch the RNG or the event
   // queue, so results are identical with and without a trace sink. ---
-  // sim_shards is a pure execution knob like measure_threads: the
-  // sharded core executes the identical event sequence (golden-tested at
-  // 1/2/4/8 shards), so neither the shard count nor the window is echoed
-  // into the result JSON.
-  std::size_t sim_shards = spec.sim_shards;
-  if (sim_shards == ExperimentSpec::kSimShardsAuto) {
-    const std::size_t hw = std::max<std::size_t>(
-        1, static_cast<std::size_t>(std::thread::hardware_concurrency()));
-    const std::size_t domains =
-        ts ? std::max<std::size_t>(ts->stub_domain_count, 1) : 1;
-    sim_shards =
-        std::min({domains, hw, sim::ShardedScheduler::kMaxShards});
-  }
-  std::unique_ptr<Scheduler> sim_owner;
-  ShardedScheduler* sharded_sim = nullptr;  // for the speculation report
-  if (sim_shards > 1) {
-    auto sharded = std::make_unique<ShardedScheduler>(
-        sim_shards, spec.shard_window_s, spec.speculation_armed());
-    sharded_sim = sharded.get();
-    sim_owner = std::move(sharded);
-  } else {
-    sim_owner = std::make_unique<SerialScheduler>();
-  }
-  Scheduler& sim = *sim_owner;
+  Scheduler sim;
   obs::EventBus bus;
   bus.set_clock([&sim] { return sim.now(); });
   if (spec.protocol == ExperimentSpec::Protocol::kPropG ||
@@ -937,22 +847,6 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
       net = std::make_unique<OverlayNetwork>(
           make_can_overlay(*can, hosts, oracle, &bus));
       break;
-  }
-
-  // Slot -> shard affinity from the initial placement: slot events run
-  // on the shard owning their host's stub domain. A pure routing hint —
-  // churn rebinding a slot to another domain later only costs locality,
-  // never correctness (cross-shard events ride the handoff buffers).
-  if (sim.shard_count() > 1 && ts != nullptr) {
-    std::vector<ShardId> slot_shard(net->graph().slot_count(), kNoShard);
-    for (SlotId s = 0; s < net->graph().slot_count(); ++s) {
-      const NodeId h = net->placement().host_of(s);
-      if (h < ts->kind.size() && ts->kind[h] == NodeKind::kStub) {
-        slot_shard[s] = static_cast<ShardId>(
-            ts->domain[h] % sim.shard_count());
-      }
-    }
-    sim.set_shard_map(std::move(slot_shard));
   }
 
   // --- Heterogeneity (processing delays follow hosts). ---
@@ -1221,24 +1115,6 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
         *net, sim, tparams, resolve, spec.seed + 109);
   }
 
-  // Shard-local maintenance ticks: the only event stream annotated
-  // Locality::kShardLocal, so the speculative scheduler path has work
-  // to overlap with the serial merge. Seeded independently of the main
-  // Rng chain — enabling ticks never perturbs any other stream.
-  std::unique_ptr<sim::LocalTickProcess> local_ticks;
-  if (spec.local_tick_period_s > 0.0) {
-    PROPSIM_CHECK(ts != nullptr);  // from_config enforces transit-stub
-    sim::LocalTickParams tick_params;
-    tick_params.period_s = spec.local_tick_period_s;
-    tick_params.start_s = 0.0;
-    tick_params.end_s = spec.horizon_s;
-    local_ticks = std::make_unique<sim::LocalTickProcess>(
-        sim, tick_params,
-        static_cast<std::uint32_t>(std::max<std::size_t>(
-            ts->stub_domain_count, 1)),
-        spec.seed + 0x9e3779b9ULL);
-  }
-
   // Paranoid builds re-lint the live overlay as it runs (no-op
   // otherwise). Degree conservation and partition closure assume stable
   // membership, and LTM rewires degrees by design, so both disengage
@@ -1254,7 +1130,6 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
       sim, 0.0, spec.horizon_s, spec.sample_interval_s, prepare,
       {ConvergenceSampler::NamedMetric{result.metric_name, metric}});
   if (faults) faults->start();
-  if (local_ticks) local_ticks->start();
   if (traffic) traffic->start();
   if (prop) prop->start();
   if (ltm) ltm->start();
@@ -1301,19 +1176,6 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
   result.sim_events_executed = sim.executed_events();
   result.sim_events_scheduled = sim.scheduled_events();
   result.sim_events_cancelled = sim.cancelled_events();
-  if (local_ticks) {
-    result.local_ticks = local_ticks->ticks();
-    result.local_tick_digest = local_ticks->digest();
-  }
-  if (sharded_sim != nullptr && sharded_sim->speculative()) {
-    const auto& st = sharded_sim->stats();
-    result.speculation_active = true;
-    result.speculation_speculated = st.speculated;
-    result.speculation_replayed = st.replayed;
-    result.speculation_windows = st.spec_windows;
-    result.speculation_conflicts = st.conflicts;
-    result.speculation_conflict_rate = st.conflict_rate();
-  }
   result.measure_exact_floods = measure.stats().exact_floods;
   result.measure_fast_floods = measure.stats().fast_floods;
   result.measure_snapshot_captures = snap_cache.captures();

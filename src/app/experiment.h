@@ -35,21 +35,6 @@
 //                          with <= 1e-6 relative latency error; auto
 //                          resolves to exact; fast requires
 //                          overlay = gnutella)
-//   sim_shards = auto | <int>   (event-core shards; 0/1 = serial
-//                          scheduler, auto = one per stub domain capped
-//                          at hardware threads, results bit-identical
-//                          for any value)
-//   shard_window = <seconds>    (lock-step window between shard
-//                          barriers; requires sim_shards)
-//   sim_speculative = on | off | auto   (speculative shard-local
-//                          execution inside scheduler windows; default
-//                          off, auto = on when the event core runs more
-//                          than one shard; results stay bit-identical —
-//                          only wall-clock and the opt-in
-//                          sim.speculation stanza change)
-//   sim_local_ticks = <seconds>   (per-stub-domain shard-local
-//                          maintenance tick period, 0 = off; requires a
-//                          transit-stub topology)
 //   trace      = <path>   (stream propsim.trace v1 JSONL; requires a
 //                          PROPSIM_TRACE=ON build)
 //   trace_buffer = <int>  (sink ring-buffer capacity, default 8192)
@@ -178,37 +163,9 @@ struct ExperimentSpec {
                                               : measure_mode;
   }
 
-  /// Event-core shards for the discrete-event scheduler: 0 or 1 =
-  /// SerialScheduler, N > 1 = ShardedScheduler with N event heaps,
-  /// kSimShardsAuto = one shard per stub domain capped at hardware
-  /// threads (requires a transit-stub topology). Like measure_threads a
-  /// pure execution knob: the executed event sequence — and therefore
-  /// the result JSON — is bit-identical at any shard count, so neither
-  /// key is echoed into the result.
-  static constexpr std::size_t kSimShardsAuto = static_cast<std::size_t>(-1);
-  std::size_t sim_shards = 1;
-  /// Conservative lock-step window between shard barriers, in simulated
-  /// seconds. Only meaningful alongside sim_shards.
-  double shard_window_s = 0.25;
-  /// Speculative shard-local execution inside scheduler windows. kOff
-  /// always merges serially; kOn and kAuto arm the speculative pass
-  /// whenever the event core is sharded (a single-shard core has no
-  /// workers to overlap with and silently stays serial, so `on` is
-  /// legal at any shard count). Execution stays bit-identical either
-  /// way: speculation changes wall-clock and the opt-in
-  /// `sim.speculation` result stanza, never the event sequence.
-  enum class Speculative { kOff, kOn, kAuto };
-  Speculative sim_speculative = Speculative::kOff;
-  /// True when the key asks for speculation at all (kOn or kAuto); the
-  /// scheduler itself disarms it when only one shard exists.
-  bool speculation_armed() const {
-    return sim_speculative != Speculative::kOff;
-  }
-  /// Mean per-stub-domain shard-local maintenance tick period in
-  /// seconds; 0 disables the stream (the default — existing configs are
-  /// unaffected). Ticks are Locality::kShardLocal events, the workload
-  /// the speculative path overlaps with the serial merge.
-  double local_tick_period_s = 0.0;
+  /// Retired event-core knobs, fixed; perfbench/traced_run.cpp reads them.
+  static constexpr std::size_t sim_shards = 1;
+  static constexpr double local_tick_period_s = 0.0;
 
   /// When non-empty, the run streams every trace event to this path as
   /// `propsim.trace` v1 JSONL (requires a PROPSIM_TRACE=ON build; the
@@ -265,12 +222,12 @@ struct ExperimentResult {
   /// aborted_mid_commit, fault_messages, fault_losses,
   /// fault_partition_drops, fault_crashes); v1/v2 names are unchanged.
   /// v4: added the scheduler counters (sim_events_executed,
-  /// sim_events_scheduled, sim_events_cancelled) — all invariant across
-  /// sim_shards values; v1-v3 names are unchanged.
+  /// sim_events_scheduled, sim_events_cancelled); v1-v3 names are
+  /// unchanged.
   /// v5: added the measurement counters (measure_exact_floods,
   /// measure_fast_floods, measure_snapshot_captures,
   /// measure_snapshot_reuses) — flood counts are invariant across
-  /// measure_threads and sim_shards; the snapshot split between
+  /// measure_threads; the snapshot split between
   /// captures and reuses depends on the trace build mode (OFF builds
   /// never reuse), like trace_events already does. v1-v4 names are
   /// unchanged.
@@ -280,15 +237,10 @@ struct ExperimentResult {
   /// fault_storm_failures, fault_burst_losses) — all zero unless the
   /// corresponding adversary/storm/burst knob is set. v1-v5 names are
   /// unchanged.
-  /// v7: added the shard-local tick counters (local_ticks,
-  /// local_tick_digest) — zero unless sim_local_ticks is set, invariant
-  /// across schedulers and shard counts — and the opt-in
-  /// `sim.speculation` stanza (speculated, replayed, windows,
-  /// conflicts, conflict_rate): the one deliberately shard-count-
-  /// dependent block in the result, reporting scheduler internals; it
-  /// appears only when sim_speculative arms a sharded run and the
-  /// cross-shard golden comparisons strip it. v1-v6 names are
-  /// unchanged.
+  /// v7: added local_ticks and local_tick_digest. The workload that
+  /// fed them is gone; both names are reserved and always 0, kept so
+  /// the recorded benchmark digests (perfbench/workloads.json) hold.
+  /// v1-v6 names are unchanged.
   static constexpr int kCountersVersion = 7;
 
   /// "lookup_ms" for unstructured overlays, "stretch" for DHTs.
@@ -322,29 +274,11 @@ struct ExperimentResult {
   std::uint64_t adversary_eclipse_captures = 0;
   /// Eclipse-target neighbor seats held by attackers at the horizon.
   std::uint64_t adversary_eclipse_held = 0;
-  /// Scheduler totals for the whole run. Invariant across sim_shards
-  /// (the sharded core executes the identical event sequence), so they
-  /// are safe to echo in counters and the result JSON `sim` stanza.
+  /// Scheduler totals for the whole run, echoed in counters and the
+  /// result JSON `sim` stanza.
   std::uint64_t sim_events_executed = 0;
   std::uint64_t sim_events_scheduled = 0;
   std::uint64_t sim_events_cancelled = 0;
-  /// Shard-local tick workload totals (zero unless sim_local_ticks is
-  /// set). Deterministic per seed and invariant across scheduler
-  /// implementations, shard counts and speculation — the digest is the
-  /// cheapest end-to-end witness that speculative execution preserved
-  /// the event sequence.
-  std::uint64_t local_ticks = 0;
-  std::uint64_t local_tick_digest = 0;
-  /// Speculation report (meaningful only when speculation_active). The
-  /// values are scheduler internals — window and conflict counts depend
-  /// on the shard count and window size — so they live in their own
-  /// opt-in stanza that cross-shard byte-comparisons strip.
-  bool speculation_active = false;
-  std::uint64_t speculation_speculated = 0;
-  std::uint64_t speculation_replayed = 0;
-  std::uint64_t speculation_windows = 0;
-  std::uint64_t speculation_conflicts = 0;
-  double speculation_conflict_rate = 0.0;
   /// Measurement-engine totals. Flood counts tally one per distinct
   /// query source per sample tick (zero for stretch metrics, which
   /// route instead of flooding); exactly one of the two is non-zero for

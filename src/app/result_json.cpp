@@ -45,33 +45,16 @@ Json experiment_result_json(const ExperimentSpec& spec,
   out.set("counters", std::move(counters));
   out.set("counters_version", ExperimentResult::kCountersVersion);
 
-  // Scheduler stanza (additive). Only scheduler-invariant totals belong
-  // here: sim_shards / shard_window are execution knobs and the sharded
-  // core replays the identical event sequence, so emitting per-shard
-  // internals (windows, handoffs) would break the byte-identity contract
-  // between serial and sharded runs.
+  // Scheduler stanza (additive): whole-run event totals.
   Json sim = Json::object();
   sim.set("events_executed", result.sim_events_executed)
       .set("events_scheduled", result.sim_events_scheduled)
       .set("events_cancelled", result.sim_events_cancelled);
-  // Speculation stanza (additive; present only when sim_speculative
-  // arms a multi-shard run). This is the one deliberately shard-count-
-  // dependent block in the result — it reports scheduler internals, so
-  // cross-shard golden comparisons strip it before diffing.
-  if (result.speculation_active) {
-    Json speculation = Json::object();
-    speculation.set("speculated", result.speculation_speculated)
-        .set("replayed", result.speculation_replayed)
-        .set("windows", result.speculation_windows)
-        .set("conflicts", result.speculation_conflicts)
-        .set("conflict_rate", result.speculation_conflict_rate);
-    sim.set("speculation", std::move(speculation));
-  }
   out.set("sim", std::move(sim));
 
   // Measurement stanza (additive). The resolved kernel plus its work
-  // counters; flood counts are invariant across measure_threads and
-  // sim_shards, and the capture/reuse split — like the trace counters —
+  // counters; flood counts are invariant across measure_threads, and
+  // the capture/reuse split — like the trace counters —
   // depends only on the trace build mode, never on thread counts.
   Json measure = Json::object();
   measure.set("mode", to_string(spec.resolved_measure_mode()))

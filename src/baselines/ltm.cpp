@@ -106,10 +106,7 @@ void LtmEngine::start() {
   started_ = true;
   pending_.assign(net_.graph().slot_count(), kInvalidEvent);
   for (const SlotId s : net_.graph().active_slots()) {
-    // Global despite the shard hint: LTM rounds draw from the shared
-    // engine Rng and rewire links whose endpoints span shards.
     pending_[s] = sim_.schedule_in(rng_.uniform_double(0.0, params_.interval_s),
-                                   sim_.shard_of(s), Locality::kGlobal,
                                    [this, s] { on_timer(s); });
   }
 }
@@ -129,8 +126,7 @@ void LtmEngine::on_timer(SlotId s) {
   if (!net_.graph().is_active(s)) return;
   ++rounds_;
   links_changed_ += ltm_round(net_, s, params_);
-  pending_[s] = sim_.schedule_in(params_.interval_s, sim_.shard_of(s),
-                                 Locality::kGlobal,
+  pending_[s] = sim_.schedule_in(params_.interval_s,
                                  [this, s] { on_timer(s); });
 }
 

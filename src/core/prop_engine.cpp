@@ -57,10 +57,7 @@ void PropEngine::init_node(SlotId s) {
 void PropEngine::schedule_probe(SlotId s, double delay) {
   NodeState& st = state_[s];
   PROPSIM_CHECK(st.pending == kInvalidEvent);
-  // Global despite the shard hint: probe timers draw from the shared
-  // engine Rng and negotiate with counterpart slots on other shards.
-  st.pending = sim_.schedule_in(delay, sim_.shard_of(s), Locality::kGlobal,
-                                [this, s] { on_probe_timer(s); });
+  st.pending = sim_.schedule_in(delay, [this, s] { on_probe_timer(s); });
 }
 
 void PropEngine::reschedule_sooner(SlotId s, double delay) {
@@ -288,6 +285,19 @@ double PropEngine::negotiation_delay_s(std::span<const SlotId> path) const {
   return (2.0 * walk_ms + 2.0 * probe_ms) / 1000.0;
 }
 
+bool PropEngine::path_hosts_bound(std::span<const SlotId> path) const {
+  const Placement& placement = net_.placement();
+  for (const SlotId s : path) {
+    if (!placement.slot_bound(s)) return false;
+  }
+  for (const SlotId end : {path.front(), path.back()}) {
+    for (const SlotId nb : net_.graph().neighbors(end)) {
+      if (!placement.slot_bound(nb)) return false;
+    }
+  }
+  return true;
+}
+
 bool PropEngine::validate_and_apply(SlotId u, SlotId first_hop, SlotId v,
                                     const std::vector<SlotId>& path) {
   (void)first_hop;
@@ -389,13 +399,21 @@ void PropEngine::begin_negotiation(SlotId u, SlotId first_hop, SlotId v,
     sim_.cancel(st.pending);
     st.pending = kInvalidEvent;
   }
+  // An injected crash can unbind a path slot or an endpoint's neighbour
+  // while this attempt waited (e.g. for a prepare retransmission); such
+  // a path has no latency to price, so the attempt dies here.
+  if (!path_hosts_bound(path)) {
+    abort_with_reason(u, v, obs::AbortReason::kPeerCrashed);
+    handle_failure(u, first_hop);
+    schedule_probe(u, st.timer);
+    return;
+  }
   const double base_delay = negotiation_delay_s(path);
   if (faults_ == nullptr && adversary_ == nullptr) {
     // Plain delayed-commit mode: single scheduled commit, no locks —
     // the pre-fault protocol, byte-for-byte.
     st.pending = sim_.schedule_in(
-        base_delay, sim_.shard_of(u), Locality::kGlobal,
-        [this, u, first_hop, v, path = std::move(path)]() mutable {
+        base_delay, [this, u, first_hop, v, path = std::move(path)]() mutable {
           state_[u].pending = kInvalidEvent;
           commit_after_delay(u, first_hop, v, std::move(path));
         });
@@ -425,9 +443,8 @@ void PropEngine::begin_negotiation(SlotId u, SlotId first_hop, SlotId v,
       ++stats_.retries;
       const double rto = faults_->params().rto_factor * base_delay;
       st.pending = sim_.schedule_in(
-          rto, sim_.shard_of(u), Locality::kGlobal,
-          [this, u, first_hop, v, path = std::move(path),
-           retries_used]() mutable {
+          rto, [this, u, first_hop, v, path = std::move(path),
+                retries_used]() mutable {
             state_[u].pending = kInvalidEvent;
             begin_negotiation(u, first_hop, v, std::move(path),
                               retries_used + 1);
@@ -447,11 +464,8 @@ void PropEngine::begin_negotiation(SlotId u, SlotId first_hop, SlotId v,
   const double delay =
       faults_ != nullptr ? faults_->jitter(base_delay) : base_delay;
   if (faults_ != nullptr) faults_->maybe_schedule_crash(u, v, delay);
-  // Global despite the shard hint: commits mutate both endpoints' slots
-  // and the counterpart may live on a different shard.
   st.pending = sim_.schedule_in(
-      delay, sim_.shard_of(u), Locality::kGlobal,
-      [this, u, first_hop, v, path = std::move(path)]() mutable {
+      delay, [this, u, first_hop, v, path = std::move(path)]() mutable {
         state_[u].pending = kInvalidEvent;
         finish_two_phase(u, first_hop, v, std::move(path));
       });

@@ -171,6 +171,9 @@ class PropEngine {
   void release_lock(SlotId u, SlotId v);
   /// Simulated duration of one probe negotiation (walk + probe RTTs).
   double negotiation_delay_s(std::span<const SlotId> path) const;
+  /// True when every slot negotiation_delay_s(path) prices — the path
+  /// and both endpoints' neighbours — is still bound to a host.
+  bool path_hosts_bound(std::span<const SlotId> path) const;
   void handle_success(SlotId u, SlotId first_hop);
   void handle_failure(SlotId u, SlotId first_hop);
   void notify_observer(const ExchangePlan& plan);

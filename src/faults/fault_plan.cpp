@@ -60,10 +60,7 @@ void FaultInjector::start() {
           for (std::size_t i = 0; i < victims.size(); ++i) {
             const SlotId victim = victims[i];
             const double offset = spacing * static_cast<double>(i + 1);
-            // Global despite the shard hint: the failure executor tears
-            // down overlay links that cross shards and emits traces.
-            sim_.schedule_in(offset, sim_.shard_of(victim),
-                             Locality::kGlobal, [this, victim] {
+            sim_.schedule_in(offset, [this, victim] {
               if (failure_executor_ == nullptr) return;
               if (!failure_executor_->fail_slot(victim)) return;
               ++stats_.storm_failures;
@@ -162,10 +159,7 @@ std::optional<SlotId> FaultInjector::maybe_schedule_crash(SlotId u, SlotId v,
   const double offset =
       rng_.uniform_double(0.0, std::max(window_s, 1e-9));
   ++stats_.crashes_scheduled;
-  // Global despite the shard hint: crash execution mutates the overlay
-  // graph and the victim's negotiation counterpart on another shard.
-  sim_.schedule_in(offset, sim_.shard_of(victim), Locality::kGlobal,
-                   [this, victim, other] {
+  sim_.schedule_in(offset, [this, victim, other] {
     if (!failure_executor_->fail_slot(victim)) return;
     ++stats_.crashes_executed;
     if (trace_ != nullptr) {

@@ -2,40 +2,54 @@
 
 namespace propsim::sim {
 
-EventId Scheduler::schedule_at(double when, ShardId shard,
-                               Locality locality, Callback fn) {
+EventId Scheduler::schedule_at(double when, Callback fn) {
   PROPSIM_CHECK(fn != nullptr);
-  // A speculative implementation intercepts schedules made by callbacks
-  // it is currently running off the merge thread: the op is deferred
-  // into the worker's recorder and the returned id is provisional. The
-  // default implementation never intercepts.
-  if (EventId spec = speculative_schedule(when, shard, locality, fn);
-      spec != kInvalidEvent) {
-    return spec;
-  }
   PROPSIM_CHECK(when >= now_);
-  const EventId id = take_next_id();
+  ++scheduled_;
+  const EventId id = next_id_++;
   callbacks_.emplace(id, std::move(fn));
-  enqueue(Entry{when, id, locality == Locality::kShardLocal}, shard);
+  queue_.push(Entry{when, id});
   return id;
 }
 
 bool Scheduler::cancel(EventId id) {
-  if (int spec = speculative_cancel(id); spec >= 0) return spec != 0;
   // The heap entry stays behind as a tombstone and is skipped on pop.
   if (callbacks_.erase(id) == 0) return false;
   ++cancelled_;
   return true;
 }
 
-bool Scheduler::execute(const Entry& entry) {
+bool Scheduler::peek_next(Entry& out) {
+  while (!queue_.empty()) {
+    const Entry top = queue_.top();
+    if (callbacks_.contains(top.id)) {
+      out = top;
+      return true;
+    }
+    queue_.pop();  // cancelled tombstone
+  }
+  return false;
+}
+
+bool Scheduler::step() {
+  Entry entry;
+  if (!peek_next(entry)) return false;
+  queue_.pop();
   auto node = callbacks_.extract(entry.id);
-  if (node.empty()) return false;  // cancelled after being drained
   now_ = entry.time;
   ++executed_;
   node.mapped()();
   if (audit_ && executed_ % audit_interval_ == 0) audit_(*this);
   return true;
+}
+
+void Scheduler::run_until(double t_end) {
+  PROPSIM_CHECK(t_end >= now_);
+  Entry entry;
+  while (peek_next(entry) && entry.time <= t_end) {
+    step();
+  }
+  now_ = t_end;
 }
 
 }  // namespace propsim::sim

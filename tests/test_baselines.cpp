@@ -9,7 +9,7 @@
 #include "baselines/topo_can.h"
 #include "chord/chord_ring.h"
 #include "fixtures.h"
-#include "sim/simulator.h"
+#include "sim/scheduler.h"
 #include "workload/host_selection.h"
 
 namespace propsim {
@@ -91,7 +91,7 @@ TEST(Ltm, DoesNotPreserveDegrees) {
 
 TEST(Ltm, EngineRunsPeriodically) {
   auto fx = UnstructuredFixture::make(40, 4005);
-  Simulator sim;
+  Scheduler sim;
   LtmParams params;
   params.interval_s = 10.0;
   LtmEngine engine(fx.net, sim, params, 2);
@@ -156,7 +156,7 @@ TEST(Pis, RingNeighborsArePhysicallyCloserThanRandom) {
 
 // ----------------------------------------------------------- Topo-CAN ----
 
-TEST(TopoCan, MortonKeyPreservesLocality) {
+TEST(TopoCan, MortonKeyPreservesProximity) {
   // Nearby points get nearby keys; the far corner gets a far key.
   const CanPoint a{100, 100};
   const CanPoint b{101, 100};

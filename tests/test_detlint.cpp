@@ -203,56 +203,6 @@ TEST(DetlintRules, D8FiresOnDeterminismDebtOnly) {
   EXPECT_EQ(d8[0]->severity, Severity::kWarning);
 }
 
-TEST(DetlintRules, D9FlagsDefaultCaptureOnlyInShardPinnedSchedules) {
-  const LintResult r = lint_fixture("src/d9_cross_shard.cpp");
-  const auto d9 = by_rule(r, "D9");
-  // [&] and [&, slot] in three-arg calls fire; explicit captures
-  // ([&local], [slot]) and the two-arg shard-local call do not.
-  ASSERT_EQ(d9.size(), 2u);
-  EXPECT_EQ(d9[0]->line, 5);
-  EXPECT_EQ(d9[1]->line, 7);
-}
-
-TEST(DetlintRules, D9IgnoresNestedCommasWhenCountingArguments) {
-  // The capture list's own comma and commas inside nested parens must
-  // not promote a two-argument call into the pinned overload.
-  const FileScan scan = scan_source(
-      "src/x.cpp",
-      "void f(Sim& sim, int a, int b) {\n"
-      "  sim.schedule_in(delay(a, b), [&, a] { g(a); });\n"
-      "}\n");
-  std::vector<Finding> findings;
-  run_rules(scan, all_rules(), findings);
-  EXPECT_TRUE(by_rule(LintResult{findings, {}}, "D9").empty());
-}
-
-TEST(DetlintRules, D10FlagsUnsafeCapturesInSpeculativeSchedules) {
-  const LintResult r = lint_fixture("src/d10_speculative.cpp");
-  const auto d10 = by_rule(r, "D10");
-  // [&], [=] and [this, &local] in kShardLocal calls fire; the
-  // by-value kShardLocal capture, the kGlobal call, and the two-arg
-  // call without a locality token stay clean.
-  ASSERT_EQ(d10.size(), 3u);
-  EXPECT_EQ(d10[0]->line, 5);
-  EXPECT_EQ(d10[1]->line, 6);
-  EXPECT_EQ(d10[2]->line, 7);
-}
-
-TEST(DetlintRules, D10AllowsValueInitCapturesAndNestedBrackets) {
-  // A by-value init-capture's `=` is not a default capture, and a
-  // subscript inside an earlier argument must not be mistaken for a
-  // capture list.
-  const FileScan scan = scan_source(
-      "src/x.cpp",
-      "void f(Sim& sim, int a, int b) {\n"
-      "  sim.schedule_at(t[a], s, Locality::kShardLocal,\n"
-      "                  [p = g(a, b)] { h(p); });\n"
-      "}\n");
-  std::vector<Finding> findings;
-  run_rules(scan, all_rules(), findings);
-  EXPECT_TRUE(by_rule(LintResult{findings, {}}, "D10").empty());
-}
-
 TEST(DetlintRules, S1FiresOnHeaderWithoutPragmaOnce) {
   const LintResult r = lint_fixture("src/s1_missing_pragma.h");
   const auto s1 = by_rule(r, "S1");
@@ -382,7 +332,7 @@ TEST(Report, JsonSchemaAndCounts) {
 TEST(Report, RegistryFindsRulesByIdAndName) {
   register_builtin_rules();
   const RuleRegistry& reg = RuleRegistry::instance();
-  EXPECT_EQ(reg.rules().size(), 13u);
+  EXPECT_EQ(reg.rules().size(), 11u);
   EXPECT_NE(reg.find("D1"), nullptr);
   EXPECT_EQ(reg.find("D1"), reg.find("unordered-iteration"));
   EXPECT_EQ(reg.find("nope"), nullptr);

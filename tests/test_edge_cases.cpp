@@ -11,7 +11,7 @@
 #include "fixtures.h"
 #include "gnutella/flood_search.h"
 #include "pastry/pastry.h"
-#include "sim/simulator.h"
+#include "sim/scheduler.h"
 #include "topology/transit_stub.h"
 
 namespace propsim {
@@ -146,7 +146,7 @@ TEST(EdgeCan, CornerPoints) {
 
 TEST(EdgeEngine, HugeMinVarMeansNoExchanges) {
   auto fx = UnstructuredFixture::make(30, 9601);
-  Simulator sim;
+  Scheduler sim;
   PropParams params;
   params.init_timer_s = 10.0;
   params.min_var = std::numeric_limits<double>::max();
@@ -159,7 +159,7 @@ TEST(EdgeEngine, HugeMinVarMeansNoExchanges) {
 
 TEST(EdgeEngine, TinyOverlayStillRuns) {
   auto fx = UnstructuredFixture::make(5, 9602, /*attach_links=*/3);
-  Simulator sim;
+  Scheduler sim;
   PropParams params;
   params.init_timer_s = 5.0;
   PropEngine engine(fx.net, sim, params, 2);
@@ -171,7 +171,7 @@ TEST(EdgeEngine, TinyOverlayStillRuns) {
 
 TEST(EdgeEngine, NhopsLargerThanDiameter) {
   auto fx = UnstructuredFixture::make(12, 9603, /*attach_links=*/3);
-  Simulator sim;
+  Scheduler sim;
   PropParams params;
   params.init_timer_s = 5.0;
   params.nhops = 50;  // walks will mostly dead-end
@@ -184,7 +184,7 @@ TEST(EdgeEngine, NhopsLargerThanDiameter) {
 
 TEST(EdgeEngine, StopCancelsEverything) {
   auto fx = UnstructuredFixture::make(20, 9604);
-  Simulator sim;
+  Scheduler sim;
   PropParams params;
   params.init_timer_s = 10.0;
   PropEngine engine(fx.net, sim, params, 4);
@@ -238,7 +238,7 @@ TEST(EdgeExchange, SelfExchangeForbidden) {
   auto fx = UnstructuredFixture::make(10, 9605, /*attach_links=*/3);
   // plan_prop_g(u, u) violates its precondition; verify the engine can
   // never produce it by running a long random session.
-  Simulator sim;
+  Scheduler sim;
   PropParams params;
   params.init_timer_s = 2.0;
   PropEngine engine(fx.net, sim, params, 5);

@@ -13,7 +13,7 @@
 #include "core/prop_engine.h"
 #include "faults/fault_plan.h"
 #include "fixtures.h"
-#include "sim/simulator.h"
+#include "sim/scheduler.h"
 #include "workload/churn.h"
 
 namespace propsim {
@@ -48,7 +48,7 @@ LintReport run_rule(const std::string& name, const LintContext& ctx) {
 // ------------------------------------------------------- FaultInjector --
 
 TEST(FaultInjector, ZeroLossNeverDrops) {
-  Simulator sim;
+  Scheduler sim;
   FaultParams params;
   params.latency_jitter = 0.5;  // active, but loss class stays at zero
   FaultInjector faults(sim, params, 7);
@@ -60,7 +60,7 @@ TEST(FaultInjector, ZeroLossNeverDrops) {
 }
 
 TEST(FaultInjector, LossRateRoughlyHolds) {
-  Simulator sim;
+  Scheduler sim;
   FaultParams params;
   params.message_loss = 0.3;
   FaultInjector faults(sim, params, 8);
@@ -75,7 +75,7 @@ TEST(FaultInjector, LossRateRoughlyHolds) {
 }
 
 TEST(FaultInjector, DeterministicForSeed) {
-  Simulator sim;
+  Scheduler sim;
   FaultParams params;
   params.message_loss = 0.25;
   FaultInjector a(sim, params, 42);
@@ -86,7 +86,7 @@ TEST(FaultInjector, DeterministicForSeed) {
 }
 
 TEST(FaultInjector, JitterStretchesWithinBounds) {
-  Simulator sim;
+  Scheduler sim;
   FaultParams params;
   params.latency_jitter = 0.5;
   FaultInjector faults(sim, params, 9);
@@ -120,7 +120,7 @@ TEST(FaultInjector, PartitionDropsOnlyCrossingMessagesInsideWindow) {
   ASSERT_NE(inside_b, kInvalidNode);
   ASSERT_NE(outside, kInvalidNode);
 
-  Simulator sim;
+  Scheduler sim;
   FaultParams params;
   params.partitions.push_back(PartitionWindow{cut, 10.0, 20.0});
   FaultInjector faults(sim, params, 11);
@@ -144,7 +144,7 @@ TEST(FaultInjector, PartitionDropsOnlyCrossingMessagesInsideWindow) {
 }
 
 TEST(FaultInjector, CrashSchedulesThroughExecutor) {
-  Simulator sim;
+  Scheduler sim;
   FaultParams params;
   params.crash_per_negotiation = 0.99;
   FaultInjector faults(sim, params, 12);
@@ -182,7 +182,7 @@ TEST(PropEngineFaults, LossyNegotiationsStillConverge) {
   auto fx = UnstructuredFixture::make(60, 9200);
   const double before = fx.net.average_logical_link_latency();
   const auto degrees = fx.net.graph().degree_multiset();
-  Simulator sim;
+  Scheduler sim;
   PropEngine engine(fx.net, sim, fault_test_params(PropMode::kPropO), 30);
   FaultParams params;
   params.message_loss = 0.2;
@@ -204,7 +204,7 @@ TEST(PropEngineFaults, LossyNegotiationsStillConverge) {
 
 TEST(PropEngineFaults, MidExchangeCrashAbortsCleanly) {
   auto fx = UnstructuredFixture::make(48, 9201);
-  Simulator sim;
+  Scheduler sim;
   PropEngine engine(fx.net, sim, fault_test_params(PropMode::kPropG), 32);
   GnutellaConfig gcfg;
   ChurnParams cparams;  // all-zero rates: crash executor only
@@ -360,7 +360,7 @@ TEST(ExperimentFaults, InvalidFaultKeysAreRejectedTogether) {
 TEST(FaultsSmoke, PropOLossAndPartitionKeepInvariants) {
   auto fx = UnstructuredFixture::make(48, 9400);
   const SnapshotGraph baseline = snapshot_of(fx.net.graph());
-  Simulator sim;
+  Scheduler sim;
   PropEngine engine(fx.net, sim, fault_test_params(PropMode::kPropO), 50);
   FaultParams params;
   params.message_loss = 0.05;
@@ -391,7 +391,7 @@ TEST(FaultsSmoke, PropOLossAndPartitionKeepInvariants) {
 
 TEST(FaultsSmoke, PropGWithCrashesKeepsPlacementSound) {
   auto fx = UnstructuredFixture::make(48, 9401);
-  Simulator sim;
+  Scheduler sim;
   PropEngine engine(fx.net, sim, fault_test_params(PropMode::kPropG), 52);
   GnutellaConfig gcfg;
   ChurnParams cparams;

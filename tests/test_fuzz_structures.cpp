@@ -13,7 +13,7 @@
 #include "core/neighbor_queue.h"
 #include "overlay/logical_graph.h"
 #include "overlay/placement.h"
-#include "sim/simulator.h"
+#include "sim/scheduler.h"
 
 namespace propsim {
 namespace {
@@ -188,7 +188,7 @@ TEST(FuzzNeighborQueue, OperationsNeverLoseMembers) {
 
 TEST(FuzzSimulator, RandomScheduleCancelRespectsOrdering) {
   Rng rng(89);
-  Simulator sim;
+  Scheduler sim;
   std::vector<EventId> live;
   double last_fired = -1.0;
   int fired = 0;

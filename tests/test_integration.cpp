@@ -10,7 +10,7 @@
 #include "can/can_space.h"
 #include "chord/chord_ring.h"
 #include "core/prop_engine.h"
-#include "sim/simulator.h"
+#include "sim/scheduler.h"
 #include "fixtures.h"
 #include "metrics/convergence.h"
 #include "metrics/metrics.h"
@@ -41,7 +41,7 @@ TEST(Integration, PropGImprovesGnutellaLookupLatency) {
   const double before =
       average_unstructured_lookup_latency(fx.net, queries);
 
-  Simulator sim;
+  Scheduler sim;
   PropEngine engine(fx.net, sim, quick_prop(PropMode::kPropG), 2);
   ConvergenceSampler sampler(sim, "lookup", 0.0, 2000.0, 200.0, [&] {
     return average_unstructured_lookup_latency(fx.net, queries);
@@ -69,7 +69,7 @@ TEST(Integration, PropGImprovesChordStretch) {
   const auto router = chord_router(net, ring);
   const double before = stretch(net, queries, router).stretch;
 
-  Simulator sim;
+  Scheduler sim;
   PropEngine engine(net, sim, quick_prop(PropMode::kPropG), 3);
   engine.start();
   sim.run_until(2500.0);
@@ -104,7 +104,7 @@ TEST(Integration, PropGImprovesCanRouting) {
   };
 
   const double before = avg_route();
-  Simulator sim;
+  Scheduler sim;
   PropEngine engine(net, sim, quick_prop(PropMode::kPropG), 4);
   engine.start();
   sim.run_until(2500.0);
@@ -136,13 +136,13 @@ TEST(Integration, PropOBeatsLtmForFastDestinedLookups) {
 
   const double prop_o = run([](UnstructuredFixture& fx,
                                const BimodalDelays&) {
-    Simulator sim;
+    Scheduler sim;
     PropEngine engine(fx.net, sim, quick_prop(PropMode::kPropO), 7);
     engine.start();
     sim.run_until(2500.0);
   });
   const double ltm = run([](UnstructuredFixture& fx, const BimodalDelays&) {
-    Simulator sim;
+    Scheduler sim;
     LtmParams params;
     params.interval_s = 10.0;
     LtmEngine engine(fx.net, sim, params, 8);
@@ -170,7 +170,7 @@ TEST(Integration, PropGComposesWithPis) {
   const auto router = chord_router(net, ring);
   const double before = stretch(net, queries, router).stretch;
 
-  Simulator sim;
+  Scheduler sim;
   PropEngine engine(net, sim, quick_prop(PropMode::kPropG), 10);
   engine.start();
   sim.run_until(2500.0);
@@ -182,7 +182,7 @@ TEST(Integration, PropGComposesWithPis) {
 // post-churn latency returns below the perturbed level.
 TEST(Integration, PropRecoversAfterChurnBurst) {
   auto fx = UnstructuredFixture::make(60, 7006);
-  Simulator sim;
+  Scheduler sim;
   PropEngine engine(fx.net, sim, quick_prop(PropMode::kPropO), 11);
   engine.start();
 
@@ -226,7 +226,7 @@ TEST(Integration, PropRecoversAfterChurnBurst) {
 TEST(Integration, PropOCheaperPerAttemptThanPropG) {
   auto measure = [](PropMode mode, std::size_t m) {
     auto fx = UnstructuredFixture::make(60, 7007, /*attach_links=*/6);
-    Simulator sim;
+    Scheduler sim;
     PropParams params;
     params.mode = mode;
     params.m = m;

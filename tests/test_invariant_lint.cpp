@@ -9,7 +9,7 @@
 #include "chord/chord_ring.h"
 #include "core/prop_engine.h"
 #include "fixtures.h"
-#include "sim/simulator.h"
+#include "sim/scheduler.h"
 
 namespace propsim {
 namespace {
@@ -279,7 +279,7 @@ TEST(InvariantChecker, PropGRunPreservesAllInvariants) {
   const SnapshotGraph baseline = snapshot_of(fx.net.graph());
   const Placement baseline_placement = fx.net.placement();
 
-  Simulator sim;
+  Scheduler sim;
   PropParams params;
   params.mode = PropMode::kPropG;
   PropEngine engine(fx.net, sim, params, 13);
@@ -297,8 +297,8 @@ TEST(InvariantChecker, PropGRunPreservesAllInvariants) {
   EXPECT_TRUE(report.passed()) << report.to_string();
 }
 
-TEST(Simulator, AuditHookFiresAtInterval) {
-  Simulator sim;
+TEST(Scheduler, AuditHookFiresAtInterval) {
+  Scheduler sim;
   int fired = 0;
   sim.set_audit([&](const Scheduler&) { ++fired; }, 3);
   for (int i = 0; i < 10; ++i) {
@@ -311,7 +311,7 @@ TEST(Simulator, AuditHookFiresAtInterval) {
 
 TEST(InvariantChecker, ParanoidAuditMatchesBuildFlag) {
   auto fx = testing::UnstructuredFixture::make(30, 5);
-  Simulator sim;
+  Scheduler sim;
   const bool installed = install_paranoid_audit(sim, fx.net, 2);
   EXPECT_EQ(installed, paranoid_checks_enabled());
   // With the audit armed (paranoid builds), a healthy overlay must sail
@@ -428,7 +428,7 @@ TEST(LintRules, NegotiationLocksFlagOrphanedPair) {
 
 TEST(LintRules, NegotiationLockViewMirrorsEngine) {
   auto fx = testing::UnstructuredFixture::make(20, 4);
-  Simulator sim;
+  Scheduler sim;
   PropEngine prop(fx.net, sim, PropParams{}, /*seed=*/4);
   const NegotiationLockView view =
       negotiation_lock_view(prop, fx.net.graph());

@@ -401,87 +401,6 @@ TEST(MeasureModeKey, ComposesWithEveryMeasureThreadsSetting) {
   }
 }
 
-// --------------------------------------------------- sim_shards key ----
-
-TEST(SimShardsKey, DefaultsToSerial) {
-  EXPECT_EQ(must_parse("").sim_shards, 1u);
-  EXPECT_DOUBLE_EQ(must_parse("").shard_window_s, 0.25);
-}
-
-TEST(SimShardsKey, ParsesAutoCountsAndWindow) {
-  EXPECT_EQ(must_parse("sim_shards = auto\n").sim_shards,
-            ExperimentSpec::kSimShardsAuto);
-  EXPECT_EQ(must_parse("sim_shards = 0\n").sim_shards, 0u);
-  EXPECT_EQ(must_parse("sim_shards = 8\n").sim_shards, 8u);
-  EXPECT_DOUBLE_EQ(
-      must_parse("sim_shards = 4\nshard_window = 0.5\n").shard_window_s,
-      0.5);
-}
-
-TEST(SimShardsKey, RejectsBadValuesAndCombinations) {
-  for (const char* bad : {
-           "sim_shards = -2\n",                    // negative
-           "sim_shards = up\n",                    // garbage
-           "sim_shards = 65\n",                    // above kMaxShards
-           "sim_shards = 4\nshard_window = 0\n",   // non-positive window
-           "shard_window = 0.5\n",                 // window without shards
-           "sim_shards = 1\nshard_window = 0.5\n",  // window on serial core
-           "sim_shards = 4\ntopology = waxman\n",  // needs stub domains
-           "sim_shards = auto\nmeasure_threads = auto\n",  // both auto
-       }) {
-    EXPECT_FALSE(ExperimentSpec::from_config(Config::parse(bad)).ok()) << bad;
-  }
-}
-
-TEST(SimShardsKey, MisspelledKeyGetsDidYouMeanHint) {
-  const SpecResult parsed =
-      ExperimentSpec::from_config(Config::parse("sim_shard = 4\n"));
-  ASSERT_FALSE(parsed.ok());
-  EXPECT_NE(parsed.error_report().find("sim_shards"), std::string::npos)
-      << parsed.error_report();
-}
-
-// ---------------------------------------------- sim_speculative key ----
-
-TEST(SimSpeculativeKey, ParsesAndDefaultsToOff) {
-  EXPECT_EQ(must_parse("").sim_speculative, ExperimentSpec::Speculative::kOff);
-  EXPECT_EQ(must_parse("sim_speculative = off\n").sim_speculative,
-            ExperimentSpec::Speculative::kOff);
-  EXPECT_EQ(must_parse("sim_speculative = on\n").sim_speculative,
-            ExperimentSpec::Speculative::kOn);
-  EXPECT_EQ(must_parse("sim_speculative = auto\n").sim_speculative,
-            ExperimentSpec::Speculative::kAuto);
-  // `on` with the serial core is legal: it resolves to plain serial
-  // execution, so sweeping shard counts never needs config surgery.
-  EXPECT_TRUE(ExperimentSpec::from_config(
-                  Config::parse("sim_speculative = on\n"))
-                  .ok());
-}
-
-TEST(SimSpeculativeKey, RejectsBadValues) {
-  for (const char* bad : {"sim_speculative = yes\n", "sim_speculative = 2\n",
-                          "sim_speculative = fast\n"}) {
-    EXPECT_FALSE(ExperimentSpec::from_config(Config::parse(bad)).ok()) << bad;
-  }
-}
-
-// ----------------------------------------------- sim_local_ticks key ----
-
-TEST(SimLocalTicksKey, ParsesValidatesAndNeedsStubDomains) {
-  EXPECT_DOUBLE_EQ(must_parse("").local_tick_period_s, 0.0);
-  EXPECT_DOUBLE_EQ(must_parse("sim_local_ticks = 2.5\n").local_tick_period_s,
-                   2.5);
-  EXPECT_FALSE(ExperimentSpec::from_config(
-                   Config::parse("sim_local_ticks = -1\n"))
-                   .ok());
-  // Ticks run per stub domain, so a domain-free topology cannot host
-  // them.
-  EXPECT_FALSE(ExperimentSpec::from_config(Config::parse(
-                                               "topology = waxman\n"
-                                               "sim_local_ticks = 2\n"))
-                   .ok());
-}
-
 // ------------------------------------------------- golden result JSON ----
 
 std::string golden_json(const std::string& base, const std::string& threads) {
@@ -523,150 +442,6 @@ TEST(MeasureGolden, FaultedResultJsonIdenticalAcrossThreadCounts) {
   const std::string serial = golden_json(base, "1");
   EXPECT_EQ(serial, golden_json(base, "4"));
   EXPECT_EQ(serial, golden_json(base, "8"));
-}
-
-// --------------------------------- golden result JSON, sharded core ----
-
-std::string golden_json_shards(const std::string& base,
-                               const std::string& shards,
-                               const std::string& window = "") {
-  Config config = Config::parse(base);
-  config.set("sim_shards", shards);
-  if (!window.empty()) config.set("shard_window", window);
-  const SpecResult parsed = ExperimentSpec::from_config(config);
-  EXPECT_TRUE(parsed.ok()) << parsed.error_report();
-  const ExperimentSpec& spec = parsed.spec();
-  ExperimentResult result = run_experiment(spec);
-  result.trace.warmup_wall_ms = 0.0;
-  result.trace.maintenance_wall_ms = 0.0;
-  return experiment_result_json(spec, result).dump(2);
-}
-
-TEST(SchedulerGolden, Fig5LikeResultJsonIdenticalAcrossShardCounts) {
-  // configs/fig5_like.conf downscaled to test time; the acceptance bar
-  // for the sharded event core is byte-identity at 1/2/4/8 shards.
-  const std::string base =
-      "topology = ts-large\noverlay = gnutella\nprotocol = prop-g\n"
-      "nodes = 300\nhorizon = 900\nsample_interval = 100\n"
-      "queries = 2500\nnhops = 2\n";
-  const std::string serial = golden_json_shards(base, "1");
-  EXPECT_EQ(serial, golden_json_shards(base, "2"));
-  EXPECT_EQ(serial, golden_json_shards(base, "4"));
-  EXPECT_EQ(serial, golden_json_shards(base, "8"));
-  // The lock-step window width is equally invisible in the result.
-  EXPECT_EQ(serial, golden_json_shards(base, "4", "0.05"));
-  EXPECT_EQ(serial, golden_json_shards(base, "4", "30"));
-}
-
-TEST(SchedulerGolden, FaultedResultJsonIdenticalAcrossShardCounts) {
-  // Crashes, partitions, retries and churn repair all cross shard
-  // boundaries; the faulted golden is the hard case for handoff.
-  const std::string base =
-      "topology = ts-large\noverlay = gnutella\nprotocol = prop-o\n"
-      "nodes = 300\nhorizon = 900\nsample_interval = 100\n"
-      "queries = 2500\nmodel_message_delays = true\n"
-      "fault_loss = 0.05\nfault_jitter = 0.2\nfault_crash = 0.02\n"
-      "fault_partition_domain = auto\n"
-      "fault_partition_start = 300\nfault_partition_end = 600\n";
-  const std::string serial = golden_json_shards(base, "1");
-  EXPECT_EQ(serial, golden_json_shards(base, "2"));
-  EXPECT_EQ(serial, golden_json_shards(base, "4"));
-  EXPECT_EQ(serial, golden_json_shards(base, "8"));
-}
-
-// --------------------------- golden result JSON, speculative core ----
-
-struct SpeculativeRun {
-  ExperimentResult result;
-  std::string json;
-};
-
-SpeculativeRun run_speculative(const std::string& base,
-                               const std::string& shards,
-                               const std::string& speculative) {
-  Config config = Config::parse(base);
-  config.set("sim_shards", shards);
-  config.set("sim_speculative", speculative);
-  const SpecResult parsed = ExperimentSpec::from_config(config);
-  EXPECT_TRUE(parsed.ok()) << parsed.error_report();
-  const ExperimentSpec& spec = parsed.spec();
-  SpeculativeRun run{run_experiment(spec), ""};
-  ExperimentResult stripped = run.result;
-  stripped.trace.warmup_wall_ms = 0.0;
-  stripped.trace.maintenance_wall_ms = 0.0;
-  // sim.speculation is the one deliberately shard-count-dependent
-  // stanza in the schema — it reports scheduler internals — so the
-  // byte-identity bar applies to everything else.
-  stripped.speculation_active = false;
-  run.json = experiment_result_json(spec, stripped).dump(2);
-  return run;
-}
-
-TEST(SpeculationGolden, PureGlobalWorkloadIdenticalAndNeverConflicts) {
-  // configs/fig5_like.conf downscaled: every event is global, so an
-  // armed speculative core must stand aside — zero speculated events,
-  // zero conflicts — while staying byte-identical to serial.
-  const std::string base =
-      "topology = ts-large\noverlay = gnutella\nprotocol = prop-g\n"
-      "nodes = 300\nhorizon = 900\nsample_interval = 100\n"
-      "queries = 2500\nnhops = 2\n";
-  const SpeculativeRun off = run_speculative(base, "1", "off");
-  for (const char* shards : {"2", "4", "8"}) {
-    const SpeculativeRun on = run_speculative(base, shards, "auto");
-    EXPECT_EQ(off.json, on.json) << shards;
-    EXPECT_TRUE(on.result.speculation_active) << shards;
-    EXPECT_EQ(on.result.speculation_speculated, 0u) << shards;
-    EXPECT_EQ(on.result.speculation_conflicts, 0u) << shards;
-    EXPECT_DOUBLE_EQ(on.result.speculation_conflict_rate, 0.0) << shards;
-  }
-}
-
-TEST(SpeculationGolden, LocalTickWorkloadIdenticalAndExercisesReplay) {
-  // Mixing shard-local maintenance ticks with global prop traffic
-  // forces both speculation (tick prefixes below the cutoff) and
-  // conflict replay (ticks above it), all under the byte-identity bar.
-  const std::string base =
-      "topology = ts-large\noverlay = gnutella\nprotocol = prop-g\n"
-      "nodes = 300\nhorizon = 900\nsample_interval = 100\n"
-      "queries = 2500\nnhops = 2\nsim_local_ticks = 2\n";
-  const SpeculativeRun off = run_speculative(base, "1", "off");
-  EXPECT_GT(off.result.local_ticks, 0u);
-  std::uint64_t total_speculated = 0;
-  std::uint64_t total_replayed = 0;
-  for (const char* shards : {"2", "4", "8"}) {
-    const SpeculativeRun on = run_speculative(base, shards, "on");
-    EXPECT_EQ(off.json, on.json) << shards;
-    EXPECT_TRUE(on.result.speculation_active) << shards;
-    EXPECT_EQ(on.result.local_ticks, off.result.local_ticks) << shards;
-    EXPECT_EQ(on.result.local_tick_digest, off.result.local_tick_digest)
-        << shards;
-    total_speculated += on.result.speculation_speculated;
-    total_replayed += on.result.speculation_replayed;
-  }
-  EXPECT_GT(total_speculated, 0u);
-  EXPECT_GT(total_replayed, 0u);
-  // `on` at one shard is legal and resolves to plain serial execution:
-  // no stanza, no divergence.
-  const SpeculativeRun on1 = run_speculative(base, "1", "on");
-  EXPECT_EQ(off.json, on1.json);
-  EXPECT_FALSE(on1.result.speculation_active);
-}
-
-TEST(SpeculationGolden, FaultedWorkloadIdenticalWithSpeculationOn) {
-  // Crashes, partitions and retries all cross shard boundaries; the
-  // faulted golden is the hard case for the commit-order replay.
-  const std::string base =
-      "topology = ts-large\noverlay = gnutella\nprotocol = prop-o\n"
-      "nodes = 300\nhorizon = 900\nsample_interval = 100\n"
-      "queries = 2500\nmodel_message_delays = true\n"
-      "fault_loss = 0.05\nfault_jitter = 0.2\nfault_crash = 0.02\n"
-      "fault_partition_domain = auto\n"
-      "fault_partition_start = 300\nfault_partition_end = 600\n"
-      "sim_local_ticks = 2\n";
-  const SpeculativeRun off = run_speculative(base, "1", "off");
-  const SpeculativeRun on = run_speculative(base, "4", "on");
-  EXPECT_EQ(off.json, on.json);
-  EXPECT_TRUE(on.result.speculation_active);
 }
 
 // ------------------------------------ fast-mode experiment equivalence ----

@@ -6,7 +6,7 @@
 #include "fixtures.h"
 #include "metrics/convergence.h"
 #include "metrics/metrics.h"
-#include "sim/simulator.h"
+#include "sim/scheduler.h"
 
 namespace propsim {
 namespace {
@@ -132,7 +132,7 @@ TEST(Metrics, ChordRouterEndsAtDestination) {
 }
 
 TEST(Convergence, SamplesOnSchedule) {
-  Simulator sim;
+  Scheduler sim;
   double value = 0.0;
   sim.schedule_at(25.0, [&] { value = 7.0; });
   ConvergenceSampler sampler(sim, "metric", 0.0, 100.0, 10.0,
@@ -147,7 +147,7 @@ TEST(Convergence, SamplesOnSchedule) {
 }
 
 TEST(Convergence, BatchedPrepareRunsOncePerTickBeforeMetrics) {
-  Simulator sim;
+  Scheduler sim;
   int prepared = 0;
   double base = 0.0;
   sim.schedule_at(15.0, [&] { base = 100.0; });
@@ -169,7 +169,7 @@ TEST(Convergence, BatchedPrepareRunsOncePerTickBeforeMetrics) {
 }
 
 TEST(Convergence, PrepareGuardSkipsPrepareButNeverMetrics) {
-  Simulator sim;
+  Scheduler sim;
   int prepared = 0;
   int asked = 0;
   std::vector<ConvergenceSampler::NamedMetric> metrics;
@@ -192,7 +192,7 @@ TEST(Convergence, PrepareGuardSkipsPrepareButNeverMetrics) {
 }
 
 TEST(Convergence, PreparedTicksCountsEveryTickWithoutGuard) {
-  Simulator sim;
+  Scheduler sim;
   int prepared = 0;
   std::vector<ConvergenceSampler::NamedMetric> metrics;
   metrics.push_back({"a", [&] { return 0.0; }});
@@ -204,7 +204,7 @@ TEST(Convergence, PreparedTicksCountsEveryTickWithoutGuard) {
 }
 
 TEST(Convergence, InterleavesWithOtherEvents) {
-  Simulator sim;
+  Scheduler sim;
   int counter = 0;
   for (int i = 0; i < 10; ++i) {
     sim.schedule_at(i * 10.0 + 5.0, [&] { ++counter; });

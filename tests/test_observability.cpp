@@ -5,7 +5,7 @@
 #include "common/thread_pool.h"
 #include "core/prop_engine.h"
 #include "fixtures.h"
-#include "sim/simulator.h"
+#include "sim/scheduler.h"
 
 namespace propsim {
 namespace {
@@ -14,7 +14,7 @@ using testing::UnstructuredFixture;
 
 TEST(ExchangeObserver, SeesEveryCommittedExchange) {
   auto fx = UnstructuredFixture::make(40, 9501);
-  Simulator sim;
+  Scheduler sim;
   PropParams params;
   params.init_timer_s = 10.0;
   PropEngine engine(fx.net, sim, params, 1);
@@ -41,7 +41,7 @@ TEST(ExchangeObserver, SeesEveryCommittedExchange) {
 
 TEST(ExchangeObserver, PropOReportsTransferSizes) {
   auto fx = UnstructuredFixture::make(40, 9502);
-  Simulator sim;
+  Scheduler sim;
   PropParams params;
   params.mode = PropMode::kPropO;
   params.m = 2;
@@ -62,7 +62,7 @@ TEST(ExchangeObserver, PropOReportsTransferSizes) {
 
 TEST(ExchangeObserver, FiresUnderDelayedCommitsToo) {
   auto fx = UnstructuredFixture::make(40, 9503);
-  Simulator sim;
+  Scheduler sim;
   PropParams params;
   params.init_timer_s = 10.0;
   params.model_message_delays = true;

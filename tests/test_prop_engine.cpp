@@ -5,7 +5,7 @@
 #include "chord/chord_ring.h"
 #include "core/prop_engine.h"
 #include "fixtures.h"
-#include "sim/simulator.h"
+#include "sim/scheduler.h"
 
 namespace propsim {
 namespace {
@@ -74,7 +74,7 @@ TEST(NeighborQueueTest, RemoveAndEmpty) {
 
 TEST(PropEngine, WarmUpThenMaintenance) {
   auto fx = UnstructuredFixture::make(40, 3001);
-  Simulator sim;
+  Scheduler sim;
   PropEngine engine(fx.net, sim, fast_params(PropMode::kPropG), 1);
   engine.start();
   // After enough simulated time every node has exceeded max_init_trial.
@@ -88,7 +88,7 @@ TEST(PropEngine, WarmUpThenMaintenance) {
 TEST(PropEngine, PropGReducesAverageLogicalLinkLatency) {
   auto fx = UnstructuredFixture::make(60, 3002);
   const double before = fx.net.average_logical_link_latency();
-  Simulator sim;
+  Scheduler sim;
   PropEngine engine(fx.net, sim, fast_params(PropMode::kPropG), 2);
   engine.start();
   sim.run_until(2000.0);
@@ -101,7 +101,7 @@ TEST(PropEngine, PropOReducesAverageLogicalLinkLatency) {
   auto fx = UnstructuredFixture::make(60, 3003);
   const double before = fx.net.average_logical_link_latency();
   const auto degrees = fx.net.graph().degree_multiset();
-  Simulator sim;
+  Scheduler sim;
   PropEngine engine(fx.net, sim, fast_params(PropMode::kPropO), 3);
   engine.start();
   sim.run_until(2000.0);
@@ -113,7 +113,7 @@ TEST(PropEngine, PropOReducesAverageLogicalLinkLatency) {
 
 TEST(PropEngine, ExchangeSizeDefaultsToMinDegree) {
   auto fx = UnstructuredFixture::make(40, 3004, /*attach_links=*/3);
-  Simulator sim;
+  Scheduler sim;
   PropParams params = fast_params(PropMode::kPropO);
   params.m = 0;
   PropEngine engine(fx.net, sim, params, 4);
@@ -123,7 +123,7 @@ TEST(PropEngine, ExchangeSizeDefaultsToMinDegree) {
 
 TEST(PropEngine, RandomTargetModeWorks) {
   auto fx = UnstructuredFixture::make(40, 3005);
-  Simulator sim;
+  Scheduler sim;
   PropParams params = fast_params(PropMode::kPropG);
   params.random_target = true;
   PropEngine engine(fx.net, sim, params, 5);
@@ -134,7 +134,7 @@ TEST(PropEngine, RandomTargetModeWorks) {
 
 TEST(PropEngine, BackoffGrowsTimerAfterConvergence) {
   auto fx = UnstructuredFixture::make(40, 3006);
-  Simulator sim;
+  Scheduler sim;
   PropParams params = fast_params(PropMode::kPropG);
   PropEngine engine(fx.net, sim, params, 6);
   engine.start();
@@ -150,7 +150,7 @@ TEST(PropEngine, BackoffGrowsTimerAfterConvergence) {
 
 TEST(PropEngine, BackoffDisabledKeepsBaseTimer) {
   auto fx = UnstructuredFixture::make(30, 3007);
-  Simulator sim;
+  Scheduler sim;
   PropParams params = fast_params(PropMode::kPropG);
   params.use_backoff = false;
   PropEngine engine(fx.net, sim, params, 7);
@@ -163,7 +163,7 @@ TEST(PropEngine, BackoffDisabledKeepsBaseTimer) {
 
 TEST(PropEngine, BackoffNeverExceedsMaxTimer) {
   auto fx = UnstructuredFixture::make(30, 3008);
-  Simulator sim;
+  Scheduler sim;
   PropParams params = fast_params(PropMode::kPropG);
   PropEngine engine(fx.net, sim, params, 8);
   engine.start();
@@ -175,7 +175,7 @@ TEST(PropEngine, BackoffNeverExceedsMaxTimer) {
 
 TEST(PropEngine, ManualAttemptOnNewEngine) {
   auto fx = UnstructuredFixture::make(30, 3009);
-  Simulator sim;
+  Scheduler sim;
   PropEngine engine(fx.net, sim, fast_params(PropMode::kPropG), 9);
   engine.start();
   std::uint64_t before = engine.stats().attempts;
@@ -185,7 +185,7 @@ TEST(PropEngine, ManualAttemptOnNewEngine) {
 
 TEST(PropEngine, StatsAccounting) {
   auto fx = UnstructuredFixture::make(40, 3010);
-  Simulator sim;
+  Scheduler sim;
   PropEngine engine(fx.net, sim, fast_params(PropMode::kPropG), 10);
   engine.start();
   sim.run_until(1500.0);
@@ -198,7 +198,7 @@ TEST(PropEngine, StatsAccounting) {
 
 TEST(PropEngine, TrafficChargedPerAttempt) {
   auto fx = UnstructuredFixture::make(40, 3011);
-  Simulator sim;
+  Scheduler sim;
   PropEngine engine(fx.net, sim, fast_params(PropMode::kPropG), 11);
   engine.start();
   fx.net.traffic().reset();
@@ -213,7 +213,7 @@ TEST(PropEngine, TrafficChargedPerAttempt) {
 
 TEST(PropEngine, ChurnHooksMaintainState) {
   auto fx = UnstructuredFixture::make(40, 3012);
-  Simulator sim;
+  Scheduler sim;
   PropEngine engine(fx.net, sim, fast_params(PropMode::kPropO), 12);
   engine.start();
   sim.run_until(100.0);
@@ -252,7 +252,7 @@ TEST(PropEngine, MessageDelaysStillConverge) {
   auto fx = UnstructuredFixture::make(60, 3020);
   const double before = fx.net.average_logical_link_latency();
   const auto degrees = fx.net.graph().degree_multiset();
-  Simulator sim;
+  Scheduler sim;
   PropParams params = fast_params(PropMode::kPropO);
   params.model_message_delays = true;
   PropEngine engine(fx.net, sim, params, 20);
@@ -269,7 +269,7 @@ TEST(PropEngine, MessageDelaysDetectConflicts) {
   // Small, dense overlay with aggressive probing maximizes the chance
   // that two in-flight exchanges overlap and one is invalidated.
   auto fx = UnstructuredFixture::make(24, 3021, /*attach_links=*/5);
-  Simulator sim;
+  Scheduler sim;
   PropParams params = fast_params(PropMode::kPropO);
   params.model_message_delays = true;
   params.init_timer_s = 0.5;  // negotiation RTTs now overlap probes
@@ -286,7 +286,7 @@ TEST(PropEngine, MessageDelaysDetectConflicts) {
 
 TEST(PropEngine, MessageDelaysWorkWithPropGAndChurnHooks) {
   auto fx = UnstructuredFixture::make(40, 3022);
-  Simulator sim;
+  Scheduler sim;
   PropParams params = fast_params(PropMode::kPropG);
   params.model_message_delays = true;
   PropEngine engine(fx.net, sim, params, 22);
@@ -310,7 +310,7 @@ TEST(PropEngine, DelayedCommitInvalidatedByDepartureKeepsQueuesClean) {
   // exchange must abort as a conflict and every survivor's neighbor
   // queue must still mirror its graph neighborhood exactly.
   auto fx = UnstructuredFixture::make(30, 3030);
-  Simulator sim;
+  Scheduler sim;
   PropParams params = fast_params(PropMode::kPropO);
   params.model_message_delays = true;
   params.init_timer_s = 1e6;  // no autonomous probes interfere
@@ -363,7 +363,7 @@ TEST(PropEngine, DelayedCommitInvalidatedByDepartureKeepsQueuesClean) {
 TEST(PropEngine, DeterministicForSeed) {
   auto run_once = [](std::uint64_t seed) {
     auto fx = UnstructuredFixture::make(40, 3013);
-    Simulator sim;
+    Scheduler sim;
     PropEngine engine(fx.net, sim, fast_params(PropMode::kPropG), seed);
     engine.start();
     sim.run_until(1000.0);
@@ -406,7 +406,7 @@ TEST(PropEngine, PropGOnChordImprovesLookupLatency) {
   };
 
   const double before = avg_lookup();
-  Simulator sim;
+  Scheduler sim;
   PropEngine engine(net, sim, fast_params(PropMode::kPropG), 15);
   engine.start();
   sim.run_until(3000.0);

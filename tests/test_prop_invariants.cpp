@@ -15,7 +15,7 @@
 #include "gnutella/gnutella.h"
 #include "overlay/isomorphism.h"
 #include "pastry/pastry.h"
-#include "sim/simulator.h"
+#include "sim/scheduler.h"
 #include "tapestry/tapestry.h"
 #include "workload/host_selection.h"
 
@@ -105,7 +105,7 @@ TEST_P(PropGSubstrate, EngineRunPreservesStructureAndImproves) {
   const Placement placement_before = net.placement();
   const double latency_before = net.average_logical_link_latency();
 
-  Simulator sim;
+  Scheduler sim;
   PropParams params;
   params.mode = PropMode::kPropG;
   params.nhops = nhops;
@@ -163,7 +163,7 @@ TEST_P(PropOParamSweep, DegreeAndConnectivityInvariants) {
   const auto degrees = net.graph().degree_multiset();
   const double latency_before = net.average_logical_link_latency();
 
-  Simulator sim;
+  Scheduler sim;
   PropParams params;
   params.mode = PropMode::kPropO;
   params.m = m;
@@ -243,7 +243,7 @@ TEST(PropGAnonymity, IdentifierMultisetOnlyPermutes) {
     before[net.placement().host_of(s)] = ring.id_of(s);
   }
 
-  Simulator sim;
+  Scheduler sim;
   PropParams params;
   params.init_timer_s = 10.0;
   PropEngine engine(net, sim, params, 1);

@@ -1,57 +1,21 @@
-// Scheduler API: SerialScheduler semantics through the interface, and
-// the ShardedScheduler determinism contract — bit-identical execution
-// at any shard count and window, equal-time FIFO tie-break across a
-// handoff boundary, cancellation of buffered handoffs.
+// Scheduler determinism contract: events execute in strict (time, id)
+// order, where ids grow with every schedule call. A seed-driven
+// self-scheduling workload is checked against a brute-force reference
+// queue. Basic semantics live in test_sim.cpp.
 #include <cstdint>
-#include <functional>
-#include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "sim/local_ticks.h"
-#include "sim/serial_scheduler.h"
-#include "sim/sharded_scheduler.h"
+#include "sim/scheduler.h"
 
 namespace propsim {
 namespace {
 
-// --------------------------------------------------- interface basics ----
-
-// Producers take Scheduler&; any implementation must satisfy them.
-int run_three_through_interface(Scheduler& sim) {
-  int sum = 0;
-  sim.schedule_in(2.0, [&] { sum += 100; });
-  sim.schedule_in(1.0, [&] { sum += 10; });
-  sim.schedule_at(3.0, [&] { sum += 1; });
-  sim.run_until(10.0);
-  return sum;
-}
-
-TEST(Scheduler, PolymorphicUseMatchesAcrossImplementations) {
-  SerialScheduler serial;
-  ShardedScheduler sharded(4);
-  EXPECT_EQ(run_three_through_interface(serial), 111);
-  EXPECT_EQ(run_three_through_interface(sharded), 111);
-  EXPECT_EQ(serial.executed_events(), 3u);
-  EXPECT_EQ(sharded.executed_events(), 3u);
-  EXPECT_EQ(serial.scheduled_events(), 3u);
-  EXPECT_EQ(sharded.scheduled_events(), 3u);
-}
-
-TEST(Scheduler, ShardMapAnswersAndDefaultsToNoShard) {
-  SerialScheduler sim;
-  EXPECT_EQ(sim.shard_of(0), kNoShard);  // no map installed
-  sim.set_shard_map({0, 1, 2, 0});
-  EXPECT_EQ(sim.shard_of(1), 1u);
-  EXPECT_EQ(sim.shard_of(3), 0u);
-  EXPECT_EQ(sim.shard_of(99), kNoShard);  // out of range
-}
-
 TEST(Scheduler, CancelCountsOnceAndPendingDrops) {
-  ShardedScheduler sim(2);
+  Scheduler sim;
   const EventId id = sim.schedule_in(1.0, [] {});
   EXPECT_EQ(sim.pending_events(), 1u);
   EXPECT_TRUE(sim.cancel(id));
@@ -60,121 +24,47 @@ TEST(Scheduler, CancelCountsOnceAndPendingDrops) {
   EXPECT_EQ(sim.cancelled_events(), 1u);
   sim.run_until(5.0);
   EXPECT_EQ(sim.executed_events(), 0u);
+  EXPECT_EQ(sim.scheduled_events(), 1u);
 }
 
-// ----------------------------------------- sharded semantics, targeted ----
+// ------------------------------------------------------ differential fuzz ----
 
-TEST(ShardedScheduler, EqualTimeFifoTieBreakSurvivesHandoff) {
-  // Window [0.1, 0.6]. The shard-0 event schedules X onto shard 1 at
-  // t=1.0 — cross-shard, beyond the window, so X rides the handoff
-  // buffer. The shard-1 event then schedules Y onto its own shard at the
-  // same t=1.0, straight into the heap. X was scheduled first, gets the
-  // smaller id, and must still fire first after the detour.
-  ShardedScheduler sim(2, /*window_s=*/0.5);
-  std::vector<std::string> order;
-  EventId x = kInvalidEvent;
-  EventId y = kInvalidEvent;
-  sim.schedule_at(0.1, /*shard=*/0, [&] {
-    x = sim.schedule_at(1.0, /*shard=*/1, [&] { order.push_back("X"); });
-  });
-  sim.schedule_at(0.2, /*shard=*/1, [&] {
-    y = sim.schedule_at(1.0, /*shard=*/1, [&] { order.push_back("Y"); });
-  });
-  sim.run_until(2.0);
-  ASSERT_LT(x, y);  // schedule order assigns the tie-breaking ids
-  ASSERT_EQ(order.size(), 2u);
-  EXPECT_EQ(order[0], "X");
-  EXPECT_EQ(order[1], "Y");
-  EXPECT_GE(sim.stats().handoffs, 1u);
-}
-
-TEST(ShardedScheduler, CancelReachesEventParkedInHandoffBuffer) {
-  ShardedScheduler sim(2, /*window_s=*/0.5);
-  bool fired = false;
-  EventId x = kInvalidEvent;
-  sim.schedule_at(0.1, /*shard=*/0, [&] {
-    x = sim.schedule_at(1.0, /*shard=*/1, [&] { fired = true; });
-  });
-  // A later event in the same window cancels X while it sits in the
-  // (0 -> 1) handoff buffer, before any flush.
-  sim.schedule_at(0.2, /*shard=*/0, [&] {
-    EXPECT_TRUE(sim.cancel(x));
-    EXPECT_FALSE(sim.cancel(x));  // second cancel: already gone
-  });
-  sim.run_until(2.0);
-  EXPECT_FALSE(fired);
-  EXPECT_EQ(sim.pending_events(), 0u);
-  EXPECT_EQ(sim.cancelled_events(), 1u);
-  EXPECT_EQ(sim.executed_events(), 2u);
-}
-
-TEST(ShardedScheduler, CrossShardEventInsideOpenWindowKeepsGlobalOrder) {
-  // The t=0.1 callback schedules a cross-shard event at t=0.3 — inside
-  // the already-drained window [0.1, 0.6] — which must still execute
-  // before the pre-existing t=0.4 event on the other shard.
-  ShardedScheduler sim(2, /*window_s=*/0.5);
-  std::vector<int> order;
-  sim.schedule_at(0.4, /*shard=*/1, [&] { order.push_back(2); });
-  sim.schedule_at(0.1, /*shard=*/0, [&] {
-    order.push_back(1);
-    sim.schedule_at(0.3, /*shard=*/1, [&] { order.push_back(3); });
-  });
-  sim.run_until(1.0);
-  EXPECT_EQ(order, (std::vector<int>{1, 3, 2}));
-  EXPECT_GE(sim.stats().live_reroutes, 1u);
-}
-
-TEST(ShardedScheduler, StepExecutesGloballyEarliestAcrossShards) {
-  ShardedScheduler sim(4, /*window_s=*/0.5);
-  std::vector<int> order;
-  sim.schedule_at(3.0, 2, [&] { order.push_back(3); });
-  sim.schedule_at(1.0, 3, [&] { order.push_back(1); });
-  sim.schedule_at(2.0, 0, [&] { order.push_back(2); });
-  EXPECT_TRUE(sim.step());
-  EXPECT_DOUBLE_EQ(sim.now(), 1.0);
-  EXPECT_TRUE(sim.step());
-  EXPECT_TRUE(sim.step());
-  EXPECT_FALSE(sim.step());
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(ShardedScheduler, RunUntilClampsClockLikeSerial) {
-  ShardedScheduler sim(2);
-  int fired = 0;
-  sim.schedule_at(5.0, [&] { ++fired; });
-  sim.run_until(3.0);
-  EXPECT_EQ(fired, 0);
-  EXPECT_DOUBLE_EQ(sim.now(), 3.0);
-  sim.run_until(5.0);  // boundary event fires
-  EXPECT_EQ(fired, 1);
-  EXPECT_DOUBLE_EQ(sim.now(), 5.0);
-}
-
-TEST(ShardedScheduler, AuditHookFiresAtSameCountsAsSerial) {
-  const auto run = [](Scheduler& sim) {
-    std::vector<std::pair<std::uint64_t, double>> audits;
-    sim.set_audit(
-        [&](const Scheduler& s) {
-          audits.emplace_back(s.executed_events(), s.now());
-        },
-        3);
-    for (int i = 0; i < 10; ++i) {
-      sim.schedule_in(static_cast<double>(i) * 0.1, [] {});
+/// Brute-force model of the contract: pending events in a flat list,
+/// the next one found by a linear (time, id) scan.
+class ReferenceQueue {
+ public:
+  EventId schedule(double when) {
+    pending_.push_back({when, next_id_});
+    return next_id_++;
+  }
+  bool cancel(EventId id) {
+    for (std::size_t i = 0; i < pending_.size(); ++i) {
+      if (pending_[i].second == id) {
+        pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
+        return true;
+      }
     }
-    sim.run_until(5.0);
-    return audits;
-  };
-  SerialScheduler serial;
-  ShardedScheduler sharded(3, /*window_s=*/0.25);
-  EXPECT_EQ(run(serial), run(sharded));
-}
+    return false;
+  }
+  /// Removes and returns the earliest pending (time, id).
+  std::pair<double, EventId> pop() {
+    std::size_t best = 0;
+    for (std::size_t i = 1; i < pending_.size(); ++i) {
+      if (pending_[i] < pending_[best]) best = i;
+    }
+    const auto next = pending_[best];
+    pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(best));
+    return next;
+  }
 
-// --------------------------------------------------- differential fuzz ----
+ private:
+  std::vector<std::pair<double, EventId>> pending_;
+  EventId next_id_ = 1;
+};
 
-// Seed-driven self-scheduling workload: events spawn children (some at
-// zero delay to stress the FIFO tie-break), cancel random pending ids,
-// and log (tag, now) on execution. Driven through Scheduler&, the log —
-// and every RNG draw — must be identical on every implementation.
+/// Events spawn children (a quarter at zero delay, to stress the FIFO
+/// tie-break) and cancel random earlier ids; every execution logs its
+/// (time, id). The reference replays the same schedule/cancel calls.
 class FuzzWorkload {
  public:
   static constexpr int kMaxEvents = 400;
@@ -182,333 +72,60 @@ class FuzzWorkload {
   FuzzWorkload(Scheduler& sim, std::uint64_t seed) : sim_(sim), rng_(seed) {}
 
   void start(int initial) {
-    for (int i = 0; i < initial; ++i) {
-      spawn(rng_.uniform_double(0.0, 5.0));
-    }
+    for (int i = 0; i < initial; ++i) spawn(rng_.uniform_double(0.0, 5.0));
   }
 
-  const std::vector<std::pair<int, double>>& log() const { return log_; }
+  const std::vector<std::pair<double, EventId>>& log() const { return log_; }
+  const std::vector<std::pair<double, EventId>>& expected() const {
+    return expected_;
+  }
 
  private:
   void spawn(double delay) {
-    const int tag = next_tag_++;
-    // Mix pinned and unpinned events; the pin is a routing hint only.
-    const ShardId shard =
-        rng_.bernoulli(0.3)
-            ? kNoShard
-            : sim_.shard_of(static_cast<std::uint32_t>(tag % 16));
-    ids_.push_back(
-        sim_.schedule_in(delay, shard, [this, tag] { on_event(tag); }));
+    ++spawned_;
+    const double when = sim_.now() + delay;
+    const EventId ref_id = reference_.schedule(when);
+    const EventId id =
+        sim_.schedule_in(delay, [this, ref_id] { on_event(ref_id); });
+    EXPECT_EQ(id, ref_id);
+    ids_.push_back(id);
   }
 
-  void on_event(int tag) {
-    log_.emplace_back(tag, sim_.now());
+  void on_event(EventId id) {
+    expected_.push_back(reference_.pop());
+    log_.emplace_back(sim_.now(), id);
     const auto children = rng_.uniform_int(0, 2);
-    for (std::int64_t c = 0; c < children && next_tag_ < kMaxEvents; ++c) {
+    for (std::int64_t c = 0; c < children && spawned_ < kMaxEvents; ++c) {
       spawn(rng_.bernoulli(0.25) ? 0.0 : rng_.uniform_double(0.0, 2.0));
     }
     if (!ids_.empty() && rng_.bernoulli(0.2)) {
       const auto k = static_cast<std::size_t>(rng_.uniform_int(
           0, static_cast<std::int64_t>(ids_.size()) - 1));
-      sim_.cancel(ids_[k]);  // often a no-op (already ran); still logged
+      EXPECT_EQ(sim_.cancel(ids_[k]), reference_.cancel(ids_[k]));
     }
   }
 
   Scheduler& sim_;
   Rng rng_;
+  ReferenceQueue reference_;
   std::vector<EventId> ids_;
-  std::vector<std::pair<int, double>> log_;
-  int next_tag_ = 0;
+  std::vector<std::pair<double, EventId>> log_;
+  std::vector<std::pair<double, EventId>> expected_;
+  int spawned_ = 0;
 };
 
-std::vector<ShardId> fuzz_shard_map(std::size_t shard_count) {
-  std::vector<ShardId> map(16);
-  for (std::size_t i = 0; i < map.size(); ++i) {
-    map[i] = static_cast<ShardId>(i % shard_count);
-  }
-  return map;
-}
-
-TEST(ShardedScheduler, ExecutionBitIdenticalToSerialUnderFuzz) {
+TEST(Scheduler, ExecutionOrderMatchesReferenceUnderFuzz) {
   for (const std::uint64_t seed : {7ULL, 21ULL, 97ULL}) {
-    SerialScheduler serial;
-    serial.set_shard_map(fuzz_shard_map(1));
-    FuzzWorkload reference(serial, seed);
-    reference.start(24);
-    serial.run_until(60.0);
-    ASSERT_GT(serial.executed_events(), 0u);
-
-    for (const std::size_t shards : {2u, 3u, 8u}) {
-      for (const double window : {0.1, 1.0, 1e6}) {
-        ShardedScheduler sharded(shards, window);
-        sharded.set_shard_map(fuzz_shard_map(shards));
-        FuzzWorkload workload(sharded, seed);
-        workload.start(24);
-        sharded.run_until(60.0);
-        EXPECT_EQ(workload.log(), reference.log())
-            << "seed " << seed << " shards " << shards << " window "
-            << window;
-        EXPECT_EQ(sharded.executed_events(), serial.executed_events());
-        EXPECT_EQ(sharded.scheduled_events(), serial.scheduled_events());
-        EXPECT_EQ(sharded.cancelled_events(), serial.cancelled_events());
-        EXPECT_EQ(sharded.pending_events(), serial.pending_events());
-        EXPECT_DOUBLE_EQ(sharded.now(), serial.now());
-      }
-    }
+    Scheduler sim;
+    FuzzWorkload workload(sim, seed);
+    workload.start(24);
+    sim.run_all();
+    ASSERT_GT(sim.executed_events(), 100u) << "seed " << seed;
+    EXPECT_EQ(workload.log(), workload.expected()) << "seed " << seed;
+    EXPECT_EQ(sim.pending_events(), 0u);
+    EXPECT_EQ(sim.executed_events() + sim.cancelled_events(),
+              sim.scheduled_events());
   }
-}
-
-TEST(ShardedScheduler, FuzzKeepsWindowMachineryBusy) {
-  // Sanity that the fuzz above actually exercises the sharded paths.
-  ShardedScheduler sharded(4, 0.5);
-  sharded.set_shard_map(fuzz_shard_map(4));
-  FuzzWorkload workload(sharded, 7);
-  workload.start(24);
-  sharded.run_until(60.0);
-  EXPECT_GT(sharded.stats().windows, 0u);
-  EXPECT_GT(sharded.stats().drained, 0u);
-  EXPECT_GT(sharded.stats().handoffs + sharded.stats().live_reroutes, 0u);
-}
-
-// ------------------------------------------------ speculative execution ----
-
-using sim::LocalTickParams;
-using sim::LocalTickProcess;
-
-void expect_counters_match(const Scheduler& got, const Scheduler& want) {
-  EXPECT_EQ(got.executed_events(), want.executed_events());
-  EXPECT_EQ(got.scheduled_events(), want.scheduled_events());
-  EXPECT_EQ(got.cancelled_events(), want.cancelled_events());
-  EXPECT_EQ(got.pending_events(), want.pending_events());
-  EXPECT_DOUBLE_EQ(got.now(), want.now());
-}
-
-TEST(ShardedScheduler, SpeculativeAllLocalBitIdenticalToSerial) {
-  // Pure shard-local tick chains: with no global events the cutoff is
-  // open and everything runs off the merge thread, conflict-free.
-  LocalTickParams params;
-  params.period_s = 0.4;
-  params.end_s = 30.0;
-  SerialScheduler serial;
-  LocalTickProcess reference(serial, params, /*domains=*/12, /*seed=*/11);
-  reference.start();
-  serial.run_until(30.0);
-  ASSERT_GT(reference.ticks(), 0u);
-
-  for (const std::size_t shards : {2u, 3u, 8u}) {
-    for (const double window : {0.05, 0.5, 1e6}) {
-      ShardedScheduler sharded(shards, window, /*speculative=*/true);
-      ASSERT_TRUE(sharded.speculative());
-      LocalTickProcess ticks(sharded, params, 12, 11);
-      ticks.start();
-      sharded.run_until(30.0);
-      EXPECT_EQ(ticks.ticks(), reference.ticks());
-      EXPECT_EQ(ticks.digest(), reference.digest());
-      expect_counters_match(sharded, serial);
-      EXPECT_GT(sharded.stats().speculated, 0u) << shards << "/" << window;
-      EXPECT_EQ(sharded.stats().replayed, 0u);
-      EXPECT_EQ(sharded.stats().conflicts, 0u);
-      EXPECT_DOUBLE_EQ(sharded.stats().conflict_rate(), 0.0);
-    }
-  }
-}
-
-TEST(ShardedScheduler, SpeculativeMixedWorkloadBitIdenticalToSerial) {
-  // Local tick chains interleaved with the global fuzz workload: global
-  // events truncate speculative prefixes mid-window, forcing replays,
-  // and the result must still match serial bit for bit.
-  LocalTickParams params;
-  params.period_s = 0.15;
-  params.end_s = 60.0;
-  for (const std::uint64_t seed : {7ULL, 21ULL, 97ULL}) {
-    SerialScheduler serial;
-    serial.set_shard_map(fuzz_shard_map(1));
-    FuzzWorkload ref_fuzz(serial, seed);
-    LocalTickProcess ref_ticks(serial, params, /*domains=*/8, seed + 1);
-    ref_fuzz.start(24);
-    ref_ticks.start();
-    serial.run_until(60.0);
-
-    std::uint64_t total_speculated = 0;
-    std::uint64_t total_replayed = 0;
-    std::uint64_t total_conflicts = 0;
-    for (const std::size_t shards : {2u, 3u, 8u}) {
-      for (const double window : {0.1, 1.0, 1e6}) {
-        ShardedScheduler sharded(shards, window, /*speculative=*/true);
-        sharded.set_shard_map(fuzz_shard_map(shards));
-        FuzzWorkload fuzz(sharded, seed);
-        LocalTickProcess ticks(sharded, params, 8, seed + 1);
-        fuzz.start(24);
-        ticks.start();
-        sharded.run_until(60.0);
-        EXPECT_EQ(fuzz.log(), ref_fuzz.log())
-            << "seed " << seed << " shards " << shards << " window "
-            << window;
-        EXPECT_EQ(ticks.ticks(), ref_ticks.ticks());
-        EXPECT_EQ(ticks.digest(), ref_ticks.digest());
-        expect_counters_match(sharded, serial);
-        total_speculated += sharded.stats().speculated;
-        total_replayed += sharded.stats().replayed;
-        total_conflicts += sharded.stats().conflicts;
-      }
-    }
-    // The sweep must actually exercise both the speculative fast path
-    // and the conflict-replay path.
-    EXPECT_GT(total_speculated, 0u);
-    EXPECT_GT(total_replayed, 0u);
-    EXPECT_GT(total_conflicts, 0u);
-  }
-}
-
-TEST(ShardedScheduler, SpeculativeSpawnAtExactWindowEndRunsInWindow) {
-  // Window anchors at t=0.1 and spans 0.5, so it closes exactly at 0.6.
-  // A speculated callback spawns its next event at precisely the window
-  // end — still inside the window, still before the (absent) cutoff, so
-  // it must execute within the same speculative pass.
-  ShardedScheduler sim(2, /*window_s=*/0.5, /*speculative=*/true);
-  std::vector<double> shard0_times;
-  std::vector<double> shard1_times;
-  sim.schedule_at(0.1, /*shard=*/0, sim::Locality::kShardLocal, [&] {
-    shard0_times.push_back(sim.now());
-    sim.schedule_at(0.6, /*shard=*/0, sim::Locality::kShardLocal,
-                    [&] { shard0_times.push_back(sim.now()); });
-  });
-  sim.schedule_at(0.55, /*shard=*/1, sim::Locality::kShardLocal,
-                  [&] { shard1_times.push_back(sim.now()); });
-  sim.run_until(2.0);
-  EXPECT_EQ(shard0_times, (std::vector<double>{0.1, 0.6}));
-  EXPECT_EQ(shard1_times, (std::vector<double>{0.55}));
-  EXPECT_EQ(sim.executed_events(), 3u);
-  EXPECT_EQ(sim.stats().windows, 1u);
-  EXPECT_EQ(sim.stats().speculated, 3u);
-  EXPECT_EQ(sim.stats().replayed, 0u);
-}
-
-TEST(ShardedScheduler, SpeculativeTinyWindowsOneEventEach) {
-  // shard_window far below the minimum event spacing: every window
-  // holds a single event and the machinery must neither stall nor
-  // diverge from serial.
-  LocalTickParams params;
-  params.period_s = 5.0;
-  params.end_s = 50.0;
-  SerialScheduler serial;
-  LocalTickProcess reference(serial, params, /*domains=*/4, /*seed=*/3);
-  reference.start();
-  serial.run_until(50.0);
-
-  ShardedScheduler sharded(4, /*window_s=*/0.01, /*speculative=*/true);
-  LocalTickProcess ticks(sharded, params, 4, 3);
-  ticks.start();
-  sharded.run_until(50.0);
-  EXPECT_EQ(ticks.ticks(), reference.ticks());
-  EXPECT_EQ(ticks.digest(), reference.digest());
-  expect_counters_match(sharded, serial);
-  EXPECT_EQ(sharded.stats().speculated, sharded.executed_events());
-  EXPECT_GE(sharded.stats().windows, sharded.executed_events());
-}
-
-TEST(ShardedScheduler, SpeculativeCancelOfOwnSpawnInsideCallback) {
-  // A speculated callback schedules a same-shard local event and
-  // immediately cancels the provisional id. Counters must match serial
-  // exactly: one schedule, one cancel, never executed.
-  const auto run = [](Scheduler& sim) {
-    bool spawned_ran = false;
-    sim.schedule_at(0.1, /*shard=*/0, sim::Locality::kShardLocal, [&] {
-      const EventId id =
-          sim.schedule_at(0.2, /*shard=*/0, sim::Locality::kShardLocal,
-                          [&] { spawned_ran = true; });
-      EXPECT_TRUE(sim.cancel(id));
-      EXPECT_FALSE(sim.cancel(id));
-    });
-    // Keep the second shard busy so the pass has real overlap.
-    sim.schedule_at(0.15, /*shard=*/1, sim::Locality::kShardLocal, [] {});
-    sim.run_until(1.0);
-    return spawned_ran;
-  };
-  SerialScheduler serial;
-  ShardedScheduler sharded(2, /*window_s=*/0.5, /*speculative=*/true);
-  EXPECT_FALSE(run(serial));
-  EXPECT_FALSE(run(sharded));
-  EXPECT_GT(sharded.stats().speculated, 0u);
-  expect_counters_match(sharded, serial);
-  EXPECT_EQ(sharded.cancelled_events(), 1u);
-}
-
-TEST(ShardedScheduler, SpeculativeDeferredCancelOfPendingOwnShardEvent) {
-  // A speculated callback cancels an own-shard event parked far beyond
-  // the window. The cancel is deferred and replayed at the callback's
-  // merge slot; the recorded answer must match the live replay.
-  const auto run = [](Scheduler& sim) {
-    bool far_ran = false;
-    const EventId far =
-        sim.schedule_at(100.0, /*shard=*/0, sim::Locality::kShardLocal,
-                        [&] { far_ran = true; });
-    sim.schedule_at(1.0, /*shard=*/0, sim::Locality::kShardLocal,
-                    [&sim, far] { EXPECT_TRUE(sim.cancel(far)); });
-    sim.schedule_at(1.2, /*shard=*/1, sim::Locality::kShardLocal, [] {});
-    sim.run_until(200.0);
-    return far_ran;
-  };
-  SerialScheduler serial;
-  ShardedScheduler sharded(2, /*window_s=*/0.5, /*speculative=*/true);
-  EXPECT_FALSE(run(serial));
-  EXPECT_FALSE(run(sharded));
-  EXPECT_GT(sharded.stats().speculated, 0u);
-  expect_counters_match(sharded, serial);
-  EXPECT_EQ(sharded.cancelled_events(), 1u);
-}
-
-TEST(ShardedScheduler, SpeculationStandsDownWhileAuditInstalled) {
-  // The audit hook observes global state at exact event boundaries, so
-  // a speculative scheduler must fall back to pure serial merging and
-  // fire audits at identical counts.
-  LocalTickParams params;
-  params.period_s = 0.3;
-  params.end_s = 20.0;
-  const auto run = [&params](Scheduler& sim) {
-    std::vector<std::pair<std::uint64_t, double>> audits;
-    sim.set_audit(
-        [&](const Scheduler& s) {
-          audits.emplace_back(s.executed_events(), s.now());
-        },
-        5);
-    LocalTickProcess ticks(sim, params, /*domains=*/6, /*seed=*/9);
-    ticks.start();
-    sim.run_until(20.0);
-    return audits;
-  };
-  SerialScheduler serial;
-  ShardedScheduler sharded(3, /*window_s=*/0.5, /*speculative=*/true);
-  EXPECT_EQ(run(serial), run(sharded));
-  EXPECT_EQ(sharded.stats().speculated, 0u);
-  EXPECT_EQ(sharded.stats().replayed, 0u);
-}
-
-TEST(ShardedScheduler, PureGlobalWorkloadNeverSpeculates) {
-  // Default-locality events must never enter the speculative pass: the
-  // cutoff sits at the window's first event and every prefix is empty.
-  ShardedScheduler sharded(4, /*window_s=*/0.5, /*speculative=*/true);
-  sharded.set_shard_map(fuzz_shard_map(4));
-  FuzzWorkload workload(sharded, 7);
-  workload.start(24);
-  sharded.run_until(60.0);
-  EXPECT_GT(sharded.executed_events(), 0u);
-  EXPECT_EQ(sharded.stats().speculated, 0u);
-  EXPECT_EQ(sharded.stats().spec_windows, 0u);
-  EXPECT_EQ(sharded.stats().conflicts, 0u);
-  EXPECT_DOUBLE_EQ(sharded.stats().conflict_rate(), 0.0);
-}
-
-TEST(ShardedScheduler, SingleShardConstructionDisarmsSpeculation) {
-  ShardedScheduler sim(1, ShardedScheduler::kDefaultWindowS,
-                       /*speculative=*/true);
-  EXPECT_FALSE(sim.speculative());
-  int fired = 0;
-  sim.schedule_in(1.0, /*shard=*/0, sim::Locality::kShardLocal,
-                  [&] { ++fired; });
-  sim.run_until(2.0);
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(sim.stats().speculated, 0u);
 }
 
 }  // namespace

@@ -2,14 +2,14 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/simulator.h"
+#include "sim/scheduler.h"
 #include "sim/traffic.h"
 
 namespace propsim {
 namespace {
 
-TEST(Simulator, RunsEventsInTimeOrder) {
-  Simulator sim;
+TEST(Scheduler, RunsEventsInTimeOrder) {
+  Scheduler sim;
   std::vector<int> order;
   sim.schedule_at(5.0, [&] { order.push_back(2); });
   sim.schedule_at(1.0, [&] { order.push_back(1); });
@@ -20,8 +20,8 @@ TEST(Simulator, RunsEventsInTimeOrder) {
   EXPECT_EQ(sim.executed_events(), 3u);
 }
 
-TEST(Simulator, EqualTimesFireInScheduleOrder) {
-  Simulator sim;
+TEST(Scheduler, EqualTimesFireInScheduleOrder) {
+  Scheduler sim;
   std::vector<int> order;
   for (int i = 0; i < 10; ++i) {
     sim.schedule_at(1.0, [&order, i] { order.push_back(i); });
@@ -30,8 +30,8 @@ TEST(Simulator, EqualTimesFireInScheduleOrder) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
-TEST(Simulator, ScheduleInIsRelative) {
-  Simulator sim;
+TEST(Scheduler, ScheduleInIsRelative) {
+  Scheduler sim;
   double fired_at = -1.0;
   sim.schedule_at(2.0, [&] {
     sim.schedule_in(3.0, [&] { fired_at = sim.now(); });
@@ -40,8 +40,8 @@ TEST(Simulator, ScheduleInIsRelative) {
   EXPECT_DOUBLE_EQ(fired_at, 5.0);
 }
 
-TEST(Simulator, CancelPreventsExecution) {
-  Simulator sim;
+TEST(Scheduler, CancelPreventsExecution) {
+  Scheduler sim;
   bool ran = false;
   const EventId id = sim.schedule_at(1.0, [&] { ran = true; });
   EXPECT_TRUE(sim.cancel(id));
@@ -50,15 +50,15 @@ TEST(Simulator, CancelPreventsExecution) {
   EXPECT_FALSE(ran);
 }
 
-TEST(Simulator, CancelAfterExecutionReturnsFalse) {
-  Simulator sim;
+TEST(Scheduler, CancelAfterExecutionReturnsFalse) {
+  Scheduler sim;
   const EventId id = sim.schedule_at(1.0, [] {});
   sim.run_all();
   EXPECT_FALSE(sim.cancel(id));
 }
 
-TEST(Simulator, RunUntilStopsAtBoundary) {
-  Simulator sim;
+TEST(Scheduler, RunUntilStopsAtBoundary) {
+  Scheduler sim;
   int count = 0;
   sim.schedule_at(1.0, [&] { ++count; });
   sim.schedule_at(2.0, [&] { ++count; });
@@ -72,8 +72,8 @@ TEST(Simulator, RunUntilStopsAtBoundary) {
   EXPECT_DOUBLE_EQ(sim.now(), 10.0);
 }
 
-TEST(Simulator, EventsCanScheduleEvents) {
-  Simulator sim;
+TEST(Scheduler, EventsCanScheduleEvents) {
+  Scheduler sim;
   int depth = 0;
   std::function<void()> chain = [&] {
     if (++depth < 5) sim.schedule_in(1.0, chain);
@@ -84,8 +84,8 @@ TEST(Simulator, EventsCanScheduleEvents) {
   EXPECT_DOUBLE_EQ(sim.now(), 4.0);
 }
 
-TEST(Simulator, StepExecutesOne) {
-  Simulator sim;
+TEST(Scheduler, StepExecutesOne) {
+  Scheduler sim;
   int count = 0;
   sim.schedule_at(1.0, [&] { ++count; });
   sim.schedule_at(2.0, [&] { ++count; });
@@ -95,8 +95,8 @@ TEST(Simulator, StepExecutesOne) {
   EXPECT_FALSE(sim.step());
 }
 
-TEST(Simulator, PendingCountsExcludeCancelled) {
-  Simulator sim;
+TEST(Scheduler, PendingCountsExcludeCancelled) {
+  Scheduler sim;
   const EventId a = sim.schedule_at(1.0, [] {});
   sim.schedule_at(2.0, [] {});
   EXPECT_EQ(sim.pending_events(), 2u);

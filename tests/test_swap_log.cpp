@@ -3,7 +3,7 @@
 #include "core/prop_engine.h"
 #include "core/swap_log.h"
 #include "fixtures.h"
-#include "sim/simulator.h"
+#include "sim/scheduler.h"
 
 namespace propsim {
 namespace {
@@ -70,7 +70,7 @@ TEST(SwapLog, MostRecentSwapWins) {
 
 TEST(SwapLog, EngineRecordsCommittedSwaps) {
   auto fx = UnstructuredFixture::make(40, 8003);
-  Simulator sim;
+  Scheduler sim;
   PropParams params;
   params.init_timer_s = 10.0;
   PropEngine engine(fx.net, sim, params, 3);
@@ -84,7 +84,7 @@ TEST(SwapLog, EngineRecordsCommittedSwaps) {
 
 TEST(SwapLog, PropOExchangesAreNotRecorded) {
   auto fx = UnstructuredFixture::make(40, 8004);
-  Simulator sim;
+  Scheduler sim;
   PropParams params;
   params.mode = PropMode::kPropO;
   params.init_timer_s = 10.0;

@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/prop_engine.h"
-#include "sim/simulator.h"
+#include "sim/scheduler.h"
 #include "fixtures.h"
 #include "workload/churn.h"
 #include "workload/heterogeneity.h"
@@ -142,7 +142,7 @@ TEST(Lookups, BiasedQueriesHitFastFraction) {
 
 TEST(LookupTraffic, IssuesAtConfiguredRate) {
   auto fx = UnstructuredFixture::make(30, 6020);
-  Simulator sim;
+  Scheduler sim;
   LookupTrafficParams params;
   params.rate_per_s = 5.0;
   params.start_s = 0.0;
@@ -164,7 +164,7 @@ TEST(LookupTraffic, IssuesAtConfiguredRate) {
 
 TEST(LookupTraffic, ObservesOptimizationImprovement) {
   auto fx = UnstructuredFixture::make(60, 6021);
-  Simulator sim;
+  Scheduler sim;
   PropParams pparams;
   pparams.init_timer_s = 10.0;
   PropEngine engine(fx.net, sim, pparams, 19);
@@ -194,7 +194,7 @@ TEST(LookupTraffic, ObservesOptimizationImprovement) {
 
 TEST(LookupTraffic, CountsUnreachable) {
   auto fx = UnstructuredFixture::make(20, 6022);
-  Simulator sim;
+  Scheduler sim;
   LookupTrafficParams params;
   params.rate_per_s = 2.0;
   params.end_s = 100.0;
@@ -214,7 +214,7 @@ TEST(LookupTraffic, CountsUnreachable) {
 
 TEST(Churn, JoinAddsConnectedPeer) {
   auto fx = UnstructuredFixture::make(30, 6003);
-  Simulator sim;
+  Scheduler sim;
   GnutellaConfig gcfg;
   gcfg.attach_links = 3;
   ChurnParams params;
@@ -234,7 +234,7 @@ TEST(Churn, JoinAddsConnectedPeer) {
 
 TEST(Churn, LeaveKeepsConnectivity) {
   auto fx = UnstructuredFixture::make(40, 6004);
-  Simulator sim;
+  Scheduler sim;
   GnutellaConfig gcfg;
   ChurnParams params;
   ChurnProcess churn(fx.net, sim, nullptr, gcfg, params, {}, 9);
@@ -248,7 +248,7 @@ TEST(Churn, LeaveKeepsConnectivity) {
 
 TEST(Churn, LeaveRefusesBelowMinPopulation) {
   auto fx = UnstructuredFixture::make(10, 6005, /*attach_links=*/3);
-  Simulator sim;
+  Scheduler sim;
   GnutellaConfig gcfg;
   ChurnParams params;
   params.min_population = 10;
@@ -259,7 +259,7 @@ TEST(Churn, LeaveRefusesBelowMinPopulation) {
 
 TEST(Churn, DepartedHostsAreReusedForJoins) {
   auto fx = UnstructuredFixture::make(30, 6006);
-  Simulator sim;
+  Scheduler sim;
   GnutellaConfig gcfg;
   ChurnParams params;
   ChurnProcess churn(fx.net, sim, nullptr, gcfg, params, {}, 11);
@@ -272,7 +272,7 @@ TEST(Churn, DepartedHostsAreReusedForJoins) {
 
 TEST(Churn, SuddenFailureRepairsOverlay) {
   auto fx = UnstructuredFixture::make(40, 6008);
-  Simulator sim;
+  Scheduler sim;
   GnutellaConfig gcfg;
   gcfg.attach_links = 3;
   ChurnParams params;
@@ -293,7 +293,7 @@ TEST(Churn, SuddenFailureRepairsOverlay) {
 
 TEST(Churn, FailureNotifiesEngine) {
   auto fx = UnstructuredFixture::make(40, 6009);
-  Simulator sim;
+  Scheduler sim;
   PropParams pparams;
   pparams.init_timer_s = 10.0;
   PropEngine engine(fx.net, sim, pparams, 15);
@@ -315,7 +315,7 @@ TEST(Churn, FirstEventRespectsEndTime) {
   // start() must not schedule it at all (the old behavior fired one
   // event past end_s, perturbing post-window runs).
   auto fx = UnstructuredFixture::make(40, 6020);
-  Simulator sim;
+  Scheduler sim;
   GnutellaConfig gcfg;
   ChurnParams params;
   params.join_rate_per_s = 0.0005;  // mean inter-arrival 2000 s
@@ -331,7 +331,7 @@ TEST(Churn, FirstEventRespectsEndTime) {
 
 TEST(Churn, ScheduledFailuresInterleave) {
   auto fx = UnstructuredFixture::make(60, 6014);
-  Simulator sim;
+  Scheduler sim;
   GnutellaConfig gcfg;
   ChurnParams params;
   params.join_rate_per_s = 0.0;
@@ -348,7 +348,7 @@ TEST(Churn, ScheduledFailuresInterleave) {
 
 TEST(Churn, ScheduledProcessRunsWithEngine) {
   auto fx = UnstructuredFixture::make(50, 6007);
-  Simulator sim;
+  Scheduler sim;
   PropParams pparams;
   pparams.init_timer_s = 10.0;
   PropEngine engine(fx.net, sim, pparams, 12);

@@ -1,7 +1,7 @@
 // detlint — determinism & concurrency static analysis for propsim.
 //
 // Scans C++ sources with a hand-rolled lexer (no clang dependency) and
-// applies the rule registry in rules.cpp: D1-D9 determinism hazards,
+// applies the rule registry in rules.cpp: D1-D8 determinism hazards,
 // S1-S3 structural hygiene. Exit 0 when clean, 1 when unsuppressed
 // error findings remain (warnings too under --strict), 2 on usage or
 // I/O trouble.

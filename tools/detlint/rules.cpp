@@ -503,158 +503,6 @@ class DeterminismTodoRule final : public Rule {
   }
 };
 
-// ------------------------------------------- D9 cross-shard-capture
-class CrossShardCaptureRule final : public Rule {
- public:
-  std::string_view id() const override { return "D9"; }
-  std::string_view name() const override { return "cross-shard-capture"; }
-  std::string_view description() const override {
-    return "default [&] capture in a shard-pinned schedule_at/schedule_in "
-           "call: the callback may cross a shard handoff, so every "
-           "implicitly borrowed local is a use-after-scope or shared-"
-           "mutation hazard the reviewer cannot see";
-  }
-  std::string_view hint() const override {
-    return "capture explicitly ([this, x, ...]) so the cross-shard "
-           "callback's state footprint is visible and reviewable";
-  }
-  bool applicable(const FileScan&) const override { return true; }
-  void check(const FileScan& file,
-             std::vector<Finding>& out) const override {
-    const auto& toks = file.tokens;
-    for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-      if (!is_ident(toks[i], "schedule_at") &&
-          !is_ident(toks[i], "schedule_in")) {
-        continue;
-      }
-      if (!is_punct(toks[i + 1], "(")) continue;
-      // Walk the argument list. Only the three-argument (shard-pinned)
-      // overload is in scope: count commas at argument level and
-      // remember any default by-reference lambda intro ([&] or [&, ..])
-      // seen there. Nested parens, capture lists, and lambda bodies are
-      // depth-tracked so their commas don't count.
-      int paren = 1;
-      int bracket = 0;
-      int brace = 0;
-      int commas = 0;
-      std::vector<int> capture_lines;
-      for (std::size_t j = i + 2; j < toks.size() && paren > 0; ++j) {
-        if (is_punct(toks[j], "(")) {
-          ++paren;
-        } else if (is_punct(toks[j], ")")) {
-          --paren;
-        } else if (is_punct(toks[j], "{")) {
-          ++brace;
-        } else if (is_punct(toks[j], "}")) {
-          --brace;
-        } else if (is_punct(toks[j], "[")) {
-          if (paren == 1 && brace == 0 && bracket == 0 &&
-              j + 2 < toks.size() && is_punct(toks[j + 1], "&") &&
-              (is_punct(toks[j + 2], "]") || is_punct(toks[j + 2], ","))) {
-            capture_lines.push_back(toks[j].line);
-          }
-          ++bracket;
-        } else if (is_punct(toks[j], "]")) {
-          --bracket;
-        } else if (paren == 1 && brace == 0 && bracket == 0 &&
-                   is_punct(toks[j], ",")) {
-          ++commas;
-        }
-      }
-      if (commas < 2) continue;  // two-argument overload: shard-local
-      for (const int line : capture_lines) {
-        emit(*this, file, line,
-             "default [&] capture in shard-pinned " + toks[i].text +
-                 " callback",
-             out);
-      }
-    }
-  }
-};
-
-// ------------------------------------------ D10 speculative-capture
-class SpeculativeCaptureRule final : public Rule {
- public:
-  std::string_view id() const override { return "D10"; }
-  std::string_view name() const override { return "speculative-capture"; }
-  std::string_view description() const override {
-    return "default or by-reference capture in a Locality::kShardLocal "
-           "schedule call: speculative callbacks run on pool threads "
-           "before their window commits, so any implicitly or by-"
-           "reference borrowed local that is not shard-private state is "
-           "a cross-thread mutation the replay contract cannot repair";
-  }
-  std::string_view hint() const override {
-    return "capture [this, x, ...] by value only; shard-local callbacks "
-           "may touch nothing but their own shard's state";
-  }
-  bool applicable(const FileScan&) const override { return true; }
-  void check(const FileScan& file,
-             std::vector<Finding>& out) const override {
-    const auto& toks = file.tokens;
-    for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-      if (!is_ident(toks[i], "schedule_at") &&
-          !is_ident(toks[i], "schedule_in")) {
-        continue;
-      }
-      if (!is_punct(toks[i + 1], "(")) continue;
-      // One walk over the argument list: remember whether the locality
-      // argument marks the callback speculative, and record every
-      // default ([&] / [=]) or by-reference (&x) capture intro seen at
-      // argument level. Depth tracking mirrors D9 so nested lambdas and
-      // subscripts inside the callback body never count.
-      int paren = 1;
-      int bracket = 0;
-      int brace = 0;
-      bool shard_local = false;
-      std::vector<int> capture_lines;
-      for (std::size_t j = i + 2; j < toks.size() && paren > 0; ++j) {
-        if (is_punct(toks[j], "(")) {
-          ++paren;
-        } else if (is_punct(toks[j], ")")) {
-          --paren;
-        } else if (is_punct(toks[j], "{")) {
-          ++brace;
-        } else if (is_punct(toks[j], "}")) {
-          --brace;
-        } else if (is_punct(toks[j], "[")) {
-          if (paren == 1 && brace == 0 && bracket == 0) {
-            // Scan the capture list [ .. ] itself for hazards.
-            int depth = 1;
-            bool first = true;
-            for (std::size_t k = j + 1; k < toks.size() && depth > 0;
-                 ++k) {
-              if (is_punct(toks[k], "[")) {
-                ++depth;
-              } else if (is_punct(toks[k], "]")) {
-                --depth;
-              } else if (is_punct(toks[k], "&") ||
-                         (first && is_punct(toks[k], "="))) {
-                capture_lines.push_back(toks[j].line);
-                break;
-              }
-              first = false;
-            }
-          }
-          ++bracket;
-        } else if (is_punct(toks[j], "]")) {
-          --bracket;
-        } else if (paren == 1 && brace == 0 && bracket == 0 &&
-                   is_ident(toks[j], "kShardLocal")) {
-          shard_local = true;
-        }
-      }
-      if (!shard_local) continue;
-      for (const int line : capture_lines) {
-        emit(*this, file, line,
-             "unsafe capture in speculative (kShardLocal) " +
-                 toks[i].text + " callback",
-             out);
-      }
-    }
-  }
-};
-
 // ---------------------------------------------------- S1 pragma-once
 class PragmaOnceRule final : public Rule {
  public:
@@ -830,8 +678,6 @@ void register_builtin_rules() {
     reg.add(std::make_unique<LockAcrossSubmitRule>());
     reg.add(std::make_unique<UnderivedRngSeedRule>());
     reg.add(std::make_unique<DeterminismTodoRule>());
-    reg.add(std::make_unique<CrossShardCaptureRule>());
-    reg.add(std::make_unique<SpeculativeCaptureRule>());
     reg.add(std::make_unique<PragmaOnceRule>());
     reg.add(std::make_unique<IncludeHygieneRule>());
     reg.add(std::make_unique<SuppressionSyntaxRule>());

@@ -2,7 +2,7 @@
 //
 // Mirrors the runtime registry in src/analysis/lint_rules.h: stateless
 // rule objects self-describe (id, name, description, fix hint), declare
-// applicability per file, and append findings. Rules D1-D9 guard the
+// applicability per file, and append findings. Rules D1-D8 guard the
 // repo's bit-determinism ground rule (docs/PERF.md, ROADMAP); S1-S3 are
 // structural hygiene. Findings are suppressed line-by-line with inline
 // markers (syntax in docs/ANALYSIS.md and the CLI usage text): own-line
