@@ -12,17 +12,13 @@
 // convergence-snapshot workload (capture an OverlaySnapshot, evaluate
 // the batched lookup + direct metrics over a fixed query set, repeat
 // per snapshot tick) at overlay sizes ~1k/10k/50k across 1/2/4/8
-// worker threads and both flood kernels, asserting the sampled series
-// are bit-identical for every thread count within a kernel. Results go
-// to BENCH_measure.json (stable schema `propsim.bench.measure`,
-// version 2: adds the `hardware` stanza, the fast-kernel rows, and the
-// serial fast-vs-exact gate). Two gates run at the 10k scale: the
-// delta-stepping fast kernel must beat the exact binary-heap kernel by
-// >= 1.5x serially (checked on any host — no extra cores needed) and
-// must stay within 1e-6 relative error of it; the >= 2.5x
-// speedup-at-4-threads gate is checked only when the host exposes >= 4
-// hardware threads (CI multicore runners do; a 1-core dev box runs it
-// informationally).
+// worker threads, asserting the sampled series are bit-identical for
+// every thread count. Results go to BENCH_measure.json (stable schema
+// `propsim.bench.measure`, version 3: the fast-kernel rows and the
+// serial fast-vs-exact gate of v2 are gone with the fixed-point
+// kernel). The >= 2.5x speedup-at-4-threads gate runs at the 10k scale
+// and only when the host exposes >= 4 hardware threads (a 1-core dev
+// box runs it informationally).
 //
 // `--quick` shrinks query counts and skips the 50k scale so the bench
 // fits in CI time; `--part 1k|10k|50k` runs a single scale of both
@@ -34,7 +30,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -202,24 +197,23 @@ struct SweepTiming {
   std::vector<double> direct_series;
 };
 
-/// Times the convergence-snapshot workload at one thread count and
-/// flood kernel: a batched ConvergenceSampler whose prepare hook
+/// Times the convergence-snapshot workload at one thread count: a
+/// batched ConvergenceSampler whose prepare hook
 /// captures a fresh OverlaySnapshot each tick and whose two metrics
 /// (flood lookup latency + direct latency over a fixed query set) run
 /// on one MeasureEngine. Pool spawn, engine scratch growth, and series
 /// storage are all excluded from the timed region by one untimed
 /// warmup sweep — the timer covers the steady-state per-tick cost, not
 /// first-touch allocation.
-SweepTiming time_sweeps(std::size_t threads, MeasureMode mode,
-                        const OverlayNetwork& net,
+SweepTiming time_sweeps(std::size_t threads, const OverlayNetwork& net,
                         std::span<const QueryPair> queries,
                         std::size_t snapshots) {
-  MeasureEngine engine(threads, mode);
+  MeasureEngine engine(threads);
   Scheduler sim;
   OverlaySnapshot snap = OverlaySnapshot::capture(net);
-  // Untimed warmup: sizes the per-thread flood scratch, the engine's
-  // run/average buffers, and (fast mode) the bucket queue, so the timed
-  // region below never pays a first-touch allocation.
+  // Untimed warmup: sizes the per-thread flood scratch (bucket queue
+  // included) and the engine's run/average buffers, so the timed region
+  // below never pays a first-touch allocation.
   (void)engine.average_lookup_latency(snap, queries);
   (void)engine.average_direct_latency(net, queries);
   std::vector<ConvergenceSampler::NamedMetric> metrics;
@@ -247,22 +241,6 @@ SweepTiming time_sweeps(std::size_t threads, MeasureMode mode,
     t.direct_series.push_back(p.value);
   }
   return t;
-}
-
-/// Max elementwise relative error between two sampled series (0 when
-/// both entries are equal, including the both-infinite case).
-double max_rel_error(const std::vector<double>& exact,
-                     const std::vector<double>& fast) {
-  if (exact.size() != fast.size()) {
-    return std::numeric_limits<double>::infinity();
-  }
-  double worst = 0.0;
-  for (std::size_t i = 0; i < exact.size(); ++i) {
-    if (exact[i] == fast[i]) continue;  // covers inf == inf
-    const double denom = std::max(std::fabs(exact[i]), 1e-300);
-    worst = std::max(worst, std::fabs(fast[i] - exact[i]) / denom);
-  }
-  return worst;
 }
 
 /// Pre-engine cost reference: the old serial metric path — one
@@ -299,10 +277,10 @@ double legacy_serial_ms(const OverlayNetwork& net,
   return wall;
 }
 
-/// Runs the 1/2/4/8 thread matrix for one kernel, checking that every
-/// parallel run reproduces the serial series bit-for-bit. Returns the
-/// serial timing; fills the JSON row list plus the 4-thread speedup.
-SweepTiming run_thread_matrix(MeasureMode mode, const OverlayNetwork& net,
+/// Runs the 1/2/4/8 thread matrix, checking that every parallel run
+/// reproduces the serial series bit-for-bit. Returns the serial timing;
+/// fills the JSON row list plus the 4-thread speedup.
+SweepTiming run_thread_matrix(const OverlayNetwork& net,
                               std::span<const QueryPair> queries,
                               std::size_t snapshots, Json& trow_list,
                               double* out_speedup_4t, bool* out_identical) {
@@ -312,7 +290,7 @@ SweepTiming run_thread_matrix(MeasureMode mode, const OverlayNetwork& net,
   *out_speedup_4t = 0.0;
   *out_identical = true;
   for (const std::size_t threads : thread_counts) {
-    const SweepTiming t = time_sweeps(threads, mode, net, queries, snapshots);
+    const SweepTiming t = time_sweeps(threads, net, queries, snapshots);
     if (threads == 1) {
       serial = t;
       serial_ms = t.wall_ms;
@@ -326,9 +304,8 @@ SweepTiming run_thread_matrix(MeasureMode mode, const OverlayNetwork& net,
     const double sweeps_per_s =
         t.wall_ms > 0.0 ? 1000.0 * static_cast<double>(snapshots) / t.wall_ms
                         : 0.0;
-    std::printf("  %s threads %zu: %.0f ms (%.2f sweeps/s, %.2fx vs "
-                "serial)\n",
-                to_string(mode), threads, t.wall_ms, sweeps_per_s, speedup);
+    std::printf("  threads %zu: %.0f ms (%.2f sweeps/s, %.2fx vs serial)\n",
+                threads, t.wall_ms, sweeps_per_s, speedup);
     Json trow = Json::object();
     trow.set("threads", static_cast<std::uint64_t>(threads))
         .set("wall_ms", t.wall_ms)
@@ -339,14 +316,11 @@ SweepTiming run_thread_matrix(MeasureMode mode, const OverlayNetwork& net,
   return serial;
 }
 
-/// Part two driver: runs the exact and fast thread matrices per scale,
-/// asserts the sampled series are bit-identical across thread counts
-/// within each kernel, and writes BENCH_measure.json (schema v2). The
-/// fast-kernel gates (>= 1.5x serial speedup and <= 1e-6 relative
-/// error at the 10k scale) run on any host; the 4-thread speedup gate
-/// needs real cores, so it is exercised only when the host exposes
-/// >= 4 hardware threads. The determinism checks always count toward
-/// `pass`.
+/// Part two driver: runs the thread matrix per scale, asserts the
+/// sampled series are bit-identical across thread counts, and writes
+/// BENCH_measure.json (schema v3). The 4-thread speedup gate needs real
+/// cores, so it is exercised only when the host exposes >= 4 hardware
+/// threads. The determinism check always counts toward `pass`.
 bool run_measure(const BenchOptions& opts, bool* out_pass,
                  bool* out_gate_checked) {
   std::printf("\nmeasurement-engine scaling (convergence-snapshot "
@@ -361,22 +335,17 @@ bool run_measure(const BenchOptions& opts, bool* out_pass,
 
   const std::size_t cores = std::thread::hardware_concurrency();
   constexpr double kMinSpeedup4t = 2.5;
-  constexpr double kMinFastSerialSpeedup = 1.5;
-  constexpr double kMaxFastRelError = 1e-6;
 
   bool pass = true;
   bool gate_checked = false;
-  bool fast_gate_checked = false;
 
   Json doc = Json::object();
   doc.set("schema", "propsim.bench.measure");
-  doc.set("version", 2);
+  doc.set("version", 3);
   doc.set("quick", opts.quick);
   doc.set("seed", opts.seed);
   doc.set("hardware", hardware_info());
   doc.set("min_speedup_4t", kMinSpeedup4t);
-  doc.set("min_fast_serial_speedup", kMinFastSerialSpeedup);
-  doc.set("max_fast_rel_error", kMaxFastRelError);
   Json rows = Json::array();
 
   for (const MeasureScale& scale : scales) {
@@ -402,45 +371,16 @@ bool run_measure(const BenchOptions& opts, bool* out_pass,
 
     const double legacy_ms = legacy_serial_ms(net, queries, snapshots);
 
-    Json exact_rows = Json::array();
-    double exact_speedup_4t = 0.0;
-    bool exact_identical = true;
-    const SweepTiming exact_serial =
-        run_thread_matrix(MeasureMode::kExact, net, queries, snapshots,
-                          exact_rows, &exact_speedup_4t, &exact_identical);
-
-    Json fast_rows = Json::array();
-    double fast_speedup_4t = 0.0;
-    bool fast_identical = true;
-    const SweepTiming fast_serial =
-        run_thread_matrix(MeasureMode::kFast, net, queries, snapshots,
-                          fast_rows, &fast_speedup_4t, &fast_identical);
-
-    const double fast_speedup_serial =
-        fast_serial.wall_ms > 0.0
-            ? exact_serial.wall_ms / fast_serial.wall_ms
-            : 0.0;
-    const double rel_error =
-        max_rel_error(exact_serial.lookup_series, fast_serial.lookup_series);
-    // The direct metric never floods, so it is kernel-independent.
-    const bool direct_equal =
-        exact_serial.direct_series == fast_serial.direct_series;
-    std::printf("  fast vs exact serial: %.2fx, max lookup rel error %.3g, "
-                "direct series %s\n",
-                fast_speedup_serial, rel_error,
-                direct_equal ? "identical" : "DIVERGED");
-
-    const bool identical = exact_identical && fast_identical;
+    Json thread_rows = Json::array();
+    double speedup_4t = 0.0;
+    bool identical = true;
+    const SweepTiming serial = run_thread_matrix(
+        net, queries, snapshots, thread_rows, &speedup_4t, &identical);
     if (!identical) {
       std::printf("  DETERMINISM VIOLATION: parallel series differ from "
                   "serial\n");
     }
-    pass = pass && identical && direct_equal;
-    if (rel_error > kMaxFastRelError) {
-      std::printf("  fast equivalence gate FAILED: rel error %.3g > %.0e\n",
-                  rel_error, kMaxFastRelError);
-      pass = false;
-    }
+    pass = pass && identical;
 
     Json row = Json::object();
     row.set("scale", scale.name)
@@ -450,32 +390,18 @@ bool run_measure(const BenchOptions& opts, bool* out_pass,
         .set("queries", static_cast<std::uint64_t>(query_count))
         .set("snapshots", static_cast<std::uint64_t>(snapshots))
         .set("legacy_serial_ms", legacy_ms)
-        .set("engine_serial_ms", exact_serial.wall_ms)
-        .set("fast_serial_ms", fast_serial.wall_ms)
-        .set("fast_speedup_serial", fast_speedup_serial)
-        .set("fast_max_rel_error", rel_error)
-        .set("threads", std::move(exact_rows))
-        .set("fast_threads", std::move(fast_rows))
+        .set("engine_serial_ms", serial.wall_ms)
+        .set("threads", std::move(thread_rows))
         .set("identical", identical);
 
-    if (scale.name == "10k") {
-      fast_gate_checked = true;
-      row.set("gate_fast_speedup_serial", fast_speedup_serial);
-      if (fast_speedup_serial < kMinFastSerialSpeedup) {
-        std::printf("  10k fast-kernel gate FAILED: %.2fx < %.2fx "
-                    "serially\n",
-                    fast_speedup_serial, kMinFastSerialSpeedup);
+    if (scale.name == "10k" && cores >= 4) {
+      gate_checked = true;
+      row.set("gate_speedup_4t", speedup_4t);
+      if (speedup_4t < kMinSpeedup4t) {
+        std::printf("  10k measure gate FAILED: %.2fx < %.2fx at 4 "
+                    "threads\n",
+                    speedup_4t, kMinSpeedup4t);
         pass = false;
-      }
-      if (cores >= 4) {
-        gate_checked = true;
-        row.set("gate_speedup_4t", exact_speedup_4t);
-        if (exact_speedup_4t < kMinSpeedup4t) {
-          std::printf("  10k measure gate FAILED: %.2fx < %.2fx at 4 "
-                      "threads\n",
-                      exact_speedup_4t, kMinSpeedup4t);
-          pass = false;
-        }
       }
     }
     rows.push_back(std::move(row));
@@ -483,7 +409,6 @@ bool run_measure(const BenchOptions& opts, bool* out_pass,
 
   doc.set("scales", std::move(rows));
   doc.set("gate_checked", gate_checked);
-  doc.set("gate_fast_serial_checked", fast_gate_checked);
   doc.set("pass", pass);
 
   const std::string out = doc.dump(2);

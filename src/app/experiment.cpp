@@ -1,6 +1,7 @@
 #include "app/experiment.h"
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
 #include <initializer_list>
 #include <memory>
@@ -321,6 +322,15 @@ SpecResult ExperimentSpec::from_config(const Config& config) {
   spec.bimodal.fast_fraction = p.get_double("fast_fraction", 0.2);
   spec.bimodal.fast_delay_ms = p.get_double("fast_delay_ms", 10.0);
   spec.bimodal.slow_delay_ms = p.get_double("slow_delay_ms", 100.0);
+  // Processing delays are flood edge costs, which must be >= 0.
+  auto require_delay = [&p](const char* key, double& ms) {
+    if (!(ms >= 0.0 && std::isfinite(ms))) {
+      p.error(key, "must be a finite number >= 0");
+      ms = 0.0;
+    }
+  };
+  require_delay("fast_delay_ms", spec.bimodal.fast_delay_ms);
+  require_delay("slow_delay_ms", spec.bimodal.slow_delay_ms);
   spec.fraction_fast_dest = p.get_double("fraction_fast_dest", -1.0);
   if (spec.fraction_fast_dest >= 0.0) {
     if (spec.heterogeneity == Heterogeneity::kNone) {
@@ -372,19 +382,16 @@ SpecResult ExperimentSpec::from_config(const Config& config) {
     }
   }
 
-  spec.measure_mode = p.get_enum<MeasureMode>(
-      "measure_mode",
-      {{"auto", MeasureMode::kAuto},
-       {"exact", MeasureMode::kExact},
-       {"fast", MeasureMode::kFast}},
-      MeasureMode::kAuto);
-  if (spec.measure_mode == MeasureMode::kFast &&
-      spec.overlay != Overlay::kGnutella) {
+  if (config.get_string("measure_mode", "") == "fast") {
     p.error("measure_mode",
-            "fast accelerates the unstructured flood kernel and requires "
-            "overlay = gnutella",
-            std::string("overlay is ") + to_string(spec.overlay) +
-                "; stretch metrics route instead of flooding");
+            "fast was removed with the fixed-point flood kernel; the exact "
+            "kernel now runs on the same bucket queue",
+            "use measure_mode = exact or auto");
+  } else {
+    spec.measure_mode = p.get_enum<MeasureMode>(
+        "measure_mode",
+        {{"auto", MeasureMode::kAuto}, {"exact", MeasureMode::kExact}},
+        MeasureMode::kAuto);
   }
 
   spec.trace_path = config.get_string("trace", "");
@@ -936,8 +943,8 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
   // Measurement engine for the metric sweeps. measure_threads is a pure
   // execution knob: results are bit-identical to the serial path for
   // any value (golden-tested), which is why it is not echoed into the
-  // result JSON. measure_mode selects the flood kernel and IS echoed —
-  // the fast kernel's values carry (bounded) quantization error.
+  // result JSON. The resolved measure_mode is echoed; a programmatic
+  // kFast reaches the engine, which rejects it.
   MeasureEngine measure(spec.measure_threads,
                         spec.resolved_measure_mode() ==
                                 ExperimentSpec::MeasureMode::kFast
@@ -1177,7 +1184,6 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
   result.sim_events_scheduled = sim.scheduled_events();
   result.sim_events_cancelled = sim.cancelled_events();
   result.measure_exact_floods = measure.stats().exact_floods;
-  result.measure_fast_floods = measure.stats().fast_floods;
   result.measure_snapshot_captures = snap_cache.captures();
   result.measure_snapshot_reuses = snap_cache.reuses();
   result.control_messages = net->traffic().control_total();

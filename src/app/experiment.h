@@ -29,12 +29,10 @@
 //   measure_threads = auto | <int>   (metric-sweep worker threads;
 //                          0/1 = serial, results bit-identical for any
 //                          value)
-//   measure_mode = auto | exact | fast   (flood kernel for the metric
-//                          sweeps; exact = bit-identical binary-heap
-//                          Dijkstra, fast = fixed-point bucket queue
-//                          with <= 1e-6 relative latency error; auto
-//                          resolves to exact; fast requires
-//                          overlay = gnutella)
+//   measure_mode = auto | exact   (flood kernel for the metric sweeps;
+//                          both name the exact bucket-queue kernel,
+//                          bit-identical to the live flood; the removed
+//                          fast is rejected)
 //   trace      = <path>   (stream propsim.trace v1 JSONL; requires a
 //                          PROPSIM_TRACE=ON build)
 //   trace_buffer = <int>  (sink ring-buffer capacity, default 8192)
@@ -145,16 +143,12 @@ struct ExperimentSpec {
       static_cast<std::size_t>(-1);
   std::size_t measure_threads = 1;
 
-  /// Flood-kernel selection for the metric sweeps. kExact runs the
-  /// binary-heap Dijkstra whose results are bit-identical to the live
-  /// flood (the golden-JSON contract); kFast runs the fixed-point
-  /// bucket-queue kernel — deterministic at any thread count, but its
-  /// latencies carry quantization error (bounded, <= 1e-6 relative on
-  /// paper-scale configs; equivalence-tested). kAuto resolves to kExact
-  /// so existing configs keep byte-identical results. Unlike
-  /// measure_threads this is NOT a pure execution knob, so the resolved
-  /// mode is echoed into the result JSON. kFast requires the
-  /// unstructured gnutella overlay (stretch metrics never flood).
+  /// Flood-kernel selection for the metric sweeps. There is one kernel,
+  /// the exact one, bit-identical to the live flood; kAuto resolves to
+  /// kExact. The resolved mode is echoed into the result JSON. kFast is
+  /// retired: from_config rejects `fast` with a SpecIssue, and the
+  /// enumerator stays only so existing callers compile (running a spec
+  /// that sets it aborts).
   enum class MeasureMode { kAuto, kExact, kFast };
   MeasureMode measure_mode = MeasureMode::kAuto;
   /// The mode a run actually uses (kAuto resolved; never returns kAuto).
@@ -281,8 +275,9 @@ struct ExperimentResult {
   std::uint64_t sim_events_cancelled = 0;
   /// Measurement-engine totals. Flood counts tally one per distinct
   /// query source per sample tick (zero for stretch metrics, which
-  /// route instead of flooding); exactly one of the two is non-zero for
-  /// an unstructured run, naming the kernel that ran. Snapshot captures
+  /// route instead of flooding). measure_fast_floods is reserved and
+  /// always 0: the fixed-point kernel it counted is gone, and the key
+  /// stays in the JSON so counters v7 is unchanged. Snapshot captures
   /// + reuses sum to the sample count on unstructured runs; reuses stay
   /// zero in a PROPSIM_TRACE=OFF build (the bus cannot prove the
   /// overlay unchanged) and in the exact sense never affect values —

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <future>
 #include <limits>
 #include <numeric>
@@ -12,69 +13,52 @@ namespace propsim {
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Bucket width for the fast kernel, as a shift of fx distances. Width
-/// 2^shift <= the snapshot's minimum edge weight guarantees the Dial
-/// invariant — no relaxation lands back in the bucket being drained —
-/// which is what lets the kernel settle each node on first pop. The
-/// clamp bounds the bucket count for degenerate snapshots (sub-64us
-/// edges); below the invariant the kernel drops the settled shortcut
-/// and drains each bucket to a fixpoint instead, which is slower but
-/// still exact over the quantized weights.
-constexpr int kMinBucketShift = 16;  // 2^16 fx = 62.5 us buckets
-constexpr int kMaxBucketShift = 26;  // 2^26 fx = 64 ms buckets
+// flood_snapshot's bucket width is W = 2^e ms: the largest power of two
+// <= the snapshot's minimum edge latency, clamped to [2^-4, 2^6] ms. The
+// clamp bounds the ring for degenerate snapshots (zero or sub-62.5us
+// edges, or none at all). When W <= every edge cost, a relaxation never
+// lands in the bucket being drained, so each slot settles on its first
+// pop (classic Dial). Otherwise a slot improved inside the open bucket
+// is filed again and the bucket drains to a fixpoint.
+constexpr int kMinBucketExp = -4;
+constexpr int kMaxBucketExp = 6;
 
-int bucket_shift_for(std::uint32_t min_edge_fx) {
-  const int width = min_edge_fx == 0 ? 1 : std::bit_width(min_edge_fx);
-  return std::clamp(width - 1, kMinBucketShift, kMaxBucketShift);
+int bucket_exponent(double min_edge_ms) {
+  if (!(min_edge_ms > 0.0)) return kMinBucketExp;  // zero-cost edges
+  return std::clamp(std::ilogb(min_edge_ms), kMinBucketExp, kMaxBucketExp);
+}
+
+/// Bucket indices saturate here, so no finite distance overflows the
+/// integer conversion; everything past it shares one bucket.
+constexpr std::uint64_t kFarBucket = std::uint64_t{1} << 62;
+
+/// Ring ceiling. An entry further ahead of the drain than this is filed
+/// in the farthest slot instead: it is popped early, which costs extra
+/// relaxations but not correctness (see flood_snapshot).
+constexpr std::uint64_t kMaxBuckets = std::uint64_t{1} << 16;
+
+/// Regrows the circular ring of bucket heads to hold `needed` buckets
+/// ahead of `cur`, keeping every pending bucket at its absolute index.
+void grow_ring(std::vector<std::uint32_t>& heads, std::uint64_t cur,
+               std::uint64_t needed) {
+  std::vector<std::uint32_t> grown(std::bit_ceil(needed),
+                                   MeasureScratch::kNoEntry);
+  for (std::uint64_t b = cur; b < cur + heads.size(); ++b) {
+    grown[b & (grown.size() - 1)] = heads[b & (heads.size() - 1)];
+  }
+  heads = std::move(grown);
 }
 }  // namespace
 
-const char* to_string(MeasureMode mode) {
-  switch (mode) {
-    case MeasureMode::kExact: return "exact";
-    case MeasureMode::kFast: return "fast";
-  }
-  return "?";
-}
-
 void MeasureScratch::begin(std::size_t n) {
-  if (stamp.size() != n) {
-    dist.assign(n, 0.0);
-    stamp.assign(n, 0);
-    epoch = 0;
-    queue = IndexedPriorityQueue<double>(n);
-  }
-  if (++epoch == 0) {  // wrapped: every stale stamp would look current
-    std::fill(stamp.begin(), stamp.end(), 0u);
-    epoch = 1;
-  }
+  dist.assign(n, kInf);
+  if (queued.size() != n) queued.assign(n, 0);
+  entries.clear();
 }
 
 double MeasureScratch::distance(SlotId v) const {
-  PROPSIM_DCHECK(v < stamp.size());
-  return stamp[v] == epoch ? dist[v] : kInf;
-}
-
-void FastMeasureScratch::begin(std::size_t n) {
-  if (stamp.size() != n) {
-    dist_fx.assign(n, 0);
-    stamp.assign(n, 0);
-    done.assign(n, 0);
-    epoch = 0;
-    // Bucket capacity is shaped by path lengths, not slot count; keep it.
-  }
-  if (++epoch == 0) {
-    std::fill(stamp.begin(), stamp.end(), 0u);
-    std::fill(done.begin(), done.end(), 0u);
-    epoch = 1;
-  }
-}
-
-double FastMeasureScratch::distance(SlotId v) const {
-  PROPSIM_DCHECK(v < stamp.size());
-  if (stamp[v] != epoch) return kInf;
-  // dist_fx < 2^53 by a huge margin, so the scale-down is exact.
-  return static_cast<double>(dist_fx[v]) / OverlaySnapshot::kFxPerMs;
+  PROPSIM_DCHECK(v < dist.size());
+  return dist[v];
 }
 
 void flood_snapshot(const OverlaySnapshot& snap, SlotId source,
@@ -85,118 +69,84 @@ void flood_snapshot(const OverlaySnapshot& snap, SlotId source,
     PROPSIM_CHECK(processing_delay_ms->size() == snap.slot_count());
   }
   scratch.begin(snap.slot_count());
-  const std::uint32_t epoch = scratch.epoch;
   auto& dist = scratch.dist;
-  auto& stamp = scratch.stamp;
-  auto& queue = scratch.queue;  // empty: the previous run popped it dry
-  dist[source] = 0.0;
-  stamp[source] = epoch;
-  queue.push_or_update(source, 0.0);
-  while (!queue.empty()) {
-    const auto u = static_cast<SlotId>(queue.pop());
-    const auto targets = snap.targets(u);
-    const auto lats = snap.latencies(u);
-    for (std::size_t e = 0; e < targets.size(); ++e) {
-      const SlotId v = targets[e];
-      // Same arithmetic, same order, same values as the live flood:
-      // lats[e] is the identical slot_latency(u, v) double, precomputed
-      // at capture time.
-      double cost = lats[e];
-      if (processing_delay_ms != nullptr) {
-        cost += (*processing_delay_ms)[v];
-      }
-      const double candidate = dist[u] + cost;
-      if (stamp[v] != epoch || candidate < dist[v]) {
-        dist[v] = candidate;
-        stamp[v] = epoch;
-        queue.push_or_update(v, candidate);
-      }
-    }
-  }
-}
-
-void flood_snapshot_fast(
-    const OverlaySnapshot& snap, SlotId source,
-    const std::vector<std::uint32_t>* processing_delay_fx,
-    FastMeasureScratch& scratch) {
-  PROPSIM_CHECK(snap.fixed_point_ok());
-  PROPSIM_CHECK(snap.is_active(source));
-  if (processing_delay_fx != nullptr) {
-    PROPSIM_CHECK(processing_delay_fx->size() == snap.slot_count());
-  }
-  scratch.begin(snap.slot_count());
-  const std::uint32_t epoch = scratch.epoch;
-  auto& dist = scratch.dist_fx;
-  auto& stamp = scratch.stamp;
-  auto& done = scratch.done;
-  auto& buckets = scratch.buckets;  // all empty: previous run drained them
-  const int shift = bucket_shift_for(snap.min_edge_fx());
-  // Every edge relaxation adds >= min_edge_fx, so when the bucket width
-  // divides under it a node's distance is final the first time it pops
-  // from the current bucket (classic Dial). Otherwise relaxations can
-  // land back in the open bucket; the drain loop below reprocesses them
-  // (the growing-vector scan) until the bucket reaches a fixpoint, so
-  // distances stay exact either way.
-  const bool settle_on_pop =
-      (std::uint64_t{1} << shift) <= snap.min_edge_fx();
-
-  auto push = [&](SlotId v, std::uint64_t d) {
-    const std::size_t b = static_cast<std::size_t>(d >> shift);
-    if (b >= buckets.size()) buckets.resize(b + 1);
-    buckets[b].push_back(v);
+  auto& queued = scratch.queued;
+  auto& heads = scratch.heads;  // all empty: the last flood drained them
+  auto& entries = scratch.entries;
+  // Multiplying by a power of two is exact, so a distance's bucket is
+  // exactly floor(d / W).
+  const double inv_width =
+      std::ldexp(1.0, -bucket_exponent(snap.min_edge_ms()));
+  auto bucket_of = [inv_width](double d) {
+    const double q = d * inv_width;
+    return q < static_cast<double>(kFarBucket) ? static_cast<std::uint64_t>(q)
+                                               : kFarBucket;
+  };
+  std::uint64_t cur = 0;    // absolute index of the bucket being drained
+  std::size_t pending = 0;  // filed entries not yet popped, stale included
+  auto file = [&](SlotId v, std::uint64_t b) {
+    PROPSIM_DCHECK(b >= cur);
+    const std::uint64_t ahead = std::min(b - cur, kMaxBuckets - 1);
+    if (ahead >= heads.size()) grow_ring(heads, cur, ahead + 1);
+    std::uint32_t& head = heads[(cur + ahead) & (heads.size() - 1)];
+    entries.push_back({v, head});
+    head = static_cast<std::uint32_t>(entries.size() - 1);
+    queued[v] = 1;
+    ++pending;
   };
 
-  dist[source] = 0;
-  stamp[source] = epoch;
-  push(source, 0);
-  std::size_t pending = 1;
-  std::size_t b = 0;
+  dist[source] = 0.0;
+  file(source, 0);
   while (pending > 0) {
-    while (b < buckets.size() && buckets[b].empty()) ++b;
-    PROPSIM_DCHECK(b < buckets.size());
-    // Index loop, re-reading buckets[b] each access: relaxations may
-    // append to this bucket mid-drain, and push() can reallocate the
-    // outer bucket array, so no reference survives an expansion.
-    for (std::size_t i = 0; i < buckets[b].size(); ++i) {
-      const SlotId u = buckets[b][i];
+    // Pop until the open bucket is empty, re-reading its head each time:
+    // relaxations may file into it, and a ring growth moves it.
+    for (;;) {
+      std::uint32_t& head = heads[cur & (heads.size() - 1)];
+      if (head == MeasureScratch::kNoEntry) break;
+      const SlotId u = entries[head].slot;
+      head = entries[head].next;
       --pending;
-      if (done[u] == epoch) continue;  // duplicate of a settled node
-      if ((dist[u] >> shift) != b) continue;  // stale: improved earlier
-      if (settle_on_pop) done[u] = epoch;
-      const std::uint64_t du = dist[u];
+      // Only a queued slot is processed, always at its current distance,
+      // so pop order changes the work done but never the fixpoint the
+      // drain stops at.
+      if (queued[u] == 0) continue;  // stale: processed since filed
+      queued[u] = 0;
+      const double du = dist[u];
       const auto targets = snap.targets(u);
-      const auto lats = snap.latencies_fx(u);
+      const auto lats = snap.latencies(u);
       for (std::size_t e = 0; e < targets.size(); ++e) {
         const SlotId v = targets[e];
-        std::uint64_t cost = lats[e];
-        if (processing_delay_fx != nullptr) {
-          cost += (*processing_delay_fx)[v];
+        // Same per-edge arithmetic as the live flood: lats[e] is the
+        // identical slot_latency(u, v) double, precomputed at capture.
+        double cost = lats[e];
+        if (processing_delay_ms != nullptr) {
+          cost += (*processing_delay_ms)[v];
         }
-        const std::uint64_t candidate = du + cost;
-        if (stamp[v] != epoch || candidate < dist[v]) {
-          dist[v] = candidate;
-          stamp[v] = epoch;
-          push(v, candidate);
-          ++pending;
-        }
+        const double candidate = du + cost;
+        // Unreached slots hold +inf, which no candidate (+inf included)
+        // beats, so +inf is never filed and reads back as +inf.
+        if (!(candidate < dist[v])) continue;
+        const std::uint64_t b = bucket_of(candidate);
+        // A queued slot whose bucket did not change keeps its entry.
+        const bool refile = queued[v] == 0 || b != bucket_of(dist[v]);
+        dist[v] = candidate;
+        if (refile) file(v, b);
       }
     }
-    buckets[b].clear();
+    ++cur;
   }
 }
 
-MeasureEngine::MeasureEngine(std::size_t threads, MeasureMode mode)
-    : mode_(mode) {
+MeasureEngine::MeasureEngine(std::size_t threads, MeasureMode mode) {
+  PROPSIM_CHECK(mode == MeasureMode::kExact);
   if (threads == kAutoThreads) {
     threads = std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
   }
   threads_ = std::max<std::size_t>(threads, 1);
   if (threads_ > 1) pool_ = std::make_unique<ThreadPool>(threads_);
   scratch_.reserve(threads_);
-  fast_scratch_.reserve(threads_);
   for (std::size_t i = 0; i < threads_; ++i) {
     scratch_.push_back(std::make_unique<MeasureScratch>());
-    fast_scratch_.push_back(std::make_unique<FastMeasureScratch>());
   }
 }
 
@@ -255,45 +205,11 @@ void MeasureEngine::run_lookup(const OverlaySnapshot& snap,
     i = j;
   }
 
-  // Kernel choice is a pure function of mode and snapshot: the fast
-  // kernel needs every edge (and processing delay) inside the 32-bit
-  // fixed-point range, and falls back to exact otherwise.
-  bool use_fast = mode_ == MeasureMode::kFast && snap.fixed_point_ok();
-  const std::vector<std::uint32_t>* proc_fx = nullptr;
-  if (use_fast && processing_delay_ms != nullptr) {
-    proc_fx_.resize(processing_delay_ms->size());
-    for (std::size_t i = 0; i < processing_delay_ms->size(); ++i) {
-      const std::uint64_t fx =
-          OverlaySnapshot::quantize_ms((*processing_delay_ms)[i]);
-      if (fx > OverlaySnapshot::kFxMaxEdge) {
-        use_fast = false;
-        break;
-      }
-      proc_fx_[i] = static_cast<std::uint32_t>(fx);
-    }
-    if (use_fast) proc_fx = &proc_fx_;
-  }
-  if (use_fast) {
-    stats_.fast_floods += runs_.size();
-  } else {
-    stats_.exact_floods += runs_.size();
-  }
+  stats_.exact_floods += runs_.size();
 
   out.assign(queries.size(), 0.0);
   for_chunks(runs_.size(), [&](std::size_t chunk, std::size_t begin,
                                std::size_t end) {
-    if (use_fast) {
-      FastMeasureScratch& scratch = *fast_scratch_[chunk];
-      for (std::size_t r = begin; r < end; ++r) {
-        const Run& run = runs_[r];
-        flood_snapshot_fast(snap, queries[order_[run.begin]].src, proc_fx,
-                            scratch);
-        for (std::size_t k = run.begin; k < run.end; ++k) {
-          out[order_[k]] = scratch.distance(queries[order_[k]].dst);
-        }
-      }
-      return;
-    }
     MeasureScratch& scratch = *scratch_[chunk];
     for (std::size_t r = begin; r < end; ++r) {
       const Run& run = runs_[r];

@@ -1,32 +1,27 @@
 // Parallel, deterministic measurement engine.
 //
-// Fans the per-source Dijkstras (and per-query routed lookups) of a
-// metric sweep out over a ThreadPool. Determinism contract: results are
+// Fans the per-source floods (and per-query routed lookups) of a metric
+// sweep out over a ThreadPool. Determinism contract: results are
 // bit-identical to the serial path regardless of thread count, because
 //   - each worker writes only its own disjoint, preallocated slots of
 //     the output array (no shared accumulators, no result reordering),
-//   - the Dijkstra kernel over an OverlaySnapshot performs the same
-//     floating-point operations in the same order as the serial
-//     OverlayNetwork::flood_latencies (per-edge latencies are
-//     precomputed at capture, which is the identical double), and
+//   - the flood kernel's distances are a pure function of the snapshot
+//     (see below), and
 //   - averages are reduced serially in query-index order after the
 //     parallel map completes.
-// Worker scratch (distance array, priority queue, epoch-stamped visited
-// marks) is allocated once per worker and reused across sources and
-// across snapshots; the epoch stamp makes clearing O(touched), and the
-// IndexedPriorityQueue self-cleans when a run pops it empty.
 //
-// Two flood kernels sit behind the same API:
-//   - kExact: binary-heap Dijkstra over the snapshot's double latencies,
-//     bit-identical to the live flood (the historical behavior);
-//   - kFast: a Dial/delta-stepping bucket queue over 32-bit fixed-point
-//     latencies (OverlaySnapshot::kFxFracBits fractional bits). The
-//     bucket array persists across sweeps via the same epoch-stamping
-//     trick, bucket width is sized from the snapshot's minimum edge
-//     weight, and distances are the exact Dijkstra values in fx units —
-//     so fast results are themselves bit-identical at any thread count,
-//     and differ from the exact kernel only by quantization (relative
-//     error <= 1e-6 on paper-scale latencies; see docs/PERF.md).
+// The flood kernel, flood_snapshot, is a Dial bucket queue over the
+// snapshot's exact double latencies. The bucket width is a power of two,
+// W = 2^e ms <= the minimum edge latency (clamped to [2^-4, 2^6] ms), so
+// floor(d * 2^-e) is exact and every bucket boundary is too. Its
+// distances are bit-identical to the binary-heap Dijkstra of
+// OverlayNetwork::flood_latencies: every cost is >= 0 and IEEE addition
+// is monotone, so every correct label-setting or label-correcting
+// shortest-path search reaches the same least fixpoint
+// d[v] = min over edges (u, v) of fl(d[u] + c(u, v)). Pop order does not
+// matter, only that the search runs to that fixpoint (docs/PERF.md).
+// Worker scratch is allocated once per worker and reused across sources
+// and across snapshots.
 #pragma once
 
 #include <cstdint>
@@ -34,78 +29,59 @@
 #include <span>
 #include <vector>
 
-#include "common/indexed_priority_queue.h"
 #include "common/thread_pool.h"
 #include "measure/overlay_snapshot.h"
 #include "measure/query.h"
 
 namespace propsim {
 
-/// Flood-kernel selection for MeasureEngine (the `measure_mode` spec
-/// key, with `auto` already resolved).
+/// Flood-kernel selection for MeasureEngine. There is one kernel;
+/// kFast is a retired enumerator kept so existing callers compile, and
+/// MeasureEngine rejects it.
 enum class MeasureMode { kExact, kFast };
 
-const char* to_string(MeasureMode mode);
-
-/// Reusable per-worker Dijkstra state. dist[v] is valid only where
-/// stamp[v] == epoch; everything else is implicitly +infinity, so a new
-/// source costs one epoch bump instead of an O(V) refill.
+/// Reusable per-worker flood state. A flood refills dist with +inf (one
+/// O(V) pass, cheap beside the O(E) relaxations) and leaves every
+/// queued[v] at 0, since it pops every entry it files.
+///
+/// Buckets are singly linked lists threaded through one entry pool:
+/// `heads` is a circular ring (power-of-two size) of list heads, and a
+/// flood appends every entry it files to `entries`. Both keep their
+/// capacity across floods, so a steady-state flood allocates nothing.
 struct MeasureScratch {
-  std::vector<double> dist;
-  std::vector<std::uint32_t> stamp;
-  std::uint32_t epoch = 0;
-  IndexedPriorityQueue<double> queue{0};
+  static constexpr std::uint32_t kNoEntry = 0xffffffffu;
+  struct Entry {
+    SlotId slot;
+    std::uint32_t next;  // next entry of the same bucket, or kNoEntry
+  };
 
-  /// Resizes for a snapshot of `n` slots (no-op when already sized) and
-  /// opens a fresh epoch.
+  std::vector<double> dist;
+  std::vector<std::uint8_t> queued;  // 1 while v has a pending entry
+  std::vector<std::uint32_t> heads;  // all kNoEntry between floods
+  std::vector<Entry> entries;
+
+  /// Sizes for a snapshot of `n` slots and resets dist to +inf.
   void begin(std::size_t n);
 
   /// Distance from the last flood's source to v (+inf if unreached).
   double distance(SlotId v) const;
 };
 
-/// Reusable per-worker state for the fast bucket-queue kernel. Same
-/// epoch discipline as MeasureScratch; the bucket vectors are drained
-/// empty by every run, so their capacity is what persists across
-/// sweeps (the "epoch-stamped bucket reuse").
-struct FastMeasureScratch {
-  std::vector<std::uint64_t> dist_fx;  // valid where stamp == epoch
-  std::vector<std::uint32_t> stamp;
-  std::vector<std::uint32_t> done;  // settled marks, same epoch
-  std::uint32_t epoch = 0;
-  std::vector<std::vector<SlotId>> buckets;
-
-  /// Resizes for a snapshot of `n` slots and opens a fresh epoch.
-  void begin(std::size_t n);
-
-  /// Distance from the last flood's source to v in ms (+inf if
-  /// unreached). Exact conversion: dist_fx * 2^-20 has no rounding.
-  double distance(SlotId v) const;
-};
-
 /// Single-source shortest latency over a snapshot, bit-identical to
 /// OverlayNetwork::flood_latencies over the live overlay (with the same
-/// link filter applied at capture). Results land in `scratch`; read
+/// link filter applied at capture). Edge latencies and processing
+/// delays must be >= 0 (never NaN). Results land in `scratch`; read
 /// them through scratch.distance().
 void flood_snapshot(const OverlaySnapshot& snap, SlotId source,
                     const std::vector<double>* processing_delay_ms,
                     MeasureScratch& scratch);
-
-/// Fast fixed-point flood. Requires snap.fixed_point_ok();
-/// `processing_delay_fx`, when given, holds per-slot delays already
-/// quantized with OverlaySnapshot::quantize_ms. Distances are exact
-/// shortest paths over the quantized weights, so the result is a pure
-/// function of the snapshot — independent of thread count and of any
-/// state left by previous runs.
-void flood_snapshot_fast(const OverlaySnapshot& snap, SlotId source,
-                         const std::vector<std::uint32_t>* processing_delay_fx,
-                         FastMeasureScratch& scratch);
 
 /// Deterministic work counters for one engine's lifetime: floods are
 /// counted per distinct source per sweep (before the parallel fan-out),
 /// so values are invariant across thread counts.
 struct MeasureStats {
   std::uint64_t exact_floods = 0;
+  /// Reserved, always 0: the fixed-point kernel it counted is gone.
   std::uint64_t fast_floods = 0;
 };
 
@@ -115,17 +91,13 @@ class MeasureEngine {
   static constexpr std::size_t kAutoThreads = static_cast<std::size_t>(-1);
 
   /// 0 and 1 both mean serial (no pool, no worker threads); kAutoThreads
-  /// resolves to std::thread::hardware_concurrency(). `mode` selects the
-  /// flood kernel; kFast silently falls back to the exact kernel for a
-  /// snapshot whose edges do not fit the fixed-point range (the fallback
-  /// is a property of the snapshot, so it is deterministic too).
+  /// resolves to std::thread::hardware_concurrency(). `mode` must be
+  /// kExact (see MeasureMode).
   explicit MeasureEngine(std::size_t threads = 1,
                          MeasureMode mode = MeasureMode::kExact);
 
   /// Resolved worker count (>= 1).
   std::size_t thread_count() const { return threads_; }
-
-  MeasureMode mode() const { return mode_; }
 
   /// Flood counts since construction.
   const MeasureStats& stats() const { return stats_; }
@@ -180,25 +152,22 @@ class MeasureEngine {
                                            std::size_t)>& body);
 
   /// Shared implementation of the lookup sweeps: groups queries by
-  /// source into the reusable order_/runs_ buffers, picks the kernel,
-  /// and writes per-query latencies into `out` (resized to fit).
+  /// source into the reusable order_/runs_ buffers and writes per-query
+  /// latencies into `out` (resized to fit).
   void run_lookup(const OverlaySnapshot& snap,
                   std::span<const QueryPair> queries,
                   const std::vector<double>* processing_delay_ms,
                   std::vector<double>& out);
 
   std::size_t threads_;
-  MeasureMode mode_;
   MeasureStats stats_;
   std::unique_ptr<ThreadPool> pool_;  // null when serial
   std::vector<std::unique_ptr<MeasureScratch>> scratch_;  // one per chunk
-  std::vector<std::unique_ptr<FastMeasureScratch>> fast_scratch_;
   // Sweep-shaped buffers reused across calls (the engine is not
   // re-entrant; callers already serialize sweeps).
   std::vector<std::size_t> order_;
   std::vector<Run> runs_;
   std::vector<double> avg_out_;
-  std::vector<std::uint32_t> proc_fx_;
 };
 
 }  // namespace propsim

@@ -136,6 +136,20 @@ TEST(ExperimentSpec, RejectsBiasWithoutHeterogeneity) {
   EXPECT_TRUE(mentions(result, "fraction_fast_dest"));
 }
 
+TEST(ExperimentSpec, RejectsNegativeOrNonFiniteProcessingDelays) {
+  // Processing delays are flood edge costs; the kernel needs them >= 0.
+  for (const char* line : {"fast_delay_ms = -5\n", "slow_delay_ms = nan\n",
+                           "slow_delay_ms = inf\n"}) {
+    const auto result = ExperimentSpec::from_config(
+        Config::parse(std::string("heterogeneity = bimodal\n") + line));
+    ASSERT_EQ(result.errors.size(), 1u) << line;
+    EXPECT_TRUE(mentions(result, "delay_ms")) << line;
+  }
+  EXPECT_TRUE(ExperimentSpec::from_config(
+                  Config::parse("fast_delay_ms = 0\nslow_delay_ms = 0.5\n"))
+                  .ok());
+}
+
 TEST(ExperimentSpec, UnknownKeyGetsSuggestion) {
   const auto result =
       ExperimentSpec::from_config(Config::parse("nodess = 64\n"));

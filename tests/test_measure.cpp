@@ -1,8 +1,8 @@
-// Measurement engine: snapshot fidelity, parallel determinism (results
-// bit-identical to the serial path for any thread count), scratch
-// reuse, the delta-stepping fast kernel's bounded-error equivalence,
-// snapshot caching, the measure_threads / measure_mode config keys,
-// and golden whole-experiment JSON across thread counts.
+// Measurement engine: snapshot fidelity, the bucket-queue flood kernel
+// against a reference binary-heap Dijkstra, parallel determinism
+// (results bit-identical to the serial path for any thread count),
+// scratch reuse, snapshot caching, the measure_threads / measure_mode
+// config keys, and golden whole-experiment JSON across thread counts.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -16,6 +16,7 @@
 #include "app/result_json.h"
 #include "chord/chord_ring.h"
 #include "common/config.h"
+#include "common/indexed_priority_queue.h"
 #include "fixtures.h"
 #include "measure/measure_engine.h"
 #include "measure/snapshot_cache.h"
@@ -85,95 +86,156 @@ TEST(FloodSnapshot, MatchesLiveFloodWithProcessingDelays) {
   }
 }
 
-// ----------------------------------------------- fixed-point encoding ----
+// ------------------------------------ bucket kernel vs reference heap ----
 
-TEST(FixedPoint, GridAndOffGridQuantization) {
-  // Transit-stub edge latencies are small integers of milliseconds;
-  // integers sit exactly on the 2^-20 fixed-point grid.
-  EXPECT_EQ(OverlaySnapshot::quantize_ms(5.0),
-            5ull << OverlaySnapshot::kFxFracBits);
-  EXPECT_EQ(OverlaySnapshot::quantize_ms(0.0), 0ull);
-  // Off-grid values round to the nearest grid point: half-ULP error.
-  const double ms = 7.3;
-  const std::uint64_t fx = OverlaySnapshot::quantize_ms(ms);
-  ASSERT_LE(fx, OverlaySnapshot::kFxMaxEdge);
-  EXPECT_LE(std::fabs(static_cast<double>(fx) / OverlaySnapshot::kFxPerMs -
-                      ms),
-            0.5 / OverlaySnapshot::kFxPerMs);
-  // Unencodable values come back as sentinels above kFxMaxEdge so
-  // capture can mark the snapshot !fixed_point_ok() instead of
-  // silently wrapping.
-  EXPECT_GT(OverlaySnapshot::quantize_ms(-1.0), OverlaySnapshot::kFxMaxEdge);
-  EXPECT_GT(OverlaySnapshot::quantize_ms(1e12), OverlaySnapshot::kFxMaxEdge);
-  EXPECT_GT(
-      OverlaySnapshot::quantize_ms(std::numeric_limits<double>::infinity()),
-      OverlaySnapshot::kFxMaxEdge);
-}
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
-TEST(FixedPoint, SnapshotCarriesQuantizedEdges) {
-  auto fx = UnstructuredFixture::make(40, 7020);
-  const OverlaySnapshot snap = OverlaySnapshot::capture(fx.net);
-  ASSERT_TRUE(snap.fixed_point_ok());
-  for (SlotId s = 0; s < snap.slot_count(); ++s) {
-    const auto ms = snap.latencies(s);
-    const auto fxs = snap.latencies_fx(s);
-    ASSERT_EQ(ms.size(), fxs.size());
-    for (std::size_t i = 0; i < ms.size(); ++i) {
-      EXPECT_EQ(fxs[i], OverlaySnapshot::quantize_ms(ms[i]));
-      EXPECT_GE(fxs[i], snap.min_edge_fx());
-    }
-  }
-}
-
-// ----------------------------------------------- delta-stepping flood ----
-
-TEST(FloodSnapshotFast, MatchesExactWithinQuantizationBound) {
-  auto fx = UnstructuredFixture::make(50, 7021);
-  const OverlaySnapshot snap = OverlaySnapshot::capture(fx.net);
-  ASSERT_TRUE(snap.fixed_point_ok());
-  // Off-grid processing delays force nonzero quantization error (the
-  // topology's own edge latencies are integral, hence exact).
-  const std::size_t n = snap.slot_count();
-  std::vector<double> proc(n, 0.0);
-  std::vector<std::uint32_t> proc_fx(n, 0);
-  for (std::size_t s = 0; s < n; ++s) {
-    proc[s] = 0.1 * static_cast<double>(s % 7);
-    proc_fx[s] =
-        static_cast<std::uint32_t>(OverlaySnapshot::quantize_ms(proc[s]));
-  }
-  MeasureScratch exact;
-  FastMeasureScratch fast;
-  for (SlotId src = 0; src < n; ++src) {
-    flood_snapshot(snap, src, &proc, exact);
-    flood_snapshot_fast(snap, src, &proc_fx, fast);
-    for (SlotId v = 0; v < n; ++v) {
-      const double e = exact.distance(v);
-      const double f = fast.distance(v);
-      if (std::isinf(e)) {
-        EXPECT_TRUE(std::isinf(f)) << "src " << src << " v " << v;
-        continue;
+/// The binary-heap Dijkstra flood_snapshot ran before the bucket queue
+/// (and OverlayNetwork::flood_latencies still runs): the reference the
+/// bucket kernel must match bit for bit.
+std::vector<double> reference_flood(const OverlaySnapshot& snap,
+                                    SlotId source,
+                                    const std::vector<double>* proc) {
+  std::vector<double> dist(snap.slot_count(), kInf);
+  IndexedPriorityQueue<double> queue(snap.slot_count());
+  dist[source] = 0.0;
+  queue.push_or_update(source, 0.0);
+  while (!queue.empty()) {
+    const auto u = static_cast<SlotId>(queue.pop());
+    const auto targets = snap.targets(u);
+    const auto lats = snap.latencies(u);
+    for (std::size_t e = 0; e < targets.size(); ++e) {
+      const SlotId v = targets[e];
+      double cost = lats[e];
+      if (proc != nullptr) cost += (*proc)[v];
+      const double candidate = dist[u] + cost;
+      if (candidate < dist[v]) {
+        dist[v] = candidate;
+        queue.push_or_update(v, candidate);
       }
-      EXPECT_NEAR(f, e, 1e-6 * std::max(e, 1.0))
-          << "src " << src << " v " << v;
+    }
+  }
+  return dist;
+}
+
+/// Floods from every active slot with `scratch` and compares each
+/// distance to the reference with exact double equality.
+void expect_matches_reference(const OverlaySnapshot& snap,
+                              const std::vector<double>* proc,
+                              MeasureScratch& scratch) {
+  for (SlotId src = 0; src < snap.slot_count(); ++src) {
+    if (!snap.is_active(src)) continue;
+    flood_snapshot(snap, src, proc, scratch);
+    const std::vector<double> want = reference_flood(snap, src, proc);
+    for (SlotId v = 0; v < want.size(); ++v) {
+      EXPECT_EQ(scratch.distance(v), want[v]) << "src " << src << " v " << v;
     }
   }
 }
 
-TEST(FloodSnapshotFast, ExactOnIntegralLatenciesWithoutDelays) {
-  // With every edge weight on the fixed-point grid the bucket queue is
-  // not an approximation at all: distances must match bit-for-bit.
-  auto fx = UnstructuredFixture::make(40, 7022);
-  const OverlaySnapshot snap = OverlaySnapshot::capture(fx.net);
-  MeasureScratch exact;
-  FastMeasureScratch fast;
-  for (const SlotId src : {SlotId{0}, SlotId{13}, SlotId{29}}) {
-    flood_snapshot(snap, src, nullptr, exact);
-    flood_snapshot_fast(snap, src, nullptr, fast);
-    for (SlotId v = 0; v < snap.slot_count(); ++v) {
-      EXPECT_EQ(fast.distance(v), exact.distance(v))
-          << "src " << src << " v " << v;
+/// Off-grid per-slot processing delays (0.1 ms steps are not binary
+/// fractions), so path sums round.
+std::vector<double> off_grid_delays(std::size_t n) {
+  std::vector<double> proc(n);
+  for (std::size_t s = 0; s < n; ++s) {
+    proc[s] = 0.1 * static_cast<double>(s % 7) + 0.03;
+  }
+  return proc;
+}
+
+/// A random directed snapshot over `n` slots, every fifth inactive (no
+/// edges in or out). `weight(rng)` draws each edge latency.
+template <typename WeightFn>
+OverlaySnapshot random_snapshot(std::size_t n, Rng& rng, WeightFn weight) {
+  std::vector<std::uint8_t> active(n);
+  for (std::size_t s = 0; s < n; ++s) active[s] = s % 5 == 4 ? 0 : 1;
+  std::vector<std::size_t> offsets(n + 1, 0);
+  std::vector<SlotId> targets;
+  std::vector<double> lats;
+  for (std::size_t s = 0; s < n; ++s) {
+    offsets[s] = targets.size();
+    if (active[s] == 0) continue;
+    for (int k = 0; k < 4; ++k) {
+      const auto v = static_cast<SlotId>(rng.uniform(n));
+      if (v == s || active[v] == 0) continue;
+      targets.push_back(v);
+      lats.push_back(weight(rng));
     }
   }
+  offsets[n] = targets.size();
+  return OverlaySnapshot::from_csr(std::move(active), std::move(offsets),
+                                   std::move(targets), std::move(lats));
+}
+
+TEST(FloodSnapshot, BucketKernelMatchesReferenceHeapDijkstra) {
+  Rng rng(7030);
+  MeasureScratch scratch;  // one scratch across every snapshot below
+
+  // Captured overlays, with and without off-grid delays: every edge is
+  // at least W, so every slot settles on its first pop.
+  auto big = UnstructuredFixture::make(60, 7031);
+  const OverlaySnapshot captured = OverlaySnapshot::capture(big.net);
+  expect_matches_reference(captured, nullptr, scratch);
+  const auto proc60 = off_grid_delays(captured.slot_count());
+  expect_matches_reference(captured, &proc60, scratch);
+
+  // Link-filtered capture with departed peers, in a smaller slot count.
+  auto small = UnstructuredFixture::make(30, 7032);
+  small.net.graph().deactivate_slot(3);
+  small.net.graph().deactivate_slot(17);
+  const OverlayNetwork::LinkFilter drop = [](SlotId a, SlotId b) {
+    return (a * 7 + b) % 4 != 0;
+  };
+  const OverlaySnapshot filtered = OverlaySnapshot::capture(small.net, &drop);
+  ASSERT_FALSE(filtered.is_active(3));
+  expect_matches_reference(filtered, nullptr, scratch);
+  const auto proc30 = off_grid_delays(filtered.slot_count());
+  expect_matches_reference(filtered, &proc30, scratch);
+
+  // Edges under 2^-4 ms, zero-cost edges and one +inf edge: W is
+  // clamped above the minimum cost, so buckets drain to a fixpoint.
+  bool inf_drawn = false;
+  const OverlaySnapshot tiny = random_snapshot(80, rng, [&](Rng& r) {
+    const double roll = r.uniform_double();
+    if (!inf_drawn && roll < 0.02) {
+      inf_drawn = true;
+      return kInf;
+    }
+    if (roll < 0.15) return 0.0;
+    if (roll < 0.6) return r.uniform_double(0.001, 0.06);
+    return r.uniform_double(0.0, 3.0);
+  });
+  ASSERT_TRUE(inf_drawn);
+  EXPECT_EQ(tiny.min_edge_ms(), 0.0);
+  expect_matches_reference(tiny, nullptr, scratch);
+  const auto proc80 = off_grid_delays(tiny.slot_count());
+  expect_matches_reference(tiny, &proc80, scratch);
+
+  // Spans far past the bucket ring's ceiling and past the saturating
+  // bucket index: huge finite edges beside sub-millisecond ones.
+  const OverlaySnapshot wide = random_snapshot(50, rng, [](Rng& r) {
+    const double roll = r.uniform_double();
+    if (roll < 0.1) return 1e300;
+    if (roll < 0.3) return r.uniform_double(1e5, 1e7);
+    return r.uniform_double(0.07, 2.0);
+  });
+  expect_matches_reference(wide, nullptr, scratch);
+
+  // Back to the first snapshot after smaller ones: the reused scratch
+  // must not leak state across slot counts.
+  expect_matches_reference(captured, &proc60, scratch);
+}
+
+TEST(OverlaySnapshot, RecordsMinimumEdgeLatency) {
+  auto fx = UnstructuredFixture::make(40, 7033);
+  const OverlaySnapshot snap = OverlaySnapshot::capture(fx.net);
+  double min_ms = kInf;
+  for (SlotId s = 0; s < snap.slot_count(); ++s) {
+    for (const double ms : snap.latencies(s)) min_ms = std::min(min_ms, ms);
+  }
+  EXPECT_EQ(snap.min_edge_ms(), min_ms);
+  EXPECT_EQ(OverlaySnapshot::from_csr({1}, {0, 0}, {}, {}).min_edge_ms(),
+            kInf);
 }
 
 // ------------------------------------------------------- MeasureEngine ----
@@ -248,46 +310,6 @@ TEST(MeasureEngine, ScratchReusedAcrossChangingSnapshots) {
   EXPECT_EQ(fresh.lookup_latencies(before, queries), r_before);
 }
 
-TEST(MeasureEngine, FastModeBitIdenticalAcrossThreadCounts) {
-  auto fx = UnstructuredFixture::make(60, 7023);
-  Rng rng(14);
-  const auto queries = sample_query_pairs(fx.net.graph(), 400, rng);
-  const OverlaySnapshot snap = OverlaySnapshot::capture(fx.net);
-  MeasureEngine serial(1, MeasureMode::kFast);
-  EXPECT_EQ(serial.mode(), MeasureMode::kFast);
-  const auto want = serial.lookup_latencies(snap, queries);
-  const double want_avg = serial.average_lookup_latency(snap, queries);
-  for (const std::size_t t : {2, 4, 8}) {
-    MeasureEngine engine(t, MeasureMode::kFast);
-    EXPECT_EQ(engine.lookup_latencies(snap, queries), want);
-    EXPECT_EQ(engine.average_lookup_latency(snap, queries), want_avg);
-  }
-  // The work counters track the kernel actually dispatched.
-  EXPECT_GT(serial.stats().fast_floods, 0u);
-  EXPECT_EQ(serial.stats().exact_floods, 0u);
-  MeasureEngine exact(1);
-  (void)exact.average_lookup_latency(snap, queries);
-  EXPECT_GT(exact.stats().exact_floods, 0u);
-  EXPECT_EQ(exact.stats().fast_floods, 0u);
-}
-
-TEST(MeasureEngine, FastAverageWithinBoundOfExact) {
-  auto fx = UnstructuredFixture::make(60, 7024);
-  Rng rng(15);
-  const auto queries = sample_query_pairs(fx.net.graph(), 400, rng);
-  const OverlaySnapshot snap = OverlaySnapshot::capture(fx.net);
-  std::vector<double> proc(snap.slot_count(), 0.0);
-  for (std::size_t s = 0; s < proc.size(); ++s) {
-    proc[s] = 0.25 * static_cast<double>(s % 5) + 0.3;
-  }
-  MeasureEngine exact(1, MeasureMode::kExact);
-  MeasureEngine fast(1, MeasureMode::kFast);
-  const double e = exact.average_lookup_latency(snap, queries, &proc);
-  const double f = fast.average_lookup_latency(snap, queries, &proc);
-  ASSERT_TRUE(std::isfinite(e));
-  EXPECT_NEAR(f, e, 1e-6 * e);
-}
-
 // ------------------------------------------------------ SnapshotCache ----
 
 TEST(SnapshotCache, ReusesUntilVersionAdvances) {
@@ -352,16 +374,25 @@ TEST(MeasureModeKey, DefaultsToAutoWhichResolvesToExact) {
             ExperimentSpec::MeasureMode::kExact);
 }
 
-TEST(MeasureModeKey, ParsesAutoExactAndFast) {
+TEST(MeasureModeKey, ParsesAutoAndExact) {
   EXPECT_EQ(must_parse("measure_mode = auto\n").measure_mode,
             ExperimentSpec::MeasureMode::kAuto);
   EXPECT_EQ(must_parse("measure_mode = exact\n").measure_mode,
             ExperimentSpec::MeasureMode::kExact);
-  // Default overlay is gnutella, so fast is admissible without more.
-  const ExperimentSpec fast = must_parse("measure_mode = fast\n");
-  EXPECT_EQ(fast.measure_mode, ExperimentSpec::MeasureMode::kFast);
-  EXPECT_EQ(fast.resolved_measure_mode(),
-            ExperimentSpec::MeasureMode::kFast);
+}
+
+TEST(MeasureModeKey, RemovedFastIsRejectedNamingExact) {
+  // The fixed-point kernel is gone; fast is an error that points to its
+  // replacement, not a silent alias, on any overlay.
+  for (const char* text : {"measure_mode = fast\n",
+                           "overlay = chord\nmeasure_mode = fast\n"}) {
+    const SpecResult parsed = ExperimentSpec::from_config(Config::parse(text));
+    ASSERT_FALSE(parsed.ok()) << text;
+    const std::string report = parsed.error_report();
+    EXPECT_NE(report.find("measure_mode"), std::string::npos) << report;
+    EXPECT_NE(report.find("removed"), std::string::npos) << report;
+    EXPECT_NE(report.find("exact"), std::string::npos) << report;
+  }
 }
 
 TEST(MeasureModeKey, UnknownValueListsTheValidOnes) {
@@ -369,32 +400,23 @@ TEST(MeasureModeKey, UnknownValueListsTheValidOnes) {
       ExperimentSpec::from_config(Config::parse("measure_mode = quick\n"));
   ASSERT_FALSE(parsed.ok());
   const std::string report = parsed.error_report();
-  for (const char* valid : {"auto", "exact", "fast"}) {
+  for (const char* valid : {"auto", "exact"}) {
     EXPECT_NE(report.find(valid), std::string::npos) << report;
   }
 }
 
 TEST(MeasureModeKey, MisspelledKeyGetsDidYouMeanHint) {
   const SpecResult parsed =
-      ExperimentSpec::from_config(Config::parse("measure_mod = fast\n"));
+      ExperimentSpec::from_config(Config::parse("measure_mod = exact\n"));
   ASSERT_FALSE(parsed.ok());
   EXPECT_NE(parsed.error_report().find("measure_mode"), std::string::npos)
-      << parsed.error_report();
-}
-
-TEST(MeasureModeKey, FastRejectsStructuredOverlays) {
-  const SpecResult parsed = ExperimentSpec::from_config(
-      Config::parse("overlay = chord\nmeasure_mode = fast\n"));
-  ASSERT_FALSE(parsed.ok());
-  EXPECT_NE(parsed.error_report().find("requires overlay = gnutella"),
-            std::string::npos)
       << parsed.error_report();
 }
 
 TEST(MeasureModeKey, ComposesWithEveryMeasureThreadsSetting) {
   for (const char* threads : {"0", "1", "4", "auto"}) {
     const std::string text =
-        std::string("measure_mode = fast\nmeasure_threads = ") + threads +
+        std::string("measure_mode = exact\nmeasure_threads = ") + threads +
         "\n";
     EXPECT_TRUE(ExperimentSpec::from_config(Config::parse(text)).ok())
         << text;
@@ -417,15 +439,16 @@ std::string golden_json(const std::string& base, const std::string& threads) {
   return experiment_result_json(spec, result).dump(2);
 }
 
+// configs/fig5_like.conf downscaled to test time.
+const char kFig5Base[] =
+    "topology = ts-large\noverlay = gnutella\nprotocol = prop-g\n"
+    "nodes = 300\nhorizon = 900\nsample_interval = 100\n"
+    "queries = 2500\nnhops = 2\n";
+
 TEST(MeasureGolden, Fig5LikeResultJsonIdenticalAcrossThreadCounts) {
-  // configs/fig5_like.conf downscaled to test time.
-  const std::string base =
-      "topology = ts-large\noverlay = gnutella\nprotocol = prop-g\n"
-      "nodes = 300\nhorizon = 900\nsample_interval = 100\n"
-      "queries = 2500\nnhops = 2\n";
-  const std::string serial = golden_json(base, "1");
-  EXPECT_EQ(serial, golden_json(base, "4"));
-  EXPECT_EQ(serial, golden_json(base, "8"));
+  const std::string serial = golden_json(kFig5Base, "1");
+  EXPECT_EQ(serial, golden_json(kFig5Base, "4"));
+  EXPECT_EQ(serial, golden_json(kFig5Base, "8"));
 }
 
 TEST(MeasureGolden, FaultedResultJsonIdenticalAcrossThreadCounts) {
@@ -444,95 +467,23 @@ TEST(MeasureGolden, FaultedResultJsonIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial, golden_json(base, "8"));
 }
 
-// ------------------------------------ fast-mode experiment equivalence ----
-
-const char kFastFig5Base[] =
-    "topology = ts-large\noverlay = gnutella\nprotocol = prop-g\n"
-    "nodes = 300\nhorizon = 900\nsample_interval = 100\n"
-    "queries = 2500\nnhops = 2\n";
-
-const char kFastFaultedBase[] =
-    "topology = ts-large\noverlay = gnutella\nprotocol = prop-o\n"
-    "nodes = 300\nhorizon = 900\nsample_interval = 100\n"
-    "queries = 2500\nmodel_message_delays = true\n"
-    "fault_loss = 0.05\nfault_jitter = 0.2\nfault_crash = 0.02\n"
-    "fault_partition_domain = auto\n"
-    "fault_partition_start = 300\nfault_partition_end = 600\n";
-
-ExperimentResult run_with_mode(const std::string& base, const char* mode,
-                               const char* threads = "1") {
-  Config config = Config::parse(base);
-  config.set("measure_mode", mode);
-  config.set("measure_threads", threads);
-  const SpecResult parsed = ExperimentSpec::from_config(config);
-  EXPECT_TRUE(parsed.ok()) << parsed.error_report();
-  return run_experiment(parsed.spec());
-}
-
-/// Asserts `fast` tracks `exact` within the documented 1e-6 relative
-/// bound at every sample (infinities must agree exactly).
-void expect_series_within_bound(const TimeSeries& exact,
-                                const TimeSeries& fast) {
-  ASSERT_EQ(exact.points().size(), fast.points().size());
-  for (std::size_t i = 0; i < exact.points().size(); ++i) {
-    const double e = exact.points()[i].value;
-    const double f = fast.points()[i].value;
-    EXPECT_EQ(exact.points()[i].time, fast.points()[i].time);
-    if (std::isinf(e) || std::isinf(f)) {
-      EXPECT_EQ(e, f) << "sample " << i;
-      continue;
-    }
-    EXPECT_NEAR(f, e, 1e-6 * std::max(std::fabs(e), 1.0)) << "sample " << i;
-  }
-}
-
-TEST(MeasureFastGolden, Fig5LikeSeriesWithinBoundOfExact) {
-  const ExperimentResult exact = run_with_mode(kFastFig5Base, "exact");
-  const ExperimentResult fast = run_with_mode(kFastFig5Base, "fast");
-  expect_series_within_bound(exact.series, fast.series);
-  EXPECT_GT(exact.measure_exact_floods, 0u);
-  EXPECT_EQ(exact.measure_fast_floods, 0u);
-  EXPECT_GT(fast.measure_fast_floods, 0u);
-  EXPECT_EQ(fast.measure_exact_floods, 0u);
-  // Same tick schedule on both sides => same flood demand.
-  EXPECT_EQ(exact.measure_exact_floods, fast.measure_fast_floods);
-}
-
-TEST(MeasureFastGolden, FaultedSeriesWithinBoundOfExact) {
-  const ExperimentResult exact = run_with_mode(kFastFaultedBase, "exact");
-  const ExperimentResult fast = run_with_mode(kFastFaultedBase, "fast");
-  expect_series_within_bound(exact.series, fast.series);
-}
-
-TEST(MeasureFastGolden, ResultJsonIdenticalAcrossThreadCounts) {
-  // The fast kernel's distances are exact over the quantized weights,
-  // so fast mode inherits the full thread-count byte-identity contract
-  // on both the fig5-like and the faulted configs.
-  for (const char* base : {kFastFig5Base, kFastFaultedBase}) {
-    const std::string with_mode =
-        std::string(base) + "measure_mode = fast\n";
-    const std::string serial = golden_json(with_mode, "1");
-    EXPECT_EQ(serial, golden_json(with_mode, "2"));
-    EXPECT_EQ(serial, golden_json(with_mode, "4"));
-    EXPECT_EQ(serial, golden_json(with_mode, "8"));
-  }
-}
-
 // -------------------------------------- counters v5 / measure stanza ----
 
 TEST(MeasureCounters, V5ExposesKernelAndSnapshotCounters) {
   EXPECT_EQ(ExperimentResult::kCountersVersion, 7);
-  const ExperimentResult result = run_with_mode(kFastFig5Base, "exact");
+  const SpecResult parsed =
+      ExperimentSpec::from_config(Config::parse(kFig5Base));
+  ASSERT_TRUE(parsed.ok());
+  const ExperimentResult result = run_experiment(parsed.spec());
   // Every sampler tick asked the cache for a snapshot: the capture /
   // reuse split depends on the trace build mode, but the total is the
   // tick count either way.
   EXPECT_EQ(result.measure_snapshot_captures + result.measure_snapshot_reuses,
             result.series.points().size());
   EXPECT_GT(result.measure_snapshot_captures, 0u);
+  EXPECT_GT(result.measure_exact_floods, 0u);
+  EXPECT_EQ(result.measure_fast_floods, 0u);  // reserved, always 0
 
-  Config config = Config::parse(kFastFig5Base);
-  const SpecResult parsed = ExperimentSpec::from_config(config);
-  ASSERT_TRUE(parsed.ok());
   const Json json = experiment_result_json(parsed.spec(), result);
   const Json* counters = json.find("counters");
   ASSERT_NE(counters, nullptr);
