@@ -1,7 +1,13 @@
 #include "app/experiment.h"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <bit>
+#include <cerrno>
 #include <cmath>
+#include <cstring>
+#include <filesystem>
 #include <functional>
 #include <initializer_list>
 #include <memory>
@@ -51,6 +57,33 @@ constexpr const char* kKnownKeys[] = {
     "adversary_lie_factor",       "adversary_drop_probability",
     "adversary_eclipse_target",
 };
+
+/// The generator preset behind a transit-stub topology choice.
+TransitStubConfig transit_stub_config(ExperimentSpec::Topology topology) {
+  return topology == ExperimentSpec::Topology::kTsLarge
+             ? TransitStubConfig::ts_large()
+             : TransitStubConfig::ts_small();
+}
+
+/// Why a trace file could not be opened for writing at `path`, or ""
+/// when it can. Nothing is created, so validating a spec stays free of
+/// side effects.
+std::string trace_path_problem(const std::string& path) {
+  namespace fs = std::filesystem;
+  std::error_code ec;
+  const fs::path file(path);
+  const fs::path dir = file.has_parent_path() ? file.parent_path() : ".";
+  if (!fs::is_directory(dir, ec)) {
+    return "directory '" + dir.string() + "' does not exist";
+  }
+  if (fs::is_directory(file, ec)) return "names a directory, not a file";
+  const bool exists = fs::exists(file, ec);
+  const int mode = exists ? W_OK : W_OK | X_OK;
+  if (::access((exists ? file : dir).c_str(), mode) != 0) {
+    return std::string("cannot write there: ") + std::strerror(errno);
+  }
+  return "";
+}
 
 std::size_t edit_distance(const std::string& a, const std::string& b) {
   std::vector<std::size_t> row(b.size() + 1);
@@ -274,6 +307,19 @@ SpecResult ExperimentSpec::from_config(const Config& config) {
     p.error("nodes", "must be at least 8, got " + std::to_string(nodes));
   }
   spec.nodes = static_cast<std::size_t>(std::max<std::int64_t>(nodes, 8));
+  // Peers and their churn spares (a quarter more) are distinct stub
+  // hosts; a Waxman graph is sized from nodes, so it always fits.
+  if (spec.topology != Topology::kWaxman) {
+    const std::size_t pool = transit_stub_config(spec.topology).stub_nodes();
+    if (spec.nodes + spec.nodes / 4 > pool) {
+      p.error("nodes",
+              "needs " + std::to_string(spec.nodes + spec.nodes / 4) +
+                  " stub hosts (nodes plus a quarter for churn spares), "
+                  "but " + to_string(spec.topology) + " has " +
+                  std::to_string(pool),
+              "lower nodes or use topology = waxman");
+    }
+  }
   spec.seed = static_cast<std::uint64_t>(p.get_int("seed", 20070901));
   spec.horizon_s = p.get_double("horizon", 3600.0);
   if (spec.horizon_s <= 0.0) {
@@ -398,6 +444,9 @@ SpecResult ExperimentSpec::from_config(const Config& config) {
   if (!spec.trace_path.empty() && !obs::trace_compiled_in()) {
     p.error("trace", "trace output requires a PROPSIM_TRACE=ON build",
             "rebuild with -DPROPSIM_TRACE=ON (the default preset has it)");
+  } else if (!spec.trace_path.empty()) {
+    const std::string problem = trace_path_problem(spec.trace_path);
+    if (!problem.empty()) p.error("trace", problem);
   }
   const std::int64_t trace_buffer = p.get_int("trace_buffer", 8192);
   if (trace_buffer < 1) p.error("trace_buffer", "must be at least 1");
@@ -705,10 +754,8 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
   switch (spec.topology) {
     case ExperimentSpec::Topology::kTsLarge:
     case ExperimentSpec::Topology::kTsSmall: {
-      const auto cfg = spec.topology == ExperimentSpec::Topology::kTsLarge
-                           ? TransitStubConfig::ts_large()
-                           : TransitStubConfig::ts_small();
-      ts = std::make_unique<TransitStubTopology>(make_transit_stub(cfg, rng));
+      ts = std::make_unique<TransitStubTopology>(
+          make_transit_stub(transit_stub_config(spec.topology), rng));
       physical = &ts->graph;
       stub_pool = ts->stub_nodes;
       break;
@@ -957,13 +1004,20 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
   // graph, placement or partition state emits at least one of these, and
   // counts only grow, so an unchanged sum proves an unchanged overlay.
   // In a PROPSIM_TRACE=OFF build the counters cannot witness anything;
-  // the fallback version bumps every call so the cache conservatively
-  // recaptures (values are identical either way — reuse is pure
+  // the fallback version bumps every call so the caches conservatively
+  // recapture (values are identical either way — reuse is pure
   // caching — matching the trace-off bit-identity contract).
-  SnapshotCache snap_cache([&net, &flood_filter] {
+  auto capture_overlay = [&net, &flood_filter] {
     return OverlaySnapshot::capture(*net,
                                     flood_filter ? &flood_filter : nullptr);
-  });
+  };
+  SnapshotCache snap_cache(capture_overlay);
+  // Event-driven Gnutella lookups flood their own cache under the same
+  // version: sharing the sampler's would move its reuse counters, which
+  // the result reports.
+  SnapshotCache lookup_cache(capture_overlay);
+  MeasureScratch lookup_scratch;
+  OverlayNetwork::FloodScratch live_scratch;  // paranoid cross-check only
   std::uint64_t untracked_version = 0;
   auto topology_version = [&]() -> std::uint64_t {
     if (!obs::trace_compiled_in()) return ++untracked_version;
@@ -1078,10 +1132,7 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
     tparams.start_s = 0.0;
     tparams.end_s = spec.horizon_s;
     tparams.window_s = spec.sample_interval_s;
-    // Flood scratch shared across lookup events (one resolve at a time
-    // on the sim thread); shared_ptr keeps it alive inside the closure.
-    auto flood_scratch = std::make_shared<OverlayNetwork::FloodScratch>();
-    auto resolve = [&, spec, flood_scratch](const QueryPair& q) -> double {
+    auto resolve = [&, spec](const QueryPair& q) -> double {
       std::vector<double> proc;
       const std::vector<double>* proc_ptr = nullptr;
       if (delays) {
@@ -1101,10 +1152,22 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
         return path_latency(*net, path, proc_ptr);
       };
       switch (spec.overlay) {
-        case ExperimentSpec::Overlay::kGnutella:
-          return net->flood_latencies_into(
-              *flood_scratch, q.src, proc_ptr,
-              flood_filter ? &flood_filter : nullptr)[q.dst];
+        case ExperimentSpec::Overlay::kGnutella: {
+          flood_snapshot(lookup_cache.at(topology_version()), q.src,
+                         proc_ptr, lookup_scratch, q.dst);
+          const double ms = lookup_scratch.distance(q.dst);
+          // Lookups land between sampler ticks, so this cross-check
+          // catches an overlay mutation the version failed to witness.
+          if (paranoid_checks_enabled()) {
+            const double live_ms = net->flood_latencies_into(
+                live_scratch, q.src, proc_ptr,
+                flood_filter ? &flood_filter : nullptr)[q.dst];
+            PROPSIM_CHECK(std::bit_cast<std::uint64_t>(ms) ==
+                              std::bit_cast<std::uint64_t>(live_ms) &&
+                          "cached lookup snapshot is stale");
+          }
+          return ms;
+        }
         case ExperimentSpec::Overlay::kChord:
           return routed(chord->lookup_path(q.src, chord->id_of(q.dst)));
         case ExperimentSpec::Overlay::kPastry:

@@ -63,8 +63,9 @@ double MeasureScratch::distance(SlotId v) const {
 
 void flood_snapshot(const OverlaySnapshot& snap, SlotId source,
                     const std::vector<double>* processing_delay_ms,
-                    MeasureScratch& scratch) {
+                    MeasureScratch& scratch, SlotId target) {
   PROPSIM_CHECK(snap.is_active(source));
+  PROPSIM_CHECK(target == kInvalidSlot || target < snap.slot_count());
   if (processing_delay_ms != nullptr) {
     PROPSIM_CHECK(processing_delay_ms->size() == snap.slot_count());
   }
@@ -132,6 +133,16 @@ void flood_snapshot(const OverlaySnapshot& snap, SlotId source,
         dist[v] = candidate;
         if (refile) file(v, b);
       }
+    }
+    // Bucket cur is drained, so every pending entry's slot sits at a
+    // distance >= (cur + 1) * W, and costs >= 0 with monotone addition
+    // keep every later candidate there too: a target below that bound
+    // is final. Leave the scratch as a full flood would: nothing
+    // queued, every ring head empty.
+    if (target != kInvalidSlot && bucket_of(dist[target]) <= cur) {
+      for (const auto& entry : entries) queued[entry.slot] = 0;
+      std::fill(heads.begin(), heads.end(), MeasureScratch::kNoEntry);
+      return;
     }
     ++cur;
   }

@@ -20,8 +20,12 @@
 // shortest-path search reaches the same least fixpoint
 // d[v] = min over edges (u, v) of fl(d[u] + c(u, v)). Pop order does not
 // matter, only that the search runs to that fixpoint (docs/PERF.md).
-// Worker scratch is allocated once per worker and reused across sources
-// and across snapshots.
+// A point-to-point flood passes a target and stops after the first
+// drained bucket whose upper edge lies above the target's distance:
+// every entry still pending sits in a later bucket, so no later
+// candidate can beat that distance and the value read is the one a
+// full flood would return. Worker scratch is allocated once per worker
+// and reused across sources and across snapshots.
 #pragma once
 
 #include <cstdint>
@@ -42,7 +46,8 @@ enum class MeasureMode { kExact, kFast };
 
 /// Reusable per-worker flood state. A flood refills dist with +inf (one
 /// O(V) pass, cheap beside the O(E) relaxations) and leaves every
-/// queued[v] at 0, since it pops every entry it files.
+/// queued[v] at 0: a full flood pops every entry it files, and a
+/// targeted flood that stops early clears what it left pending.
 ///
 /// Buckets are singly linked lists threaded through one entry pool:
 /// `heads` is a circular ring (power-of-two size) of list heads, and a
@@ -72,9 +77,14 @@ struct MeasureScratch {
 /// link filter applied at capture). Edge latencies and processing
 /// delays must be >= 0 (never NaN). Results land in `scratch`; read
 /// them through scratch.distance().
+///
+/// With a `target`, the flood may stop as soon as the target's distance
+/// is final. Only scratch.distance(target) is then defined (bit-identical
+/// to the full flood's, +inf when unreachable); other slots may hold
+/// upper bounds or +inf. kInvalidSlot floods every slot.
 void flood_snapshot(const OverlaySnapshot& snap, SlotId source,
                     const std::vector<double>* processing_delay_ms,
-                    MeasureScratch& scratch);
+                    MeasureScratch& scratch, SlotId target = kInvalidSlot);
 
 /// Deterministic work counters for one engine's lifetime: floods are
 /// counted per distinct source per sweep (before the parallel fan-out),

@@ -1,18 +1,19 @@
-// Version-keyed OverlaySnapshot reuse across convergence ticks.
+// Version-keyed OverlaySnapshot reuse across convergence ticks and
+// live lookups.
 //
 // Capturing a snapshot is O(V + E) per sample; when the overlay did not
-// change between two ticks the capture would produce a byte-identical
-// snapshot, so the sweep can reuse the previous one. "Did not change"
-// is decided by the caller-supplied version number — the experiment
-// derives it from the trace bus's topology-affecting event counts
-// (exchange commits, churn joins/leaves/fails, LTM rounds, crashes,
-// partition edges), which only ever grow, so an unchanged version
-// proves no such event ran since the last capture. Reuse is therefore
+// change between two ticks (or two lookups) the capture would produce a
+// byte-identical snapshot, so the flood can reuse the previous one.
+// "Did not change" is decided by the caller-supplied version number —
+// the experiment derives it from the trace bus's topology-affecting
+// event counts (exchange commits, churn joins/leaves/fails, LTM rounds,
+// crashes, partition edges), which only ever grow, so an unchanged
+// version proves no such event ran since the last capture. Reuse is therefore
 // pure caching: it can never change a result, only skip redundant work.
 //
 // In a PROPSIM_TRACE=OFF build the bus counters stay zero and cannot
-// witness changes; the experiment feeds a version that bumps every tick
-// instead, so the cache conservatively recaptures (results stay
+// witness changes; the experiment feeds a version that bumps on every
+// call instead, so the cache conservatively recaptures (results stay
 // bit-identical across build modes; only the reuse counters differ,
 // like the trace counters already do).
 #pragma once

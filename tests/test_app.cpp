@@ -186,6 +186,33 @@ TEST(ExperimentSpec, RejectsHierarchicalOracleOnWaxman) {
   EXPECT_TRUE(mentions(result, "oracle"));
 }
 
+TEST(ExperimentSpec, RejectsMorePeersThanStubHosts) {
+  // Both presets have 4800 stub hosts: 3840 peers plus 960 spares fit.
+  for (const char* topology : {"ts-large", "ts-small"}) {
+    const std::string base = std::string("topology = ") + topology + "\n";
+    EXPECT_TRUE(
+        ExperimentSpec::from_config(Config::parse(base + "nodes = 3840\n"))
+            .ok());
+    const auto result =
+        ExperimentSpec::from_config(Config::parse(base + "nodes = 3841\n"));
+    ASSERT_EQ(result.errors.size(), 1u) << topology;
+    EXPECT_EQ(result.errors[0].key, "nodes");
+  }
+  EXPECT_TRUE(ExperimentSpec::from_config(
+                  Config::parse("topology = waxman\nnodes = 20000\n"))
+                  .ok());
+}
+
+TEST(ExperimentSpec, RejectsTracePathThatCannotBeOpened) {
+  if (!obs::trace_compiled_in()) GTEST_SKIP() << "PROPSIM_TRACE=OFF build";
+  for (const char* path : {"/nonexistent/dir/x.jsonl", "."}) {
+    const auto result = ExperimentSpec::from_config(
+        Config::parse(std::string("trace = ") + path + "\n"));
+    ASSERT_EQ(result.errors.size(), 1u) << path;
+    EXPECT_EQ(result.errors[0].key, "trace") << path;
+  }
+}
+
 // --------------------------------------------------------------- sweep ----
 
 TEST(Sweep, SplitCommas) {
@@ -482,6 +509,16 @@ TEST(PinnedDigest, CommittedConfigsAtTestSize) {
        "9cfdabc424ef2c9d"},
       {"adversary_eclipse.conf", "nodes=200\nhorizon=1800\nqueries=1000\n",
        "4ecb18cde71e1646"},
+      // Live Gnutella lookups while slots join, leave and fail.
+      {"churn_burst.conf",
+       "nodes=200\nhorizon=1800\nqueries=1000\nchurn_start=600\n"
+       "churn_end=1200\nlookup_rate=2\n",
+       "94f016b8a7a5ca17"},
+      // Live lookups whose floods pay per-slot processing delays.
+      {"heterogeneous_prop_o.conf",
+       "nodes=200\nhorizon=900\nqueries=1000\nheterogeneity=bimodal\n"
+       "lookup_rate=2\n",
+       "ced158943a5be53d"},
   };
   for (const Case& c : cases) {
     EXPECT_EQ(committed_config_digest(c.file, c.overrides), c.digest)

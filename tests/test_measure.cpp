@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -133,6 +134,49 @@ void expect_matches_reference(const OverlaySnapshot& snap,
   }
 }
 
+/// True when `scratch` holds the between-flood invariants every flood
+/// starts from: nothing queued and every bucket-ring head empty.
+bool scratch_idle(const MeasureScratch& scratch) {
+  return std::all_of(scratch.queued.begin(), scratch.queued.end(),
+                     [](std::uint8_t q) { return q == 0; }) &&
+         std::all_of(scratch.heads.begin(), scratch.heads.end(),
+                     [](std::uint32_t h) {
+                       return h == MeasureScratch::kNoEntry;
+                     });
+}
+
+/// Floods from every active slot to every target, each targeted flood
+/// followed by a full one on the same scratch. Every targeted distance
+/// must equal the reference bit for bit, every flood must leave the
+/// scratch idle, and the full flood after an early exit must still be
+/// exact. Returns how many targeted floods stopped early (filed fewer
+/// entries than the full flood), so callers can check the exit fired.
+std::size_t expect_targeted_match_reference(const OverlaySnapshot& snap,
+                                            const std::vector<double>* proc,
+                                            MeasureScratch& scratch) {
+  std::size_t early = 0;
+  for (SlotId src = 0; src < snap.slot_count(); ++src) {
+    if (!snap.is_active(src)) continue;
+    const std::vector<double> want = reference_flood(snap, src, proc);
+    for (SlotId target = 0; target < want.size(); ++target) {
+      flood_snapshot(snap, src, proc, scratch, target);
+      EXPECT_EQ(scratch.distance(target), want[target])
+          << "src " << src << " target " << target;
+      EXPECT_TRUE(scratch_idle(scratch)) << "src " << src << " target "
+                                         << target;
+      const std::size_t filed = scratch.entries.size();
+      flood_snapshot(snap, src, proc, scratch);
+      if (filed < scratch.entries.size()) ++early;
+      for (SlotId v = 0; v < want.size(); ++v) {
+        EXPECT_EQ(scratch.distance(v), want[v])
+            << "full flood after src " << src << " target " << target
+            << ", v " << v;
+      }
+    }
+  }
+  return early;
+}
+
 /// Off-grid per-slot processing delays (0.1 ms steps are not binary
 /// fractions), so path sums round.
 std::vector<double> off_grid_delays(std::size_t n) {
@@ -224,6 +268,29 @@ TEST(FloodSnapshot, BucketKernelMatchesReferenceHeapDijkstra) {
   // Back to the first snapshot after smaller ones: the reused scratch
   // must not leak state across slot counts.
   expect_matches_reference(captured, &proc60, scratch);
+
+  // Point-to-point floods to every target, interleaved with full floods
+  // on the same scratch: early exits must return the full flood's value
+  // and restore the scratch. Each snapshot must exercise the exit.
+  EXPECT_GT(expect_targeted_match_reference(captured, nullptr, scratch), 0u);
+  EXPECT_GT(expect_targeted_match_reference(captured, &proc60, scratch), 0u);
+  EXPECT_GT(expect_targeted_match_reference(filtered, &proc30, scratch), 0u);
+  EXPECT_GT(expect_targeted_match_reference(tiny, nullptr, scratch), 0u);
+  EXPECT_GT(expect_targeted_match_reference(tiny, &proc80, scratch), 0u);
+  EXPECT_GT(expect_targeted_match_reference(wide, nullptr, scratch), 0u);
+
+  // The edge cases by name: 0 -> 1 costs 1 ms, 1 -> 2 only by a +inf
+  // edge, 3 is inactive and 4 is active but unreachable.
+  const OverlaySnapshot cases = OverlaySnapshot::from_csr(
+      {1, 1, 1, 0, 1}, {0, 1, 2, 2, 2, 2}, {1, 2}, {1.0, kInf});
+  const std::pair<SlotId, double> expected[] = {
+      {0, 0.0}, {1, 1.0}, {2, kInf}, {3, kInf}, {4, kInf}};
+  for (const auto& [target, ms] : expected) {
+    flood_snapshot(cases, 0, nullptr, scratch, target);
+    EXPECT_EQ(scratch.distance(target), ms) << "target " << target;
+    EXPECT_TRUE(scratch_idle(scratch)) << "target " << target;
+  }
+  expect_targeted_match_reference(cases, nullptr, scratch);
 }
 
 TEST(OverlaySnapshot, RecordsMinimumEdgeLatency) {
