@@ -1,18 +1,11 @@
 #include "app/experiment.h"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <bit>
-#include <cerrno>
-#include <cmath>
-#include <cstring>
-#include <filesystem>
-#include <functional>
-#include <initializer_list>
 #include <memory>
 
 #include "analysis/invariant_checker.h"
+#include "app/spec_keys.h"
 #include "can/can_space.h"
 #include "chord/chord_ring.h"
 #include "core/prop_engine.h"
@@ -31,173 +24,6 @@
 #include "workload/lookups.h"
 
 namespace propsim {
-namespace {
-
-/// Every key from_config understands; unknown keys are rejected with the
-/// closest of these as a suggestion.
-constexpr const char* kKnownKeys[] = {
-    "topology",        "overlay",           "protocol",
-    "nodes",           "seed",              "horizon",
-    "sample_interval", "queries",           "nhops",
-    "m",               "min_var",           "init_timer",
-    "max_init_trial",  "random_target",     "model_message_delays",
-    "selection",       "lookup_rate",       "heterogeneity",
-    "fast_fraction",   "fast_delay_ms",     "slow_delay_ms",
-    "fraction_fast_dest", "churn_join_rate", "churn_leave_rate",
-    "churn_fail_rate", "churn_start",       "churn_end",
-    "oracle",          "oracle_cache_rows", "measure_threads",
-    "measure_mode",    "trace",             "trace_buffer",
-    "fault_loss",      "fault_jitter",      "fault_crash",
-    "fault_max_retries", "fault_partition_domain",
-    "fault_partition_start", "fault_partition_end",
-    "fault_storm_domain",    "fault_storm_start",
-    "fault_storm_window",    "fault_loss_burst_len",
-    "adversary_liar_fraction",    "adversary_freeride_fraction",
-    "adversary_dropper_fraction", "adversary_eclipse_fraction",
-    "adversary_lie_factor",       "adversary_drop_probability",
-    "adversary_eclipse_target",
-};
-
-/// The generator preset behind a transit-stub topology choice.
-TransitStubConfig transit_stub_config(ExperimentSpec::Topology topology) {
-  return topology == ExperimentSpec::Topology::kTsLarge
-             ? TransitStubConfig::ts_large()
-             : TransitStubConfig::ts_small();
-}
-
-/// Why a trace file could not be opened for writing at `path`, or ""
-/// when it can. Nothing is created, so validating a spec stays free of
-/// side effects.
-std::string trace_path_problem(const std::string& path) {
-  namespace fs = std::filesystem;
-  std::error_code ec;
-  const fs::path file(path);
-  const fs::path dir = file.has_parent_path() ? file.parent_path() : ".";
-  if (!fs::is_directory(dir, ec)) {
-    return "directory '" + dir.string() + "' does not exist";
-  }
-  if (fs::is_directory(file, ec)) return "names a directory, not a file";
-  const bool exists = fs::exists(file, ec);
-  const int mode = exists ? W_OK : W_OK | X_OK;
-  if (::access((exists ? file : dir).c_str(), mode) != 0) {
-    return std::string("cannot write there: ") + std::strerror(errno);
-  }
-  return "";
-}
-
-std::size_t edit_distance(const std::string& a, const std::string& b) {
-  std::vector<std::size_t> row(b.size() + 1);
-  for (std::size_t j = 0; j <= b.size(); ++j) row[j] = j;
-  for (std::size_t i = 1; i <= a.size(); ++i) {
-    std::size_t diag = row[0];
-    row[0] = i;
-    for (std::size_t j = 1; j <= b.size(); ++j) {
-      const std::size_t prev = row[j];
-      row[j] = std::min({row[j] + 1, row[j - 1] + 1,
-                         diag + (a[i - 1] == b[j - 1] ? 0 : 1)});
-      diag = prev;
-    }
-  }
-  return row[b.size()];
-}
-
-std::string closest_known_key(const std::string& key) {
-  std::string best;
-  std::size_t best_d = key.size();  // a full rewrite is no suggestion
-  for (const char* candidate : kKnownKeys) {
-    const std::size_t d = edit_distance(key, candidate);
-    if (d < best_d) {
-      best_d = d;
-      best = candidate;
-    }
-  }
-  return best_d <= 3 ? best : std::string();
-}
-
-/// Collects typed values and accumulates SpecIssues instead of aborting;
-/// on any error the corresponding fallback keeps the spec fields
-/// well-defined (the caller discards the spec when !ok()).
-class SpecParser {
- public:
-  explicit SpecParser(const Config& config) : config_(config) {}
-
-  void error(const std::string& key, std::string message,
-             std::string hint = {}) {
-    errors_.push_back(SpecIssue{key, std::move(message), std::move(hint)});
-  }
-
-  std::int64_t get_int(const std::string& key, std::int64_t fallback) {
-    if (!config_.has(key)) return fallback;
-    const auto v = config_.try_get_int(key);
-    if (!v) {
-      error(key, "expected an integer, got '" +
-                     config_.get_string(key, "") + "'");
-      return fallback;
-    }
-    return *v;
-  }
-
-  double get_double(const std::string& key, double fallback) {
-    if (!config_.has(key)) return fallback;
-    const auto v = config_.try_get_double(key);
-    if (!v) {
-      error(key,
-            "expected a number, got '" + config_.get_string(key, "") + "'");
-      return fallback;
-    }
-    return *v;
-  }
-
-  bool get_bool(const std::string& key, bool fallback) {
-    if (!config_.has(key)) return fallback;
-    const auto v = config_.try_get_bool(key);
-    if (!v) {
-      error(key, "expected a boolean, got '" +
-                     config_.get_string(key, "") + "'",
-            "use true/false, 1/0, yes/no or on/off");
-      return fallback;
-    }
-    return *v;
-  }
-
-  /// Matches the value against a fixed enum vocabulary; reports the valid
-  /// spellings on mismatch.
-  template <typename Enum>
-  Enum get_enum(const std::string& key,
-                std::initializer_list<std::pair<const char*, Enum>> choices,
-                Enum fallback) {
-    const std::string v = config_.get_string(key, "");
-    if (v.empty() && !config_.has(key)) return fallback;
-    std::string valid;
-    for (const auto& [name, value] : choices) {
-      if (v == name) return value;
-      if (!valid.empty()) valid += " | ";
-      valid += name;
-    }
-    error(key, "unknown value '" + v + "'", "must be " + valid);
-    return fallback;
-  }
-
-  void reject_unknown_keys() {
-    for (const auto& [key, value] : config_.values()) {
-      bool known = false;
-      for (const char* k : kKnownKeys) known = known || key == k;
-      if (known) continue;
-      const std::string suggestion = closest_known_key(key);
-      error(key, "unknown config key",
-            suggestion.empty() ? std::string("see README for the key table")
-                               : "did you mean '" + suggestion + "'?");
-    }
-  }
-
-  std::vector<SpecIssue> take_errors() { return std::move(errors_); }
-
- private:
-  const Config& config_;
-  std::vector<SpecIssue> errors_;
-};
-
-}  // namespace
 
 const char* to_string(ExperimentSpec::Topology v) {
   switch (v) {
@@ -272,414 +98,6 @@ std::string SpecResult::error_report() const {
     out += "\n";
   }
   return out;
-}
-
-SpecResult ExperimentSpec::from_config(const Config& config) {
-  SpecResult result;
-  ExperimentSpec& spec = result.spec_storage;
-  SpecParser p(config);
-  p.reject_unknown_keys();
-
-  spec.topology = p.get_enum<Topology>(
-      "topology",
-      {{"ts-large", Topology::kTsLarge},
-       {"ts-small", Topology::kTsSmall},
-       {"waxman", Topology::kWaxman}},
-      Topology::kTsLarge);
-  spec.overlay = p.get_enum<Overlay>(
-      "overlay",
-      {{"gnutella", Overlay::kGnutella},
-       {"chord", Overlay::kChord},
-       {"pastry", Overlay::kPastry},
-       {"tapestry", Overlay::kTapestry},
-       {"can", Overlay::kCan}},
-      Overlay::kGnutella);
-  spec.protocol = p.get_enum<Protocol>(
-      "protocol",
-      {{"none", Protocol::kNone},
-       {"prop-g", Protocol::kPropG},
-       {"prop-o", Protocol::kPropO},
-       {"ltm", Protocol::kLtm}},
-      Protocol::kPropG);
-
-  const std::int64_t nodes = p.get_int("nodes", 1000);
-  if (nodes < 8) {
-    p.error("nodes", "must be at least 8, got " + std::to_string(nodes));
-  }
-  spec.nodes = static_cast<std::size_t>(std::max<std::int64_t>(nodes, 8));
-  // Peers and their churn spares (a quarter more) are distinct stub
-  // hosts; a Waxman graph is sized from nodes, so it always fits.
-  if (spec.topology != Topology::kWaxman) {
-    const std::size_t pool = transit_stub_config(spec.topology).stub_nodes();
-    if (spec.nodes + spec.nodes / 4 > pool) {
-      p.error("nodes",
-              "needs " + std::to_string(spec.nodes + spec.nodes / 4) +
-                  " stub hosts (nodes plus a quarter for churn spares), "
-                  "but " + to_string(spec.topology) + " has " +
-                  std::to_string(pool),
-              "lower nodes or use topology = waxman");
-    }
-  }
-  spec.seed = static_cast<std::uint64_t>(p.get_int("seed", 20070901));
-  spec.horizon_s = p.get_double("horizon", 3600.0);
-  if (spec.horizon_s <= 0.0) {
-    p.error("horizon", "must be positive");
-    spec.horizon_s = 3600.0;
-  }
-  spec.sample_interval_s =
-      p.get_double("sample_interval", spec.horizon_s / 15.0);
-  if (spec.sample_interval_s <= 0.0) {
-    p.error("sample_interval", "must be positive");
-    spec.sample_interval_s = spec.horizon_s / 15.0;
-  }
-  const std::int64_t queries = p.get_int("queries", 10000);
-  if (queries < 1) p.error("queries", "must be at least 1");
-  spec.queries = static_cast<std::size_t>(std::max<std::int64_t>(queries, 1));
-
-  spec.prop.mode = spec.protocol == Protocol::kPropO ? PropMode::kPropO
-                                                     : PropMode::kPropG;
-  spec.prop.nhops = static_cast<std::size_t>(p.get_int("nhops", 2));
-  spec.prop.m = static_cast<std::size_t>(p.get_int("m", 0));
-  spec.prop.min_var = p.get_double("min_var", 0.0);
-  spec.prop.init_timer_s = p.get_double("init_timer", 60.0);
-  spec.prop.max_init_trial =
-      static_cast<std::size_t>(p.get_int("max_init_trial", 10));
-  spec.prop.random_target = p.get_bool("random_target", false);
-  spec.prop.model_message_delays =
-      p.get_bool("model_message_delays", false);
-  spec.prop.selection = p.get_enum<SelectionPolicy>(
-      "selection",
-      {{"greedy", SelectionPolicy::kGreedy},
-       {"random", SelectionPolicy::kRandom}},
-      SelectionPolicy::kGreedy);
-  spec.ltm.interval_s = spec.prop.init_timer_s;
-  spec.lookup_rate_per_s = p.get_double("lookup_rate", 0.0);
-  if (spec.lookup_rate_per_s < 0.0) {
-    p.error("lookup_rate", "must be >= 0");
-    spec.lookup_rate_per_s = 0.0;
-  }
-
-  spec.heterogeneity = p.get_enum<Heterogeneity>(
-      "heterogeneity",
-      {{"none", Heterogeneity::kNone},
-       {"bimodal", Heterogeneity::kBimodal},
-       {"bimodal-degree", Heterogeneity::kBimodalByDegree}},
-      Heterogeneity::kNone);
-  spec.bimodal.fast_fraction = p.get_double("fast_fraction", 0.2);
-  spec.bimodal.fast_delay_ms = p.get_double("fast_delay_ms", 10.0);
-  spec.bimodal.slow_delay_ms = p.get_double("slow_delay_ms", 100.0);
-  // Processing delays are flood edge costs, which must be >= 0.
-  auto require_delay = [&p](const char* key, double& ms) {
-    if (!(ms >= 0.0 && std::isfinite(ms))) {
-      p.error(key, "must be a finite number >= 0");
-      ms = 0.0;
-    }
-  };
-  require_delay("fast_delay_ms", spec.bimodal.fast_delay_ms);
-  require_delay("slow_delay_ms", spec.bimodal.slow_delay_ms);
-  spec.fraction_fast_dest = p.get_double("fraction_fast_dest", -1.0);
-  if (spec.fraction_fast_dest >= 0.0) {
-    if (spec.heterogeneity == Heterogeneity::kNone) {
-      p.error("fraction_fast_dest",
-              "requires a heterogeneity model",
-              "set heterogeneity = bimodal or bimodal-degree");
-    }
-    if (spec.fraction_fast_dest > 1.0) {
-      p.error("fraction_fast_dest", "must be in [0, 1]");
-      spec.fraction_fast_dest = 1.0;
-    }
-  }
-
-  spec.churn.join_rate_per_s = p.get_double("churn_join_rate", 0.0);
-  spec.churn.leave_rate_per_s = p.get_double("churn_leave_rate", 0.0);
-  spec.churn.fail_rate_per_s = p.get_double("churn_fail_rate", 0.0);
-  spec.churn.start_s = p.get_double("churn_start", 0.0);
-  spec.churn.end_s = p.get_double("churn_end", spec.horizon_s);
-
-  spec.oracle_mode = p.get_enum<OracleMode>(
-      "oracle",
-      {{"auto", OracleMode::kAuto},
-       {"hierarchical", OracleMode::kHierarchical},
-       {"dijkstra", OracleMode::kDijkstra}},
-      OracleMode::kAuto);
-  const std::int64_t cache_rows = p.get_int("oracle_cache_rows", 1024);
-  if (cache_rows < 0) p.error("oracle_cache_rows", "must be >= 0");
-  spec.oracle_cache_rows =
-      static_cast<std::size_t>(std::max<std::int64_t>(cache_rows, 0));
-  if (spec.oracle_mode == OracleMode::kHierarchical &&
-      spec.topology == Topology::kWaxman) {
-    p.error("oracle",
-            "hierarchical oracle requires a transit-stub topology",
-            "use topology = ts-large | ts-small, or oracle = dijkstra");
-  }
-
-  if (config.has("measure_threads")) {
-    const std::string mt = config.get_string("measure_threads", "");
-    if (mt == "auto") {
-      spec.measure_threads = kMeasureThreadsAuto;
-    } else {
-      const std::int64_t v = p.get_int("measure_threads", 1);
-      if (v < 0) {
-        p.error("measure_threads", "must be >= 0 or 'auto'",
-                "0 and 1 both mean serial");
-      } else {
-        spec.measure_threads = static_cast<std::size_t>(v);
-      }
-    }
-  }
-
-  if (config.get_string("measure_mode", "") == "fast") {
-    p.error("measure_mode",
-            "fast was removed with the fixed-point flood kernel; the exact "
-            "kernel now runs on the same bucket queue",
-            "use measure_mode = exact or auto");
-  } else {
-    spec.measure_mode = p.get_enum<MeasureMode>(
-        "measure_mode",
-        {{"auto", MeasureMode::kAuto}, {"exact", MeasureMode::kExact}},
-        MeasureMode::kAuto);
-  }
-
-  spec.trace_path = config.get_string("trace", "");
-  if (!spec.trace_path.empty() && !obs::trace_compiled_in()) {
-    p.error("trace", "trace output requires a PROPSIM_TRACE=ON build",
-            "rebuild with -DPROPSIM_TRACE=ON (the default preset has it)");
-  } else if (!spec.trace_path.empty()) {
-    const std::string problem = trace_path_problem(spec.trace_path);
-    if (!problem.empty()) p.error("trace", problem);
-  }
-  const std::int64_t trace_buffer = p.get_int("trace_buffer", 8192);
-  if (trace_buffer < 1) p.error("trace_buffer", "must be at least 1");
-  spec.trace_buffer_events =
-      static_cast<std::size_t>(std::max<std::int64_t>(trace_buffer, 1));
-  if (config.has("trace_buffer") && spec.trace_path.empty()) {
-    p.error("trace_buffer", "only meaningful together with trace = <path>");
-  }
-
-  spec.faults.message_loss = p.get_double("fault_loss", 0.0);
-  if (spec.faults.message_loss < 0.0 || spec.faults.message_loss >= 1.0) {
-    p.error("fault_loss", "must be in [0, 1)");
-    spec.faults.message_loss = 0.0;
-  }
-  spec.faults.latency_jitter = p.get_double("fault_jitter", 0.0);
-  if (spec.faults.latency_jitter < 0.0 || spec.faults.latency_jitter >= 1.0) {
-    p.error("fault_jitter", "must be in [0, 1)");
-    spec.faults.latency_jitter = 0.0;
-  }
-  spec.faults.crash_per_negotiation = p.get_double("fault_crash", 0.0);
-  if (spec.faults.crash_per_negotiation < 0.0 ||
-      spec.faults.crash_per_negotiation >= 1.0) {
-    p.error("fault_crash", "must be in [0, 1)");
-    spec.faults.crash_per_negotiation = 0.0;
-  }
-  const std::int64_t fault_retries = p.get_int("fault_max_retries", 2);
-  if (fault_retries < 0) p.error("fault_max_retries", "must be >= 0");
-  spec.faults.max_negotiation_retries =
-      static_cast<std::size_t>(std::max<std::int64_t>(fault_retries, 0));
-  const bool wants_partition = config.has("fault_partition_domain") ||
-                               config.has("fault_partition_start") ||
-                               config.has("fault_partition_end");
-  if (wants_partition) {
-    if (!config.has("fault_partition_domain") ||
-        !config.has("fault_partition_start") ||
-        !config.has("fault_partition_end")) {
-      p.error("fault_partition_domain",
-              "a partition window needs fault_partition_domain, "
-              "fault_partition_start and fault_partition_end together");
-    } else {
-      PartitionWindow w;
-      const std::string domain =
-          config.get_string("fault_partition_domain", "");
-      if (domain == "auto") {
-        w.stub_domain = kPartitionDomainAuto;
-      } else {
-        const std::int64_t d = p.get_int("fault_partition_domain", 0);
-        if (d < 0) {
-          p.error("fault_partition_domain", "must be >= 0 or 'auto'");
-        }
-        w.stub_domain =
-            static_cast<std::uint32_t>(std::max<std::int64_t>(d, 0));
-      }
-      w.start_s = p.get_double("fault_partition_start", 0.0);
-      w.end_s = p.get_double("fault_partition_end", 0.0);
-      if (w.start_s < 0.0 || w.end_s <= w.start_s) {
-        p.error("fault_partition_end",
-                "window must satisfy 0 <= start < end");
-      } else {
-        spec.faults.partitions.push_back(w);
-      }
-      if (spec.topology == Topology::kWaxman) {
-        p.error("fault_partition_domain",
-                "partition windows cut a stub domain and require a "
-                "transit-stub topology",
-                "use topology = ts-large | ts-small");
-      }
-    }
-  }
-  if (spec.faults.crash_per_negotiation > 0.0 &&
-      spec.overlay != Overlay::kGnutella) {
-    p.error("fault_crash",
-            "crash injection repairs through the churn path and requires "
-            "the unstructured gnutella overlay",
-            std::string("overlay is ") + to_string(spec.overlay));
-  }
-
-  const std::int64_t burst_len = p.get_int("fault_loss_burst_len", 0);
-  if (burst_len < 0) {
-    p.error("fault_loss_burst_len", "must be >= 0 (0 = Bernoulli loss)");
-  }
-  spec.faults.loss_burst_len =
-      static_cast<std::size_t>(std::max<std::int64_t>(burst_len, 0));
-  if (spec.faults.loss_burst_len > 0 && spec.faults.message_loss <= 0.0) {
-    p.error("fault_loss_burst_len",
-            "burst loss shapes the fault_loss stream and requires "
-            "fault_loss > 0");
-    spec.faults.loss_burst_len = 0;
-  }
-
-  const bool wants_storm = config.has("fault_storm_domain") ||
-                           config.has("fault_storm_start") ||
-                           config.has("fault_storm_window");
-  if (wants_storm) {
-    if (!config.has("fault_storm_domain") ||
-        !config.has("fault_storm_start") ||
-        !config.has("fault_storm_window")) {
-      p.error("fault_storm_domain",
-              "a crash storm needs fault_storm_domain, fault_storm_start "
-              "and fault_storm_window together");
-    } else {
-      StormWindow w;
-      const std::string domain = config.get_string("fault_storm_domain", "");
-      if (domain == "auto") {
-        w.stub_domain = kPartitionDomainAuto;
-      } else {
-        const std::int64_t d = p.get_int("fault_storm_domain", 0);
-        if (d < 0) p.error("fault_storm_domain", "must be >= 0 or 'auto'");
-        w.stub_domain =
-            static_cast<std::uint32_t>(std::max<std::int64_t>(d, 0));
-      }
-      w.start_s = p.get_double("fault_storm_start", 0.0);
-      w.window_s = p.get_double("fault_storm_window", 0.0);
-      if (w.start_s < 0.0 || w.window_s <= 0.0) {
-        p.error("fault_storm_window",
-                "storm must satisfy start >= 0 and window > 0");
-      } else {
-        spec.faults.storms.push_back(w);
-      }
-      if (spec.topology == Topology::kWaxman) {
-        p.error("fault_storm_domain",
-                "crash storms fail a stub domain and require a "
-                "transit-stub topology",
-                "use topology = ts-large | ts-small");
-      }
-      if (spec.overlay != Overlay::kGnutella) {
-        p.error("fault_storm_domain",
-                "crash storms repair through the churn path and require "
-                "the unstructured gnutella overlay",
-                std::string("overlay is ") + to_string(spec.overlay));
-      }
-    }
-  }
-
-  spec.adversary.liar_fraction =
-      p.get_double("adversary_liar_fraction", 0.0);
-  spec.adversary.freeride_fraction =
-      p.get_double("adversary_freeride_fraction", 0.0);
-  spec.adversary.dropper_fraction =
-      p.get_double("adversary_dropper_fraction", 0.0);
-  spec.adversary.eclipse_fraction =
-      p.get_double("adversary_eclipse_fraction", 0.0);
-  for (const auto& [key, value] :
-       {std::pair<const char*, double*>{"adversary_liar_fraction",
-                                        &spec.adversary.liar_fraction},
-        {"adversary_freeride_fraction", &spec.adversary.freeride_fraction},
-        {"adversary_dropper_fraction", &spec.adversary.dropper_fraction},
-        {"adversary_eclipse_fraction", &spec.adversary.eclipse_fraction}}) {
-    if (*value < 0.0 || *value >= 1.0) {
-      p.error(key, "must be in [0, 1)");
-      *value = 0.0;
-    }
-  }
-  if (spec.adversary.liar_fraction + spec.adversary.freeride_fraction +
-          spec.adversary.dropper_fraction +
-          spec.adversary.eclipse_fraction >=
-      1.0) {
-    p.error("", "adversary fractions must sum below 1",
-            "some honest majority has to remain");
-  }
-  spec.adversary.lie_factor = p.get_double("adversary_lie_factor", 0.5);
-  if (spec.adversary.lie_factor <= 0.0 || spec.adversary.lie_factor > 1.0) {
-    p.error("adversary_lie_factor", "must be in (0, 1]");
-    spec.adversary.lie_factor = 0.5;
-  }
-  spec.adversary.drop_probability =
-      p.get_double("adversary_drop_probability", 1.0);
-  if (spec.adversary.drop_probability < 0.0 ||
-      spec.adversary.drop_probability > 1.0) {
-    p.error("adversary_drop_probability", "must be in [0, 1]");
-    spec.adversary.drop_probability = 1.0;
-  }
-  if (config.has("adversary_eclipse_target")) {
-    if (spec.adversary.eclipse_fraction <= 0.0) {
-      p.error("adversary_eclipse_target",
-              "only meaningful with adversary_eclipse_fraction > 0");
-    }
-    const std::string target =
-        config.get_string("adversary_eclipse_target", "");
-    if (target == "auto") {
-      spec.adversary.eclipse_target = kInvalidSlot;
-    } else {
-      const std::int64_t t = p.get_int("adversary_eclipse_target", 0);
-      if (t < 0) {
-        p.error("adversary_eclipse_target", "must be >= 0 or 'auto'");
-      }
-      spec.adversary.eclipse_target =
-          static_cast<SlotId>(std::max<std::int64_t>(t, 0));
-    }
-  }
-  if (spec.adversary.active()) {
-    if (spec.overlay != Overlay::kGnutella) {
-      p.error("", "adversary models target the PROP negotiation path and "
-                  "require the unstructured gnutella overlay",
-              std::string("overlay is ") + to_string(spec.overlay));
-    }
-    if (spec.protocol != Protocol::kPropG &&
-        spec.protocol != Protocol::kPropO) {
-      p.error("", "adversary models intercept PROP negotiations",
-              "set protocol = prop-g or prop-o");
-    }
-  }
-  if (spec.adversary.eclipse_fraction > 0.0 &&
-      spec.protocol != Protocol::kPropG) {
-    p.error("adversary_eclipse_fraction",
-            "eclipse attackers monopolize seats via placement swaps",
-            "requires protocol = prop-g");
-  }
-
-  const bool has_churn = spec.churn.join_rate_per_s > 0.0 ||
-                         spec.churn.leave_rate_per_s > 0.0 ||
-                         spec.churn.fail_rate_per_s > 0.0;
-  if (spec.overlay != Overlay::kGnutella) {
-    // LTM and the churn process are unstructured-overlay machinery.
-    if (spec.protocol == Protocol::kLtm) {
-      p.error("protocol",
-              "ltm requires the unstructured gnutella overlay",
-              std::string("overlay is ") + to_string(spec.overlay));
-    }
-    if (has_churn) {
-      p.error("", "churn rates require the unstructured gnutella overlay",
-              std::string("overlay is ") + to_string(spec.overlay));
-    }
-    // PROP-O rewires edges, which would corrupt a DHT's routing
-    // structure; the paper applies it to unstructured systems only.
-    if (spec.protocol == Protocol::kPropO) {
-      p.error("protocol",
-              "prop-o rewires overlay edges and only applies to gnutella",
-              std::string("overlay is ") + to_string(spec.overlay));
-    }
-  }
-  result.errors = p.take_errors();
-  return result;
 }
 
 std::vector<std::pair<std::string, std::uint64_t>>

@@ -5,64 +5,8 @@
 // measurement schedule; run_experiment assembles the pieces and returns
 // the paper-style metric series plus protocol counters.
 //
-// Config keys (see docs in README):
-//   topology   = ts-large | ts-small | waxman        (default ts-large)
-//   overlay    = gnutella | chord | pastry | tapestry | can
-//   protocol   = none | prop-g | prop-o | ltm        (default prop-g)
-//   nodes      = <int>                               (default 1000)
-//   seed       = <int>                               (default 20070901)
-//   horizon    = <seconds>                           (default 3600)
-//   sample_interval = <seconds>                      (default horizon/15)
-//   queries    = <int>                               (default 10000)
-//   nhops, m, min_var, init_timer, max_init_trial    (PROP parameters)
-//   random_target = true|false
-//   selection  = greedy | random                     (PROP-O transfer sets)
-//   model_message_delays = true|false                (delayed commits)
-//   lookup_rate = <per second>   (event-driven lookup traffic; 0 = off)
-//   heterogeneity = none | bimodal | bimodal-degree  (default none)
-//   fast_fraction, fast_delay_ms, slow_delay_ms
-//   fraction_fast_dest = <0..1>   (lookup destination bias; -1 uniform)
-//   churn_join_rate, churn_leave_rate, churn_fail_rate = <per second>
-//   churn_start, churn_end = <seconds>
-//   oracle     = auto | hierarchical | dijkstra       (default auto)
-//   oracle_cache_rows = <int>                         (default 1024)
-//   measure_threads = auto | <int>   (metric-sweep worker threads;
-//                          0/1 = serial, results bit-identical for any
-//                          value)
-//   measure_mode = auto | exact   (flood kernel for the metric sweeps;
-//                          both name the exact bucket-queue kernel,
-//                          bit-identical to the live flood; the removed
-//                          fast is rejected)
-//   trace      = <path>   (stream propsim.trace v1 JSONL; requires a
-//                          PROPSIM_TRACE=ON build)
-//   trace_buffer = <int>  (sink ring-buffer capacity, default 8192)
-//   fault_loss = <0..1>     (per-message loss probability, default 0)
-//   fault_jitter = <0..1>   (negotiation latency jitter amplitude)
-//   fault_crash = <0..1>    (mid-negotiation crash probability;
-//                            requires overlay = gnutella)
-//   fault_max_retries = <int>  (prepare retransmissions, default 2)
-//   fault_partition_domain = <int> | auto   (stub domain to cut;
-//                            requires a transit-stub topology)
-//   fault_partition_start, fault_partition_end = <seconds>
-//   fault_storm_domain = <int> | auto   (correlated crash storm: every
-//                            overlay host in the stub domain fails at an
-//                            evenly spaced instant inside the window;
-//                            requires transit-stub + gnutella)
-//   fault_storm_start, fault_storm_window = <seconds>
-//   fault_loss_burst_len = <int>   (mean burst length of Gilbert-Elliott
-//                            two-state loss; 0 = Bernoulli; requires
-//                            fault_loss > 0)
-//   adversary_liar_fraction, adversary_freeride_fraction,
-//   adversary_dropper_fraction, adversary_eclipse_fraction = <0..1)
-//                            (disjoint byzantine host fractions, sum < 1;
-//                            require overlay = gnutella and a PROP
-//                            protocol; eclipse requires prop-g)
-//   adversary_lie_factor = <0..1]   (liar cost deflation, default 0.5)
-//   adversary_drop_probability = <0..1>  (dropper commit-leg drop
-//                            probability, default 1.0)
-//   adversary_eclipse_target = <int> | auto  (slot to eclipse; auto =
-//                            highest-degree slot at assembly)
-//
+// The config keys, with their types, defaults and valid ranges, are one
+// table: src/app/spec_keys.cpp (README's key table is tested against it).
 // from_config returns a SpecResult: structured per-key errors (including
 // unknown keys, with did-you-mean suggestions) instead of aborting the
 // process, so tools can report every problem at once.

@@ -1,0 +1,68 @@
+// The ExperimentSpec config keys as one declarative table. It drives
+// ExperimentSpec::from_config (parsing, range checks, did-you-mean),
+// propsim_cli --help, and a test that holds README's key table to it.
+// Constraints across keys are named joint rules in spec_keys.cpp.
+// Adding a key = one descriptor there, plus a joint rule if needed.
+#pragma once
+
+#include <cstdint>
+#include <limits>
+#include <span>
+#include <string>
+#include <vector>
+
+#include "app/experiment.h"
+#include "topology/transit_stub.h"
+
+namespace propsim {
+
+/// Numeric bounds (kInt, kIntOrAuto, kDouble); unbounded sides are
+/// infinite.
+struct SpecRange {
+  double lo = -std::numeric_limits<double>::infinity();
+  double hi = std::numeric_limits<double>::infinity();
+  bool lo_open = false;
+  bool hi_open = false;
+
+  bool contains(double v) const;
+  std::string describe() const;  // "in (0, inf)"; "" when unbounded
+};
+
+/// A parsed, range-checked value, handed to a key's setter.
+struct SpecValue {
+  std::int64_t integer = 0;  // kInt, kIntOrAuto; kEnum vocabulary index
+  bool is_auto = false;      // kIntOrAuto given as "auto"
+  double number = 0.0;       // kDouble (always finite)
+  bool flag = false;         // kBool
+  std::string text;          // kText
+
+  template <typename T>
+  T as() const {
+    return static_cast<T>(integer);
+  }
+};
+
+struct SpecKey {
+  enum class Type { kInt, kIntOrAuto, kDouble, kBool, kEnum, kText };
+
+  const char* name;
+  Type type;
+  /// Used when the key is absent, checked like user input; nullptr
+  /// leaves the field alone (optional, or derived after parsing).
+  const char* default_value;
+  SpecRange range;
+  const char* doc;
+  void (*set)(ExperimentSpec& spec, const SpecValue& value);
+  std::vector<const char*> choices = {};  // kEnum, in enumerator order
+
+  /// "ts-large | ts-small | waxman", "<number> in (0, inf)", ...
+  std::string accepts() const;
+};
+
+/// Every config key, in the order from_config applies them.
+std::span<const SpecKey> spec_keys();
+
+/// The generator preset behind a transit-stub topology choice.
+TransitStubConfig transit_stub_config(ExperimentSpec::Topology topology);
+
+}  // namespace propsim

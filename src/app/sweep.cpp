@@ -1,7 +1,5 @@
 #include "app/sweep.h"
 
-#include "common/check.h"
-
 namespace propsim {
 
 std::vector<std::string> split_commas(const std::string& s) {
@@ -18,14 +16,21 @@ std::vector<std::string> split_commas(const std::string& s) {
   }
 }
 
-SweepAxis parse_sweep_axis(const std::string& arg) {
-  PROPSIM_CHECK(arg.rfind("sweep:", 0) == 0);
-  const std::string body = arg.substr(6);
+std::optional<SweepAxis> parse_sweep_axis(const std::string& arg,
+                                          std::string& error) {
+  const std::string body = arg.rfind("sweep:", 0) == 0 ? arg.substr(6) : "";
   const auto eq = body.find('=');
-  PROPSIM_CHECK(eq != std::string::npos && eq > 0);
+  if (eq == std::string::npos || eq == 0) {
+    error = "sweep axis '" + arg + "': expected sweep:key=v1,v2,...";
+    return std::nullopt;
+  }
   SweepAxis axis{body.substr(0, eq), split_commas(body.substr(eq + 1))};
-  PROPSIM_CHECK(!axis.values.empty());
-  for (const std::string& v : axis.values) PROPSIM_CHECK(!v.empty());
+  for (const std::string& v : axis.values) {
+    if (v.empty()) {
+      error = "sweep axis '" + arg + "': empty value";
+      return std::nullopt;
+    }
+  }
   return axis;
 }
 

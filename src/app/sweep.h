@@ -2,6 +2,7 @@
 // separated from the tool so it is unit-testable.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -18,8 +19,10 @@ struct SweepAxis {
 /// validates), a lone string yields one element.
 std::vector<std::string> split_commas(const std::string& s);
 
-/// Parses "sweep:key=v1,v2" into an axis; check-fails when malformed.
-SweepAxis parse_sweep_axis(const std::string& arg);
+/// Parses "sweep:key=v1,v2" into an axis. A missing '=', an empty key or
+/// an empty value is an error: returns nullopt and sets `error`.
+std::optional<SweepAxis> parse_sweep_axis(const std::string& arg,
+                                          std::string& error);
 
 struct SweepCombo {
   Config config;

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -19,9 +21,44 @@ std::string trim(const std::string& s) {
   return s.substr(first, last - first + 1);
 }
 
+Config checked(std::optional<Config> config, const std::string& error) {
+  if (!config) {
+    std::fprintf(stderr, "config: %s\n", error.c_str());
+    PROPSIM_CHECK(false && "malformed config");
+  }
+  return std::move(*config);
+}
+
 }  // namespace
 
-Config Config::parse(const std::string& text) {
+std::optional<std::int64_t> parse_int(const std::string& text) {
+  if (text.empty()) return std::nullopt;
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(text.c_str(), &end, 10);
+  if (*end != '\0' || errno == ERANGE) return std::nullopt;
+  return v;
+}
+
+std::optional<double> parse_double(const std::string& text) {
+  if (text.empty()) return std::nullopt;
+  char* end = nullptr;
+  const double v = std::strtod(text.c_str(), &end);
+  if (*end != '\0') return std::nullopt;
+  return v;
+}
+
+std::optional<bool> parse_bool(const std::string& text) {
+  std::string v = text;
+  std::transform(v.begin(), v.end(), v.begin(),
+                 [](unsigned char c) { return std::tolower(c); });
+  if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
+  if (v == "false" || v == "0" || v == "no" || v == "off") return false;
+  return std::nullopt;
+}
+
+std::optional<Config> Config::try_parse(const std::string& text,
+                                        std::string& error) {
   Config config;
   std::istringstream in(text);
   std::string line;
@@ -33,25 +70,41 @@ Config Config::parse(const std::string& text) {
     const std::string stripped = trim(line);
     if (stripped.empty()) continue;
     const auto eq = stripped.find('=');
-    if (eq == std::string::npos) {
-      std::fprintf(stderr, "config: line %zu has no '=': %s\n", line_no,
-                   stripped.c_str());
-      PROPSIM_CHECK(false && "malformed config line");
+    const std::string key =
+        eq == std::string::npos ? "" : trim(stripped.substr(0, eq));
+    if (key.empty()) {
+      error = "line " + std::to_string(line_no) + ": expected key = value, " +
+              "got '" + stripped + "'";
+      return std::nullopt;
     }
-    const std::string key = trim(stripped.substr(0, eq));
-    const std::string value = trim(stripped.substr(eq + 1));
-    PROPSIM_CHECK(!key.empty());
-    config.values_[key] = value;
+    config.values_[key] = trim(stripped.substr(eq + 1));
   }
   return config;
 }
 
-Config Config::load_file(const std::string& path) {
+std::optional<Config> Config::try_load_file(const std::string& path,
+                                            std::string& error) {
+  std::error_code ec;
   std::ifstream in(path);
-  PROPSIM_CHECK(in.good());
+  if (!in.good() || std::filesystem::is_directory(path, ec)) {
+    error = "cannot read config file '" + path + "'";
+    return std::nullopt;
+  }
   std::ostringstream buf;
   buf << in.rdbuf();
-  return parse(buf.str());
+  auto config = try_parse(buf.str(), error);
+  if (!config) error = path + ": " + error;
+  return config;
+}
+
+Config Config::parse(const std::string& text) {
+  std::string error;
+  return checked(try_parse(text, error), error);
+}
+
+Config Config::load_file(const std::string& path) {
+  std::string error;
+  return checked(try_load_file(path, error), error);
 }
 
 bool Config::has(const std::string& key) const {
@@ -62,67 +115,6 @@ std::string Config::get_string(const std::string& key,
                                const std::string& fallback) const {
   const auto it = values_.find(key);
   return it == values_.end() ? fallback : it->second;
-}
-
-std::string Config::require_string(const std::string& key) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) {
-    std::fprintf(stderr, "config: missing required key '%s'\n", key.c_str());
-    PROPSIM_CHECK(false && "missing required config key");
-  }
-  return it->second;
-}
-
-std::int64_t Config::get_int(const std::string& key,
-                             std::int64_t fallback) const {
-  if (!has(key)) return fallback;
-  const auto v = try_get_int(key);
-  PROPSIM_CHECK(v.has_value());
-  return *v;
-}
-
-double Config::get_double(const std::string& key, double fallback) const {
-  if (!has(key)) return fallback;
-  const auto v = try_get_double(key);
-  PROPSIM_CHECK(v.has_value());
-  return *v;
-}
-
-bool Config::get_bool(const std::string& key, bool fallback) const {
-  if (!has(key)) return fallback;
-  const auto v = try_get_bool(key);
-  PROPSIM_CHECK(v.has_value() && "config value is not a boolean");
-  return *v;
-}
-
-std::optional<std::int64_t> Config::try_get_int(
-    const std::string& key) const {
-  const auto it = values_.find(key);
-  if (it == values_.end() || it->second.empty()) return std::nullopt;
-  char* end = nullptr;
-  const long long v = std::strtoll(it->second.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return std::nullopt;
-  return v;
-}
-
-std::optional<double> Config::try_get_double(const std::string& key) const {
-  const auto it = values_.find(key);
-  if (it == values_.end() || it->second.empty()) return std::nullopt;
-  char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  if (end == nullptr || *end != '\0') return std::nullopt;
-  return v;
-}
-
-std::optional<bool> Config::try_get_bool(const std::string& key) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return std::nullopt;
-  std::string v = it->second;
-  std::transform(v.begin(), v.end(), v.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
-  if (v == "false" || v == "0" || v == "no" || v == "off") return false;
-  return std::nullopt;
 }
 
 void Config::set(const std::string& key, const std::string& value) {

@@ -15,31 +15,33 @@
 
 namespace propsim {
 
+/// Whole-text value parsers: nullopt unless all of `text` is one value
+/// (an integer must also fit in 64 bits). parse_bool accepts true/false,
+/// 1/0, yes/no and on/off in any case.
+std::optional<std::int64_t> parse_int(const std::string& text);
+std::optional<double> parse_double(const std::string& text);
+std::optional<bool> parse_bool(const std::string& text);
+
 class Config {
  public:
-  /// Parses the text; throws via PROPSIM_CHECK on malformed lines.
+  /// Parses the text. A line without '=' or with an empty key is an
+  /// error: returns nullopt and sets `error` to "line N: ...".
+  static std::optional<Config> try_parse(const std::string& text,
+                                         std::string& error);
+  /// Reads and parses a file; nullopt with `error` naming the path when
+  /// it cannot be read or does not parse.
+  static std::optional<Config> try_load_file(const std::string& path,
+                                             std::string& error);
+  /// Check-failing forms, for text the program itself controls.
   static Config parse(const std::string& text);
-  /// Reads and parses a file; check-fails if unreadable.
   static Config load_file(const std::string& path);
 
   bool has(const std::string& key) const;
   std::size_t size() const { return values_.size(); }
 
+  /// The value, or the fallback when the key is missing.
   std::string get_string(const std::string& key,
                          const std::string& fallback) const;
-  std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
-  double get_double(const std::string& key, double fallback) const;
-  bool get_bool(const std::string& key, bool fallback) const;
-
-  /// Non-aborting variants for error-reporting parsers: nullopt when the
-  /// key is missing or its value does not parse (use has() to tell the
-  /// two apart), where get_* would check-fail on a malformed value.
-  std::optional<std::int64_t> try_get_int(const std::string& key) const;
-  std::optional<double> try_get_double(const std::string& key) const;
-  std::optional<bool> try_get_bool(const std::string& key) const;
-
-  /// Required variants: check-fail with the key name when missing.
-  std::string require_string(const std::string& key) const;
 
   void set(const std::string& key, const std::string& value);
 

@@ -51,11 +51,14 @@ struct TransitStubConfig {
                (1 + stub_domains_per_transit * nodes_per_stub);
   }
 
-  /// Stub (edge) nodes, the hosts an overlay draws its peers from.
-  std::size_t stub_nodes() const {
+  /// Stub domains: one set of stub_domains_per_transit per transit node.
+  std::size_t stub_domains() const {
     return transit_domains * transit_nodes_per_domain *
-           stub_domains_per_transit * nodes_per_stub;
+           stub_domains_per_transit;
   }
+
+  /// Stub (edge) nodes, the hosts an overlay draws its peers from.
+  std::size_t stub_nodes() const { return stub_domains() * nodes_per_stub; }
 
   /// Paper preset: large backbone, sparse edge (~4.8k nodes).
   static TransitStubConfig ts_large();

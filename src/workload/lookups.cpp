@@ -21,13 +21,16 @@ std::vector<QueryPair> biased_queries(const LogicalGraph& graph,
   for (const SlotId s : slots) {
     (fast[s] ? fast_slots : slow_slots).push_back(s);
   }
-  PROPSIM_CHECK(!fast_slots.empty() && !slow_slots.empty());
 
   std::vector<QueryPair> queries;
   queries.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
+    // Churn or crashes can take every peer of one class away; the other
+    // class then receives all the queries.
     const bool to_fast = rng.bernoulli(fraction_fast_dest);
-    const auto& pool = to_fast ? fast_slots : slow_slots;
+    const auto& pool =
+        (to_fast && !fast_slots.empty()) || slow_slots.empty() ? fast_slots
+                                                               : slow_slots;
     SlotId dst = pool[static_cast<std::size_t>(rng.uniform(pool.size()))];
     SlotId src;
     do {

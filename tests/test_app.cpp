@@ -24,38 +24,60 @@ TEST(Config, ParsesKeysCommentsAndBlanks) {
       "  horizon  =  1800.5  \n");
   EXPECT_EQ(c.size(), 3u);
   EXPECT_EQ(c.get_string("overlay", ""), "chord");
-  EXPECT_EQ(c.get_int("nodes", 0), 500);
-  EXPECT_DOUBLE_EQ(c.get_double("horizon", 0.0), 1800.5);
+  EXPECT_EQ(c.get_string("nodes", ""), "500");
+  EXPECT_EQ(parse_double(c.get_string("horizon", "")), 1800.5);
 }
 
 TEST(Config, LaterAssignmentsWin) {
   const Config c = Config::parse("x = 1\nx = 2\n");
-  EXPECT_EQ(c.get_int("x", 0), 2);
+  EXPECT_EQ(c.get_string("x", ""), "2");
 }
 
 TEST(Config, FallbacksApply) {
   const Config c = Config::parse("");
   EXPECT_EQ(c.get_string("missing", "dflt"), "dflt");
-  EXPECT_EQ(c.get_int("missing", 7), 7);
-  EXPECT_TRUE(c.get_bool("missing", true));
   EXPECT_FALSE(c.has("missing"));
 }
 
 TEST(Config, BooleanSpellings) {
   const Config c = Config::parse(
       "a = true\nb = FALSE\nc = 1\nd = off\ne = Yes\n");
-  EXPECT_TRUE(c.get_bool("a", false));
-  EXPECT_FALSE(c.get_bool("b", true));
-  EXPECT_TRUE(c.get_bool("c", false));
-  EXPECT_FALSE(c.get_bool("d", true));
-  EXPECT_TRUE(c.get_bool("e", false));
+  EXPECT_EQ(parse_bool(c.get_string("a", "")), true);
+  EXPECT_EQ(parse_bool(c.get_string("b", "")), false);
+  EXPECT_EQ(parse_bool(c.get_string("c", "")), true);
+  EXPECT_EQ(parse_bool(c.get_string("d", "")), false);
+  EXPECT_EQ(parse_bool(c.get_string("e", "")), true);
+}
+
+TEST(Config, MalformedTextAndUnreadableFilesAreErrors) {
+  std::string error;
+  EXPECT_FALSE(Config::try_parse("nodes = 5\nno equals here\n", error));
+  EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+  EXPECT_FALSE(Config::try_parse("  = 5\n", error));  // empty key
+  EXPECT_FALSE(Config::try_load_file("/nonexistent/x.conf", error));
+  EXPECT_NE(error.find("/nonexistent/x.conf"), std::string::npos) << error;
+  EXPECT_FALSE(Config::try_load_file(".", error));  // a directory
+  const auto empty_value = Config::try_parse("a =\n", error);
+  ASSERT_TRUE(empty_value.has_value());
+  EXPECT_EQ(empty_value->get_string("a", "x"), "");
+}
+
+TEST(Config, ValueParsersTakeWholeInRangeValues) {
+  EXPECT_EQ(parse_int("9223372036854775807"), INT64_MAX);
+  EXPECT_FALSE(parse_int("9223372036854775808"));  // overflows, not clamped
+  EXPECT_FALSE(parse_int("12abc"));
+  EXPECT_FALSE(parse_int(""));
+  EXPECT_EQ(parse_double("2.5"), 2.5);
+  EXPECT_FALSE(parse_double("2.5s"));
+  EXPECT_EQ(parse_bool("On"), true);
+  EXPECT_FALSE(parse_bool("maybe"));
 }
 
 TEST(Config, SetOverrides) {
   Config c = Config::parse("x = 1\n");
   c.set("x", "5");
   c.set("y", "hello");
-  EXPECT_EQ(c.get_int("x", 0), 5);
+  EXPECT_EQ(c.get_string("x", ""), "5");
   EXPECT_EQ(c.get_string("y", ""), "hello");
 }
 
@@ -223,16 +245,21 @@ TEST(Sweep, SplitCommas) {
 }
 
 TEST(Sweep, ParseAxis) {
-  const SweepAxis axis = parse_sweep_axis("sweep:nodes=100,200,400");
-  EXPECT_EQ(axis.key, "nodes");
-  EXPECT_EQ(axis.values,
+  std::string error;
+  const auto axis = parse_sweep_axis("sweep:nodes=100,200,400", error);
+  ASSERT_TRUE(axis.has_value()) << error;
+  EXPECT_EQ(axis->key, "nodes");
+  EXPECT_EQ(axis->values,
             (std::vector<std::string>{"100", "200", "400"}));
 }
 
-TEST(SweepDeathTest, RejectsMalformedAxes) {
-  EXPECT_DEATH(parse_sweep_axis("sweep:no-equals"), "check failed");
-  EXPECT_DEATH(parse_sweep_axis("sweep:=v"), "check failed");
-  EXPECT_DEATH(parse_sweep_axis("sweep:k=a,,b"), "check failed");
+TEST(Sweep, RejectsMalformedAxes) {
+  for (const char* arg : {"sweep:no-equals", "sweep:=v", "sweep:k=a,,b",
+                          "sweep:k="}) {
+    std::string error;
+    EXPECT_FALSE(parse_sweep_axis(arg, error).has_value()) << arg;
+    EXPECT_NE(error.find(arg), std::string::npos) << error;
+  }
 }
 
 TEST(Sweep, ExpandCartesianProduct) {
@@ -246,7 +273,7 @@ TEST(Sweep, ExpandCartesianProduct) {
   EXPECT_EQ(combos[0].label, "protocol=prop-g nhops=1");
   EXPECT_EQ(combos[5].label, "protocol=ltm nhops=4");
   // Base keys survive; axis keys are overridden per combo.
-  EXPECT_EQ(combos[3].config.get_int("nodes", 0), 64);
+  EXPECT_EQ(combos[3].config.get_string("nodes", ""), "64");
   EXPECT_EQ(combos[3].config.get_string("protocol", ""), "ltm");
   EXPECT_EQ(combos[3].config.get_string("nhops", ""), "1");
 }
@@ -255,7 +282,7 @@ TEST(Sweep, NoAxesYieldsBase) {
   const auto combos = expand_sweep(Config::parse("x = 1\n"), {});
   ASSERT_EQ(combos.size(), 1u);
   EXPECT_EQ(combos[0].label, "(base)");
-  EXPECT_EQ(combos[0].config.get_int("x", 0), 1);
+  EXPECT_EQ(combos[0].config.get_string("x", ""), "1");
 }
 
 // ------------------------------------------------------ run_experiment ----

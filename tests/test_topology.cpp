@@ -73,12 +73,16 @@ TEST(TransitStub, NodeCountsMatchConfig) {
   EXPECT_EQ(topo.transit_nodes.size(), 6u);
   EXPECT_EQ(topo.stub_nodes.size(), 60u);
   EXPECT_EQ(topo.stub_domain_count, 12u);
+  EXPECT_EQ(topo.stub_domain_count, c.stub_domains());
 }
 
 TEST(TransitStub, GraphIsConnected) {
   Rng rng(2);
   const auto topo = make_transit_stub(TransitStubConfig::ts_large(), rng);
   EXPECT_TRUE(topo.graph.is_connected());
+  // Spec validation sizes stub-domain indices from the config alone.
+  EXPECT_EQ(topo.stub_domain_count,
+            TransitStubConfig::ts_large().stub_domains());
 }
 
 TEST(TransitStub, KindsAreConsistent) {

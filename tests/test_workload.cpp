@@ -138,6 +138,19 @@ TEST(Lookups, BiasedQueriesHitFastFraction) {
   }
 }
 
+TEST(Lookups, BiasedQueriesFallBackWhenAClassIsEmpty) {
+  // Churn can leave no fast (or no slow) peer; the other class then
+  // takes every destination.
+  auto fx = UnstructuredFixture::make(30, 6003);
+  Rng rng(8);
+  for (const bool all_fast : {false, true}) {
+    const std::vector<bool> fast(fx.net.graph().slot_count(), all_fast);
+    const auto queries = biased_queries(fx.net.graph(), fast, 0.5, 200, rng);
+    ASSERT_EQ(queries.size(), 200u);
+    for (const auto& q : queries) EXPECT_NE(q.src, q.dst);
+  }
+}
+
 // ------------------------------------------------------ LookupTraffic ----
 
 TEST(LookupTraffic, IssuesAtConfiguredRate) {

@@ -4,12 +4,12 @@
 //               [key=value ...]
 //   propsim_cli key=value [key=value ...]
 //
-// Config keys are documented in src/app/experiment.h; command-line
+// `--help` lists every config key (src/app/spec_keys.cpp); command-line
 // key=value pairs override file values. The default output is a human
-// summary plus the metric time series as CSV; `--format json` (alias
-// `--json`) emits the full result under the stable `propsim.result`
-// schema (src/app/result_json.h). Bad configs are reported key-by-key
-// with suggestions and exit code 2.
+// summary plus the metric time series as CSV; `--format json` emits the
+// full result under the stable `propsim.result` schema
+// (src/app/result_json.h). Bad configs, unreadable config files and
+// malformed lines are reported with exit code 2.
 //
 // Example:
 //   propsim_cli overlay=chord protocol=prop-g nodes=500 horizon=1800
@@ -19,6 +19,7 @@
 
 #include "app/experiment.h"
 #include "app/result_json.h"
+#include "app/spec_keys.h"
 #include "common/timeseries.h"
 
 namespace {
@@ -31,27 +32,13 @@ void usage(const char* argv0) {
       "  --trace <path>  stream propsim.trace v1 JSONL events to <path>\n"
       "                  (same as trace=<path>; needs PROPSIM_TRACE=ON)\n"
       "\n"
-      "key reference (defaults in parentheses):\n"
-      "  topology   ts-large|ts-small|waxman   (ts-large)\n"
-      "  overlay    gnutella|chord|pastry|tapestry|can  (gnutella)\n"
-      "  protocol   none|prop-g|prop-o|ltm     (prop-g)\n"
-      "  nodes (1000)  seed (20070901)  horizon (3600 s)\n"
-      "  sample_interval (horizon/15)  queries (10000)\n"
-      "  nhops (2)  m (0 = min degree)  min_var (0)\n"
-      "  init_timer (60 s)  max_init_trial (10)  random_target (false)\n"
-      "  heterogeneity none|bimodal|bimodal-degree (none)\n"
-      "  fast_fraction (0.2) fast_delay_ms (10) slow_delay_ms (100)\n"
-      "  fraction_fast_dest (-1 = uniform workload)\n"
-      "  churn_join_rate / churn_leave_rate / churn_fail_rate (0 /s)\n"
-      "  churn_start (0) churn_end (horizon)\n"
-      "  oracle auto|hierarchical|dijkstra (auto)\n"
-      "  oracle_cache_rows (1024)\n"
-      "  trace (off)  trace_buffer (8192 events)\n"
-      "  fault_loss / fault_jitter / fault_crash (0)\n"
-      "  fault_max_retries (2)\n"
-      "  fault_partition_domain <id>|auto  with\n"
-      "  fault_partition_start / fault_partition_end (seconds)\n",
+      "config keys:\n",
       argv0);
+  for (const propsim::SpecKey& key : propsim::spec_keys()) {
+    std::printf("  %-28s %s%s%s\n      %s\n", key.name, key.accepts().c_str(),
+                key.default_value ? "  default " : "",
+                key.default_value ? key.default_value : "", key.doc);
+  }
 }
 
 }  // namespace
@@ -66,10 +53,6 @@ int main(int argc, char** argv) {
     if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
       return 0;
-    }
-    if (arg == "--json") {  // back-compat alias for --format json
-      json_output = true;
-      continue;
     }
     if (arg == "--trace" && i + 1 < argc) {
       config.set("trace", argv[++i]);
@@ -93,10 +76,13 @@ int main(int argc, char** argv) {
       config.set(arg.substr(0, eq), arg.substr(eq + 1));
     } else {
       // A config file; later files/overrides win.
-      const Config file = Config::load_file(arg);
-      for (const auto& [key, value] : file.values()) {
-        config.set(key, value);
+      std::string error;
+      const auto file = Config::try_load_file(arg, error);
+      if (!file) {
+        std::fprintf(stderr, "propsim_cli: %s\n", error.c_str());
+        return 2;
       }
+      for (const auto& [key, value] : file->values()) config.set(key, value);
     }
   }
 

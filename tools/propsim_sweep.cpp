@@ -9,9 +9,11 @@
 // simulation on a worker pool, and prints one aggregated row per
 // combination. Simulations never share state, so the output is
 // identical to a serial run. Every combination's config is validated
-// up-front: one bad axis value aborts with the full per-key error list
-// before any simulation runs. `--format json` replaces the ASCII/CSV
-// tables with a `propsim.sweep` JSON document.
+// up-front: one bad axis value stops the sweep with the full per-key
+// error list before any simulation runs. Bad configs, unreadable config
+// files, malformed sweep axes and bad flag values exit with code 2.
+// `--format json` replaces the ASCII/CSV tables with a `propsim.sweep`
+// JSON document.
 #include <cstdio>
 #include <cstring>
 #include <mutex>
@@ -20,6 +22,7 @@
 
 #include "app/experiment.h"
 #include "app/sweep.h"
+#include "common/config.h"
 #include "common/json.h"
 #include "common/stats.h"
 #include "common/table.h"
@@ -47,13 +50,17 @@ int main(int argc, char** argv) {
           argv[0]);
       return 0;
     }
-    if (arg == "--jobs" && i + 1 < argc) {
-      jobs = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-      continue;
-    }
-    if (arg == "--repeat" && i + 1 < argc) {
-      repeat =
-          static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
+    if ((arg == "--jobs" || arg == "--repeat") && i + 1 < argc) {
+      // Workers are OS threads, and every repeat is a queued task.
+      const std::int64_t most = arg == "--jobs" ? 256 : 10000;
+      const auto n = parse_int(argv[++i]);
+      if (!n || *n < 0 || *n > most) {
+        std::fprintf(stderr,
+                     "propsim_sweep: %s needs an integer in [0, %lld]\n",
+                     arg.c_str(), static_cast<long long>(most));
+        return 2;
+      }
+      (arg == "--jobs" ? jobs : repeat) = static_cast<std::size_t>(*n);
       continue;
     }
     if (arg == "--format" && i + 1 < argc) {
@@ -69,16 +76,26 @@ int main(int argc, char** argv) {
       }
       continue;
     }
+    std::string error;
     if (arg.rfind("sweep:", 0) == 0) {
-      axes.push_back(parse_sweep_axis(arg));
+      const auto axis = parse_sweep_axis(arg, error);
+      if (!axis) {
+        std::fprintf(stderr, "propsim_sweep: %s\n", error.c_str());
+        return 2;
+      }
+      axes.push_back(*axis);
       continue;
     }
     const auto eq = arg.find('=');
     if (eq != std::string::npos) {
       base.set(arg.substr(0, eq), arg.substr(eq + 1));
     } else {
-      const Config file = Config::load_file(arg);
-      for (const auto& [key, value] : file.values()) base.set(key, value);
+      const auto file = Config::try_load_file(arg, error);
+      if (!file) {
+        std::fprintf(stderr, "propsim_sweep: %s\n", error.c_str());
+        return 2;
+      }
+      for (const auto& [key, value] : file->values()) base.set(key, value);
     }
   }
   if (repeat == 0) repeat = 1;
@@ -86,16 +103,17 @@ int main(int argc, char** argv) {
   const std::vector<SweepCombo> combos = expand_sweep(base, axes);
 
   // Validate every combination before burning any simulation time.
-  bool valid = true;
+  std::vector<ExperimentSpec> specs;
   for (const SweepCombo& combo : combos) {
     const SpecResult parsed = ExperimentSpec::from_config(combo.config);
-    if (!parsed.ok()) {
+    if (parsed.ok()) {
+      specs.push_back(parsed.spec());
+    } else {
       std::fprintf(stderr, "combination %s:\n%s", combo.label.c_str(),
                    parsed.error_report().c_str());
-      valid = false;
     }
   }
-  if (!valid) return 2;
+  if (specs.size() != combos.size()) return 2;
 
   struct Cell {
     RunningStats initial;
@@ -115,14 +133,9 @@ int main(int argc, char** argv) {
 
   pool.parallel_for(combos.size() * repeat, [&](std::size_t task) {
     const std::size_t ci = task / repeat;
-    const std::size_t rep = task % repeat;
-    Config config = combos[ci].config;
-    const auto base_seed =
-        static_cast<std::uint64_t>(config.get_int("seed", 20070901));
-    config.set("seed", std::to_string(base_seed + rep * 1000003ULL));
-    const SpecResult parsed = ExperimentSpec::from_config(config);
-    PROPSIM_CHECK(parsed.ok());  // validated above; reseeding keeps it so
-    const ExperimentResult result = run_experiment(parsed.spec());
+    ExperimentSpec spec = specs[ci];
+    spec.seed += (task % repeat) * 1000003ULL;
+    const ExperimentResult result = run_experiment(spec);
     std::lock_guard<std::mutex> lock(cells_mutex);
     Cell& cell = cells[ci];
     cell.initial.add(result.initial_value);
