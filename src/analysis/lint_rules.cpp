@@ -1,6 +1,7 @@
 #include "analysis/lint_rules.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <sstream>
 #include <unordered_set>
@@ -51,6 +52,18 @@ SnapshotGraph snapshot_of(const Graph& graph) {
   return snap;
 }
 
+namespace {
+
+// A node count or endpoint: an unsigned decimal that fits 32 bits, the
+// width of a slot id. No sign, no trailing characters, no wrap-around.
+bool parse_u32(const std::string& token, std::uint32_t& out) {
+  const char* const end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, out);
+  return ec == std::errc() && ptr == end;
+}
+
+}  // namespace
+
 bool snapshot_from_edge_list(const std::string& text, SnapshotGraph& out,
                              std::string* error) {
   std::istringstream in(text);
@@ -58,6 +71,11 @@ bool snapshot_from_edge_list(const std::string& text, SnapshotGraph& out,
   SnapshotGraph snap;
   bool have_nodes = false;
   std::size_t line_no = 0;
+  const auto fail = [&](const char* what) {
+    if (error) *error = std::string(what) + " at line " +
+                        std::to_string(line_no);
+    return false;
+  };
   while (std::getline(in, line)) {
     ++line_no;
     const auto hash = line.find('#');
@@ -66,37 +84,24 @@ bool snapshot_from_edge_list(const std::string& text, SnapshotGraph& out,
     std::string first;
     if (!(fields >> first)) continue;  // blank line
     if (first == "nodes") {
-      std::size_t n = 0;
-      if (!(fields >> n) || have_nodes) {
-        if (error) *error = "malformed nodes header at line " +
-                            std::to_string(line_no);
-        return false;
+      std::string count;
+      std::uint32_t n = 0;
+      if (!(fields >> count) || !parse_u32(count, n) || have_nodes) {
+        return fail("malformed nodes header");
       }
       snap.node_count = n;
       have_nodes = true;
       continue;
     }
-    if (!have_nodes) {
-      if (error) *error = "edge before nodes header at line " +
-                          std::to_string(line_no);
-      return false;
-    }
+    if (!have_nodes) return fail("edge before nodes header");
     // Edge lines: "<u> <v> [weight]". Out-of-range and duplicate edges
     // are kept verbatim for the rules to flag.
     std::uint32_t u = 0;
     std::uint32_t v = 0;
-    try {
-      u = static_cast<std::uint32_t>(std::stoul(first));
-    } catch (const std::exception&) {
-      if (error) *error = "malformed endpoint at line " +
-                          std::to_string(line_no);
-      return false;
-    }
-    if (!(fields >> v)) {
-      if (error) *error = "missing endpoint at line " +
-                          std::to_string(line_no);
-      return false;
-    }
+    if (!parse_u32(first, u)) return fail("malformed endpoint");
+    std::string second;
+    if (!(fields >> second)) return fail("missing endpoint");
+    if (!parse_u32(second, v)) return fail("malformed endpoint");
     snap.edges.emplace_back(u, v);
   }
   if (!have_nodes) {

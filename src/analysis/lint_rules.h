@@ -48,10 +48,12 @@ SnapshotGraph snapshot_of(const LogicalGraph& graph);
 /// Snapshot of a physical Graph (weights dropped; lint is structural).
 SnapshotGraph snapshot_of(const Graph& graph);
 
-/// Parses the graph_io edge-list text format leniently: malformed or
-/// out-of-range lines become edges the range rule can flag instead of
-/// aborting the process. Returns false only when the text lacks a
-/// parseable "nodes <N>" header.
+/// Parses the graph_io edge-list text format leniently: out-of-range,
+/// self-loop and duplicate edges are kept for the rules to flag instead
+/// of aborting the process. Returns false (with the line in `error`)
+/// when the text is structurally corrupt: no single "nodes <N>" header
+/// before the first edge, a missing endpoint, or a node count or
+/// endpoint that is not an unsigned decimal fitting 32 bits.
 bool snapshot_from_edge_list(const std::string& text, SnapshotGraph& out,
                              std::string* error = nullptr);
 

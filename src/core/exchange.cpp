@@ -1,16 +1,87 @@
 #include "core/exchange.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 
 namespace propsim {
 namespace {
 
 /// Neighbors of `self` that may legally move to `other` in a PROP-O
 /// exchange: not on the probe path, not the counterpart itself, and not
-/// already adjacent to the counterpart (no duplicate edges).
+/// already adjacent to the counterpart (no duplicate edges). The
+/// exclusions are marked once, so each candidate costs one O(1) test.
 std::vector<SlotId> transferable_neighbors(const OverlayNetwork& net,
                                            SlotId self, SlotId other,
                                            std::span<const SlotId> path) {
+  const LogicalGraph& g = net.graph();
+  SlotMarks& excluded = net.scratch_marks();
+  excluded.reset(g.slot_count());
+  excluded.insert(other);
+  for (const SlotId p : path) excluded.insert(p);
+  for (const SlotId y : g.neighbors(other)) excluded.insert(y);
+  std::vector<SlotId> out;
+  for (const SlotId x : g.neighbors(self)) {
+    if (!excluded.contains(x)) out.push_back(x);
+  }
+  return out;
+}
+
+/// Keeps the k candidates with the largest latency improvement
+/// d(self, x) - d(other, x), i.e. those much closer to the counterpart,
+/// and adds each kept gain to `var` in kept order. Each candidate is
+/// scored once; ties break on the smaller slot id, so the order is a
+/// strict total order and the selection is deterministic.
+void select_greedy(const OverlayNetwork& net, SlotId self, SlotId other,
+                   std::vector<SlotId>& candidates, std::size_t k,
+                   double& var) {
+  struct Scored {
+    double gain;
+    SlotId slot;
+  };
+  std::vector<Scored> scored;
+  scored.reserve(candidates.size());
+  for (const SlotId c : candidates) {
+    scored.push_back(
+        {net.slot_latency(self, c) - net.slot_latency(other, c), c});
+  }
+  std::sort(scored.begin(), scored.end(),
+            [](const Scored& a, const Scored& b) {
+              if (a.gain != b.gain) return a.gain > b.gain;
+              return a.slot < b.slot;
+            });
+  candidates.resize(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    candidates[i] = scored[i].slot;
+    var += scored[i].gain;
+  }
+}
+
+void select_random(std::vector<SlotId>& candidates, std::size_t k, Rng& rng) {
+  rng.shuffle(candidates);
+  candidates.resize(k);
+  std::sort(candidates.begin(), candidates.end());
+}
+
+/// Var of a PROP-O plan from its transfer sets, one running sum over
+/// from_u then from_v.
+double transferred_gain(const OverlayNetwork& net, const ExchangePlan& plan) {
+  double var = 0.0;
+  for (const SlotId a : plan.from_u) {
+    var += net.slot_latency(plan.u, a) - net.slot_latency(plan.v, a);
+  }
+  for (const SlotId b : plan.from_v) {
+    var += net.slot_latency(plan.v, b) - net.slot_latency(plan.u, b);
+  }
+  return var;
+}
+
+#ifdef PROPSIM_PARANOID
+/// transferable_neighbors the straightforward way, one has_edge scan and
+/// one path scan per candidate: the paranoid cross-check's reference.
+std::vector<SlotId> transferable_by_scan(const OverlayNetwork& net,
+                                         SlotId self, SlotId other,
+                                         std::span<const SlotId> path) {
   std::vector<SlotId> out;
   for (const SlotId x : net.graph().neighbors(self)) {
     if (x == other) continue;
@@ -20,28 +91,7 @@ std::vector<SlotId> transferable_neighbors(const OverlayNetwork& net,
   }
   return out;
 }
-
-/// Keeps the k candidates with the largest latency improvement
-/// d(self, x) - d(other, x), i.e. those much closer to the counterpart.
-void select_greedy(const OverlayNetwork& net, SlotId self, SlotId other,
-                   std::vector<SlotId>& candidates, std::size_t k) {
-  std::sort(candidates.begin(), candidates.end(),
-            [&](SlotId a, SlotId b) {
-              const double gain_a =
-                  net.slot_latency(self, a) - net.slot_latency(other, a);
-              const double gain_b =
-                  net.slot_latency(self, b) - net.slot_latency(other, b);
-              if (gain_a != gain_b) return gain_a > gain_b;
-              return a < b;  // deterministic tie-break
-            });
-  candidates.resize(k);
-}
-
-void select_random(std::vector<SlotId>& candidates, std::size_t k, Rng& rng) {
-  rng.shuffle(candidates);
-  candidates.resize(k);
-  std::sort(candidates.begin(), candidates.end());
-}
+#endif
 
 }  // namespace
 
@@ -87,22 +137,16 @@ std::optional<ExchangePlan> plan_prop_o(const OverlayNetwork& net, SlotId u,
   PROPSIM_CHECK(m >= 1);
   std::vector<SlotId> from_u = transferable_neighbors(net, u, v, path);
   std::vector<SlotId> from_v = transferable_neighbors(net, v, u, path);
+#ifdef PROPSIM_PARANOID
+  PROPSIM_CHECK(from_u == transferable_by_scan(net, u, v, path) &&
+                from_v == transferable_by_scan(net, v, u, path) &&
+                "stamped transferable filter disagrees with has_edge");
+#endif
   // Equal-sized sets keep every degree unchanged (Section 3.1: "exchange
   // equal number of connections ... so the topology can maintain its
   // essential features").
   const std::size_t k = std::min({m, from_u.size(), from_v.size()});
   if (k == 0) return std::nullopt;
-
-  switch (selection) {
-    case SelectionPolicy::kGreedy:
-      select_greedy(net, u, v, from_u, k);
-      select_greedy(net, v, u, from_v, k);
-      break;
-    case SelectionPolicy::kRandom:
-      select_random(from_u, k, rng);
-      select_random(from_v, k, rng);
-      break;
-  }
 
   ExchangePlan plan;
   plan.mode = PropMode::kPropO;
@@ -110,16 +154,27 @@ std::optional<ExchangePlan> plan_prop_o(const OverlayNetwork& net, SlotId u,
   plan.v = v;
   plan.from_u = std::move(from_u);
   plan.from_v = std::move(from_v);
-
   // Var (eq. 2): latency mass dropped minus latency mass picked up.
-  double var = 0.0;
-  for (const SlotId a : plan.from_u) {
-    var += net.slot_latency(u, a) - net.slot_latency(v, a);
+  switch (selection) {
+    case SelectionPolicy::kGreedy:
+      // Sums the gains selection already scored, from_u's then from_v's
+      // in plan order: the additions transferred_gain makes, so the same
+      // bits.
+      select_greedy(net, u, v, plan.from_u, k, plan.var);
+      select_greedy(net, v, u, plan.from_v, k, plan.var);
+#ifdef PROPSIM_PARANOID
+      PROPSIM_CHECK(std::bit_cast<std::uint64_t>(plan.var) ==
+                        std::bit_cast<std::uint64_t>(
+                            transferred_gain(net, plan)) &&
+                    "greedy Var disagrees with the per-element sum");
+#endif
+      break;
+    case SelectionPolicy::kRandom:
+      select_random(plan.from_u, k, rng);
+      select_random(plan.from_v, k, rng);
+      plan.var = transferred_gain(net, plan);
+      break;
   }
-  for (const SlotId b : plan.from_v) {
-    var += net.slot_latency(v, b) - net.slot_latency(u, b);
-  }
-  plan.var = var;
   return plan;
 }
 

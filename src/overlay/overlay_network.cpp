@@ -1,6 +1,5 @@
 #include "overlay/overlay_network.h"
 
-#include <algorithm>
 #include <limits>
 
 #include "common/indexed_priority_queue.h"
@@ -41,33 +40,24 @@ std::optional<std::vector<SlotId>> OverlayNetwork::random_walk(
   PROPSIM_CHECK(graph_.is_active(from));
   PROPSIM_CHECK(graph_.has_edge(from, first_hop));
   // The paper's walk message carries visited identifiers to avoid
-  // repetitive forwarding. Visited membership is an epoch-stamped mark
-  // per slot (stamp == current epoch <=> on the path), so each step is
-  // O(degree) instead of the former O(degree * ttl) std::find scan —
-  // candidate order and RNG draws are unchanged, so walks are identical.
-  if (walk_stamp_.size() != graph_.slot_count()) {
-    walk_stamp_.assign(graph_.slot_count(), 0);
-    walk_epoch_ = 0;
-  }
-  if (++walk_epoch_ == 0) {
-    std::fill(walk_stamp_.begin(), walk_stamp_.end(), 0u);
-    walk_epoch_ = 1;
-  }
-  const std::uint32_t epoch = walk_epoch_;
+  // repetitive forwarding; here they are O(1) slot marks, so a step
+  // costs O(degree).
+  SlotMarks& visited = marks_;
+  visited.reset(graph_.slot_count());
   std::vector<SlotId> path{from, first_hop};
   path.reserve(ttl + 1);
-  walk_stamp_[from] = epoch;
-  walk_stamp_[first_hop] = epoch;
+  visited.insert(from);
+  visited.insert(first_hop);
   std::vector<SlotId> candidates;
   while (path.size() < ttl + 1) {
     const SlotId here = path.back();
     candidates.clear();
     for (const SlotId v : graph_.neighbors(here)) {
-      if (walk_stamp_[v] != epoch) candidates.push_back(v);
+      if (!visited.contains(v)) candidates.push_back(v);
     }
     if (candidates.empty()) return std::nullopt;
     const SlotId chosen = rng.pick(candidates);
-    walk_stamp_[chosen] = epoch;
+    visited.insert(chosen);
     path.push_back(chosen);
   }
   return path;

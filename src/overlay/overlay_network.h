@@ -14,6 +14,7 @@
 #include "obs/event_bus.h"
 #include "overlay/logical_graph.h"
 #include "overlay/placement.h"
+#include "overlay/slot_marks.h"
 #include "sim/traffic.h"
 #include "topology/latency_oracle.h"
 
@@ -59,12 +60,17 @@ class OverlayNetwork {
   /// walk gets stuck (dead end with no unvisited neighbor); walks avoid
   /// revisiting nodes, mirroring the paper's repeated-forwarding guard.
   /// Returns nullopt when the walk cannot reach the requested depth.
-  /// Reuses a per-overlay epoch-stamped visited buffer (the former
-  /// std::find over the path made each step O(ttl)); call from the
-  /// simulation thread only.
+  /// Marks visited slots in scratch_marks(); call from the simulation
+  /// thread only.
   std::optional<std::vector<SlotId>> random_walk(SlotId from, SlotId first_hop,
                                                  std::size_t ttl,
                                                  Rng& rng) const;
+
+  /// Per-overlay scratch slot set for logically const hot-path queries
+  /// (random_walk's visited set, PROP-O's transferable-neighbour
+  /// filter). Each user resets it on entry, so its contents are valid
+  /// only until the next such call. Simulation thread only.
+  SlotMarks& scratch_marks() const { return marks_; }
 
   /// Caller-owned scratch for flood_latencies_into / hop_distances_into:
   /// hot-loop callers (metric kernels, event-driven lookup resolution)
@@ -115,10 +121,8 @@ class OverlayNetwork {
   const LatencyOracle* oracle_;
   TrafficCounter traffic_;
   obs::EventBus* trace_ = nullptr;
-  // random_walk's visited marks (slot stamped == visited this walk);
-  // mutable because walks are logically const queries. Sim-thread only.
-  mutable std::vector<std::uint32_t> walk_stamp_;
-  mutable std::uint32_t walk_epoch_ = 0;
+  // Mutable because its users are logically const queries.
+  mutable SlotMarks marks_;
 };
 
 /// Total latency of a hop-by-hop route under the current placement (sum

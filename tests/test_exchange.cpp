@@ -1,10 +1,14 @@
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <memory>
 #include <set>
 
 #include <gtest/gtest.h>
 
 #include "core/exchange.h"
 #include "fixtures.h"
+#include "gnutella/gnutella.h"
 #include "overlay/isomorphism.h"
 
 namespace propsim {
@@ -284,6 +288,213 @@ TEST(PropO, PositiveVarExchangeReducesGlobalLinkLatency) {
     // exactly -var, so positive Var strictly lowers the global mean.
     EXPECT_LT(after, before);
   }
+}
+
+// ------------------------------------- PROP-O planning equivalence ----
+
+// The PROP-O planner as it was before each candidate was scored once:
+// has_edge filtering, a comparator that re-scores both candidates on
+// every comparison, and Var recomputed from the kept sets. Kept verbatim
+// as the reference plan_prop_o must match bit for bit.
+namespace reference {
+
+std::vector<SlotId> transferable_neighbors(const OverlayNetwork& net,
+                                           SlotId self, SlotId other,
+                                           std::span<const SlotId> path) {
+  std::vector<SlotId> out;
+  for (const SlotId x : net.graph().neighbors(self)) {
+    if (x == other) continue;
+    if (std::find(path.begin(), path.end(), x) != path.end()) continue;
+    if (net.graph().has_edge(other, x)) continue;
+    out.push_back(x);
+  }
+  return out;
+}
+
+void select_greedy(const OverlayNetwork& net, SlotId self, SlotId other,
+                   std::vector<SlotId>& candidates, std::size_t k) {
+  std::sort(candidates.begin(), candidates.end(),
+            [&](SlotId a, SlotId b) {
+              const double gain_a =
+                  net.slot_latency(self, a) - net.slot_latency(other, a);
+              const double gain_b =
+                  net.slot_latency(self, b) - net.slot_latency(other, b);
+              if (gain_a != gain_b) return gain_a > gain_b;
+              return a < b;  // deterministic tie-break
+            });
+  candidates.resize(k);
+}
+
+void select_random(std::vector<SlotId>& candidates, std::size_t k, Rng& rng) {
+  rng.shuffle(candidates);
+  candidates.resize(k);
+  std::sort(candidates.begin(), candidates.end());
+}
+
+std::optional<ExchangePlan> plan_prop_o(const OverlayNetwork& net, SlotId u,
+                                        SlotId v, std::span<const SlotId> path,
+                                        std::size_t m,
+                                        SelectionPolicy selection, Rng& rng) {
+  std::vector<SlotId> from_u = transferable_neighbors(net, u, v, path);
+  std::vector<SlotId> from_v = transferable_neighbors(net, v, u, path);
+  const std::size_t k = std::min({m, from_u.size(), from_v.size()});
+  if (k == 0) return std::nullopt;
+
+  switch (selection) {
+    case SelectionPolicy::kGreedy:
+      select_greedy(net, u, v, from_u, k);
+      select_greedy(net, v, u, from_v, k);
+      break;
+    case SelectionPolicy::kRandom:
+      select_random(from_u, k, rng);
+      select_random(from_v, k, rng);
+      break;
+  }
+
+  ExchangePlan plan;
+  plan.mode = PropMode::kPropO;
+  plan.u = u;
+  plan.v = v;
+  plan.from_u = std::move(from_u);
+  plan.from_v = std::move(from_v);
+
+  double var = 0.0;
+  for (const SlotId a : plan.from_u) {
+    var += net.slot_latency(u, a) - net.slot_latency(v, a);
+  }
+  for (const SlotId b : plan.from_v) {
+    var += net.slot_latency(v, b) - net.slot_latency(u, b);
+  }
+  plan.var = var;
+  return plan;
+}
+
+}  // namespace reference
+
+/// A physical star of stars: hosts hang off one of two hubs joined by a
+/// unit link. With unit spokes host-to-host latency is 2 (same hub) or 3
+/// (across), so greedy gains tie often and the slot-id tie-break decides
+/// the order. With random fractional spokes latencies are not integers,
+/// so sums round and Var's summation order shows in its bits (the
+/// transit-stub fixtures use integral link latencies, whose sums are
+/// exact in any order).
+struct TwoHubWorld {
+  Graph phys;
+  std::unique_ptr<LatencyOracle> oracle;
+  std::vector<NodeId> hosts;
+
+  TwoHubWorld(std::size_t n, Rng* spoke_rng) : phys(n + 2) {
+    phys.add_edge(0, 1, 1.0);
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto h = static_cast<NodeId>(i + 2);
+      const double w = spoke_rng ? spoke_rng->uniform_double(0.1, 50.0) : 1.0;
+      phys.add_edge(static_cast<NodeId>(i % 2), h, w);
+      hosts.push_back(h);
+    }
+    oracle = std::make_unique<LatencyOracle>(phys);
+  }
+
+  OverlayNetwork gnutella(std::size_t attach_links, std::uint64_t seed) {
+    Rng rng(seed);
+    GnutellaConfig cfg;
+    cfg.attach_links = attach_links;
+    return build_gnutella_overlay(cfg, hosts, *oracle, rng);
+  }
+};
+
+/// Plans every (m, policy) variant of `probe` with both planners and
+/// requires identical transfer sets (same order) and Var bits. Random
+/// selection runs each planner on its own copy of one RNG state, so both
+/// draw the same shuffle. Returns the greedy plan at m = 2.
+std::optional<ExchangePlan> expect_plans_match(const OverlayNetwork& net,
+                                               const Probe& probe,
+                                               Rng& rng) {
+  const std::size_t degree = net.graph().degree(probe.u);
+  std::optional<ExchangePlan> greedy_m2;
+  for (const std::size_t m : {std::size_t{1}, std::size_t{2}, std::size_t{4},
+                              degree}) {
+    for (const SelectionPolicy policy :
+         {SelectionPolicy::kGreedy, SelectionPolicy::kRandom}) {
+      Rng want_rng = rng;
+      Rng got_rng = rng;
+      const auto want = reference::plan_prop_o(net, probe.u, probe.v,
+                                               probe.path, m, policy,
+                                               want_rng);
+      const auto got = plan_prop_o(net, probe.u, probe.v, probe.path, m,
+                                   policy, got_rng);
+      rng.next();  // a fresh shuffle state for the next variant
+      EXPECT_EQ(got.has_value(), want.has_value());
+      if (!got || !want) continue;
+      EXPECT_EQ(got->from_u, want->from_u) << "m=" << m;
+      EXPECT_EQ(got->from_v, want->from_v) << "m=" << m;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got->var),
+                std::bit_cast<std::uint64_t>(want->var))
+          << "m=" << m << " var " << got->var << " vs " << want->var;
+      EXPECT_EQ(got_rng.next(), want_rng.next());
+      if (m == 2 && policy == SelectionPolicy::kGreedy) greedy_m2 = got;
+    }
+  }
+  return greedy_m2;
+}
+
+/// Runs `probes` seeded probes on `net`, comparing the planners on each;
+/// positive-Var greedy plans are applied so the overlay keeps evolving.
+/// Returns how many probes yielded a plan.
+int compare_planners(OverlayNetwork& net, int probes, std::uint64_t seed) {
+  Rng rng(seed);
+  int planned = 0;
+  for (int i = 0; i < probes; ++i) {
+    const std::size_t nhops = 2 + static_cast<std::size_t>(rng.uniform(2));
+    const auto probe = random_probe(net, nhops, rng);
+    if (!probe) continue;
+    const auto plan = expect_plans_match(net, *probe, rng);
+    if (!plan) continue;
+    ++planned;
+    if (plan->var > 0.0) apply_exchange(net, *plan);
+  }
+  return planned;
+}
+
+TEST(PropOPlanEquivalence, MatchesComparatorPlannerOnGnutellaOverlays) {
+  int planned = 0;
+  for (const auto& [seed, attach] :
+       {std::pair<std::uint64_t, std::size_t>{3001, 3}, {3002, 4},
+        {3003, 6}}) {
+    auto fx = UnstructuredFixture::make(80, seed, attach);
+    planned += compare_planners(fx.net, 400, seed + 1);
+  }
+  EXPECT_GE(planned, 1000);
+}
+
+TEST(PropOPlanEquivalence, TiedGainsBreakOnSlotId) {
+  TwoHubWorld world(60, nullptr);
+  OverlayNetwork net = world.gnutella(5, 3101);
+
+  // The world must actually produce ties among transferable candidates.
+  Rng rng(3102);
+  int tied = 0;
+  for (int i = 0; i < 200; ++i) {
+    const auto probe = random_probe(net, 2, rng);
+    if (!probe) continue;
+    std::set<double> gains;
+    const auto cands = reference::transferable_neighbors(net, probe->u,
+                                                         probe->v, probe->path);
+    for (const SlotId c : cands) {
+      gains.insert(net.slot_latency(probe->u, c) -
+                   net.slot_latency(probe->v, c));
+    }
+    if (gains.size() < cands.size()) ++tied;
+  }
+  ASSERT_GT(tied, 50);
+
+  EXPECT_GE(compare_planners(net, 500, 3103), 300);
+}
+
+TEST(PropOPlanEquivalence, FractionalLatenciesKeepVarBits) {
+  Rng spokes(3201);
+  TwoHubWorld world(80, &spokes);
+  OverlayNetwork net = world.gnutella(4, 3202);
+  EXPECT_GE(compare_planners(net, 500, 3203), 300);
 }
 
 }  // namespace

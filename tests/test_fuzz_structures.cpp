@@ -1,14 +1,22 @@
 // Randomized stress suite: long random operation sequences against the
 // core mutable structures, auditing the full invariants after every
-// step. These are the tests that catch bookkeeping bugs the directed
-// suites never think to write.
+// step, plus fixed-seed mutation fuzzing of the user-facing readers
+// (Json::parse and the propsim_lint edge-dump reader). These are the
+// tests that catch bookkeeping bugs the directed suites never think to
+// write.
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <set>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "analysis/lint_rules.h"
 #include "common/indexed_priority_queue.h"
+#include "common/json.h"
 #include "common/rng.h"
 #include "core/neighbor_queue.h"
 #include "overlay/logical_graph.h"
@@ -213,6 +221,133 @@ TEST(FuzzSimulator, RandomScheduleCancelRespectsOrdering) {
   sim.run_all();
   EXPECT_GT(fired, 100);
   EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+// ------------------------------------------------ reader fuzzing ----
+
+std::string read_text(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+/// Every file under `dir` (relative to the source tree) whose name ends
+/// in `suffix`, sorted by path so the corpus order is fixed.
+std::vector<std::string> corpus(const std::string& dir,
+                                const std::string& suffix) {
+  std::vector<std::filesystem::path> paths;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::filesystem::path(PROPSIM_SOURCE_DIR) / dir)) {
+    if (entry.path().string().ends_with(suffix)) paths.push_back(entry.path());
+  }
+  std::sort(paths.begin(), paths.end());
+  std::vector<std::string> texts;
+  for (const auto& path : paths) texts.push_back(read_text(path));
+  return texts;
+}
+
+/// One mutation of a corpus entry: byte flips, a truncation, a splice of
+/// two entries, a dictionary token dropped in, or plain random bytes.
+std::string mutate(const std::vector<std::string>& seeds,
+                   const std::vector<std::string>& tokens, Rng& rng) {
+  const auto pick_pos = [&](const std::string& s) {
+    return static_cast<std::size_t>(rng.uniform(s.size() + 1));
+  };
+  std::string s = rng.pick(seeds);
+  switch (rng.uniform(5)) {
+    case 0: {  // byte flips
+      const int flips = 1 + static_cast<int>(rng.uniform(4));
+      for (int i = 0; i < flips && !s.empty(); ++i) {
+        s[static_cast<std::size_t>(rng.uniform(s.size()))] =
+            static_cast<char>(rng.uniform(256));
+      }
+      return s;
+    }
+    case 1:  // truncation
+      return s.substr(0, pick_pos(s));
+    case 2: {  // splice: a prefix of one entry, a suffix of another
+      const std::string& tail = rng.pick(seeds);
+      return s.substr(0, pick_pos(s)) + tail.substr(pick_pos(tail));
+    }
+    case 3:  // token insertion at a random offset
+      return s.insert(pick_pos(s), rng.pick(tokens));
+    default: {  // random bytes
+      std::string bytes(static_cast<std::size_t>(rng.uniform(256)), '\0');
+      for (char& c : bytes) c = static_cast<char>(rng.uniform(256));
+      return bytes;
+    }
+  }
+}
+
+TEST(FuzzReaders, JsonParseRejectsOrRoundTrips) {
+  std::vector<std::string> seeds = corpus("bench/baselines/1core", ".json");
+  seeds.push_back(read_text(std::filesystem::path(PROPSIM_SOURCE_DIR) /
+                            "perfbench/workloads.json"));
+  ASSERT_EQ(seeds.size(), 5u);
+  const std::vector<std::string> tokens{
+      "\"\\ud800\"", "\"\\udc00\"", "\"\\ud83d\\ude00\"", "1e999",
+      "-1e-400",       "-0",           "1.5e+308",           "[",
+      "{",             "]",            "}",                  ",",
+      ":",             "\"",           "null",               "tru",
+      std::string(300, '['), std::string(200, '{') + "\"k\":"};
+  Rng rng(97);
+  int accepted = 0;
+  int rejected = 0;
+  for (int i = 0; i < 1000; ++i) {
+    const std::string text = mutate(seeds, tokens, rng);
+    std::string error;
+    const auto parsed = Json::parse(text, &error);
+    if (!parsed) {
+      EXPECT_FALSE(error.empty());
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    for (const int indent : {0, 2}) {
+      const std::string dumped = parsed->dump(indent);
+      const auto again = Json::parse(dumped);
+      ASSERT_TRUE(again.has_value()) << "dump does not re-parse: " << dumped;
+      EXPECT_EQ(again->dump(indent), dumped);
+    }
+  }
+  EXPECT_GT(accepted, 100);
+  EXPECT_GT(rejected, 100);
+}
+
+TEST(FuzzReaders, EdgeDumpReaderRejectsOrReloads) {
+  const std::vector<std::string> seeds = corpus("tests/data/lint", ".edges");
+  ASSERT_GE(seeds.size(), 10u);
+  const std::vector<std::string> tokens{
+      "nodes ",     "nodes 4\n", "4294967295",  "4294967296", "-1",
+      "+1",         "0x10",      "18446744073709551615", "99999999999",
+      " ",          "\n",        "#",           "\t",         "1e3",
+      "3.5"};
+  Rng rng(101);
+  int accepted = 0;
+  int rejected = 0;
+  for (int i = 0; i < 1000; ++i) {
+    const std::string text = mutate(seeds, tokens, rng);
+    SnapshotGraph snap;
+    std::string error;
+    if (!snapshot_from_edge_list(text, snap, &error)) {
+      EXPECT_FALSE(error.empty());
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    // An accepted dump reloads to the same snapshot once re-serialized.
+    std::string again = "nodes " + std::to_string(snap.node_count) + "\n";
+    for (const auto& [u, v] : snap.edges) {
+      again += std::to_string(u) + " " + std::to_string(v) + "\n";
+    }
+    SnapshotGraph reloaded;
+    ASSERT_TRUE(snapshot_from_edge_list(again, reloaded, nullptr)) << again;
+    EXPECT_EQ(reloaded.node_count, snap.node_count);
+    EXPECT_EQ(reloaded.edges, snap.edges);
+  }
+  EXPECT_GT(accepted, 100);
+  EXPECT_GT(rejected, 100);
 }
 
 }  // namespace

@@ -49,6 +49,32 @@ TEST(SnapshotGraph, ParserRejectsMissingHeader) {
   EXPECT_FALSE(err.empty());
 }
 
+TEST(SnapshotGraph, ParserRejectsValuesOutsideUnsigned32Bits) {
+  const std::string ring = "0 1\n1 2\n2 3\n3 0\n";
+  for (const char* bad : {"4294967296 2\n", "-1 1\n", "1 99999999999\n",
+                          "1 -2\n", "+1 2\n", "1x 2\n", "1 2x\n"}) {
+    SnapshotGraph snap;
+    std::string err;
+    EXPECT_FALSE(snapshot_from_edge_list("nodes 4\n" + ring + bad, snap, &err))
+        << bad;
+    EXPECT_EQ(err, "malformed endpoint at line 6") << bad;
+  }
+  for (const char* bad : {"nodes 18446744073709551615\n", "nodes 4294967296\n",
+                          "nodes -4\n", "nodes 4x\n", "nodes\n"}) {
+    SnapshotGraph snap;
+    std::string err;
+    EXPECT_FALSE(snapshot_from_edge_list(std::string(bad) + ring, snap, &err))
+        << bad;
+    EXPECT_EQ(err, "malformed nodes header at line 1") << bad;
+  }
+  SnapshotGraph snap;
+  ASSERT_TRUE(snapshot_from_edge_list("nodes 4294967295\n4294967294 0 1.5\n",
+                                      snap, nullptr));
+  EXPECT_EQ(snap.node_count, 4294967295u);
+  ASSERT_EQ(snap.edges.size(), 1u);
+  EXPECT_EQ(snap.edges[0], SnapshotGraph::Edge(4294967294u, 0u));
+}
+
 TEST(SnapshotGraph, SnapshotOfLogicalGraphMatchesEdges) {
   LogicalGraph g(4);
   g.add_edge(0, 1);
