@@ -195,7 +195,7 @@ bool PropEngine::attempt(SlotId u) {
   if (bus != nullptr) {
     bus->emit(obs::TraceEventKind::kExchangeAttempt, u, v, plan->var);
   }
-  charge_messages(*plan, path.size() - 1, /*committed=*/false);
+  charge_messages(*plan, /*committed=*/false);
 
   if (gate_var(*plan) <= params_.min_var) {
     ++stats_.rejected;
@@ -223,7 +223,7 @@ bool PropEngine::attempt(SlotId u) {
   if (swap_log_ != nullptr && plan->mode == PropMode::kPropG) {
     swap_log_->record(sim_.now(), plan->u, plan->v);
   }
-  charge_messages(*plan, path.size() - 1, /*committed=*/true);
+  charge_messages(*plan, /*committed=*/true);
   propagate_exchange_effects(*plan);
   ++stats_.exchanges;
   stats_.total_var_gain += plan->var;
@@ -298,9 +298,8 @@ bool PropEngine::path_hosts_bound(std::span<const SlotId> path) const {
   return true;
 }
 
-bool PropEngine::validate_and_apply(SlotId u, SlotId first_hop, SlotId v,
+bool PropEngine::validate_and_apply(SlotId u, SlotId v,
                                     const std::vector<SlotId>& path) {
-  (void)first_hop;
   // The world may have changed while the decision was in flight: every
   // path slot must still be active and every path edge present (the
   // connectivity argument of Theorem 1 depends on the path surviving).
@@ -333,7 +332,7 @@ bool PropEngine::validate_and_apply(SlotId u, SlotId first_hop, SlotId v,
   if (swap_log_ != nullptr && plan->mode == PropMode::kPropG) {
     swap_log_->record(sim_.now(), plan->u, plan->v);
   }
-  charge_messages(*plan, path.size() - 1, /*committed=*/true);
+  charge_messages(*plan, /*committed=*/true);
   propagate_exchange_effects(*plan);
   ++stats_.exchanges;
   stats_.total_var_gain += plan->var;
@@ -370,7 +369,7 @@ void PropEngine::commit_after_delay(SlotId u, SlotId first_hop, SlotId v,
                                     std::vector<SlotId> path) {
   NodeState& st = state_[u];
   if (!st.active) return;
-  if (!validate_and_apply(u, first_hop, v, path)) {
+  if (!validate_and_apply(u, v, path)) {
     ++stats_.commit_conflicts;
     abort_with_reason(u, v, obs::AbortReason::kCommitConflict);
     handle_failure(u, first_hop);
@@ -515,7 +514,7 @@ void PropEngine::finish_two_phase(SlotId u, SlotId first_hop, SlotId v,
     schedule_probe(u, st.timer);
     return;
   }
-  if (!validate_and_apply(u, first_hop, v, path)) {
+  if (!validate_and_apply(u, v, path)) {
     ++stats_.commit_conflicts;
     abort_with_reason(u, v, obs::AbortReason::kCommitConflict);
     handle_failure(u, first_hop);
@@ -584,9 +583,7 @@ void PropEngine::propagate_exchange_effects(const ExchangePlan& plan) {
   }
 }
 
-void PropEngine::charge_messages(const ExchangePlan& plan,
-                                 std::size_t walk_len, bool committed) {
-  (void)walk_len;  // walk hops are charged where the walk happens
+void PropEngine::charge_messages(const ExchangePlan& plan, bool committed) {
   const NodeId host_u = net_.placement().host_of(plan.u);
   const NodeId host_v = net_.placement().host_of(plan.v);
   if (!committed) {

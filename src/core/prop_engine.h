@@ -165,8 +165,7 @@ class PropEngine {
                         std::vector<SlotId> path);
   /// Re-validates the path, re-plans from fresh state and applies;
   /// returns false (emitting nothing) when the plan no longer holds.
-  bool validate_and_apply(SlotId u, SlotId first_hop, SlotId v,
-                          const std::vector<SlotId>& path);
+  bool validate_and_apply(SlotId u, SlotId v, const std::vector<SlotId>& path);
   void abort_with_reason(SlotId u, SlotId v, obs::AbortReason reason);
   void release_lock(SlotId u, SlotId v);
   /// Simulated duration of one probe negotiation (walk + probe RTTs).
@@ -184,8 +183,9 @@ class PropEngine {
   double gate_var(const ExchangePlan& plan);
   /// Queue/notification updates on third parties after a committed plan.
   void propagate_exchange_effects(const ExchangePlan& plan);
-  void charge_messages(const ExchangePlan& plan, std::size_t walk_len,
-                       bool committed);
+  /// Probe (uncommitted) or commit messages of a plan; the walk's hops
+  /// are charged where the walk happens.
+  void charge_messages(const ExchangePlan& plan, bool committed);
 
   OverlayNetwork& net_;
   Scheduler& sim_;

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "overlay/mutation_stamp.h"
 
 namespace propsim {
 
@@ -22,6 +23,7 @@ class LogicalGraph {
   LogicalGraph() = default;
   explicit LogicalGraph(std::size_t slot_count)
       : adjacency_(slot_count), active_(slot_count, true),
+        stamp_(slot_count, next_mutation_stamp()),
         active_count_(slot_count) {}
 
   std::size_t slot_count() const { return adjacency_.size(); }
@@ -56,6 +58,14 @@ class LogicalGraph {
 
   std::size_t degree(SlotId s) const { return neighbors(s).size(); }
 
+  /// Mutation stamp of slot s's adjacency list (see mutation_stamp.h):
+  /// every change to the list or its order gives the slot a fresh,
+  /// larger stamp, so an unchanged stamp means an unchanged list.
+  std::uint64_t stamp(SlotId s) const {
+    PROPSIM_DCHECK(s < stamp_.size());
+    return stamp_[s];
+  }
+
   /// Minimum degree over active slots (the paper's delta(G), the default
   /// exchange size m for PROP-O).
   std::size_t min_active_degree() const;
@@ -75,6 +85,7 @@ class LogicalGraph {
 
   std::vector<std::vector<SlotId>> adjacency_;
   std::vector<bool> active_;
+  std::vector<std::uint64_t> stamp_;
   std::size_t active_count_ = 0;
   std::size_t edge_count_ = 0;
 };

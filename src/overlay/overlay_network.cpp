@@ -1,5 +1,7 @@
 #include "overlay/overlay_network.h"
 
+#include <algorithm>
+#include <bit>
 #include <limits>
 
 #include "common/indexed_priority_queue.h"
@@ -18,8 +20,30 @@ OverlayNetwork::OverlayNetwork(LogicalGraph graph, Placement placement,
 }
 
 double OverlayNetwork::neighbor_latency_sum(SlotId s) const {
+  const std::span<const SlotId> neighbors = graph_.neighbors(s);
+  // The adjacency stamp pins the neighbour list and its order. A host
+  // change among s and its neighbours stamps a slot with a value larger
+  // than any earlier stamp, so it raises the max.
+  std::uint64_t hosts = placement_.stamp(s);
+  for (const SlotId v : neighbors) {
+    hosts = std::max(hosts, placement_.stamp(v));
+  }
+  if (s >= sum_memo_.size()) sum_memo_.resize(graph_.slot_count());
+  SumMemo& memo = sum_memo_[s];
+  const std::uint64_t adjacency = graph_.stamp(s);
+  if (memo.adjacency == adjacency && memo.hosts == hosts) {
+#ifdef PROPSIM_PARANOID
+    double fresh = 0.0;
+    for (const SlotId v : neighbors) fresh += slot_latency(s, v);
+    PROPSIM_CHECK(std::bit_cast<std::uint64_t>(fresh) ==
+                      std::bit_cast<std::uint64_t>(memo.sum) &&
+                  "memoised neighbour-latency sum is stale");
+#endif
+    return memo.sum;
+  }
   double sum = 0.0;
-  for (const SlotId v : graph_.neighbors(s)) sum += slot_latency(s, v);
+  for (const SlotId v : neighbors) sum += slot_latency(s, v);
+  memo = {adjacency, hosts, sum};
   return sum;
 }
 
@@ -48,7 +72,7 @@ std::optional<std::vector<SlotId>> OverlayNetwork::random_walk(
   path.reserve(ttl + 1);
   visited.insert(from);
   visited.insert(first_hop);
-  std::vector<SlotId> candidates;
+  std::vector<SlotId>& candidates = walk_candidates_;
   while (path.size() < ttl + 1) {
     const SlotId here = path.back();
     candidates.clear();

@@ -49,7 +49,12 @@ class OverlayNetwork {
   }
 
   /// Sum of physical latencies from slot s to each logical neighbor —
-  /// the per-node quantity the PROP Var formula is built from.
+  /// the per-node quantity the PROP Var formula is built from. Memoised
+  /// per slot on the mutation stamps of s's adjacency and of the hosts
+  /// of s and its neighbours, so a repeat query after no relevant change
+  /// costs one stamp pass and no oracle call; a miss sums the neighbour
+  /// list in order, so both paths give the same bits. Updates the memo;
+  /// call from the simulation thread only.
   double neighbor_latency_sum(SlotId s) const;
 
   /// Mean physical latency over all logical edges.
@@ -60,8 +65,9 @@ class OverlayNetwork {
   /// walk gets stuck (dead end with no unvisited neighbor); walks avoid
   /// revisiting nodes, mirroring the paper's repeated-forwarding guard.
   /// Returns nullopt when the walk cannot reach the requested depth.
-  /// Marks visited slots in scratch_marks(); call from the simulation
-  /// thread only.
+  /// Marks visited slots in scratch_marks() and collects each step's
+  /// candidates in a per-overlay buffer; call from the simulation thread
+  /// only.
   std::optional<std::vector<SlotId>> random_walk(SlotId from, SlotId first_hop,
                                                  std::size_t ttl,
                                                  Rng& rng) const;
@@ -121,8 +127,18 @@ class OverlayNetwork {
   const LatencyOracle* oracle_;
   TrafficCounter traffic_;
   obs::EventBus* trace_ = nullptr;
-  // Mutable because its users are logically const queries.
+  /// neighbor_latency_sum's memo for one slot: the sum and the stamps it
+  /// was computed under. kNoStamp never matches, so a fresh entry misses.
+  struct SumMemo {
+    std::uint64_t adjacency = kNoStamp;  // graph_.stamp(s)
+    std::uint64_t hosts = kNoStamp;      // max placement stamp, s and N(s)
+    double sum = 0.0;
+  };
+
+  // Mutable because their users are logically const queries.
   mutable SlotMarks marks_;
+  mutable std::vector<SlotId> walk_candidates_;
+  mutable std::vector<SumMemo> sum_memo_;
 };
 
 /// Total latency of a hop-by-hop route under the current placement (sum

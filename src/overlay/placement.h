@@ -11,6 +11,7 @@
 
 #include "common/check.h"
 #include "overlay/logical_graph.h"
+#include "overlay/mutation_stamp.h"
 #include "topology/graph.h"
 
 namespace propsim {
@@ -19,7 +20,8 @@ class Placement {
  public:
   Placement(std::size_t slot_capacity, std::size_t host_capacity)
       : host_of_(slot_capacity, kInvalidNode),
-        slot_of_(host_capacity, kInvalidSlot) {}
+        slot_of_(host_capacity, kInvalidSlot),
+        stamp_(slot_capacity, next_mutation_stamp()) {}
 
   std::size_t slot_capacity() const { return host_of_.size(); }
   std::size_t host_capacity() const { return slot_of_.size(); }
@@ -42,9 +44,20 @@ class Placement {
     return slot_of_[h];
   }
 
+  /// Mutation stamp of slot s's host binding (see mutation_stamp.h):
+  /// bind, unbind and swap_slots give the slots they touch a fresh,
+  /// larger stamp, so an unchanged stamp means an unchanged host.
+  std::uint64_t stamp(SlotId s) const {
+    PROPSIM_DCHECK(s < stamp_.size());
+    return stamp_[s];
+  }
+
   /// Grows capacity when slots are added after construction.
   void ensure_slot_capacity(std::size_t slots) {
-    if (slots > host_of_.size()) host_of_.resize(slots, kInvalidNode);
+    if (slots > host_of_.size()) {
+      host_of_.resize(slots, kInvalidNode);
+      stamp_.resize(slots, next_mutation_stamp());
+    }
   }
 
   /// Binds a free slot to a free host.
@@ -68,6 +81,7 @@ class Placement {
  private:
   std::vector<NodeId> host_of_;
   std::vector<SlotId> slot_of_;
+  std::vector<std::uint64_t> stamp_;
   std::size_t bound_count_ = 0;
 };
 

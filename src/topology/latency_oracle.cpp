@@ -40,10 +40,7 @@ void LatencyOracle::build_hierarchical(const TransitStubTopology& topo) {
   PROPSIM_CHECK(!topo.transit_nodes.empty());
   PROPSIM_CHECK(topo.stub_domains.size() == topo.stub_domain_count);
 
-  stub_domain_of_.assign(n, kNoDomain);
-  local_index_.assign(n, 0);
-  anchor_.assign(n, 0);
-  up_ms_.assign(n, 0.0);
+  hosts_.assign(n, HostRecord{});
 
   // Backbone APSP over the transit-only subgraph. Exact: a path between
   // transit nodes cannot shortcut through a stub domain, because it would
@@ -56,7 +53,7 @@ void LatencyOracle::build_hierarchical(const TransitStubTopology& topo) {
   Graph backbone(backbone_n_);
   for (std::size_t i = 0; i < backbone_n_; ++i) {
     const NodeId t = topo.transit_nodes[i];
-    anchor_[t] = static_cast<std::uint32_t>(i);
+    hosts_[t].anchor = static_cast<std::uint32_t>(i);
     for (const Graph::Edge& e : physical_.neighbors(t)) {
       const std::uint32_t j = backbone_index[e.to];
       if (j != kNoDomain && j > i) {
@@ -117,28 +114,11 @@ void LatencyOracle::build_hierarchical(const TransitStubTopology& topo) {
         PROPSIM_CHECK(row[j] != std::numeric_limits<double>::infinity());
         table.dist[static_cast<std::size_t>(i) * meta.size + j] = row[j];
       }
-      const NodeId v = meta.first + i;
-      stub_domain_of_[v] = static_cast<std::uint32_t>(d);
-      local_index_[v] = i;
-      anchor_[v] = backbone_index[meta.transit];
-      up_ms_[v] = row[gateway_local] + meta.attach_ms;
+      hosts_[meta.first + i] = {row[gateway_local] + meta.attach_ms,
+                                static_cast<std::uint32_t>(d), i,
+                                backbone_index[meta.transit]};
     }
   }
-}
-
-double LatencyOracle::hierarchical_latency(NodeId a, NodeId b) const {
-  const std::uint32_t da = stub_domain_of_[a];
-  if (da != kNoDomain && da == stub_domain_of_[b]) {
-    // Same stub domain: the local table is exact, since leaving and
-    // re-entering the domain would cross the attachment edge twice.
-    const DomainTable& table = domains_[da];
-    return table.dist[static_cast<std::size_t>(local_index_[a]) * table.size +
-                      local_index_[b]];
-  }
-  return up_ms_[a] +
-         backbone_dist_[static_cast<std::size_t>(anchor_[a]) * backbone_n_ +
-                        anchor_[b]] +
-         up_ms_[b];
 }
 
 // ------------------------------------------------ Dijkstra-row fallback
@@ -183,13 +163,7 @@ std::shared_ptr<const std::vector<double>> LatencyOracle::row_for(
   return row;
 }
 
-// ------------------------------------------------------- shared surface
-
-double LatencyOracle::latency(NodeId a, NodeId b) const {
-  PROPSIM_DCHECK(a < physical_.node_count());
-  PROPSIM_DCHECK(b < physical_.node_count());
-  if (a == b) return 0.0;
-  if (hierarchical_) return hierarchical_latency(a, b);
+double LatencyOracle::row_latency(NodeId a, NodeId b) const {
   // Canonicalize on the smaller id. Answering from whichever row happens
   // to be cached would make the result depend on cache state: with
   // real-valued weights (Waxman), dijkstra(a)[b] and dijkstra(b)[a] can
@@ -197,6 +171,8 @@ double LatencyOracle::latency(NodeId a, NodeId b) const {
   // symmetric and reproducible regardless of query history.
   return (*row_for(std::min(a, b)))[std::max(a, b)];
 }
+
+// ------------------------------------------------------- shared surface
 
 DistanceRow LatencyOracle::distances_from(NodeId source) const {
   PROPSIM_CHECK(source < physical_.node_count());

@@ -27,6 +27,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/check.h"
 #include "topology/graph.h"
 #include "topology/transit_stub.h"
 
@@ -81,8 +82,15 @@ class LatencyOracle {
   bool hierarchical() const { return hierarchical_; }
 
   /// Shortest-path latency between two physical hosts, in milliseconds.
-  /// Thread-safe in both modes.
-  double latency(NodeId a, NodeId b) const;
+  /// Thread-safe in both modes. Inline: the hierarchical lookup is the
+  /// innermost operation of every PROP attempt.
+  double latency(NodeId a, NodeId b) const {
+    PROPSIM_DCHECK(a < physical_.node_count());
+    PROPSIM_DCHECK(b < physical_.node_count());
+    if (a == b) return 0.0;
+    if (hierarchical_) return hierarchical_latency(a, b);
+    return row_latency(a, b);
+  }
 
   /// Full distance vector from `source`. In fallback mode the row comes
   /// from (or enters) the LRU cache; in hierarchical mode it is
@@ -124,10 +132,27 @@ class LatencyOracle {
   /// Cached row for `source` (touching LRU), or nullptr on miss.
   std::shared_ptr<const std::vector<double>> find_cached(NodeId source) const;
   std::shared_ptr<const std::vector<double>> row_for(NodeId source) const;
+  /// latency() in fallback mode, a != b.
+  double row_latency(NodeId a, NodeId b) const;
 
   // ---- Hierarchical transit-stub engine ----
   void build_hierarchical(const TransitStubTopology& topo);
-  double hierarchical_latency(NodeId a, NodeId b) const;
+
+  double hierarchical_latency(NodeId a, NodeId b) const {
+    const HostRecord& ra = hosts_[a];
+    const HostRecord& rb = hosts_[b];
+    if (ra.domain != kNoDomain && ra.domain == rb.domain) {
+      // Same stub domain: the local table is exact, since leaving and
+      // re-entering the domain would cross the attachment edge twice.
+      const DomainTable& table = domains_[ra.domain];
+      return table.dist[static_cast<std::size_t>(ra.local) * table.size +
+                        rb.local];
+    }
+    return ra.up_ms +
+           backbone_dist_[static_cast<std::size_t>(ra.anchor) * backbone_n_ +
+                          rb.anchor] +
+           rb.up_ms;
+  }
 
   static constexpr std::uint32_t kNoDomain = 0xffffffffu;
 
@@ -141,15 +166,15 @@ class LatencyOracle {
   std::size_t per_shard_cap_ = 0;  // 0 = unbounded
   mutable std::vector<Shard> shards_;
 
-  // Hierarchical tables, all O(V) for bounded stub-domain size:
-  //   stub_domain_of_[v]  owning stub domain, kNoDomain for transit nodes
-  //   local_index_[v]     index inside the domain table / backbone matrix
-  //   anchor_[v]          backbone index of the node's anchor transit node
-  //   up_ms_[v]           cost from v up to its anchor (0 for transit)
-  std::vector<std::uint32_t> stub_domain_of_;
-  std::vector<std::uint32_t> local_index_;
-  std::vector<std::uint32_t> anchor_;
-  std::vector<double> up_ms_;
+  // Hierarchical tables, all O(V) for bounded stub-domain size. One
+  // packed record per host, so a query touches one line per endpoint.
+  struct HostRecord {
+    double up_ms = 0.0;  // cost from the host up to its anchor (0 transit)
+    std::uint32_t domain = kNoDomain;  // owning stub domain
+    std::uint32_t local = 0;   // index inside the domain table
+    std::uint32_t anchor = 0;  // backbone index of the anchor transit node
+  };
+  std::vector<HostRecord> hosts_;
   struct DomainTable {
     NodeId first = kInvalidNode;
     std::uint32_t size = 0;

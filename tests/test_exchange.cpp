@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "chord/chord_ring.h"
 #include "core/exchange.h"
 #include "fixtures.h"
 #include "gnutella/gnutella.h"
@@ -495,6 +496,102 @@ TEST(PropOPlanEquivalence, FractionalLatenciesKeepVarBits) {
   TwoHubWorld world(80, &spokes);
   OverlayNetwork net = world.gnutella(4, 3202);
   EXPECT_GE(compare_planners(net, 500, 3203), 300);
+}
+
+// ------------------------------------- PROP-G Var equivalence ----
+
+// prop_g_var as it was before neighbor_latency_sum was memoised: both
+// endpoints' current sums recomputed on every call. Kept verbatim as the
+// reference the memoised Var must match bit for bit.
+namespace reference {
+
+double neighbor_latency_sum(const OverlayNetwork& net, SlotId s) {
+  double sum = 0.0;
+  for (const SlotId v : net.graph().neighbors(s)) {
+    sum += net.slot_latency(s, v);
+  }
+  return sum;
+}
+
+double prop_g_var(const OverlayNetwork& net, SlotId u, SlotId v) {
+  const LatencyOracle& oracle = net.oracle();
+  const NodeId host_u = net.placement().host_of(u);
+  const NodeId host_v = net.placement().host_of(v);
+  const double before =
+      neighbor_latency_sum(net, u) + neighbor_latency_sum(net, v);
+  double after = 0.0;
+  for (const SlotId i : net.graph().neighbors(v)) {
+    const NodeId hi = (i == u) ? host_v : net.placement().host_of(i);
+    after += oracle.latency(host_u, hi);
+  }
+  for (const SlotId i : net.graph().neighbors(u)) {
+    const NodeId hi = (i == v) ? host_u : net.placement().host_of(i);
+    after += oracle.latency(host_v, hi);
+  }
+  return before - after;
+}
+
+}  // namespace reference
+
+/// Runs `probes` seeded walk probes and requires every PROP-G Var to
+/// match the reference bit for bit. Every 40th probe commits its swap,
+/// about chord_day's commit rate, so memoised sums go stale between
+/// queries as they do in a run. Returns the probes compared.
+int compare_prop_g(OverlayNetwork& net, int probes, std::uint64_t seed) {
+  Rng rng(seed);
+  int compared = 0;
+  for (int i = 0; i < probes; ++i) {
+    const auto probe = random_probe(net, 2, rng);
+    if (!probe) continue;
+    const double want = reference::prop_g_var(net, probe->u, probe->v);
+    const ExchangePlan plan = plan_prop_g(net, probe->u, probe->v);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(plan.var),
+              std::bit_cast<std::uint64_t>(want))
+        << "probe " << i << ": " << plan.var << " vs " << want;
+    if (++compared % 40 == 0) apply_exchange(net, plan);
+  }
+  return compared;
+}
+
+OverlayNetwork chord_overlay(std::span<const NodeId> hosts,
+                             const LatencyOracle& oracle, Rng& rng) {
+  const ChordRing ring =
+      ChordRing::build_random(hosts.size(), ChordConfig{}, rng);
+  return make_chord_overlay(ring, hosts, oracle);
+}
+
+TEST(PropGVarEquivalence, ChordOnHierarchicalTransitStub) {
+  Rng rng(3301);
+  const TransitStubTopology topo =
+      make_transit_stub(testing::tiny_transit_stub_config(), rng);
+  const LatencyOracle oracle(topo);
+  ASSERT_TRUE(oracle.hierarchical());
+  std::vector<NodeId> hosts;
+  for (const std::size_t i : rng.sample_indices(topo.stub_nodes.size(), 80)) {
+    hosts.push_back(topo.stub_nodes[i]);
+  }
+  OverlayNetwork net = chord_overlay(hosts, oracle, rng);
+  EXPECT_GE(compare_prop_g(net, 1200, 3302), 1000);
+}
+
+TEST(PropGVarEquivalence, ChordOnFractionalLatencies) {
+  Rng spokes(3401);
+  TwoHubWorld world(80, &spokes);
+  Rng rng(3402);
+  OverlayNetwork net = chord_overlay(world.hosts, *world.oracle, rng);
+  EXPECT_GE(compare_prop_g(net, 1200, 3403), 1000);
+}
+
+TEST(PropGVarEquivalence, GnutellaOnTransitStub) {
+  auto fx = UnstructuredFixture::make(80, 3501, 4);
+  EXPECT_GE(compare_prop_g(fx.net, 1200, 3502), 1000);
+}
+
+TEST(PropGVarEquivalence, GnutellaOnFractionalLatencies) {
+  Rng spokes(3601);
+  TwoHubWorld world(80, &spokes);
+  OverlayNetwork net = world.gnutella(4, 3602);
+  EXPECT_GE(compare_prop_g(net, 1200, 3603), 1000);
 }
 
 }  // namespace

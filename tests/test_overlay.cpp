@@ -1,7 +1,13 @@
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <functional>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -93,6 +99,65 @@ TEST(LogicalGraph, AddSlotGrows) {
   EXPECT_TRUE(g.has_edge(s, 0));
 }
 
+TEST(LogicalGraph, StampsAdvanceOnEveryAdjacencyChange) {
+  LogicalGraph g(4);
+  const std::uint64_t built = g.stamp(0);
+  EXPECT_EQ(g.stamp(3), built);
+  g.add_edge(0, 1);
+  EXPECT_GT(g.stamp(0), built);
+  EXPECT_EQ(g.stamp(0), g.stamp(1));
+  EXPECT_EQ(g.stamp(2), built);
+  const std::uint64_t added = g.stamp(1);
+  g.remove_edge(1, 0);
+  EXPECT_GT(g.stamp(0), added);
+  EXPECT_GT(g.stamp(1), added);
+  g.add_edge(2, 3);
+  const std::uint64_t before_leave = g.stamp(3);
+  g.deactivate_slot(2);
+  EXPECT_GT(g.stamp(3), before_leave);
+  const std::uint64_t left = g.stamp(2);
+  g.reactivate_slot(2);
+  EXPECT_GT(g.stamp(2), left);
+  const SlotId fresh = g.add_slot();
+  EXPECT_GT(g.stamp(fresh), g.stamp(2));
+  // A copy carries the stamps, and the clock is shared: a mutation of
+  // either copy stamps above everything the other has seen.
+  LogicalGraph copy = g;
+  EXPECT_EQ(copy.stamp(fresh), g.stamp(fresh));
+  copy.add_edge(0, fresh);
+  g.add_edge(1, fresh);
+  EXPECT_NE(copy.stamp(fresh), g.stamp(fresh));
+  EXPECT_GT(g.stamp(fresh), copy.stamp(fresh));
+}
+
+// Stamps drawn concurrently (a sweep runs one experiment per worker) are
+// unique across threads and increasing within each.
+TEST(MutationStamp, UniqueAcrossThreadsIncreasingWithinEach) {
+  constexpr int kThreads = 4;
+  constexpr int kDraws = 20000;
+  std::vector<std::vector<std::uint64_t>> drawn(kThreads);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&drawn, t] {
+      LogicalGraph g(2);
+      for (int i = 0; i < kDraws; ++i) {
+        g.add_edge(0, 1);
+        drawn[t].push_back(g.stamp(0));
+        g.remove_edge(0, 1);
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  std::set<std::uint64_t> all;
+  for (const auto& stamps : drawn) {
+    EXPECT_TRUE(std::adjacent_find(stamps.begin(), stamps.end(),
+                                   std::greater_equal<std::uint64_t>{}) ==
+                stamps.end());
+    all.insert(stamps.begin(), stamps.end());
+  }
+  EXPECT_EQ(all.size(), static_cast<std::size_t>(kThreads * kDraws));
+}
+
 // ---------------------------------------------------------- Placement ----
 
 TEST(Placement, BindUnbindRoundTrip) {
@@ -128,6 +193,25 @@ TEST(Placement, BoundHostsOrderedBySlot) {
   p.bind(3, 2);
   p.bind(1, 9);
   EXPECT_EQ(p.bound_hosts(), (std::vector<NodeId>{9, 2}));
+}
+
+TEST(Placement, StampsAdvanceOnEveryHostChange) {
+  Placement p(3, 10);
+  const std::uint64_t built = p.stamp(0);
+  p.bind(0, 5);
+  p.bind(1, 6);
+  EXPECT_GT(p.stamp(1), p.stamp(0));
+  EXPECT_GT(p.stamp(0), built);
+  EXPECT_EQ(p.stamp(2), built);
+  const std::uint64_t bound = p.stamp(1);
+  p.swap_slots(0, 1);
+  EXPECT_GT(p.stamp(0), bound);
+  EXPECT_EQ(p.stamp(0), p.stamp(1));
+  const std::uint64_t swapped = p.stamp(1);
+  p.unbind(1);
+  EXPECT_GT(p.stamp(1), swapped);
+  p.ensure_slot_capacity(5);
+  EXPECT_GT(p.stamp(4), p.stamp(1));
 }
 
 TEST(Placement, EnsureSlotCapacityGrows) {
@@ -279,6 +363,192 @@ TEST(RandomWalkRegression, LongTtlMatchesFindBasedReference) {
       }
     }
   }
+}
+
+// ------------------------------------- neighbor_latency_sum memo ----
+
+// neighbor_latency_sum as it was before the memo: one in-order pass.
+double fresh_neighbor_sum(const OverlayNetwork& net, SlotId s) {
+  double sum = 0.0;
+  for (const SlotId v : net.graph().neighbors(s)) {
+    sum += net.slot_latency(s, v);
+  }
+  return sum;
+}
+
+/// Drives seeded random mutation sequences through every stamped path
+/// (swap, bind/unbind, edge edits, leave/rejoin, new slots, whole-overlay
+/// copies, graph()/placement() assignment from copies and from stale
+/// snapshots) and checks every memoised sum bit for bit against a fresh
+/// loop. Waxman latencies are fractional, so a sum taken over a stale
+/// neighbour order would differ in its bits, not only a stale host.
+class SumMemoSequence {
+ public:
+  explicit SumMemoSequence(std::uint64_t seed)
+      : rng_(seed),
+        physical_(make_waxman_graph(kHosts, 0.4, 0.2, 100.0, 0.5, rng_)),
+        oracle_(physical_),
+        net_(build(rng_)) {}
+
+  /// Runs `steps` mutations, each followed by a burst of queries that
+  /// revisit slots so the memo is hit as well as missed.
+  void run(int steps) {
+    for (int i = 0; i < steps; ++i) {
+      mutate(other_ != nullptr && rng_.uniform(4) == 0 ? *other_ : net_);
+      for (int q = 0; q < 12; ++q) check_random_slot(net_);
+      if (other_ != nullptr) check_random_slot(*other_);
+    }
+  }
+
+  int checked() const { return checked_; }
+
+ private:
+  static constexpr std::size_t kSlots = 40;
+  static constexpr std::size_t kHosts = 70;
+
+  OverlayNetwork build(Rng& rng) {
+    LogicalGraph g(kSlots);
+    for (SlotId s = 0; s < kSlots; ++s) g.add_edge(s, (s + 1) % kSlots);
+    for (int e = 0; e < 60; ++e) add_random_edge(g, rng);
+    Placement p(kSlots, kHosts);
+    const auto hosts = rng.sample_indices(kHosts, kSlots);
+    for (SlotId s = 0; s < kSlots; ++s) {
+      p.bind(s, static_cast<NodeId>(hosts[s]));
+    }
+    return OverlayNetwork(std::move(g), std::move(p), oracle_);
+  }
+
+  static void add_random_edge(LogicalGraph& g, Rng& rng) {
+    const auto a = static_cast<SlotId>(rng.uniform(g.slot_count()));
+    const auto b = static_cast<SlotId>(rng.uniform(g.slot_count()));
+    if (a != b && g.is_active(a) && g.is_active(b) && !g.has_edge(a, b)) {
+      g.add_edge(a, b);
+    }
+  }
+
+  NodeId free_host(const Placement& p) {
+    NodeId h;
+    do {
+      h = static_cast<NodeId>(rng_.uniform(kHosts));
+    } while (p.host_bound(h));
+    return h;
+  }
+
+  /// Active bound slot drawn at random, or kInvalidSlot.
+  SlotId random_live_slot(const OverlayNetwork& net) {
+    const auto slots = net.graph().active_slots();
+    if (slots.empty()) return kInvalidSlot;
+    return rng_.pick(slots);
+  }
+
+  void mutate(OverlayNetwork& net) {
+    LogicalGraph& g = net.graph();
+    Placement& p = net.placement();
+    switch (rng_.uniform(10)) {
+      case 0: {  // PROP-G swap
+        const SlotId a = random_live_slot(net);
+        const SlotId b = random_live_slot(net);
+        if (a != b) p.swap_slots(a, b);
+        break;
+      }
+      case 1: {  // a slot changes host
+        const SlotId s = random_live_slot(net);
+        p.unbind(s);
+        p.bind(s, free_host(p));
+        break;
+      }
+      case 2:
+        add_random_edge(g, rng_);
+        break;
+      case 3: {  // drop an edge (swap-with-back reorders the lists)
+        const SlotId s = random_live_slot(net);
+        if (g.degree(s) > 0) g.remove_edge(s, rng_.pick(g.neighbors(s)));
+        break;
+      }
+      case 4: {  // a peer leaves
+        const SlotId s = random_live_slot(net);
+        if (g.active_count() > kSlots / 2) {
+          g.deactivate_slot(s);
+          p.unbind(s);
+        }
+        break;
+      }
+      case 5: {  // a departed peer rejoins, or a new one joins
+        if (p.bound_count() == kHosts) break;
+        SlotId s = kInvalidSlot;
+        for (SlotId t = 0; t < g.slot_count(); ++t) {
+          if (!g.is_active(t)) s = t;
+        }
+        if (s != kInvalidSlot && rng_.uniform(2) == 0) {
+          g.reactivate_slot(s);
+        } else {
+          s = g.add_slot();
+          p.ensure_slot_capacity(g.slot_count());
+        }
+        p.bind(s, free_host(p));
+        for (int e = 0; e < 3; ++e) {
+          const SlotId t = random_live_slot(net);
+          if (t != s && !g.has_edge(s, t)) g.add_edge(s, t);
+        }
+        break;
+      }
+      case 6:  // a whole-overlay copy that then diverges
+        other_ = std::make_unique<OverlayNetwork>(net_);
+        break;
+      case 7:  // adopt a diverged copy's graph and placement
+        if (other_ != nullptr) {
+          net_.graph() = other_->graph();
+          net_.placement() = other_->placement();
+        }
+        break;
+      case 8:  // snapshot now, restore later: old stamps come back
+        if (saved_graph_ == nullptr || rng_.uniform(2) == 0) {
+          saved_graph_ = std::make_unique<LogicalGraph>(net_.graph());
+          saved_placement_ = std::make_unique<Placement>(net_.placement());
+        } else {
+          net_.graph() = *saved_graph_;
+          net_.placement() = *saved_placement_;
+        }
+        break;
+      default:  // a second swap keeps swaps the common mutation
+        if (g.active_count() >= 2) {
+          const SlotId a = random_live_slot(net);
+          const SlotId b = random_live_slot(net);
+          if (a != b) p.swap_slots(a, b);
+        }
+        break;
+    }
+  }
+
+  void check_random_slot(const OverlayNetwork& net) {
+    const SlotId s = random_live_slot(net);
+    if (s == kInvalidSlot) return;
+    const double want = fresh_neighbor_sum(net, s);
+    const double got = net.neighbor_latency_sum(s);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got),
+              std::bit_cast<std::uint64_t>(want))
+        << "slot " << s << ": " << got << " vs " << want;
+    ++checked_;
+  }
+
+  Rng rng_;
+  Graph physical_;
+  LatencyOracle oracle_;
+  OverlayNetwork net_;
+  std::unique_ptr<OverlayNetwork> other_;
+  std::unique_ptr<LogicalGraph> saved_graph_;
+  std::unique_ptr<Placement> saved_placement_;
+  int checked_ = 0;
+};
+
+TEST(NeighborLatencySumMemo, MatchesFreshLoopUnderRandomMutations) {
+  int checked = 0;
+  for (std::uint64_t seed = 7001; seed < 7009; ++seed) {
+    SumMemoSequence sequence(seed);
+    sequence.run(400);
+    checked += sequence.checked();
+  }
+  EXPECT_GE(checked, 8 * 400 * 12);
 }
 
 TEST(FloodScratch, ReuseMatchesAllocatingAcrossSources) {
