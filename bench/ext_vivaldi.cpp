@@ -85,6 +85,7 @@ int run(const BenchOptions& opts) {
     OverlayNetwork net = base;  // fresh copy, same starting placement
     Rng lrng(opts.seed + 5);    // same stream for both loops
     LoopResult r;
+    std::vector<SlotId> walk;
     for (std::size_t a = 0; a < attempts; ++a) {
       const auto slots = net.graph().active_slots();
       const SlotId u =
@@ -93,9 +94,8 @@ int run(const BenchOptions& opts) {
       if (neigh.empty()) continue;
       const SlotId first =
           neigh[static_cast<std::size_t>(lrng.uniform(neigh.size()))];
-      const auto walk = net.random_walk(u, first, 2, lrng);
-      if (!walk) continue;
-      const SlotId v = walk->back();
+      if (!net.random_walk(u, first, 2, lrng, walk)) continue;
+      const SlotId v = walk.back();
       const double true_var = prop_g_var(net, u, v);
       const double est_var = estimated_prop_g_var(
           net, u, v,
@@ -113,7 +113,7 @@ int run(const BenchOptions& opts) {
             net.graph().degree(u) + net.graph().degree(v);
       }
       if (decision_var > 0.0) {
-        apply_exchange(net, plan_prop_g(net, u, v));
+        net.placement().swap_slots(u, v);  // the PROP-G commit
         ++r.commits;
       }
     }

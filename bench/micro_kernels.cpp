@@ -104,9 +104,9 @@ void run_prop_g_plans(benchmark::State& state, OverlayNetwork& net) {
     do {
       v = slots[static_cast<std::size_t>(prng.uniform(slots.size()))];
     } while (v == u);
-    const ExchangePlan plan = plan_prop_g(net, u, v);
-    benchmark::DoNotOptimize(plan.var);
-    if (++planned % 40 == 0) apply_exchange(net, plan);
+    const double var = prop_g_var(net, u, v);
+    benchmark::DoNotOptimize(var);
+    if (++planned % 40 == 0) net.placement().swap_slots(u, v);
   }
 }
 
@@ -134,16 +134,21 @@ void BM_PropOPlan(benchmark::State& state) {
   OverlayNetwork net = build_unstructured(world, 256, rng);
   Rng prng(10);
   const auto slots = net.graph().active_slots();
+  // One walk buffer, plan and scratch for every iteration, as PropEngine
+  // reuses its own.
+  std::vector<SlotId> walk;
+  ExchangePlan plan;
+  PlanScratch scratch;
   for (auto _ : state) {
     const SlotId u =
         slots[static_cast<std::size_t>(prng.uniform(slots.size()))];
     const auto neigh = net.graph().neighbors(u);
     const SlotId first =
         neigh[static_cast<std::size_t>(prng.uniform(neigh.size()))];
-    const auto walk = net.random_walk(u, first, 2, prng);
-    if (!walk) continue;
-    benchmark::DoNotOptimize(plan_prop_o(net, u, walk->back(), *walk, 4,
-                                         SelectionPolicy::kGreedy, prng));
+    if (!net.random_walk(u, first, 2, prng, walk)) continue;
+    benchmark::DoNotOptimize(plan_prop_o(plan, scratch, net, u, walk.back(),
+                                         walk, 4, SelectionPolicy::kGreedy,
+                                         prng));
   }
 }
 BENCHMARK(BM_PropOPlan);

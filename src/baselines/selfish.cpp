@@ -15,11 +15,12 @@ SelfishOutcome selfish_step(OverlayNetwork& net, SlotId u,
   const auto neighbors = g.neighbors(u);
   const SlotId first =
       neighbors[static_cast<std::size_t>(rng.uniform(neighbors.size()))];
-  const auto walk = net.random_walk(u, first, params.nhops, rng);
+  std::vector<SlotId> walk;
+  const bool reached = net.random_walk(u, first, params.nhops, rng, walk);
   net.traffic().count(net.placement().host_of(u), MessageKind::kWalk,
                       params.nhops);
-  if (!walk.has_value()) return outcome;
-  const SlotId candidate = walk->back();
+  if (!reached) return outcome;
+  const SlotId candidate = walk.back();
   if (g.has_edge(u, candidate)) return outcome;
 
   // Farthest current neighbor that can afford to lose a link; the walk
@@ -28,7 +29,7 @@ SelfishOutcome selfish_step(OverlayNetwork& net, SlotId u,
   double farthest_latency = -1.0;
   for (const SlotId i : neighbors) {
     if (g.degree(i) <= params.min_degree) continue;
-    if (std::find(walk->begin(), walk->end(), i) != walk->end()) continue;
+    if (std::find(walk.begin(), walk.end(), i) != walk.end()) continue;
     const double lat = net.slot_latency(u, i);
     if (lat > farthest_latency) {
       farthest = i;

@@ -9,38 +9,33 @@ namespace {
 
 /// Neighbors of `self` that may legally move to `other` in a PROP-O
 /// exchange: not on the probe path, not the counterpart itself, and not
-/// already adjacent to the counterpart (no duplicate edges). The
-/// exclusions are marked once, so each candidate costs one O(1) test.
-std::vector<SlotId> transferable_neighbors(const OverlayNetwork& net,
-                                           SlotId self, SlotId other,
-                                           std::span<const SlotId> path) {
+/// already adjacent to the counterpart (no duplicate edges), appended to
+/// `out` in neighbour order. The exclusions are marked once, so each
+/// candidate costs one O(1) test.
+void transferable_neighbors(const OverlayNetwork& net, SlotId self,
+                            SlotId other, std::span<const SlotId> path,
+                            std::vector<SlotId>& out) {
   const LogicalGraph& g = net.graph();
   SlotMarks& excluded = net.scratch_marks();
   excluded.reset(g.slot_count());
   excluded.insert(other);
   for (const SlotId p : path) excluded.insert(p);
   for (const SlotId y : g.neighbors(other)) excluded.insert(y);
-  std::vector<SlotId> out;
   for (const SlotId x : g.neighbors(self)) {
     if (!excluded.contains(x)) out.push_back(x);
   }
-  return out;
 }
 
 /// Keeps the k candidates with the largest latency improvement
 /// d(self, x) - d(other, x), i.e. those much closer to the counterpart,
 /// and adds each kept gain to `var` in kept order. Each candidate is
-/// scored once; ties break on the smaller slot id, so the order is a
-/// strict total order and the selection is deterministic.
+/// scored once, into `scored`; ties break on the smaller slot id, so the
+/// order is a strict total order and the selection is deterministic.
 void select_greedy(const OverlayNetwork& net, SlotId self, SlotId other,
                    std::vector<SlotId>& candidates, std::size_t k,
-                   double& var) {
-  struct Scored {
-    double gain;
-    SlotId slot;
-  };
-  std::vector<Scored> scored;
-  scored.reserve(candidates.size());
+                   double& var, std::vector<PlanScratch::Scored>& scored) {
+  using Scored = PlanScratch::Scored;
+  scored.clear();
   for (const SlotId c : candidates) {
     scored.push_back(
         {net.slot_latency(self, c) - net.slot_latency(other, c), c});
@@ -120,62 +115,53 @@ double prop_g_var(const OverlayNetwork& net, SlotId u, SlotId v) {
   return before - after;
 }
 
-ExchangePlan plan_prop_g(const OverlayNetwork& net, SlotId u, SlotId v) {
-  ExchangePlan plan;
-  plan.mode = PropMode::kPropG;
-  plan.u = u;
-  plan.v = v;
-  plan.var = prop_g_var(net, u, v);
-  return plan;
-}
-
-std::optional<ExchangePlan> plan_prop_o(const OverlayNetwork& net, SlotId u,
-                                        SlotId v, std::span<const SlotId> path,
-                                        std::size_t m,
-                                        SelectionPolicy selection, Rng& rng) {
+bool plan_prop_o(ExchangePlan& out, PlanScratch& scratch,
+                 const OverlayNetwork& net, SlotId u, SlotId v,
+                 std::span<const SlotId> path, std::size_t m,
+                 SelectionPolicy selection, Rng& rng) {
   PROPSIM_CHECK(u != v);
   PROPSIM_CHECK(m >= 1);
-  std::vector<SlotId> from_u = transferable_neighbors(net, u, v, path);
-  std::vector<SlotId> from_v = transferable_neighbors(net, v, u, path);
+  out.mode = PropMode::kPropO;
+  out.u = u;
+  out.v = v;
+  out.var = 0.0;
+  out.from_u.clear();
+  out.from_v.clear();
+  transferable_neighbors(net, u, v, path, out.from_u);
+  transferable_neighbors(net, v, u, path, out.from_v);
 #ifdef PROPSIM_PARANOID
-  PROPSIM_CHECK(from_u == transferable_by_scan(net, u, v, path) &&
-                from_v == transferable_by_scan(net, v, u, path) &&
+  PROPSIM_CHECK(out.from_u == transferable_by_scan(net, u, v, path) &&
+                out.from_v == transferable_by_scan(net, v, u, path) &&
                 "stamped transferable filter disagrees with has_edge");
 #endif
   // Equal-sized sets keep every degree unchanged (Section 3.1: "exchange
   // equal number of connections ... so the topology can maintain its
   // essential features").
-  const std::size_t k = std::min({m, from_u.size(), from_v.size()});
-  if (k == 0) return std::nullopt;
+  const std::size_t k = std::min({m, out.from_u.size(), out.from_v.size()});
+  if (k == 0) return false;
 
-  ExchangePlan plan;
-  plan.mode = PropMode::kPropO;
-  plan.u = u;
-  plan.v = v;
-  plan.from_u = std::move(from_u);
-  plan.from_v = std::move(from_v);
   // Var (eq. 2): latency mass dropped minus latency mass picked up.
   switch (selection) {
     case SelectionPolicy::kGreedy:
       // Sums the gains selection already scored, from_u's then from_v's
       // in plan order: the additions transferred_gain makes, so the same
       // bits.
-      select_greedy(net, u, v, plan.from_u, k, plan.var);
-      select_greedy(net, v, u, plan.from_v, k, plan.var);
+      select_greedy(net, u, v, out.from_u, k, out.var, scratch.scored);
+      select_greedy(net, v, u, out.from_v, k, out.var, scratch.scored);
 #ifdef PROPSIM_PARANOID
-      PROPSIM_CHECK(std::bit_cast<std::uint64_t>(plan.var) ==
+      PROPSIM_CHECK(std::bit_cast<std::uint64_t>(out.var) ==
                         std::bit_cast<std::uint64_t>(
-                            transferred_gain(net, plan)) &&
+                            transferred_gain(net, out)) &&
                     "greedy Var disagrees with the per-element sum");
 #endif
       break;
     case SelectionPolicy::kRandom:
-      select_random(plan.from_u, k, rng);
-      select_random(plan.from_v, k, rng);
-      plan.var = transferred_gain(net, plan);
+      select_random(out.from_u, k, rng);
+      select_random(out.from_v, k, rng);
+      out.var = transferred_gain(net, out);
       break;
   }
-  return plan;
+  return true;
 }
 
 void apply_exchange(OverlayNetwork& net, const ExchangePlan& plan) {

@@ -5,7 +5,6 @@
 // testable without running the protocol engine.
 #pragma once
 
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -29,21 +28,33 @@ struct ExchangePlan {
 };
 
 /// Var for a PROP-G position swap of slots u and v (handles adjacent u,v
-/// and shared neighbors exactly).
+/// and shared neighbors exactly). A PROP-G plan is {kPropG, u, v, empty
+/// sets, this Var}; it always exists, and the caller gates on var.
 double prop_g_var(const OverlayNetwork& net, SlotId u, SlotId v);
 
-/// Plans a PROP-G swap; always yields a plan (the caller gates on var).
-ExchangePlan plan_prop_g(const OverlayNetwork& net, SlotId u, SlotId v);
+/// Caller-owned working memory for plan_prop_o: greedy selection scores
+/// every candidate into `scored` once before sorting. A caller that
+/// reuses one instance (and one ExchangePlan) plans without allocating
+/// once the buffers have grown to the largest degree seen.
+struct PlanScratch {
+  struct Scored {
+    double gain;
+    SlotId slot;
+  };
+  std::vector<Scored> scored;
+};
 
-/// Plans a PROP-O exchange of up to `m` neighbors per side. `path` is the
+/// Plans a PROP-O exchange of up to `m` neighbors per side into `out`,
+/// overwriting all of it and reusing its sets' capacity. `path` is the
 /// probe walk u ... v; per Theorem 1 no neighbor on the path may move
 /// (that keeps u—v connected afterwards). Transferable neighbors also
 /// exclude the counterpart and anything already adjacent to it. Returns
-/// nullopt when either side has no transferable neighbor.
-std::optional<ExchangePlan> plan_prop_o(const OverlayNetwork& net, SlotId u,
-                                        SlotId v, std::span<const SlotId> path,
-                                        std::size_t m,
-                                        SelectionPolicy selection, Rng& rng);
+/// false when either side has no transferable neighbor; `out` then holds
+/// no plan.
+bool plan_prop_o(ExchangePlan& out, PlanScratch& scratch,
+                 const OverlayNetwork& net, SlotId u, SlotId v,
+                 std::span<const SlotId> path, std::size_t m,
+                 SelectionPolicy selection, Rng& rng);
 
 /// Applies a plan: PROP-G swaps the placement, PROP-O rewires edges.
 /// Degrees are preserved for PROP-O; the logical graph is untouched for

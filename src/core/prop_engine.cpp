@@ -118,7 +118,7 @@ bool PropEngine::attempt(SlotId u) {
 
   // Locate the counterpart v.
   SlotId v = kInvalidSlot;
-  std::vector<SlotId> path;
+  std::vector<SlotId>& path = path_;
   const SlotId steered = adversary_ != nullptr
                              ? adversary_->eclipse_counterpart(u)
                              : kInvalidSlot;
@@ -126,7 +126,7 @@ bool PropEngine::attempt(SlotId u) {
     // Eclipse steering: the attacker aims its exchange at a seat next
     // to the target instead of walking. One direct contact message.
     v = steered;
-    path = {u, v};
+    path.assign({u, v});
     net_.traffic().count(net_.placement().host_of(u), MessageKind::kWalk);
   } else if (params_.random_target) {
     const auto actives = net_.graph().active_slots();
@@ -134,13 +134,14 @@ bool PropEngine::attempt(SlotId u) {
     do {
       v = actives[static_cast<std::size_t>(rng_.uniform(actives.size()))];
     } while (v == u);
-    path = {u, v};
+    path.assign({u, v});
     net_.traffic().count(net_.placement().host_of(u), MessageKind::kWalk);
   } else {
-    auto walk = net_.random_walk(u, first_hop, params_.nhops, rng_);
+    const bool reached =
+        net_.random_walk(u, first_hop, params_.nhops, rng_, path);
     net_.traffic().count(net_.placement().host_of(u), MessageKind::kWalk,
                          params_.nhops);
-    if (!walk.has_value()) {
+    if (!reached) {
       ++stats_.walk_failures;
       if (bus != nullptr) {
         bus->emit(obs::TraceEventKind::kExchangeAbort, u, first_hop, 0.0,
@@ -149,12 +150,14 @@ bool PropEngine::attempt(SlotId u) {
       handle_failure(u, first_hop);
       return false;
     }
-    path = std::move(*walk);
     v = path.back();
     if (bus != nullptr) {
+      // Only a trace sink reads a hop's latency; the counters need just
+      // the event, so a sinkless bus is spared the oracle calls.
+      const bool priced = bus->has_sink();
       for (std::size_t i = 1; i < path.size(); ++i) {
         bus->emit(obs::TraceEventKind::kWalkHop, path[i - 1], path[i],
-                  net_.slot_latency(path[i - 1], path[i]));
+                  priced ? net_.slot_latency(path[i - 1], path[i]) : 0.0);
       }
     }
   }
@@ -176,14 +179,9 @@ bool PropEngine::attempt(SlotId u) {
   }
 
   // Plan the exchange and evaluate Var.
-  std::optional<ExchangePlan> plan;
-  if (params_.mode == PropMode::kPropG) {
-    plan = plan_prop_g(net_, u, v);
-  } else {
-    plan = plan_prop_o(net_, u, v, path, effective_m_, params_.selection,
-                       rng_);
-  }
-  if (!plan.has_value()) {
+  const PlanInUse in_use(planning_);
+  const ExchangePlan& plan = plan_;
+  if (!plan_into(u, v, path)) {
     if (bus != nullptr) {
       bus->emit(obs::TraceEventKind::kExchangeAbort, u, v, 0.0,
                 static_cast<std::uint64_t>(obs::AbortReason::kNoPlan));
@@ -193,14 +191,14 @@ bool PropEngine::attempt(SlotId u) {
   }
   ++stats_.planned;
   if (bus != nullptr) {
-    bus->emit(obs::TraceEventKind::kExchangeAttempt, u, v, plan->var);
+    bus->emit(obs::TraceEventKind::kExchangeAttempt, u, v, plan.var);
   }
-  charge_messages(*plan, /*committed=*/false);
+  charge_messages(plan, /*committed=*/false);
 
-  if (gate_var(*plan) <= params_.min_var) {
+  if (gate_var(plan) <= params_.min_var) {
     ++stats_.rejected;
     if (bus != nullptr) {
-      bus->emit(obs::TraceEventKind::kExchangeAbort, u, v, plan->var,
+      bus->emit(obs::TraceEventKind::kExchangeAbort, u, v, plan.var,
                 static_cast<std::uint64_t>(obs::AbortReason::kBelowMinVar));
     }
     handle_failure(u, first_hop);
@@ -215,25 +213,41 @@ bool PropEngine::attempt(SlotId u) {
     // modeling — a lossy network with atomic exchanges would be
     // contradictory — and byzantine peers need the two-phase window
     // their drop/lie behaviors target.
-    begin_negotiation(u, first_hop, v, std::move(path), /*retries_used=*/0);
+    // The negotiation outlives this attempt, so it takes its own copy.
+    begin_negotiation(u, first_hop, v, path, /*retries_used=*/0);
     return false;  // outcome pending
   }
 
-  apply_exchange(net_, *plan);
-  if (swap_log_ != nullptr && plan->mode == PropMode::kPropG) {
-    swap_log_->record(sim_.now(), plan->u, plan->v);
+  apply_exchange(net_, plan);
+  if (swap_log_ != nullptr && plan.mode == PropMode::kPropG) {
+    swap_log_->record(sim_.now(), plan.u, plan.v);
   }
-  charge_messages(*plan, /*committed=*/true);
-  propagate_exchange_effects(*plan);
+  charge_messages(plan, /*committed=*/true);
+  propagate_exchange_effects(plan);
   ++stats_.exchanges;
-  stats_.total_var_gain += plan->var;
+  stats_.total_var_gain += plan.var;
   stats_.last_exchange_time = sim_.now();
   if (bus != nullptr) {
-    bus->emit(obs::TraceEventKind::kExchangeCommit, plan->u, plan->v,
-              plan->var, plan->from_u.size());
+    bus->emit(obs::TraceEventKind::kExchangeCommit, plan.u, plan.v,
+              plan.var, plan.from_u.size());
   }
-  notify_observer(*plan);
+  notify_observer(plan);
   handle_success(u, first_hop);
+  return true;
+}
+
+bool PropEngine::plan_into(SlotId u, SlotId v,
+                           std::span<const SlotId> path) {
+  if (params_.mode == PropMode::kPropO) {
+    return plan_prop_o(plan_, plan_scratch_, net_, u, v, path, effective_m_,
+                       params_.selection, rng_);
+  }
+  plan_.mode = PropMode::kPropG;
+  plan_.u = u;
+  plan_.v = v;
+  plan_.from_u.clear();
+  plan_.from_v.clear();
+  plan_.var = prop_g_var(net_, u, v);
   return true;
 }
 
@@ -320,31 +334,28 @@ bool PropEngine::validate_and_apply(SlotId u, SlotId v,
   }
   // Re-plan from fresh state; a concurrent exchange may have flipped
   // the gain's sign or stolen the transferable neighbors.
-  std::optional<ExchangePlan> plan;
-  if (params_.mode == PropMode::kPropG) {
-    plan = plan_prop_g(net_, u, v);
-  } else {
-    plan = plan_prop_o(net_, u, v, path, effective_m_, params_.selection,
-                       rng_);
+  const PlanInUse in_use(planning_);
+  const ExchangePlan& plan = plan_;
+  if (!plan_into(u, v, path) || gate_var(plan) <= params_.min_var) {
+    return false;
   }
-  if (!plan.has_value() || gate_var(*plan) <= params_.min_var) return false;
-  apply_exchange(net_, *plan);
-  if (swap_log_ != nullptr && plan->mode == PropMode::kPropG) {
-    swap_log_->record(sim_.now(), plan->u, plan->v);
+  apply_exchange(net_, plan);
+  if (swap_log_ != nullptr && plan.mode == PropMode::kPropG) {
+    swap_log_->record(sim_.now(), plan.u, plan.v);
   }
-  charge_messages(*plan, /*committed=*/true);
-  propagate_exchange_effects(*plan);
+  charge_messages(plan, /*committed=*/true);
+  propagate_exchange_effects(plan);
   ++stats_.exchanges;
-  stats_.total_var_gain += plan->var;
+  stats_.total_var_gain += plan.var;
   stats_.last_exchange_time = sim_.now();
   if (obs::EventBus* bus = net_.trace()) {
-    bus->emit(obs::TraceEventKind::kExchangeCommit, plan->u, plan->v,
-              plan->var, plan->from_u.size());
+    bus->emit(obs::TraceEventKind::kExchangeCommit, plan.u, plan.v,
+              plan.var, plan.from_u.size());
   }
   if (adversary_ != nullptr) {
-    adversary_->on_exchange_committed(plan->u, plan->v);
+    adversary_->on_exchange_committed(plan.u, plan.v);
   }
-  notify_observer(*plan);
+  notify_observer(plan);
   return true;
 }
 

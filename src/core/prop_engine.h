@@ -9,9 +9,11 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "adversary/adversary.h"
+#include "common/check.h"
 #include "common/rng.h"
 #include "core/exchange.h"
 #include "core/neighbor_queue.h"
@@ -166,6 +168,10 @@ class PropEngine {
   /// Re-validates the path, re-plans from fresh state and applies;
   /// returns false (emitting nothing) when the plan no longer holds.
   bool validate_and_apply(SlotId u, SlotId v, const std::vector<SlotId>& path);
+  /// Plans u's exchange with v into plan_ (PROP-G: empty sets and
+  /// prop_g_var; PROP-O: plan_prop_o over `path`). False when PROP-O
+  /// finds no transferable pair.
+  bool plan_into(SlotId u, SlotId v, std::span<const SlotId> path);
   void abort_with_reason(SlotId u, SlotId v, obs::AbortReason reason);
   void release_lock(SlotId u, SlotId v);
   /// Simulated duration of one probe negotiation (walk + probe RTTs).
@@ -187,6 +193,23 @@ class PropEngine {
   /// are charged where the walk happens.
   void charge_messages(const ExchangePlan& plan, bool committed);
 
+  /// Marks plan_ in use for one scope. A nested planner (say, an
+  /// observer that plans synchronously) would overwrite the plan its
+  /// caller still reads, so debug builds abort on one.
+  class PlanInUse {
+   public:
+    explicit PlanInUse(bool& flag) : flag_(flag) {
+      PROPSIM_DCHECK(!flag_ && "PropEngine plan re-entered while in use");
+      flag_ = true;
+    }
+    ~PlanInUse() { flag_ = false; }
+    PlanInUse(const PlanInUse&) = delete;
+    PlanInUse& operator=(const PlanInUse&) = delete;
+
+   private:
+    bool& flag_;
+  };
+
   OverlayNetwork& net_;
   Scheduler& sim_;
   PropParams params_;
@@ -199,6 +222,14 @@ class PropEngine {
   Stats stats_;
   std::size_t effective_m_ = 1;
   bool started_ = false;
+  // Working memory reused by every attempt so that one allocates
+  // nothing: the walk's path, the plan the MIN_VAR gate judges and the
+  // greedy scores behind it. attempt and validate_and_apply both plan
+  // into plan_; neither runs inside the other (PlanInUse checks).
+  std::vector<SlotId> path_;
+  ExchangePlan plan_;
+  PlanScratch plan_scratch_;
+  bool planning_ = false;
 };
 
 }  // namespace propsim

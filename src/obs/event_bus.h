@@ -142,6 +142,10 @@ class EventBus {
   /// the bus or be detached with nullptr). Writes the schema header.
   void attach_sink(TraceSink* sink);
 
+  /// True while a sink is attached. Only a sink reads an event's
+  /// `value`, so an emitter may skip computing it when this is false.
+  bool has_sink() const { return sink_ != nullptr; }
+
   /// The one hot call. Compiled out entirely under PROPSIM_TRACE=OFF.
   void emit(TraceEventKind kind, std::uint32_t a = 0, std::uint32_t b = 0,
             double value = 0.0, std::uint64_t detail = 0) {

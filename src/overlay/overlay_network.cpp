@@ -58,8 +58,9 @@ double OverlayNetwork::average_logical_link_latency() const {
   return sum / static_cast<double>(graph_.edge_count());
 }
 
-std::optional<std::vector<SlotId>> OverlayNetwork::random_walk(
-    SlotId from, SlotId first_hop, std::size_t ttl, Rng& rng) const {
+bool OverlayNetwork::random_walk(SlotId from, SlotId first_hop,
+                                 std::size_t ttl, Rng& rng,
+                                 std::vector<SlotId>& path) const {
   PROPSIM_CHECK(ttl >= 1);
   PROPSIM_CHECK(graph_.is_active(from));
   PROPSIM_CHECK(graph_.has_edge(from, first_hop));
@@ -68,8 +69,9 @@ std::optional<std::vector<SlotId>> OverlayNetwork::random_walk(
   // costs O(degree).
   SlotMarks& visited = marks_;
   visited.reset(graph_.slot_count());
-  std::vector<SlotId> path{from, first_hop};
-  path.reserve(ttl + 1);
+  path.clear();
+  path.push_back(from);
+  path.push_back(first_hop);
   visited.insert(from);
   visited.insert(first_hop);
   std::vector<SlotId>& candidates = walk_candidates_;
@@ -79,12 +81,12 @@ std::optional<std::vector<SlotId>> OverlayNetwork::random_walk(
     for (const SlotId v : graph_.neighbors(here)) {
       if (!visited.contains(v)) candidates.push_back(v);
     }
-    if (candidates.empty()) return std::nullopt;
+    if (candidates.empty()) return false;
     const SlotId chosen = rng.pick(candidates);
     visited.insert(chosen);
     path.push_back(chosen);
   }
-  return path;
+  return true;
 }
 
 std::vector<double> OverlayNetwork::flood_latencies(

@@ -5,7 +5,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -61,16 +60,17 @@ class OverlayNetwork {
   double average_logical_link_latency() const;
 
   /// TTL-scoped random walk used by PROP to find an exchange counterpart.
-  /// path[0] == from, path[1] == first_hop, |path| == ttl + 1 unless the
-  /// walk gets stuck (dead end with no unvisited neighbor); walks avoid
-  /// revisiting nodes, mirroring the paper's repeated-forwarding guard.
-  /// Returns nullopt when the walk cannot reach the requested depth.
-  /// Marks visited slots in scratch_marks() and collects each step's
-  /// candidates in a per-overlay buffer; call from the simulation thread
-  /// only.
-  std::optional<std::vector<SlotId>> random_walk(SlotId from, SlotId first_hop,
-                                                 std::size_t ttl,
-                                                 Rng& rng) const;
+  /// Clears `path` and fills it: path[0] == from, path[1] == first_hop,
+  /// |path| == ttl + 1 unless the walk gets stuck (dead end with no
+  /// unvisited neighbor); walks avoid revisiting nodes, mirroring the
+  /// paper's repeated-forwarding guard. Returns false when the walk
+  /// cannot reach the requested depth (`path` then holds the stuck
+  /// prefix). A caller that reuses one `path` buffer walks without
+  /// allocating once its capacity covers ttl + 1. Marks visited slots
+  /// in scratch_marks() and collects each step's candidates in a
+  /// per-overlay buffer; call from the simulation thread only.
+  bool random_walk(SlotId from, SlotId first_hop, std::size_t ttl, Rng& rng,
+                   std::vector<SlotId>& path) const;
 
   /// Per-overlay scratch slot set for logically const hot-path queries
   /// (random_walk's visited set, PROP-O's transferable-neighbour

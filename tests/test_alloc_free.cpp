@@ -1,0 +1,150 @@
+// Allocation guard for the PROP attempt: once an engine has warmed up,
+// an attempt that commits nothing must not touch the heap. The walk, the
+// plan and the greedy scores all live in buffers the engine reuses, so a
+// regression that reintroduces a per-attempt vector fails here.
+//
+// Global operator new is replaced with a counting wrapper around malloc.
+// PROPSIM_PARANOID builds skip: their cross-checks build reference
+// vectors on every plan by design.
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "chord/chord_ring.h"
+#include "core/prop_engine.h"
+#include "fixtures.h"
+#include "gnutella/gnutella.h"
+#include "sim/scheduler.h"
+#include "topology/transit_stub.h"
+
+namespace {
+
+std::atomic<std::uint64_t> allocations{0};
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+
+// Out of line, so GCC does not inline the free into a caller that it
+// sees pairing it with operator new (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+
+namespace propsim {
+namespace {
+
+constexpr int kAttempts = 10000;
+
+/// A hierarchical transit-stub world with 192 stub hosts; the oracle
+/// answers from packed tables, so no latency query allocates.
+struct World {
+  TransitStubTopology topo;
+  LatencyOracle oracle;
+  std::vector<NodeId> hosts;
+
+  World(std::size_t host_count, Rng& rng)
+      : topo(make_transit_stub(config(), rng)), oracle(topo) {
+    for (const std::size_t i :
+         rng.sample_indices(topo.stub_nodes.size(), host_count)) {
+      hosts.push_back(topo.stub_nodes[i]);
+    }
+  }
+
+  static TransitStubConfig config() {
+    TransitStubConfig c = testing::tiny_transit_stub_config();
+    c.nodes_per_stub = 24;
+    return c;
+  }
+};
+
+/// Calls engine.attempt round-robin over the active slots and fails for
+/// every attempt that returned false yet allocated. Committing attempts
+/// may allocate (neighbour queues and adjacency rows grow) and are only
+/// counted.
+void expect_failed_attempts_allocate_nothing(PropEngine& engine,
+                                             const OverlayNetwork& net) {
+  const std::vector<SlotId> slots = net.graph().active_slots();
+  int failed = 0;
+  int allocating = 0;
+  for (int i = 0; i < kAttempts; ++i) {
+    const SlotId u = slots[static_cast<std::size_t>(i) % slots.size()];
+    const std::uint64_t before = allocations.load(std::memory_order_relaxed);
+    const bool committed = engine.attempt(u);
+    const std::uint64_t used =
+        allocations.load(std::memory_order_relaxed) - before;
+    if (committed) continue;
+    ++failed;
+    if (used != 0 && ++allocating <= 5) {
+      ADD_FAILURE() << "attempt " << i << " (slot " << u
+                    << ") returned false after " << used << " allocations";
+    }
+  }
+  EXPECT_EQ(allocating, 0) << "of " << failed << " failed attempts";
+  EXPECT_GT(failed, kAttempts / 2);
+}
+
+bool paranoid_build() {
+#ifdef PROPSIM_PARANOID
+  return true;
+#else
+  return false;
+#endif
+}
+
+TEST(AllocFree, PropOGreedyGnutellaAttemptsAllocateNothing) {
+  if (paranoid_build()) GTEST_SKIP() << "paranoid cross-checks allocate";
+  Rng rng(7101);
+  const World world(160, rng);
+  ASSERT_TRUE(world.oracle.hierarchical());
+  GnutellaConfig cfg;
+  cfg.attach_links = 4;
+  OverlayNetwork net =
+      build_gnutella_overlay(cfg, world.hosts, world.oracle, rng);
+
+  PropParams params;
+  params.mode = PropMode::kPropO;
+  params.selection = SelectionPolicy::kGreedy;
+  params.nhops = 3;
+  params.init_timer_s = 10.0;
+  Scheduler sim;
+  PropEngine engine(net, sim, params, 7102);
+  engine.start();
+  sim.run_until(600.0);  // every slot probes; the buffers reach full size
+  ASSERT_GT(engine.stats().exchanges, 0u);
+
+  expect_failed_attempts_allocate_nothing(engine, net);
+}
+
+TEST(AllocFree, PropGChordAttemptsAllocateNothing) {
+  if (paranoid_build()) GTEST_SKIP() << "paranoid cross-checks allocate";
+  Rng rng(7201);
+  const World world(160, rng);
+  ASSERT_TRUE(world.oracle.hierarchical());
+  const ChordRing ring =
+      ChordRing::build_random(world.hosts.size(), ChordConfig{}, rng);
+  OverlayNetwork net = make_chord_overlay(ring, world.hosts, world.oracle);
+
+  PropParams params;
+  params.mode = PropMode::kPropG;
+  params.init_timer_s = 10.0;
+  Scheduler sim;
+  PropEngine engine(net, sim, params, 7202);
+  engine.start();
+  sim.run_until(600.0);
+  ASSERT_GT(engine.stats().exchanges, 0u);
+
+  expect_failed_attempts_allocate_nothing(engine, net);
+}
+
+}  // namespace
+}  // namespace propsim

@@ -236,7 +236,7 @@ TEST(EdgeFlood, SingleNodeOverlayFloodsNothing) {
 
 TEST(EdgeExchange, SelfExchangeForbidden) {
   auto fx = UnstructuredFixture::make(10, 9605, /*attach_links=*/3);
-  // plan_prop_g(u, u) violates its precondition; verify the engine can
+  // prop_g_var(u, u) violates its precondition; verify the engine can
   // never produce it by running a long random session.
   Scheduler sim;
   PropParams params;

@@ -2,6 +2,7 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -32,9 +33,19 @@ std::optional<Probe> random_probe(const OverlayNetwork& net, std::size_t nhops,
   if (neigh.empty()) return std::nullopt;
   const SlotId first =
       neigh[static_cast<std::size_t>(rng.uniform(neigh.size()))];
-  auto walk = net.random_walk(u, first, nhops, rng);
-  if (!walk.has_value()) return std::nullopt;
-  return Probe{u, walk->back(), std::move(*walk)};
+  std::vector<SlotId> path;
+  if (!net.random_walk(u, first, nhops, rng, path)) return std::nullopt;
+  return Probe{u, path.back(), std::move(path)};
+}
+
+// A PROP-G plan as PropEngine fills one: no transfer sets, prop_g_var.
+ExchangePlan prop_g_plan(const OverlayNetwork& net, SlotId u, SlotId v) {
+  ExchangePlan plan;
+  plan.mode = PropMode::kPropG;
+  plan.u = u;
+  plan.v = v;
+  plan.var = prop_g_var(net, u, v);
+  return plan;
 }
 
 // ----------------------------------------------------------- PROP-G ----
@@ -45,7 +56,7 @@ TEST(PropG, VarMatchesMeasuredGain) {
   for (int i = 0; i < 100; ++i) {
     const auto probe = random_probe(fx.net, 2, rng);
     if (!probe) continue;
-    const auto plan = plan_prop_g(fx.net, probe->u, probe->v);
+    const auto plan = prop_g_plan(fx.net, probe->u, probe->v);
     EXPECT_NEAR(plan.var, measured_gain(fx.net, plan), 1e-9);
   }
 }
@@ -73,7 +84,7 @@ TEST(PropG, SwapOfAdjacentSlotsHandled) {
     }
   }
   ASSERT_NE(u, kInvalidSlot);
-  const auto plan = plan_prop_g(fx.net, u, v);
+  const auto plan = prop_g_plan(fx.net, u, v);
   EXPECT_NEAR(plan.var, measured_gain(fx.net, plan), 1e-9);
 }
 
@@ -85,7 +96,7 @@ TEST(PropG, ApplyLeavesLogicalGraphUntouched) {
   for (int i = 0; i < 50; ++i) {
     const auto probe = random_probe(fx.net, 2, rng);
     if (!probe) continue;
-    apply_exchange(fx.net, plan_prop_g(fx.net, probe->u, probe->v));
+    apply_exchange(fx.net, prop_g_plan(fx.net, probe->u, probe->v));
   }
   EXPECT_EQ(fx.net.graph().degree_multiset(), degrees_before);
   EXPECT_EQ(fx.net.graph().edge_count(), edges_before);
@@ -103,7 +114,7 @@ TEST(PropG, Theorem2IsomorphismUnderExchangeSequences) {
   for (int i = 0; i < 200 && applied < 60; ++i) {
     const auto probe = random_probe(fx.net, 2, rng);
     if (!probe) continue;
-    apply_exchange(fx.net, plan_prop_g(fx.net, probe->u, probe->v));
+    apply_exchange(fx.net, prop_g_plan(fx.net, probe->u, probe->v));
     ++applied;
   }
   ASSERT_GT(applied, 10);
@@ -120,7 +131,7 @@ TEST(PropG, Theorem1ConnectivityPersistence) {
   for (int i = 0; i < 80; ++i) {
     const auto probe = random_probe(fx.net, 3, rng);
     if (!probe) continue;
-    apply_exchange(fx.net, plan_prop_g(fx.net, probe->u, probe->v));
+    apply_exchange(fx.net, prop_g_plan(fx.net, probe->u, probe->v));
     ASSERT_TRUE(fx.net.graph().active_subgraph_connected());
   }
 }
@@ -132,37 +143,43 @@ class PropOSelection : public ::testing::TestWithParam<SelectionPolicy> {};
 TEST_P(PropOSelection, VarMatchesMeasuredGain) {
   auto fx = UnstructuredFixture::make(40, 2007);
   Rng rng(6);
+  ExchangePlan plan;
+  PlanScratch scratch;
   for (int i = 0; i < 150; ++i) {
     const auto probe = random_probe(fx.net, 2, rng);
     if (!probe) continue;
-    const auto plan = plan_prop_o(fx.net, probe->u, probe->v, probe->path, 2,
-                                  GetParam(), rng);
-    if (!plan) continue;
-    EXPECT_NEAR(plan->var, measured_gain(fx.net, *plan), 1e-9);
+    if (!plan_prop_o(plan, scratch, fx.net, probe->u, probe->v, probe->path,
+                     2, GetParam(), rng)) {
+      continue;
+    }
+    EXPECT_NEAR(plan.var, measured_gain(fx.net, plan), 1e-9);
   }
 }
 
 TEST_P(PropOSelection, TransferSetsRespectConstraints) {
   auto fx = UnstructuredFixture::make(40, 2008);
   Rng rng(7);
+  ExchangePlan plan;
+  PlanScratch scratch;
   int checked = 0;
   for (int i = 0; i < 200 && checked < 80; ++i) {
     const auto probe = random_probe(fx.net, 2, rng);
     if (!probe) continue;
-    const auto plan = plan_prop_o(fx.net, probe->u, probe->v, probe->path, 3,
-                                  GetParam(), rng);
-    if (!plan) continue;
+    if (!plan_prop_o(plan, scratch, fx.net, probe->u, probe->v, probe->path,
+                     3, GetParam(), rng)) {
+      continue;
+    }
     ++checked;
-    EXPECT_EQ(plan->from_u.size(), plan->from_v.size());
-    EXPECT_GE(plan->from_u.size(), 1u);
-    EXPECT_LE(plan->from_u.size(), 3u);
-    for (const SlotId a : plan->from_u) {
+    EXPECT_EQ(plan.from_u.size(), plan.from_v.size());
+    EXPECT_GE(plan.from_u.size(), 1u);
+    EXPECT_LE(plan.from_u.size(), 3u);
+    for (const SlotId a : plan.from_u) {
       EXPECT_TRUE(fx.net.graph().has_edge(probe->u, a));
       EXPECT_FALSE(fx.net.graph().has_edge(probe->v, a));
       EXPECT_EQ(std::find(probe->path.begin(), probe->path.end(), a),
                 probe->path.end());
     }
-    for (const SlotId b : plan->from_v) {
+    for (const SlotId b : plan.from_v) {
       EXPECT_TRUE(fx.net.graph().has_edge(probe->v, b));
       EXPECT_FALSE(fx.net.graph().has_edge(probe->u, b));
       EXPECT_EQ(std::find(probe->path.begin(), probe->path.end(), b),
@@ -182,14 +199,17 @@ TEST_P(PropOSelection, DegreeMultisetInvariant) {
     per_slot.push_back(fx.net.graph().degree(s));
   }
   Rng rng(8);
+  ExchangePlan plan;
+  PlanScratch scratch;
   int applied = 0;
   for (int i = 0; i < 300 && applied < 80; ++i) {
     const auto probe = random_probe(fx.net, 2, rng);
     if (!probe) continue;
-    const auto plan = plan_prop_o(fx.net, probe->u, probe->v, probe->path, 2,
-                                  GetParam(), rng);
-    if (!plan) continue;
-    apply_exchange(fx.net, *plan);
+    if (!plan_prop_o(plan, scratch, fx.net, probe->u, probe->v, probe->path,
+                     2, GetParam(), rng)) {
+      continue;
+    }
+    apply_exchange(fx.net, plan);
     ++applied;
   }
   ASSERT_GT(applied, 10);
@@ -204,14 +224,17 @@ TEST_P(PropOSelection, DegreeMultisetInvariant) {
 TEST_P(PropOSelection, Theorem1ConnectivityPersistence) {
   auto fx = UnstructuredFixture::make(50, 2010);
   Rng rng(9);
+  ExchangePlan plan;
+  PlanScratch scratch;
   int applied = 0;
   for (int i = 0; i < 400 && applied < 120; ++i) {
     const auto probe = random_probe(fx.net, 2, rng);
     if (!probe) continue;
-    const auto plan = plan_prop_o(fx.net, probe->u, probe->v, probe->path, 4,
-                                  GetParam(), rng);
-    if (!plan) continue;
-    apply_exchange(fx.net, *plan);
+    if (!plan_prop_o(plan, scratch, fx.net, probe->u, probe->v, probe->path,
+                     4, GetParam(), rng)) {
+      continue;
+    }
+    apply_exchange(fx.net, plan);
     ASSERT_TRUE(fx.net.graph().active_subgraph_connected())
         << "partition after exchange " << applied;
     ++applied;
@@ -234,25 +257,30 @@ TEST(PropO, GreedySelectionMaximizesVarVersusRandom) {
   double greedy_sum = 0.0;
   double random_sum = 0.0;
   int count = 0;
+  ExchangePlan g;
+  ExchangePlan r;
+  PlanScratch scratch;
   for (int i = 0; i < 200; ++i) {
     const auto probe = random_probe(fx.net, 2, rng);
     if (!probe) continue;
-    const auto g = plan_prop_o(fx.net, probe->u, probe->v, probe->path, 2,
-                               SelectionPolicy::kGreedy, rng);
-    const auto r = plan_prop_o(fx.net, probe->u, probe->v, probe->path, 2,
-                               SelectionPolicy::kRandom, rng);
-    if (!g || !r) continue;
-    greedy_sum += g->var;
-    random_sum += r->var;
+    const bool has_g = plan_prop_o(g, scratch, fx.net, probe->u, probe->v,
+                                   probe->path, 2, SelectionPolicy::kGreedy,
+                                   rng);
+    const bool has_r = plan_prop_o(r, scratch, fx.net, probe->u, probe->v,
+                                   probe->path, 2, SelectionPolicy::kRandom,
+                                   rng);
+    if (!has_g || !has_r) continue;
+    greedy_sum += g.var;
+    random_sum += r.var;
     // Greedy picks the max-gain subsets, so per-probe it dominates.
-    EXPECT_GE(g->var, r->var - 1e-9);
+    EXPECT_GE(g.var, r.var - 1e-9);
     ++count;
   }
   ASSERT_GT(count, 50);
   EXPECT_GT(greedy_sum, random_sum);
 }
 
-TEST(PropO, NoTransferableNeighborsYieldsNullopt) {
+TEST(PropO, NoTransferableNeighborsYieldsNoPlan) {
   // Overlay: path graph 0-1-2; probing u=0 -> v=2 via path {0,1,2}:
   // u's only neighbor (1) is on the path, so no plan exists.
   Graph phys(3);
@@ -267,22 +295,27 @@ TEST(PropO, NoTransferableNeighborsYieldsNullopt) {
   OverlayNetwork net(std::move(g), std::move(p), oracle);
   Rng rng(11);
   const std::vector<SlotId> path{0, 1, 2};
-  EXPECT_FALSE(
-      plan_prop_o(net, 0, 2, path, 2, SelectionPolicy::kGreedy, rng)
-          .has_value());
+  ExchangePlan plan;
+  PlanScratch scratch;
+  EXPECT_FALSE(plan_prop_o(plan, scratch, net, 0, 2, path, 2,
+                           SelectionPolicy::kGreedy, rng));
 }
 
 TEST(PropO, PositiveVarExchangeReducesGlobalLinkLatency) {
   auto fx = UnstructuredFixture::make(60, 2012);
   Rng rng(12);
+  ExchangePlan plan;
+  PlanScratch scratch;
   for (int i = 0; i < 200; ++i) {
     const auto probe = random_probe(fx.net, 2, rng);
     if (!probe) continue;
-    const auto plan = plan_prop_o(fx.net, probe->u, probe->v, probe->path, 2,
-                                  SelectionPolicy::kGreedy, rng);
-    if (!plan || plan->var <= 0.0) continue;
+    if (!plan_prop_o(plan, scratch, fx.net, probe->u, probe->v, probe->path,
+                     2, SelectionPolicy::kGreedy, rng) ||
+        plan.var <= 0.0) {
+      continue;
+    }
     const double before = fx.net.average_logical_link_latency();
-    apply_exchange(fx.net, *plan);
+    apply_exchange(fx.net, plan);
     const double after = fx.net.average_logical_link_latency();
     // Each moved edge (u,a)->(v,a) changes the edge-latency sum by
     // d(v,a)-d(u,a); summed over both disjoint transfer sets that is
@@ -412,6 +445,8 @@ std::optional<ExchangePlan> expect_plans_match(const OverlayNetwork& net,
                                                Rng& rng) {
   const std::size_t degree = net.graph().degree(probe.u);
   std::optional<ExchangePlan> greedy_m2;
+  ExchangePlan got;
+  PlanScratch scratch;
   for (const std::size_t m : {std::size_t{1}, std::size_t{2}, std::size_t{4},
                               degree}) {
     for (const SelectionPolicy policy :
@@ -421,16 +456,16 @@ std::optional<ExchangePlan> expect_plans_match(const OverlayNetwork& net,
       const auto want = reference::plan_prop_o(net, probe.u, probe.v,
                                                probe.path, m, policy,
                                                want_rng);
-      const auto got = plan_prop_o(net, probe.u, probe.v, probe.path, m,
-                                   policy, got_rng);
+      const bool planned = plan_prop_o(got, scratch, net, probe.u, probe.v,
+                                       probe.path, m, policy, got_rng);
       rng.next();  // a fresh shuffle state for the next variant
-      EXPECT_EQ(got.has_value(), want.has_value());
-      if (!got || !want) continue;
-      EXPECT_EQ(got->from_u, want->from_u) << "m=" << m;
-      EXPECT_EQ(got->from_v, want->from_v) << "m=" << m;
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(got->var),
+      EXPECT_EQ(planned, want.has_value());
+      if (!planned || !want) continue;
+      EXPECT_EQ(got.from_u, want->from_u) << "m=" << m;
+      EXPECT_EQ(got.from_v, want->from_v) << "m=" << m;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.var),
                 std::bit_cast<std::uint64_t>(want->var))
-          << "m=" << m << " var " << got->var << " vs " << want->var;
+          << "m=" << m << " var " << got.var << " vs " << want->var;
       EXPECT_EQ(got_rng.next(), want_rng.next());
       if (m == 2 && policy == SelectionPolicy::kGreedy) greedy_m2 = got;
     }
@@ -498,6 +533,105 @@ TEST(PropOPlanEquivalence, FractionalLatenciesKeepVarBits) {
   EXPECT_GE(compare_planners(net, 500, 3203), 300);
 }
 
+/// Totals of a reuse_against_reference run.
+struct ReuseTally {
+  int walks = 0;
+  int planned = 0;
+  int shrunk = 0;  // plans whose sets were shorter than the previous ones
+  int commits = 0;
+};
+
+/// Runs `attempts` seeded probes through one walk buffer, ExchangePlan
+/// and PlanScratch shared with every earlier call, as PropEngine reuses
+/// its members. Each walk must equal a walk into a fresh vector from the
+/// same RNG state; each plan must equal reference::plan_prop_o (sets,
+/// order, Var bits). m cycles through 1, 2, 4 and the policy alternates,
+/// so a plan often follows one with longer sets. Every 30th attempt
+/// commits the next plan, about prop_o_day's 3.4% exchange ratio.
+void reuse_against_reference(OverlayNetwork& net, int attempts,
+                             std::uint64_t seed, std::vector<SlotId>& walk,
+                             ExchangePlan& plan, PlanScratch& scratch,
+                             ReuseTally& tally) {
+  Rng rng(seed);
+  bool commit_due = false;
+  for (int i = 0; i < attempts; ++i) {
+    const auto slots = net.graph().active_slots();
+    const SlotId u =
+        slots[static_cast<std::size_t>(rng.uniform(slots.size()))];
+    const auto neigh = net.graph().neighbors(u);
+    if (neigh.empty()) continue;
+    const SlotId first =
+        neigh[static_cast<std::size_t>(rng.uniform(neigh.size()))];
+    const std::size_t nhops = 2 + static_cast<std::size_t>(rng.uniform(3));
+
+    Rng fresh_rng = rng;
+    std::vector<SlotId> fresh;
+    const bool fresh_reached =
+        net.random_walk(u, first, nhops, fresh_rng, fresh);
+    const bool reached = net.random_walk(u, first, nhops, rng, walk);
+    ++tally.walks;
+    ASSERT_EQ(reached, fresh_reached) << "attempt " << i;
+    ASSERT_EQ(walk, fresh) << "attempt " << i;
+    ASSERT_EQ(rng.next(), fresh_rng.next()) << "attempt " << i;
+    if (!reached) continue;
+
+    const SlotId v = walk.back();
+    const std::size_t m = std::size_t{1} << (i % 3);
+    const SelectionPolicy policy = (i / 3) % 2 == 0
+                                       ? SelectionPolicy::kGreedy
+                                       : SelectionPolicy::kRandom;
+    const std::size_t previous = plan.from_u.size() + plan.from_v.size();
+    Rng want_rng = rng;
+    const auto want =
+        reference::plan_prop_o(net, u, v, walk, m, policy, want_rng);
+    const bool planned =
+        plan_prop_o(plan, scratch, net, u, v, walk, m, policy, rng);
+    ASSERT_EQ(planned, want.has_value()) << "attempt " << i;
+    ASSERT_EQ(rng.next(), want_rng.next()) << "attempt " << i;
+    if (!planned) continue;
+    ++tally.planned;
+    if (plan.from_u.size() + plan.from_v.size() < previous) ++tally.shrunk;
+    EXPECT_EQ(plan.mode, PropMode::kPropO);
+    EXPECT_EQ(plan.u, u);
+    EXPECT_EQ(plan.v, v);
+    EXPECT_EQ(plan.from_u, want->from_u) << "attempt " << i << " m=" << m;
+    EXPECT_EQ(plan.from_v, want->from_v) << "attempt " << i << " m=" << m;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(plan.var),
+              std::bit_cast<std::uint64_t>(want->var))
+        << "attempt " << i << " var " << plan.var << " vs " << want->var;
+
+    if (i % 30 == 0) commit_due = true;
+    if (commit_due) {
+      apply_exchange(net, plan);
+      commit_due = false;
+      ++tally.commits;
+    }
+  }
+}
+
+TEST(PropOPlanEquivalence, ReusedBuffersMatchReferenceOnGnutella) {
+  std::vector<SlotId> walk;
+  ExchangePlan plan;
+  PlanScratch scratch;
+  ReuseTally tally;
+  for (const auto& [seed, attach] :
+       {std::pair<std::uint64_t, std::size_t>{3701, 3}, {3702, 5},
+        {3703, 8}}) {
+    auto fx = UnstructuredFixture::make(80, seed, attach);
+    reuse_against_reference(fx.net, 900, seed + 1, walk, plan, scratch,
+                            tally);
+  }
+  Rng spokes(3704);
+  TwoHubWorld world(100, &spokes);
+  OverlayNetwork net = world.gnutella(4, 3705);
+  reuse_against_reference(net, 900, 3706, walk, plan, scratch, tally);
+
+  EXPECT_GE(tally.planned, 3000);
+  EXPECT_GE(tally.shrunk, 800);
+  EXPECT_GE(tally.commits, 100);
+  EXPECT_GE(tally.walks, 3000);
+}
+
 // ------------------------------------- PROP-G Var equivalence ----
 
 // prop_g_var as it was before neighbor_latency_sum was memoised: both
@@ -544,7 +678,7 @@ int compare_prop_g(OverlayNetwork& net, int probes, std::uint64_t seed) {
     const auto probe = random_probe(net, 2, rng);
     if (!probe) continue;
     const double want = reference::prop_g_var(net, probe->u, probe->v);
-    const ExchangePlan plan = plan_prop_g(net, probe->u, probe->v);
+    const ExchangePlan plan = prop_g_plan(net, probe->u, probe->v);
     EXPECT_EQ(std::bit_cast<std::uint64_t>(plan.var),
               std::bit_cast<std::uint64_t>(want))
         << "probe " << i << ": " << plan.var << " vs " << want;

@@ -212,7 +212,10 @@ TEST_P(VarConsistency, PlannedVarEqualsMeasuredGain) {
     do {
       v = slots[static_cast<std::size_t>(rng.uniform(slots.size()))];
     } while (v == u);
-    const auto plan = plan_prop_g(net, u, v);
+    ExchangePlan plan;  // PROP-G: no transfer sets
+    plan.u = u;
+    plan.v = v;
+    plan.var = prop_g_var(net, u, v);
     EXPECT_NEAR(plan.var, measured_gain(net, plan), 1e-9);
     // Committing positive-Var plans keeps the invariant chain honest.
     if (plan.var > 0) {

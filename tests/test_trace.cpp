@@ -144,6 +144,21 @@ TEST(TraceSink, StreamsSchemaValidJsonl) {
   std::remove(path.c_str());
 }
 
+TEST(TraceSink, HasSinkFollowsAttachment) {
+  const std::string path = testing::TempDir() + "trace_has_sink.jsonl";
+  {
+    obs::TraceSink sink(path);
+    ASSERT_TRUE(sink.ok());
+    obs::EventBus bus;
+    EXPECT_FALSE(bus.has_sink());
+    bus.attach_sink(&sink);
+    EXPECT_TRUE(bus.has_sink());
+    bus.attach_sink(nullptr);
+    EXPECT_FALSE(bus.has_sink());
+  }
+  std::remove(path.c_str());
+}
+
 TEST(TraceSink, ReportsUnopenablePath) {
   obs::TraceSink sink("/nonexistent-dir/propsim-trace.jsonl");
   EXPECT_FALSE(sink.ok());
@@ -181,8 +196,11 @@ TEST(TraceGolden, FixedSeedRunEmitsSchemaValidStream) {
   // Both phases are populated (boundary 100 s inside the 400 s horizon),
   // events are time-ordered within the simulation, and the streamed
   // exchange-commit count equals the protocol counter.
+  // With a sink attached every walk hop carries its link's latency
+  // (positive between distinct hosts); only sinkless buses skip it.
   std::uint64_t commits = 0;
   std::uint64_t warmup = 0;
+  std::uint64_t walk_hops = 0;
   for (std::size_t i = 1; i < lines.size(); ++i) {
     const Json& e = lines[i];
     const double t = e.find("t")->as_double();
@@ -191,10 +209,16 @@ TEST(TraceGolden, FixedSeedRunEmitsSchemaValidStream) {
     EXPECT_EQ(e.find("phase")->as_string(),
               t < result.trace.phase_boundary_s ? "warmup" : "maintenance");
     if (e.find("kind")->as_string() == "exchange-commit") ++commits;
+    if (e.find("kind")->as_string() == "walk-hop") {
+      ++walk_hops;
+      EXPECT_GT(e.find("value")->as_double(), 0.0) << "line " << i;
+    }
     if (e.find("phase")->as_string() == "warmup") ++warmup;
   }
   EXPECT_EQ(commits, result.exchanges);
   EXPECT_EQ(commits, result.trace.count(obs::TraceEventKind::kExchangeCommit));
+  EXPECT_EQ(walk_hops, result.trace.count(obs::TraceEventKind::kWalkHop));
+  EXPECT_GT(walk_hops, 0u);
   EXPECT_EQ(warmup, result.trace.events_by_phase[0]);
   EXPECT_GT(warmup, 0u);
   EXPECT_GT(result.trace.events_by_phase[1], 0u);
@@ -238,6 +262,9 @@ TEST(TraceGolden, SinkAttachmentDoesNotPerturbResults) {
                      traced.series.points()[i].value);
   }
   EXPECT_EQ(plain.trace.events, traced.trace.events);
+  // The sinkless run emits walk hops unpriced; the counters still match.
+  EXPECT_EQ(plain.trace.count(obs::TraceEventKind::kWalkHop),
+            traced.trace.count(obs::TraceEventKind::kWalkHop));
 }
 
 TEST(TraceGolden, DhtRunEmitsJoinAndLookupHops) {
