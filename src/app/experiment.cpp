@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <functional>
 #include <memory>
+#include <numeric>
 
 #include "analysis/invariant_checker.h"
 #include "app/spec_keys.h"
@@ -13,13 +15,11 @@
 #include "measure/measure_engine.h"
 #include "measure/snapshot_cache.h"
 #include "metrics/convergence.h"
-#include "metrics/metrics.h"
 #include "pastry/pastry.h"
 #include "sim/scheduler.h"
 #include "tapestry/tapestry.h"
 #include "topology/random_graphs.h"
 #include "topology/transit_stub.h"
-#include "workload/host_selection.h"
 #include "workload/lookup_traffic.h"
 #include "workload/lookups.h"
 
@@ -138,9 +138,8 @@ ExperimentResult::counters() const {
       {"sim_events_executed", sim_events_executed},
       {"sim_events_scheduled", sim_events_scheduled},
       {"sim_events_cancelled", sim_events_cancelled},
-      // v5: measurement-engine counters — flood counts are invariant
-      // across measure_threads; the capture/reuse split
-      // depends on the trace build mode (OFF builds never reuse).
+      // v5: measurement-engine counters, invariant across
+      // measure_threads and trace build modes.
       {"measure_exact_floods", measure_exact_floods},
       {"measure_fast_floods", measure_fast_floods},
       {"measure_snapshot_captures", measure_snapshot_captures},
@@ -161,521 +160,521 @@ ExperimentResult::counters() const {
   };
 }
 
-ExperimentResult run_experiment(const ExperimentSpec& spec) {
-  Rng rng(spec.seed);
+namespace {
 
-  // --- Physical topology. ---
-  Graph waxman;  // storage when selected
-  std::unique_ptr<TransitStubTopology> ts;
-  const Graph* physical = nullptr;
-  std::vector<NodeId> stub_pool;
-  switch (spec.topology) {
-    case ExperimentSpec::Topology::kTsLarge:
-    case ExperimentSpec::Topology::kTsSmall: {
-      ts = std::make_unique<TransitStubTopology>(
-          make_transit_stub(transit_stub_config(spec.topology), rng));
-      physical = &ts->graph;
-      stub_pool = ts->stub_nodes;
-      break;
-    }
-    case ExperimentSpec::Topology::kWaxman: {
-      waxman = make_waxman_graph(std::max<std::size_t>(4 * spec.nodes, 64),
-                                 0.25, 0.4, 200.0, 2.0, rng);
-      physical = &waxman;
-      stub_pool.resize(waxman.node_count());
-      for (NodeId h = 0; h < waxman.node_count(); ++h) stub_pool[h] = h;
-      break;
-    }
+using S = ExperimentSpec;
+
+// run_experiment's stages, in the order it runs them. The order is part
+// of the result: the stages share one Rng (topology, host draw, overlay,
+// heterogeneity) and one event queue, which runs same-instant events in
+// scheduling order.
+
+struct World {
+  std::unique_ptr<TransitStubTopology> ts;  // transit-stub topologies
+  std::unique_ptr<Graph> waxman;            // otherwise
+  std::unique_ptr<LatencyOracle> oracle;
+  std::vector<NodeId> hosts;   // one per overlay peer
+  std::vector<NodeId> spares;  // hosts for churn joins
+};
+
+/// Physical topology, latency oracle and the host draw.
+World build_world(const S& spec, Rng& rng) {
+  World world;
+  std::vector<NodeId> pool;
+  if (spec.topology == S::Topology::kWaxman) {
+    world.waxman = std::make_unique<Graph>(make_waxman_graph(
+        std::max<std::size_t>(4 * spec.nodes, 64), 0.25, 0.4, 200.0, 2.0, rng));
+    pool.resize(world.waxman->node_count());
+    std::iota(pool.begin(), pool.end(), NodeId{0});
+  } else {
+    world.ts = std::make_unique<TransitStubTopology>(
+        make_transit_stub(transit_stub_config(spec.topology), rng));
+    pool = world.ts->stub_nodes;
   }
-  PROPSIM_CHECK(spec.nodes + spec.nodes / 4 <= stub_pool.size());
+  PROPSIM_CHECK(spec.nodes + spec.nodes / 4 <= pool.size());
 
   // Oracle engine: exact hierarchical tables on transit-stub graphs
   // (unless the spec forces Dijkstra rows), LRU-bounded rows elsewhere.
-  LatencyOracleOptions oracle_options;
-  oracle_options.max_cached_rows = spec.oracle_cache_rows;
-  std::unique_ptr<LatencyOracle> oracle_owner;
-  if (ts && spec.oracle_mode != ExperimentSpec::OracleMode::kDijkstra) {
-    oracle_owner = std::make_unique<LatencyOracle>(*ts, oracle_options);
+  LatencyOracleOptions options;
+  options.max_cached_rows = spec.oracle_cache_rows;
+  if (world.ts && spec.oracle_mode != S::OracleMode::kDijkstra) {
+    world.oracle = std::make_unique<LatencyOracle>(*world.ts, options);
   } else {
-    PROPSIM_CHECK(spec.oracle_mode !=
-                  ExperimentSpec::OracleMode::kHierarchical);
-    oracle_owner = std::make_unique<LatencyOracle>(*physical, oracle_options);
+    PROPSIM_CHECK(spec.oracle_mode != S::OracleMode::kHierarchical);
+    world.oracle = std::make_unique<LatencyOracle>(
+        world.ts ? world.ts->graph : *world.waxman, options);
   }
-  LatencyOracle& oracle = *oracle_owner;
 
-  // --- Simulated clock + observability bus. Both exist before the
-  // substrate so build-time join events are stamped (at t = 0) and every
-  // engine reaches the bus through the overlay. The bus is created
-  // unconditionally: its counters never touch the RNG or the event
-  // queue, so results are identical with and without a trace sink. ---
-  Scheduler sim;
-  obs::EventBus bus;
+  rng.shuffle(pool);
+  const auto peers_end = pool.begin() + static_cast<std::ptrdiff_t>(spec.nodes);
+  world.hosts.assign(pool.begin(), peers_end);
+  world.spares.assign(peers_end,
+                      peers_end + static_cast<std::ptrdiff_t>(spec.nodes / 4));
+  return world;
+}
+
+/// Stamps bus events with the simulated clock, marks the PROP warm-up
+/// boundary and opens the spec's trace sink, if it names one.
+std::unique_ptr<obs::TraceSink> wire_trace(const S& spec, Scheduler& sim,
+                                           obs::EventBus& bus) {
   bus.set_clock([&sim] { return sim.now(); });
-  if (spec.protocol == ExperimentSpec::Protocol::kPropG ||
-      spec.protocol == ExperimentSpec::Protocol::kPropO) {
+  if (spec.protocol == S::Protocol::kPropG ||
+      spec.protocol == S::Protocol::kPropO) {
     // Global warm-up approximation: each node probes at the base rate
     // for its first MAX_INIT_TRIAL trials, one trial per INIT_TIMER.
     bus.set_phase_boundary(spec.prop.init_timer_s *
                            static_cast<double>(spec.prop.max_init_trial));
   }
-  std::unique_ptr<obs::TraceSink> sink;
-  if (!spec.trace_path.empty()) {
-    sink = std::make_unique<obs::TraceSink>(spec.trace_path,
-                                            spec.trace_buffer_events);
-    PROPSIM_CHECK(sink->ok() && "cannot open trace output file");
-    bus.attach_sink(sink.get());
+  if (spec.trace_path.empty()) return nullptr;
+  auto sink = std::make_unique<obs::TraceSink>(spec.trace_path,
+                                               spec.trace_buffer_events);
+  PROPSIM_CHECK(sink->ok() && "cannot open trace output file");
+  bus.attach_sink(sink.get());
+  return sink;
+}
+
+/// Resolves a partition's or storm's stub domain in place: "auto" picks
+/// the one hosting the most overlay peers, so the fault hits a
+/// meaningful population.
+void resolve_stub_domain(std::uint32_t& domain, const World& world) {
+  PROPSIM_CHECK(world.ts != nullptr &&
+                "stub-domain faults require a transit-stub topology");
+  const TransitStubTopology& ts = *world.ts;
+  if (domain == kPartitionDomainAuto) {
+    std::vector<std::size_t> population(ts.stub_domain_count, 0);
+    for (const NodeId h : world.hosts) {
+      if (ts.kind[h] == NodeKind::kStub) ++population[ts.domain[h]];
+    }
+    domain = static_cast<std::uint32_t>(
+        std::max_element(population.begin(), population.end()) -
+        population.begin());
   }
+  PROPSIM_CHECK(domain < ts.stub_domain_count);
+}
 
-  // --- Overlay hosts (plus spares for churn joins). ---
-  rng.shuffle(stub_pool);
-  std::vector<NodeId> hosts(stub_pool.begin(),
-                            stub_pool.begin() +
-                                static_cast<std::ptrdiff_t>(spec.nodes));
-  std::vector<NodeId> spares(
-      stub_pool.begin() + static_cast<std::ptrdiff_t>(spec.nodes),
-      stub_pool.begin() + static_cast<std::ptrdiff_t>(spec.nodes +
-                                                      spec.nodes / 4));
-
-  // --- Fault plan, between the overlay and the engines. The injector is
-  // constructed only when the spec asks for faults; otherwise every code
-  // path below runs byte-identically to a fault-free build (the engines
-  // gate all hardened branches on the injector's presence). ---
-  std::unique_ptr<FaultInjector> faults;
-  if (spec.faults.active()) {
-    FaultParams fparams = spec.faults;
-    // "auto" picks the stub domain hosting the most overlay nodes so
-    // the window (or storm) is guaranteed to hit a meaningful
-    // population.
-    const auto densest_stub_domain = [&]() -> std::uint32_t {
-      PROPSIM_CHECK(ts != nullptr);
-      std::vector<std::size_t> population(ts->stub_domain_count, 0);
-      for (const NodeId h : hosts) {
-        if (ts->kind[h] == NodeKind::kStub) ++population[ts->domain[h]];
-      }
-      return static_cast<std::uint32_t>(
-          std::max_element(population.begin(), population.end()) -
-          population.begin());
-    };
-    for (PartitionWindow& w : fparams.partitions) {
-      PROPSIM_CHECK(ts != nullptr &&
-                    "partition windows require a transit-stub topology");
-      if (w.stub_domain == kPartitionDomainAuto) {
-        w.stub_domain = densest_stub_domain();
-      }
-      PROPSIM_CHECK(w.stub_domain < ts->stub_domain_count);
+/// The fault injector, only when the spec asks for faults; otherwise
+/// every later stage runs byte-identically to a fault-free build (the
+/// engines gate all hardened branches on its presence).
+std::unique_ptr<FaultInjector> build_faults(const S& spec, const World& world,
+                                            Scheduler& sim,
+                                            obs::EventBus& bus) {
+  if (!spec.faults.active()) return nullptr;
+  FaultParams params = spec.faults;
+  for (auto& w : params.partitions) resolve_stub_domain(w.stub_domain, world);
+  for (auto& w : params.storms) resolve_stub_domain(w.stub_domain, world);
+  auto faults = std::make_unique<FaultInjector>(sim, params, spec.seed + 131);
+  faults->set_trace(&bus);
+  if (const TransitStubTopology* ts = world.ts.get()) {
+    std::vector<std::uint32_t> host_domain(ts->graph.node_count(),
+                                           FaultInjector::kNoDomain);
+    for (NodeId h = 0; h < ts->graph.node_count(); ++h) {
+      if (ts->kind[h] == NodeKind::kStub) host_domain[h] = ts->domain[h];
     }
-    for (StormWindow& w : fparams.storms) {
-      PROPSIM_CHECK(ts != nullptr &&
-                    "crash storms require a transit-stub topology");
-      if (w.stub_domain == kPartitionDomainAuto) {
-        w.stub_domain = densest_stub_domain();
-      }
-      PROPSIM_CHECK(w.stub_domain < ts->stub_domain_count);
-    }
-    faults = std::make_unique<FaultInjector>(sim, fparams, spec.seed + 131);
-    faults->set_trace(&bus);
-    if (ts) {
-      std::vector<std::uint32_t> host_domain(physical->node_count(),
-                                             FaultInjector::kNoDomain);
-      for (NodeId h = 0; h < physical->node_count(); ++h) {
-        if (ts->kind[h] == NodeKind::kStub) host_domain[h] = ts->domain[h];
-      }
-      faults->set_host_domains(std::move(host_domain));
-    }
+    faults->set_host_domains(std::move(host_domain));
   }
+  return faults;
+}
 
-  // --- Overlay substrate + routed-latency metric. ---
-  GnutellaConfig gcfg;
-  std::unique_ptr<ChordRing> chord;
-  std::unique_ptr<PastryNetwork> pastry;
-  std::unique_ptr<TapestryNetwork> tapestry;
-  std::unique_ptr<CanSpace> can;
+struct Substrate {
   std::unique_ptr<OverlayNetwork> net;
-  switch (spec.overlay) {
-    case ExperimentSpec::Overlay::kGnutella:
-      net = std::make_unique<OverlayNetwork>(
-          build_gnutella_overlay(gcfg, hosts, oracle, rng, &bus));
-      break;
-    case ExperimentSpec::Overlay::kChord:
-      chord = std::make_unique<ChordRing>(
-          ChordRing::build_random(spec.nodes, ChordConfig{}, rng));
-      net = std::make_unique<OverlayNetwork>(
-          make_chord_overlay(*chord, hosts, oracle, &bus));
-      break;
-    case ExperimentSpec::Overlay::kPastry:
-      pastry = std::make_unique<PastryNetwork>(
-          PastryNetwork::build_random(spec.nodes, PastryConfig{}, rng));
-      net = std::make_unique<OverlayNetwork>(
-          make_pastry_overlay(*pastry, hosts, oracle, &bus));
-      break;
-    case ExperimentSpec::Overlay::kTapestry:
-      tapestry = std::make_unique<TapestryNetwork>(
-          TapestryNetwork::build_random(spec.nodes, TapestryConfig{}, rng));
-      net = std::make_unique<OverlayNetwork>(
-          make_tapestry_overlay(*tapestry, hosts, oracle, &bus));
-      break;
-    case ExperimentSpec::Overlay::kCan:
-      can = std::make_unique<CanSpace>(CanSpace::build(spec.nodes, rng));
-      net = std::make_unique<OverlayNetwork>(
-          make_can_overlay(*can, hosts, oracle, &bus));
-      break;
-  }
+  std::unique_ptr<BimodalDelays> delays;  // heterogeneous runs only
+  /// Structured overlays only: the slot path of a lookup from q.src to
+  /// the key q.dst owns. The stretch metric and live lookups share it.
+  std::function<std::vector<SlotId>(const QueryPair&)> route;
+};
 
-  // --- Heterogeneity (processing delays follow hosts). ---
-  std::unique_ptr<BimodalDelays> delays;
-  Rng hrng = rng.split();
-  switch (spec.heterogeneity) {
-    case ExperimentSpec::Heterogeneity::kNone:
-      break;
-    case ExperimentSpec::Heterogeneity::kBimodal:
-      delays = std::make_unique<BimodalDelays>(
-          make_bimodal_delays(*net, spec.bimodal, hrng));
-      break;
-    case ExperimentSpec::Heterogeneity::kBimodalByDegree:
-      delays = std::make_unique<BimodalDelays>(
-          make_bimodal_delays_by_degree(*net, spec.bimodal, hrng));
-      break;
-  }
-
-  // --- Workload. ---
-  // With churn the membership shifts under the workload, so queries are
-  // regenerated at every sample; without churn a fixed query set keeps
-  // the series noise-free.
-  Rng qrng(spec.seed ^ 0x2545f4914f6cdd1dULL);
-  const bool has_churn = spec.churn.join_rate_per_s > 0.0 ||
-                         spec.churn.leave_rate_per_s > 0.0 ||
-                         spec.churn.fail_rate_per_s > 0.0;
-  // Injected crashes change membership just like churn failures do, so
-  // they force per-sample query regeneration too.
-  const bool fault_crashes_on =
-      faults != nullptr && (spec.faults.crash_per_negotiation > 0.0 ||
-                            !spec.faults.storms.empty());
-  const bool membership_changes = has_churn || fault_crashes_on;
-  auto make_queries = [&]() -> std::vector<QueryPair> {
-    if (spec.fraction_fast_dest >= 0.0) {
-      return biased_queries(net->graph(), delays->slot_fast(*net),
-                            spec.fraction_fast_dest, spec.queries, qrng);
-    }
-    return uniform_queries(net->graph(), spec.queries, qrng);
+/// Keeps `dht` alive in `o.route`, which looks up the key the
+/// destination slot owns, so each walk ends exactly there.
+template <typename Dht>
+const Dht& routed_by(Substrate& o, Dht dht) {
+  auto shared = std::make_shared<const Dht>(std::move(dht));
+  o.route = [shared](const QueryPair& q) {
+    return shared->lookup_path(q.src, shared->id_of(q.dst));
   };
-  std::vector<QueryPair> queries;
-  if (!membership_changes) queries = make_queries();
+  return *shared;
+}
 
-  // Under a fault plan, measurement and floods honor partition windows:
-  // links whose hosts sit on opposite sides of a cut gateway are pruned.
-  // Random per-message loss is deliberately not applied to floods —
-  // flooding is redundant enough that independent edge loss rarely
-  // changes the first response, and modeling it would burn RNG per edge
-  // per lookup.
-  OverlayNetwork::LinkFilter flood_filter;
-  if (faults) {
-    flood_filter = [n = net.get(), f = faults.get()](SlotId a, SlotId b) {
-      return !f->partitioned(n->placement().host_of(a),
-                             n->placement().host_of(b));
-    };
-  }
-
-  // Storm victims are enumerated at the storm's fire time (not at
-  // start()) so churn-era membership is honored: every slot active at
-  // that instant whose host is a stub node of the failed domain goes
-  // down, in active-slot order — no RNG involved.
-  if (faults && !spec.faults.storms.empty()) {
-    faults->set_storm_enumerator(
-        [n = net.get(), t = ts.get()](std::uint32_t domain) {
-          std::vector<SlotId> victims;
-          for (const SlotId s : n->graph().active_slots()) {
-            const NodeId h = n->placement().host_of(s);
-            if (h < t->kind.size() && t->kind[h] == NodeKind::kStub &&
-                t->domain[h] == domain) {
-              victims.push_back(s);
-            }
-          }
-          return victims;
-        });
-  }
-
-  // --- Byzantine behavior layer, between the overlay and the engines.
-  // Constructed only when a model fraction is nonzero; the engines gate
-  // every adversarial branch on its presence, so an honest spec runs
-  // byte-identically to a build without the layer. ---
-  std::unique_ptr<AdversaryLayer> adversary;
-  if (spec.adversary.active()) {
-    adversary =
-        std::make_unique<AdversaryLayer>(*net, spec.adversary, spec.seed);
-    adversary->set_trace(&bus);
-  }
-
-  // Measurement engine for the metric sweeps. measure_threads is a pure
-  // execution knob: results are bit-identical to the serial path for
-  // any value (golden-tested), which is why it is not echoed into the
-  // result JSON. The resolved measure_mode is echoed; a programmatic
-  // kFast reaches the engine, which rejects it.
-  MeasureEngine measure(spec.measure_threads,
-                        spec.resolved_measure_mode() ==
-                                ExperimentSpec::MeasureMode::kFast
-                            ? MeasureMode::kFast
-                            : MeasureMode::kExact);
-
-  // Snapshot reuse across sample ticks: the cache recaptures only when
-  // the topology version moved. The version is the sum of the bus's
-  // topology-affecting event counts — every mutation of the overlay
-  // graph, placement or partition state emits at least one of these, and
-  // counts only grow, so an unchanged sum proves an unchanged overlay.
-  // In a PROPSIM_TRACE=OFF build the counters cannot witness anything;
-  // the fallback version bumps every call so the caches conservatively
-  // recapture (values are identical either way — reuse is pure
-  // caching — matching the trace-off bit-identity contract).
-  auto capture_overlay = [&net, &flood_filter] {
-    return OverlaySnapshot::capture(*net,
-                                    flood_filter ? &flood_filter : nullptr);
-  };
-  SnapshotCache snap_cache(capture_overlay);
-  // Event-driven Gnutella lookups flood their own cache under the same
-  // version: sharing the sampler's would move its reuse counters, which
-  // the result reports.
-  SnapshotCache lookup_cache(capture_overlay);
-  MeasureScratch lookup_scratch;
-  OverlayNetwork::FloodScratch live_scratch;  // paranoid cross-check only
-  std::uint64_t untracked_version = 0;
-  auto topology_version = [&]() -> std::uint64_t {
-    if (!obs::trace_compiled_in()) return ++untracked_version;
-    using K = obs::TraceEventKind;
-    return bus.count(K::kExchangeCommit) + bus.count(K::kJoin) +
-           bus.count(K::kLeave) + bus.count(K::kFail) +
-           bus.count(K::kLtmRound) + bus.count(K::kFaultCrash) +
-           bus.count(K::kPartitionStart) + bus.count(K::kPartitionEnd);
-  };
-
-  // Per-tick shared state + metric closure, in the sampler's batched
-  // form. The slot-delay view is re-materialized per sample because
-  // PROP-G moves hosts and churn rebinds slots; each sample works
-  // against one immutable snapshot, so worker threads never touch live
-  // sim state and the partition filter is baked into the adjacency.
-  // Query regeneration stays unconditional under membership churn (it
-  // consumes qrng; skipping a tick would shift every later draw).
-  ExperimentResult result;
-  const bool structured = spec.overlay != ExperimentSpec::Overlay::kGnutella;
-  result.metric_name = structured ? "stretch" : "lookup_ms";
-  const OverlaySnapshot* snap = nullptr;
-  std::vector<double> proc;
-  const std::vector<double>* proc_ptr = nullptr;
-  auto prepare = [&] {
-    if (membership_changes) queries = make_queries();
-    if (delays) {
-      proc = delays->slot_delays(*net);
-      proc_ptr = &proc;
-    }
-    if (spec.overlay == ExperimentSpec::Overlay::kGnutella) {
-      snap = &snap_cache.at(topology_version());
-    }
-  };
-  auto metric = [&]() -> double {
+/// The overlay network on the drawn hosts, plus processing delays.
+Substrate build_overlay(const S& spec, const World& world, Rng& rng,
+                        obs::EventBus& bus) {
+  Substrate o;
+  const std::vector<NodeId>& hosts = world.hosts;
+  const LatencyOracle& oracle = *world.oracle;
+  const std::size_t n = spec.nodes;
+  OverlayNetwork net = [&] {
     switch (spec.overlay) {
-      case ExperimentSpec::Overlay::kGnutella:
-        return measure.average_lookup_latency(*snap, queries, proc_ptr);
-      case ExperimentSpec::Overlay::kChord:
-        return measure
-            .stretch(*net, queries, chord_router(*net, *chord, proc_ptr))
-            .stretch;
-      case ExperimentSpec::Overlay::kPastry:
-        return measure
-            .stretch(*net, queries,
-                     [&](const QueryPair& q) {
-                       const auto path = pastry->lookup_path(
-                           q.src, pastry->id_of(q.dst));
-                       return path_latency(*net, path, proc_ptr);
-                     })
-            .stretch;
-      case ExperimentSpec::Overlay::kTapestry:
-        return measure
-            .stretch(*net, queries,
-                     [&](const QueryPair& q) {
-                       const auto path = tapestry->lookup_path(
-                           q.src, tapestry->id_of(q.dst));
-                       return path_latency(*net, path, proc_ptr);
-                     })
-            .stretch;
-      case ExperimentSpec::Overlay::kCan: {
-        return measure
-            .stretch(*net, queries,
-                     [&](const QueryPair& q) {
-                       const auto path = can->route_path(
-                           q.src, can->zone(q.dst).center());
-                       return path_latency(*net, path, proc_ptr);
-                     })
-            .stretch;
+      case S::Overlay::kChord:
+        return make_chord_overlay(
+            routed_by(o, ChordRing::build_random(n, ChordConfig{}, rng)),
+            hosts, oracle, &bus);
+      case S::Overlay::kPastry:
+        return make_pastry_overlay(
+            routed_by(o, PastryNetwork::build_random(n, PastryConfig{}, rng)),
+            hosts, oracle, &bus);
+      case S::Overlay::kTapestry:
+        return make_tapestry_overlay(
+            routed_by(o,
+                      TapestryNetwork::build_random(n, TapestryConfig{}, rng)),
+            hosts, oracle, &bus);
+      case S::Overlay::kCan: {
+        auto space = std::make_shared<const CanSpace>(CanSpace::build(n, rng));
+        o.route = [space](const QueryPair& q) {
+          return space->route_path(q.src, space->zone(q.dst).center());
+        };
+        return make_can_overlay(*space, hosts, oracle, &bus);
+      }
+      case S::Overlay::kGnutella:
+        break;  // unstructured: no DHT, built below
+    }
+    return build_gnutella_overlay(GnutellaConfig{}, hosts, oracle, rng, &bus);
+  }();
+  o.net = std::make_unique<OverlayNetwork>(std::move(net));
+
+  // Processing delays follow hosts. Every run draws the split.
+  Rng hrng = rng.split();
+  if (spec.heterogeneity != S::Heterogeneity::kNone) {
+    o.delays = std::make_unique<BimodalDelays>(
+        spec.heterogeneity == S::Heterogeneity::kBimodal
+            ? make_bimodal_delays(*o.net, spec.bimodal, hrng)
+            : make_bimodal_delays_by_degree(*o.net, spec.bimodal, hrng));
+  }
+  return o;
+}
+
+/// Churn and injected crashes change membership under the workload.
+bool membership_changes(const S& spec) {
+  return spec.churn.join_rate_per_s > 0.0 ||
+         spec.churn.leave_rate_per_s > 0.0 ||
+         spec.churn.fail_rate_per_s > 0.0 ||
+         spec.faults.crash_per_negotiation > 0.0 ||
+         !spec.faults.storms.empty();
+}
+
+/// Workload and measurement: the query set, the metric each sampler tick
+/// takes and the latency each live lookup experiences. Structured
+/// overlays route; gnutella floods snapshots, the sampler's and the live
+/// lookups' from separate caches (sharing one would move the sampler's
+/// reuse counters, which the result reports). Both caches key on the
+/// overlay's version plus the partition epoch, which rise whenever a
+/// fresh capture could differ, so a reused snapshot equals a capture.
+class Measurement {
+ public:
+  Measurement(const S& spec, const Substrate& overlay,
+              const FaultInjector* faults)
+      : spec_(spec),
+        overlay_(overlay),
+        faults_(faults),
+        // measure_threads is a pure execution knob: results are
+        // bit-identical to the serial path for any value, so it is not
+        // echoed into the result JSON. The resolved measure_mode is; a
+        // programmatic kFast reaches the engine, which rejects it.
+        measure_(spec.measure_threads,
+                 spec.resolved_measure_mode() == S::MeasureMode::kFast
+                     ? MeasureMode::kFast
+                     : MeasureMode::kExact),
+        sampler_cache_([this] { return capture(); }),
+        lookup_cache_([this] { return capture(); }) {
+    // Without membership changes a fixed query set keeps the series
+    // noise-free; with them, every tick draws a fresh one.
+    if (!membership_changes(spec_)) queries_ = make_queries();
+    // Floods honor partition windows: links whose hosts sit on opposite
+    // sides of a cut gateway are pruned. Random per-message loss is
+    // deliberately not applied — flooding is redundant enough that
+    // independent edge loss rarely changes the first response, and
+    // modeling it would burn RNG per edge per lookup.
+    if (faults_ != nullptr) {
+      filter_ = [n = overlay_.net.get(), f = faults_](SlotId a, SlotId b) {
+        return !f->partitioned(n->placement().host_of(a),
+                               n->placement().host_of(b));
+      };
+    }
+  }
+  Measurement(const Measurement&) = delete;
+
+  bool structured() const { return overlay_.route != nullptr; }
+  const MeasureEngine& engine() const { return measure_; }
+  const SnapshotCache& sampler_cache() const { return sampler_cache_; }
+
+  /// One sampler tick's metric. Slot delays are re-read every tick
+  /// because PROP-G moves hosts and churn rebinds slots; the flood runs
+  /// on an immutable snapshot, so worker threads never touch live sim
+  /// state.
+  double sample() {
+    if (membership_changes(spec_)) queries_ = make_queries();
+    std::vector<double> storage;
+    const std::vector<double>* delays = slot_delays(storage);
+    const OverlayNetwork& net = *overlay_.net;
+    if (structured()) {
+      const auto routed = [&](const QueryPair& q) {
+        return path_latency(net, overlay_.route(q), delays);
+      };
+      return measure_.stretch(net, queries_, routed).stretch;
+    }
+    const OverlaySnapshot& snap = sampler_cache_.at(version());
+    if (paranoid_checks_enabled()) {
+      PROPSIM_CHECK(snap == capture() && "cached sampler snapshot is stale");
+    }
+    return measure_.average_lookup_latency(snap, queries_, delays);
+  }
+
+  /// The latency of one live lookup on the overlay as it is now.
+  double resolve_lookup(const QueryPair& q) {
+    std::vector<double> storage;
+    const std::vector<double>* delays = slot_delays(storage);
+    const OverlayNetwork& net = *overlay_.net;
+    if (!structured()) {
+      flood_snapshot(lookup_cache_.at(version()), q.src, delays,
+                     lookup_scratch_, q.dst);
+      const double ms = lookup_scratch_.distance(q.dst);
+      if (paranoid_checks_enabled()) {
+        const double live_ms = net.flood_latencies_into(
+            live_scratch_, q.src, delays, filter())[q.dst];
+        PROPSIM_CHECK(std::bit_cast<std::uint64_t>(ms) ==
+                          std::bit_cast<std::uint64_t>(live_ms) &&
+                      "cached lookup snapshot is stale");
+      }
+      return ms;
+    }
+    // Live lookups are the only routed queries traced per hop; the
+    // metric's queries stay untraced so sampling does not dominate the
+    // event stream.
+    const std::vector<SlotId> path = overlay_.route(q);
+    if (obs::EventBus* bus = net.trace()) {
+      for (std::size_t i = 1; i < path.size(); ++i) {
+        bus->emit(obs::TraceEventKind::kLookupHop, path[i - 1], path[i],
+                  net.slot_latency(path[i - 1], path[i]));
       }
     }
-    PROPSIM_CHECK(false && "unreachable");
-    return 0.0;
-  };
+    return path_latency(net, path, delays);
+  }
 
-  // --- Protocol engines on the simulated clock. ---
+ private:
+  std::vector<QueryPair> make_queries() {
+    const LogicalGraph& graph = overlay_.net->graph();
+    if (spec_.fraction_fast_dest < 0.0) {
+      return uniform_queries(graph, spec_.queries, qrng_);
+    }
+    return biased_queries(graph, overlay_.delays->slot_fast(*overlay_.net),
+                          spec_.fraction_fast_dest, spec_.queries, qrng_);
+  }
+
+  /// The slots' processing delays, kept in `storage`; null when
+  /// homogeneous.
+  const std::vector<double>* slot_delays(std::vector<double>& storage) const {
+    if (!overlay_.delays) return nullptr;
+    storage = overlay_.delays->slot_delays(*overlay_.net);
+    return &storage;
+  }
+
+  const OverlayNetwork::LinkFilter* filter() const {
+    return filter_ ? &filter_ : nullptr;
+  }
+  OverlaySnapshot capture() const {
+    return OverlaySnapshot::capture(*overlay_.net, filter());
+  }
+  std::uint64_t version() const {
+    return overlay_.net->version() +
+           (faults_ != nullptr ? faults_->partition_epoch() : 0);
+  }
+
+  const S& spec_;
+  const Substrate& overlay_;
+  const FaultInjector* faults_;
+  MeasureEngine measure_;
+  SnapshotCache sampler_cache_;
+  SnapshotCache lookup_cache_;
+  Rng qrng_{spec_.seed ^ 0x2545f4914f6cdd1dULL};
+  std::vector<QueryPair> queries_;
+  OverlayNetwork::LinkFilter filter_;
+  MeasureScratch lookup_scratch_;
+  OverlayNetwork::FloodScratch live_scratch_;  // paranoid cross-check only
+};
+
+struct Engines {
+  std::unique_ptr<AdversaryLayer> adversary;
   std::unique_ptr<PropEngine> prop;
   std::unique_ptr<LtmEngine> ltm;
-  switch (spec.protocol) {
-    case ExperimentSpec::Protocol::kNone:
-      break;
-    case ExperimentSpec::Protocol::kPropG:
-    case ExperimentSpec::Protocol::kPropO:
-      prop = std::make_unique<PropEngine>(*net, sim, spec.prop,
-                                          spec.seed + 101);
-      if (faults) prop->set_faults(faults.get());
-      if (adversary) prop->set_adversary(adversary.get());
-      break;
-    case ExperimentSpec::Protocol::kLtm:
-      ltm = std::make_unique<LtmEngine>(*net, sim, spec.ltm, spec.seed + 103);
-      break;
-  }
-
   std::unique_ptr<ChurnProcess> churn;
-  if (has_churn || fault_crashes_on) {
-    // Injected crashes reuse the churn failure path (node_left, survivor
-    // repair, component stitching); with all-zero rates start() schedules
-    // no Poisson arrivals, so a crash-only run pays nothing extra.
-    churn = std::make_unique<ChurnProcess>(*net, sim, prop.get(), gcfg,
-                                           spec.churn, spares,
-                                           spec.seed + 107);
-    if (faults) churn->set_faults(faults.get());
-    if (fault_crashes_on) {
-      faults->set_failure_executor(churn.get());
+  std::unique_ptr<LookupTrafficProcess> traffic;
+};
+
+/// The protocol, churn and lookup-traffic engines on the simulated clock.
+Engines build_engines(const S& spec, const World& world, OverlayNetwork& net,
+                      FaultInjector* faults, Measurement& measurement,
+                      Scheduler& sim, obs::EventBus& bus) {
+  Engines e;
+  // Storm victims are enumerated at the storm's fire time so churn-era
+  // membership is honored: every slot active at that instant whose host
+  // is a stub node of the failed domain goes down, in active-slot order —
+  // no RNG involved.
+  if (faults && !spec.faults.storms.empty()) {
+    faults->set_storm_enumerator([n = &net, f = faults](std::uint32_t domain) {
+      const std::vector<std::uint32_t>& host_domain = f->host_domains();
+      std::vector<SlotId> victims;
+      for (const SlotId s : n->graph().active_slots()) {
+        const NodeId h = n->placement().host_of(s);
+        if (h < host_domain.size() && host_domain[h] == domain) {
+          victims.push_back(s);
+        }
+      }
+      return victims;
+    });
+  }
+  // The Byzantine layer exists only when a model fraction is nonzero; the
+  // engines gate every adversarial branch on its presence, so an honest
+  // spec runs byte-identically to a build without the layer.
+  if (spec.adversary.active()) {
+    e.adversary =
+        std::make_unique<AdversaryLayer>(net, spec.adversary, spec.seed);
+    e.adversary->set_trace(&bus);
+  }
+  if (spec.protocol == S::Protocol::kPropG ||
+      spec.protocol == S::Protocol::kPropO) {
+    e.prop = std::make_unique<PropEngine>(net, sim, spec.prop, spec.seed + 101);
+    if (faults) e.prop->set_faults(faults);
+    if (e.adversary) e.prop->set_adversary(e.adversary.get());
+  } else if (spec.protocol == S::Protocol::kLtm) {
+    e.ltm = std::make_unique<LtmEngine>(net, sim, spec.ltm, spec.seed + 103);
+  }
+  if (membership_changes(spec)) {
+    // Injected crashes and storms reuse the churn failure path
+    // (node_left, survivor repair, component stitching); with all-zero
+    // rates start() schedules no arrivals, so a crash-only run pays
+    // nothing extra.
+    e.churn = std::make_unique<ChurnProcess>(net, sim, e.prop.get(),
+                                             GnutellaConfig{}, spec.churn,
+                                             world.spares, spec.seed + 107);
+    if (faults) {
+      e.churn->set_faults(faults);
+      faults->set_failure_executor(e.churn.get());
     }
   }
-
-  // Optional event-driven lookup traffic experiencing the live overlay.
-  std::unique_ptr<LookupTrafficProcess> traffic;
   if (spec.lookup_rate_per_s > 0.0) {
-    LookupTrafficParams tparams;
-    tparams.rate_per_s = spec.lookup_rate_per_s;
-    tparams.start_s = 0.0;
-    tparams.end_s = spec.horizon_s;
-    tparams.window_s = spec.sample_interval_s;
-    auto resolve = [&, spec](const QueryPair& q) -> double {
-      std::vector<double> proc;
-      const std::vector<double>* proc_ptr = nullptr;
-      if (delays) {
-        proc = delays->slot_delays(*net);
-        proc_ptr = &proc;
-      }
-      // Event-driven lookups are the only routed queries traced per hop;
-      // the 10k-query metric snapshots stay untraced so sampling does
-      // not dominate the event stream.
-      auto routed = [&](const std::vector<SlotId>& path) -> double {
-        if (obs::EventBus* tb = net->trace()) {
-          for (std::size_t i = 1; i < path.size(); ++i) {
-            tb->emit(obs::TraceEventKind::kLookupHop, path[i - 1], path[i],
-                     net->slot_latency(path[i - 1], path[i]));
-          }
-        }
-        return path_latency(*net, path, proc_ptr);
-      };
-      switch (spec.overlay) {
-        case ExperimentSpec::Overlay::kGnutella: {
-          flood_snapshot(lookup_cache.at(topology_version()), q.src,
-                         proc_ptr, lookup_scratch, q.dst);
-          const double ms = lookup_scratch.distance(q.dst);
-          // Lookups land between sampler ticks, so this cross-check
-          // catches an overlay mutation the version failed to witness.
-          if (paranoid_checks_enabled()) {
-            const double live_ms = net->flood_latencies_into(
-                live_scratch, q.src, proc_ptr,
-                flood_filter ? &flood_filter : nullptr)[q.dst];
-            PROPSIM_CHECK(std::bit_cast<std::uint64_t>(ms) ==
-                              std::bit_cast<std::uint64_t>(live_ms) &&
-                          "cached lookup snapshot is stale");
-          }
-          return ms;
-        }
-        case ExperimentSpec::Overlay::kChord:
-          return routed(chord->lookup_path(q.src, chord->id_of(q.dst)));
-        case ExperimentSpec::Overlay::kPastry:
-          return routed(pastry->lookup_path(q.src, pastry->id_of(q.dst)));
-        case ExperimentSpec::Overlay::kTapestry:
-          return routed(
-              tapestry->lookup_path(q.src, tapestry->id_of(q.dst)));
-        case ExperimentSpec::Overlay::kCan:
-          return routed(can->route_path(q.src, can->zone(q.dst).center()));
-      }
-      PROPSIM_CHECK(false && "unreachable");
-      return 0.0;
-    };
-    traffic = std::make_unique<LookupTrafficProcess>(
-        *net, sim, tparams, resolve, spec.seed + 109);
+    const LookupTrafficParams tparams{.rate_per_s = spec.lookup_rate_per_s,
+                                      .start_s = 0.0,
+                                      .end_s = spec.horizon_s,
+                                      .window_s = spec.sample_interval_s};
+    e.traffic = std::make_unique<LookupTrafficProcess>(
+        net, sim, tparams,
+        [&measurement](const QueryPair& q) {
+          return measurement.resolve_lookup(q);
+        },
+        spec.seed + 109);
   }
+  return e;
+}
 
+/// Arms the audits and the sampler, starts every engine and runs to the
+/// horizon; returns the sampled metric series.
+TimeSeries run(const S& spec, Scheduler& sim, const OverlayNetwork& net,
+               FaultInjector* faults, const Engines& e,
+               Measurement& measurement) {
   // Paranoid builds re-lint the live overlay as it runs (no-op
   // otherwise). Degree conservation and partition closure assume stable
   // membership, and LTM rewires degrees by design, so both disengage
   // there; the fault-era rules activate exactly when their engines do.
   if (paranoid_checks_enabled()) {
-    install_paranoid_audit(sim, *net, /*every_n_events=*/4096,
-                           /*churn_expected=*/membership_changes ||
-                               ltm != nullptr,
-                           ParanoidAuditHooks{faults.get(), prop.get()});
+    install_paranoid_audit(
+        sim, net, /*every_n_events=*/4096,
+        /*churn_expected=*/membership_changes(spec) || e.ltm != nullptr,
+        ParanoidAuditHooks{faults, e.prop.get()});
   }
-
   ConvergenceSampler sampler(
-      sim, 0.0, spec.horizon_s, spec.sample_interval_s, prepare,
-      {ConvergenceSampler::NamedMetric{result.metric_name, metric}});
+      sim, measurement.structured() ? "stretch" : "lookup_ms", 0.0,
+      spec.horizon_s, spec.sample_interval_s,
+      [&measurement] { return measurement.sample(); });
   if (faults) faults->start();
-  if (traffic) traffic->start();
-  if (prop) prop->start();
-  if (ltm) ltm->start();
-  if (churn) churn->start();
+  if (e.traffic) e.traffic->start();
+  if (e.prop) e.prop->start();
+  if (e.ltm) e.ltm->start();
+  if (e.churn) e.churn->start();
   sim.run_until(spec.horizon_s);
+  return sampler.take_series();
+}
 
-  result.series = sampler.take_series();
-  result.initial_value = result.series.first_value();
-  result.final_value = result.series.last_value();
-  if (prop) {
-    result.exchanges = prop->stats().exchanges;
-    result.attempts = prop->stats().attempts;
-    result.commit_conflicts = prop->stats().commit_conflicts;
-    result.timeouts = prop->stats().timeouts;
-    result.retries = prop->stats().retries;
-    result.aborted_mid_commit = prop->stats().aborted_mid_commit;
+ExperimentResult report(TimeSeries series, const Scheduler& sim,
+                        obs::EventBus& bus, const OverlayNetwork& net,
+                        const FaultInjector* faults, const Engines& e,
+                        const Measurement& measurement) {
+  ExperimentResult r;
+  r.metric_name = series.name();
+  r.series = std::move(series);
+  r.initial_value = r.series.first_value();
+  r.final_value = r.series.last_value();
+  if (e.prop) {
+    r.exchanges = e.prop->stats().exchanges;
+    r.attempts = e.prop->stats().attempts;
+    r.commit_conflicts = e.prop->stats().commit_conflicts;
+    r.timeouts = e.prop->stats().timeouts;
+    r.retries = e.prop->stats().retries;
+    r.aborted_mid_commit = e.prop->stats().aborted_mid_commit;
   }
   if (faults) {
-    result.fault_messages = faults->stats().messages;
-    result.fault_losses = faults->stats().losses;
-    result.fault_partition_drops = faults->stats().partition_drops;
-    result.fault_crashes = faults->stats().crashes_executed;
-    result.fault_storm_failures = faults->stats().storm_failures;
-    result.fault_burst_losses = faults->stats().burst_losses;
+    r.fault_messages = faults->stats().messages;
+    r.fault_losses = faults->stats().losses;
+    r.fault_partition_drops = faults->stats().partition_drops;
+    r.fault_crashes = faults->stats().crashes_executed;
+    r.fault_storm_failures = faults->stats().storm_failures;
+    r.fault_burst_losses = faults->stats().burst_losses;
   }
-  if (adversary) {
-    result.adversary_lies = adversary->stats().lies;
-    result.adversary_drops = adversary->stats().drops;
-    result.adversary_freeride_skips = adversary->stats().freeride_skips;
-    result.adversary_eclipse_attempts = adversary->stats().eclipse_attempts;
-    result.adversary_eclipse_captures = adversary->stats().eclipse_captures;
-    result.adversary_eclipse_held = adversary->eclipse_captured();
+  if (e.adversary) {
+    r.adversary_lies = e.adversary->stats().lies;
+    r.adversary_drops = e.adversary->stats().drops;
+    r.adversary_freeride_skips = e.adversary->stats().freeride_skips;
+    r.adversary_eclipse_attempts = e.adversary->stats().eclipse_attempts;
+    r.adversary_eclipse_captures = e.adversary->stats().eclipse_captures;
+    r.adversary_eclipse_held = e.adversary->eclipse_captured();
   }
-  if (traffic) {
-    result.observed = traffic->observed();
-    result.lookups_issued = traffic->issued();
-    result.lookups_unreachable = traffic->unreachable();
-    if (!traffic->latencies().empty()) {
-      result.observed_p50_ms = traffic->latencies().median();
-      result.observed_p95_ms = traffic->latencies().quantile(0.95);
+  if (e.traffic) {
+    r.observed = e.traffic->observed();
+    r.lookups_issued = e.traffic->issued();
+    r.lookups_unreachable = e.traffic->unreachable();
+    if (!e.traffic->latencies().empty()) {
+      r.observed_p50_ms = e.traffic->latencies().median();
+      r.observed_p95_ms = e.traffic->latencies().quantile(0.95);
     }
   }
-  if (ltm) result.ltm_rounds = ltm->rounds();
-  result.sim_events_executed = sim.executed_events();
-  result.sim_events_scheduled = sim.scheduled_events();
-  result.sim_events_cancelled = sim.cancelled_events();
-  result.measure_exact_floods = measure.stats().exact_floods;
-  result.measure_snapshot_captures = snap_cache.captures();
-  result.measure_snapshot_reuses = snap_cache.reuses();
-  result.control_messages = net->traffic().control_total();
-  if (churn) {
-    result.churn_joins = churn->joins();
-    result.churn_leaves = churn->leaves();
-    result.churn_failures = churn->failures();
+  if (e.ltm) r.ltm_rounds = e.ltm->rounds();
+  if (e.churn) {
+    r.churn_joins = e.churn->joins();
+    r.churn_leaves = e.churn->leaves();
+    r.churn_failures = e.churn->failures();
   }
-  result.connected = net->graph().active_subgraph_connected();
-  result.final_population = net->size();
-  result.trace = bus.summary();
+  r.sim_events_executed = sim.executed_events();
+  r.sim_events_scheduled = sim.scheduled_events();
+  r.sim_events_cancelled = sim.cancelled_events();
+  r.measure_exact_floods = measurement.engine().stats().exact_floods;
+  r.measure_snapshot_captures = measurement.sampler_cache().captures();
+  r.measure_snapshot_reuses = measurement.sampler_cache().reuses();
+  r.control_messages = net.traffic().control_total();
+  r.connected = net.graph().active_subgraph_connected();
+  r.final_population = net.size();
+  r.trace = bus.summary();
+  return r;
+}
+
+}  // namespace
+
+ExperimentResult run_experiment(const ExperimentSpec& spec) {
+  Rng rng(spec.seed);
+  const World world = build_world(spec, rng);
+  // The clock and bus exist before the overlay, so build-time join
+  // events are stamped (at t = 0) and every engine reaches the bus
+  // through the overlay. Every run has a bus: its counters never touch
+  // the RNG or the event queue, so a trace sink changes no result.
+  Scheduler sim;
+  obs::EventBus bus;
+  const std::unique_ptr<obs::TraceSink> sink = wire_trace(spec, sim, bus);
+  const std::unique_ptr<FaultInjector> faults =
+      build_faults(spec, world, sim, bus);
+  const Substrate overlay = build_overlay(spec, world, rng, bus);
+  OverlayNetwork& net = *overlay.net;
+  Measurement measurement(spec, overlay, faults.get());
+  const Engines engines = build_engines(spec, world, net, faults.get(),
+                                        measurement, sim, bus);
+  TimeSeries series = run(spec, sim, net, faults.get(), engines, measurement);
+  ExperimentResult result = report(std::move(series), sim, bus, net,
+                                   faults.get(), engines, measurement);
   if (sink) sink->close();
   return result;
 }

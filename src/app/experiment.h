@@ -164,11 +164,8 @@ struct ExperimentResult {
   /// unchanged.
   /// v5: added the measurement counters (measure_exact_floods,
   /// measure_fast_floods, measure_snapshot_captures,
-  /// measure_snapshot_reuses) — flood counts are invariant across
-  /// measure_threads; the snapshot split between
-  /// captures and reuses depends on the trace build mode (OFF builds
-  /// never reuse), like trace_events already does. v1-v4 names are
-  /// unchanged.
+  /// measure_snapshot_reuses) — all invariant across measure_threads
+  /// and trace build modes. v1-v4 names are unchanged.
   /// v6: added the threat-model counters (adversary_lies,
   /// adversary_drops, adversary_freeride_skips,
   /// adversary_eclipse_attempts, adversary_eclipse_captures,
@@ -222,10 +219,9 @@ struct ExperimentResult {
   /// route instead of flooding). measure_fast_floods is reserved and
   /// always 0: the fixed-point kernel it counted is gone, and the key
   /// stays in the JSON so counters v7 is unchanged. Snapshot captures
-  /// + reuses sum to the sample count on unstructured runs; reuses stay
-  /// zero in a PROPSIM_TRACE=OFF build (the bus cannot prove the
-  /// overlay unchanged) and in the exact sense never affect values —
-  /// a reused snapshot is byte-identical to the capture it skipped.
+  /// + reuses sum to the sample count on unstructured runs; a reuse
+  /// never affects values — a reused snapshot is byte-identical to the
+  /// capture it skipped.
   std::uint64_t measure_exact_floods = 0;
   std::uint64_t measure_fast_floods = 0;
   std::uint64_t measure_snapshot_captures = 0;

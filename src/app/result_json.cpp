@@ -53,9 +53,7 @@ Json experiment_result_json(const ExperimentSpec& spec,
   out.set("sim", std::move(sim));
 
   // Measurement stanza (additive). The resolved kernel plus its work
-  // counters; flood counts are invariant across measure_threads, and
-  // the capture/reuse split — like the trace counters —
-  // depends only on the trace build mode, never on thread counts.
+  // counters, all invariant across measure_threads and trace builds.
   Json measure = Json::object();
   measure.set("mode", to_string(spec.resolved_measure_mode()))
       .set("exact_floods", result.measure_exact_floods)

@@ -104,6 +104,16 @@ bool FaultInjector::partitioned(NodeId a, NodeId b) const {
   return false;
 }
 
+std::uint64_t FaultInjector::partition_epoch() const {
+  const double now = sim_.now();
+  std::uint64_t edges = 0;
+  for (const PartitionWindow& w : params_.partitions) {
+    if (w.start_s <= now) ++edges;
+    if (w.end_s <= now) ++edges;
+  }
+  return edges;
+}
+
 bool FaultInjector::deliver(NodeId from, NodeId to) {
   ++stats_.messages;
   if (partitioned(from, to)) {

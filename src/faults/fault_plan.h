@@ -161,6 +161,11 @@ class FaultInjector {
   /// True when a—b crosses a cut gateway right now (pure, no RNG).
   bool partitioned(NodeId a, NodeId b) const;
 
+  /// Number of partition-window edges (starts and ends) at or before the
+  /// simulator's current time (pure, no RNG). partitioned() can change
+  /// its answer only when this count moves, so snapshot caches key on it.
+  std::uint64_t partition_epoch() const;
+
   /// One message send a -> b: false when the message is lost, either to
   /// an open partition window or to random loss. Partition drops are
   /// deterministic and checked first; random loss draws from the

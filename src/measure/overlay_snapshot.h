@@ -69,6 +69,9 @@ class OverlaySnapshot {
   /// edges). flood_snapshot sizes its buckets from this.
   double min_edge_ms() const { return min_edge_ms_; }
 
+  /// Equal when every row, edge latency and active flag is equal.
+  bool operator==(const OverlaySnapshot&) const = default;
+
  private:
   std::vector<std::size_t> offsets_;  // slot_count + 1 row starts
   std::vector<SlotId> targets_;

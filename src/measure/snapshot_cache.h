@@ -5,17 +5,10 @@
 // change between two ticks (or two lookups) the capture would produce a
 // byte-identical snapshot, so the flood can reuse the previous one.
 // "Did not change" is decided by the caller-supplied version number —
-// the experiment derives it from the trace bus's topology-affecting
-// event counts (exchange commits, churn joins/leaves/fails, LTM rounds,
-// crashes, partition edges), which only ever grow, so an unchanged
-// version proves no such event ran since the last capture. Reuse is therefore
-// pure caching: it can never change a result, only skip redundant work.
-//
-// In a PROPSIM_TRACE=OFF build the bus counters stay zero and cannot
-// witness changes; the experiment feeds a version that bumps on every
-// call instead, so the cache conservatively recaptures (results stay
-// bit-identical across build modes; only the reuse counters differ,
-// like the trace counters already do).
+// the experiment passes OverlayNetwork::version() plus the fault plan's
+// partition epoch, which rise on every overlay mutation and at every
+// partition-window edge — so reuse is pure caching in every build: it
+// never changes a result, only skips redundant work.
 #pragma once
 
 #include <cstdint>

@@ -53,7 +53,7 @@ class ConvergenceSampler {
   /// prepare hook (keeping the previous tick's shared state) whenever it
   /// returns false. Sound only when a skipped prepare would have rebuilt
   /// identical state — e.g. recapturing an overlay snapshot while the
-  /// trace bus shows no topology-affecting event since the last capture.
+  /// overlay's version has not moved since the last capture.
   /// Prepare hooks that consume RNG must not be guarded (skipping a draw
   /// changes every later draw). Call before the first tick fires.
   void set_prepare_guard(PrepareGuard guard) { guard_ = std::move(guard); }

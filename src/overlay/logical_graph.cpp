@@ -7,7 +7,7 @@ namespace propsim {
 SlotId LogicalGraph::add_slot() {
   adjacency_.emplace_back();
   active_.push_back(true);
-  stamp_.push_back(next_mutation_stamp());
+  stamp_.push_back(next_stamp());
   ++active_count_;
   return static_cast<SlotId>(adjacency_.size() - 1);
 }
@@ -20,6 +20,7 @@ void LogicalGraph::deactivate_slot(SlotId s) {
     remove_edge(s, adjacency_[s].back());
   }
   active_[s] = false;
+  stamp_[s] = next_stamp();  // stamps an isolated slot's departure too
   --active_count_;
 }
 
@@ -28,7 +29,7 @@ void LogicalGraph::reactivate_slot(SlotId s) {
   PROPSIM_CHECK(!active_[s]);
   PROPSIM_CHECK(adjacency_[s].empty());
   active_[s] = true;
-  stamp_[s] = next_mutation_stamp();
+  stamp_[s] = next_stamp();
   ++active_count_;
 }
 
@@ -39,7 +40,7 @@ void LogicalGraph::add_edge(SlotId a, SlotId b) {
   PROPSIM_CHECK(!has_edge(a, b));
   adjacency_[a].push_back(b);
   adjacency_[b].push_back(a);
-  const std::uint64_t stamp = next_mutation_stamp();
+  const std::uint64_t stamp = next_stamp();
   stamp_[a] = stamp;
   stamp_[b] = stamp;
   ++edge_count_;
@@ -51,7 +52,7 @@ void LogicalGraph::erase_directed(SlotId from, SlotId to) {
   PROPSIM_CHECK(it != adj.end());
   *it = adj.back();
   adj.pop_back();
-  stamp_[from] = next_mutation_stamp();
+  stamp_[from] = next_stamp();
 }
 
 void LogicalGraph::remove_edge(SlotId a, SlotId b) {

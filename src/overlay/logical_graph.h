@@ -23,7 +23,7 @@ class LogicalGraph {
   LogicalGraph() = default;
   explicit LogicalGraph(std::size_t slot_count)
       : adjacency_(slot_count), active_(slot_count, true),
-        stamp_(slot_count, next_mutation_stamp()),
+        version_(next_mutation_stamp()), stamp_(slot_count, version_),
         active_count_(slot_count) {}
 
   std::size_t slot_count() const { return adjacency_.size(); }
@@ -66,6 +66,10 @@ class LogicalGraph {
     return stamp_[s];
   }
 
+  /// The last mutation stamp any mutator drew (activity changes
+  /// included), so an unchanged version means an unchanged graph.
+  std::uint64_t version() const { return version_; }
+
   /// Minimum degree over active slots (the paper's delta(G), the default
   /// exchange size m for PROP-O).
   std::size_t min_active_degree() const;
@@ -82,9 +86,12 @@ class LogicalGraph {
 
  private:
   void erase_directed(SlotId from, SlotId to);
+  /// Draws a stamp and makes it the graph's version.
+  std::uint64_t next_stamp() { return version_ = next_mutation_stamp(); }
 
   std::vector<std::vector<SlotId>> adjacency_;
   std::vector<bool> active_;
+  std::uint64_t version_ = kNoStamp;
   std::vector<std::uint64_t> stamp_;
   std::size_t active_count_ = 0;
   std::size_t edge_count_ = 0;

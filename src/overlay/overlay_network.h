@@ -3,6 +3,7 @@
 // protocol needs in one place.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -40,6 +41,13 @@ class OverlayNetwork {
   obs::EventBus* trace() const { return trace_; }
 
   std::size_t size() const { return graph_.active_count(); }
+
+  /// The later of the graph's and the placement's versions: it rises on
+  /// every mutation of either, so an unchanged version means nothing a
+  /// snapshot of this overlay reads has changed.
+  std::uint64_t version() const {
+    return std::max(graph_.version(), placement_.version());
+  }
 
   /// Physical latency between the hosts occupying two slots (ms).
   double slot_latency(SlotId a, SlotId b) const {

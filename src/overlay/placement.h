@@ -21,7 +21,7 @@ class Placement {
   Placement(std::size_t slot_capacity, std::size_t host_capacity)
       : host_of_(slot_capacity, kInvalidNode),
         slot_of_(host_capacity, kInvalidSlot),
-        stamp_(slot_capacity, next_mutation_stamp()) {}
+        version_(next_mutation_stamp()), stamp_(slot_capacity, version_) {}
 
   std::size_t slot_capacity() const { return host_of_.size(); }
   std::size_t host_capacity() const { return slot_of_.size(); }
@@ -52,11 +52,15 @@ class Placement {
     return stamp_[s];
   }
 
+  /// The last mutation stamp any mutator drew, so an unchanged version
+  /// means an unchanged binding.
+  std::uint64_t version() const { return version_; }
+
   /// Grows capacity when slots are added after construction.
   void ensure_slot_capacity(std::size_t slots) {
     if (slots > host_of_.size()) {
       host_of_.resize(slots, kInvalidNode);
-      stamp_.resize(slots, next_mutation_stamp());
+      stamp_.resize(slots, next_stamp());
     }
   }
 
@@ -79,8 +83,12 @@ class Placement {
   bool validate() const;
 
  private:
+  /// Draws a stamp and makes it the placement's version.
+  std::uint64_t next_stamp() { return version_ = next_mutation_stamp(); }
+
   std::vector<NodeId> host_of_;
   std::vector<SlotId> slot_of_;
+  std::uint64_t version_ = kNoStamp;
   std::vector<std::uint64_t> stamp_;
   std::size_t bound_count_ = 0;
 };

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <cmath>
 #include <set>
 #include <string>
 #include <vector>
@@ -127,6 +128,19 @@ TEST(FaultInjector, PartitionDropsOnlyCrossingMessagesInsideWindow) {
   faults.set_host_domains(dom);
 
   EXPECT_FALSE(faults.partitioned(inside_a, outside));  // before window
+  EXPECT_EQ(faults.partition_epoch(), 0u);
+  // The epoch counts window edges at or before now: it steps exactly at
+  // the start and at the end, like partitioned() itself.
+  sim.schedule_at(9.5, [&] { EXPECT_EQ(faults.partition_epoch(), 0u); });
+  sim.schedule_at(10.0, [&] {
+    EXPECT_EQ(faults.partition_epoch(), 1u);
+    EXPECT_TRUE(faults.partitioned(inside_a, outside));
+  });
+  sim.schedule_at(19.5, [&] { EXPECT_EQ(faults.partition_epoch(), 1u); });
+  sim.schedule_at(20.0, [&] {
+    EXPECT_EQ(faults.partition_epoch(), 2u);
+    EXPECT_FALSE(faults.partitioned(inside_a, outside));
+  });
   sim.schedule_at(15.0, [&] {
     EXPECT_TRUE(faults.partitioned(inside_a, outside));
     EXPECT_TRUE(faults.partitioned(outside, inside_a));  // symmetric
@@ -331,6 +345,24 @@ TEST(ExperimentFaults, PartitionMakesLookupsUnreachable) {
   EXPECT_GT(result.fault_partition_drops, 0u);
   // The window closes before the horizon: the overlay ends connected.
   EXPECT_TRUE(result.connected);
+}
+
+// Sampler ticks land exactly on both window edges. Each tick must see the
+// partition exactly as a fresh snapshot would: unreachable lookups (a
+// non-finite mean) at the ticks in [start, end) and finite elsewhere, in
+// every build. A cache keyed on trace events went stale at both edges,
+// because the ticks run before the window's own trace events.
+TEST(ExperimentFaults, PartitionWindowEdgesSampleFreshSnapshots) {
+  const auto result = run_experiment(parse_spec(
+      "protocol = none\nnodes = 200\nqueries = 1000\nhorizon = 1800\n"
+      "sample_interval = 120\nfault_partition_domain = auto\n"
+      "fault_partition_start = 720\nfault_partition_end = 1080\n"));
+  const auto& points = result.series.points();
+  ASSERT_EQ(points.size(), 16u);
+  for (const auto& p : points) {
+    const bool inside = p.time >= 720.0 && p.time < 1080.0;
+    EXPECT_EQ(std::isfinite(p.value), !inside) << "t = " << p.time;
+  }
 }
 
 TEST(ExperimentFaults, InvalidFaultKeysAreRejectedTogether) {

@@ -542,13 +542,19 @@ TEST(MeasureCounters, V5ExposesKernelAndSnapshotCounters) {
       ExperimentSpec::from_config(Config::parse(kFig5Base));
   ASSERT_TRUE(parsed.ok());
   const ExperimentResult result = run_experiment(parsed.spec());
-  // Every sampler tick asked the cache for a snapshot: the capture /
-  // reuse split depends on the trace build mode, but the total is the
-  // tick count either way.
-  EXPECT_EQ(result.measure_snapshot_captures + result.measure_snapshot_reuses,
-            result.series.points().size());
-  EXPECT_GT(result.measure_snapshot_captures, 0u);
+  // Every sampler tick asked the cache for a snapshot. The split is
+  // exact and the same in every build: the cache keys on the overlay's
+  // own version, and PROP-G swaps hosts between every two ticks.
+  EXPECT_EQ(result.series.points().size(), 10u);
+  EXPECT_EQ(result.measure_snapshot_captures, 10u);
+  EXPECT_EQ(result.measure_snapshot_reuses, 0u);
   EXPECT_GT(result.measure_exact_floods, 0u);
+  // Without a protocol the overlay never changes: one capture serves
+  // every tick.
+  const ExperimentResult idle = run_experiment(must_parse(
+      std::string(kFig5Base) + "protocol = none\n"));
+  EXPECT_EQ(idle.measure_snapshot_captures, 1u);
+  EXPECT_EQ(idle.measure_snapshot_reuses, 9u);
   EXPECT_EQ(result.measure_fast_floods, 0u);  // reserved, always 0
 
   const Json json = experiment_result_json(parsed.spec(), result);

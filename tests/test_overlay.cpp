@@ -103,6 +103,14 @@ TEST(LogicalGraph, StampsAdvanceOnEveryAdjacencyChange) {
   LogicalGraph g(4);
   const std::uint64_t built = g.stamp(0);
   EXPECT_EQ(g.stamp(3), built);
+  EXPECT_EQ(g.version(), built);
+  // version() is the last stamp any mutator drew; reads leave it alone.
+  std::uint64_t version = g.version();
+  const auto rose = [&] {
+    const bool up = g.version() > version;
+    version = g.version();
+    return up;
+  };
   g.add_edge(0, 1);
   EXPECT_GT(g.stamp(0), built);
   EXPECT_EQ(g.stamp(0), g.stamp(1));
@@ -111,19 +119,36 @@ TEST(LogicalGraph, StampsAdvanceOnEveryAdjacencyChange) {
   g.remove_edge(1, 0);
   EXPECT_GT(g.stamp(0), added);
   EXPECT_GT(g.stamp(1), added);
+  EXPECT_TRUE(rose());
   g.add_edge(2, 3);
+  EXPECT_TRUE(rose());
   const std::uint64_t before_leave = g.stamp(3);
   g.deactivate_slot(2);
   EXPECT_GT(g.stamp(3), before_leave);
+  EXPECT_TRUE(rose());
   const std::uint64_t left = g.stamp(2);
   g.reactivate_slot(2);
   EXPECT_GT(g.stamp(2), left);
+  EXPECT_TRUE(rose());
+  // An isolated slot removes no edge on departure; it still moves the
+  // version, because its activity changed.
+  g.deactivate_slot(2);
+  EXPECT_TRUE(rose());
+  g.reactivate_slot(2);
+  EXPECT_TRUE(rose());
   const SlotId fresh = g.add_slot();
   EXPECT_GT(g.stamp(fresh), g.stamp(2));
+  EXPECT_TRUE(rose());
+  EXPECT_EQ(g.version(), g.stamp(fresh));
+  (void)g.has_edge(0, fresh);
+  (void)g.active_slots();
+  (void)g.active_subgraph_connected();
+  EXPECT_FALSE(rose());
   // A copy carries the stamps, and the clock is shared: a mutation of
   // either copy stamps above everything the other has seen.
   LogicalGraph copy = g;
   EXPECT_EQ(copy.stamp(fresh), g.stamp(fresh));
+  EXPECT_EQ(copy.version(), g.version());
   copy.add_edge(0, fresh);
   g.add_edge(1, fresh);
   EXPECT_NE(copy.stamp(fresh), g.stamp(fresh));
@@ -198,8 +223,18 @@ TEST(Placement, BoundHostsOrderedBySlot) {
 TEST(Placement, StampsAdvanceOnEveryHostChange) {
   Placement p(3, 10);
   const std::uint64_t built = p.stamp(0);
+  EXPECT_EQ(p.version(), built);
+  // version() is the last stamp any mutator drew; reads leave it alone.
+  std::uint64_t version = p.version();
+  const auto rose = [&] {
+    const bool up = p.version() > version;
+    version = p.version();
+    return up;
+  };
   p.bind(0, 5);
+  EXPECT_TRUE(rose());
   p.bind(1, 6);
+  EXPECT_TRUE(rose());
   EXPECT_GT(p.stamp(1), p.stamp(0));
   EXPECT_GT(p.stamp(0), built);
   EXPECT_EQ(p.stamp(2), built);
@@ -207,11 +242,20 @@ TEST(Placement, StampsAdvanceOnEveryHostChange) {
   p.swap_slots(0, 1);
   EXPECT_GT(p.stamp(0), bound);
   EXPECT_EQ(p.stamp(0), p.stamp(1));
+  EXPECT_TRUE(rose());
   const std::uint64_t swapped = p.stamp(1);
   p.unbind(1);
   EXPECT_GT(p.stamp(1), swapped);
+  EXPECT_TRUE(rose());
   p.ensure_slot_capacity(5);
   EXPECT_GT(p.stamp(4), p.stamp(1));
+  EXPECT_TRUE(rose());
+  EXPECT_EQ(p.version(), p.stamp(4));
+  p.ensure_slot_capacity(5);  // no growth, no mutation
+  (void)p.host_of(0);
+  (void)p.bound_hosts();
+  (void)p.validate();
+  EXPECT_FALSE(rose());
 }
 
 TEST(Placement, EnsureSlotCapacityGrows) {
@@ -256,6 +300,24 @@ TEST_F(OverlayNetworkTest, SlotLatencyUsesPhysicalShortestPath) {
   EXPECT_DOUBLE_EQ(net.slot_latency(0, 1), 1.0);
   EXPECT_DOUBLE_EQ(net.slot_latency(0, 3), 3.0);  // ring distance
   EXPECT_DOUBLE_EQ(net.slot_latency(2, 2), 0.0);
+}
+
+// The overlay's version is the later of its graph's and placement's, so
+// it rises on a mutation of either and holds across queries.
+TEST_F(OverlayNetworkTest, VersionFollowsGraphAndPlacement) {
+  auto net = make_net();
+  const std::uint64_t built = net.version();
+  EXPECT_EQ(built, std::max(net.graph().version(), net.placement().version()));
+  (void)net.neighbor_latency_sum(0);
+  (void)net.flood_latencies(0);
+  EXPECT_EQ(net.version(), built);
+  net.placement().swap_slots(0, 2);
+  const std::uint64_t swapped = net.version();
+  EXPECT_GT(swapped, built);
+  EXPECT_EQ(swapped, net.placement().version());
+  net.graph().remove_edge(0, 1);
+  EXPECT_GT(net.version(), swapped);
+  EXPECT_EQ(net.version(), net.graph().version());
 }
 
 TEST_F(OverlayNetworkTest, NeighborLatencySum) {
