@@ -113,7 +113,7 @@ int run(const BenchOptions& opts) {
             net.graph().degree(u) + net.graph().degree(v);
       }
       if (decision_var > 0.0) {
-        net.placement().swap_slots(u, v);  // the PROP-G commit
+        net.swap_hosts(u, v);  // the PROP-G commit
         ++r.commits;
       }
     }

@@ -90,9 +90,8 @@ void BM_EventQueueScheduleRun(benchmark::State& state) {
 BENCHMARK(BM_EventQueueScheduleRun)->Arg(10000);
 
 /// Plans PROP-G swaps between random slot pairs and commits every 40th
-/// plan, chord_day's commit rate (about 2.5% of attempts). On a frozen
-/// overlay every neighbour-latency sum after the first would be a memo
-/// hit; the commits make sums go stale as they do in a run.
+/// plan, chord_day's commit rate (about 2.5% of attempts). Each commit
+/// re-prices the stored weights on both slots' edges, as in a run.
 void run_prop_g_plans(benchmark::State& state, OverlayNetwork& net) {
   Rng prng(8);
   const auto slots = net.graph().active_slots();
@@ -106,7 +105,7 @@ void run_prop_g_plans(benchmark::State& state, OverlayNetwork& net) {
     } while (v == u);
     const double var = prop_g_var(net, u, v);
     benchmark::DoNotOptimize(var);
-    if (++planned % 40 == 0) net.placement().swap_slots(u, v);
+    if (++planned % 40 == 0) net.swap_hosts(u, v);
   }
 }
 

@@ -352,11 +352,10 @@ bool membership_changes(const S& spec) {
 
 /// Workload and measurement: the query set, the metric each sampler tick
 /// takes and the latency each live lookup experiences. Structured
-/// overlays route; gnutella floods snapshots, the sampler's and the live
-/// lookups' from separate caches (sharing one would move the sampler's
-/// reuse counters, which the result reports). Both caches key on the
-/// overlay's version plus the partition epoch, which rise whenever a
-/// fresh capture could differ, so a reused snapshot equals a capture.
+/// overlays route; gnutella floods: the sampler a cached snapshot, keyed
+/// on the overlay's version plus the partition epoch (both rise whenever
+/// a fresh capture could differ, so a reused snapshot equals a capture),
+/// and each live lookup the live overlay in place, with the same kernel.
 class Measurement {
  public:
   Measurement(const S& spec, const Substrate& overlay,
@@ -372,8 +371,7 @@ class Measurement {
                  spec.resolved_measure_mode() == S::MeasureMode::kFast
                      ? MeasureMode::kFast
                      : MeasureMode::kExact),
-        sampler_cache_([this] { return capture(); }),
-        lookup_cache_([this] { return capture(); }) {
+        sampler_cache_([this] { return capture(); }) {
     // Without membership changes a fixed query set keeps the series
     // noise-free; with them, every tick draws a fresh one.
     if (!membership_changes(spec_)) queries_ = make_queries();
@@ -381,8 +379,11 @@ class Measurement {
     // sides of a cut gateway are pruned. Random per-message loss is
     // deliberately not applied — flooding is redundant enough that
     // independent edge loss rarely changes the first response, and
-    // modeling it would burn RNG per edge per lookup.
-    if (faults_ != nullptr) {
+    // modeling it would burn RNG per edge per lookup. Without windows or
+    // a host-domain map partitioned() is false for every edge, so no
+    // filter is installed.
+    if (faults_ != nullptr && !faults_->params().partitions.empty() &&
+        !faults_->host_domains().empty()) {
       filter_ = [n = overlay_.net.get(), f = faults_](SlotId a, SlotId b) {
         return !f->partitioned(n->placement().host_of(a),
                                n->placement().host_of(b));
@@ -423,15 +424,14 @@ class Measurement {
     const std::vector<double>* delays = slot_delays(storage);
     const OverlayNetwork& net = *overlay_.net;
     if (!structured()) {
-      flood_snapshot(lookup_cache_.at(version()), q.src, delays,
-                     lookup_scratch_, q.dst);
+      flood_overlay(net, filter(), q.src, delays, lookup_scratch_, q.dst);
       const double ms = lookup_scratch_.distance(q.dst);
       if (paranoid_checks_enabled()) {
-        const double live_ms = net.flood_latencies_into(
-            live_scratch_, q.src, delays, filter())[q.dst];
+        const double probed_ms = net.flood_latencies_into(
+            probe_scratch_, q.src, delays, filter())[q.dst];
         PROPSIM_CHECK(std::bit_cast<std::uint64_t>(ms) ==
-                          std::bit_cast<std::uint64_t>(live_ms) &&
-                      "cached lookup snapshot is stale");
+                          std::bit_cast<std::uint64_t>(probed_ms) &&
+                      "live lookup disagrees with the probing flood");
       }
       return ms;
     }
@@ -482,12 +482,11 @@ class Measurement {
   const FaultInjector* faults_;
   MeasureEngine measure_;
   SnapshotCache sampler_cache_;
-  SnapshotCache lookup_cache_;
   Rng qrng_{spec_.seed ^ 0x2545f4914f6cdd1dULL};
   std::vector<QueryPair> queries_;
   OverlayNetwork::LinkFilter filter_;
   MeasureScratch lookup_scratch_;
-  OverlayNetwork::FloodScratch live_scratch_;  // paranoid cross-check only
+  OverlayNetwork::FloodScratch probe_scratch_;  // paranoid cross-check only
 };
 
 struct Engines {

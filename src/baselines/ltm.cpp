@@ -21,7 +21,7 @@ void charge_detector(OverlayNetwork& net, SlotId u) {
 }  // namespace
 
 std::size_t ltm_round(OverlayNetwork& net, SlotId u, const LtmParams& params) {
-  LogicalGraph& g = net.graph();
+  const LogicalGraph& g = net.graph();
   if (!g.is_active(u) || g.degree(u) == 0) return 0;
   charge_detector(net, u);
   std::size_t changed = 0;
@@ -53,7 +53,7 @@ std::size_t ltm_round(OverlayNetwork& net, SlotId u, const LtmParams& params) {
       }
     }
     if (dominated) {
-      g.remove_edge(u, j);
+      net.remove_edge(u, j);
       net.traffic().count(net.placement().host_of(u),
                           MessageKind::kExchangeCtrl);
       ++changed;
@@ -83,7 +83,7 @@ std::size_t ltm_round(OverlayNetwork& net, SlotId u, const LtmParams& params) {
     }
     const bool short_of_links = g.degree(u) < params.min_degree;
     if (!short_of_links && best_latency >= farthest) break;
-    g.add_edge(u, best);
+    net.add_edge(u, best);
     net.traffic().count(net.placement().host_of(u),
                         MessageKind::kExchangeCtrl);
     ++changed;

@@ -9,7 +9,7 @@ namespace propsim {
 SelfishOutcome selfish_step(OverlayNetwork& net, SlotId u,
                             const SelfishParams& params, Rng& rng) {
   SelfishOutcome outcome;
-  LogicalGraph& g = net.graph();
+  const LogicalGraph& g = net.graph();
   if (!g.is_active(u) || g.degree(u) == 0) return outcome;
 
   const auto neighbors = g.neighbors(u);
@@ -42,8 +42,8 @@ SelfishOutcome selfish_step(OverlayNetwork& net, SlotId u,
   net.traffic().count(net.placement().host_of(u), MessageKind::kProbe);
   if (candidate_latency >= farthest_latency) return outcome;
 
-  g.remove_edge(u, farthest);
-  g.add_edge(u, candidate);
+  net.remove_edge(u, farthest);
+  net.add_edge(u, candidate);
   net.traffic().count(net.placement().host_of(u), MessageKind::kExchangeCtrl);
   outcome.rewired = true;
   outcome.gain = farthest_latency - candidate_latency;

@@ -10,35 +10,44 @@ namespace {
 /// Neighbors of `self` that may legally move to `other` in a PROP-O
 /// exchange: not on the probe path, not the counterpart itself, and not
 /// already adjacent to the counterpart (no duplicate edges), appended to
-/// `out` in neighbour order. The exclusions are marked once, so each
+/// `out` in neighbour order, with each one's stored weight d(self, x)
+/// appended to `out_ms`. The exclusions are marked once, so each
 /// candidate costs one O(1) test.
 void transferable_neighbors(const OverlayNetwork& net, SlotId self,
                             SlotId other, std::span<const SlotId> path,
-                            std::vector<SlotId>& out) {
+                            std::vector<SlotId>& out,
+                            std::vector<double>& out_ms) {
   const LogicalGraph& g = net.graph();
   SlotMarks& excluded = net.scratch_marks();
   excluded.reset(g.slot_count());
   excluded.insert(other);
   for (const SlotId p : path) excluded.insert(p);
   for (const SlotId y : g.neighbors(other)) excluded.insert(y);
-  for (const SlotId x : g.neighbors(self)) {
-    if (!excluded.contains(x)) out.push_back(x);
+  const std::span<const SlotId> neighbors = g.neighbors(self);
+  const std::span<const double> weights = net.neighbor_latencies(self);
+  for (std::size_t i = 0; i < neighbors.size(); ++i) {
+    if (excluded.contains(neighbors[i])) continue;
+    out.push_back(neighbors[i]);
+    out_ms.push_back(weights[i]);
   }
 }
 
 /// Keeps the k candidates with the largest latency improvement
 /// d(self, x) - d(other, x), i.e. those much closer to the counterpart,
-/// and adds each kept gain to `var` in kept order. Each candidate is
-/// scored once, into `scored`; ties break on the smaller slot id, so the
-/// order is a strict total order and the selection is deterministic.
-void select_greedy(const OverlayNetwork& net, SlotId self, SlotId other,
-                   std::vector<SlotId>& candidates, std::size_t k,
+/// and adds each kept gain to `var` in kept order. d(self, x) is the
+/// stored weight `candidate_ms` carries, so only d(other, x) is probed.
+/// Each candidate is scored once, into `scored`; ties break on the
+/// smaller slot id, so the order is a strict total order and the
+/// selection is deterministic.
+void select_greedy(const OverlayNetwork& net, SlotId other,
+                   std::vector<SlotId>& candidates,
+                   std::span<const double> candidate_ms, std::size_t k,
                    double& var, std::vector<PlanScratch::Scored>& scored) {
   using Scored = PlanScratch::Scored;
   scored.clear();
-  for (const SlotId c : candidates) {
-    scored.push_back(
-        {net.slot_latency(self, c) - net.slot_latency(other, c), c});
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    const SlotId c = candidates[i];
+    scored.push_back({candidate_ms[i] - net.slot_latency(other, c), c});
   }
   std::sort(scored.begin(), scored.end(),
             [](const Scored& a, const Scored& b) {
@@ -127,8 +136,10 @@ bool plan_prop_o(ExchangePlan& out, PlanScratch& scratch,
   out.var = 0.0;
   out.from_u.clear();
   out.from_v.clear();
-  transferable_neighbors(net, u, v, path, out.from_u);
-  transferable_neighbors(net, v, u, path, out.from_v);
+  scratch.from_u_ms.clear();
+  scratch.from_v_ms.clear();
+  transferable_neighbors(net, u, v, path, out.from_u, scratch.from_u_ms);
+  transferable_neighbors(net, v, u, path, out.from_v, scratch.from_v_ms);
 #ifdef PROPSIM_PARANOID
   PROPSIM_CHECK(out.from_u == transferable_by_scan(net, u, v, path) &&
                 out.from_v == transferable_by_scan(net, v, u, path) &&
@@ -146,8 +157,10 @@ bool plan_prop_o(ExchangePlan& out, PlanScratch& scratch,
       // Sums the gains selection already scored, from_u's then from_v's
       // in plan order: the additions transferred_gain makes, so the same
       // bits.
-      select_greedy(net, u, v, out.from_u, k, out.var, scratch.scored);
-      select_greedy(net, v, u, out.from_v, k, out.var, scratch.scored);
+      select_greedy(net, v, out.from_u, scratch.from_u_ms, k, out.var,
+                    scratch.scored);
+      select_greedy(net, u, out.from_v, scratch.from_v_ms, k, out.var,
+                    scratch.scored);
 #ifdef PROPSIM_PARANOID
       PROPSIM_CHECK(std::bit_cast<std::uint64_t>(out.var) ==
                         std::bit_cast<std::uint64_t>(
@@ -167,18 +180,17 @@ bool plan_prop_o(ExchangePlan& out, PlanScratch& scratch,
 void apply_exchange(OverlayNetwork& net, const ExchangePlan& plan) {
   switch (plan.mode) {
     case PropMode::kPropG:
-      net.placement().swap_slots(plan.u, plan.v);
+      net.swap_hosts(plan.u, plan.v);
       return;
     case PropMode::kPropO: {
       PROPSIM_CHECK(plan.from_u.size() == plan.from_v.size());
-      LogicalGraph& g = net.graph();
       for (const SlotId a : plan.from_u) {
-        g.remove_edge(plan.u, a);
-        g.add_edge(plan.v, a);
+        net.remove_edge(plan.u, a);
+        net.add_edge(plan.v, a);
       }
       for (const SlotId b : plan.from_v) {
-        g.remove_edge(plan.v, b);
-        g.add_edge(plan.u, b);
+        net.remove_edge(plan.v, b);
+        net.add_edge(plan.u, b);
       }
       return;
     }

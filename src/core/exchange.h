@@ -32,15 +32,19 @@ struct ExchangePlan {
 /// sets, this Var}; it always exists, and the caller gates on var.
 double prop_g_var(const OverlayNetwork& net, SlotId u, SlotId v);
 
-/// Caller-owned working memory for plan_prop_o: greedy selection scores
-/// every candidate into `scored` once before sorting. A caller that
-/// reuses one instance (and one ExchangePlan) plans without allocating
-/// once the buffers have grown to the largest degree seen.
+/// Caller-owned working memory for plan_prop_o: the stored weights of
+/// the transferable neighbours (parallel to the plan's from_u / from_v
+/// before selection), and greedy selection's scores, one per candidate.
+/// A caller that reuses one instance (and one ExchangePlan) plans
+/// without allocating once the buffers have grown to the largest
+/// degree seen.
 struct PlanScratch {
   struct Scored {
     double gain;
     SlotId slot;
   };
+  std::vector<double> from_u_ms;  // d(u, x) for each x in from_u
+  std::vector<double> from_v_ms;  // d(v, y) for each y in from_v
   std::vector<Scored> scored;
 };
 

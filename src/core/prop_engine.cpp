@@ -292,8 +292,8 @@ double PropEngine::negotiation_delay_s(std::span<const SlotId> path) const {
   }
   double probe_ms = 0.0;
   for (const SlotId end : {path.front(), path.back()}) {
-    for (const SlotId nb : net_.graph().neighbors(end)) {
-      probe_ms = std::max(probe_ms, net_.slot_latency(end, nb));
+    for (const double ms : net_.neighbor_latencies(end)) {
+      probe_ms = std::max(probe_ms, ms);
     }
   }
   return (2.0 * walk_ms + 2.0 * probe_ms) / 1000.0;

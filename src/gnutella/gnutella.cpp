@@ -95,16 +95,14 @@ OverlayNetwork build_gnutella_overlay(const GnutellaConfig& config,
 
 SlotId gnutella_join(OverlayNetwork& net, const GnutellaConfig& config,
                      NodeId host, Rng& rng) {
-  LogicalGraph& g = net.graph();
-  const auto pool = g.active_slots();
+  const auto pool = net.graph().active_slots();
   PROPSIM_CHECK(pool.size() >= config.attach_links);
-  const SlotId joiner = g.add_slot();
-  net.placement().ensure_slot_capacity(g.slot_count());
-  net.placement().bind(joiner, host);
-  const auto targets = pick_attach_targets(
-      g, pool, joiner, config.attach_links, config.preferential_fraction, rng);
+  const SlotId joiner = net.join(host);
+  const auto targets =
+      pick_attach_targets(net.graph(), pool, joiner, config.attach_links,
+                          config.preferential_fraction, rng);
   PROPSIM_CHECK(!targets.empty());
-  for (const SlotId t : targets) g.add_edge(joiner, t);
+  for (const SlotId t : targets) net.add_edge(joiner, t);
   if (obs::EventBus* bus = net.trace()) {
     bus->emit(obs::TraceEventKind::kJoin, joiner, host);
   }

@@ -61,15 +61,45 @@ double MeasureScratch::distance(SlotId v) const {
   return dist[v];
 }
 
-void flood_snapshot(const OverlaySnapshot& snap, SlotId source,
-                    const std::vector<double>* processing_delay_ms,
-                    MeasureScratch& scratch, SlotId target) {
-  PROPSIM_CHECK(snap.is_active(source));
-  PROPSIM_CHECK(target == kInvalidSlot || target < snap.slot_count());
-  if (processing_delay_ms != nullptr) {
-    PROPSIM_CHECK(processing_delay_ms->size() == snap.slot_count());
+namespace {
+
+/// The live overlay as flood rows: each slot's neighbours and their
+/// stored weights, bounded below by the lightest physical link.
+struct LiveRows {
+  const OverlayNetwork& net;
+
+  std::size_t slot_count() const { return net.graph().slot_count(); }
+  bool is_active(SlotId s) const { return net.graph().is_active(s); }
+  double min_edge_ms() const { return net.min_link_latency(); }
+  std::span<const SlotId> targets(SlotId s) const {
+    return net.graph().neighbors(s);
   }
-  scratch.begin(snap.slot_count());
+  std::span<const double> latencies(SlotId s) const {
+    return net.neighbor_latencies(s);
+  }
+};
+
+/// Every edge passes (the snapshot already dropped filtered edges).
+struct KeepAll {
+  bool operator()(SlotId /*from*/, SlotId /*to*/) const { return true; }
+};
+
+/// The Dial kernel behind flood_snapshot and flood_overlay. `Rows` is an
+/// OverlaySnapshot or LiveRows; `keep(u, v)` is asked before relaxing
+/// each edge. The bucket width only needs to be a power of two: by the
+/// fixpoint argument in measure_engine.h any width yields the same
+/// distances and the same early stop, and a width at most the lightest
+/// edge only saves re-filing.
+template <class Rows, class Keep>
+void dial_flood(const Rows& rows, Keep keep, SlotId source,
+                const std::vector<double>* processing_delay_ms,
+                MeasureScratch& scratch, SlotId target) {
+  PROPSIM_CHECK(rows.is_active(source));
+  PROPSIM_CHECK(target == kInvalidSlot || target < rows.slot_count());
+  if (processing_delay_ms != nullptr) {
+    PROPSIM_CHECK(processing_delay_ms->size() == rows.slot_count());
+  }
+  scratch.begin(rows.slot_count());
   auto& dist = scratch.dist;
   auto& queued = scratch.queued;
   auto& heads = scratch.heads;  // all empty: the last flood drained them
@@ -77,7 +107,7 @@ void flood_snapshot(const OverlaySnapshot& snap, SlotId source,
   // Multiplying by a power of two is exact, so a distance's bucket is
   // exactly floor(d / W).
   const double inv_width =
-      std::ldexp(1.0, -bucket_exponent(snap.min_edge_ms()));
+      std::ldexp(1.0, -bucket_exponent(rows.min_edge_ms()));
   auto bucket_of = [inv_width](double d) {
     const double q = d * inv_width;
     return q < static_cast<double>(kFarBucket) ? static_cast<std::uint64_t>(q)
@@ -113,12 +143,13 @@ void flood_snapshot(const OverlaySnapshot& snap, SlotId source,
       if (queued[u] == 0) continue;  // stale: processed since filed
       queued[u] = 0;
       const double du = dist[u];
-      const auto targets = snap.targets(u);
-      const auto lats = snap.latencies(u);
+      const auto targets = rows.targets(u);
+      const auto lats = rows.latencies(u);
       for (std::size_t e = 0; e < targets.size(); ++e) {
         const SlotId v = targets[e];
-        // Same per-edge arithmetic as the live flood: lats[e] is the
-        // identical slot_latency(u, v) double, precomputed at capture.
+        if (!keep(u, v)) continue;
+        // Same per-edge arithmetic as the heap flood: lats[e] is the
+        // identical slot_latency(u, v) double, stored by the overlay.
         double cost = lats[e];
         if (processing_delay_ms != nullptr) {
           cost += (*processing_delay_ms)[v];
@@ -146,6 +177,28 @@ void flood_snapshot(const OverlaySnapshot& snap, SlotId source,
     }
     ++cur;
   }
+}
+
+}  // namespace
+
+void flood_snapshot(const OverlaySnapshot& snap, SlotId source,
+                    const std::vector<double>* processing_delay_ms,
+                    MeasureScratch& scratch, SlotId target) {
+  dial_flood(snap, KeepAll{}, source, processing_delay_ms, scratch, target);
+}
+
+void flood_overlay(const OverlayNetwork& net,
+                   const OverlayNetwork::LinkFilter* link_ok, SlotId source,
+                   const std::vector<double>* processing_delay_ms,
+                   MeasureScratch& scratch, SlotId target) {
+  const LiveRows rows{net};
+  if (link_ok == nullptr) {
+    dial_flood(rows, KeepAll{}, source, processing_delay_ms, scratch, target);
+    return;
+  }
+  dial_flood(
+      rows, [link_ok](SlotId u, SlotId v) { return (*link_ok)(u, v); },
+      source, processing_delay_ms, scratch, target);
 }
 
 MeasureEngine::MeasureEngine(std::size_t threads, MeasureMode mode) {

@@ -11,15 +11,18 @@
 //     parallel map completes.
 //
 // The flood kernel, flood_snapshot, is a Dial bucket queue over the
-// snapshot's exact double latencies. The bucket width is a power of two,
-// W = 2^e ms <= the minimum edge latency (clamped to [2^-4, 2^6] ms), so
-// floor(d * 2^-e) is exact and every bucket boundary is too. Its
-// distances are bit-identical to the binary-heap Dijkstra of
-// OverlayNetwork::flood_latencies: every cost is >= 0 and IEEE addition
-// is monotone, so every correct label-setting or label-correcting
-// shortest-path search reaches the same least fixpoint
-// d[v] = min over edges (u, v) of fl(d[u] + c(u, v)). Pop order does not
-// matter, only that the search runs to that fixpoint (docs/PERF.md).
+// snapshot's exact double latencies; flood_overlay runs the same kernel
+// over the live overlay's stored edge weights. The bucket width is a
+// power of two, W = 2^e ms <= a lower bound on the edge latencies (the
+// snapshot's minimum edge, or the overlay's lightest physical link),
+// clamped to [2^-4, 2^6] ms, so floor(d * 2^-e) is exact and every
+// bucket boundary is too. Its distances are bit-identical to the
+// binary-heap Dijkstra of OverlayNetwork::flood_latencies: every cost
+// is >= 0 and IEEE addition is monotone, so every correct
+// label-setting or label-correcting shortest-path search reaches the
+// same least fixpoint d[v] = min over edges (u, v) of fl(d[u] + c(u, v)).
+// Pop order does not matter, only that the search runs to that fixpoint
+// (docs/PERF.md); so does the width, as long as it is a power of two.
 // A point-to-point flood passes a target and stops after the first
 // drained bucket whose upper edge lies above the target's distance:
 // every entry still pending sits in a later bucket, so no later
@@ -85,6 +88,16 @@ struct MeasureScratch {
 void flood_snapshot(const OverlaySnapshot& snap, SlotId source,
                     const std::vector<double>* processing_delay_ms,
                     MeasureScratch& scratch, SlotId target = kInvalidSlot);
+
+/// flood_snapshot over the live overlay, with no capture: the same
+/// kernel reads each slot's neighbours and stored weights in place and
+/// asks `link_ok` (optional) before relaxing each edge, which gives the
+/// bits a flood over OverlaySnapshot::capture(net, link_ok) gives.
+/// Allocates nothing once `scratch` has grown to the overlay.
+void flood_overlay(const OverlayNetwork& net,
+                   const OverlayNetwork::LinkFilter* link_ok, SlotId source,
+                   const std::vector<double>* processing_delay_ms,
+                   MeasureScratch& scratch, SlotId target = kInvalidSlot);
 
 /// Deterministic work counters for one engine's lifetime: floods are
 /// counted per distinct source per sweep (before the parallel fan-out),

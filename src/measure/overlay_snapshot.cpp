@@ -18,10 +18,12 @@ OverlaySnapshot OverlaySnapshot::capture(
   for (SlotId s = 0; s < n; ++s) {
     offsets[s] = targets.size();
     active[s] = graph.is_active(s) ? 1 : 0;
-    for (const SlotId v : graph.neighbors(s)) {
-      if (link_ok != nullptr && !(*link_ok)(s, v)) continue;
-      targets.push_back(v);
-      latencies_ms.push_back(net.slot_latency(s, v));
+    const std::span<const SlotId> neighbors = graph.neighbors(s);
+    const std::span<const double> weights = net.neighbor_latencies(s);
+    for (std::size_t i = 0; i < neighbors.size(); ++i) {
+      if (link_ok != nullptr && !(*link_ok)(s, neighbors[i])) continue;
+      targets.push_back(neighbors[i]);
+      latencies_ms.push_back(weights[i]);
     }
   }
   offsets[n] = targets.size();

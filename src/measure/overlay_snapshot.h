@@ -2,13 +2,13 @@
 //
 // Metric evaluation runs one full Dijkstra per sampled query source and
 // repeats the whole sweep at every convergence-snapshot interval.
-// Walking the mutable LogicalGraph from worker threads would race with
+// Walking the mutable overlay from worker threads would race with
 // nothing today (the sim is paused during a sample) but couples the
-// sweep to live state and recomputes slot_latency for every edge
-// relaxation. OverlaySnapshot freezes everything a sweep needs —
-// adjacency in compressed-sparse-row form (the CsrGraph pattern the
-// latency oracle already uses), the active-slot mask and the physical
-// latency of every directed logical edge — in one O(V + E) capture.
+// sweep to live state. OverlaySnapshot freezes everything a sweep needs
+// — adjacency in compressed-sparse-row form (the CsrGraph pattern the
+// latency oracle already uses), the active-slot mask and the overlay's
+// stored latency of every directed logical edge — in one O(V + E)
+// capture that probes nothing.
 #pragma once
 
 #include <cstdint>

@@ -1,9 +1,8 @@
-// Version-keyed OverlaySnapshot reuse across convergence ticks and
-// live lookups.
+// Version-keyed OverlaySnapshot reuse across convergence ticks.
 //
 // Capturing a snapshot is O(V + E) per sample; when the overlay did not
-// change between two ticks (or two lookups) the capture would produce a
-// byte-identical snapshot, so the flood can reuse the previous one.
+// change between two ticks the capture would produce a byte-identical
+// snapshot, so the flood can reuse the previous one.
 // "Did not change" is decided by the caller-supplied version number —
 // the experiment passes OverlayNetwork::version() plus the fault plan's
 // partition epoch, which rise on every overlay mutation and at every

@@ -7,7 +7,7 @@ namespace propsim {
 SlotId LogicalGraph::add_slot() {
   adjacency_.emplace_back();
   active_.push_back(true);
-  stamp_.push_back(next_stamp());
+  next_stamp();
   ++active_count_;
   return static_cast<SlotId>(adjacency_.size() - 1);
 }
@@ -20,7 +20,7 @@ void LogicalGraph::deactivate_slot(SlotId s) {
     remove_edge(s, adjacency_[s].back());
   }
   active_[s] = false;
-  stamp_[s] = next_stamp();  // stamps an isolated slot's departure too
+  next_stamp();  // an isolated slot's departure moves the version too
   --active_count_;
 }
 
@@ -29,7 +29,7 @@ void LogicalGraph::reactivate_slot(SlotId s) {
   PROPSIM_CHECK(!active_[s]);
   PROPSIM_CHECK(adjacency_[s].empty());
   active_[s] = true;
-  stamp_[s] = next_stamp();
+  next_stamp();
   ++active_count_;
 }
 
@@ -40,27 +40,29 @@ void LogicalGraph::add_edge(SlotId a, SlotId b) {
   PROPSIM_CHECK(!has_edge(a, b));
   adjacency_[a].push_back(b);
   adjacency_[b].push_back(a);
-  const std::uint64_t stamp = next_stamp();
-  stamp_[a] = stamp;
-  stamp_[b] = stamp;
+  next_stamp();
   ++edge_count_;
 }
 
-void LogicalGraph::erase_directed(SlotId from, SlotId to) {
+std::size_t LogicalGraph::erase_directed(SlotId from, SlotId to) {
   auto& adj = adjacency_[from];
-  const auto it = std::find(adj.begin(), adj.end(), to);
-  PROPSIM_CHECK(it != adj.end());
-  *it = adj.back();
+  const auto at = static_cast<std::size_t>(
+      std::find(adj.begin(), adj.end(), to) - adj.begin());
+  PROPSIM_CHECK(at < adj.size());
+  adj[at] = adj.back();
   adj.pop_back();
-  stamp_[from] = next_stamp();
+  return at;
 }
 
-void LogicalGraph::remove_edge(SlotId a, SlotId b) {
+std::pair<std::size_t, std::size_t> LogicalGraph::remove_edge(SlotId a,
+                                                              SlotId b) {
   PROPSIM_CHECK(a < adjacency_.size() && b < adjacency_.size());
-  erase_directed(a, b);
-  erase_directed(b, a);
+  const std::size_t at_a = erase_directed(a, b);
+  const std::size_t at_b = erase_directed(b, a);
   PROPSIM_CHECK(edge_count_ > 0);
   --edge_count_;
+  next_stamp();
+  return {at_a, at_b};
 }
 
 bool LogicalGraph::has_edge(SlotId a, SlotId b) const {

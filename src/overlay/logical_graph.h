@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -23,8 +24,7 @@ class LogicalGraph {
   LogicalGraph() = default;
   explicit LogicalGraph(std::size_t slot_count)
       : adjacency_(slot_count), active_(slot_count, true),
-        version_(next_mutation_stamp()), stamp_(slot_count, version_),
-        active_count_(slot_count) {}
+        version_(next_mutation_stamp()), active_count_(slot_count) {}
 
   std::size_t slot_count() const { return adjacency_.size(); }
   std::size_t active_count() const { return active_count_; }
@@ -47,8 +47,11 @@ class LogicalGraph {
   void reactivate_slot(SlotId s);
 
   void add_edge(SlotId a, SlotId b);
-  /// Removes edge a—b; requires it to exist.
-  void remove_edge(SlotId a, SlotId b);
+  /// Removes edge a—b; requires it to exist. Each list drops its entry
+  /// by moving its last entry into the freed position; returns the
+  /// freed positions in a's and b's lists, so a caller keeping rows
+  /// parallel to the lists can mirror the move.
+  std::pair<std::size_t, std::size_t> remove_edge(SlotId a, SlotId b);
   bool has_edge(SlotId a, SlotId b) const;
 
   std::span<const SlotId> neighbors(SlotId s) const {
@@ -58,16 +61,9 @@ class LogicalGraph {
 
   std::size_t degree(SlotId s) const { return neighbors(s).size(); }
 
-  /// Mutation stamp of slot s's adjacency list (see mutation_stamp.h):
-  /// every change to the list or its order gives the slot a fresh,
-  /// larger stamp, so an unchanged stamp means an unchanged list.
-  std::uint64_t stamp(SlotId s) const {
-    PROPSIM_DCHECK(s < stamp_.size());
-    return stamp_[s];
-  }
-
-  /// The last mutation stamp any mutator drew (activity changes
-  /// included), so an unchanged version means an unchanged graph.
+  /// The last mutation stamp (see mutation_stamp.h) any mutator drew,
+  /// activity changes included, so an unchanged version means an
+  /// unchanged graph.
   std::uint64_t version() const { return version_; }
 
   /// Minimum degree over active slots (the paper's delta(G), the default
@@ -85,14 +81,13 @@ class LogicalGraph {
   std::vector<SlotId> active_slots() const;
 
  private:
-  void erase_directed(SlotId from, SlotId to);
+  std::size_t erase_directed(SlotId from, SlotId to);
   /// Draws a stamp and makes it the graph's version.
   std::uint64_t next_stamp() { return version_ = next_mutation_stamp(); }
 
   std::vector<std::vector<SlotId>> adjacency_;
   std::vector<bool> active_;
   std::uint64_t version_ = kNoStamp;
-  std::vector<std::uint64_t> stamp_;
   std::size_t active_count_ = 0;
   std::size_t edge_count_ = 0;
 };

@@ -1,5 +1,5 @@
 // Mutation stamps: a process-wide, strictly increasing clock that
-// LogicalGraph and Placement use to stamp the slots a mutation touches.
+// LogicalGraph and Placement draw their versions from.
 #pragma once
 
 #include <atomic>
@@ -7,8 +7,8 @@
 
 namespace propsim {
 
-/// Stamp meaning "never valid": next_mutation_stamp() never returns it,
-/// so a memo keyed on it always misses.
+/// Stamp meaning "never drawn": next_mutation_stamp() never returns it,
+/// so it is the version of a default-constructed object only.
 constexpr std::uint64_t kNoStamp = 0;
 
 /// Returns a stamp larger than every stamp returned before, in any

@@ -7,43 +7,128 @@
 #include "common/indexed_priority_queue.h"
 
 namespace propsim {
+namespace {
+
+/// Erases row[at] the way LogicalGraph erases a neighbour: the last
+/// entry moves into the freed position.
+void erase_moving_last(std::vector<double>& row, std::size_t at) {
+  row[at] = row.back();
+  row.pop_back();
+}
+
+}  // namespace
 
 OverlayNetwork::OverlayNetwork(LogicalGraph graph, Placement placement,
                                const LatencyOracle& oracle)
     : graph_(std::move(graph)),
       placement_(std::move(placement)),
       oracle_(&oracle),
-      traffic_(oracle.physical().node_count()) {
+      traffic_(oracle.physical().node_count()),
+      weights_(graph_.slot_count()),
+      min_link_ms_(std::numeric_limits<double>::infinity()) {
   PROPSIM_CHECK(placement_.slot_capacity() >= graph_.slot_count());
   PROPSIM_CHECK(placement_.host_capacity() ==
                 oracle.physical().node_count());
+  for (SlotId s = 0; s < graph_.slot_count(); ++s) {
+    const std::span<const SlotId> neighbors = graph_.neighbors(s);
+    if (neighbors.empty()) continue;
+    PROPSIM_CHECK(placement_.slot_bound(s));
+    std::vector<double>& row = weights_[s];
+    row.reserve(neighbors.size());  // exact: rows carry no growth slack
+    for (const SlotId v : neighbors) row.push_back(slot_latency(s, v));
+  }
+  const Graph& physical = oracle.physical();
+  for (NodeId h = 0; h < physical.node_count(); ++h) {
+    for (const Graph::Edge& e : physical.neighbors(h)) {
+      min_link_ms_ = std::min(min_link_ms_, e.weight);
+    }
+  }
+}
+
+void OverlayNetwork::add_edge(SlotId a, SlotId b) {
+  graph_.add_edge(a, b);
+  weights_[a].push_back(slot_latency(a, b));
+  weights_[b].push_back(slot_latency(b, a));
+  audit_row(a);
+  audit_row(b);
+}
+
+void OverlayNetwork::remove_edge(SlotId a, SlotId b) {
+  const auto [at_a, at_b] = graph_.remove_edge(a, b);
+  erase_moving_last(weights_[a], at_a);
+  erase_moving_last(weights_[b], at_b);
+  audit_row(a);
+  audit_row(b);
+}
+
+void OverlayNetwork::swap_hosts(SlotId a, SlotId b) {
+  placement_.swap_slots(a, b);
+  reprice(a);
+  reprice(b);
+#ifdef PROPSIM_PARANOID
+  // Audited only now: a neighbour shared by a and b is stale until
+  // both reprices ran.
+  for (const SlotId s : {a, b}) {
+    audit_row(s);
+    for (const SlotId v : graph_.neighbors(s)) audit_row(v);
+  }
+#endif
+}
+
+void OverlayNetwork::reprice(SlotId s) {
+  const std::span<const SlotId> neighbors = graph_.neighbors(s);
+  std::vector<double>& row = weights_[s];
+  for (std::size_t i = 0; i < neighbors.size(); ++i) {
+    const SlotId v = neighbors[i];
+    row[i] = slot_latency(s, v);
+    const std::span<const SlotId> back = graph_.neighbors(v);
+    const auto at = std::find(back.begin(), back.end(), s) - back.begin();
+    weights_[v][static_cast<std::size_t>(at)] = slot_latency(v, s);
+  }
+}
+
+SlotId OverlayNetwork::join(NodeId host) {
+  const SlotId s = graph_.add_slot();
+  placement_.ensure_slot_capacity(graph_.slot_count());
+  placement_.bind(s, host);
+  weights_.resize(graph_.slot_count());
+  return s;
+}
+
+NodeId OverlayNetwork::leave(SlotId s) {
+  // Last neighbour first, the order LogicalGraph::deactivate_slot uses.
+  while (graph_.degree(s) > 0) remove_edge(s, graph_.neighbors(s).back());
+  graph_.deactivate_slot(s);
+  const NodeId host = placement_.host_of(s);
+  placement_.unbind(s);
+  return host;
+}
+
+void OverlayNetwork::rejoin(SlotId s, NodeId host) {
+  graph_.reactivate_slot(s);
+  placement_.bind(s, host);
+}
+
+void OverlayNetwork::audit_row(SlotId s) const {
+#ifdef PROPSIM_PARANOID
+  const std::span<const SlotId> neighbors = graph_.neighbors(s);
+  PROPSIM_CHECK(weights_[s].size() == neighbors.size() &&
+                "weight row out of step with its adjacency list");
+  for (std::size_t i = 0; i < neighbors.size(); ++i) {
+    PROPSIM_CHECK(std::bit_cast<std::uint64_t>(weights_[s][i]) ==
+                      std::bit_cast<std::uint64_t>(
+                          slot_latency(s, neighbors[i])) &&
+                  "stored edge weight is stale");
+  }
+#else
+  (void)s;
+#endif
 }
 
 double OverlayNetwork::neighbor_latency_sum(SlotId s) const {
-  const std::span<const SlotId> neighbors = graph_.neighbors(s);
-  // The adjacency stamp pins the neighbour list and its order. A host
-  // change among s and its neighbours stamps a slot with a value larger
-  // than any earlier stamp, so it raises the max.
-  std::uint64_t hosts = placement_.stamp(s);
-  for (const SlotId v : neighbors) {
-    hosts = std::max(hosts, placement_.stamp(v));
-  }
-  if (s >= sum_memo_.size()) sum_memo_.resize(graph_.slot_count());
-  SumMemo& memo = sum_memo_[s];
-  const std::uint64_t adjacency = graph_.stamp(s);
-  if (memo.adjacency == adjacency && memo.hosts == hosts) {
-#ifdef PROPSIM_PARANOID
-    double fresh = 0.0;
-    for (const SlotId v : neighbors) fresh += slot_latency(s, v);
-    PROPSIM_CHECK(std::bit_cast<std::uint64_t>(fresh) ==
-                      std::bit_cast<std::uint64_t>(memo.sum) &&
-                  "memoised neighbour-latency sum is stale");
-#endif
-    return memo.sum;
-  }
+  audit_row(s);
   double sum = 0.0;
-  for (const SlotId v : neighbors) sum += slot_latency(s, v);
-  memo = {adjacency, hosts, sum};
+  for (const double w : neighbor_latencies(s)) sum += w;
   return sum;
 }
 
@@ -51,8 +136,10 @@ double OverlayNetwork::average_logical_link_latency() const {
   PROPSIM_CHECK(graph_.edge_count() > 0);
   double sum = 0.0;
   for (const SlotId s : graph_.active_slots()) {
-    for (const SlotId v : graph_.neighbors(s)) {
-      if (v > s) sum += slot_latency(s, v);
+    const std::span<const SlotId> neighbors = graph_.neighbors(s);
+    const std::span<const double> weights = neighbor_latencies(s);
+    for (std::size_t i = 0; i < neighbors.size(); ++i) {
+      if (neighbors[i] > s) sum += weights[i];
     }
   }
   return sum / static_cast<double>(graph_.edge_count());

@@ -22,13 +22,14 @@ namespace propsim {
 
 class OverlayNetwork {
  public:
-  /// `oracle` must outlive the overlay.
+  /// `oracle` must outlive the overlay. Every slot with a neighbour must
+  /// be bound to a host: construction prices each directed edge.
   OverlayNetwork(LogicalGraph graph, Placement placement,
                  const LatencyOracle& oracle);
 
-  LogicalGraph& graph() { return graph_; }
+  /// Read-only views; the overlay changes only through the mutators
+  /// below, which keep the stored edge weights in step.
   const LogicalGraph& graph() const { return graph_; }
-  Placement& placement() { return placement_; }
   const Placement& placement() const { return placement_; }
   const LatencyOracle& oracle() const { return *oracle_; }
   TrafficCounter& traffic() { return traffic_; }
@@ -49,19 +50,47 @@ class OverlayNetwork {
     return std::max(graph_.version(), placement_.version());
   }
 
+  // Mutators: the only writers of the overlay's graph and placement.
+  // Each moves version() and re-prices the stored weights it touches.
+
+  /// Adds logical edge a—b between two active, bound slots.
+  void add_edge(SlotId a, SlotId b);
+  /// Removes logical edge a—b; requires it to exist.
+  void remove_edge(SlotId a, SlotId b);
+  /// Swaps the hosts of two bound slots (the PROP-G exchange); re-prices
+  /// the 2 (deg a + deg b) weights on their edges.
+  void swap_hosts(SlotId a, SlotId b);
+  /// A peer on free `host` joins as a fresh, isolated slot; returns it.
+  SlotId join(NodeId host);
+  /// Slot s departs, gracefully or by crash: its edges go (last
+  /// neighbour first), the slot turns inactive and its host is
+  /// released. Returns the host.
+  NodeId leave(SlotId s);
+  /// A departed slot comes back, isolated, on free `host`.
+  void rejoin(SlotId s, NodeId host);
+
   /// Physical latency between the hosts occupying two slots (ms).
   double slot_latency(SlotId a, SlotId b) const {
     if (a == b) return 0.0;
     return oracle_->latency(placement_.host_of(a), placement_.host_of(b));
   }
 
+  /// Stored weight of each of slot s's edges, parallel to
+  /// graph().neighbors(s): entry i is slot_latency(s, neighbors(s)[i]),
+  /// the same double a probe returns.
+  std::span<const double> neighbor_latencies(SlotId s) const {
+    PROPSIM_DCHECK(s < weights_.size());
+    return weights_[s];
+  }
+
+  /// A lower bound on every stored weight: the lightest physical link,
+  /// which any route between two distinct hosts crosses at least once.
+  double min_link_latency() const { return min_link_ms_; }
+
   /// Sum of physical latencies from slot s to each logical neighbor —
-  /// the per-node quantity the PROP Var formula is built from. Memoised
-  /// per slot on the mutation stamps of s's adjacency and of the hosts
-  /// of s and its neighbours, so a repeat query after no relevant change
-  /// costs one stamp pass and no oracle call; a miss sums the neighbour
-  /// list in order, so both paths give the same bits. Updates the memo;
-  /// call from the simulation thread only.
+  /// the per-node quantity the PROP Var formula is built from. Sums the
+  /// stored weights in neighbour order, the additions a probing loop
+  /// makes, so the same bits.
   double neighbor_latency_sum(SlotId s) const;
 
   /// Mean physical latency over all logical edges.
@@ -130,23 +159,26 @@ class OverlayNetwork {
       FloodScratch& scratch, SlotId source, std::uint32_t max_hops) const;
 
  private:
+  /// Re-prices slot s's row and the entry for s in each neighbour's row.
+  void reprice(SlotId s);
+  /// Paranoid builds: aborts unless every weight in s's row equals a
+  /// fresh probe bit for bit. No-op otherwise.
+  void audit_row(SlotId s) const;
+
   LogicalGraph graph_;
   Placement placement_;
   const LatencyOracle* oracle_;
   TrafficCounter traffic_;
   obs::EventBus* trace_ = nullptr;
-  /// neighbor_latency_sum's memo for one slot: the sum and the stamps it
-  /// was computed under. kNoStamp never matches, so a fresh entry misses.
-  struct SumMemo {
-    std::uint64_t adjacency = kNoStamp;  // graph_.stamp(s)
-    std::uint64_t hosts = kNoStamp;      // max placement stamp, s and N(s)
-    double sum = 0.0;
-  };
+  /// weights_[s][i] prices graph_.neighbors(s)[i]; each row is sized
+  /// exactly at construction and follows its adjacency list's pushes
+  /// and swap-and-pop erases.
+  std::vector<std::vector<double>> weights_;
+  double min_link_ms_ = 0.0;
 
   // Mutable because their users are logically const queries.
   mutable SlotMarks marks_;
   mutable std::vector<SlotId> walk_candidates_;
-  mutable std::vector<SumMemo> sum_memo_;
 };
 
 /// Total latency of a hop-by-hop route under the current placement (sum

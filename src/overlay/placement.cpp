@@ -9,7 +9,7 @@ void Placement::bind(SlotId s, NodeId h) {
   PROPSIM_CHECK(!host_bound(h));
   host_of_[s] = h;
   slot_of_[h] = s;
-  stamp_[s] = next_stamp();
+  next_stamp();
   ++bound_count_;
 }
 
@@ -18,7 +18,7 @@ void Placement::unbind(SlotId s) {
   PROPSIM_CHECK(slot_bound(s));
   slot_of_[host_of_[s]] = kInvalidSlot;
   host_of_[s] = kInvalidNode;
-  stamp_[s] = next_stamp();
+  next_stamp();
   PROPSIM_CHECK(bound_count_ > 0);
   --bound_count_;
 }
@@ -32,9 +32,7 @@ void Placement::swap_slots(SlotId a, SlotId b) {
   host_of_[b] = ha;
   slot_of_[ha] = b;
   slot_of_[hb] = a;
-  const std::uint64_t stamp = next_stamp();
-  stamp_[a] = stamp;
-  stamp_[b] = stamp;
+  next_stamp();
 }
 
 std::vector<NodeId> Placement::bound_hosts() const {

@@ -21,7 +21,7 @@ class Placement {
   Placement(std::size_t slot_capacity, std::size_t host_capacity)
       : host_of_(slot_capacity, kInvalidNode),
         slot_of_(host_capacity, kInvalidSlot),
-        version_(next_mutation_stamp()), stamp_(slot_capacity, version_) {}
+        version_(next_mutation_stamp()) {}
 
   std::size_t slot_capacity() const { return host_of_.size(); }
   std::size_t host_capacity() const { return slot_of_.size(); }
@@ -44,23 +44,15 @@ class Placement {
     return slot_of_[h];
   }
 
-  /// Mutation stamp of slot s's host binding (see mutation_stamp.h):
-  /// bind, unbind and swap_slots give the slots they touch a fresh,
-  /// larger stamp, so an unchanged stamp means an unchanged host.
-  std::uint64_t stamp(SlotId s) const {
-    PROPSIM_DCHECK(s < stamp_.size());
-    return stamp_[s];
-  }
-
-  /// The last mutation stamp any mutator drew, so an unchanged version
-  /// means an unchanged binding.
+  /// The last mutation stamp (see mutation_stamp.h) any mutator drew, so
+  /// an unchanged version means an unchanged binding.
   std::uint64_t version() const { return version_; }
 
   /// Grows capacity when slots are added after construction.
   void ensure_slot_capacity(std::size_t slots) {
     if (slots > host_of_.size()) {
       host_of_.resize(slots, kInvalidNode);
-      stamp_.resize(slots, next_stamp());
+      next_stamp();
     }
   }
 
@@ -89,7 +81,6 @@ class Placement {
   std::vector<NodeId> host_of_;
   std::vector<SlotId> slot_of_;
   std::uint64_t version_ = kNoStamp;
-  std::vector<std::uint64_t> stamp_;
   std::size_t bound_count_ = 0;
 };
 

@@ -112,17 +112,15 @@ bool ChurnProcess::do_leave() {
         actives[static_cast<std::size_t>(rng_.uniform(actives.size()))];
     const auto neigh = net_.graph().neighbors(victim);
     const std::vector<SlotId> former(neigh.begin(), neigh.end());
-    net_.graph().deactivate_slot(victim);
+    const NodeId host = net_.leave(victim);
     if (!net_.graph().active_subgraph_connected()) {
       // Roll back: reconnect exactly as before.
-      net_.graph().reactivate_slot(victim);
-      for (const SlotId nb : former) net_.graph().add_edge(victim, nb);
+      net_.rejoin(victim, host);
+      for (const SlotId nb : former) net_.add_edge(victim, nb);
       continue;
     }
     if (engine_ != nullptr) engine_->node_left(victim, former);
-    const NodeId host = net_.placement().host_of(victim);
     spares_.push_back(host);
-    net_.placement().unbind(victim);
     ++leaves_;
     if (obs::EventBus* bus = net_.trace()) {
       bus->emit(obs::TraceEventKind::kLeave, victim, host, 0.0,
@@ -138,7 +136,7 @@ bool ChurnProcess::do_leave() {
 namespace propsim {
 
 void ChurnProcess::add_repair_edge(SlotId a, SlotId b) {
-  net_.graph().add_edge(a, b);
+  net_.add_edge(a, b);
   ++repair_links_;
   if (engine_ != nullptr) engine_->edge_added(a, b);
 }
@@ -160,11 +158,9 @@ bool ChurnProcess::fail_slot(SlotId victim) {
   const std::vector<SlotId> former(neigh.begin(), neigh.end());
 
   // The crash itself: no handoff, edges just vanish.
-  net_.graph().deactivate_slot(victim);
+  const NodeId host = net_.leave(victim);
   if (engine_ != nullptr) engine_->node_left(victim, former);
-  const NodeId host = net_.placement().host_of(victim);
   spares_.push_back(host);
-  net_.placement().unbind(victim);
   ++failures_;
   if (obs::EventBus* bus = net_.trace()) {
     bus->emit(obs::TraceEventKind::kFail, victim, host, 0.0, former.size());

@@ -1,7 +1,9 @@
-// Allocation guard for the PROP attempt: once an engine has warmed up,
-// an attempt that commits nothing must not touch the heap. The walk, the
-// plan and the greedy scores all live in buffers the engine reuses, so a
-// regression that reintroduces a per-attempt vector fails here.
+// Allocation guards for the hot paths: once an engine has warmed up, a
+// PROP attempt that commits nothing must not touch the heap (the walk,
+// the plan and the greedy scores all live in buffers the engine
+// reuses), and neither may a live lookup flooding the overlay in place
+// (its scratch keeps its capacity across floods). A regression that
+// reintroduces a per-attempt or per-lookup vector fails here.
 //
 // Global operator new is replaced with a counting wrapper around malloc.
 // PROPSIM_PARANOID builds skip: their cross-checks build reference
@@ -18,6 +20,7 @@
 #include "core/prop_engine.h"
 #include "fixtures.h"
 #include "gnutella/gnutella.h"
+#include "measure/measure_engine.h"
 #include "sim/scheduler.h"
 #include "topology/transit_stub.h"
 
@@ -144,6 +147,44 @@ TEST(AllocFree, PropGChordAttemptsAllocateNothing) {
   ASSERT_GT(engine.stats().exchanges, 0u);
 
   expect_failed_attempts_allocate_nothing(engine, net);
+}
+
+// Live lookups as run_experiment resolves them: a targeted flood over the
+// live overlay's stored weights, with and without a link filter. The
+// first pass grows the scratch; the second must allocate nothing.
+TEST(AllocFree, WarmedLiveLookupsAllocateNothing) {
+  Rng rng(7301);
+  const World world(160, rng);
+  GnutellaConfig cfg;
+  cfg.attach_links = 4;
+  const OverlayNetwork net =
+      build_gnutella_overlay(cfg, world.hosts, world.oracle, rng);
+  const OverlayNetwork::LinkFilter odd_cut = [](SlotId a, SlotId b) {
+    return (a + b) % 5 != 0;
+  };
+  std::vector<std::pair<SlotId, SlotId>> pairs;
+  for (int i = 0; i < 400; ++i) {
+    pairs.emplace_back(static_cast<SlotId>(rng.uniform(net.size())),
+                       static_cast<SlotId>(rng.uniform(net.size())));
+  }
+  const OverlayNetwork::LinkFilter* const filters[] = {nullptr, &odd_cut};
+  MeasureScratch scratch;
+  double checksum = 0.0;
+  for (const int pass : {0, 1}) {
+    const std::uint64_t before = allocations.load(std::memory_order_relaxed);
+    for (const OverlayNetwork::LinkFilter* filter : filters) {
+      for (const auto& [src, dst] : pairs) {
+        flood_overlay(net, filter, src, nullptr, scratch, dst);
+        checksum += scratch.distance(dst);
+      }
+    }
+    const std::uint64_t used =
+        allocations.load(std::memory_order_relaxed) - before;
+    if (pass == 1) {
+      EXPECT_EQ(used, 0u) << "allocations in a warmed pass";
+    }
+  }
+  EXPECT_GT(checksum, 0.0);
 }
 
 }  // namespace

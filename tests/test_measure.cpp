@@ -225,8 +225,8 @@ TEST(FloodSnapshot, BucketKernelMatchesReferenceHeapDijkstra) {
 
   // Link-filtered capture with departed peers, in a smaller slot count.
   auto small = UnstructuredFixture::make(30, 7032);
-  small.net.graph().deactivate_slot(3);
-  small.net.graph().deactivate_slot(17);
+  small.net.leave(3);
+  small.net.leave(17);
   const OverlayNetwork::LinkFilter drop = [](SlotId a, SlotId b) {
     return (a * 7 + b) % 4 != 0;
   };
@@ -363,12 +363,12 @@ TEST(MeasureEngine, ScratchReusedAcrossChangingSnapshots) {
 
   // Rewire the overlay; the old snapshot must stay valid and the reused
   // engine must agree with a fresh one on both snapshots.
-  LogicalGraph& g = fx.net.graph();
+  const LogicalGraph& g = fx.net.graph();
   const SlotId drop = g.neighbors(0).front();
-  g.remove_edge(0, drop);
+  fx.net.remove_edge(0, drop);
   SlotId add = 1;
   while (add == drop || g.has_edge(0, add)) ++add;
-  g.add_edge(0, add);
+  fx.net.add_edge(0, add);
   const OverlaySnapshot after = OverlaySnapshot::capture(fx.net);
   const auto r_after = reused.lookup_latencies(after, queries);
 

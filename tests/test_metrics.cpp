@@ -27,11 +27,11 @@ TEST(Metrics, SampleQueryPairsValid) {
 
 TEST(Metrics, SampleQueryPairsUnderChurnSkipsInactive) {
   auto fx = UnstructuredFixture::make(40, 5006);
-  LogicalGraph& g = fx.net.graph();
+  const LogicalGraph& g = fx.net.graph();
   // A burst of departures: every third slot leaves.
   std::vector<SlotId> gone;
   for (SlotId s = 1; s < 40; s += 3) {
-    g.deactivate_slot(s);
+    fx.net.leave(s);
     gone.push_back(s);
   }
   Rng rng(6);
@@ -47,12 +47,14 @@ TEST(Metrics, SampleQueryPairsUnderChurnSkipsInactive) {
 
 TEST(Metrics, SampleQueryPairsDeterministicAfterRejoin) {
   auto fx = UnstructuredFixture::make(40, 5007);
-  LogicalGraph& g = fx.net.graph();
+  const LogicalGraph& g = fx.net.graph();
   // Leave/rejoin cycle: 2, 9 and 14 depart; 9 comes back isolated.
+  NodeId host_of_9 = kInvalidNode;
   for (const SlotId s : {SlotId{2}, SlotId{9}, SlotId{14}}) {
-    g.deactivate_slot(s);
+    const NodeId host = fx.net.leave(s);
+    if (s == 9) host_of_9 = host;
   }
-  g.reactivate_slot(9);
+  fx.net.rejoin(9, host_of_9);
   Rng a(7);
   Rng b(7);
   const auto first = sample_query_pairs(g, 300, a);

@@ -99,11 +99,9 @@ TEST(LogicalGraph, AddSlotGrows) {
   EXPECT_TRUE(g.has_edge(s, 0));
 }
 
-TEST(LogicalGraph, StampsAdvanceOnEveryAdjacencyChange) {
+TEST(LogicalGraph, VersionAdvancesOnEveryMutation) {
   LogicalGraph g(4);
-  const std::uint64_t built = g.stamp(0);
-  EXPECT_EQ(g.stamp(3), built);
-  EXPECT_EQ(g.version(), built);
+  EXPECT_NE(g.version(), kNoStamp);
   // version() is the last stamp any mutator drew; reads leave it alone.
   std::uint64_t version = g.version();
   const auto rose = [&] {
@@ -112,23 +110,14 @@ TEST(LogicalGraph, StampsAdvanceOnEveryAdjacencyChange) {
     return up;
   };
   g.add_edge(0, 1);
-  EXPECT_GT(g.stamp(0), built);
-  EXPECT_EQ(g.stamp(0), g.stamp(1));
-  EXPECT_EQ(g.stamp(2), built);
-  const std::uint64_t added = g.stamp(1);
+  EXPECT_TRUE(rose());
   g.remove_edge(1, 0);
-  EXPECT_GT(g.stamp(0), added);
-  EXPECT_GT(g.stamp(1), added);
   EXPECT_TRUE(rose());
   g.add_edge(2, 3);
   EXPECT_TRUE(rose());
-  const std::uint64_t before_leave = g.stamp(3);
   g.deactivate_slot(2);
-  EXPECT_GT(g.stamp(3), before_leave);
   EXPECT_TRUE(rose());
-  const std::uint64_t left = g.stamp(2);
   g.reactivate_slot(2);
-  EXPECT_GT(g.stamp(2), left);
   EXPECT_TRUE(rose());
   // An isolated slot removes no edge on departure; it still moves the
   // version, because its activity changed.
@@ -137,26 +126,44 @@ TEST(LogicalGraph, StampsAdvanceOnEveryAdjacencyChange) {
   g.reactivate_slot(2);
   EXPECT_TRUE(rose());
   const SlotId fresh = g.add_slot();
-  EXPECT_GT(g.stamp(fresh), g.stamp(2));
   EXPECT_TRUE(rose());
-  EXPECT_EQ(g.version(), g.stamp(fresh));
   (void)g.has_edge(0, fresh);
   (void)g.active_slots();
   (void)g.active_subgraph_connected();
   EXPECT_FALSE(rose());
-  // A copy carries the stamps, and the clock is shared: a mutation of
-  // either copy stamps above everything the other has seen.
+  // A copy carries the version, and the clock is shared: a mutation of
+  // either copy draws above everything the other has seen.
   LogicalGraph copy = g;
-  EXPECT_EQ(copy.stamp(fresh), g.stamp(fresh));
   EXPECT_EQ(copy.version(), g.version());
   copy.add_edge(0, fresh);
   g.add_edge(1, fresh);
-  EXPECT_NE(copy.stamp(fresh), g.stamp(fresh));
-  EXPECT_GT(g.stamp(fresh), copy.stamp(fresh));
+  EXPECT_GT(g.version(), copy.version());
+  EXPECT_GT(copy.version(), version);
 }
 
-// Stamps drawn concurrently (a sweep runs one experiment per worker) are
-// unique across threads and increasing within each.
+// remove_edge reports where the edge sat in each list: the last entry
+// of each list moved into that position.
+TEST(LogicalGraph, RemoveEdgeReportsFreedPositions) {
+  LogicalGraph g(5);
+  for (const SlotId v : {1, 2, 3, 4}) g.add_edge(0, v);
+  g.add_edge(2, 1);
+  g.add_edge(2, 3);
+  // 0: [1 2 3 4], 2: [0 1 3]
+  const auto [at0, at2] = g.remove_edge(0, 2);
+  EXPECT_EQ(at0, 1u);
+  EXPECT_EQ(at2, 0u);
+  EXPECT_EQ(std::vector<SlotId>(g.neighbors(0).begin(), g.neighbors(0).end()),
+            (std::vector<SlotId>{1, 4, 3}));
+  EXPECT_EQ(std::vector<SlotId>(g.neighbors(2).begin(), g.neighbors(2).end()),
+            (std::vector<SlotId>{3, 1}));
+  // Removing a list's last entry frees the last position.
+  const auto [at0_last, at3] = g.remove_edge(0, 3);
+  EXPECT_EQ(at0_last, 2u);
+  EXPECT_EQ(at3, 0u);
+}
+
+// Versions drawn concurrently (a sweep runs one experiment per worker)
+// are unique across threads and increasing within each.
 TEST(MutationStamp, UniqueAcrossThreadsIncreasingWithinEach) {
   constexpr int kThreads = 4;
   constexpr int kDraws = 20000;
@@ -167,7 +174,7 @@ TEST(MutationStamp, UniqueAcrossThreadsIncreasingWithinEach) {
       LogicalGraph g(2);
       for (int i = 0; i < kDraws; ++i) {
         g.add_edge(0, 1);
-        drawn[t].push_back(g.stamp(0));
+        drawn[t].push_back(g.version());
         g.remove_edge(0, 1);
       }
     });
@@ -220,10 +227,9 @@ TEST(Placement, BoundHostsOrderedBySlot) {
   EXPECT_EQ(p.bound_hosts(), (std::vector<NodeId>{9, 2}));
 }
 
-TEST(Placement, StampsAdvanceOnEveryHostChange) {
+TEST(Placement, VersionAdvancesOnEveryHostChange) {
   Placement p(3, 10);
-  const std::uint64_t built = p.stamp(0);
-  EXPECT_EQ(p.version(), built);
+  EXPECT_NE(p.version(), kNoStamp);
   // version() is the last stamp any mutator drew; reads leave it alone.
   std::uint64_t version = p.version();
   const auto rose = [&] {
@@ -235,22 +241,12 @@ TEST(Placement, StampsAdvanceOnEveryHostChange) {
   EXPECT_TRUE(rose());
   p.bind(1, 6);
   EXPECT_TRUE(rose());
-  EXPECT_GT(p.stamp(1), p.stamp(0));
-  EXPECT_GT(p.stamp(0), built);
-  EXPECT_EQ(p.stamp(2), built);
-  const std::uint64_t bound = p.stamp(1);
   p.swap_slots(0, 1);
-  EXPECT_GT(p.stamp(0), bound);
-  EXPECT_EQ(p.stamp(0), p.stamp(1));
   EXPECT_TRUE(rose());
-  const std::uint64_t swapped = p.stamp(1);
   p.unbind(1);
-  EXPECT_GT(p.stamp(1), swapped);
   EXPECT_TRUE(rose());
   p.ensure_slot_capacity(5);
-  EXPECT_GT(p.stamp(4), p.stamp(1));
   EXPECT_TRUE(rose());
-  EXPECT_EQ(p.version(), p.stamp(4));
   p.ensure_slot_capacity(5);  // no growth, no mutation
   (void)p.host_of(0);
   (void)p.bound_hosts();
@@ -311,13 +307,61 @@ TEST_F(OverlayNetworkTest, VersionFollowsGraphAndPlacement) {
   (void)net.neighbor_latency_sum(0);
   (void)net.flood_latencies(0);
   EXPECT_EQ(net.version(), built);
-  net.placement().swap_slots(0, 2);
+  net.swap_hosts(0, 2);
   const std::uint64_t swapped = net.version();
   EXPECT_GT(swapped, built);
   EXPECT_EQ(swapped, net.placement().version());
-  net.graph().remove_edge(0, 1);
-  EXPECT_GT(net.version(), swapped);
-  EXPECT_EQ(net.version(), net.graph().version());
+  net.remove_edge(0, 1);
+  const std::uint64_t removed = net.version();
+  EXPECT_GT(removed, swapped);
+  EXPECT_EQ(removed, net.graph().version());
+  net.add_edge(0, 1);
+  EXPECT_GT(net.version(), removed);
+  const std::uint64_t added = net.version();
+  const NodeId host = net.leave(3);
+  EXPECT_GT(net.version(), added);
+  const std::uint64_t left = net.version();
+  net.rejoin(3, host);
+  EXPECT_GT(net.version(), left);
+  const std::uint64_t rejoined = net.version();
+  (void)net.join(4);
+  EXPECT_GT(net.version(), rejoined);
+}
+
+// Each mutator keeps every stored weight equal to a probe, including a
+// swap of two adjacent slots and of slots sharing a neighbour.
+TEST_F(OverlayNetworkTest, MutatorsKeepStoredWeights) {
+  auto net = make_net();
+  const auto expect_fresh = [&net] {
+    for (SlotId s = 0; s < net.graph().slot_count(); ++s) {
+      const auto neighbors = net.graph().neighbors(s);
+      const auto weights = net.neighbor_latencies(s);
+      ASSERT_EQ(weights.size(), neighbors.size());
+      for (std::size_t i = 0; i < neighbors.size(); ++i) {
+        EXPECT_EQ(weights[i], net.slot_latency(s, neighbors[i]));
+      }
+    }
+  };
+  expect_fresh();
+  EXPECT_EQ(net.neighbor_latencies(0)[1], 3.0);  // slot 3, ring distance
+  net.swap_hosts(0, 1);  // adjacent
+  expect_fresh();
+  net.swap_hosts(0, 2);  // both neighbour 1 and 3
+  expect_fresh();
+  net.remove_edge(1, 2);
+  expect_fresh();
+  const SlotId fresh = net.join(5);
+  net.add_edge(fresh, 1);
+  net.add_edge(2, fresh);
+  expect_fresh();
+  const NodeId host = net.leave(0);
+  expect_fresh();
+  EXPECT_TRUE(net.neighbor_latencies(0).empty());
+  net.rejoin(0, host);
+  net.add_edge(0, 2);
+  expect_fresh();
+  // The weight floor is the lightest physical link.
+  EXPECT_EQ(net.min_link_latency(), 1.0);
 }
 
 TEST_F(OverlayNetworkTest, NeighborLatencySum) {
@@ -430,9 +474,10 @@ TEST(RandomWalkRegression, LongTtlMatchesFindBasedReference) {
   }
 }
 
-// ------------------------------------- neighbor_latency_sum memo ----
+// --------------------------------------------- stored edge weights ----
 
-// neighbor_latency_sum as it was before the memo: one in-order pass.
+// neighbor_latency_sum as it was before stored weights: one in-order
+// pass of probes.
 double fresh_neighbor_sum(const OverlayNetwork& net, SlotId s) {
   double sum = 0.0;
   for (const SlotId v : net.graph().neighbors(s)) {
@@ -441,25 +486,29 @@ double fresh_neighbor_sum(const OverlayNetwork& net, SlotId s) {
   return sum;
 }
 
-/// Drives seeded random mutation sequences through every stamped path
-/// (swap, bind/unbind, edge edits, leave/rejoin, new slots, whole-overlay
-/// copies, graph()/placement() assignment from copies and from stale
-/// snapshots) and checks every memoised sum bit for bit against a fresh
-/// loop. Waxman latencies are fractional, so a sum taken over a stale
-/// neighbour order would differ in its bits, not only a stale host.
-class SumMemoSequence {
+/// Drives seeded random mutation sequences through every mutator
+/// (swap_hosts, add_edge, remove_edge, leave, rejoin with a new host
+/// and with the old one, join) and through whole-overlay copies and
+/// assignments, from diverged copies and from stale saved states. After
+/// every step each stored weight of the mutated overlay must equal a
+/// probe bit for bit, and sums over revisited slots must equal a
+/// probing loop. Waxman latencies are fractional, so a weight left in a
+/// stale position would differ in its bits, not only a stale host.
+class WeightRowSequence {
  public:
-  explicit SumMemoSequence(std::uint64_t seed)
+  explicit WeightRowSequence(std::uint64_t seed)
       : rng_(seed),
         physical_(make_waxman_graph(kHosts, 0.4, 0.2, 100.0, 0.5, rng_)),
         oracle_(physical_),
         net_(build(rng_)) {}
 
-  /// Runs `steps` mutations, each followed by a burst of queries that
-  /// revisit slots so the memo is hit as well as missed.
+  /// Runs `steps` mutations, each followed by a full weight check and a
+  /// burst of sum queries.
   void run(int steps) {
     for (int i = 0; i < steps; ++i) {
       mutate(other_ != nullptr && rng_.uniform(4) == 0 ? *other_ : net_);
+      check_weights(net_);
+      if (other_ != nullptr) check_weights(*other_);
       for (int q = 0; q < 12; ++q) check_random_slot(net_);
       if (other_ != nullptr) check_random_slot(*other_);
     }
@@ -474,7 +523,11 @@ class SumMemoSequence {
   OverlayNetwork build(Rng& rng) {
     LogicalGraph g(kSlots);
     for (SlotId s = 0; s < kSlots; ++s) g.add_edge(s, (s + 1) % kSlots);
-    for (int e = 0; e < 60; ++e) add_random_edge(g, rng);
+    for (int e = 0; e < 60; ++e) {
+      const auto a = static_cast<SlotId>(rng.uniform(kSlots));
+      const auto b = static_cast<SlotId>(rng.uniform(kSlots));
+      if (a != b && !g.has_edge(a, b)) g.add_edge(a, b);
+    }
     Placement p(kSlots, kHosts);
     const auto hosts = rng.sample_indices(kHosts, kSlots);
     for (SlotId s = 0; s < kSlots; ++s) {
@@ -483,11 +536,12 @@ class SumMemoSequence {
     return OverlayNetwork(std::move(g), std::move(p), oracle_);
   }
 
-  static void add_random_edge(LogicalGraph& g, Rng& rng) {
-    const auto a = static_cast<SlotId>(rng.uniform(g.slot_count()));
-    const auto b = static_cast<SlotId>(rng.uniform(g.slot_count()));
+  void add_random_edge(OverlayNetwork& net) {
+    const auto a = static_cast<SlotId>(rng_.uniform(net.graph().slot_count()));
+    const auto b = static_cast<SlotId>(rng_.uniform(net.graph().slot_count()));
+    const LogicalGraph& g = net.graph();
     if (a != b && g.is_active(a) && g.is_active(b) && !g.has_edge(a, b)) {
-      g.add_edge(a, b);
+      net.add_edge(a, b);
     }
   }
 
@@ -499,7 +553,7 @@ class SumMemoSequence {
     return h;
   }
 
-  /// Active bound slot drawn at random, or kInvalidSlot.
+  /// Active slot drawn at random, or kInvalidSlot.
   SlotId random_live_slot(const OverlayNetwork& net) {
     const auto slots = net.graph().active_slots();
     if (slots.empty()) return kInvalidSlot;
@@ -507,81 +561,90 @@ class SumMemoSequence {
   }
 
   void mutate(OverlayNetwork& net) {
-    LogicalGraph& g = net.graph();
-    Placement& p = net.placement();
+    const LogicalGraph& g = net.graph();
     switch (rng_.uniform(10)) {
       case 0: {  // PROP-G swap
         const SlotId a = random_live_slot(net);
         const SlotId b = random_live_slot(net);
-        if (a != b) p.swap_slots(a, b);
+        if (a != b) net.swap_hosts(a, b);
         break;
       }
-      case 1: {  // a slot changes host
+      case 1: {  // a slot changes host and is rewired as before
         const SlotId s = random_live_slot(net);
-        p.unbind(s);
-        p.bind(s, free_host(p));
+        const auto neighbors = g.neighbors(s);
+        const std::vector<SlotId> former(neighbors.begin(), neighbors.end());
+        const NodeId old_host = net.leave(s);
+        net.rejoin(s, rng_.uniform(2) == 0 ? old_host : free_host(
+                                                           net.placement()));
+        for (const SlotId v : former) net.add_edge(s, v);
         break;
       }
       case 2:
-        add_random_edge(g, rng_);
+        add_random_edge(net);
         break;
       case 3: {  // drop an edge (swap-with-back reorders the lists)
         const SlotId s = random_live_slot(net);
-        if (g.degree(s) > 0) g.remove_edge(s, rng_.pick(g.neighbors(s)));
+        if (g.degree(s) > 0) net.remove_edge(s, rng_.pick(g.neighbors(s)));
         break;
       }
       case 4: {  // a peer leaves
         const SlotId s = random_live_slot(net);
-        if (g.active_count() > kSlots / 2) {
-          g.deactivate_slot(s);
-          p.unbind(s);
-        }
+        if (g.active_count() > kSlots / 2) net.leave(s);
         break;
       }
       case 5: {  // a departed peer rejoins, or a new one joins
-        if (p.bound_count() == kHosts) break;
+        if (net.placement().bound_count() == kHosts) break;
         SlotId s = kInvalidSlot;
         for (SlotId t = 0; t < g.slot_count(); ++t) {
           if (!g.is_active(t)) s = t;
         }
+        const NodeId host = free_host(net.placement());
         if (s != kInvalidSlot && rng_.uniform(2) == 0) {
-          g.reactivate_slot(s);
+          net.rejoin(s, host);
         } else {
-          s = g.add_slot();
-          p.ensure_slot_capacity(g.slot_count());
+          s = net.join(host);
         }
-        p.bind(s, free_host(p));
         for (int e = 0; e < 3; ++e) {
           const SlotId t = random_live_slot(net);
-          if (t != s && !g.has_edge(s, t)) g.add_edge(s, t);
+          if (t != s && !g.has_edge(s, t)) net.add_edge(s, t);
         }
         break;
       }
       case 6:  // a whole-overlay copy that then diverges
         other_ = std::make_unique<OverlayNetwork>(net_);
         break;
-      case 7:  // adopt a diverged copy's graph and placement
-        if (other_ != nullptr) {
-          net_.graph() = other_->graph();
-          net_.placement() = other_->placement();
-        }
+      case 7:  // adopt a diverged copy
+        if (other_ != nullptr) net_ = *other_;
         break;
-      case 8:  // snapshot now, restore later: old stamps come back
-        if (saved_graph_ == nullptr || rng_.uniform(2) == 0) {
-          saved_graph_ = std::make_unique<LogicalGraph>(net_.graph());
-          saved_placement_ = std::make_unique<Placement>(net_.placement());
+      case 8:  // save now, restore later: an older state comes back
+        if (saved_ == nullptr || rng_.uniform(2) == 0) {
+          saved_ = std::make_unique<OverlayNetwork>(net_);
         } else {
-          net_.graph() = *saved_graph_;
-          net_.placement() = *saved_placement_;
+          net_ = *saved_;
         }
         break;
       default:  // a second swap keeps swaps the common mutation
         if (g.active_count() >= 2) {
           const SlotId a = random_live_slot(net);
           const SlotId b = random_live_slot(net);
-          if (a != b) p.swap_slots(a, b);
+          if (a != b) net.swap_hosts(a, b);
         }
         break;
+    }
+  }
+
+  static void check_weights(const OverlayNetwork& net) {
+    const LogicalGraph& g = net.graph();
+    for (SlotId s = 0; s < g.slot_count(); ++s) {
+      const auto neighbors = g.neighbors(s);
+      const auto weights = net.neighbor_latencies(s);
+      ASSERT_EQ(weights.size(), neighbors.size()) << "slot " << s;
+      for (std::size_t i = 0; i < neighbors.size(); ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(weights[i]),
+                  std::bit_cast<std::uint64_t>(
+                      net.slot_latency(s, neighbors[i])))
+            << "slot " << s << " entry " << i;
+      }
     }
   }
 
@@ -601,15 +664,14 @@ class SumMemoSequence {
   LatencyOracle oracle_;
   OverlayNetwork net_;
   std::unique_ptr<OverlayNetwork> other_;
-  std::unique_ptr<LogicalGraph> saved_graph_;
-  std::unique_ptr<Placement> saved_placement_;
+  std::unique_ptr<OverlayNetwork> saved_;
   int checked_ = 0;
 };
 
-TEST(NeighborLatencySumMemo, MatchesFreshLoopUnderRandomMutations) {
+TEST(StoredEdgeWeights, MatchProbesUnderRandomMutations) {
   int checked = 0;
   for (std::uint64_t seed = 7001; seed < 7009; ++seed) {
-    SumMemoSequence sequence(seed);
+    WeightRowSequence sequence(seed);
     sequence.run(400);
     checked += sequence.checked();
   }

@@ -222,7 +222,7 @@ TEST(PropEngine, ChurnHooksMaintainState) {
   const SlotId victim = fx.net.graph().active_slots()[5];
   const auto neigh = fx.net.graph().neighbors(victim);
   const std::vector<SlotId> former(neigh.begin(), neigh.end());
-  fx.net.graph().deactivate_slot(victim);
+  const NodeId host = fx.net.leave(victim);
   engine.node_left(victim, former);
   for (const SlotId nb : former) {
     EXPECT_FALSE(engine.queue_of(nb).contains(victim));
@@ -231,13 +231,13 @@ TEST(PropEngine, ChurnHooksMaintainState) {
   }
 
   // Simulate a (re)join wiring the slot to two peers.
-  fx.net.graph().reactivate_slot(victim);
+  fx.net.rejoin(victim, host);
   const auto actives = fx.net.graph().active_slots();
   std::vector<SlotId> new_neigh;
   for (const SlotId s : actives) {
     if (s != victim && new_neigh.size() < 2) new_neigh.push_back(s);
   }
-  for (const SlotId nb : new_neigh) fx.net.graph().add_edge(victim, nb);
+  for (const SlotId nb : new_neigh) fx.net.add_edge(victim, nb);
   engine.node_joined(victim, new_neigh);
   for (const SlotId nb : new_neigh) {
     EXPECT_TRUE(engine.queue_of(nb).contains(victim));
@@ -297,7 +297,7 @@ TEST(PropEngine, MessageDelaysWorkWithPropGAndChurnHooks) {
   const SlotId victim = fx.net.graph().active_slots()[3];
   const auto neigh = fx.net.graph().neighbors(victim);
   const std::vector<SlotId> former(neigh.begin(), neigh.end());
-  fx.net.graph().deactivate_slot(victim);
+  fx.net.leave(victim);
   engine.node_left(victim, former);
   sim.run_until(2000.0);
   EXPECT_GT(engine.stats().exchanges, 0u);
@@ -340,7 +340,7 @@ TEST(PropEngine, DelayedCommitInvalidatedByDepartureKeepsQueuesClean) {
     if (v == initiator || !fx.net.graph().is_active(v)) continue;
     const auto neigh = fx.net.graph().neighbors(v);
     const std::vector<SlotId> former(neigh.begin(), neigh.end());
-    fx.net.graph().deactivate_slot(v);
+    fx.net.leave(v);
     engine.node_left(v, former);
   }
   sim.run_until(1e7);

@@ -106,7 +106,7 @@ TEST(Heterogeneity, DelaysFollowHostsThroughSwaps) {
   const NodeId host_a = fx.net.placement().host_of(0);
   const NodeId host_b = fx.net.placement().host_of(1);
   const auto before = delays.slot_delays(fx.net);
-  fx.net.placement().swap_slots(0, 1);
+  fx.net.swap_hosts(0, 1);
   const auto after = delays.slot_delays(fx.net);
   EXPECT_DOUBLE_EQ(after[0], delays.host_delay_ms[host_b]);
   EXPECT_DOUBLE_EQ(after[1], delays.host_delay_ms[host_a]);
