@@ -2,7 +2,9 @@
 //
 // Not a paper figure — these guard the simulator's own performance:
 // Dijkstra over the physical graph, Chord lookups, CAN routing, the
-// event queue, and the exchange planning/apply primitives.
+// event queue, the exchange planning/apply primitives, and the metric
+// sweep's flood kernel.
+#include <algorithm>
 #include <string_view>
 #include <vector>
 
@@ -12,9 +14,11 @@
 #include "can/can_space.h"
 #include "chord/chord_ring.h"
 #include "core/exchange.h"
+#include "measure/measure_engine.h"
 #include "sim/scheduler.h"
 #include "topology/shortest_path.h"
 #include "workload/host_selection.h"
+#include "workload/lookups.h"
 
 namespace propsim::bench {
 namespace {
@@ -151,6 +155,67 @@ void BM_PropOPlan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PropOPlan);
+
+/// A fig5-sized metric sweep: 10k uniform queries over a 1,000-slot
+/// Gnutella snapshot on the ts-large world.
+struct FloodSweepInput {
+  OverlaySnapshot snap;
+  std::vector<QueryPair> queries;
+  std::vector<QueryPair> by_source;  // the queries, stably sorted by src
+};
+
+const FloodSweepInput& flood_sweep_input() {
+  static const FloodSweepInput input = [] {
+    Rng rng(12);
+    World world(TransitStubConfig::ts_large(), rng);
+    const OverlayNetwork net = build_unstructured(world, 1000, rng);
+    FloodSweepInput in{OverlaySnapshot::capture(net),
+                       uniform_queries(net.graph(), 10000, rng), {}};
+    in.by_source = in.queries;
+    std::stable_sort(in.by_source.begin(), in.by_source.end(),
+                     [](const QueryPair& a, const QueryPair& b) {
+                       return a.src < b.src;
+                     });
+    return in;
+  }();
+  return input;
+}
+
+/// The sweep as the sampler runs it: one flood per distinct source,
+/// each stopping once its last destination is final.
+void BM_FloodSweep(benchmark::State& state) {
+  const FloodSweepInput& in = flood_sweep_input();
+  MeasureEngine engine(1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        engine.average_lookup_latency(in.snap, in.queries));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(in.queries.size()));
+}
+BENCHMARK(BM_FloodSweep)->Unit(benchmark::kMillisecond);
+
+/// The same queries with one full flood per distinct source: the
+/// kernel's cost without the early stop.
+void BM_FloodSweepFull(benchmark::State& state) {
+  const FloodSweepInput& in = flood_sweep_input();
+  MeasureScratch scratch;
+  for (auto _ : state) {
+    double sum = 0.0;
+    SlotId flooded = kInvalidSlot;
+    for (const QueryPair& q : in.by_source) {
+      if (q.src != flooded) {
+        flood_snapshot(in.snap, q.src, nullptr, scratch);
+        flooded = q.src;
+      }
+      sum += scratch.distance(q.dst);
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(in.queries.size()));
+}
+BENCHMARK(BM_FloodSweepFull)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace propsim::bench

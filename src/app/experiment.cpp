@@ -424,7 +424,8 @@ class Measurement {
     const std::vector<double>* delays = slot_delays(storage);
     const OverlayNetwork& net = *overlay_.net;
     if (!structured()) {
-      flood_overlay(net, filter(), q.src, delays, lookup_scratch_, q.dst);
+      flood_overlay(net, filter(), q.src, delays, lookup_scratch_,
+                    {&q.dst, 1});
       const double ms = lookup_scratch_.distance(q.dst);
       if (paranoid_checks_enabled()) {
         const double probed_ms = net.flood_latencies_into(

@@ -52,7 +52,8 @@ void grow_ring(std::vector<std::uint32_t>& heads, std::uint64_t cur,
 
 void MeasureScratch::begin(std::size_t n) {
   dist.assign(n, kInf);
-  if (queued.size() != n) queued.assign(n, 0);
+  if (pending.size() != n) pending.assign(n, kIdle);
+  if (heads.empty()) heads.assign(1, kNoEntry);
   entries.clear();
 }
 
@@ -86,119 +87,153 @@ struct KeepAll {
 
 /// The Dial kernel behind flood_snapshot and flood_overlay. `Rows` is an
 /// OverlaySnapshot or LiveRows; `keep(u, v)` is asked before relaxing
-/// each edge. The bucket width only needs to be a power of two: by the
-/// fixpoint argument in measure_engine.h any width yields the same
-/// distances and the same early stop, and a width at most the lightest
-/// edge only saves re-filing.
-template <class Rows, class Keep>
-void dial_flood(const Rows& rows, Keep keep, SlotId source,
-                const std::vector<double>* processing_delay_ms,
-                MeasureScratch& scratch, SlotId target) {
+/// each edge; `delay` is the per-slot processing delay when kDelays.
+/// The bucket width only needs to be a power of two: by the fixpoint
+/// argument in measure_engine.h any width yields the same distances and
+/// the same early stop, and a width at most the lightest edge only
+/// saves re-filing.
+template <bool kDelays, class Rows, class Keep>
+void dial_kernel(const Rows& rows, Keep keep, SlotId source,
+                 const double* delay, MeasureScratch& scratch,
+                 std::span<const SlotId> targets) {
+  const std::size_t n = rows.slot_count();
+  PROPSIM_CHECK(source < n);
   PROPSIM_CHECK(rows.is_active(source));
-  PROPSIM_CHECK(target == kInvalidSlot || target < rows.slot_count());
-  if (processing_delay_ms != nullptr) {
-    PROPSIM_CHECK(processing_delay_ms->size() == rows.slot_count());
-  }
-  scratch.begin(rows.slot_count());
-  auto& dist = scratch.dist;
-  auto& queued = scratch.queued;
+  for (const SlotId t : targets) PROPSIM_CHECK(t < n);
+  scratch.begin(n);
+  double* const dist = scratch.dist.data();
+  std::uint64_t* const pending = scratch.pending.data();
   auto& heads = scratch.heads;  // all empty: the last flood drained them
   auto& entries = scratch.entries;
+  // Raw view of the ring, refreshed whenever grow_ring replaces it.
+  std::uint32_t* ring = heads.data();
+  std::uint64_t mask = heads.size() - 1;
   // Multiplying by a power of two is exact, so a distance's bucket is
-  // exactly floor(d / W).
+  // exactly floor(d / W). Below kFarBucket the quotient fits int64_t,
+  // whose conversion is one instruction where uint64_t's is a branch.
   const double inv_width =
       std::ldexp(1.0, -bucket_exponent(rows.min_edge_ms()));
   auto bucket_of = [inv_width](double d) {
     const double q = d * inv_width;
-    return q < static_cast<double>(kFarBucket) ? static_cast<std::uint64_t>(q)
-                                               : kFarBucket;
+    return q < static_cast<double>(kFarBucket)
+               ? static_cast<std::uint64_t>(static_cast<std::int64_t>(q))
+               : kFarBucket;
   };
-  std::uint64_t cur = 0;    // absolute index of the bucket being drained
-  std::size_t pending = 0;  // filed entries not yet popped, stale included
+  std::uint64_t cur = 0;     // absolute index of the bucket being drained
+  std::size_t unpopped = 0;  // filed entries not yet popped, stale included
   auto file = [&](SlotId v, std::uint64_t b) {
     PROPSIM_DCHECK(b >= cur);
     const std::uint64_t ahead = std::min(b - cur, kMaxBuckets - 1);
-    if (ahead >= heads.size()) grow_ring(heads, cur, ahead + 1);
-    std::uint32_t& head = heads[(cur + ahead) & (heads.size() - 1)];
+    if (ahead > mask) {
+      grow_ring(heads, cur, ahead + 1);
+      ring = heads.data();
+      mask = heads.size() - 1;
+    }
+    std::uint32_t& head = ring[(cur + ahead) & mask];
     entries.push_back({v, head});
     head = static_cast<std::uint32_t>(entries.size() - 1);
-    queued[v] = 1;
-    ++pending;
+    pending[v] = b;
+    ++unpopped;
   };
 
+  std::size_t final_targets = 0;  // targets[0, final_targets) are final
   dist[source] = 0.0;
   file(source, 0);
-  while (pending > 0) {
+  while (unpopped > 0) {
     // Pop until the open bucket is empty, re-reading its head each time:
     // relaxations may file into it, and a ring growth moves it.
     for (;;) {
-      std::uint32_t& head = heads[cur & (heads.size() - 1)];
+      std::uint32_t& head = ring[cur & mask];
       if (head == MeasureScratch::kNoEntry) break;
       const SlotId u = entries[head].slot;
       head = entries[head].next;
-      --pending;
+      --unpopped;
       // Only a queued slot is processed, always at its current distance,
       // so pop order changes the work done but never the fixpoint the
       // drain stops at.
-      if (queued[u] == 0) continue;  // stale: processed since filed
-      queued[u] = 0;
+      if (pending[u] == MeasureScratch::kIdle) continue;  // stale
+      pending[u] = MeasureScratch::kIdle;
       const double du = dist[u];
-      const auto targets = rows.targets(u);
+      const auto out = rows.targets(u);
       const auto lats = rows.latencies(u);
-      for (std::size_t e = 0; e < targets.size(); ++e) {
-        const SlotId v = targets[e];
+      for (std::size_t e = 0; e < out.size(); ++e) {
+        const SlotId v = out[e];
         if (!keep(u, v)) continue;
         // Same per-edge arithmetic as the heap flood: lats[e] is the
         // identical slot_latency(u, v) double, stored by the overlay.
         double cost = lats[e];
-        if (processing_delay_ms != nullptr) {
-          cost += (*processing_delay_ms)[v];
-        }
+        if constexpr (kDelays) cost += delay[v];
         const double candidate = du + cost;
         // Unreached slots hold +inf, which no candidate (+inf included)
         // beats, so +inf is never filed and reads back as +inf.
         if (!(candidate < dist[v])) continue;
-        const std::uint64_t b = bucket_of(candidate);
-        // A queued slot whose bucket did not change keeps its entry.
-        const bool refile = queued[v] == 0 || b != bucket_of(dist[v]);
         dist[v] = candidate;
-        if (refile) file(v, b);
+        // A queued slot whose bucket did not change keeps its entry.
+        const std::uint64_t b = bucket_of(candidate);
+        if (pending[v] != b) file(v, b);
       }
     }
     // Bucket cur is drained, so every pending entry's slot sits at a
     // distance >= (cur + 1) * W, and costs >= 0 with monotone addition
     // keep every later candidate there too: a target below that bound
-    // is final. Leave the scratch as a full flood would: nothing
-    // queued, every ring head empty.
-    if (target != kInvalidSlot && bucket_of(dist[target]) <= cur) {
-      for (const auto& entry : entries) queued[entry.slot] = 0;
-      std::fill(heads.begin(), heads.end(), MeasureScratch::kNoEntry);
-      return;
+    // is final, and stays final as cur grows, so one cursor walks the
+    // targets. Once all are final, leave the scratch as a full flood
+    // would: nothing pending, every ring head empty.
+    if (!targets.empty()) {
+      while (final_targets < targets.size() &&
+             bucket_of(dist[targets[final_targets]]) <= cur) {
+        ++final_targets;
+      }
+      if (final_targets == targets.size()) {
+        for (const auto& entry : entries) {
+          pending[entry.slot] = MeasureScratch::kIdle;
+        }
+        std::fill(heads.begin(), heads.end(), MeasureScratch::kNoEntry);
+        return;
+      }
     }
     ++cur;
   }
+}
+
+/// Picks the kernel instance for the delay case, so the per-edge path
+/// of a flood without processing delays carries no delay branch.
+template <class Rows, class Keep>
+void dial_flood(const Rows& rows, Keep keep, SlotId source,
+                const std::vector<double>* processing_delay_ms,
+                MeasureScratch& scratch, std::span<const SlotId> targets) {
+  if (processing_delay_ms == nullptr) {
+    dial_kernel<false>(rows, keep, source, nullptr, scratch, targets);
+    return;
+  }
+  PROPSIM_CHECK(processing_delay_ms->size() == rows.slot_count());
+  dial_kernel<true>(rows, keep, source, processing_delay_ms->data(), scratch,
+                    targets);
 }
 
 }  // namespace
 
 void flood_snapshot(const OverlaySnapshot& snap, SlotId source,
                     const std::vector<double>* processing_delay_ms,
-                    MeasureScratch& scratch, SlotId target) {
-  dial_flood(snap, KeepAll{}, source, processing_delay_ms, scratch, target);
+                    MeasureScratch& scratch,
+                    std::span<const SlotId> targets) {
+  dial_flood(snap, KeepAll{}, source, processing_delay_ms, scratch, targets);
 }
 
 void flood_overlay(const OverlayNetwork& net,
                    const OverlayNetwork::LinkFilter* link_ok, SlotId source,
                    const std::vector<double>* processing_delay_ms,
-                   MeasureScratch& scratch, SlotId target) {
+                   MeasureScratch& scratch,
+                   std::span<const SlotId> targets) {
   const LiveRows rows{net};
   if (link_ok == nullptr) {
-    dial_flood(rows, KeepAll{}, source, processing_delay_ms, scratch, target);
+    dial_flood(rows, KeepAll{}, source, processing_delay_ms, scratch,
+               targets);
     return;
   }
   dial_flood(
       rows, [link_ok](SlotId u, SlotId v) { return (*link_ok)(u, v); },
-      source, processing_delay_ms, scratch, target);
+      source, processing_delay_ms, scratch, targets);
 }
 
 MeasureEngine::MeasureEngine(std::size_t threads, MeasureMode mode) {
@@ -214,9 +249,8 @@ MeasureEngine::MeasureEngine(std::size_t threads, MeasureMode mode) {
   }
 }
 
-void MeasureEngine::for_chunks(
-    std::size_t count,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& body) {
+template <class Body>
+void MeasureEngine::for_chunks(std::size_t count, const Body& body) {
   if (count == 0) return;
   const std::size_t chunks = std::min(threads_, count);
   auto bounds = [&](std::size_t c) {
@@ -244,7 +278,7 @@ void MeasureEngine::run_lookup(const OverlaySnapshot& snap,
                                std::span<const QueryPair> queries,
                                const std::vector<double>* processing_delay_ms,
                                std::vector<double>& out) {
-  // One Dijkstra per distinct source: order query indices by source,
+  // One flood per distinct source: order query indices by source,
   // then chunk the contiguous same-source runs across the workers. Each
   // worker writes only out[idx] for its own runs' indices. order_ and
   // runs_ are member buffers so a steady-state sweep reallocates
@@ -277,8 +311,30 @@ void MeasureEngine::run_lookup(const OverlaySnapshot& snap,
     MeasureScratch& scratch = *scratch_[chunk];
     for (std::size_t r = begin; r < end; ++r) {
       const Run& run = runs_[r];
-      flood_snapshot(snap, queries[order_[run.begin]].src,
-                     processing_delay_ms, scratch);
+      const SlotId src = queries[order_[run.begin]].src;
+      // The run's destinations are the flood's targets: it stops once
+      // the last of them is final.
+      scratch.targets.clear();
+      for (std::size_t k = run.begin; k < run.end; ++k) {
+        scratch.targets.push_back(queries[order_[k]].dst);
+      }
+      flood_snapshot(snap, src, processing_delay_ms, scratch,
+                     scratch.targets);
+#ifdef PROPSIM_PARANOID
+      // Re-flood the source in full: every target the early stop read
+      // must carry the full flood's bits.
+      std::vector<double> early;
+      for (const SlotId t : scratch.targets) {
+        early.push_back(scratch.distance(t));
+      }
+      flood_snapshot(snap, src, processing_delay_ms, scratch);
+      for (std::size_t i = 0; i < early.size(); ++i) {
+        PROPSIM_CHECK(std::bit_cast<std::uint64_t>(early[i]) ==
+                          std::bit_cast<std::uint64_t>(
+                              scratch.distance(scratch.targets[i])) &&
+                      "early-stopped sweep flood disagrees with a full one");
+      }
+#endif
       for (std::size_t k = run.begin; k < run.end; ++k) {
         out[order_[k]] = scratch.distance(queries[order_[k]].dst);
       }

@@ -23,12 +23,13 @@
 // same least fixpoint d[v] = min over edges (u, v) of fl(d[u] + c(u, v)).
 // Pop order does not matter, only that the search runs to that fixpoint
 // (docs/PERF.md); so does the width, as long as it is a power of two.
-// A point-to-point flood passes a target and stops after the first
-// drained bucket whose upper edge lies above the target's distance:
-// every entry still pending sits in a later bucket, so no later
-// candidate can beat that distance and the value read is the one a
-// full flood would return. Worker scratch is allocated once per worker
-// and reused across sources and across snapshots.
+// A flood given targets stops after the first drained bucket whose
+// upper edge lies above every target's distance: every entry still
+// pending sits in a later bucket, so no later candidate can beat those
+// distances and the values read are the ones a full flood would
+// return. A sweep passes each source's destinations as its targets.
+// Worker scratch is allocated once per worker and reused across sources
+// and across snapshots.
 #pragma once
 
 #include <cstdint>
@@ -49,8 +50,13 @@ enum class MeasureMode { kExact, kFast };
 
 /// Reusable per-worker flood state. A flood refills dist with +inf (one
 /// O(V) pass, cheap beside the O(E) relaxations) and leaves every
-/// queued[v] at 0: a full flood pops every entry it files, and a
+/// pending[v] at kIdle: a full flood pops every entry it files, and a
 /// targeted flood that stops early clears what it left pending.
+///
+/// pending[v] is the bucket of dist[v] while v waits to be processed.
+/// An entry is processed only while its slot is pending (a popped entry
+/// whose slot is idle is stale), and an improved pending slot is filed
+/// again only when its bucket changes.
 ///
 /// Buckets are singly linked lists threaded through one entry pool:
 /// `heads` is a circular ring (power-of-two size) of list heads, and a
@@ -58,15 +64,20 @@ enum class MeasureMode { kExact, kFast };
 /// capacity across floods, so a steady-state flood allocates nothing.
 struct MeasureScratch {
   static constexpr std::uint32_t kNoEntry = 0xffffffffu;
+  static constexpr std::uint64_t kIdle = ~std::uint64_t{0};
   struct Entry {
     SlotId slot;
     std::uint32_t next;  // next entry of the same bucket, or kNoEntry
   };
 
   std::vector<double> dist;
-  std::vector<std::uint8_t> queued;  // 1 while v has a pending entry
-  std::vector<std::uint32_t> heads;  // all kNoEntry between floods
+  std::vector<std::uint64_t> pending;  // bucket while queued, else kIdle
+  std::vector<std::uint32_t> heads;    // all kNoEntry between floods
   std::vector<Entry> entries;
+  /// Target buffer the caller may fill and pass back as a flood's
+  /// targets; MeasureEngine keeps each source run's destinations here.
+  /// No flood writes it.
+  std::vector<SlotId> targets;
 
   /// Sizes for a snapshot of `n` slots and resets dist to +inf.
   void begin(std::size_t n);
@@ -81,13 +92,16 @@ struct MeasureScratch {
 /// delays must be >= 0 (never NaN). Results land in `scratch`; read
 /// them through scratch.distance().
 ///
-/// With a `target`, the flood may stop as soon as the target's distance
-/// is final. Only scratch.distance(target) is then defined (bit-identical
-/// to the full flood's, +inf when unreachable); other slots may hold
-/// upper bounds or +inf. kInvalidSlot floods every slot.
+/// With `targets`, the flood may stop as soon as every target's distance
+/// is final. Only scratch.distance(t) for t in targets is then defined
+/// (bit-identical to the full flood's, +inf when unreachable); other
+/// slots may hold upper bounds or +inf. Targets may repeat and may name
+/// inactive slots. An empty span floods every slot. `source` must be an
+/// active slot and every target a slot of the snapshot (checked).
 void flood_snapshot(const OverlaySnapshot& snap, SlotId source,
                     const std::vector<double>* processing_delay_ms,
-                    MeasureScratch& scratch, SlotId target = kInvalidSlot);
+                    MeasureScratch& scratch,
+                    std::span<const SlotId> targets = {});
 
 /// flood_snapshot over the live overlay, with no capture: the same
 /// kernel reads each slot's neighbours and stored weights in place and
@@ -97,7 +111,8 @@ void flood_snapshot(const OverlaySnapshot& snap, SlotId source,
 void flood_overlay(const OverlayNetwork& net,
                    const OverlayNetwork::LinkFilter* link_ok, SlotId source,
                    const std::vector<double>* processing_delay_ms,
-                   MeasureScratch& scratch, SlotId target = kInvalidSlot);
+                   MeasureScratch& scratch,
+                   std::span<const SlotId> targets = {});
 
 /// Deterministic work counters for one engine's lifetime: floods are
 /// counted per distinct source per sweep (before the parallel fan-out),
@@ -126,8 +141,10 @@ class MeasureEngine {
   const MeasureStats& stats() const { return stats_; }
 
   /// Flood first-response latency of each query (queries grouped by
-  /// source, one Dijkstra per distinct source, sources chunked over the
-  /// workers). Mirrors metrics' unstructured_lookup_latencies.
+  /// source, one flood per distinct source that stops once its last
+  /// destination is final, sources chunked over the workers). Mirrors
+  /// metrics' unstructured_lookup_latencies. Every src must be an
+  /// active slot and every dst a slot of the snapshot (checked).
   std::vector<double> lookup_latencies(
       const OverlaySnapshot& snap, std::span<const QueryPair> queries,
       const std::vector<double>* processing_delay_ms = nullptr);
@@ -169,10 +186,10 @@ class MeasureEngine {
   };
 
   /// Runs body(chunk, begin, end) over `count` items split into at most
-  /// thread_count() contiguous chunks; serial engines run inline.
-  void for_chunks(std::size_t count,
-                  const std::function<void(std::size_t, std::size_t,
-                                           std::size_t)>& body);
+  /// thread_count() contiguous chunks; serial engines run inline, with
+  /// no type-erased copy of `body` to allocate.
+  template <class Body>
+  void for_chunks(std::size_t count, const Body& body);
 
   /// Shared implementation of the lookup sweeps: groups queries by
   /// source into the reusable order_/runs_ buffers and writes per-query

@@ -2,8 +2,10 @@
 // PROP attempt that commits nothing must not touch the heap (the walk,
 // the plan and the greedy scores all live in buffers the engine
 // reuses), and neither may a live lookup flooding the overlay in place
-// (its scratch keeps its capacity across floods). A regression that
-// reintroduces a per-attempt or per-lookup vector fails here.
+// (its scratch keeps its capacity across floods) or a metric sweep (its
+// target sets live in the worker scratch). A regression that
+// reintroduces a per-attempt, per-lookup or per-source vector fails
+// here.
 //
 // Global operator new is replaced with a counting wrapper around malloc.
 // PROPSIM_PARANOID builds skip: their cross-checks build reference
@@ -23,6 +25,7 @@
 #include "measure/measure_engine.h"
 #include "sim/scheduler.h"
 #include "topology/transit_stub.h"
+#include "workload/lookups.h"
 
 namespace {
 
@@ -174,9 +177,42 @@ TEST(AllocFree, WarmedLiveLookupsAllocateNothing) {
     const std::uint64_t before = allocations.load(std::memory_order_relaxed);
     for (const OverlayNetwork::LinkFilter* filter : filters) {
       for (const auto& [src, dst] : pairs) {
-        flood_overlay(net, filter, src, nullptr, scratch, dst);
+        flood_overlay(net, filter, src, nullptr, scratch, {&dst, 1});
         checksum += scratch.distance(dst);
       }
+    }
+    const std::uint64_t used =
+        allocations.load(std::memory_order_relaxed) - before;
+    if (pass == 1) {
+      EXPECT_EQ(used, 0u) << "allocations in a warmed pass";
+    }
+  }
+  EXPECT_GT(checksum, 0.0);
+}
+
+// Metric sweeps as the sampler runs them: one serial engine reused
+// across ticks, with and without processing delays. The first pass
+// grows the engine's buffers and its worker scratch; the second must
+// allocate nothing.
+TEST(AllocFree, WarmedSweepsAllocateNothing) {
+  if (paranoid_build()) GTEST_SKIP() << "paranoid cross-checks allocate";
+  Rng rng(7401);
+  const World world(160, rng);
+  GnutellaConfig cfg;
+  cfg.attach_links = 4;
+  const OverlayNetwork net =
+      build_gnutella_overlay(cfg, world.hosts, world.oracle, rng);
+  const OverlaySnapshot snap = OverlaySnapshot::capture(net);
+  const auto queries = uniform_queries(net.graph(), 2000, rng);
+  std::vector<double> delays(snap.slot_count());
+  for (double& d : delays) d = rng.uniform_double(0.0, 3.0);
+  const std::vector<double>* const procs[] = {nullptr, &delays};
+  MeasureEngine engine(1);
+  double checksum = 0.0;
+  for (const int pass : {0, 1}) {
+    const std::uint64_t before = allocations.load(std::memory_order_relaxed);
+    for (const std::vector<double>* proc : procs) {
+      checksum += engine.average_lookup_latency(snap, queries, proc);
     }
     const std::uint64_t used =
         allocations.load(std::memory_order_relaxed) - before;

@@ -4,9 +4,11 @@
 // scratch reuse, snapshot caching, the measure_threads / measure_mode
 // config keys, and golden whole-experiment JSON across thread counts.
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -135,42 +137,63 @@ void expect_matches_reference(const OverlaySnapshot& snap,
 }
 
 /// True when `scratch` holds the between-flood invariants every flood
-/// starts from: nothing queued and every bucket-ring head empty.
+/// starts from: nothing pending and every bucket-ring head empty.
 bool scratch_idle(const MeasureScratch& scratch) {
-  return std::all_of(scratch.queued.begin(), scratch.queued.end(),
-                     [](std::uint8_t q) { return q == 0; }) &&
+  return std::all_of(scratch.pending.begin(), scratch.pending.end(),
+                     [](std::uint64_t b) {
+                       return b == MeasureScratch::kIdle;
+                     }) &&
          std::all_of(scratch.heads.begin(), scratch.heads.end(),
                      [](std::uint32_t h) {
                        return h == MeasureScratch::kNoEntry;
                      });
 }
 
-/// Floods from every active slot to every target, each targeted flood
-/// followed by a full one on the same scratch. Every targeted distance
-/// must equal the reference bit for bit, every flood must leave the
-/// scratch idle, and the full flood after an early exit must still be
-/// exact. Returns how many targeted floods stopped early (filed fewer
-/// entries than the full flood), so callers can check the exit fired.
+/// Floods from every active slot to target sets, each flood followed by
+/// a full one on the same scratch: first every slot alone, then six
+/// random sets drawn with replacement (so they repeat and name inactive
+/// slots), every third one holding the source too. Every target must
+/// read the reference's bits, every flood must leave the scratch idle,
+/// and the full flood after an early exit must still be exact. Returns
+/// how many targeted floods stopped early (filed fewer entries than the
+/// full flood), so callers can check the exit fired.
 std::size_t expect_targeted_match_reference(const OverlaySnapshot& snap,
                                             const std::vector<double>* proc,
-                                            MeasureScratch& scratch) {
+                                            MeasureScratch& scratch,
+                                            Rng& rng) {
+  constexpr std::size_t kRandomSets = 6;
   std::size_t early = 0;
+  std::vector<SlotId> targets;
   for (SlotId src = 0; src < snap.slot_count(); ++src) {
     if (!snap.is_active(src)) continue;
     const std::vector<double> want = reference_flood(snap, src, proc);
-    for (SlotId target = 0; target < want.size(); ++target) {
-      flood_snapshot(snap, src, proc, scratch, target);
-      EXPECT_EQ(scratch.distance(target), want[target])
-          << "src " << src << " target " << target;
-      EXPECT_TRUE(scratch_idle(scratch)) << "src " << src << " target "
-                                         << target;
+    const std::size_t n = want.size();
+    for (std::size_t set = 0; set < n + kRandomSets; ++set) {
+      targets.clear();
+      if (set < n) {
+        targets.push_back(static_cast<SlotId>(set));
+      } else {
+        const std::uint64_t size = 1 + rng.uniform(8);
+        for (std::uint64_t k = 0; k < size; ++k) {
+          targets.push_back(static_cast<SlotId>(rng.uniform(n)));
+        }
+        if ((set - n) % 3 == 0) {
+          targets.insert(targets.begin() + rng.uniform(targets.size()), src);
+        }
+      }
+      flood_snapshot(snap, src, proc, scratch, targets);
+      for (const SlotId t : targets) {
+        EXPECT_EQ(scratch.distance(t), want[t])
+            << "src " << src << " set " << set << " target " << t;
+      }
+      EXPECT_TRUE(scratch_idle(scratch)) << "src " << src << " set " << set;
       const std::size_t filed = scratch.entries.size();
       flood_snapshot(snap, src, proc, scratch);
       if (filed < scratch.entries.size()) ++early;
-      for (SlotId v = 0; v < want.size(); ++v) {
+      for (SlotId v = 0; v < n; ++v) {
         EXPECT_EQ(scratch.distance(v), want[v])
-            << "full flood after src " << src << " target " << target
-            << ", v " << v;
+            << "full flood after src " << src << " set " << set << ", v "
+            << v;
       }
     }
   }
@@ -264,33 +287,66 @@ TEST(FloodSnapshot, BucketKernelMatchesReferenceHeapDijkstra) {
     return r.uniform_double(0.07, 2.0);
   });
   expect_matches_reference(wide, nullptr, scratch);
+  const auto proc50 = off_grid_delays(wide.slot_count());
+  expect_matches_reference(wide, &proc50, scratch);
 
   // Back to the first snapshot after smaller ones: the reused scratch
   // must not leak state across slot counts.
   expect_matches_reference(captured, &proc60, scratch);
 
-  // Point-to-point floods to every target, interleaved with full floods
-  // on the same scratch: early exits must return the full flood's value
-  // and restore the scratch. Each snapshot must exercise the exit.
-  EXPECT_GT(expect_targeted_match_reference(captured, nullptr, scratch), 0u);
-  EXPECT_GT(expect_targeted_match_reference(captured, &proc60, scratch), 0u);
-  EXPECT_GT(expect_targeted_match_reference(filtered, &proc30, scratch), 0u);
-  EXPECT_GT(expect_targeted_match_reference(tiny, nullptr, scratch), 0u);
-  EXPECT_GT(expect_targeted_match_reference(tiny, &proc80, scratch), 0u);
-  EXPECT_GT(expect_targeted_match_reference(wide, nullptr, scratch), 0u);
+  // Floods to every single target and to random target sets,
+  // interleaved with full floods on the same scratch: early exits must
+  // return the full flood's values and restore the scratch. Each
+  // snapshot, with and without delays, must exercise the exit.
+  const std::pair<const OverlaySnapshot*, const std::vector<double>*>
+      runs[] = {{&captured, nullptr}, {&captured, &proc60},
+                {&filtered, nullptr}, {&filtered, &proc30},
+                {&tiny, nullptr},     {&tiny, &proc80},
+                {&wide, nullptr},     {&wide, &proc50}};
+  for (const auto& [snap, proc] : runs) {
+    EXPECT_GT(expect_targeted_match_reference(*snap, proc, scratch, rng), 0u);
+  }
 
   // The edge cases by name: 0 -> 1 costs 1 ms, 1 -> 2 only by a +inf
   // edge, 3 is inactive and 4 is active but unreachable.
   const OverlaySnapshot cases = OverlaySnapshot::from_csr(
       {1, 1, 1, 0, 1}, {0, 1, 2, 2, 2, 2}, {1, 2}, {1.0, kInf});
-  const std::pair<SlotId, double> expected[] = {
-      {0, 0.0}, {1, 1.0}, {2, kInf}, {3, kInf}, {4, kInf}};
-  for (const auto& [target, ms] : expected) {
-    flood_snapshot(cases, 0, nullptr, scratch, target);
-    EXPECT_EQ(scratch.distance(target), ms) << "target " << target;
-    EXPECT_TRUE(scratch_idle(scratch)) << "target " << target;
+  // Alone and in sets; the sets that hold 2, 3 or 4 name targets the
+  // flood never reaches, so it must drain before it stops.
+  const std::vector<double> delays = {0.5, 0.25, 0.0, 0.0, 0.0};
+  const std::vector<std::vector<SlotId>> sets = {
+      {0}, {1}, {2}, {3}, {4}, {1, 4}, {4, 1}, {0, 2, 0}, {3, 1, 3},
+      {0, 1, 2, 3, 4}, {1, 1}};
+  for (const std::vector<double>* proc : {
+           static_cast<const std::vector<double>*>(nullptr), &delays}) {
+    const double one = proc == nullptr ? 1.0 : 1.25;
+    for (const auto& set : sets) {
+      flood_snapshot(cases, 0, proc, scratch, set);
+      for (const SlotId t : set) {
+        EXPECT_EQ(scratch.distance(t), t == 0 ? 0.0 : t == 1 ? one : kInf)
+            << "target " << t << (proc == nullptr ? "" : ", delayed");
+      }
+      EXPECT_TRUE(scratch_idle(scratch));
+    }
   }
-  expect_targeted_match_reference(cases, nullptr, scratch);
+  expect_targeted_match_reference(cases, nullptr, scratch, rng);
+  expect_targeted_match_reference(cases, &delays, scratch, rng);
+}
+
+TEST(FloodSnapshotDeathTest, OutOfRangeSlotsAbort) {
+  const OverlaySnapshot snap = OverlaySnapshot::from_csr(
+      {1, 1, 1}, {0, 1, 2, 2}, {1, 2}, {1.0, 2.0});
+  MeasureScratch scratch;
+  const SlotId past = 3;
+  EXPECT_DEATH(flood_snapshot(snap, past, nullptr, scratch), "source < n");
+  EXPECT_DEATH(flood_snapshot(snap, 0, nullptr, scratch, {&past, 1}),
+               "t < n");
+  const std::vector<SlotId> set = {2, past, 0};
+  EXPECT_DEATH(flood_snapshot(snap, 0, nullptr, scratch, set), "t < n");
+  const QueryPair bad_dst[] = {{0, 1}, {1, past}};
+  EXPECT_DEATH(MeasureEngine(1).lookup_latencies(snap, bad_dst), "t < n");
+  const QueryPair bad_src[] = {{past, 0}};
+  EXPECT_DEATH(MeasureEngine(1).lookup_latencies(snap, bad_src), "source < n");
 }
 
 TEST(OverlaySnapshot, RecordsMinimumEdgeLatency) {
@@ -320,6 +376,34 @@ TEST(MeasureEngine, LookupLatenciesBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(engine.thread_count(), t);
     EXPECT_EQ(engine.lookup_latencies(snap, queries), want);
     EXPECT_EQ(engine.average_lookup_latency(snap, queries), want_avg);
+  }
+}
+
+TEST(MeasureEngine, SweepMatchesPerQueryFullFloodsOnDelayedSnapshot) {
+  auto fx = UnstructuredFixture::make(60, 7007);
+  Rng rng(12);
+  auto queries = sample_query_pairs(fx.net.graph(), 500, rng);
+  // Repeated pairs and self-queries share their source's run.
+  queries.push_back(queries.front());
+  queries.push_back({queries[1].src, queries[1].src});
+  const OverlaySnapshot snap = OverlaySnapshot::capture(fx.net);
+  const auto proc = off_grid_delays(snap.slot_count());
+  std::set<SlotId> sources;
+  for (const auto& q : queries) sources.insert(q.src);
+  MeasureScratch scratch;
+  for (const std::size_t t : {1, 3}) {
+    MeasureEngine engine(t);
+    const auto got = engine.lookup_latencies(snap, queries, &proc);
+    ASSERT_EQ(got.size(), queries.size());
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      flood_snapshot(snap, queries[i].src, &proc, scratch);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                std::bit_cast<std::uint64_t>(
+                    scratch.distance(queries[i].dst)))
+          << "threads " << t << " query " << i;
+    }
+    // One flood per distinct source, however early each stopped.
+    EXPECT_EQ(engine.stats().exact_floods, sources.size());
   }
 }
 

@@ -185,7 +185,7 @@ class MutationRun {
         for (int q = 0; q < 6; ++q) {
           const SlotId src = random_slot();
           const SlotId dst = random_slot();
-          flood_overlay(net, filter, src, proc, live_, dst);
+          flood_overlay(net, filter, src, proc, live_, {&dst, 1});
           flood_snapshot(snap, src, proc, captured_);
           const double heap =
               net.flood_latencies_into(heap_, src, proc, filter)[dst];
