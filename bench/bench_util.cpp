@@ -6,6 +6,7 @@
 #include <fstream>
 #include <thread>
 
+#include "common/table.h"
 #include "workload/host_selection.h"
 
 namespace propsim::bench {
@@ -86,6 +87,36 @@ OverlayNetwork build_unstructured(World& world, std::size_t n, Rng& rng) {
   const auto hosts = select_stub_hosts(world.topo, n, rng);
   GnutellaConfig cfg;  // attach_links = 4 -> delta(G) = 4, as in the paper
   return build_gnutella_overlay(cfg, hosts, world.oracle, rng);
+}
+
+Config scaled_config(const BenchOptions& opts, std::size_t nodes,
+                     std::size_t queries) {
+  const double horizon = opts.scale_t(3600.0);
+  Config config;
+  config.set("seed", std::to_string(opts.seed));
+  config.set("nodes", std::to_string(opts.scale_n(nodes)));
+  config.set("horizon", Table::fmt(horizon, 17));
+  config.set("sample_interval", Table::fmt(horizon / 15.0, 17));
+  config.set("queries", std::to_string(opts.scale_q(queries)));
+  return config;
+}
+
+SweepCombo labelled_combo(
+    const Config& base, std::string label,
+    const std::vector<std::pair<std::string, std::string>>& keys) {
+  SweepCombo combo{base, std::move(label)};
+  for (const auto& [key, value] : keys) combo.config.set(key, value);
+  return combo;
+}
+
+std::vector<ExperimentResult> run_or_exit(
+    const std::vector<SweepCombo>& combos, std::size_t repeat) {
+  SweepRuns runs = run_sweep(combos, repeat);
+  if (!runs.ok()) {
+    std::fprintf(stderr, "%s", runs.errors.c_str());
+    std::exit(2);
+  }
+  return std::move(runs.results);
 }
 
 std::string improvement_factor(double before, double after) {

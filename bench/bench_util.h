@@ -11,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "app/sweep.h"
+#include "common/config.h"
 #include "common/json.h"
 #include "common/rng.h"
 #include "common/timeseries.h"
@@ -74,6 +76,22 @@ PropParams paper_prop_params(PropMode mode);
 
 /// Builds the paper's default unstructured overlay over n stub hosts.
 OverlayNetwork build_unstructured(World& world, std::size_t n, Rng& rng);
+
+/// The spec keys a pipeline bench scales, at full or --quick scale:
+/// seed, nodes, a 3600 s horizon, sample_interval = horizon / 15 and
+/// queries.
+Config scaled_config(const BenchOptions& opts, std::size_t nodes,
+                     std::size_t queries);
+
+/// `base` with `keys` set, as a combination named `label`.
+SweepCombo labelled_combo(
+    const Config& base, std::string label,
+    const std::vector<std::pair<std::string, std::string>>& keys);
+
+/// run_sweep on every hardware thread. An invalid combination prints its
+/// issues and exits 2 before anything runs.
+std::vector<ExperimentResult> run_or_exit(
+    const std::vector<SweepCombo>& combos, std::size_t repeat = 1);
 
 /// Reduction factor A->B as "x.xx x" text.
 std::string improvement_factor(double before, double after);

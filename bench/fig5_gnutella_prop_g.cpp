@@ -8,52 +8,34 @@
 // Paper shape: nhops = 1 barely helps; nhops >= 2 and random probing all
 // converge to a similar, much lower latency; larger systems improve a
 // bit less; ts-large improves more than ts-small.
+//
+// Every run is an ExperimentSpec through run_sweep, so propsim_sweep
+// reproduces each part, e.g. (a) as
+//   propsim_sweep configs/fig5_like.conf sweep:nhops=1,2,4
 #include <cstdio>
 
 #include "bench_util.h"
-#include "core/prop_engine.h"
-#include "metrics/convergence.h"
-#include "sim/scheduler.h"
-#include "workload/lookups.h"
 
 namespace propsim::bench {
 namespace {
 
-struct Scenario {
-  std::string label;
-  std::size_t n;
-  std::size_t nhops;      // ignored when random_target
-  bool random_target;
-  bool ts_small;
-};
-
-TimeSeries run_scenario(const Scenario& sc, const BenchOptions& opts,
-                        double horizon_s, double sample_s) {
-  Rng rng(opts.seed);
-  World world(sc.ts_small ? TransitStubConfig::ts_small()
-                          : TransitStubConfig::ts_large(),
-              rng);
-  OverlayNetwork net = build_unstructured(world, sc.n, rng);
-
-  Rng qrng(opts.seed ^ 0x517cc1b727220a95ULL);
-  const auto queries =
-      uniform_queries(net.graph(), opts.scale_q(10000), qrng);
-
-  Scheduler sim;
-  PropParams params = paper_prop_params(PropMode::kPropG);
-  params.nhops = sc.random_target ? 2 : sc.nhops;
-  params.random_target = sc.random_target;
-  PropEngine engine(net, sim, params, opts.seed + 7);
-
-  ConvergenceSampler sampler(sim, sc.label, 0.0, horizon_s, sample_s, [&] {
-    return average_unstructured_lookup_latency(net, queries);
-  });
-  engine.start();
-  sim.run_until(horizon_s);
-  std::printf("  [%s] exchanges=%llu attempts=%llu\n", sc.label.c_str(),
-              static_cast<unsigned long long>(engine.stats().exchanges),
-              static_cast<unsigned long long>(engine.stats().attempts));
-  return sampler.take_series();
+/// Runs the combinations and returns their series, each named by its
+/// combination's label.
+std::vector<TimeSeries> run_series(const std::vector<SweepCombo>& combos) {
+  const std::vector<ExperimentResult> results = run_or_exit(combos);
+  std::vector<TimeSeries> series;
+  for (std::size_t i = 0; i < combos.size(); ++i) {
+    const ExperimentResult& r = results[i];
+    std::printf("  [%s] exchanges=%llu attempts=%llu\n",
+                combos[i].label.c_str(),
+                static_cast<unsigned long long>(r.exchanges),
+                static_cast<unsigned long long>(r.attempts));
+    series.emplace_back(combos[i].label);
+    for (const TimeSeries::Point& p : r.series.points()) {
+      series.back().record(p.time, p.value);
+    }
+  }
+  return series;
 }
 
 int run(const BenchOptions& opts) {
@@ -63,22 +45,17 @@ int run(const BenchOptions& opts) {
       "strongly reduce it; gains shrink slightly with system size; "
       "ts-large improves more than ts-small");
 
-  const double horizon = opts.scale_t(3600.0);
-  const double sample = horizon / 15.0;
+  // Paper defaults: ts-large, gnutella, PROP-G with nhops = 2.
+  const Config base = scaled_config(opts, 1000, 10000);
   const std::size_t n_default = opts.scale_n(1000);
   bool all_hold = true;
 
   if (opts.part.empty() || opts.part == "a") {
     std::printf("part (a): varying the TTL scale (n=%zu)\n", n_default);
-    std::vector<TimeSeries> series;
-    series.push_back(run_scenario({"nhops=1", n_default, 1, false, false},
-                                  opts, horizon, sample));
-    series.push_back(run_scenario({"nhops=2", n_default, 2, false, false},
-                                  opts, horizon, sample));
-    series.push_back(run_scenario({"nhops=4", n_default, 4, false, false},
-                                  opts, horizon, sample));
-    series.push_back(run_scenario({"random", n_default, 2, true, false},
-                                  opts, horizon, sample));
+    std::vector<SweepCombo> combos =
+        expand_sweep(base, {{"nhops", {"1", "2", "4"}}});
+    combos.push_back(expand_sweep(base, {{"random_target", {"true"}}})[0]);
+    const std::vector<TimeSeries> series = run_series(combos);
     print_csv_block("fig5a", series_to_csv(series, 16));
 
     const double drop1 = series[0].first_value() / series[0].last_value();
@@ -98,20 +75,19 @@ int run(const BenchOptions& opts) {
 
   if (opts.part.empty() || opts.part == "b") {
     std::printf("part (b): varying the system size (nhops=2)\n");
-    std::vector<TimeSeries> series;
     std::vector<double> drops;
     // The 4000-peer point puts ~83% of all stub hosts in the overlay —
     // the paper's "almost all physical nodes are chosen" regime — and
     // only runs at full scale.
-    std::vector<std::size_t> sizes{opts.scale_n(300), opts.scale_n(500),
-                                   opts.scale_n(1000), opts.scale_n(2000)};
-    if (!opts.quick) sizes.push_back(4000);
-    for (const std::size_t n : sizes) {
-      const std::string label = "n=" + std::to_string(n);
-      series.push_back(run_scenario({label, n, 2, false, false}, opts,
-                                    horizon, sample));
-      drops.push_back(series.back().first_value() /
-                      series.back().last_value());
+    SweepAxis sizes{"nodes", {}};
+    for (const std::size_t n : {300u, 500u, 1000u, 2000u}) {
+      sizes.values.push_back(std::to_string(opts.scale_n(n)));
+    }
+    if (!opts.quick) sizes.values.push_back("4000");
+    const std::vector<TimeSeries> series =
+        run_series(expand_sweep(base, {sizes}));
+    for (const TimeSeries& s : series) {
+      drops.push_back(s.first_value() / s.last_value());
     }
     print_csv_block("fig5b", series_to_csv(series, 16));
     bool holds = true;
@@ -130,11 +106,8 @@ int run(const BenchOptions& opts) {
   if (opts.part.empty() || opts.part == "c") {
     std::printf("part (c): varying the physical topology (n=%zu)\n",
                 n_default);
-    std::vector<TimeSeries> series;
-    series.push_back(run_scenario({"ts-large", n_default, 2, false, false},
-                                  opts, horizon, sample));
-    series.push_back(run_scenario({"ts-small", n_default, 2, false, true},
-                                  opts, horizon, sample));
+    const std::vector<TimeSeries> series = run_series(
+        expand_sweep(base, {{"topology", {"ts-large", "ts-small"}}}));
     print_csv_block("fig5c", series_to_csv(series, 16));
     // ts-large's gains come from fixing long transit-crossing links, so
     // the absolute latency reduction is the robust contrast.

@@ -10,26 +10,19 @@
 // fast-destined lookups dominate, LTM's and PROP-G's (normalized) delay
 // degrades while PROP-O keeps improving, because only PROP-O preserves
 // the fast hubs' connection counts.
+//
+// Every run is an ExperimentSpec through run_sweep; one policy's column
+// is, e.g.,
+//   propsim_sweep protocol=prop-g heterogeneity=bimodal-degree
+//     sweep:fraction_fast_dest=0,0.2,0.4,0.6,0.8,1
+// with each row's final over initial latency.
 #include <cstdio>
-#include <functional>
 
-#include "baselines/ltm.h"
 #include "bench_util.h"
 #include "common/table.h"
-#include "core/prop_engine.h"
-#include "measure/measure_engine.h"
-#include "sim/scheduler.h"
-#include "workload/heterogeneity.h"
-#include "workload/lookups.h"
 
 namespace propsim::bench {
 namespace {
-
-struct Policy {
-  std::string label;
-  // Optimizes the overlay in place over `horizon_s` simulated seconds.
-  std::function<void(OverlayNetwork&, double, std::uint64_t)> optimize;
-};
 
 int run(const BenchOptions& opts) {
   print_header(
@@ -38,93 +31,47 @@ int run(const BenchOptions& opts) {
       "keeps falling while LTM (and PROP-G) lose their edge; PROP-O with "
       "larger m does better");
 
-  const std::size_t n = opts.scale_n(1000);
-  const double horizon = opts.scale_t(3600.0);
-  const std::size_t q = opts.scale_q(10000);
-
-  std::vector<Policy> policies;
-  for (const std::size_t m : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    policies.push_back(Policy{
-        "PROP-O(m=" + std::to_string(m) + ")",
-        [m](OverlayNetwork& net, double t, std::uint64_t seed) {
-          Scheduler sim;
-          PropParams params = paper_prop_params(PropMode::kPropO);
-          params.m = m;
-          PropEngine engine(net, sim, params, seed);
-          engine.start();
-          sim.run_until(t);
-        }});
+  // Bimodal delays (20% fast at 10 ms vs slow at 100 ms, DESIGN.md) tied
+  // to the initial hub structure. Each run's t = 0 sample measures the
+  // unoptimized overlay on the same workload, so final / initial is its
+  // normalized delay.
+  Config base = scaled_config(opts, 1000, 10000);
+  base.set("heterogeneity", "bimodal-degree");
+  // Only the t = 0 and horizon samples are read.
+  base.set("sample_interval", base.get_string("horizon", ""));
+  std::vector<SweepCombo> policies;
+  for (const std::string m : {"1", "2", "4"}) {
+    policies.push_back(labelled_combo(base, "PROP-O(m=" + m + ")",
+                                      {{"protocol", "prop-o"}, {"m", m}}));
   }
-  policies.push_back(
-      Policy{"PROP-G", [](OverlayNetwork& net, double t, std::uint64_t seed) {
-               Scheduler sim;
-               PropEngine engine(net, sim,
-                                 paper_prop_params(PropMode::kPropG), seed);
-               engine.start();
-               sim.run_until(t);
-             }});
-  policies.push_back(
-      Policy{"LTM", [](OverlayNetwork& net, double t, std::uint64_t seed) {
-               Scheduler sim;
-               LtmParams params;
-               LtmEngine engine(net, sim, params, seed);
-               engine.start();
-               sim.run_until(t);
-             }});
+  policies.push_back(labelled_combo(base, "PROP-G", {{"protocol", "prop-g"}}));
+  policies.push_back(labelled_combo(base, "LTM", {{"protocol", "ltm"}}));
 
   const std::vector<double> fractions{0.0, 0.2, 0.4, 0.6, 0.8, 1.0};
+  SweepAxis fraction_axis{"fraction_fast_dest", {}};
+  for (const double f : fractions) {
+    fraction_axis.values.push_back(Table::fmt(f, 3));
+  }
 
-  // One optimized overlay per policy (the optimization is workload-
-  // independent); the lookup-destination bias only changes measurement.
+  std::vector<SweepCombo> combos;
+  for (const SweepCombo& p : policies) {
+    for (SweepCombo& c : expand_sweep(p.config, {fraction_axis})) {
+      combos.push_back(std::move(c));
+    }
+  }
+  const std::vector<ExperimentResult> results = run_or_exit(combos);
+
   Table table([&] {
     std::vector<std::string> header{"fraction_fast_lookup"};
-    for (const Policy& p : policies) header.push_back(p.label);
+    for (const SweepCombo& p : policies) header.push_back(p.label);
     return header;
   }());
-
-  // Build the base world once per policy run for identical starting
-  // conditions; heterogeneity is tied to the *initial* hub structure.
-  // Measurement sweeps run on the parallel engine (bit-identical to the
-  // serial path for any worker count, so the figure is unchanged).
-  MeasureEngine measure(MeasureEngine::kAutoThreads);
   std::vector<std::vector<double>> normalized(policies.size());
   for (std::size_t pi = 0; pi < policies.size(); ++pi) {
-    Rng rng(opts.seed);
-    World world(TransitStubConfig::ts_large(), rng);
-    OverlayNetwork net = build_unstructured(world, n, rng);
-    Rng hrng(opts.seed ^ 0xa0761d6478bd642fULL);
-    BimodalConfig bcfg;  // 20% fast (10 ms) vs slow (100 ms), DESIGN.md
-    const auto delays = make_bimodal_delays_by_degree(net, bcfg, hrng);
-
-    // Baseline (unoptimized) latency per fraction, for normalization.
-    // Processing delays belong to hosts; materialize the slot view under
-    // the pre-optimization placement.
-    std::vector<double> base;
-    {
-      const auto fast = delays.slot_fast(net);
-      const auto proc = delays.slot_delays(net);
-      const OverlaySnapshot snap = OverlaySnapshot::capture(net);
-      for (const double f : fractions) {
-        Rng qrng(opts.seed + static_cast<std::uint64_t>(f * 100));
-        const auto queries = biased_queries(net.graph(), fast, f, q, qrng);
-        base.push_back(measure.average_lookup_latency(snap, queries, &proc));
-      }
-    }
-
-    policies[pi].optimize(net, horizon, opts.seed + pi);
-
-    // Re-materialize: PROP-G moved hosts across slots.
-    const auto fast = delays.slot_fast(net);
-    const auto proc = delays.slot_delays(net);
-    const OverlaySnapshot snap = OverlaySnapshot::capture(net);
     for (std::size_t fi = 0; fi < fractions.size(); ++fi) {
-      Rng qrng(opts.seed + static_cast<std::uint64_t>(fractions[fi] * 100));
-      const auto queries =
-          biased_queries(net.graph(), fast, fractions[fi], q, qrng);
-      const double lat = measure.average_lookup_latency(snap, queries, &proc);
-      normalized[pi].push_back(lat / base[fi]);
+      const ExperimentResult& r = results[pi * fractions.size() + fi];
+      normalized[pi].push_back(r.final_value / r.initial_value);
     }
-    std::printf("  [%s] done\n", policies[pi].label.c_str());
   }
 
   for (std::size_t fi = 0; fi < fractions.size(); ++fi) {

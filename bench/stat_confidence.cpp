@@ -6,53 +6,18 @@
 // simulation per worker) and reports mean +/- sd of the final lookup
 // latency, checking that the orderings the paper reports hold with
 // separation beyond one standard deviation.
+//
+// The seeds are run_sweep's repeat seeds, so one variant's row is, e.g.,
+//   propsim_sweep nodes=800 queries=5000 protocol=prop-g nhops=1 --repeat 5
 #include <cstdio>
-#include <mutex>
 #include <vector>
 
-#include "baselines/ltm.h"
 #include "bench_util.h"
 #include "common/stats.h"
 #include "common/table.h"
-#include "common/thread_pool.h"
-#include "core/prop_engine.h"
-#include "sim/scheduler.h"
-#include "workload/lookups.h"
 
 namespace propsim::bench {
 namespace {
-
-struct Variant {
-  std::string label;
-  // 0 = none, 1 = prop-g nhops1, 2 = prop-g nhops2, 3 = ltm
-  int kind;
-};
-
-double run_variant(const Variant& variant, std::uint64_t seed,
-                   const BenchOptions& opts) {
-  Rng rng(seed);
-  World world(TransitStubConfig::ts_large(), rng);
-  OverlayNetwork net = build_unstructured(world, opts.scale_n(800), rng);
-  Rng qrng(seed + 1);
-  const auto queries =
-      uniform_queries(net.graph(), opts.scale_q(5000), qrng);
-
-  Scheduler sim;
-  std::unique_ptr<PropEngine> prop;
-  std::unique_ptr<LtmEngine> ltm;
-  if (variant.kind == 1 || variant.kind == 2) {
-    PropParams params = paper_prop_params(PropMode::kPropG);
-    params.nhops = variant.kind == 1 ? 1 : 2;
-    prop = std::make_unique<PropEngine>(net, sim, params, seed + 2);
-    prop->start();
-  } else if (variant.kind == 3) {
-    LtmParams params;
-    ltm = std::make_unique<LtmEngine>(net, sim, params, seed + 3);
-    ltm->start();
-  }
-  sim.run_until(opts.scale_t(3600.0));
-  return average_unstructured_lookup_latency(net, queries);
-}
 
 int run(const BenchOptions& opts) {
   print_header(
@@ -60,27 +25,26 @@ int run(const BenchOptions& opts) {
       "PROP-G (nhops=2) beats nhops=1 and no-optimization with >1 sd "
       "separation across independent seeds");
 
-  const std::vector<Variant> variants{{"none", 0},
-                                      {"PROP-G nhops=1", 1},
-                                      {"PROP-G nhops=2", 2},
-                                      {"LTM", 3}};
+  Config base = scaled_config(opts, 800, 5000);
+  // Only the final sample is read.
+  base.set("sample_interval", base.get_string("horizon", ""));
+  const std::vector<SweepCombo> variants{
+      labelled_combo(base, "none", {{"protocol", "none"}}),
+      labelled_combo(base, "PROP-G nhops=1",
+                     {{"protocol", "prop-g"}, {"nhops", "1"}}),
+      labelled_combo(base, "PROP-G nhops=2",
+                     {{"protocol", "prop-g"}, {"nhops", "2"}}),
+      labelled_combo(base, "LTM", {{"protocol", "ltm"}})};
   const std::size_t seeds = opts.quick ? 3 : 5;
 
   // results[variant][seed]: every variant runs on the SAME topologies,
   // so comparisons are paired — the per-seed difference cancels the
   // (large) seed-to-seed baseline variation.
-  std::vector<std::vector<double>> results(
-      variants.size(), std::vector<double>(seeds, 0.0));
-  std::mutex mutex;
-  ThreadPool pool;
-  pool.parallel_for(variants.size() * seeds, [&](std::size_t task) {
-    const std::size_t vi = task / seeds;
-    const std::size_t si = task % seeds;
-    const std::uint64_t seed = opts.seed + si * 7919ULL;
-    const double final_ms = run_variant(variants[vi], seed, opts);
-    std::lock_guard<std::mutex> lock(mutex);
-    results[vi][si] = final_ms;
-  });
+  const std::vector<ExperimentResult> runs = run_or_exit(variants, seeds);
+  std::vector<std::vector<double>> results(variants.size());
+  for (std::size_t task = 0; task < runs.size(); ++task) {
+    results[task / seeds].push_back(runs[task].final_value);
+  }
 
   Table table({"variant", "final_lookup_ms(mean)", "sd", "min", "max",
                "seeds"});

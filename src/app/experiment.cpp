@@ -191,7 +191,8 @@ World build_world(const S& spec, Rng& rng) {
         make_transit_stub(transit_stub_config(spec.topology), rng));
     pool = world.ts->stub_nodes;
   }
-  PROPSIM_CHECK(spec.nodes + spec.nodes / 4 <= pool.size());
+  const std::size_t spares = churn_spares(spec);
+  PROPSIM_CHECK(spec.nodes + spares <= pool.size());
 
   // Oracle engine: exact hierarchical tables on transit-stub graphs
   // (unless the spec forces Dijkstra rows), LRU-bounded rows elsewhere.
@@ -209,7 +210,7 @@ World build_world(const S& spec, Rng& rng) {
   const auto peers_end = pool.begin() + static_cast<std::ptrdiff_t>(spec.nodes);
   world.hosts.assign(pool.begin(), peers_end);
   world.spares.assign(peers_end,
-                      peers_end + static_cast<std::ptrdiff_t>(spec.nodes / 4));
+                      peers_end + static_cast<std::ptrdiff_t>(spares));
   return world;
 }
 
@@ -372,9 +373,9 @@ class Measurement {
                      ? MeasureMode::kFast
                      : MeasureMode::kExact),
         sampler_cache_([this] { return capture(); }) {
-    // Without membership changes a fixed query set keeps the series
-    // noise-free; with them, every tick draws a fresh one.
-    if (!membership_changes(spec_)) queries_ = make_queries();
+    // Without membership changes a fixed uniform query set keeps the
+    // series noise-free; with them, every tick draws a fresh one.
+    if (!membership_changes(spec_) && !biased()) queries_ = make_queries();
     // Floods honor partition windows: links whose hosts sit on opposite
     // sides of a cut gateway are pruned. Random per-message loss is
     // deliberately not applied — flooding is redundant enough that
@@ -401,7 +402,15 @@ class Measurement {
   /// on an immutable snapshot, so worker threads never touch live sim
   /// state.
   double sample() {
-    if (membership_changes(spec_)) queries_ = make_queries();
+    if (membership_changes(spec_)) {
+      queries_ = make_queries();
+    } else if (biased()) {
+      // PROP-G moves fast hosts across slots, so the biased set is aimed
+      // at the current placement: redrawn from the seed, it is the same
+      // set for as long as no host changes slot.
+      qrng_ = query_rng();
+      queries_ = make_queries();
+    }
     std::vector<double> storage;
     const std::vector<double>* delays = slot_delays(storage);
     const OverlayNetwork& net = *overlay_.net;
@@ -450,9 +459,12 @@ class Measurement {
   }
 
  private:
+  bool biased() const { return spec_.fraction_fast_dest >= 0.0; }
+  Rng query_rng() const { return Rng(spec_.seed ^ 0x2545f4914f6cdd1dULL); }
+
   std::vector<QueryPair> make_queries() {
     const LogicalGraph& graph = overlay_.net->graph();
-    if (spec_.fraction_fast_dest < 0.0) {
+    if (!biased()) {
       return uniform_queries(graph, spec_.queries, qrng_);
     }
     return biased_queries(graph, overlay_.delays->slot_fast(*overlay_.net),
@@ -483,7 +495,7 @@ class Measurement {
   const FaultInjector* faults_;
   MeasureEngine measure_;
   SnapshotCache sampler_cache_;
-  Rng qrng_{spec_.seed ^ 0x2545f4914f6cdd1dULL};
+  Rng qrng_ = query_rng();
   std::vector<QueryPair> queries_;
   OverlayNetwork::LinkFilter filter_;
   MeasureScratch lookup_scratch_;

@@ -318,15 +318,16 @@ bool runs_prop(const S& s) {
          s.protocol == S::Protocol::kPropO;
 }
 
-/// Peers and their churn spares (a quarter more) are distinct stub hosts
-/// (a Waxman graph is sized from nodes). A PROP walk takes at least one
-/// hop, and being self-avoiding it visits nhops + 1 distinct peers.
+/// Peers and, when peers join, their churn spares are distinct stub
+/// hosts (a Waxman graph is sized from nodes). A PROP walk takes at least
+/// one hop, and being self-avoiding it visits nhops + 1 distinct peers.
 void population_fits(const S& s, const Config&, Issues& out) {
-  const std::size_t most = s.nodes + s.nodes / 4;
+  const std::size_t most = s.nodes + churn_spares(s);
   const std::size_t pool = transit_stub_config(s.topology).stub_nodes();
   require(s.topology == S::Topology::kWaxman || most <= pool, out, "nodes",
           "needs " + std::to_string(most) +
-              " stub hosts (nodes plus a quarter for churn spares), but " +
+              " stub hosts (nodes, plus a quarter for churn spares when "
+              "churn_join_rate > 0), but " +
               to_string(s.topology) + " has " + std::to_string(pool),
           "lower nodes or use topology = waxman");
   if (!runs_prop(s) || s.prop.random_target) return;

@@ -65,4 +65,10 @@ std::span<const SpecKey> spec_keys();
 /// The generator preset behind a transit-stub topology choice.
 TransitStubConfig transit_stub_config(ExperimentSpec::Topology topology);
 
+/// Stub hosts held back for churn joins, their only consumer: a quarter
+/// of nodes when peers join, none otherwise.
+inline std::size_t churn_spares(const ExperimentSpec& spec) {
+  return spec.churn.join_rate_per_s > 0.0 ? spec.nodes / 4 : 0;
+}
+
 }  // namespace propsim

@@ -1,5 +1,8 @@
 #include "app/sweep.h"
 
+#include "common/check.h"
+#include "common/thread_pool.h"
+
 namespace propsim {
 
 std::vector<std::string> split_commas(const std::string& s) {
@@ -61,6 +64,33 @@ std::vector<SweepCombo> expand_sweep(const Config& base,
   seed.config = base;
   expand_recursive(axes, 0, std::move(seed), out);
   return out;
+}
+
+SweepRuns run_sweep(const std::vector<SweepCombo>& combos,
+                    std::size_t repeat, std::size_t jobs) {
+  PROPSIM_CHECK(repeat >= 1);
+  SweepRuns runs;
+  std::vector<ExperimentSpec> specs;
+  for (const SweepCombo& combo : combos) {
+    const SpecResult parsed = ExperimentSpec::from_config(combo.config);
+    if (parsed.ok()) {
+      specs.push_back(parsed.spec());
+    } else {
+      runs.errors += "combination " + combo.label + ":\n" +
+                     parsed.error_report();
+    }
+  }
+  if (!runs.ok()) return runs;
+
+  runs.results.resize(specs.size() * repeat);
+  ThreadPool pool(jobs);
+  runs.workers = pool.worker_count();
+  pool.parallel_for(runs.results.size(), [&](std::size_t task) {
+    ExperimentSpec spec = specs[task / repeat];
+    spec.seed += (task % repeat) * kRepeatSeedStride;
+    runs.results[task] = run_experiment(spec);
+  });
+  return runs;
 }
 
 }  // namespace propsim

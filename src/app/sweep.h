@@ -1,11 +1,13 @@
-// Parameter-sweep expansion: the combinatorics behind propsim_sweep,
-// separated from the tool so it is unit-testable.
+// Parameter sweeps: axis parsing, the Cartesian expansion and the one
+// runner behind propsim_sweep and the figure benches.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "app/experiment.h"
 #include "common/config.h"
 
 namespace propsim {
@@ -33,5 +35,27 @@ struct SweepCombo {
 /// (first axis varies slowest). No axes -> one combo labelled "(base)".
 std::vector<SweepCombo> expand_sweep(const Config& base,
                                      const std::vector<SweepAxis>& axes);
+
+/// Repeat k of a combination runs at the combination's seed plus
+/// k * kRepeatSeedStride.
+inline constexpr std::uint64_t kRepeatSeedStride = 1000003;
+
+struct SweepRuns {
+  /// One "combination <label>:" block of SpecIssue lines per invalid
+  /// combination. When non-empty, no simulation ran.
+  std::string errors;
+  /// results[c * repeat + k]: combination c at repeat k (task order).
+  std::vector<ExperimentResult> results;
+  /// Worker threads the runs shared; 0 when nothing ran.
+  std::size_t workers = 0;
+
+  bool ok() const { return errors.empty(); }
+};
+
+/// Validates every combination, then runs combination x repeat (>= 1) as
+/// independent simulations on `jobs` workers (0 = one per hardware
+/// thread). The results do not depend on `jobs`.
+SweepRuns run_sweep(const std::vector<SweepCombo>& combos,
+                    std::size_t repeat, std::size_t jobs = 0);
 
 }  // namespace propsim

@@ -209,16 +209,24 @@ TEST(ExperimentSpec, RejectsHierarchicalOracleOnWaxman) {
 }
 
 TEST(ExperimentSpec, RejectsMorePeersThanStubHosts) {
-  // Both presets have 4800 stub hosts: 3840 peers plus 960 spares fit.
+  // Both presets have 4800 stub hosts. Churn joins hold back a quarter of
+  // nodes as spares (3840 peers plus 960 spares fit); without joins every
+  // stub host can be a peer.
   for (const char* topology : {"ts-large", "ts-small"}) {
-    const std::string base = std::string("topology = ") + topology + "\n";
-    EXPECT_TRUE(
-        ExperimentSpec::from_config(Config::parse(base + "nodes = 3840\n"))
-            .ok());
-    const auto result =
-        ExperimentSpec::from_config(Config::parse(base + "nodes = 3841\n"));
-    ASSERT_EQ(result.errors.size(), 1u) << topology;
-    EXPECT_EQ(result.errors[0].key, "nodes");
+    for (const auto& [joins, most] :
+         {std::pair{"churn_join_rate = 0.1\n", 3840},
+          std::pair{"", 4800}}) {
+      const std::string base =
+          std::string("topology = ") + topology + "\n" + joins + "nodes = ";
+      EXPECT_TRUE(ExperimentSpec::from_config(
+                      Config::parse(base + std::to_string(most) + "\n"))
+                      .ok())
+          << topology << " " << joins;
+      const auto result = ExperimentSpec::from_config(
+          Config::parse(base + std::to_string(most + 1) + "\n"));
+      ASSERT_EQ(result.errors.size(), 1u) << topology << " " << joins;
+      EXPECT_EQ(result.errors[0].key, "nodes");
+    }
   }
   EXPECT_TRUE(ExperimentSpec::from_config(
                   Config::parse("topology = waxman\nnodes = 20000\n"))
@@ -357,6 +365,22 @@ TEST(RunExperiment, HeterogeneityBiasedWorkload) {
   EXPECT_LT(result.final_value, result.initial_value);
 }
 
+TEST(RunExperiment, BiasedQueriesFollowFastHostsUnderPropG) {
+  // Fast peers cost a huge processing delay and slow ones none, so a
+  // lookup aimed at a fast peer costs at least that delay. With every
+  // destination fast, every sample must read at least it, also after
+  // PROP-G has moved the fast hosts to other slots.
+  const double fast_delay_ms = 1e6;
+  const auto spec = must_parse(small_base(
+      "heterogeneity = bimodal-degree\nfast_delay_ms = 1e6\n"
+      "slow_delay_ms = 0\nfraction_fast_dest = 1\n"));
+  const auto result = run_experiment(spec);
+  EXPECT_GT(result.exchanges, 0u);
+  for (const TimeSeries::Point& p : result.series.points()) {
+    EXPECT_GE(p.value, fast_delay_ms) << "t = " << p.time;
+  }
+}
+
 TEST(RunExperiment, DeterministicForSeed) {
   const auto spec = must_parse(small_base("seed = 99\n"));
   const auto a = run_experiment(spec);
@@ -484,9 +508,16 @@ std::string fnv1a_hex(const std::string& text) {
   return buf;
 }
 
-/// Runs a committed config with size overrides and digests its result
-/// JSON. The phase wall-clock timers are the only nondeterministic
-/// fields, so they are zeroed first.
+/// Digests a run's result JSON. The phase wall-clock timers are the
+/// only nondeterministic fields, so they are zeroed first.
+std::string result_digest(const ExperimentSpec& spec,
+                          ExperimentResult result) {
+  result.trace.warmup_wall_ms = 0.0;
+  result.trace.maintenance_wall_ms = 0.0;
+  return fnv1a_hex(experiment_result_json(spec, result).dump());
+}
+
+/// Runs a committed config with size overrides and digests its result.
 std::string committed_config_digest(const std::string& file,
                                     const std::string& overrides) {
   Config config =
@@ -496,10 +527,7 @@ std::string committed_config_digest(const std::string& file,
     config.set(key, value);
   }
   const ExperimentSpec spec = must_parse(config);
-  ExperimentResult result = run_experiment(spec);
-  result.trace.warmup_wall_ms = 0.0;
-  result.trace.maintenance_wall_ms = 0.0;
-  return fnv1a_hex(experiment_result_json(spec, result).dump());
+  return result_digest(spec, run_experiment(spec));
 }
 
 // Byte-level goldens for every committed config at test size: any
@@ -551,6 +579,46 @@ TEST(PinnedDigest, CommittedConfigsAtTestSize) {
     EXPECT_EQ(committed_config_digest(c.file, c.overrides), c.digest)
         << c.file;
   }
+}
+
+// -------------------------------------------------------- sweep runner ----
+
+TEST(SweepRunner, MatchesSerialRunsForAnyJobCount) {
+  const std::size_t repeat = 2;
+  const auto combos =
+      expand_sweep(small_base(""), {{"protocol", {"prop-g", "prop-o"}},
+                                    {"nhops", {"1", "2"}}});
+  const SweepRuns serial = run_sweep(combos, repeat, 1);
+  const SweepRuns pooled = run_sweep(combos, repeat, 4);
+  ASSERT_TRUE(serial.ok()) << serial.errors;
+  ASSERT_TRUE(pooled.ok()) << pooled.errors;
+  EXPECT_EQ(serial.workers, 1u);
+  EXPECT_EQ(pooled.workers, 4u);
+  ASSERT_EQ(serial.results.size(), combos.size() * repeat);
+  ASSERT_EQ(pooled.results.size(), combos.size() * repeat);
+  for (std::size_t task = 0; task < serial.results.size(); ++task) {
+    ExperimentSpec spec = must_parse(combos[task / repeat].config);
+    spec.seed += (task % repeat) * kRepeatSeedStride;
+    const std::string expected = result_digest(spec, run_experiment(spec));
+    EXPECT_EQ(result_digest(spec, serial.results[task]), expected) << task;
+    EXPECT_EQ(result_digest(spec, pooled.results[task]), expected) << task;
+  }
+  // Repeats are distinct runs.
+  EXPECT_NE(serial.results[0].final_value, serial.results[1].final_value);
+}
+
+TEST(SweepRunner, InvalidCombinationReportsEveryIssueAndRunsNothing) {
+  auto combos = expand_sweep(small_base(""), {{"nhops", {"1", "x"}}});
+  combos[1].config.set("init_timer", "0");
+  const SweepRuns runs = run_sweep(combos, 3, 2);
+  EXPECT_FALSE(runs.ok());
+  EXPECT_TRUE(runs.results.empty());
+  EXPECT_EQ(runs.workers, 0u);
+  EXPECT_EQ(runs.errors.find("combination nhops=1"), std::string::npos);
+  EXPECT_EQ(runs.errors.rfind("combination nhops=x:\n", 0), 0u)
+      << runs.errors;
+  EXPECT_NE(runs.errors.find("config: nhops: "), std::string::npos);
+  EXPECT_NE(runs.errors.find("config: init_timer: "), std::string::npos);
 }
 
 TEST(CommittedConfigs, FaultsLoss5SurvivesCrashedPathSlots) {

@@ -329,6 +329,34 @@ TEST(SpecFuzz, EveryKeyValueIsRejectedOrRuns) {
               tally.rejected, tally.ran, tally.skipped);
 }
 
+TEST(SpecFuzz, StubPoolBoundaryIsRejectedOrRuns) {
+  // build_world checks that the peers, plus churn spares when peers join,
+  // fit the preset's stub hosts: the largest population the rule accepts
+  // runs, and one peer more is rejected.
+  using Topology = ExperimentSpec::Topology;
+  for (const Topology topology : {Topology::kTsLarge, Topology::kTsSmall}) {
+    const std::size_t pool = transit_stub_config(topology).stub_nodes();
+    for (const bool joins : {false, true}) {
+      std::size_t most = pool;
+      while (most + (joins ? most / 4 : 0) > pool) --most;
+      for (const std::size_t nodes : {most, most + 1}) {
+        const std::string text =
+            std::string("topology = ") + to_string(topology) +
+            "\nprotocol = none\nhorizon = 60\nsample_interval = 60\n"
+            "queries = 1\nchurn_join_rate = " + (joins ? "0.05" : "0") +
+            "\nnodes = " + std::to_string(nodes) + "\n";
+        SCOPED_TRACE(text);
+        const SpecResult parsed =
+            ExperimentSpec::from_config(Config::parse(text));
+        ASSERT_EQ(parsed.ok(), nodes == most) << parsed.error_report();
+        if (parsed.ok()) {
+          EXPECT_GT(run_experiment(parsed.spec()).series.size(), 0u);
+        }
+      }
+    }
+  }
+}
+
 TEST(SpecFuzz, RandomKeyCombinationsAreRejectedOrRun) {
   // Per key: every fuzz value, and the ones the tiny base accepts alone
   // (so combinations mostly reach the joint rules and the run).

@@ -15,8 +15,6 @@
 // `--format json` replaces the ASCII/CSV tables with a `propsim.sweep`
 // JSON document.
 #include <cstdio>
-#include <cstring>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -26,13 +24,8 @@
 #include "common/json.h"
 #include "common/stats.h"
 #include "common/table.h"
-#include "common/thread_pool.h"
-
-namespace {
 
 using namespace propsim;
-
-}  // namespace
 
 int main(int argc, char** argv) {
   Config base;
@@ -101,19 +94,11 @@ int main(int argc, char** argv) {
   if (repeat == 0) repeat = 1;
 
   const std::vector<SweepCombo> combos = expand_sweep(base, axes);
-
-  // Validate every combination before burning any simulation time.
-  std::vector<ExperimentSpec> specs;
-  for (const SweepCombo& combo : combos) {
-    const SpecResult parsed = ExperimentSpec::from_config(combo.config);
-    if (parsed.ok()) {
-      specs.push_back(parsed.spec());
-    } else {
-      std::fprintf(stderr, "combination %s:\n%s", combo.label.c_str(),
-                   parsed.error_report().c_str());
-    }
+  const SweepRuns runs = run_sweep(combos, repeat, jobs);
+  if (!runs.ok()) {
+    std::fprintf(stderr, "%s", runs.errors.c_str());
+    return 2;
   }
-  if (specs.size() != combos.size()) return 2;
 
   struct Cell {
     RunningStats initial;
@@ -123,27 +108,19 @@ int main(int argc, char** argv) {
     std::string metric;
   };
   std::vector<Cell> cells(combos.size());
-  std::mutex cells_mutex;
-
-  ThreadPool pool(jobs);
-  if (!json_output) {
-    std::printf("sweep: %zu combinations x %zu repeats on %zu workers\n",
-                combos.size(), repeat, pool.worker_count());
-  }
-
-  pool.parallel_for(combos.size() * repeat, [&](std::size_t task) {
-    const std::size_t ci = task / repeat;
-    ExperimentSpec spec = specs[ci];
-    spec.seed += (task % repeat) * 1000003ULL;
-    const ExperimentResult result = run_experiment(spec);
-    std::lock_guard<std::mutex> lock(cells_mutex);
-    Cell& cell = cells[ci];
+  for (std::size_t task = 0; task < runs.results.size(); ++task) {
+    const ExperimentResult& result = runs.results[task];
+    Cell& cell = cells[task / repeat];
     cell.initial.add(result.initial_value);
     cell.final.add(result.final_value);
     cell.exchanges.add(static_cast<double>(result.exchanges));
     cell.connected = cell.connected && result.connected;
     cell.metric = result.metric_name;
-  });
+  }
+  if (!json_output) {
+    std::printf("sweep: %zu combinations x %zu repeats on %zu workers\n",
+                combos.size(), repeat, runs.workers);
+  }
 
   bool all_connected = true;
   if (json_output) {
