@@ -24,7 +24,13 @@ BenchOptions parse_options(int argc, char** argv) {
     } else if (arg == "--part" && i + 1 < argc) {
       opts.part = argv[++i];
     } else if (arg == "--seed" && i + 1 < argc) {
-      opts.seed = std::strtoull(argv[++i], nullptr, 10);
+      const auto seed = parse_int(argv[++i]);
+      if (!seed.has_value() || *seed < 0) {
+        std::fprintf(stderr, "--seed wants a non-negative integer, got: %s\n",
+                     argv[i]);
+        std::exit(2);
+      }
+      opts.seed = static_cast<std::uint64_t>(*seed);
     } else if (arg == "--help") {
       std::printf("usage: %s [--quick] [--part a|b|c] [--seed N]\n", argv[0]);
       std::exit(0);

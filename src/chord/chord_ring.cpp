@@ -191,19 +191,7 @@ OverlayNetwork make_chord_overlay(const ChordRing& ring,
                                   const LatencyOracle& oracle,
                                   obs::EventBus* trace) {
   PROPSIM_CHECK(hosts.size() == ring.size());
-  LogicalGraph graph = ring.to_logical_graph();
-  Placement placement(graph.slot_count(), oracle.physical().node_count());
-  for (SlotId s = 0; s < graph.slot_count(); ++s) {
-    placement.bind(s, hosts[s]);
-  }
-  OverlayNetwork net(std::move(graph), std::move(placement), oracle);
-  net.set_trace(trace);
-  if (trace != nullptr) {
-    for (const SlotId s : net.graph().active_slots()) {
-      trace->emit(obs::TraceEventKind::kJoin, s, net.placement().host_of(s));
-    }
-  }
-  return net;
+  return bind_overlay(ring.to_logical_graph(), hosts, oracle, trace);
 }
 
 }  // namespace propsim

@@ -1,6 +1,7 @@
 #include "core/prop_engine.h"
 
 #include <algorithm>
+#include <optional>
 
 namespace propsim {
 
@@ -34,10 +35,7 @@ void PropEngine::start() {
 
 void PropEngine::stop() {
   for (NodeState& st : state_) {
-    if (st.pending != kInvalidEvent) {
-      sim_.cancel(st.pending);
-      st.pending = kInvalidEvent;
-    }
+    cancel_pending(st);
     st.active = false;
     st.peer = kInvalidSlot;
   }
@@ -60,12 +58,15 @@ void PropEngine::schedule_probe(SlotId s, double delay) {
   st.pending = sim_.schedule_in(delay, [this, s] { on_probe_timer(s); });
 }
 
-void PropEngine::reschedule_sooner(SlotId s, double delay) {
-  NodeState& st = state_[s];
+void PropEngine::cancel_pending(NodeState& st) {
   if (st.pending != kInvalidEvent) {
     sim_.cancel(st.pending);
     st.pending = kInvalidEvent;
   }
+}
+
+void PropEngine::reschedule_sooner(SlotId s, double delay) {
+  cancel_pending(state_[s]);
   schedule_probe(s, delay);
 }
 
@@ -99,22 +100,20 @@ bool PropEngine::attempt(SlotId u) {
   }
 
   // First hop from neighborQ (or uniform when the ablation disables it).
-  SlotId first_hop;
+  std::optional<SlotId> front;
   if (params_.use_priority_queue) {
-    const auto front = st.queue.front();
+    front = st.queue.front();
     if (!front.has_value() || !net_.graph().has_edge(u, *front)) {
       // Queue drifted from the graph (exchange raced a churn event);
       // rebuild and fall back to a uniform pick.
       st.queue.initialize(neighbors, rng_);
-      first_hop = neighbors[static_cast<std::size_t>(
-          rng_.uniform(neighbors.size()))];
-    } else {
-      first_hop = *front;
+      front.reset();
     }
-  } else {
-    first_hop =
-        neighbors[static_cast<std::size_t>(rng_.uniform(neighbors.size()))];
   }
+  const SlotId first_hop =
+      front.has_value()
+          ? *front
+          : neighbors[static_cast<std::size_t>(rng_.uniform(neighbors.size()))];
 
   // Locate the counterpart v.
   SlotId v = kInvalidSlot;
@@ -143,11 +142,8 @@ bool PropEngine::attempt(SlotId u) {
                          params_.nhops);
     if (!reached) {
       ++stats_.walk_failures;
-      if (bus != nullptr) {
-        bus->emit(obs::TraceEventKind::kExchangeAbort, u, first_hop, 0.0,
-                  static_cast<std::uint64_t>(obs::AbortReason::kWalkFailure));
-      }
-      handle_failure(u, first_hop);
+      give_up(u, first_hop, first_hop, obs::AbortReason::kWalkFailure,
+              /*rearm=*/false);
       return false;
     }
     v = path.back();
@@ -172,8 +168,8 @@ bool PropEngine::attempt(SlotId u) {
         continue;
       }
       ++stats_.walk_failures;
-      abort_with_reason(u, first_hop, obs::AbortReason::kMessageLost);
-      handle_failure(u, first_hop);
+      give_up(u, first_hop, first_hop, obs::AbortReason::kMessageLost,
+              /*rearm=*/false);
       return false;
     }
   }
@@ -182,11 +178,7 @@ bool PropEngine::attempt(SlotId u) {
   const PlanInUse in_use(planning_);
   const ExchangePlan& plan = plan_;
   if (!plan_into(u, v, path)) {
-    if (bus != nullptr) {
-      bus->emit(obs::TraceEventKind::kExchangeAbort, u, v, 0.0,
-                static_cast<std::uint64_t>(obs::AbortReason::kNoPlan));
-    }
-    handle_failure(u, first_hop);
+    give_up(u, first_hop, v, obs::AbortReason::kNoPlan, /*rearm=*/false);
     return false;
   }
   ++stats_.planned;
@@ -197,11 +189,8 @@ bool PropEngine::attempt(SlotId u) {
 
   if (gate_var(plan) <= params_.min_var) {
     ++stats_.rejected;
-    if (bus != nullptr) {
-      bus->emit(obs::TraceEventKind::kExchangeAbort, u, v, plan.var,
-                static_cast<std::uint64_t>(obs::AbortReason::kBelowMinVar));
-    }
-    handle_failure(u, first_hop);
+    give_up(u, first_hop, v, obs::AbortReason::kBelowMinVar,
+            /*rearm=*/false, plan.var);
     return false;
   }
 
@@ -218,20 +207,7 @@ bool PropEngine::attempt(SlotId u) {
     return false;  // outcome pending
   }
 
-  apply_exchange(net_, plan);
-  if (swap_log_ != nullptr && plan.mode == PropMode::kPropG) {
-    swap_log_->record(sim_.now(), plan.u, plan.v);
-  }
-  charge_messages(plan, /*committed=*/true);
-  propagate_exchange_effects(plan);
-  ++stats_.exchanges;
-  stats_.total_var_gain += plan.var;
-  stats_.last_exchange_time = sim_.now();
-  if (bus != nullptr) {
-    bus->emit(obs::TraceEventKind::kExchangeCommit, plan.u, plan.v,
-              plan.var, plan.from_u.size());
-  }
-  notify_observer(plan);
+  commit(plan);
   handle_success(u, first_hop);
   return true;
 }
@@ -268,18 +244,6 @@ ExchangeView PropEngine::view_of(const ExchangePlan& plan) const {
 double PropEngine::gate_var(const ExchangePlan& plan) {
   if (adversary_ == nullptr) return plan.var;
   return adversary_->perceived_var(view_of(plan), plan.var, params_.min_var);
-}
-
-void PropEngine::notify_observer(const ExchangePlan& plan) {
-  if (!observer_) return;
-  ExchangeEvent event;
-  event.time = sim_.now();
-  event.mode = plan.mode;
-  event.u = plan.u;
-  event.v = plan.v;
-  event.var = plan.var;
-  event.transferred = plan.from_u.size();
-  observer_(event);
 }
 
 double PropEngine::negotiation_delay_s(std::span<const SlotId> path) const {
@@ -339,6 +303,11 @@ bool PropEngine::validate_and_apply(SlotId u, SlotId v,
   if (!plan_into(u, v, path) || gate_var(plan) <= params_.min_var) {
     return false;
   }
+  commit(plan);
+  return true;
+}
+
+void PropEngine::commit(const ExchangePlan& plan) {
   apply_exchange(net_, plan);
   if (swap_log_ != nullptr && plan.mode == PropMode::kPropG) {
     swap_log_->record(sim_.now(), plan.u, plan.v);
@@ -355,16 +324,21 @@ bool PropEngine::validate_and_apply(SlotId u, SlotId v,
   if (adversary_ != nullptr) {
     adversary_->on_exchange_committed(plan.u, plan.v);
   }
-  notify_observer(plan);
-  return true;
 }
 
 void PropEngine::abort_with_reason(SlotId u, SlotId v,
-                                   obs::AbortReason reason) {
+                                   obs::AbortReason reason, double value) {
   if (obs::EventBus* bus = net_.trace()) {
-    bus->emit(obs::TraceEventKind::kExchangeAbort, u, v, 0.0,
+    bus->emit(obs::TraceEventKind::kExchangeAbort, u, v, value,
               static_cast<std::uint64_t>(reason));
   }
+}
+
+void PropEngine::give_up(SlotId u, SlotId first_hop, SlotId v,
+                         obs::AbortReason reason, bool rearm, double value) {
+  abort_with_reason(u, v, reason, value);
+  handle_failure(u, first_hop);
+  if (rearm) schedule_probe(u, state_[u].timer);
 }
 
 void PropEngine::release_lock(SlotId u, SlotId v) {
@@ -382,9 +356,8 @@ void PropEngine::commit_after_delay(SlotId u, SlotId first_hop, SlotId v,
   if (!st.active) return;
   if (!validate_and_apply(u, v, path)) {
     ++stats_.commit_conflicts;
-    abort_with_reason(u, v, obs::AbortReason::kCommitConflict);
-    handle_failure(u, first_hop);
-    schedule_probe(u, st.timer);
+    give_up(u, first_hop, v, obs::AbortReason::kCommitConflict,
+            /*rearm=*/true);
     return;
   }
   handle_success(u, first_hop);
@@ -405,17 +378,12 @@ void PropEngine::begin_negotiation(SlotId u, SlotId first_hop, SlotId v,
   }
   // The node's next probe is scheduled by the outcome handler, so take
   // over its pending slot.
-  if (st.pending != kInvalidEvent) {
-    sim_.cancel(st.pending);
-    st.pending = kInvalidEvent;
-  }
+  cancel_pending(st);
   // An injected crash can unbind a path slot or an endpoint's neighbour
   // while this attempt waited (e.g. for a prepare retransmission); such
   // a path has no latency to price, so the attempt dies here.
   if (!path_hosts_bound(path)) {
-    abort_with_reason(u, v, obs::AbortReason::kPeerCrashed);
-    handle_failure(u, first_hop);
-    schedule_probe(u, st.timer);
+    give_up(u, first_hop, v, obs::AbortReason::kPeerCrashed, /*rearm=*/true);
     return;
   }
   const double base_delay = negotiation_delay_s(path);
@@ -432,9 +400,7 @@ void PropEngine::begin_negotiation(SlotId u, SlotId first_hop, SlotId v,
   // Hardened two-phase path. The counterpart must be alive and idle —
   // a node inside another negotiation window refuses cleanly.
   if (!net_.graph().is_active(v) || state_[v].peer != kInvalidSlot) {
-    abort_with_reason(u, v, obs::AbortReason::kPeerBusy);
-    handle_failure(u, first_hop);
-    schedule_probe(u, st.timer);
+    give_up(u, first_hop, v, obs::AbortReason::kPeerBusy, /*rearm=*/true);
     return;
   }
   // PREPARE leg u -> v: a loss is detected by timeout after one RTO and
@@ -461,9 +427,8 @@ void PropEngine::begin_negotiation(SlotId u, SlotId first_hop, SlotId v,
           });
       return;
     }
-    abort_with_reason(u, v, obs::AbortReason::kNegotiationTimeout);
-    handle_failure(u, first_hop);
-    schedule_probe(u, st.timer);
+    give_up(u, first_hop, v, obs::AbortReason::kNegotiationTimeout,
+            /*rearm=*/true);
     return;
   }
   // Prepare accepted: both endpoints lock for the negotiation window so
@@ -497,9 +462,8 @@ void PropEngine::finish_two_phase(SlotId u, SlotId first_hop, SlotId v,
   }
   if (!net_.graph().is_active(v)) {
     ++stats_.commit_conflicts;
-    abort_with_reason(u, v, obs::AbortReason::kCommitConflict);
-    handle_failure(u, first_hop);
-    schedule_probe(u, st.timer);
+    give_up(u, first_hop, v, obs::AbortReason::kCommitConflict,
+            /*rearm=*/true);
     return;
   }
   // COMMIT leg v -> u: a selective dropper acked the prepare but
@@ -508,9 +472,8 @@ void PropEngine::finish_two_phase(SlotId u, SlotId first_hop, SlotId v,
   // endpoints fall back to their pre-prepare neighbor state.
   if (adversary_ != nullptr && adversary_->drop_commit(v, u)) {
     ++stats_.aborted_mid_commit;
-    abort_with_reason(u, v, obs::AbortReason::kAdversaryDrop);
-    handle_failure(u, first_hop);
-    schedule_probe(u, st.timer);
+    give_up(u, first_hop, v, obs::AbortReason::kAdversaryDrop,
+            /*rearm=*/true);
     return;
   }
   // Losing the leg to the network after a successful prepare drops the
@@ -520,20 +483,10 @@ void PropEngine::finish_two_phase(SlotId u, SlotId first_hop, SlotId v,
                         net_.placement().host_of(u))) {
     ++stats_.timeouts;
     ++stats_.aborted_mid_commit;
-    abort_with_reason(u, v, obs::AbortReason::kMessageLost);
-    handle_failure(u, first_hop);
-    schedule_probe(u, st.timer);
+    give_up(u, first_hop, v, obs::AbortReason::kMessageLost, /*rearm=*/true);
     return;
   }
-  if (!validate_and_apply(u, v, path)) {
-    ++stats_.commit_conflicts;
-    abort_with_reason(u, v, obs::AbortReason::kCommitConflict);
-    handle_failure(u, first_hop);
-    schedule_probe(u, st.timer);
-    return;
-  }
-  handle_success(u, first_hop);
-  schedule_probe(u, st.timer);
+  commit_after_delay(u, first_hop, v, std::move(path));
 }
 
 void PropEngine::handle_success(SlotId u, SlotId first_hop) {
@@ -654,10 +607,7 @@ void PropEngine::node_left(SlotId s,
                            std::span<const SlotId> former_neighbors) {
   ensure_state_capacity();
   NodeState& st = state_[s];
-  if (st.pending != kInvalidEvent) {
-    sim_.cancel(st.pending);
-    st.pending = kInvalidEvent;
-  }
+  cancel_pending(st);
   if (st.peer != kInvalidSlot) {
     // The departed endpoint was inside a two-phase negotiation window:
     // the exchange aborts cleanly. Nothing was applied at prepare time,

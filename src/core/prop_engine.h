@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -99,23 +98,6 @@ class PropEngine {
   /// without faults; detached, the engine is byte-for-byte honest.
   void set_adversary(AdversaryLayer* adversary) { adversary_ = adversary; }
 
-  /// One committed exchange, as reported to the observer.
-  struct ExchangeEvent {
-    double time = 0.0;
-    PropMode mode = PropMode::kPropG;
-    SlotId u = kInvalidSlot;
-    SlotId v = kInvalidSlot;
-    double var = 0.0;
-    std::size_t transferred = 0;  // m for PROP-O, 0 for PROP-G
-  };
-  using ExchangeObserver = std::function<void(const ExchangeEvent&)>;
-
-  /// Observability hook: called after every committed exchange (event
-  /// timelines, live dashboards, trace dumps). May be empty.
-  void set_observer(ExchangeObserver observer) {
-    observer_ = std::move(observer);
-  }
-
   /// Two-phase negotiation counterpart of `s`, kInvalidSlot when idle or
   /// out of range. Lock-audit hook (analysis/invariant_checker.h).
   SlotId negotiation_peer(SlotId s) const {
@@ -153,10 +135,11 @@ class PropEngine {
   void ensure_state_capacity();
   void init_node(SlotId s);
   void schedule_probe(SlotId s, double delay);
+  void cancel_pending(NodeState& st);
   void reschedule_sooner(SlotId s, double delay);
   void on_probe_timer(SlotId s);
-  /// Delayed-commit path: re-plans and applies after the negotiation
-  /// round-trips; updates queue/timer and schedules the next probe.
+  /// Delayed commit, and the two-phase tail: validate_and_apply, then
+  /// the success or conflict update and the next probe.
   void commit_after_delay(SlotId u, SlotId first_hop, SlotId v,
                           std::vector<SlotId> path);
   /// Hardened two-phase negotiation (faults attached): prepare leg with
@@ -165,14 +148,24 @@ class PropEngine {
                          std::vector<SlotId> path, std::size_t retries_used);
   void finish_two_phase(SlotId u, SlotId first_hop, SlotId v,
                         std::vector<SlotId> path);
-  /// Re-validates the path, re-plans from fresh state and applies;
+  /// Re-validates the path, re-plans from fresh state and commits;
   /// returns false (emitting nothing) when the plan no longer holds.
   bool validate_and_apply(SlotId u, SlotId v, const std::vector<SlotId>& path);
+  /// The one place an exchange lands: applies the plan, charges its
+  /// commit messages, updates third parties and stats, and reports it.
+  void commit(const ExchangePlan& plan);
   /// Plans u's exchange with v into plan_ (PROP-G: empty sets and
   /// prop_g_var; PROP-O: plan_prop_o over `path`). False when PROP-O
   /// finds no transferable pair.
   bool plan_into(SlotId u, SlotId v, std::span<const SlotId> path);
-  void abort_with_reason(SlotId u, SlotId v, obs::AbortReason reason);
+  /// The one emitter of kExchangeAbort.
+  void abort_with_reason(SlotId u, SlotId v, obs::AbortReason reason,
+                         double value = 0.0);
+  /// The one place an attempt gives up: the abort event, the failure
+  /// update and, when `rearm` (a continuation owning u's pending slot,
+  /// unlike attempt(), whose caller re-arms), the next probe.
+  void give_up(SlotId u, SlotId first_hop, SlotId v, obs::AbortReason reason,
+               bool rearm, double value = 0.0);
   void release_lock(SlotId u, SlotId v);
   /// Simulated duration of one probe negotiation (walk + probe RTTs).
   double negotiation_delay_s(std::span<const SlotId> path) const;
@@ -181,7 +174,6 @@ class PropEngine {
   bool path_hosts_bound(std::span<const SlotId> path) const;
   void handle_success(SlotId u, SlotId first_hop);
   void handle_failure(SlotId u, SlotId first_hop);
-  void notify_observer(const ExchangePlan& plan);
   /// The plan as one endpoint's selfish perspective (adversary models).
   ExchangeView view_of(const ExchangePlan& plan) const;
   /// The Var the MIN_VAR gate sees: the true Var, unless an attached
@@ -193,9 +185,8 @@ class PropEngine {
   /// are charged where the walk happens.
   void charge_messages(const ExchangePlan& plan, bool committed);
 
-  /// Marks plan_ in use for one scope. A nested planner (say, an
-  /// observer that plans synchronously) would overwrite the plan its
-  /// caller still reads, so debug builds abort on one.
+  /// Marks plan_ in use for one scope. A nested planner would overwrite
+  /// the plan its caller still reads, so debug builds abort on one.
   class PlanInUse {
    public:
     explicit PlanInUse(bool& flag) : flag_(flag) {
@@ -218,7 +209,6 @@ class PropEngine {
   SwapLog* swap_log_ = nullptr;
   FaultInjector* faults_ = nullptr;
   AdversaryLayer* adversary_ = nullptr;
-  ExchangeObserver observer_;
   Stats stats_;
   std::size_t effective_m_ = 1;
   bool started_ = false;

@@ -51,10 +51,6 @@ OverlayNetwork build_gnutella_overlay(const GnutellaConfig& config,
 
   const std::size_t n = hosts.size();
   LogicalGraph graph(n);
-  Placement placement(n, oracle.physical().node_count());
-  for (std::size_t s = 0; s < n; ++s) {
-    placement.bind(static_cast<SlotId>(s), hosts[s]);
-  }
 
   // Join order is random so slot index carries no structural meaning.
   std::vector<SlotId> order(n);
@@ -83,14 +79,7 @@ OverlayNetwork build_gnutella_overlay(const GnutellaConfig& config,
 
   PROPSIM_CHECK(graph.active_subgraph_connected());
   PROPSIM_CHECK(graph.min_active_degree() == config.attach_links);
-  OverlayNetwork net(std::move(graph), std::move(placement), oracle);
-  net.set_trace(trace);
-  if (trace != nullptr) {
-    for (const SlotId s : net.graph().active_slots()) {
-      trace->emit(obs::TraceEventKind::kJoin, s, net.placement().host_of(s));
-    }
-  }
-  return net;
+  return bind_overlay(std::move(graph), hosts, oracle, trace);
 }
 
 SlotId gnutella_join(OverlayNetwork& net, const GnutellaConfig& config,

@@ -25,12 +25,8 @@ class SnapshotCache {
 
   /// The snapshot for `version`: recaptured when the version differs
   /// from the previous call's (or on first use), reused otherwise. The
-  /// reference stays valid until the next at() or invalidate().
+  /// reference stays valid until the next at().
   const OverlaySnapshot& at(std::uint64_t version);
-
-  /// Drops the cached snapshot; the next at() recaptures regardless of
-  /// version.
-  void invalidate() { have_ = false; }
 
   std::uint64_t captures() const { return captures_; }
   std::uint64_t reuses() const { return reuses_; }

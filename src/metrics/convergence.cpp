@@ -36,10 +36,7 @@ void ConvergenceSampler::schedule(Scheduler& sim, double start_s,
   PROPSIM_CHECK(end_s >= start_s);
   for (double t = start_s; t <= end_s + 1e-9; t += interval_s) {
     sim.schedule_at(t, [this, &sim] {
-      if (prepare_ && (!guard_ || guard_())) {
-        prepare_();
-        ++prepared_ticks_;
-      }
+      if (prepare_) prepare_();
       for (std::size_t i = 0; i < metrics_.size(); ++i) {
         series_[i].record(sim.now(), metrics_[i]());
       }

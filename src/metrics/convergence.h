@@ -2,7 +2,6 @@
 // "metric vs time" series the paper's figures plot.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -35,10 +34,6 @@ class ConvergenceSampler {
     MetricFn fn;
   };
 
-  /// Decides per tick whether the prepare hook must run; see
-  /// set_prepare_guard.
-  using PrepareGuard = std::function<bool()>;
-
   ConvergenceSampler(Scheduler& sim, std::string series_name,
                      double start_s, double end_s, double interval_s,
                      MetricFn metric);
@@ -48,19 +43,6 @@ class ConvergenceSampler {
   ConvergenceSampler(Scheduler& sim, double start_s, double end_s,
                      double interval_s, PrepareFn prepare,
                      std::vector<NamedMetric> metrics);
-
-  /// Reuse hook: when set, each tick consults the guard and skips the
-  /// prepare hook (keeping the previous tick's shared state) whenever it
-  /// returns false. Sound only when a skipped prepare would have rebuilt
-  /// identical state — e.g. recapturing an overlay snapshot while the
-  /// overlay's version has not moved since the last capture.
-  /// Prepare hooks that consume RNG must not be guarded (skipping a draw
-  /// changes every later draw). Call before the first tick fires.
-  void set_prepare_guard(PrepareGuard guard) { guard_ = std::move(guard); }
-
-  /// Ticks whose prepare hook actually ran; without a guard this equals
-  /// the tick count (zero when there is no prepare hook at all).
-  std::uint64_t prepared_ticks() const { return prepared_ticks_; }
 
   std::size_t series_count() const { return series_.size(); }
   const TimeSeries& series(std::size_t i = 0) const { return series_[i]; }
@@ -74,9 +56,7 @@ class ConvergenceSampler {
 
   std::vector<TimeSeries> series_;  // parallel to metrics_
   PrepareFn prepare_;               // may be null
-  PrepareGuard guard_;              // may be null (= always prepare)
   std::vector<MetricFn> metrics_;
-  std::uint64_t prepared_ticks_ = 0;
 };
 
 }  // namespace propsim

@@ -266,4 +266,21 @@ const std::vector<std::uint32_t>& OverlayNetwork::hop_distances_into(
   return dist;
 }
 
+OverlayNetwork bind_overlay(LogicalGraph graph, std::span<const NodeId> hosts,
+                            const LatencyOracle& oracle, obs::EventBus* trace) {
+  PROPSIM_CHECK(hosts.size() == graph.slot_count());
+  Placement placement(graph.slot_count(), oracle.physical().node_count());
+  for (SlotId s = 0; s < graph.slot_count(); ++s) {
+    placement.bind(s, hosts[s]);
+  }
+  OverlayNetwork net(std::move(graph), std::move(placement), oracle);
+  net.set_trace(trace);
+  if (trace != nullptr) {
+    for (const SlotId s : net.graph().active_slots()) {
+      trace->emit(obs::TraceEventKind::kJoin, s, net.placement().host_of(s));
+    }
+  }
+  return net;
+}
+
 }  // namespace propsim

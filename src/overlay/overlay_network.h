@@ -187,4 +187,11 @@ class OverlayNetwork {
 double path_latency(const OverlayNetwork& net, std::span<const SlotId> path,
                     const std::vector<double>* processing_delay_ms = nullptr);
 
+/// The one overlay binder every builder ends in: slot i goes to
+/// hosts[i] (one host per slot of `graph`), the overlay is built over
+/// `oracle`, and `trace` (may be null) becomes its bus and sees one
+/// kJoin per active slot, in active-slot order.
+OverlayNetwork bind_overlay(LogicalGraph graph, std::span<const NodeId> hosts,
+                            const LatencyOracle& oracle, obs::EventBus* trace);
+
 }  // namespace propsim

@@ -20,68 +20,42 @@ ChurnProcess::ChurnProcess(OverlayNetwork& net, Scheduler& sim,
 }
 
 void ChurnProcess::start() {
-  // The first arrival obeys the same end_s clamp as every rescheduled
-  // one; without it a short churn window could fire one stray event
-  // past its end.
-  if (params_.join_rate_per_s > 0.0) {
-    const double first =
-        params_.start_s + rng_.exponential(1.0 / params_.join_rate_per_s);
-    if (first <= params_.end_s) {
-      sim_.schedule_at(first, [this] {
+  for (const Arrival kind : {Arrival::kJoin, Arrival::kLeave, Arrival::kFail}) {
+    if (rate_of(kind) > 0.0) schedule_arrival(kind, params_.start_s);
+  }
+}
+
+double ChurnProcess::rate_of(Arrival kind) const {
+  switch (kind) {
+    case Arrival::kJoin:
+      return params_.join_rate_per_s;
+    case Arrival::kLeave:
+      return params_.leave_rate_per_s;
+    case Arrival::kFail:
+      return params_.fail_rate_per_s;
+  }
+  return 0.0;
+}
+
+void ChurnProcess::schedule_arrival(Arrival kind, double from_s) {
+  // The first arrival obeys the same end_s clamp as every later one;
+  // without it a short churn window could fire one stray event past its
+  // end.
+  const double next = from_s + rng_.exponential(1.0 / rate_of(kind));
+  if (next > params_.end_s) return;
+  sim_.schedule_at(next, [this, kind] {
+    switch (kind) {
+      case Arrival::kJoin:
         do_join();
-        schedule_join();
-      });
-    }
-  }
-  if (params_.leave_rate_per_s > 0.0) {
-    const double first =
-        params_.start_s + rng_.exponential(1.0 / params_.leave_rate_per_s);
-    if (first <= params_.end_s) {
-      sim_.schedule_at(first, [this] {
+        break;
+      case Arrival::kLeave:
         do_leave();
-        schedule_leave();
-      });
-    }
-  }
-  if (params_.fail_rate_per_s > 0.0) {
-    const double first =
-        params_.start_s + rng_.exponential(1.0 / params_.fail_rate_per_s);
-    if (first <= params_.end_s) {
-      sim_.schedule_at(first, [this] {
+        break;
+      case Arrival::kFail:
         do_fail();
-        schedule_fail();
-      });
+        break;
     }
-  }
-}
-
-void ChurnProcess::schedule_fail() {
-  const double next =
-      sim_.now() + rng_.exponential(1.0 / params_.fail_rate_per_s);
-  if (next > params_.end_s) return;
-  sim_.schedule_at(next, [this] {
-    do_fail();
-    schedule_fail();
-  });
-}
-
-void ChurnProcess::schedule_join() {
-  const double next =
-      sim_.now() + rng_.exponential(1.0 / params_.join_rate_per_s);
-  if (next > params_.end_s) return;
-  sim_.schedule_at(next, [this] {
-    do_join();
-    schedule_join();
-  });
-}
-
-void ChurnProcess::schedule_leave() {
-  const double next =
-      sim_.now() + rng_.exponential(1.0 / params_.leave_rate_per_s);
-  if (next > params_.end_s) return;
-  sim_.schedule_at(next, [this] {
-    do_leave();
-    schedule_leave();
+    schedule_arrival(kind, sim_.now());
   });
 }
 

@@ -41,8 +41,8 @@ class ChurnProcess : public FailureExecutor {
                const ChurnParams& params, std::vector<NodeId> spares,
                std::uint64_t seed);
 
-  /// Schedules the first join and leave arrivals (clamped to end_s like
-  /// every later arrival).
+  /// Schedules the first join, leave and failure arrivals (clamped to
+  /// end_s like every later arrival).
   void start();
 
   /// Attaches a fault injector (not owned, may be null): survivor
@@ -72,10 +72,11 @@ class ChurnProcess : public FailureExecutor {
   /// directly.
   bool fail_slot(SlotId victim) override;
 
-
-  void schedule_join();
-  void schedule_leave();
-  void schedule_fail();
+  /// One Poisson arrival stream per kind: each arrival acts, then
+  /// draws its successor (none past end_s).
+  enum class Arrival : std::uint8_t { kJoin, kLeave, kFail };
+  double rate_of(Arrival kind) const;
+  void schedule_arrival(Arrival kind, double from_s);
   void add_repair_edge(SlotId a, SlotId b);
 
   OverlayNetwork& net_;

@@ -170,41 +170,6 @@ TEST(Convergence, BatchedPrepareRunsOncePerTickBeforeMetrics) {
   EXPECT_DOUBLE_EQ(sampler.series(1).last_value(), 200.0);
 }
 
-TEST(Convergence, PrepareGuardSkipsPrepareButNeverMetrics) {
-  Scheduler sim;
-  int prepared = 0;
-  int asked = 0;
-  std::vector<ConvergenceSampler::NamedMetric> metrics;
-  metrics.push_back(
-      {"a", [&] { return static_cast<double>(prepared); }});
-  ConvergenceSampler sampler(sim, 0.0, 40.0, 10.0, [&] { ++prepared; },
-                             std::move(metrics));
-  // Allow prepare on every other tick; metrics sample regardless.
-  sampler.set_prepare_guard([&] { return (asked++ % 2) == 0; });
-  sim.run_all();
-  EXPECT_EQ(asked, 5);     // guard consulted every tick (0..40)
-  EXPECT_EQ(prepared, 3);  // prepare ran at ticks 0, 20, 40 only
-  EXPECT_EQ(sampler.prepared_ticks(), 3u);
-  ASSERT_EQ(sampler.series(0).size(), 5u);
-  // Samples see the stale prepare state on guarded-off ticks.
-  EXPECT_DOUBLE_EQ(sampler.series(0).value_at(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(sampler.series(0).value_at(10.0), 1.0);
-  EXPECT_DOUBLE_EQ(sampler.series(0).value_at(20.0), 2.0);
-  EXPECT_DOUBLE_EQ(sampler.series(0).value_at(40.0), 3.0);
-}
-
-TEST(Convergence, PreparedTicksCountsEveryTickWithoutGuard) {
-  Scheduler sim;
-  int prepared = 0;
-  std::vector<ConvergenceSampler::NamedMetric> metrics;
-  metrics.push_back({"a", [&] { return 0.0; }});
-  ConvergenceSampler sampler(sim, 0.0, 40.0, 10.0, [&] { ++prepared; },
-                             std::move(metrics));
-  sim.run_all();
-  EXPECT_EQ(prepared, 5);
-  EXPECT_EQ(sampler.prepared_ticks(), 5u);
-}
-
 TEST(Convergence, InterleavesWithOtherEvents) {
   Scheduler sim;
   int counter = 0;

@@ -415,22 +415,5 @@ TEST(PropEngine, PropGOnChordImprovesLookupLatency) {
   EXPECT_LT(after, before);
 }
 
-// Every attempt plans into one engine-owned plan, so an observer that
-// attempts synchronously would overwrite the plan its caller still
-// reads. Builds with PROPSIM_DCHECK armed abort on the nested use.
-TEST(PropEngineDeathTest, ObserverThatPlansSynchronouslyAborts) {
-#ifdef NDEBUG
-  GTEST_SKIP() << "PROPSIM_DCHECK compiles out under NDEBUG";
-#else
-  auto fx = UnstructuredFixture::make(40, 3020);
-  Scheduler sim;
-  PropEngine engine(fx.net, sim, fast_params(PropMode::kPropG), 21);
-  engine.set_observer(
-      [&engine](const PropEngine::ExchangeEvent& e) { engine.attempt(e.v); });
-  engine.start();
-  EXPECT_DEATH(sim.run_until(3000.0), "plan re-entered");
-#endif
-}
-
 }  // namespace
 }  // namespace propsim

@@ -267,6 +267,64 @@ TEST(TraceGolden, SinkAttachmentDoesNotPerturbResults) {
             traced.trace.count(obs::TraceEventKind::kWalkHop));
 }
 
+/// FNV-1a 64 of every line of a trace file, as 16 hex digits. Each line
+/// is re-serialized without its wall-clock fields (keys containing
+/// "wall"), so only simulated content reaches the digest.
+std::string trace_digest(const std::string& path) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const Json& line : read_jsonl(path)) {
+    Json kept = Json::object();
+    for (const auto& [key, value] : line.object_items()) {
+      if (key.find("wall") == std::string::npos) kept.set(key, value);
+    }
+    for (const unsigned char c : kept.dump() + "\n") {
+      h ^= c;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(h));
+  return buf;
+}
+
+// The event stream of each PROP negotiation mode, pinned byte for byte:
+// event order, abort reasons and event values, which result digests do
+// not cover. A refactor of the negotiation path leaves these constants
+// untouched; a deliberate behaviour change re-records them and says why.
+TEST(TraceGolden, NegotiationModesStreamPinned) {
+  if (!obs::trace_compiled_in()) GTEST_SKIP() << "PROPSIM_TRACE=OFF build";
+  struct Case {
+    const char* name;
+    const char* file;  // committed config, or null for golden_config
+    const char* overrides;
+    const char* digest;
+  };
+  const Case cases[] = {
+      {"atomic PROP-G", nullptr, "", "49c04fa544208bcc"},
+      {"delayed PROP-O", nullptr,
+       "protocol = prop-o\nmodel_message_delays = true\n",
+       "07b0a7ddf31f68d5"},
+      {"two-phase under loss", "faults_loss5.conf",
+       "nodes = 200\nhorizon = 1800\nqueries = 1000\n", "824537f95f624b03"},
+      {"two-phase with byzantine peers", "adversary_liars.conf",
+       "nodes = 200\nhorizon = 1800\nqueries = 1000\n", "a592c06e44f5e1b0"},
+  };
+  const std::string path = testing::TempDir() + "trace_mode.jsonl";
+  for (const Case& c : cases) {
+    Config config =
+        c.file == nullptr
+            ? golden_config("")
+            : Config::load_file(std::string(PROPSIM_CONFIG_DIR) + "/" + c.file);
+    const Config extra = Config::parse(c.overrides);
+    for (const auto& [key, value] : extra.values()) config.set(key, value);
+    config.set("trace", path);
+    (void)run_experiment(must_parse(config));
+    EXPECT_EQ(trace_digest(path), c.digest) << c.name;
+    std::remove(path.c_str());
+  }
+}
+
 TEST(TraceGolden, DhtRunEmitsJoinAndLookupHops) {
   if (!obs::trace_compiled_in()) GTEST_SKIP() << "PROPSIM_TRACE=OFF build";
   const auto spec = must_parse(Config::parse(
