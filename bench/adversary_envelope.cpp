@@ -55,8 +55,7 @@ ExperimentSpec spec_for(const BenchOptions& opts, const char* protocol,
                 "horizon = %.0f\n"
                 "sample_interval = %.0f\n"
                 "queries = %zu\n"
-                "model_message_delays = true\n"
-                "measure_threads = auto\n",
+                "model_message_delays = true\n",
                 protocol, n, static_cast<unsigned long long>(opts.seed),
                 horizon, horizon / 12.0, opts.scale_q(4000));
   const std::string cfg = std::string(text) + adversary_keys;

@@ -48,8 +48,7 @@ ExperimentSpec spec_for(const BenchOptions& opts, double loss,
                 "sample_interval = %.0f\n"
                 "queries = %zu\n"
                 "model_message_delays = true\n"
-                "lookup_rate = 2\n"
-                "measure_threads = auto\n",
+                "lookup_rate = 2\n",
                 n, static_cast<unsigned long long>(opts.seed), horizon,
                 horizon / 12.0, opts.scale_q(4000));
   std::string cfg(text);

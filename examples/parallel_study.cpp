@@ -2,20 +2,21 @@
 // experiment campaign.
 //
 // The CLI tools cover one-off runs and flat sweeps; this example shows
-// the API route: build ExperimentSpecs in code, fan them out on the
-// thread pool (each simulation is single-threaded and deterministic, so
-// parallel results are identical to serial), and post-process with the
-// stats helpers — here, asking a question the paper leaves open: how
-// does PROP-G's improvement factor scale with the probe budget
-// (INIT_TIMER), and where do extra probes stop paying?
+// the API route: build the grid as SweepCombos in code, run it with
+// run_sweep (the runner behind propsim_sweep: each simulation is
+// deterministic, so parallel results are identical to serial, and the
+// runs share the cores instead of each fanning its metric sweeps over
+// all of them), and post-process with the stats helpers — here, asking
+// a question the paper leaves open: how does PROP-G's improvement factor
+// scale with the probe budget (INIT_TIMER), and where do extra probes
+// stop paying?
 #include <cstdio>
-#include <mutex>
+#include <string>
 #include <vector>
 
-#include "app/experiment.h"
+#include "app/sweep.h"
 #include "common/json.h"
 #include "common/stats.h"
-#include "common/thread_pool.h"
 
 int main() {
   using namespace propsim;
@@ -23,36 +24,35 @@ int main() {
   const std::vector<double> timers_s{15.0, 30.0, 60.0, 120.0, 240.0, 480.0};
   const std::size_t seeds = 3;
 
+  std::vector<std::string> timers, seed_values;
+  for (const double timer : timers_s) timers.push_back(std::to_string(timer));
+  for (std::size_t si = 0; si < seeds; ++si) {
+    seed_values.push_back(std::to_string(1000 + si * 7919));
+  }
+  // First axis slowest: combination t * seeds + s is timer t at seed s.
+  const std::vector<SweepCombo> combos = expand_sweep(
+      Config::parse("nodes = 300\nhorizon = 3600\nqueries = 2000\n"),
+      {{"init_timer", timers}, {"seed", seed_values}});
+  const SweepRuns runs = run_sweep(combos, 1);
+  if (!runs.ok()) {
+    std::fprintf(stderr, "%s", runs.errors.c_str());
+    return 2;
+  }
+  std::printf("probe-budget study: %zu timer settings x %zu seeds on %zu "
+              "workers\n",
+              timers_s.size(), seeds, runs.workers);
+
   struct Cell {
     RunningStats improvement;
     RunningStats control_msgs;
   };
   std::vector<Cell> cells(timers_s.size());
-  std::mutex mutex;
-
-  ThreadPool pool;
-  std::printf("probe-budget study: %zu timer settings x %zu seeds on %zu "
-              "workers\n",
-              timers_s.size(), seeds, pool.worker_count());
-
-  pool.parallel_for(timers_s.size() * seeds, [&](std::size_t task) {
-    const std::size_t ti = task / seeds;
-    const std::size_t si = task % seeds;
-
-    Config config;
-    config.set("nodes", "300");
-    config.set("horizon", "3600");
-    config.set("queries", "2000");
-    config.set("init_timer", std::to_string(timers_s[ti]));
-    config.set("seed", std::to_string(1000 + si * 7919));
-    const SpecResult parsed = ExperimentSpec::from_config(config);
-    const ExperimentResult result = run_experiment(parsed.spec());
-
-    std::lock_guard<std::mutex> lock(mutex);
-    cells[ti].improvement.add(result.initial_value / result.final_value);
-    cells[ti].control_msgs.add(
-        static_cast<double>(result.control_messages));
-  });
+  for (std::size_t task = 0; task < runs.results.size(); ++task) {
+    const ExperimentResult& result = runs.results[task];
+    Cell& cell = cells[task / seeds];
+    cell.improvement.add(result.initial_value / result.final_value);
+    cell.control_msgs.add(static_cast<double>(result.control_messages));
+  }
 
   std::printf("\n%-12s %-22s %s\n", "INIT_TIMER", "improvement (mean+/-sd)",
               "control msgs (mean)");

@@ -77,15 +77,17 @@ struct ExperimentSpec {
   /// LRU bound on resident Dijkstra rows (0 = unbounded).
   std::size_t oracle_cache_rows = 1024;
 
-  /// Worker threads for metric-snapshot evaluation (the measurement
-  /// engine): 0 or 1 = serial, kMeasureThreadsAuto = one per hardware
-  /// thread. A pure execution knob: results are bit-identical for any
-  /// value (and it is therefore not echoed into the result JSON).
-  /// Defaults to serial so nested parallelism (propsim_sweep fans whole
-  /// runs over a pool already) stays opt-in.
+  /// Threads for metric-snapshot evaluation (the measurement engine):
+  /// 0 or 1 = serial, kMeasureThreadsAuto (the default) = the cores this
+  /// run owns, measure_threads_for (measure/measure_engine.h): all of
+  /// them for a lone run_experiment, hardware threads / runs in flight
+  /// for each run of a run_sweep, so nested parallelism divides the
+  /// cores instead of multiplying threads. A pure execution knob: results are
+  /// bit-identical for any value (and it is therefore not echoed into
+  /// the result JSON).
   static constexpr std::size_t kMeasureThreadsAuto =
       static_cast<std::size_t>(-1);
-  std::size_t measure_threads = 1;
+  std::size_t measure_threads = kMeasureThreadsAuto;
 
   /// Flood-kernel selection for the metric sweeps. There is one kernel,
   /// the exact one, bit-identical to the live flood; kAuto resolves to

@@ -127,8 +127,8 @@ const std::vector<SpecKey>& table() {
       {"oracle_cache_rows", kInt, "1024", kNonNegative,
        "resident Dijkstra rows (0 = unbounded)",
        [](S& s, const V& v) { s.oracle_cache_rows = v.as<size_t>(); }},
-      {"measure_threads", kIntOrAuto, "1", kThreads,
-       "metric-sweep workers (0 or 1 = serial)",
+      {"measure_threads", kIntOrAuto, "auto", kThreads,
+       "metric-sweep threads (0 or 1 = serial, auto = the run's cores)",
        [](S& s, const V& v) {
          s.measure_threads =
              v.is_auto ? S::kMeasureThreadsAuto : v.as<size_t>();

@@ -1,7 +1,11 @@
 #include "app/sweep.h"
 
+#include <algorithm>
+#include <thread>
+
 #include "common/check.h"
 #include "common/thread_pool.h"
+#include "measure/measure_engine.h"
 
 namespace propsim {
 
@@ -85,9 +89,16 @@ SweepRuns run_sweep(const std::vector<SweepCombo>& combos,
   runs.results.resize(specs.size() * repeat);
   ThreadPool pool(jobs);
   runs.workers = pool.worker_count();
+  // Runs share the cores: each auto run measures on its share of them.
+  const std::size_t concurrent = std::min(runs.workers, runs.results.size());
+  const std::size_t hardware = std::thread::hardware_concurrency();
+  runs.measure_threads =
+      measure_threads_for(MeasureEngine::kAutoThreads, concurrent, hardware);
   pool.parallel_for(runs.results.size(), [&](std::size_t task) {
     ExperimentSpec spec = specs[task / repeat];
     spec.seed += (task % repeat) * kRepeatSeedStride;
+    spec.measure_threads =
+        measure_threads_for(spec.measure_threads, concurrent, hardware);
     runs.results[task] = run_experiment(spec);
   });
   return runs;

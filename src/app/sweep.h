@@ -48,13 +48,19 @@ struct SweepRuns {
   std::vector<ExperimentResult> results;
   /// Worker threads the runs shared; 0 when nothing ran.
   std::size_t workers = 0;
+  /// Measure threads each run with measure_threads = auto got: the
+  /// hardware threads divided by the runs in flight at once,
+  /// min(workers, results.size()) (measure_threads_for); 0 when nothing
+  /// ran. Explicit counts are kept as given.
+  std::size_t measure_threads = 0;
 
   bool ok() const { return errors.empty(); }
 };
 
 /// Validates every combination, then runs combination x repeat (>= 1) as
 /// independent simulations on `jobs` workers (0 = one per hardware
-/// thread). The results do not depend on `jobs`.
+/// thread), each measuring on its share of the cores. The results do
+/// not depend on `jobs`.
 SweepRuns run_sweep(const std::vector<SweepCombo>& combos,
                     std::size_t repeat, std::size_t jobs = 0);
 

@@ -48,9 +48,18 @@ void ThreadPool::parallel_for(std::size_t count,
                               const std::function<void(std::size_t)>& fn) {
   std::vector<std::future<void>> futures;
   futures.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    futures.push_back(submit([&fn, i] { fn(i); }));
+  // Every task refers to `fn`, which may be a temporary of the caller's
+  // full expression: wait for all queued tasks before anything rethrows,
+  // a submit refused by a concurrent shutdown included.
+  try {
+    for (std::size_t i = 0; i < count; ++i) {
+      futures.push_back(submit([&fn, i] { fn(i); }));
+    }
+  } catch (...) {
+    for (auto& f : futures) f.wait();
+    throw;
   }
+  for (auto& f : futures) f.wait();
   for (auto& f : futures) f.get();
 }
 

@@ -58,8 +58,9 @@ class ThreadPool {
     return future;
   }
 
-  /// Runs fn(i) for i in [0, count) across the pool and waits for all.
-  /// Exceptions propagate (the first one encountered rethrows).
+  /// Runs fn(i) for i in [0, count) across the pool and waits for all,
+  /// failed or not; then the exception of the lowest failing i, if any,
+  /// rethrows.
   void parallel_for(std::size_t count,
                     const std::function<void(std::size_t)>& fn);
 

@@ -1,12 +1,16 @@
 #include "measure/measure_engine.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
-#include <future>
+#include <condition_variable>
+#include <exception>
 #include <limits>
+#include <mutex>
 #include <numeric>
 #include <thread>
+#include <utility>
 
 namespace propsim {
 
@@ -55,6 +59,17 @@ void MeasureScratch::begin(std::size_t n) {
   if (pending.size() != n) pending.assign(n, kIdle);
   if (heads.empty()) heads.assign(1, kNoEntry);
   entries.clear();
+}
+
+void MeasureScratch::match_capacity(const MeasureScratch& other) {
+  dist.reserve(other.dist.capacity());
+  pending.reserve(other.pending.capacity());
+  // Between floods every head is empty, so a longer ring is a fresh one.
+  if (heads.size() < other.heads.size()) {
+    heads.assign(other.heads.size(), kNoEntry);
+  }
+  entries.reserve(other.entries.capacity());
+  targets.reserve(other.targets.capacity());
 }
 
 double MeasureScratch::distance(SlotId v) const {
@@ -236,42 +251,173 @@ void flood_overlay(const OverlayNetwork& net,
       source, processing_delay_ms, scratch, targets);
 }
 
+std::size_t measure_threads_for(std::size_t requested,
+                                std::size_t concurrent_runs,
+                                std::size_t hardware) {
+  if (requested != MeasureEngine::kAutoThreads) return requested;
+  return std::max<std::size_t>(std::max<std::size_t>(hardware, 1) /
+                                   std::max<std::size_t>(concurrent_runs, 1),
+                               1);
+}
+
+/// Worker threads that sleep on a condition variable between sweeps and
+/// share each sweep's blocks with the calling thread through an atomic
+/// cursor. A sweep is published under the mutex with a new generation;
+/// each worker takes blocks until the cursor passes the end, then checks
+/// out, and the caller returns once every worker has. Nothing spins and
+/// nothing allocates per sweep.
+class MeasureWorkerGroup {
+ public:
+  /// task(context, participant, begin, end); the caller is participant
+  /// 0, the workers 1..workers.
+  using Task = void (*)(const void*, std::size_t, std::size_t, std::size_t);
+
+  explicit MeasureWorkerGroup(std::size_t workers) {
+    threads_.reserve(workers);
+    for (std::size_t w = 1; w <= workers; ++w) {
+      threads_.emplace_back([this, w] { work(w); });
+    }
+  }
+
+  ~MeasureWorkerGroup() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      stopping_ = true;
+    }
+    start_.notify_all();
+    for (std::thread& t : threads_) t.join();
+  }
+
+  MeasureWorkerGroup(const MeasureWorkerGroup&) = delete;
+  MeasureWorkerGroup& operator=(const MeasureWorkerGroup&) = delete;
+
+  /// Runs task over [0, count) in blocks of `block` on the caller and
+  /// every worker, and returns when all blocks have run. Every block runs
+  /// even if one throws; then the exception of the lowest failing block
+  /// is rethrown, the one a serial pass would have hit first.
+  void run(std::size_t count, std::size_t block, Task task,
+           const void* context) {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      task_ = task;
+      context_ = context;
+      count_ = count;
+      block_ = block;
+      cursor_ = 0;
+      busy_ = threads_.size();
+      ++generation_;
+    }
+    start_.notify_all();
+    take_blocks(0);
+    std::unique_lock<std::mutex> lock(mutex_);
+    done_.wait(lock, [this] { return busy_ == 0; });
+    if (error_ != nullptr) {
+      failed_block_ = kNoBlock;
+      std::rethrow_exception(std::exchange(error_, nullptr));
+    }
+  }
+
+ private:
+  static constexpr std::size_t kNoBlock = static_cast<std::size_t>(-1);
+
+  void work(std::size_t participant) {
+    std::uint64_t seen = 0;
+    for (;;) {
+      {
+        std::unique_lock<std::mutex> lock(mutex_);
+        start_.wait(lock,
+                    [&] { return stopping_ || generation_ != seen; });
+        if (stopping_) return;
+        seen = generation_;
+      }
+      take_blocks(participant);
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (--busy_ == 0) done_.notify_one();
+    }
+  }
+
+  // The sweep's fields are written under the mutex before the
+  // generation moves and read only after a participant has seen it, and
+  // the outputs reach the caller through the check-out under the same
+  // mutex; the cursor only splits the work.
+  void take_blocks(std::size_t participant) {
+    for (;;) {
+      const std::size_t begin = cursor_.fetch_add(block_);
+      if (begin >= count_) return;
+      try {
+        task_(context_, participant, begin, std::min(begin + block_, count_));
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (begin < failed_block_) {
+          failed_block_ = begin;
+          error_ = std::current_exception();
+        }
+      }
+    }
+  }
+
+  // Guarded by mutex_ (the sweep's fields are read without it only
+  // between a participant's start and its check-out, see take_blocks).
+  std::mutex mutex_;
+  std::condition_variable start_;  // workers wait here between sweeps
+  std::condition_variable done_;   // the caller waits here for check-outs
+  std::uint64_t generation_ = 0;
+  std::size_t busy_ = 0;  // workers not yet checked out of this sweep
+  bool stopping_ = false;
+  Task task_ = nullptr;
+  const void* context_ = nullptr;
+  std::size_t count_ = 0;
+  std::size_t block_ = 1;
+  std::size_t failed_block_ = kNoBlock;
+  std::exception_ptr error_;
+  alignas(64) std::atomic<std::size_t> cursor_{0};
+  // Last, so every member a worker uses outlives it.
+  std::vector<std::thread> threads_;
+};
+
+namespace {
+/// Routed and direct queries cost about a microsecond each, so their
+/// sweeps hand them out this many at a time, one cursor step per block.
+constexpr std::size_t kQueryBlock = 64;
+}  // namespace
+
 MeasureEngine::MeasureEngine(std::size_t threads, MeasureMode mode) {
   PROPSIM_CHECK(mode == MeasureMode::kExact);
-  if (threads == kAutoThreads) {
-    threads = std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
-  }
-  threads_ = std::max<std::size_t>(threads, 1);
-  if (threads_ > 1) pool_ = std::make_unique<ThreadPool>(threads_);
+  threads_ = std::max<std::size_t>(
+      measure_threads_for(threads, 1, std::thread::hardware_concurrency()),
+      1);
   scratch_.reserve(threads_);
   for (std::size_t i = 0; i < threads_; ++i) {
     scratch_.push_back(std::make_unique<MeasureScratch>());
   }
 }
 
+MeasureEngine::~MeasureEngine() = default;
+
 template <class Body>
-void MeasureEngine::for_chunks(std::size_t count, const Body& body) {
+void MeasureEngine::for_blocks(std::size_t count, std::size_t block,
+                               const Body& body) {
   if (count == 0) return;
-  const std::size_t chunks = std::min(threads_, count);
-  auto bounds = [&](std::size_t c) {
-    return std::pair{c * count / chunks, (c + 1) * count / chunks};
-  };
-  if (pool_ == nullptr || chunks == 1) {
-    for (std::size_t c = 0; c < chunks; ++c) {
-      const auto [begin, end] = bounds(c);
-      body(c, begin, end);
-    }
+  if (threads_ == 1 || count <= block) {
+    body(*scratch_[0], 0, count);
     return;
   }
-  std::vector<std::future<void>> futures;
-  futures.reserve(chunks);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const auto [begin, end] = bounds(c);
-    futures.push_back(pool_->submit([&body, c, begin, end] {
-      body(c, begin, end);
-    }));
+  if (group_ == nullptr) {
+    group_ = std::make_unique<MeasureWorkerGroup>(threads_ - 1);
   }
-  for (auto& f : futures) f.get();  // rethrows the first worker failure
+  struct Context {
+    const Body& body;
+    const std::vector<std::unique_ptr<MeasureScratch>>& scratch;
+  };
+  const Context context{body, scratch_};
+  group_->run(
+      count, block,
+      [](const void* c, std::size_t participant, std::size_t begin,
+         std::size_t end) {
+        const auto& ctx = *static_cast<const Context*>(c);
+        ctx.body(*ctx.scratch[participant], begin, end);
+      },
+      &context);
 }
 
 void MeasureEngine::run_lookup(const OverlaySnapshot& snap,
@@ -279,8 +425,8 @@ void MeasureEngine::run_lookup(const OverlaySnapshot& snap,
                                const std::vector<double>* processing_delay_ms,
                                std::vector<double>& out) {
   // One flood per distinct source: order query indices by source,
-  // then chunk the contiguous same-source runs across the workers. Each
-  // worker writes only out[idx] for its own runs' indices. order_ and
+  // then hand the contiguous same-source runs to the workers one at a
+  // time. Each writes only out[idx] for the runs it took. order_ and
   // runs_ are member buffers so a steady-state sweep reallocates
   // nothing.
   order_.resize(queries.size());
@@ -306,9 +452,8 @@ void MeasureEngine::run_lookup(const OverlaySnapshot& snap,
   stats_.exact_floods += runs_.size();
 
   out.assign(queries.size(), 0.0);
-  for_chunks(runs_.size(), [&](std::size_t chunk, std::size_t begin,
-                               std::size_t end) {
-    MeasureScratch& scratch = *scratch_[chunk];
+  for_blocks(runs_.size(), 1, [&](MeasureScratch& scratch, std::size_t begin,
+                                  std::size_t end) {
     for (std::size_t r = begin; r < end; ++r) {
       const Run& run = runs_[r];
       const SlotId src = queries[order_[run.begin]].src;
@@ -340,6 +485,13 @@ void MeasureEngine::run_lookup(const OverlaySnapshot& snap,
       }
     }
   });
+  if (group_ != nullptr) even_out_scratch();
+}
+
+void MeasureEngine::even_out_scratch() {
+  MeasureScratch& first = *scratch_[0];
+  for (const auto& other : scratch_) first.match_capacity(*other);
+  for (const auto& other : scratch_) other->match_capacity(first);
 }
 
 std::vector<double> MeasureEngine::lookup_latencies(
@@ -363,10 +515,13 @@ double MeasureEngine::average_lookup_latency(
 std::vector<double> MeasureEngine::route_latencies(
     std::span<const QueryPair> queries, const RouteLatencyFn& fn) {
   std::vector<double> out(queries.size(), 0.0);
-  for_chunks(queries.size(), [&](std::size_t /*chunk*/, std::size_t begin,
-                                 std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) out[i] = fn(queries[i]);
-  });
+  for_blocks(queries.size(), kQueryBlock,
+             [&](MeasureScratch& /*scratch*/, std::size_t begin,
+                 std::size_t end) {
+               for (std::size_t i = begin; i < end; ++i) {
+                 out[i] = fn(queries[i]);
+               }
+             });
   return out;
 }
 
@@ -382,12 +537,13 @@ double MeasureEngine::average_route_latency(
 std::vector<double> MeasureEngine::direct_latencies(
     const OverlayNetwork& net, std::span<const QueryPair> queries) {
   std::vector<double> out(queries.size(), 0.0);
-  for_chunks(queries.size(), [&](std::size_t /*chunk*/, std::size_t begin,
-                                 std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      out[i] = net.slot_latency(queries[i].src, queries[i].dst);
-    }
-  });
+  for_blocks(queries.size(), kQueryBlock,
+             [&](MeasureScratch& /*scratch*/, std::size_t begin,
+                 std::size_t end) {
+               for (std::size_t i = begin; i < end; ++i) {
+                 out[i] = net.slot_latency(queries[i].src, queries[i].dst);
+               }
+             });
   return out;
 }
 

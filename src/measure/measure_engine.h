@@ -1,14 +1,19 @@
 // Parallel, deterministic measurement engine.
 //
 // Fans the per-source floods (and per-query routed lookups) of a metric
-// sweep out over a ThreadPool. Determinism contract: results are
-// bit-identical to the serial path regardless of thread count, because
-//   - each worker writes only its own disjoint, preallocated slots of
-//     the output array (no shared accumulators, no result reordering),
+// sweep out over a persistent worker group. Determinism contract:
+// results are bit-identical to the serial path regardless of thread
+// count, because
+//   - each participant writes only the disjoint, preallocated slots of
+//     the output array that belong to the blocks it took (no shared
+//     accumulators, no result reordering),
 //   - the flood kernel's distances are a pure function of the snapshot
 //     (see below), and
 //   - averages are reduced serially in query-index order after the
 //     parallel map completes.
+// Which participant takes which block therefore changes nothing, so
+// blocks are handed out from an atomic cursor: a thread that finishes
+// early takes the next source instead of idling behind a slow one.
 //
 // The flood kernel, flood_snapshot, is a Dial bucket queue over the
 // snapshot's exact double latencies; flood_overlay runs the same kernel
@@ -28,7 +33,7 @@
 // pending sits in a later bucket, so no later candidate can beat those
 // distances and the values read are the ones a full flood would
 // return. A sweep passes each source's destinations as its targets.
-// Worker scratch is allocated once per worker and reused across sources
+// Scratch is allocated once per participant and reused across sources
 // and across snapshots.
 #pragma once
 
@@ -37,7 +42,6 @@
 #include <span>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "measure/overlay_snapshot.h"
 #include "measure/query.h"
 
@@ -82,6 +86,10 @@ struct MeasureScratch {
   /// Sizes for a snapshot of `n` slots and resets dist to +inf.
   void begin(std::size_t n);
 
+  /// Grows every buffer to at least `other`'s capacity (between floods),
+  /// so a flood that fit in `other` allocates nothing here either.
+  void match_capacity(const MeasureScratch& other);
+
   /// Distance from the last flood's source to v (+inf if unreached).
   double distance(SlotId v) const;
 };
@@ -114,6 +122,17 @@ void flood_overlay(const OverlayNetwork& net,
                    MeasureScratch& scratch,
                    std::span<const SlotId> targets = {});
 
+/// Measure threads for one of `concurrent_runs` runs sharing `hardware`
+/// threads: kAutoThreads (MeasureEngine's, equal to ExperimentSpec's
+/// kMeasureThreadsAuto) resolves to max(1, hardware / concurrent_runs),
+/// and an explicit count is kept as given. A count of 0 for either
+/// argument counts as 1. Cores are divided among concurrent runs, never
+/// multiplied: a sweep running one simulation per core measures each
+/// serially.
+std::size_t measure_threads_for(std::size_t requested,
+                                std::size_t concurrent_runs,
+                                std::size_t hardware);
+
 /// Deterministic work counters for one engine's lifetime: floods are
 /// counted per distinct source per sweep (before the parallel fan-out),
 /// so values are invariant across thread counts.
@@ -123,18 +142,26 @@ struct MeasureStats {
   std::uint64_t fast_floods = 0;
 };
 
+/// The worker threads behind a parallel MeasureEngine (measure_engine.cpp).
+class MeasureWorkerGroup;
+
 class MeasureEngine {
  public:
-  /// Sentinel for "one worker per hardware thread".
+  /// Sentinel for "the cores this run owns" (see measure_threads_for).
   static constexpr std::size_t kAutoThreads = static_cast<std::size_t>(-1);
 
-  /// 0 and 1 both mean serial (no pool, no worker threads); kAutoThreads
-  /// resolves to std::thread::hardware_concurrency(). `mode` must be
-  /// kExact (see MeasureMode).
+  /// 0 and 1 both mean serial (no worker threads); kAutoThreads resolves
+  /// to measure_threads_for(kAutoThreads, 1, hardware threads), i.e. one
+  /// run owning the machine. `mode` must be kExact (see MeasureMode).
+  /// Worker threads are spawned on the first sweep that can use them.
   explicit MeasureEngine(std::size_t threads = 1,
                          MeasureMode mode = MeasureMode::kExact);
+  ~MeasureEngine();
 
-  /// Resolved worker count (>= 1).
+  MeasureEngine(const MeasureEngine&) = delete;
+  MeasureEngine& operator=(const MeasureEngine&) = delete;
+
+  /// Resolved thread count (>= 1): the calling thread plus its workers.
   std::size_t thread_count() const { return threads_; }
 
   /// Flood counts since construction.
@@ -142,8 +169,8 @@ class MeasureEngine {
 
   /// Flood first-response latency of each query (queries grouped by
   /// source, one flood per distinct source that stops once its last
-  /// destination is final, sources chunked over the workers). Mirrors
-  /// metrics' unstructured_lookup_latencies. Every src must be an
+  /// destination is final, sources handed to the threads one at a
+  /// time). Mirrors metrics' unstructured_lookup_latencies. Every src must be an
   /// active slot and every dst a slot of the snapshot (checked).
   std::vector<double> lookup_latencies(
       const OverlaySnapshot& snap, std::span<const QueryPair> queries,
@@ -156,7 +183,7 @@ class MeasureEngine {
       const OverlaySnapshot& snap, std::span<const QueryPair> queries,
       const std::vector<double>* processing_delay_ms = nullptr);
 
-  /// fn(query) for each query, chunked over the workers. `fn` must be
+  /// fn(query) for each query, in blocks over the workers. `fn` must be
   /// safe to call concurrently (see RouteLatencyFn).
   std::vector<double> route_latencies(std::span<const QueryPair> queries,
                                       const RouteLatencyFn& fn);
@@ -185,11 +212,13 @@ class MeasureEngine {
     std::size_t end;  // half-open range into order_
   };
 
-  /// Runs body(chunk, begin, end) over `count` items split into at most
-  /// thread_count() contiguous chunks; serial engines run inline, with
-  /// no type-erased copy of `body` to allocate.
+  /// Runs body(scratch, begin, end) over [0, count) in blocks of at most
+  /// `block` items, each with the scratch of the thread that runs it.
+  /// Serial engines, and sweeps of one block, run inline on the calling
+  /// thread; otherwise the caller and the worker group take blocks
+  /// until none is left. Allocates nothing once the group exists.
   template <class Body>
-  void for_chunks(std::size_t count, const Body& body);
+  void for_blocks(std::size_t count, std::size_t block, const Body& body);
 
   /// Shared implementation of the lookup sweeps: groups queries by
   /// source into the reusable order_/runs_ buffers and writes per-query
@@ -199,15 +228,25 @@ class MeasureEngine {
                   const std::vector<double>* processing_delay_ms,
                   std::vector<double>& out);
 
+  /// Grows every thread's scratch to the largest one's capacity. Blocks
+  /// go to whichever thread is free, so after one sweep each scratch has
+  /// fit only the floods it happened to take; evened out, a repeated
+  /// sweep allocates nothing whoever takes which source.
+  void even_out_scratch();
+
   std::size_t threads_;
   MeasureStats stats_;
-  std::unique_ptr<ThreadPool> pool_;  // null when serial
-  std::vector<std::unique_ptr<MeasureScratch>> scratch_;  // one per chunk
+  // scratch_[0] is the calling thread's, scratch_[w] worker w's.
+  std::vector<std::unique_ptr<MeasureScratch>> scratch_;
   // Sweep-shaped buffers reused across calls (the engine is not
   // re-entrant; callers already serialize sweeps).
   std::vector<std::size_t> order_;
   std::vector<Run> runs_;
   std::vector<double> avg_out_;
+  // Null until the first sweep with more than one block; then
+  // threads_ - 1 workers that sleep between sweeps. Last, so the
+  // workers are joined before anything they touch is destroyed.
+  std::unique_ptr<MeasureWorkerGroup> group_;
 };
 
 }  // namespace propsim

@@ -190,10 +190,10 @@ TEST(AllocFree, WarmedLiveLookupsAllocateNothing) {
   EXPECT_GT(checksum, 0.0);
 }
 
-// Metric sweeps as the sampler runs them: one serial engine reused
-// across ticks, with and without processing delays. The first pass
-// grows the engine's buffers and its worker scratch; the second must
-// allocate nothing.
+// Metric sweeps as the sampler runs them: one engine reused across
+// ticks, with and without processing delays, serial and with a worker
+// group. The first pass grows the engine's buffers and every thread's
+// scratch, and spawns the workers; the second must allocate nothing.
 TEST(AllocFree, WarmedSweepsAllocateNothing) {
   if (paranoid_build()) GTEST_SKIP() << "paranoid cross-checks allocate";
   Rng rng(7401);
@@ -207,20 +207,24 @@ TEST(AllocFree, WarmedSweepsAllocateNothing) {
   std::vector<double> delays(snap.slot_count());
   for (double& d : delays) d = rng.uniform_double(0.0, 3.0);
   const std::vector<double>* const procs[] = {nullptr, &delays};
-  MeasureEngine engine(1);
-  double checksum = 0.0;
-  for (const int pass : {0, 1}) {
-    const std::uint64_t before = allocations.load(std::memory_order_relaxed);
-    for (const std::vector<double>* proc : procs) {
-      checksum += engine.average_lookup_latency(snap, queries, proc);
+  for (const std::size_t threads : {1, 4}) {
+    MeasureEngine engine(threads);
+    double checksum = 0.0;
+    for (const int pass : {0, 1}) {
+      const std::uint64_t before =
+          allocations.load(std::memory_order_relaxed);
+      for (const std::vector<double>* proc : procs) {
+        checksum += engine.average_lookup_latency(snap, queries, proc);
+      }
+      const std::uint64_t used =
+          allocations.load(std::memory_order_relaxed) - before;
+      if (pass == 1) {
+        EXPECT_EQ(used, 0u)
+            << "allocations in a warmed pass, " << threads << " threads";
+      }
     }
-    const std::uint64_t used =
-        allocations.load(std::memory_order_relaxed) - before;
-    if (pass == 1) {
-      EXPECT_EQ(used, 0u) << "allocations in a warmed pass";
-    }
+    EXPECT_GT(checksum, 0.0);
   }
-  EXPECT_GT(checksum, 0.0);
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <thread>
 
 #include "app/experiment.h"
 #include "app/result_json.h"
@@ -605,6 +607,27 @@ TEST(SweepRunner, MatchesSerialRunsForAnyJobCount) {
   }
   // Repeats are distinct runs.
   EXPECT_NE(serial.results[0].final_value, serial.results[1].final_value);
+}
+
+TEST(SweepRunner, DividesTheCoresAmongConcurrentRuns) {
+  // As many runs as hardware threads, on as many jobs: every auto run
+  // measures serially instead of fanning out on every core.
+  const std::size_t hardware =
+      std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
+  const auto combos = expand_sweep(
+      Config::parse("nodes = 32\nhorizon = 100\nsample_interval = 50\n"
+                    "queries = 100\n"),
+      {});
+  const SweepRuns full = run_sweep(combos, hardware, hardware);
+  ASSERT_TRUE(full.ok()) << full.errors;
+  EXPECT_EQ(full.workers, hardware);
+  EXPECT_EQ(full.measure_threads, 1u);
+  // A lone run owns the machine, however many jobs were offered.
+  const SweepRuns lone = run_sweep(combos, 1, hardware);
+  ASSERT_TRUE(lone.ok()) << lone.errors;
+  EXPECT_EQ(lone.measure_threads, hardware);
+  EXPECT_EQ(result_digest(must_parse(combos[0].config), lone.results[0]),
+            result_digest(must_parse(combos[0].config), full.results[0]));
 }
 
 TEST(SweepRunner, InvalidCombinationReportsEveryIssueAndRunsNothing) {

@@ -1,15 +1,21 @@
 // Measurement engine: snapshot fidelity, the bucket-queue flood kernel
 // against a reference binary-heap Dijkstra, parallel determinism
-// (results bit-identical to the serial path for any thread count),
-// scratch reuse, snapshot caching, the measure_threads / measure_mode
-// config keys, and golden whole-experiment JSON across thread counts.
+// (results bit-identical to the serial path for any thread count, also
+// when per-source costs are deliberately uneven), the worker group's
+// failure path, scratch reuse, snapshot caching, the measure_threads /
+// measure_mode config keys and their core split, and golden
+// whole-experiment JSON across thread counts.
 #include <algorithm>
+#include <atomic>
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <set>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -461,6 +467,143 @@ TEST(MeasureEngine, ScratchReusedAcrossChangingSnapshots) {
   EXPECT_EQ(fresh.lookup_latencies(before, queries), r_before);
 }
 
+// -------------------------------------------------------- worker group ----
+
+/// Bit patterns, so -0.0 vs 0.0 and NaN payloads would count as changes.
+std::vector<std::uint64_t> bits(const std::vector<double>& v) {
+  std::vector<std::uint64_t> out;
+  out.reserve(v.size());
+  for (const double x : v) out.push_back(std::bit_cast<std::uint64_t>(x));
+  return out;
+}
+
+TEST(MeasureWorkerGroup, UnevenSourcesBitIdenticalOverRepeatedSweeps) {
+  // Every seventh source asks for every slot (a full flood); the rest
+  // ask for themselves, a flood that stops at once. Whichever thread
+  // takes which source, every sweep must equal the serial one.
+  auto fx = UnstructuredFixture::make(60, 7041);
+  const OverlaySnapshot snap = OverlaySnapshot::capture(fx.net);
+  const auto proc = off_grid_delays(snap.slot_count());
+  std::vector<QueryPair> queries;
+  for (SlotId s = 0; s < snap.slot_count(); ++s) {
+    if (s % 7 != 0) {
+      queries.push_back({s, s});
+      continue;
+    }
+    for (SlotId d = 0; d < snap.slot_count(); ++d) queries.push_back({s, d});
+  }
+  // Routed queries with a cost that grows with the source.
+  const RouteLatencyFn routed = [](const QueryPair& q) {
+    double x = 1.0 + 1e-3 * static_cast<double>(q.dst);
+    for (SlotId k = 0; k < (q.src % 13) * 400; ++k) x = x * 1.0000001 + 1e-9;
+    return x;
+  };
+  MeasureEngine serial(1);
+  const auto want = bits(serial.lookup_latencies(snap, queries, &proc));
+  const double want_avg =
+      serial.average_lookup_latency(snap, queries, &proc);
+  const auto want_routed = bits(serial.route_latencies(queries, routed));
+  for (const std::size_t t : {2, 3, 8}) {
+    MeasureEngine engine(t);
+    for (int rep = 0; rep < 20; ++rep) {
+      ASSERT_EQ(bits(engine.lookup_latencies(snap, queries, &proc)), want)
+          << "threads " << t << " rep " << rep;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(
+                    engine.average_lookup_latency(snap, queries, &proc)),
+                std::bit_cast<std::uint64_t>(want_avg))
+          << "threads " << t << " rep " << rep;
+      ASSERT_EQ(bits(engine.route_latencies(queries, routed)), want_routed)
+          << "threads " << t << " rep " << rep;
+    }
+  }
+}
+
+TEST(MeasureWorkerGroup, RethrowsTheFirstFailureAfterEveryBlockRan) {
+  std::vector<QueryPair> queries;
+  for (SlotId i = 0; i < 1000; ++i) queries.push_back({i, i});
+  std::atomic<std::size_t> calls{0};
+  std::atomic<bool> last_ran{false};
+  const RouteLatencyFn failing = [&](const QueryPair& q) {
+    calls.fetch_add(1);
+    if (q.src % 300 == 299) throw std::runtime_error(std::to_string(q.src));
+    if (q.src + 1 == 1000) last_ran = true;
+    return static_cast<double>(q.src);
+  };
+  MeasureEngine engine(4);
+  try {
+    (void)engine.route_latencies(queries, failing);
+    FAIL() << "a failing route function must rethrow";
+  } catch (const std::runtime_error& e) {
+    // The query a serial pass would have failed on first.
+    EXPECT_STREQ(e.what(), "299");
+  }
+  // Blocks past the failures ran, and none is still running: a failing
+  // block stops at its failure, and the call returns after every block.
+  EXPECT_TRUE(last_ran.load());
+  const std::size_t at_return = calls.load();
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  EXPECT_EQ(calls.load(), at_return);
+  // The group survives a failed sweep.
+  const auto ok = engine.route_latencies(
+      queries, [](const QueryPair& q) { return static_cast<double>(q.dst); });
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    ASSERT_EQ(ok[i], static_cast<double>(i));
+  }
+}
+
+TEST(MeasureWorkerGroup, SingleSourceSweepsRunOnTheCaller) {
+  // A sweep with one source run (or one block of routed queries) needs
+  // no workers; it must still answer like the serial engine.
+  auto fx = UnstructuredFixture::make(40, 7042);
+  const OverlaySnapshot snap = OverlaySnapshot::capture(fx.net);
+  std::vector<QueryPair> one_source;
+  for (SlotId d = 0; d < snap.slot_count(); ++d) one_source.push_back({3, d});
+  MeasureEngine serial(1);
+  MeasureEngine parallel(4);
+  EXPECT_EQ(bits(parallel.lookup_latencies(snap, one_source)),
+            bits(serial.lookup_latencies(snap, one_source)));
+  EXPECT_TRUE(parallel.lookup_latencies(snap, {}).empty());
+  EXPECT_EQ(parallel.stats().exact_floods, 1u);
+}
+
+// ------------------------------------------------ measure_threads_for ----
+
+constexpr std::size_t kAuto = MeasureEngine::kAutoThreads;
+
+TEST(MeasureThreadsFor, AutoAloneTakesEveryCore) {
+  EXPECT_EQ(measure_threads_for(kAuto, 1, 4), 4u);
+  EXPECT_EQ(measure_threads_for(kAuto, 1, 1), 1u);
+  EXPECT_EQ(measure_threads_for(kAuto, 0, 4), 4u);  // 0 runs count as 1
+}
+
+TEST(MeasureThreadsFor, AutoDividesTheCoresAmongConcurrentRuns) {
+  EXPECT_EQ(measure_threads_for(kAuto, 4, 4), 1u);  // -j4 on 4 cores
+  EXPECT_EQ(measure_threads_for(kAuto, 2, 4), 2u);
+  EXPECT_EQ(measure_threads_for(kAuto, 2, 5), 2u);  // rounds down
+  EXPECT_EQ(measure_threads_for(kAuto, 8, 4), 1u);  // never below one
+}
+
+TEST(MeasureThreadsFor, ExplicitCountsAreKept) {
+  for (const std::size_t n : {0u, 1u, 3u, 6u, 256u}) {
+    EXPECT_EQ(measure_threads_for(n, 1, 4), n);
+    EXPECT_EQ(measure_threads_for(n, 4, 4), n);
+    EXPECT_EQ(measure_threads_for(n, 16, 1), n);
+  }
+}
+
+TEST(MeasureThreadsFor, ZeroHardwareCountsAsOne) {
+  EXPECT_EQ(measure_threads_for(kAuto, 1, 0), 1u);
+  EXPECT_EQ(measure_threads_for(kAuto, 4, 0), 1u);
+  EXPECT_EQ(measure_threads_for(5, 4, 0), 5u);
+}
+
+TEST(MeasureThreadsFor, AutoEngineIsOneRunOwningTheMachine) {
+  EXPECT_EQ(ExperimentSpec::kMeasureThreadsAuto, kAuto);
+  const MeasureEngine engine(kAuto);
+  EXPECT_EQ(engine.thread_count(),
+            measure_threads_for(kAuto, 1, std::thread::hardware_concurrency()));
+}
+
 // ------------------------------------------------------ SnapshotCache ----
 
 TEST(SnapshotCache, ReusesUntilVersionAdvances) {
@@ -491,8 +634,12 @@ ExperimentSpec must_parse(const std::string& text) {
   return parsed.ok() ? parsed.spec() : ExperimentSpec{};
 }
 
-TEST(MeasureThreadsKey, DefaultsToSerial) {
-  EXPECT_EQ(must_parse("").measure_threads, 1u);
+TEST(MeasureThreadsKey, DefaultsToAuto) {
+  EXPECT_EQ(must_parse("").measure_threads,
+            ExperimentSpec::kMeasureThreadsAuto);
+  // Programmatic specs and config files agree.
+  EXPECT_EQ(ExperimentSpec{}.measure_threads,
+            ExperimentSpec::kMeasureThreadsAuto);
 }
 
 TEST(MeasureThreadsKey, ParsesAutoAndCounts) {
@@ -570,9 +717,11 @@ TEST(MeasureModeKey, ComposesWithEveryMeasureThreadsSetting) {
 
 // ------------------------------------------------- golden result JSON ----
 
+/// The run's result JSON with measure_threads = `threads`, or at the
+/// key's default when `threads` is empty.
 std::string golden_json(const std::string& base, const std::string& threads) {
   Config config = Config::parse(base);
-  config.set("measure_threads", threads);
+  if (!threads.empty()) config.set("measure_threads", threads);
   const SpecResult parsed = ExperimentSpec::from_config(config);
   EXPECT_TRUE(parsed.ok()) << parsed.error_report();
   const ExperimentSpec& spec = parsed.spec();
@@ -592,8 +741,9 @@ const char kFig5Base[] =
 
 TEST(MeasureGolden, Fig5LikeResultJsonIdenticalAcrossThreadCounts) {
   const std::string serial = golden_json(kFig5Base, "1");
-  EXPECT_EQ(serial, golden_json(kFig5Base, "4"));
-  EXPECT_EQ(serial, golden_json(kFig5Base, "8"));
+  for (const char* threads : {"", "3", "4", "8"}) {
+    EXPECT_EQ(serial, golden_json(kFig5Base, threads)) << threads;
+  }
 }
 
 TEST(MeasureGolden, FaultedResultJsonIdenticalAcrossThreadCounts) {
@@ -608,8 +758,9 @@ TEST(MeasureGolden, FaultedResultJsonIdenticalAcrossThreadCounts) {
       "fault_partition_domain = auto\n"
       "fault_partition_start = 300\nfault_partition_end = 600\n";
   const std::string serial = golden_json(base, "1");
-  EXPECT_EQ(serial, golden_json(base, "4"));
-  EXPECT_EQ(serial, golden_json(base, "8"));
+  for (const char* threads : {"", "3", "4", "8"}) {
+    EXPECT_EQ(serial, golden_json(base, threads)) << threads;
+  }
 }
 
 // -------------------------------------- counters v5 / measure stanza ----

@@ -1,6 +1,9 @@
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -30,6 +33,38 @@ TEST(ThreadPool, ExceptionsPropagateThroughFutures) {
   ThreadPool pool(2);
   auto f = pool.submit([]() -> int { throw std::runtime_error("boom"); });
   EXPECT_THROW(f.get(), std::runtime_error);
+}
+
+TEST(ThreadPool, ParallelForWaitsForEveryTaskBeforeRethrowing) {
+  // Task 0 fails at once while the rest are still queued or running.
+  // They all refer to the std::function temporary built for the call,
+  // so parallel_for must not rethrow before the last one has finished.
+  ThreadPool pool(2);
+  constexpr std::size_t kCount = 12;
+  std::atomic<std::size_t> finished{0};
+  EXPECT_THROW(pool.parallel_for(kCount,
+                                 [&](std::size_t i) {
+                                   if (i == 0) {
+                                     throw std::runtime_error("task 0");
+                                   }
+                                   std::this_thread::sleep_for(
+                                       std::chrono::milliseconds(2));
+                                   finished.fetch_add(1);
+                                 }),
+               std::runtime_error);
+  EXPECT_EQ(finished.load(), kCount - 1);
+}
+
+TEST(ThreadPool, ParallelForRethrowsTheLowestFailingIndex) {
+  ThreadPool pool(4);
+  try {
+    pool.parallel_for(40, [](std::size_t i) {
+      if (i % 10 == 7) throw std::runtime_error(std::to_string(i));
+    });
+    FAIL() << "parallel_for must rethrow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "7");
+  }
 }
 
 TEST(ThreadPool, ManyTasksFewWorkers) {
