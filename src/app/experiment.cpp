@@ -411,8 +411,7 @@ class Measurement {
       qrng_ = query_rng();
       queries_ = make_queries();
     }
-    std::vector<double> storage;
-    const std::vector<double>* delays = slot_delays(storage);
+    const std::vector<double>* delays = slot_delays();
     const OverlayNetwork& net = *overlay_.net;
     if (structured()) {
       const auto routed = [&](const QueryPair& q) {
@@ -429,8 +428,7 @@ class Measurement {
 
   /// The latency of one live lookup on the overlay as it is now.
   double resolve_lookup(const QueryPair& q) {
-    std::vector<double> storage;
-    const std::vector<double>* delays = slot_delays(storage);
+    const std::vector<double>* delays = slot_delays();
     const OverlayNetwork& net = *overlay_.net;
     if (!structured()) {
       flood_overlay(net, filter(), q.src, delays, lookup_scratch_,
@@ -471,12 +469,16 @@ class Measurement {
                           spec_.fraction_fast_dest, spec_.queries, qrng_);
   }
 
-  /// The slots' processing delays, kept in `storage`; null when
-  /// homogeneous.
-  const std::vector<double>* slot_delays(std::vector<double>& storage) const {
+  /// The slots' processing delays; null when homogeneous. Delays follow
+  /// hosts, so the vector is rebuilt only when the overlay's version
+  /// moved (a swap, join, leave or rebind), not per lookup or tick.
+  const std::vector<double>* slot_delays() {
     if (!overlay_.delays) return nullptr;
-    storage = overlay_.delays->slot_delays(*overlay_.net);
-    return &storage;
+    if (delays_version_ != overlay_.net->version()) {
+      delays_ = overlay_.delays->slot_delays(*overlay_.net);
+      delays_version_ = overlay_.net->version();
+    }
+    return &delays_;
   }
 
   const OverlayNetwork::LinkFilter* filter() const {
@@ -498,6 +500,8 @@ class Measurement {
   Rng qrng_ = query_rng();
   std::vector<QueryPair> queries_;
   OverlayNetwork::LinkFilter filter_;
+  std::vector<double> delays_;  // slot_delays() as of delays_version_
+  std::uint64_t delays_version_ = kNoStamp;
   MeasureScratch lookup_scratch_;
   OverlayNetwork::FloodScratch probe_scratch_;  // paranoid cross-check only
 };

@@ -87,11 +87,15 @@ SweepRuns run_sweep(const std::vector<SweepCombo>& combos,
   if (!runs.ok()) return runs;
 
   runs.results.resize(specs.size() * repeat);
-  ThreadPool pool(jobs);
+  if (runs.results.empty()) return runs;
+  const std::size_t hardware = std::thread::hardware_concurrency();
+  // Each run is one task, so the pool gets no more workers than runs.
+  const std::size_t offered =
+      jobs == 0 ? std::max<std::size_t>(hardware, 1) : jobs;
+  ThreadPool pool(std::min(offered, runs.results.size()));
   runs.workers = pool.worker_count();
   // Runs share the cores: each auto run measures on its share of them.
-  const std::size_t concurrent = std::min(runs.workers, runs.results.size());
-  const std::size_t hardware = std::thread::hardware_concurrency();
+  const std::size_t concurrent = runs.workers;
   runs.measure_threads =
       measure_threads_for(MeasureEngine::kAutoThreads, concurrent, hardware);
   pool.parallel_for(runs.results.size(), [&](std::size_t task) {

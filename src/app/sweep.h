@@ -46,21 +46,22 @@ struct SweepRuns {
   std::string errors;
   /// results[c * repeat + k]: combination c at repeat k (task order).
   std::vector<ExperimentResult> results;
-  /// Worker threads the runs shared; 0 when nothing ran.
+  /// Worker threads the runs shared: min(jobs, results.size()), jobs 0
+  /// counting as the hardware threads; 0 when nothing ran.
   std::size_t workers = 0;
   /// Measure threads each run with measure_threads = auto got: the
-  /// hardware threads divided by the runs in flight at once,
-  /// min(workers, results.size()) (measure_threads_for); 0 when nothing
-  /// ran. Explicit counts are kept as given.
+  /// hardware threads divided by the runs in flight at once, `workers`
+  /// (measure_threads_for); 0 when nothing ran. Explicit counts are
+  /// kept as given.
   std::size_t measure_threads = 0;
 
   bool ok() const { return errors.empty(); }
 };
 
 /// Validates every combination, then runs combination x repeat (>= 1) as
-/// independent simulations on `jobs` workers (0 = one per hardware
-/// thread), each measuring on its share of the cores. The results do
-/// not depend on `jobs`.
+/// independent simulations on up to `jobs` workers (0 = one per
+/// hardware thread), never more workers than runs, each measuring on
+/// its share of the cores. The results do not depend on `jobs`.
 SweepRuns run_sweep(const std::vector<SweepCombo>& combos,
                     std::size_t repeat, std::size_t jobs = 0);
 

@@ -128,7 +128,7 @@ bool PropEngine::attempt(SlotId u) {
     path.assign({u, v});
     net_.traffic().count(net_.placement().host_of(u), MessageKind::kWalk);
   } else if (params_.random_target) {
-    const auto actives = net_.graph().active_slots();
+    const std::span<const SlotId> actives = active_.of(net_.graph());
     PROPSIM_CHECK(actives.size() >= 2);
     do {
       v = actives[static_cast<std::size_t>(rng_.uniform(actives.size()))];

@@ -214,9 +214,11 @@ class PropEngine {
   bool started_ = false;
   // Working memory reused by every attempt so that one allocates
   // nothing: the walk's path, the plan the MIN_VAR gate judges and the
-  // greedy scores behind it. attempt and validate_and_apply both plan
-  // into plan_; neither runs inside the other (PlanInUse checks).
+  // greedy scores behind it, and the active slots a random_target draw
+  // picks from. attempt and validate_and_apply both plan into plan_;
+  // neither runs inside the other (PlanInUse checks).
   std::vector<SlotId> path_;
+  ActiveSlotCache active_;
   ExchangePlan plan_;
   PlanScratch plan_scratch_;
   bool planning_ = false;

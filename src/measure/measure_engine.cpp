@@ -100,16 +100,52 @@ struct KeepAll {
   bool operator()(SlotId /*from*/, SlotId /*to*/) const { return true; }
 };
 
+/// The zero estimate: a slot's key is its distance (plain Dial). Every
+/// sweep and every multi-target or untargeted flood runs with it.
+struct NoEstimate {
+  static constexpr bool kGuided = false;
+  double key(SlotId /*v*/, double d) const { return d; }
+};
+
+/// The A* estimate of a single-target live flood: key(v, d) is
+/// (d + oracle latency from v's host to the target's host), deflated by
+/// a margin that covers the rounding of every overlay route and of the
+/// oracle's own sums, so a key never exceeds the bits of any route that
+/// v's distance could still extend to the target (docs/PERF.md,
+/// "Oracle-guided live lookups").
+struct OracleEstimate {
+  static constexpr bool kGuided = true;
+  const LatencyOracle& oracle;
+  const Placement& placement;
+  NodeId target_host;
+  double deflate;  // 1 - m * 2^-53, exact
+
+  double key(SlotId v, double d) const {
+    return (d + oracle.latency(placement.host_of(v), target_host)) * deflate;
+  }
+};
+
+/// OracleEstimate's deflation for an overlay of `slots` slots over
+/// `hosts` physical nodes: 1 - m * 2^-53 with m = slots + 2 * hosts + 10,
+/// exact for any m below 2^52.
+double estimate_deflation(std::size_t slots, std::size_t hosts) {
+  const double m = static_cast<double>(slots) +
+                   2.0 * static_cast<double>(hosts) + 10.0;
+  return 1.0 - std::ldexp(m, -53);
+}
+
 /// The Dial kernel behind flood_snapshot and flood_overlay. `Rows` is an
 /// OverlaySnapshot or LiveRows; `keep(u, v)` is asked before relaxing
-/// each edge; `delay` is the per-slot processing delay when kDelays.
-/// The bucket width only needs to be a power of two: by the fixpoint
+/// each edge; `delay` is the per-slot processing delay when kDelays;
+/// `est.key(v, d)` is the bucket key of slot v at distance d: NoEstimate
+/// files by distance, OracleEstimate by an admissible A* key. The
+/// bucket width only needs to be a power of two: by the fixpoint
 /// argument in measure_engine.h any width yields the same distances and
 /// the same early stop, and a width at most the lightest edge only
 /// saves re-filing.
-template <bool kDelays, class Rows, class Keep>
-void dial_kernel(const Rows& rows, Keep keep, SlotId source,
-                 const double* delay, MeasureScratch& scratch,
+template <bool kDelays, class Rows, class Keep, class Estimate>
+void dial_kernel(const Rows& rows, Keep keep, const Estimate& est,
+                 SlotId source, const double* delay, MeasureScratch& scratch,
                  std::span<const SlotId> targets) {
   const std::size_t n = rows.slot_count();
   PROPSIM_CHECK(source < n);
@@ -134,7 +170,10 @@ void dial_kernel(const Rows& rows, Keep keep, SlotId source,
                ? static_cast<std::uint64_t>(static_cast<std::int64_t>(q))
                : kFarBucket;
   };
-  std::uint64_t cur = 0;     // absolute index of the bucket being drained
+  // Absolute index of the bucket being drained, starting at the
+  // source's (0 without an estimate). A later key below it comes only
+  // from rounding and is filed in the open bucket (see below).
+  std::uint64_t cur = bucket_of(est.key(source, 0.0));
   std::size_t unpopped = 0;  // filed entries not yet popped, stale included
   auto file = [&](SlotId v, std::uint64_t b) {
     PROPSIM_DCHECK(b >= cur);
@@ -153,7 +192,7 @@ void dial_kernel(const Rows& rows, Keep keep, SlotId source,
 
   std::size_t final_targets = 0;  // targets[0, final_targets) are final
   dist[source] = 0.0;
-  file(source, 0);
+  file(source, cur);
   while (unpopped > 0) {
     // Pop until the open bucket is empty, re-reading its head each time:
     // relaxations may file into it, and a ring growth moves it.
@@ -183,17 +222,24 @@ void dial_kernel(const Rows& rows, Keep keep, SlotId source,
         // beats, so +inf is never filed and reads back as +inf.
         if (!(candidate < dist[v])) continue;
         dist[v] = candidate;
-        // A queued slot whose bucket did not change keeps its entry.
-        const std::uint64_t b = bucket_of(candidate);
+        // A queued slot whose bucket did not change keeps its entry. A
+        // guided key may fall below the open bucket (the estimate is
+        // admissible, not consistent, once rounded): such a slot is
+        // filed in the open bucket, which drains to a fixpoint anyway.
+        std::uint64_t b = bucket_of(est.key(v, candidate));
+        if constexpr (Estimate::kGuided) b = std::max(b, cur);
         if (pending[v] != b) file(v, b);
       }
     }
-    // Bucket cur is drained, so every pending entry's slot sits at a
-    // distance >= (cur + 1) * W, and costs >= 0 with monotone addition
-    // keep every later candidate there too: a target below that bound
-    // is final, and stays final as cur grows, so one cursor walks the
-    // targets. Once all are final, leave the scratch as a full flood
-    // would: nothing pending, every ring head empty.
+    // Bucket cur is drained, so every pending entry's slot has a key
+    // >= (cur + 1) * W. Without an estimate the key is the distance, and
+    // costs >= 0 with monotone addition keep every later candidate there
+    // too; with one, every later candidate at the target is at least
+    // the key of the pending slot it extends (the margin argument). A
+    // target below that bound is final, and stays final as cur grows,
+    // so one cursor walks the targets. Once all are final, leave the
+    // scratch as a full flood would: nothing pending, every ring head
+    // empty.
     if (!targets.empty()) {
       while (final_targets < targets.size() &&
              bucket_of(dist[targets[final_targets]]) <= cur) {
@@ -213,17 +259,42 @@ void dial_kernel(const Rows& rows, Keep keep, SlotId source,
 
 /// Picks the kernel instance for the delay case, so the per-edge path
 /// of a flood without processing delays carries no delay branch.
-template <class Rows, class Keep>
+template <class Rows, class Keep, class Estimate = NoEstimate>
 void dial_flood(const Rows& rows, Keep keep, SlotId source,
                 const std::vector<double>* processing_delay_ms,
-                MeasureScratch& scratch, std::span<const SlotId> targets) {
+                MeasureScratch& scratch, std::span<const SlotId> targets,
+                const Estimate& est = {}) {
   if (processing_delay_ms == nullptr) {
-    dial_kernel<false>(rows, keep, source, nullptr, scratch, targets);
+    dial_kernel<false>(rows, keep, est, source, nullptr, scratch, targets);
     return;
   }
   PROPSIM_CHECK(processing_delay_ms->size() == rows.slot_count());
-  dial_kernel<true>(rows, keep, source, processing_delay_ms->data(), scratch,
-                    targets);
+  dial_kernel<true>(rows, keep, est, source, processing_delay_ms->data(),
+                    scratch, targets);
+}
+
+/// dial_flood over the live rows, guided by the oracle when the flood
+/// has one bound target and the oracle answers point queries in O(1)
+/// (hierarchical). A Dijkstra-row oracle would fetch or compute a row
+/// per lookup, which costs more than the stop saves (docs/PERF.md), so
+/// it floods with the zero estimate, as does every other flood.
+template <class Keep>
+void live_flood(const OverlayNetwork& net, Keep keep, SlotId source,
+                const std::vector<double>* processing_delay_ms,
+                MeasureScratch& scratch, std::span<const SlotId> targets) {
+  const LiveRows rows{net};
+  const LatencyOracle& oracle = net.oracle();
+  if (targets.size() == 1 && oracle.hierarchical() &&
+      targets[0] < net.placement().slot_capacity() &&
+      net.placement().slot_bound(targets[0])) {
+    const OracleEstimate est{
+        oracle, net.placement(), net.placement().host_of(targets[0]),
+        estimate_deflation(rows.slot_count(), oracle.physical().node_count())};
+    dial_flood(rows, keep, source, processing_delay_ms, scratch, targets,
+               est);
+    return;
+  }
+  dial_flood(rows, keep, source, processing_delay_ms, scratch, targets);
 }
 
 }  // namespace
@@ -240,14 +311,12 @@ void flood_overlay(const OverlayNetwork& net,
                    const std::vector<double>* processing_delay_ms,
                    MeasureScratch& scratch,
                    std::span<const SlotId> targets) {
-  const LiveRows rows{net};
   if (link_ok == nullptr) {
-    dial_flood(rows, KeepAll{}, source, processing_delay_ms, scratch,
-               targets);
+    live_flood(net, KeepAll{}, source, processing_delay_ms, scratch, targets);
     return;
   }
-  dial_flood(
-      rows, [link_ok](SlotId u, SlotId v) { return (*link_ok)(u, v); },
+  live_flood(
+      net, [link_ok](SlotId u, SlotId v) { return (*link_ok)(u, v); },
       source, processing_delay_ms, scratch, targets);
 }
 

@@ -33,6 +33,18 @@
 // pending sits in a later bucket, so no later candidate can beat those
 // distances and the values read are the ones a full flood would
 // return. A sweep passes each source's destinations as its targets.
+//
+// A live lookup (flood_overlay with one target, on a hierarchical
+// oracle) keys each queued slot by A* instead: its distance plus the
+// oracle latency from its host to the target's host, the whole key
+// deflated by (slot count + 2 * physical nodes + 10) units of 2^-53.
+// Every overlay route costs at least the physical distance between its
+// ends, and the margin covers the rounding of both the route's partial
+// sums and the oracle's own, so a key never exceeds any route its slot
+// could still extend to the target; the stop test is unchanged and the
+// distances read stay bit-identical to a full flood (docs/PERF.md,
+// "Oracle-guided live lookups"). Sweeps, multi-target floods and
+// Dijkstra-row oracles keep the zero estimate: plain Dial.
 // Scratch is allocated once per participant and reused across sources
 // and across snapshots.
 #pragma once
@@ -114,8 +126,14 @@ void flood_snapshot(const OverlaySnapshot& snap, SlotId source,
 /// flood_snapshot over the live overlay, with no capture: the same
 /// kernel reads each slot's neighbours and stored weights in place and
 /// asks `link_ok` (optional) before relaxing each edge, which gives the
-/// bits a flood over OverlaySnapshot::capture(net, link_ok) gives.
-/// Allocates nothing once `scratch` has grown to the overlay.
+/// bits a flood over OverlaySnapshot::capture(net, link_ok) gives at
+/// every target. With exactly one target, bound to a host, and a
+/// hierarchical oracle (net.oracle().hierarchical()), the flood is an
+/// A* search guided by the oracle latency to the target's host: it
+/// stops sooner and other slots' distances are left as upper bounds
+/// more often, but the target's bits are the full flood's. Otherwise
+/// it is plain Dial, as flood_snapshot. Allocates nothing once
+/// `scratch` has grown to the overlay.
 void flood_overlay(const OverlayNetwork& net,
                    const OverlayNetwork::LinkFilter* link_ok, SlotId source,
                    const std::vector<double>* processing_delay_ms,

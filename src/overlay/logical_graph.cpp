@@ -7,7 +7,7 @@ namespace propsim {
 SlotId LogicalGraph::add_slot() {
   adjacency_.emplace_back();
   active_.push_back(true);
-  next_stamp();
+  next_membership_stamp();
   ++active_count_;
   return static_cast<SlotId>(adjacency_.size() - 1);
 }
@@ -20,7 +20,8 @@ void LogicalGraph::deactivate_slot(SlotId s) {
     remove_edge(s, adjacency_[s].back());
   }
   active_[s] = false;
-  next_stamp();  // an isolated slot's departure moves the version too
+  // An isolated slot's departure moves the version too.
+  next_membership_stamp();
   --active_count_;
 }
 
@@ -29,7 +30,7 @@ void LogicalGraph::reactivate_slot(SlotId s) {
   PROPSIM_CHECK(!active_[s]);
   PROPSIM_CHECK(adjacency_[s].empty());
   active_[s] = true;
-  next_stamp();
+  next_membership_stamp();
   ++active_count_;
 }
 

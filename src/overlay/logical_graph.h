@@ -24,7 +24,8 @@ class LogicalGraph {
   LogicalGraph() = default;
   explicit LogicalGraph(std::size_t slot_count)
       : adjacency_(slot_count), active_(slot_count, true),
-        version_(next_mutation_stamp()), active_count_(slot_count) {}
+        version_(next_mutation_stamp()), membership_version_(version_),
+        active_count_(slot_count) {}
 
   std::size_t slot_count() const { return adjacency_.size(); }
   std::size_t active_count() const { return active_count_; }
@@ -66,6 +67,11 @@ class LogicalGraph {
   /// unchanged graph.
   std::uint64_t version() const { return version_; }
 
+  /// The stamp of the last change to which slots are active (add_slot,
+  /// deactivate_slot, reactivate_slot); edge edits leave it, so an
+  /// unchanged membership version means an unchanged active_slots().
+  std::uint64_t membership_version() const { return membership_version_; }
+
   /// Minimum degree over active slots (the paper's delta(G), the default
   /// exchange size m for PROP-O).
   std::size_t min_active_degree() const;
@@ -84,12 +90,37 @@ class LogicalGraph {
   std::size_t erase_directed(SlotId from, SlotId to);
   /// Draws a stamp and makes it the graph's version.
   std::uint64_t next_stamp() { return version_ = next_mutation_stamp(); }
+  /// next_stamp() for a membership change: moves both versions.
+  void next_membership_stamp() { membership_version_ = next_stamp(); }
 
   std::vector<std::vector<SlotId>> adjacency_;
   std::vector<bool> active_;
   std::uint64_t version_ = kNoStamp;
+  std::uint64_t membership_version_ = kNoStamp;
   std::size_t active_count_ = 0;
   std::size_t edge_count_ = 0;
+};
+
+/// One graph's active_slots(), refilled only when its
+/// membership_version() moved. A draw that indexes the active list by
+/// position reads the same slot through it, without building an O(n)
+/// vector per draw. Simulation thread only.
+class ActiveSlotCache {
+ public:
+  std::span<const SlotId> of(const LogicalGraph& graph) {
+    if (version_ != graph.membership_version()) {
+      slots_.clear();
+      for (SlotId s = 0; s < graph.slot_count(); ++s) {
+        if (graph.is_active(s)) slots_.push_back(s);
+      }
+      version_ = graph.membership_version();
+    }
+    return slots_;
+  }
+
+ private:
+  std::vector<SlotId> slots_;
+  std::uint64_t version_ = kNoStamp;  // an empty graph has no active slot
 };
 
 }  // namespace propsim

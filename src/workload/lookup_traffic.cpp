@@ -39,7 +39,7 @@ void LookupTrafficProcess::schedule_next() {
 
 void LookupTrafficProcess::issue_one() {
   schedule_next();
-  const auto slots = net_.graph().active_slots();
+  const std::span<const SlotId> slots = active_.of(net_.graph());
   if (slots.size() < 2) return;
   QueryPair q;
   q.src = slots[static_cast<std::size_t>(rng_.uniform(slots.size()))];

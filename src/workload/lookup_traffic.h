@@ -64,6 +64,7 @@ class LookupTrafficProcess {
   LookupTrafficParams params_;
   ResolveFn resolve_;
   Rng rng_;
+  ActiveSlotCache active_;  // the pool each lookup's endpoints come from
   std::uint64_t issued_ = 0;
   std::uint64_t unreachable_ = 0;
   RunningStats window_;

@@ -23,6 +23,10 @@ inline TransitStubConfig tiny_transit_stub_config() {
   return c;
 }
 
+/// The engine behind a fixture's oracle: Dijkstra rows over the graph,
+/// or the hierarchical transit-stub tables experiments build.
+enum class OracleEngine { kRows, kHierarchical };
+
 /// Bundles a physical topology, its oracle and an unstructured overlay
 /// over `overlay_n` stub hosts; everything seeded for reproducibility.
 struct UnstructuredFixture {
@@ -31,19 +35,27 @@ struct UnstructuredFixture {
   OverlayNetwork net;
 
   static UnstructuredFixture make(std::size_t overlay_n, std::uint64_t seed,
-                                  std::size_t attach_links = 3) {
+                                  std::size_t attach_links = 3,
+                                  OracleEngine engine = OracleEngine::kRows) {
     Rng rng(seed);
     TransitStubTopology topo = make_transit_stub(tiny_transit_stub_config(),
                                                  rng);
-    return UnstructuredFixture(std::move(topo), overlay_n, rng, attach_links);
+    return UnstructuredFixture(std::move(topo), overlay_n, rng, attach_links,
+                               engine);
   }
 
  private:
   UnstructuredFixture(TransitStubTopology t, std::size_t overlay_n, Rng& rng,
-                      std::size_t attach_links)
+                      std::size_t attach_links, OracleEngine engine)
       : topo(std::move(t)),
-        oracle(topo.graph),
+        oracle(make_oracle(topo, engine)),
         net(build_overlay(overlay_n, rng, attach_links)) {}
+
+  static LatencyOracle make_oracle(const TransitStubTopology& topo,
+                                   OracleEngine engine) {
+    if (engine == OracleEngine::kHierarchical) return LatencyOracle(topo);
+    return LatencyOracle(topo.graph);
+  }
 
   OverlayNetwork build_overlay(std::size_t overlay_n, Rng& rng,
                                std::size_t attach_links) {

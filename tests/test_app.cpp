@@ -622,10 +622,19 @@ TEST(SweepRunner, DividesTheCoresAmongConcurrentRuns) {
   ASSERT_TRUE(full.ok()) << full.errors;
   EXPECT_EQ(full.workers, hardware);
   EXPECT_EQ(full.measure_threads, 1u);
-  // A lone run owns the machine, however many jobs were offered.
+  // A lone run owns the machine, however many jobs were offered, and
+  // runs on a pool of one worker.
   const SweepRuns lone = run_sweep(combos, 1, hardware);
   ASSERT_TRUE(lone.ok()) << lone.errors;
+  EXPECT_EQ(lone.workers, 1u);
   EXPECT_EQ(lone.measure_threads, hardware);
+  // More jobs than runs start one worker per run; jobs 0 offers one per
+  // hardware thread.
+  const SweepRuns fewer = run_sweep(combos, 2, hardware + 3);
+  ASSERT_TRUE(fewer.ok()) << fewer.errors;
+  EXPECT_EQ(fewer.workers, 2u);
+  EXPECT_EQ(fewer.measure_threads, std::max<std::size_t>(hardware / 2, 1));
+  EXPECT_EQ(run_sweep(combos, 1, 0).workers, 1u);
   EXPECT_EQ(result_digest(must_parse(combos[0].config), lone.results[0]),
             result_digest(must_parse(combos[0].config), full.results[0]));
 }

@@ -27,9 +27,11 @@
 #include "common/config.h"
 #include "common/indexed_priority_queue.h"
 #include "fixtures.h"
+#include "gnutella/gnutella.h"
 #include "measure/measure_engine.h"
 #include "measure/snapshot_cache.h"
 #include "metrics/metrics.h"
+#include "topology/random_graphs.h"
 
 namespace propsim {
 namespace {
@@ -353,6 +355,185 @@ TEST(FloodSnapshotDeathTest, OutOfRangeSlotsAbort) {
   EXPECT_DEATH(MeasureEngine(1).lookup_latencies(snap, bad_dst), "t < n");
   const QueryPair bad_src[] = {{past, 0}};
   EXPECT_DEATH(MeasureEngine(1).lookup_latencies(snap, bad_src), "source < n");
+}
+
+// ------------------------------------- live lookups vs the heap flood ----
+
+/// Floods `net` from every active slot to every slot alone, as live
+/// lookups do, and compares each answer with the probing heap flood bit
+/// for bit. Each flood must leave the scratch idle. `live_filed` totals
+/// the entries the live floods filed, `dial_filed` those of the same
+/// floods given their target twice, which makes them multi-target
+/// floods, never guided. `unreachable`, `adjacent` and `self` count the
+/// targets the flood cannot reach, those one hop from their source and
+/// the source itself.
+struct LiveLookupCounts {
+  std::size_t live_filed = 0;
+  std::size_t dial_filed = 0;
+  std::size_t unreachable = 0;
+  std::size_t adjacent = 0;
+  std::size_t self = 0;
+};
+
+LiveLookupCounts expect_live_lookups_match_heap(
+    const OverlayNetwork& net, const OverlayNetwork::LinkFilter* filter,
+    const std::vector<double>* proc, MeasureScratch& scratch) {
+  LiveLookupCounts counts;
+  MeasureScratch dial;
+  OverlayNetwork::FloodScratch heap;
+  const LogicalGraph& g = net.graph();
+  for (SlotId src = 0; src < g.slot_count(); ++src) {
+    if (!g.is_active(src)) continue;
+    const std::vector<double> want =
+        net.flood_latencies_into(heap, src, proc, filter);
+    for (SlotId dst = 0; dst < g.slot_count(); ++dst) {
+      flood_overlay(net, filter, src, proc, scratch, {&dst, 1});
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(scratch.distance(dst)),
+                std::bit_cast<std::uint64_t>(want[dst]))
+          << "src " << src << " dst " << dst;
+      EXPECT_TRUE(scratch_idle(scratch)) << "src " << src << " dst " << dst;
+      counts.live_filed += scratch.entries.size();
+      const SlotId twice[] = {dst, dst};
+      flood_overlay(net, filter, src, proc, dial, twice);
+      EXPECT_EQ(dial.distance(dst), scratch.distance(dst));
+      counts.dial_filed += dial.entries.size();
+      if (want[dst] == kInf) ++counts.unreachable;
+      if (g.has_edge(src, dst)) ++counts.adjacent;
+      if (src == dst) ++counts.self;
+    }
+  }
+  return counts;
+}
+
+TEST(FloodOverlay, GuidedLookupsMatchTheHeapFlood) {
+  // The hierarchical oracle: single-target live floods are A* searches.
+  auto fx = UnstructuredFixture::make(60, 7041, /*attach_links=*/2,
+                                      testing::OracleEngine::kHierarchical);
+  ASSERT_TRUE(fx.oracle.hierarchical());
+  fx.net.leave(9);  // an inactive slot every source targets too
+  // A partition window around the stub domain of slot 0's host: links
+  // crossing its gateway are cut, so its slots are unreachable from
+  // outside it and the rest from inside.
+  const std::uint32_t cut_domain =
+      fx.topo.domain[fx.net.placement().host_of(0)];
+  const OverlayNetwork::LinkFilter cut = [&fx, cut_domain](SlotId a, SlotId b) {
+    const Placement& p = fx.net.placement();
+    return (fx.topo.domain[p.host_of(a)] == cut_domain) ==
+           (fx.topo.domain[p.host_of(b)] == cut_domain);
+  };
+  const auto proc = off_grid_delays(fx.net.graph().slot_count());
+  MeasureScratch scratch;  // one scratch across every flood below
+  for (const OverlayNetwork::LinkFilter* filter :
+       {static_cast<const OverlayNetwork::LinkFilter*>(nullptr), &cut}) {
+    for (const std::vector<double>* p :
+         {static_cast<const std::vector<double>*>(nullptr), &proc}) {
+      const LiveLookupCounts counts =
+          expect_live_lookups_match_heap(fx.net, filter, p, scratch);
+      // Every kind of target came up, and the estimate pruned the search.
+      EXPECT_GT(counts.unreachable, 0u);
+      EXPECT_GT(counts.adjacent, 0u);
+      EXPECT_EQ(counts.self, fx.net.size());
+      EXPECT_LT(counts.live_filed, counts.dial_filed);
+      if (filter != nullptr) {
+        // More than the inactive slot accounts for: the cut bites.
+        const std::size_t inactive =
+            fx.net.graph().slot_count() - fx.net.size();
+        EXPECT_GT(counts.unreachable, fx.net.size() * inactive);
+      }
+    }
+  }
+}
+
+TEST(FloodOverlay, RowOracleLookupsRunTheZeroEstimate) {
+  // A Dijkstra-row oracle answers point queries from cached rows, so
+  // live floods over it keep the plain Dial key: a lone target files
+  // exactly the entries the same target given twice files.
+  Rng rng(7042);
+  const Graph waxman = make_waxman_graph(120, 0.25, 0.4, 200.0, 2.0, rng);
+  const LatencyOracle oracle(waxman);
+  ASSERT_FALSE(oracle.hierarchical());
+  std::vector<NodeId> hosts;
+  for (const std::size_t i : rng.sample_indices(waxman.node_count(), 50)) {
+    hosts.push_back(static_cast<NodeId>(i));
+  }
+  const OverlayNetwork net =
+      build_gnutella_overlay(GnutellaConfig{}, hosts, oracle, rng);
+  const auto proc = off_grid_delays(net.graph().slot_count());
+  MeasureScratch scratch;
+  for (const std::vector<double>* p :
+       {static_cast<const std::vector<double>*>(nullptr), &proc}) {
+    const LiveLookupCounts counts =
+        expect_live_lookups_match_heap(net, nullptr, p, scratch);
+    EXPECT_EQ(counts.live_filed, counts.dial_filed);
+    EXPECT_GT(counts.adjacent, 0u);
+  }
+}
+
+TEST(FloodOverlay, MarginCoversRoundingFarFromTheSource) {
+  // A world built so that an A* key deflated too little stops the flood
+  // one bucket early. One transit node (host 0) and one stub domain,
+  // hosts 1..13 with gateway S = 1:
+  //   S -D- V=3 -c- 4 -c- ... -c- 13=T   (ten sub-ms links c ~ 0.02 ms)
+  //   S -D'- Y=2 -0.5- T
+  // Slots 0..12 sit on hosts 1..13: s-v, s-y, y-t and the chain from v
+  // to t. Far from the source (D ~ 2^20 ms, one ulp u = 2^-32 ms), each
+  // hop of the chain adds c = (K + 0.42) u and rounds 0.42 u down, so
+  // the route through v reaches t at B - 3u, B = 2^20 + 1 being a
+  // bucket boundary. The oracle sums the chain among small numbers, so
+  // v's undeflated key D + 10c rounds to B + u, a bucket later, while
+  // the route through y reaches t at B - u. A flood whose keys exceed
+  // the route they bound stops after the bucket below B with B - u.
+  // A margin on h alone, h * (1 - 1e-9), removes only 2e-10 ms < u.
+  constexpr double u = 0x1p-32;
+  const double boundary = 0x1p20 + 1.0;
+  const double k = std::round(0.02 / u);
+  const double c = std::ldexp(k, -32) + std::ldexp(28185723.0, -58);
+  ASSERT_EQ((c - std::ldexp(k, -32)) / u, 28185723.0 / 0x1p26);  // exact
+  const double d = boundary - 10.0 * k * u - 3.0 * u;
+  const double d_via_y = boundary - u - 0.5;
+
+  TransitStubTopology topo;
+  topo.graph = Graph(14);
+  topo.graph.add_edge(0, 1, 1.0);  // the gateway's attachment link
+  topo.graph.add_edge(1, 3, d);
+  topo.graph.add_edge(1, 2, d_via_y);
+  topo.graph.add_edge(2, 13, 0.5);
+  for (NodeId h = 3; h < 13; ++h) topo.graph.add_edge(h, h + 1, c);
+  topo.kind.assign(14, NodeKind::kStub);
+  topo.kind[0] = NodeKind::kTransit;
+  topo.domain.assign(14, 0);
+  topo.transit_nodes = {0};
+  for (NodeId h = 1; h < 14; ++h) topo.stub_nodes.push_back(h);
+  topo.stub_domains = {StubDomain{1, 13, 1, 0, 1.0}};
+  topo.stub_domain_count = 1;
+  const LatencyOracle oracle(topo);
+  ASSERT_TRUE(oracle.hierarchical());
+
+  LogicalGraph g(13);
+  g.add_edge(0, 2);  // s - v
+  g.add_edge(0, 1);  // s - y
+  g.add_edge(1, 12);  // y - t
+  for (SlotId s = 2; s < 12; ++s) g.add_edge(s, s + 1);
+  std::vector<NodeId> hosts;
+  for (NodeId h = 1; h < 14; ++h) hosts.push_back(h);
+  const OverlayNetwork net = bind_overlay(std::move(g), hosts, oracle, nullptr);
+
+  // The trap is set: the chain wins by two ulps, below the boundary,
+  // and v's key without a margin lies past it.
+  const SlotId s = 0;
+  const SlotId t = 12;
+  const double chain = net.flood_latencies(s)[t];
+  EXPECT_EQ(chain, boundary - 3.0 * u);
+  EXPECT_EQ(d_via_y + 0.5, boundary - u);
+  EXPECT_EQ(d + oracle.latency(3, 13), boundary + u);
+  EXPECT_EQ(d + oracle.latency(3, 13) * (1.0 - 1e-9), boundary);
+
+  MeasureScratch scratch;
+  flood_overlay(net, nullptr, s, nullptr, scratch, {&t, 1});
+  EXPECT_EQ(scratch.distance(t), chain);
+  expect_live_lookups_match_heap(net, nullptr, nullptr, scratch);
+  const auto proc = off_grid_delays(net.graph().slot_count());
+  expect_live_lookups_match_heap(net, nullptr, &proc, scratch);
 }
 
 TEST(OverlaySnapshot, RecordsMinimumEdgeLatency) {

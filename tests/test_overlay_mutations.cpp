@@ -5,7 +5,9 @@
 // bit for bit, and the three flood paths must agree bit for bit, with
 // and without an open partition window: the Dial flood over the live
 // overlay (targeted, as live lookups run it), the Dial flood over a
-// fresh snapshot, and the probing heap flood.
+// fresh snapshot, and the probing heap flood. Every run goes once over
+// a Dijkstra-row oracle and once over the hierarchical one, under which
+// the targeted live flood is an oracle-guided A* search.
 #include <bit>
 #include <cstdint>
 #include <vector>
@@ -25,6 +27,7 @@
 namespace propsim {
 namespace {
 
+using testing::OracleEngine;
 using testing::UnstructuredFixture;
 
 std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
@@ -50,8 +53,8 @@ void expect_weights_fresh(const OverlayNetwork& net, int step) {
 /// pick a cut vertex and churn rolls them back.
 class MutationRun {
  public:
-  explicit MutationRun(std::uint64_t seed)
-      : fx_(UnstructuredFixture::make(48, seed, /*attach_links=*/1)),
+  MutationRun(std::uint64_t seed, OracleEngine engine)
+      : fx_(UnstructuredFixture::make(48, seed, /*attach_links=*/1, engine)),
         rng_(seed + 1),
         faults_(sim_, partition_params(fx_), seed + 2),
         churn_(fx_.net, sim_, /*engine=*/nullptr, gnutella_config(),
@@ -220,15 +223,18 @@ TEST(OverlayMutations, StoredWeightsAndFloodsHoldThroughEveryMutator) {
   std::uint64_t failures = 0;
   std::uint64_t exchanges = 0;
   std::uint64_t pruned_edges = 0;
-  for (std::uint64_t seed = 8101; seed < 8105; ++seed) {
-    MutationRun run(seed);
-    run.run(300);
-    if (HasFatalFailure()) return;
-    joins += run.joins();
-    leaves += run.leaves();
-    failures += run.failures();
-    exchanges += run.exchanges();
-    pruned_edges += run.pruned_edges();
+  for (const OracleEngine engine :
+       {OracleEngine::kRows, OracleEngine::kHierarchical}) {
+    for (std::uint64_t seed = 8101; seed < 8105; ++seed) {
+      MutationRun run(seed, engine);
+      run.run(300);
+      if (HasFatalFailure()) return;
+      joins += run.joins();
+      leaves += run.leaves();
+      failures += run.failures();
+      exchanges += run.exchanges();
+      pruned_edges += run.pruned_edges();
+    }
   }
   // Every mutator actually fired, and the open window pruned edges, so
   // the filtered floods differ from the unfiltered ones.
