@@ -1,10 +1,11 @@
 #include "app/sweep.h"
 
 #include <algorithm>
+#include <string>
 #include <thread>
 
 #include "common/check.h"
-#include "common/thread_pool.h"
+#include "common/worker_group.h"
 #include "measure/measure_engine.h"
 
 namespace propsim {
@@ -73,38 +74,53 @@ std::vector<SweepCombo> expand_sweep(const Config& base,
 SweepRuns run_sweep(const std::vector<SweepCombo>& combos,
                     std::size_t repeat, std::size_t jobs) {
   PROPSIM_CHECK(repeat >= 1);
+  const std::size_t hardware = std::thread::hardware_concurrency();
+  // Each run is one task, so the group gets no more participants than
+  // runs, and runs share the cores: each auto run measures on its share.
+  const std::size_t offered =
+      jobs == 0 ? std::max<std::size_t>(hardware, 1) : jobs;
+  const std::size_t concurrent = std::min(offered, combos.size() * repeat);
   SweepRuns runs;
   std::vector<ExperimentSpec> specs;
   for (const SweepCombo& combo : combos) {
     const SpecResult parsed = ExperimentSpec::from_config(combo.config);
-    if (parsed.ok()) {
-      specs.push_back(parsed.spec());
-    } else {
+    if (!parsed.ok()) {
       runs.errors += "combination " + combo.label + ":\n" +
                      parsed.error_report();
+      continue;
     }
+    const std::size_t measure = parsed.spec().measure_threads;
+    if (measure != MeasureEngine::kAutoThreads &&
+        measure * concurrent > kMaxSweepThreads) {
+      runs.errors += "combination " + combo.label +
+                     ":\nconfig: measure_threads: " +
+                     std::to_string(measure) + " threads in each of " +
+                     std::to_string(concurrent) + " concurrent runs exceed " +
+                     std::to_string(kMaxSweepThreads) +
+                     " threads (lower measure_threads or the jobs, or use "
+                     "measure_threads = auto)\n";
+      continue;
+    }
+    specs.push_back(parsed.spec());
   }
-  if (!runs.ok()) return runs;
+  if (!runs.ok() || specs.empty()) return runs;
 
   runs.results.resize(specs.size() * repeat);
-  if (runs.results.empty()) return runs;
-  const std::size_t hardware = std::thread::hardware_concurrency();
-  // Each run is one task, so the pool gets no more workers than runs.
-  const std::size_t offered =
-      jobs == 0 ? std::max<std::size_t>(hardware, 1) : jobs;
-  ThreadPool pool(std::min(offered, runs.results.size()));
-  runs.workers = pool.worker_count();
-  // Runs share the cores: each auto run measures on its share of them.
-  const std::size_t concurrent = runs.workers;
+  runs.workers = concurrent;
   runs.measure_threads =
       measure_threads_for(MeasureEngine::kAutoThreads, concurrent, hardware);
-  pool.parallel_for(runs.results.size(), [&](std::size_t task) {
-    ExperimentSpec spec = specs[task / repeat];
-    spec.seed += (task % repeat) * kRepeatSeedStride;
-    spec.measure_threads =
-        measure_threads_for(spec.measure_threads, concurrent, hardware);
-    runs.results[task] = run_experiment(spec);
-  });
+  WorkerGroup group(concurrent - 1);
+  group.run(runs.results.size(), 1,
+            [&](std::size_t /*participant*/, std::size_t begin,
+                std::size_t end) {
+              for (std::size_t task = begin; task < end; ++task) {
+                ExperimentSpec spec = specs[task / repeat];
+                spec.seed += (task % repeat) * kRepeatSeedStride;
+                spec.measure_threads = measure_threads_for(
+                    spec.measure_threads, concurrent, hardware);
+                runs.results[task] = run_experiment(spec);
+              }
+            });
   return runs;
 }
 

@@ -2,6 +2,7 @@
 // runner behind propsim_sweep and the figure benches.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -40,14 +41,19 @@ std::vector<SweepCombo> expand_sweep(const Config& base,
 /// k * kRepeatSeedStride.
 inline constexpr std::uint64_t kRepeatSeedStride = 1000003;
 
+/// Most threads one sweep may ask for: explicit measure_threads times
+/// the runs in flight at once (and the most --jobs propsim_sweep takes).
+inline constexpr std::size_t kMaxSweepThreads = 256;
+
 struct SweepRuns {
   /// One "combination <label>:" block of SpecIssue lines per invalid
   /// combination. When non-empty, no simulation ran.
   std::string errors;
   /// results[c * repeat + k]: combination c at repeat k (task order).
   std::vector<ExperimentResult> results;
-  /// Worker threads the runs shared: min(jobs, results.size()), jobs 0
-  /// counting as the hardware threads; 0 when nothing ran.
+  /// Threads the runs shared, the caller's included: min(jobs,
+  /// results.size()), jobs 0 counting as the hardware threads; 0 when
+  /// nothing ran.
   std::size_t workers = 0;
   /// Measure threads each run with measure_threads = auto got: the
   /// hardware threads divided by the runs in flight at once, `workers`
@@ -59,9 +65,11 @@ struct SweepRuns {
 };
 
 /// Validates every combination, then runs combination x repeat (>= 1) as
-/// independent simulations on up to `jobs` workers (0 = one per
-/// hardware thread), never more workers than runs, each measuring on
-/// its share of the cores. The results do not depend on `jobs`.
+/// independent simulations on up to `jobs` threads (0 = one per
+/// hardware thread), never more threads than runs, each measuring on
+/// its share of the cores. A combination whose explicit
+/// measure_threads times those threads exceeds kMaxSweepThreads is
+/// invalid. The results do not depend on `jobs`.
 SweepRuns run_sweep(const std::vector<SweepCombo>& combos,
                     std::size_t repeat, std::size_t jobs = 0);
 

@@ -1,16 +1,14 @@
 #include "measure/measure_engine.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cmath>
-#include <condition_variable>
-#include <exception>
 #include <limits>
-#include <mutex>
 #include <numeric>
 #include <thread>
 #include <utility>
+
+#include "common/worker_group.h"
 
 namespace propsim {
 
@@ -329,121 +327,6 @@ std::size_t measure_threads_for(std::size_t requested,
                                1);
 }
 
-/// Worker threads that sleep on a condition variable between sweeps and
-/// share each sweep's blocks with the calling thread through an atomic
-/// cursor. A sweep is published under the mutex with a new generation;
-/// each worker takes blocks until the cursor passes the end, then checks
-/// out, and the caller returns once every worker has. Nothing spins and
-/// nothing allocates per sweep.
-class MeasureWorkerGroup {
- public:
-  /// task(context, participant, begin, end); the caller is participant
-  /// 0, the workers 1..workers.
-  using Task = void (*)(const void*, std::size_t, std::size_t, std::size_t);
-
-  explicit MeasureWorkerGroup(std::size_t workers) {
-    threads_.reserve(workers);
-    for (std::size_t w = 1; w <= workers; ++w) {
-      threads_.emplace_back([this, w] { work(w); });
-    }
-  }
-
-  ~MeasureWorkerGroup() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      stopping_ = true;
-    }
-    start_.notify_all();
-    for (std::thread& t : threads_) t.join();
-  }
-
-  MeasureWorkerGroup(const MeasureWorkerGroup&) = delete;
-  MeasureWorkerGroup& operator=(const MeasureWorkerGroup&) = delete;
-
-  /// Runs task over [0, count) in blocks of `block` on the caller and
-  /// every worker, and returns when all blocks have run. Every block runs
-  /// even if one throws; then the exception of the lowest failing block
-  /// is rethrown, the one a serial pass would have hit first.
-  void run(std::size_t count, std::size_t block, Task task,
-           const void* context) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      task_ = task;
-      context_ = context;
-      count_ = count;
-      block_ = block;
-      cursor_ = 0;
-      busy_ = threads_.size();
-      ++generation_;
-    }
-    start_.notify_all();
-    take_blocks(0);
-    std::unique_lock<std::mutex> lock(mutex_);
-    done_.wait(lock, [this] { return busy_ == 0; });
-    if (error_ != nullptr) {
-      failed_block_ = kNoBlock;
-      std::rethrow_exception(std::exchange(error_, nullptr));
-    }
-  }
-
- private:
-  static constexpr std::size_t kNoBlock = static_cast<std::size_t>(-1);
-
-  void work(std::size_t participant) {
-    std::uint64_t seen = 0;
-    for (;;) {
-      {
-        std::unique_lock<std::mutex> lock(mutex_);
-        start_.wait(lock,
-                    [&] { return stopping_ || generation_ != seen; });
-        if (stopping_) return;
-        seen = generation_;
-      }
-      take_blocks(participant);
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (--busy_ == 0) done_.notify_one();
-    }
-  }
-
-  // The sweep's fields are written under the mutex before the
-  // generation moves and read only after a participant has seen it, and
-  // the outputs reach the caller through the check-out under the same
-  // mutex; the cursor only splits the work.
-  void take_blocks(std::size_t participant) {
-    for (;;) {
-      const std::size_t begin = cursor_.fetch_add(block_);
-      if (begin >= count_) return;
-      try {
-        task_(context_, participant, begin, std::min(begin + block_, count_));
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (begin < failed_block_) {
-          failed_block_ = begin;
-          error_ = std::current_exception();
-        }
-      }
-    }
-  }
-
-  // Guarded by mutex_ (the sweep's fields are read without it only
-  // between a participant's start and its check-out, see take_blocks).
-  std::mutex mutex_;
-  std::condition_variable start_;  // workers wait here between sweeps
-  std::condition_variable done_;   // the caller waits here for check-outs
-  std::uint64_t generation_ = 0;
-  std::size_t busy_ = 0;  // workers not yet checked out of this sweep
-  bool stopping_ = false;
-  Task task_ = nullptr;
-  const void* context_ = nullptr;
-  std::size_t count_ = 0;
-  std::size_t block_ = 1;
-  std::size_t failed_block_ = kNoBlock;
-  std::exception_ptr error_;
-  alignas(64) std::atomic<std::size_t> cursor_{0};
-  // Last, so every member a worker uses outlives it.
-  std::vector<std::thread> threads_;
-};
-
 namespace {
 /// Routed and direct queries cost about a microsecond each, so their
 /// sweeps hand them out this many at a time, one cursor step per block.
@@ -472,21 +355,13 @@ void MeasureEngine::for_blocks(std::size_t count, std::size_t block,
     return;
   }
   if (group_ == nullptr) {
-    group_ = std::make_unique<MeasureWorkerGroup>(threads_ - 1);
+    group_ = std::make_unique<WorkerGroup>(threads_ - 1);
   }
-  struct Context {
-    const Body& body;
-    const std::vector<std::unique_ptr<MeasureScratch>>& scratch;
-  };
-  const Context context{body, scratch_};
-  group_->run(
-      count, block,
-      [](const void* c, std::size_t participant, std::size_t begin,
-         std::size_t end) {
-        const auto& ctx = *static_cast<const Context*>(c);
-        ctx.body(*ctx.scratch[participant], begin, end);
-      },
-      &context);
+  group_->run(count, block,
+              [&](std::size_t participant, std::size_t begin,
+                  std::size_t end) {
+                body(*scratch_[participant], begin, end);
+              });
 }
 
 void MeasureEngine::run_lookup(const OverlaySnapshot& snap,

@@ -160,8 +160,7 @@ struct MeasureStats {
   std::uint64_t fast_floods = 0;
 };
 
-/// The worker threads behind a parallel MeasureEngine (measure_engine.cpp).
-class MeasureWorkerGroup;
+class WorkerGroup;
 
 class MeasureEngine {
  public:
@@ -264,7 +263,7 @@ class MeasureEngine {
   // Null until the first sweep with more than one block; then
   // threads_ - 1 workers that sleep between sweeps. Last, so the
   // workers are joined before anything they touch is destroyed.
-  std::unique_ptr<MeasureWorkerGroup> group_;
+  std::unique_ptr<WorkerGroup> group_;
 };
 
 }  // namespace propsim

@@ -4,7 +4,6 @@
 #include <limits>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "topology/shortest_path.h"
 
 namespace propsim {
@@ -219,22 +218,6 @@ std::size_t LatencyOracle::cached_sources() const {
     count += shard.rows.size();
   }
   return count;
-}
-
-void LatencyOracle::warm(std::span<const NodeId> sources,
-                         ThreadPool& pool) const {
-  if (hierarchical_) return;  // nothing to prefetch: answers are O(1)
-  std::vector<NodeId> todo;
-  std::vector<bool> seen(physical_.node_count(), false);
-  for (const NodeId s : sources) {
-    PROPSIM_CHECK(s < physical_.node_count());
-    if (!seen[s]) {
-      seen[s] = true;
-      todo.push_back(s);
-    }
-  }
-  pool.parallel_for(todo.size(),
-                    [&](std::size_t i) { row_for(todo[i]); });
 }
 
 }  // namespace propsim

@@ -16,8 +16,7 @@
 //    cache so memory stays at O(max_cached_rows * V) regardless of how
 //    many sources are queried.
 //
-// Both engines are safe for concurrent queries from many threads; warm()
-// is a pure prefetch that parallelizes row construction.
+// Both engines are safe for concurrent queries from many threads.
 #pragma once
 
 #include <list>
@@ -32,8 +31,6 @@
 #include "topology/transit_stub.h"
 
 namespace propsim {
-
-class ThreadPool;
 
 struct LatencyOracleOptions {
   /// Upper bound on resident Dijkstra rows in fallback mode; least
@@ -108,12 +105,6 @@ class LatencyOracle {
   /// Dijkstra rows currently resident (0 in hierarchical mode, which
   /// keeps no rows). Never exceeds options.max_cached_rows.
   std::size_t cached_sources() const;
-
-  /// Prefetches the distance rows of `sources` in parallel. Purely an
-  /// optimization: concurrent lazy queries are safe with or without it.
-  /// No-op in hierarchical mode. Rows beyond max_cached_rows are evicted
-  /// LRU as usual.
-  void warm(std::span<const NodeId> sources, ThreadPool& pool) const;
 
  private:
   // ---- Dijkstra-row fallback engine ----

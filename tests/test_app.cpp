@@ -653,6 +653,29 @@ TEST(SweepRunner, InvalidCombinationReportsEveryIssueAndRunsNothing) {
   EXPECT_NE(runs.errors.find("config: init_timer: "), std::string::npos);
 }
 
+TEST(SweepRunner, RejectsExplicitMeasureThreadsBeyondTheSweepLimit) {
+  // Every case stops at validation: no run starts, so no thread does.
+  // 200 measure threads in each of min(2 jobs, 2 runs) runs is 400.
+  const auto combos = expand_sweep(small_base(""),
+                                   {{"measure_threads", {"1", "200"}}});
+  const SweepRuns runs = run_sweep(combos, 1, 2);
+  EXPECT_FALSE(runs.ok());
+  EXPECT_TRUE(runs.results.empty());
+  EXPECT_EQ(runs.workers, 0u);
+  EXPECT_EQ(runs.errors.find("combination measure_threads=1:"),
+            std::string::npos);
+  EXPECT_EQ(runs.errors.rfind("combination measure_threads=200:\n", 0), 0u)
+      << runs.errors;
+  EXPECT_NE(runs.errors.find("config: measure_threads: "), std::string::npos);
+  // Repeats count as runs in flight: 129 x 2 = 258.
+  const SweepRuns repeated = run_sweep(
+      expand_sweep(small_base("measure_threads = 129\n"), {}), 2, 2);
+  EXPECT_FALSE(repeated.ok());
+  EXPECT_TRUE(repeated.results.empty());
+  EXPECT_EQ(repeated.errors.rfind("combination (base):\n", 0), 0u)
+      << repeated.errors;
+}
+
 TEST(CommittedConfigs, FaultsLoss5SurvivesCrashedPathSlots) {
   // At this seed an injected crash unbinds a slot on a path whose
   // prepare leg is being retransmitted; pricing that path used to index

@@ -1,6 +1,5 @@
 #include <algorithm>
 #include <cmath>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -9,7 +8,6 @@
 #include "analysis/invariant_checker.h"
 #include "analysis/lint_rules.h"
 #include "app/experiment.h"
-#include "chord/dynamic_chord.h"
 #include "common/config.h"
 #include "core/prop_engine.h"
 #include "faults/fault_plan.h"
@@ -239,53 +237,6 @@ TEST(PropEngineFaults, MidExchangeCrashAbortsCleanly) {
   // the placement a bijection.
   EXPECT_TRUE(fx.net.graph().active_subgraph_connected());
   EXPECT_TRUE(fx.net.placement().validate());
-}
-
-TEST(DynamicChordFaults, StabilizationConvergesUnderLoss) {
-  Rng rng(9300);
-  DynamicChord chord((DynamicChordConfig()));
-  std::set<ChordId> used;
-  auto fresh_id = [&] {
-    ChordId id;
-    do {
-      id = rng.next();
-    } while (!used.insert(id).second);
-    return id;
-  };
-  std::vector<SlotId> members{chord.bootstrap(fresh_id())};
-  while (chord.active_count() < 32) {
-    const SlotId gateway = members[static_cast<std::size_t>(
-        rng.uniform(members.size()))];
-    members.push_back(chord.join(fresh_id(), gateway));
-    chord.stabilize_all(2);
-  }
-  chord.stabilize_all(2);
-
-  // Crash a batch, then repair over a 30%-lossy network: rounds are
-  // skipped when the opening read is dropped, so convergence takes more
-  // sweeps but must still land on a consistent ring.
-  Rng pick(9301);
-  for (int i = 0; i < 6; ++i) {
-    SlotId victim;
-    do {
-      victim = static_cast<SlotId>(pick.uniform(chord.slot_count()));
-    } while (!chord.is_active(victim));
-    chord.fail(victim);
-  }
-  Rng loss(9302);
-  std::uint64_t dropped = 0;
-  chord.set_message_filter([&](SlotId, SlotId) {
-    const bool ok = !loss.bernoulli(0.3);
-    if (!ok) ++dropped;
-    return ok;
-  });
-  chord.stabilize_all(12);
-  EXPECT_GT(dropped, 0u);
-  EXPECT_TRUE(chord.ring_consistent());
-  // Reliable again: an empty filter restores the fast path.
-  chord.set_message_filter({});
-  chord.stabilize_all(1);
-  EXPECT_TRUE(chord.ring_consistent());
 }
 
 // -------------------------------------------------- experiment wiring --

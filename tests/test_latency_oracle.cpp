@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
+#include "common/worker_group.h"
 #include "topology/latency_oracle.h"
 #include "topology/random_graphs.h"
 #include "topology/shortest_path.h"
@@ -132,26 +132,6 @@ TEST(FallbackOracle, RowSurvivesEviction) {
   }
 }
 
-TEST(FallbackOracle, WarmIsAPurePrefetch) {
-  Rng rng(13);
-  const Graph g = make_waxman_graph(96, 0.4, 0.2, 100.0, 1.0, rng);
-  LatencyOracleOptions options;
-  options.max_cached_rows = 16;
-  const LatencyOracle oracle(g, options);
-
-  ThreadPool pool(4);
-  std::vector<NodeId> sources;
-  for (NodeId s = 0; s < 40; ++s) sources.push_back(s);
-  oracle.warm(sources, pool);
-  // Prefetching more rows than the bound still respects the bound...
-  EXPECT_LE(oracle.cached_sources(), 16u);
-  // ...and queries after the prefetch agree with cold Dijkstra.
-  for (NodeId s = 0; s < 40; s += 7) {
-    const std::vector<double> expected = dijkstra(g, s);
-    EXPECT_EQ(oracle.latency(s, 95), expected[95]);
-  }
-}
-
 // ------------------------------------------------------- concurrency ----
 
 TEST(LatencyOracleConcurrency, FallbackParallelQueriesAreConsistent) {
@@ -165,9 +145,9 @@ TEST(LatencyOracleConcurrency, FallbackParallelQueriesAreConsistent) {
   std::vector<std::vector<double>> truth;
   for (NodeId s = 0; s < 32; ++s) truth.push_back(dijkstra(g, s));
 
-  ThreadPool pool(8);
+  WorkerGroup group(7);
   std::atomic<int> mismatches{0};
-  pool.parallel_for(512, [&](std::size_t task) {
+  group.run(512, 1, [&](std::size_t, std::size_t task, std::size_t) {
     const NodeId src = static_cast<NodeId>(task % 32);
     const NodeId dst = static_cast<NodeId>((task * 37) % 32);
     // latency() canonicalizes on the smaller id, so the expected value
@@ -194,9 +174,9 @@ TEST(LatencyOracleConcurrency, HierarchicalParallelQueriesAreConsistent) {
   std::vector<std::vector<double>> truth;
   for (NodeId s = 0; s < 16; ++s) truth.push_back(dijkstra(topo.graph, s));
 
-  ThreadPool pool(8);
+  WorkerGroup group(7);
   std::atomic<int> mismatches{0};
-  pool.parallel_for(1024, [&](std::size_t task) {
+  group.run(1024, 1, [&](std::size_t, std::size_t task, std::size_t) {
     const NodeId src = static_cast<NodeId>(task % 16);
     const NodeId dst =
         static_cast<NodeId>((task * 131) % topo.graph.node_count());

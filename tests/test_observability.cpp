@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "common/json.h"
-#include "common/thread_pool.h"
 #include "core/prop_engine.h"
 #include "obs/event_bus.h"
 #include "fixtures.h"
@@ -113,33 +112,6 @@ TEST(CommitStream, CarriesDelayedCommitsToo) {
   const auto commits = run_reading_commits(fx.net, sim, engine, 1500.0);
   EXPECT_EQ(commits.size(), engine.stats().exchanges);
   EXPECT_GT(commits.size(), 0u);
-}
-
-TEST(OracleWarm, ParallelWarmMatchesLazyAnswers) {
-  auto fx = UnstructuredFixture::make(40, 9504);
-  const auto hosts = fx.net.placement().bound_hosts();
-  // Fresh oracle over the same graph, warmed in parallel.
-  LatencyOracle warmed(fx.topo.graph);
-  ThreadPool pool(4);
-  warmed.warm(hosts, pool);
-  EXPECT_EQ(warmed.cached_sources(), hosts.size());
-  for (std::size_t i = 0; i < hosts.size(); ++i) {
-    for (std::size_t j = 0; j < hosts.size(); j += 7) {
-      EXPECT_DOUBLE_EQ(warmed.latency(hosts[i], hosts[j]),
-                       fx.oracle.latency(hosts[i], hosts[j]));
-    }
-  }
-}
-
-TEST(OracleWarm, IdempotentAndDeduplicating) {
-  auto fx = UnstructuredFixture::make(20, 9505);
-  LatencyOracle oracle(fx.topo.graph);
-  ThreadPool pool(2);
-  std::vector<NodeId> sources{1, 1, 2, 2, 3};
-  oracle.warm(sources, pool);
-  EXPECT_EQ(oracle.cached_sources(), 3u);
-  oracle.warm(sources, pool);  // second call is a no-op
-  EXPECT_EQ(oracle.cached_sources(), 3u);
 }
 
 }  // namespace

@@ -369,58 +369,6 @@ class FpAccumulationOrderRule final : public Rule {
   }
 };
 
-// ------------------------------------------------- D6 lock-across-submit
-class LockAcrossSubmitRule final : public Rule {
- public:
-  std::string_view id() const override { return "D6"; }
-  std::string_view name() const override { return "lock-across-submit"; }
-  std::string_view description() const override {
-    return "mutex guard held across a ThreadPool submit call: the task "
-           "may run (and block) before the guard releases, inviting "
-           "deadlock and schedule-dependent ordering";
-  }
-  std::string_view hint() const override {
-    return "scope the guard so it releases before submit, or move the "
-           "locked work into the task";
-  }
-  bool applicable(const FileScan&) const override { return true; }
-  void check(const FileScan& file,
-             std::vector<Finding>& out) const override {
-    const auto& toks = file.tokens;
-    struct Guard {
-      int depth;
-      int line;
-    };
-    std::vector<Guard> guards;
-    int depth = 0;
-    for (std::size_t i = 0; i < toks.size(); ++i) {
-      if (is_punct(toks[i], "{")) {
-        ++depth;
-        continue;
-      }
-      if (is_punct(toks[i], "}")) {
-        --depth;
-        while (!guards.empty() && guards.back().depth > depth) {
-          guards.pop_back();
-        }
-        continue;
-      }
-      if (ident_in(toks[i], {"lock_guard", "unique_lock", "scoped_lock"})) {
-        guards.push_back(Guard{depth, toks[i].line});
-        continue;
-      }
-      if (!guards.empty() && is_ident(toks[i], "submit") && i > 0 &&
-          (is_punct(toks[i - 1], ".") || is_punct(toks[i - 1], "->")) &&
-          i + 1 < toks.size() && is_punct(toks[i + 1], "(")) {
-        emit(*this, file, toks[i].line,
-             "submit() called with a mutex guard held (guard from line " +
-                 std::to_string(guards.back().line) + ")",
-             out);
-      }
-    }
-  }
-};
-
 // ------------------------------------------------- D7 underived-rng-seed
 class UnderivedRngSeedRule final : public Rule {
  public:
@@ -675,7 +623,6 @@ void register_builtin_rules() {
     reg.add(std::make_unique<ThreadIdLogicRule>());
     reg.add(std::make_unique<PointerKeyedMapRule>());
     reg.add(std::make_unique<FpAccumulationOrderRule>());
-    reg.add(std::make_unique<LockAcrossSubmitRule>());
     reg.add(std::make_unique<UnderivedRngSeedRule>());
     reg.add(std::make_unique<DeterminismTodoRule>());
     reg.add(std::make_unique<PragmaOnceRule>());

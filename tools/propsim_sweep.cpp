@@ -6,11 +6,12 @@
 //
 // Builds the Cartesian product of every sweep axis (times K seed
 // repeats), runs each combination as an independent deterministic
-// simulation on a worker pool, and prints one aggregated row per
+// simulation on a worker group, and prints one aggregated row per
 // combination. Simulations never share state, so the output is
 // identical to a serial run. Every combination's config is validated
-// up-front: one bad axis value stops the sweep with the full per-key
-// error list before any simulation runs. Bad configs, unreadable config
+// up-front: one bad axis value, or an explicit measure_threads that
+// times the runs in flight exceeds 256 threads, stops the sweep with
+// the full per-key error list before any simulation runs. Bad configs, unreadable config
 // files, malformed sweep axes and bad flag values exit with code 2.
 // `--format json` replaces the ASCII/CSV tables with a `propsim.sweep`
 // JSON document.
@@ -44,8 +45,11 @@ int main(int argc, char** argv) {
       return 0;
     }
     if ((arg == "--jobs" || arg == "--repeat") && i + 1 < argc) {
-      // Workers are OS threads, and every repeat is a queued task.
-      const std::int64_t most = arg == "--jobs" ? 256 : 10000;
+      // Every job is an OS thread, and every repeat a result held until
+      // the sweep ends.
+      const std::int64_t most =
+          arg == "--jobs" ? static_cast<std::int64_t>(kMaxSweepThreads)
+                          : 10000;
       const auto n = parse_int(argv[++i]);
       if (!n || *n < 0 || *n > most) {
         std::fprintf(stderr,
