@@ -28,7 +28,8 @@ struct RunResult {
   std::uint64_t control_msgs = 0;
 };
 
-RunResult run_config(const PropParams& params, const BenchOptions& opts) {
+RunResult run_config(const PropParams& params, const BenchOptions& opts,
+                     MeasureEngine& measure) {
   Rng rng(opts.seed);
   World world(TransitStubConfig::ts_large(), rng);
   OverlayNetwork net = build_unstructured(world, opts.scale_n(800), rng);
@@ -41,7 +42,8 @@ RunResult run_config(const PropParams& params, const BenchOptions& opts) {
   Rng qrng(opts.seed + 43);
   const auto queries =
       uniform_queries(net.graph(), opts.scale_q(5000), qrng);
-  r.lookup_ms = average_unstructured_lookup_latency(net, queries);
+  r.lookup_ms =
+      measure.average_lookup_latency(OverlaySnapshot::capture(net), queries);
   r.exchanges = engine.stats().exchanges;
   r.attempts = engine.stats().attempts;
   r.conflicts = engine.stats().commit_conflicts;
@@ -57,15 +59,16 @@ int run(const BenchOptions& opts) {
       "latency cost; priority queue and greedy selection help");
 
   bool holds = true;
+  MeasureEngine measure(MeasureEngine::kAutoThreads);
 
   // --- (1) MIN_VAR sweep (PROP-G). ---
   {
     Table table({"min_var_ms", "lookup_ms", "exchanges", "ctrl_msgs"});
     std::vector<RunResult> results;
     for (const double mv : {0.0, 50.0, 200.0, 800.0}) {
-      PropParams p = paper_prop_params(PropMode::kPropG);
+      PropParams p{.mode = PropMode::kPropG};
       p.min_var = mv;
-      results.push_back(run_config(p, opts));
+      results.push_back(run_config(p, opts, measure));
       table.add_row_values({mv, results.back().lookup_ms,
                             static_cast<double>(results.back().exchanges),
                             static_cast<double>(results.back().control_msgs)});
@@ -83,11 +86,11 @@ int run(const BenchOptions& opts) {
 
   // --- (2) Backoff on/off (PROP-G). ---
   {
-    PropParams with = paper_prop_params(PropMode::kPropG);
+    PropParams with{.mode = PropMode::kPropG};
     PropParams without = with;
     without.use_backoff = false;
-    const RunResult rw = run_config(with, opts);
-    const RunResult ro = run_config(without, opts);
+    const RunResult rw = run_config(with, opts, measure);
+    const RunResult ro = run_config(without, opts, measure);
     Table table({"backoff", "lookup_ms", "attempts", "ctrl_msgs"});
     table.add_row({"on", Table::fmt(rw.lookup_ms, 4),
                    std::to_string(rw.attempts),
@@ -104,11 +107,11 @@ int run(const BenchOptions& opts) {
 
   // --- (3) neighborQ priority on/off (PROP-G). ---
   {
-    PropParams with = paper_prop_params(PropMode::kPropG);
+    PropParams with{.mode = PropMode::kPropG};
     PropParams without = with;
     without.use_priority_queue = false;
-    const RunResult rw = run_config(with, opts);
-    const RunResult ro = run_config(without, opts);
+    const RunResult rw = run_config(with, opts, measure);
+    const RunResult ro = run_config(without, opts, measure);
     Table table({"priority_queue", "lookup_ms", "exchanges"});
     table.add_row({"on", Table::fmt(rw.lookup_ms, 4),
                    std::to_string(rw.exchanges)});
@@ -121,12 +124,12 @@ int run(const BenchOptions& opts) {
 
   // --- (4) PROP-O selection policy. ---
   {
-    PropParams greedy = paper_prop_params(PropMode::kPropO);
+    PropParams greedy{.mode = PropMode::kPropO};
     greedy.selection = SelectionPolicy::kGreedy;
     PropParams random = greedy;
     random.selection = SelectionPolicy::kRandom;
-    const RunResult rg = run_config(greedy, opts);
-    const RunResult rr = run_config(random, opts);
+    const RunResult rg = run_config(greedy, opts, measure);
+    const RunResult rr = run_config(random, opts, measure);
     Table table({"selection", "lookup_ms", "exchanges"});
     table.add_row({"greedy", Table::fmt(rg.lookup_ms, 4),
                    std::to_string(rg.exchanges)});
@@ -139,11 +142,11 @@ int run(const BenchOptions& opts) {
 
   // --- (5) atomic vs message-delayed commits. ---
   {
-    PropParams atomic = paper_prop_params(PropMode::kPropG);
+    PropParams atomic{.mode = PropMode::kPropG};
     PropParams delayed = atomic;
     delayed.model_message_delays = true;
-    const RunResult ra = run_config(atomic, opts);
-    const RunResult rd = run_config(delayed, opts);
+    const RunResult ra = run_config(atomic, opts, measure);
+    const RunResult rd = run_config(delayed, opts, measure);
     Table table({"commit_model", "lookup_ms", "exchanges", "conflicts"});
     table.add_row({"atomic", Table::fmt(ra.lookup_ms, 4),
                    std::to_string(ra.exchanges),

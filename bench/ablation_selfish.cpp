@@ -28,13 +28,15 @@ struct Outcome {
   bool connected = false;
 };
 
-Outcome snapshot(OverlayNetwork& net, const BenchOptions& opts) {
+Outcome snapshot(const OverlayNetwork& net, const BenchOptions& opts,
+                 MeasureEngine& measure) {
   Outcome o;
   o.link_latency = net.average_logical_link_latency();
   Rng qrng(opts.seed + 29);
   const auto queries =
       uniform_queries(net.graph(), opts.scale_q(5000), qrng);
-  const auto lats = unstructured_lookup_latencies(net, queries);
+  const auto lats =
+      measure.lookup_latencies(OverlaySnapshot::capture(net), queries);
   double sum = 0.0;
   std::size_t reachable = 0;
   for (const double l : lats) {
@@ -65,6 +67,7 @@ int run(const BenchOptions& opts) {
 
   const std::size_t n = opts.scale_n(800);
   const std::size_t steps = opts.quick ? 4000 : 16000;
+  MeasureEngine measure(MeasureEngine::kAutoThreads);
 
   // --- PROP-O: cooperative, driven step-by-step for a fair budget. ---
   Outcome coop_before, coop_after;
@@ -72,9 +75,9 @@ int run(const BenchOptions& opts) {
     Rng rng(opts.seed);
     World world(TransitStubConfig::ts_large(), rng);
     OverlayNetwork net = build_unstructured(world, n, rng);
-    coop_before = snapshot(net, opts);
+    coop_before = snapshot(net, opts, measure);
     Scheduler sim;
-    PropParams params = paper_prop_params(PropMode::kPropO);
+    PropParams params{.mode = PropMode::kPropO};
     PropEngine engine(net, sim, params, opts.seed + 31);
     engine.start();
     Rng pick(opts.seed + 37);
@@ -83,7 +86,7 @@ int run(const BenchOptions& opts) {
       engine.attempt(
           slots[static_cast<std::size_t>(pick.uniform(slots.size()))]);
     }
-    coop_after = snapshot(net, opts);
+    coop_after = snapshot(net, opts, measure);
   }
 
   // --- Selfish: same step budget. ---
@@ -92,7 +95,7 @@ int run(const BenchOptions& opts) {
     Rng rng(opts.seed);
     World world(TransitStubConfig::ts_large(), rng);
     OverlayNetwork net = build_unstructured(world, n, rng);
-    selfish_before = snapshot(net, opts);
+    selfish_before = snapshot(net, opts, measure);
     Rng pick(opts.seed + 37);
     SelfishParams params;
     const auto slots = net.graph().active_slots();
@@ -101,7 +104,7 @@ int run(const BenchOptions& opts) {
           net, slots[static_cast<std::size_t>(pick.uniform(slots.size()))],
           params, pick);
     }
-    selfish_after = snapshot(net, opts);
+    selfish_after = snapshot(net, opts, measure);
   }
 
   Table table({"strategy", "link_ms_before", "link_ms_after",

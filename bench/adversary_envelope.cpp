@@ -12,6 +12,8 @@
 // rows stay byzantine-free, that attacks visibly bite, that heavier
 // cohorts never help, and that every run ends connected. Roles come
 // from a seed-derived hash (seed + 257), so the curve is reproducible.
+// The rows are independent simulations and run together through
+// run_sweep, the runner propsim_sweep uses.
 // Writes BENCH_adversary.json (schema propsim.bench.adversary) for
 // CI's perf/robustness gate.
 #include <cstdio>
@@ -22,6 +24,7 @@
 #include "app/result_json.h"
 #include "bench_util.h"
 #include "common/config.h"
+#include "common/table.h"
 
 namespace propsim::bench {
 namespace {
@@ -42,8 +45,8 @@ struct Row {
   bool connected = false;
 };
 
-ExperimentSpec spec_for(const BenchOptions& opts, const char* protocol,
-                        const std::string& adversary_keys) {
+Config config_for(const BenchOptions& opts, const char* protocol,
+                  const std::string& adversary_keys) {
   const std::size_t n = opts.scale_n(400);
   const double horizon = opts.scale_t(7200.0);
   char text[768];
@@ -58,28 +61,28 @@ ExperimentSpec spec_for(const BenchOptions& opts, const char* protocol,
                 "model_message_delays = true\n",
                 protocol, n, static_cast<unsigned long long>(opts.seed),
                 horizon, horizon / 12.0, opts.scale_q(4000));
-  const std::string cfg = std::string(text) + adversary_keys;
-  const SpecResult parsed = ExperimentSpec::from_config(Config::parse(cfg));
-  PROPSIM_CHECK(parsed.ok() && "adversary_envelope config must parse");
-  return parsed.spec();
+  return Config::parse(std::string(text) + adversary_keys);
 }
 
-Row run_row(const BenchOptions& opts, const char* protocol,
-            const char* model, double fraction,
-            const std::string& adversary_keys, double honest_final) {
-  const ExperimentResult r =
-      run_experiment(spec_for(opts, protocol, adversary_keys));
+/// One envelope row before it runs: the protocol, the adversary model
+/// and cohort fraction, and the spec keys that configure them.
+struct RowPlan {
+  const char* protocol;
+  const char* model;
+  double fraction;
+  std::string adversary_keys;
+};
+
+Row make_row(const RowPlan& plan, const ExperimentResult& r) {
   Row row;
-  row.protocol = protocol;
-  row.model = model;
-  row.fraction = fraction;
+  row.protocol = plan.protocol;
+  row.model = plan.model;
+  row.fraction = plan.fraction;
   row.success_ratio = r.attempts > 0
                           ? static_cast<double>(r.exchanges) /
                                 static_cast<double>(r.attempts)
                           : 0.0;
   row.final_metric = r.final_value;
-  row.degradation =
-      honest_final > 0.0 ? r.final_value / honest_final : 1.0;
   row.lies = r.adversary_lies;
   row.drops = r.adversary_drops;
   row.freeride_skips = r.adversary_freeride_skips;
@@ -109,32 +112,47 @@ int run(const BenchOptions& opts) {
       "cohorts never help, and every run ends connected");
 
   const double fractions[] = {0.0, 0.05, 0.20, 0.50};
+  std::vector<RowPlan> plans;
+  for (const char* protocol : {"prop-g", "prop-o"}) {
+    for (const double f : fractions) {
+      plans.push_back({protocol, f > 0.0 ? "liar" : "honest", f,
+                       liar_keys(f)});
+    }
+  }
+  plans.push_back({"prop-o", "mix", 0.15,
+                   "adversary_freeride_fraction = 0.10\n"
+                   "adversary_dropper_fraction = 0.05\n"
+                   "adversary_drop_probability = 0.5\n"});
+  plans.push_back({"prop-g", "eclipse", 0.10,
+                   "adversary_eclipse_fraction = 0.10\n"
+                   "adversary_eclipse_target = auto\n"});
+  std::vector<SweepCombo> combos;
+  for (const RowPlan& plan : plans) {
+    combos.push_back(
+        {config_for(opts, plan.protocol, plan.adversary_keys),
+         std::string(plan.protocol) + " " + plan.model + " " +
+             Table::fmt(plan.fraction, 2)});
+  }
+  const std::vector<ExperimentResult> results = run_or_exit(combos);
+
   std::vector<Row> rows;
+  double honest_final[2] = {0.0, 0.0};  // [0] = prop-g, [1] = prop-o
+  for (std::size_t i = 0; i < plans.size(); ++i) {
+    rows.push_back(make_row(plans[i], results[i]));
+    if (rows.back().model == "honest") {
+      honest_final[rows.back().protocol == "prop-g" ? 0 : 1] =
+          rows.back().final_metric;
+    }
+  }
   std::string csv =
       "protocol,model,fraction,success_ratio,final_lookup_ms,degradation,"
       "lies,drops,freeride_skips,eclipse_attempts,eclipse_captures,"
       "eclipse_held,connected\n";
-  double honest_final[2] = {0.0, 0.0};  // [0] = prop-g, [1] = prop-o
-  for (const char* protocol : {"prop-g", "prop-o"}) {
-    const std::size_t p = protocol[5] == 'g' ? 0 : 1;
-    for (const double f : fractions) {
-      const Row row = run_row(opts, protocol, f > 0.0 ? "liar" : "honest",
-                              f, liar_keys(f), honest_final[p]);
-      if (f == 0.0) honest_final[p] = row.final_metric;
-      rows.push_back(row);
-    }
-  }
-  rows.push_back(run_row(opts, "prop-o", "mix", 0.15,
-                         "adversary_freeride_fraction = 0.10\n"
-                         "adversary_dropper_fraction = 0.05\n"
-                         "adversary_drop_probability = 0.5\n",
-                         honest_final[1]));
-  rows.push_back(run_row(opts, "prop-g", "eclipse", 0.10,
-                         "adversary_eclipse_fraction = 0.10\n"
-                         "adversary_eclipse_target = auto\n",
-                         honest_final[0]));
   for (Row& row : rows) {
-    if (row.model == "honest") row.degradation = 1.0;
+    const double honest = honest_final[row.protocol == "prop-g" ? 0 : 1];
+    row.degradation = row.model != "honest" && honest > 0.0
+                          ? row.final_metric / honest
+                          : 1.0;
     char line[320];
     std::snprintf(line, sizeof(line),
                   "%s,%s,%.2f,%.4f,%.1f,%.3f,%llu,%llu,%llu,%llu,%llu,"

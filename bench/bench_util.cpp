@@ -78,17 +78,6 @@ Json hardware_info() {
   return hw;
 }
 
-PropParams paper_prop_params(PropMode mode) {
-  PropParams p;
-  p.mode = mode;
-  p.nhops = 2;
-  p.m = 0;  // delta(G)
-  p.min_var = 0.0;
-  p.max_init_trial = 10;
-  p.init_timer_s = 60.0;
-  return p;
-}
-
 OverlayNetwork build_unstructured(World& world, std::size_t n, Rng& rng) {
   const auto hosts = select_stub_hosts(world.topo, n, rng);
   GnutellaConfig cfg;  // attach_links = 4 -> delta(G) = 4, as in the paper

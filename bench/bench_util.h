@@ -18,6 +18,7 @@
 #include "common/timeseries.h"
 #include "core/params.h"
 #include "gnutella/gnutella.h"
+#include "measure/measure_engine.h"
 #include "metrics/metrics.h"
 #include "overlay/overlay_network.h"
 #include "topology/latency_oracle.h"
@@ -70,9 +71,6 @@ struct World {
   World(const TransitStubConfig& config, Rng& rng)
       : topo(make_transit_stub(config, rng)), oracle(topo) {}
 };
-
-/// The default PROP parameter block used across benches (paper values).
-PropParams paper_prop_params(PropMode mode);
 
 /// Builds the paper's default unstructured overlay over n stub hosts.
 OverlayNetwork build_unstructured(World& world, std::size_t n, Rng& rng);

@@ -39,7 +39,7 @@ int run(const BenchOptions& opts) {
       build_gnutella_overlay(gcfg, hosts, world.oracle, rng);
 
   Scheduler sim;
-  PropEngine engine(net, sim, paper_prop_params(PropMode::kPropO),
+  PropEngine engine(net, sim, PropParams{.mode = PropMode::kPropO},
                     opts.seed + 1);
 
   ChurnParams cparams;
@@ -60,6 +60,7 @@ int run(const BenchOptions& opts) {
   TimeSeries lookup("lookup_ms");
   std::uint64_t last_attempts = 0;
   Rng qrng(opts.seed + 3);
+  MeasureEngine measure(MeasureEngine::kAutoThreads);
   for (double t = window; t <= horizon + 1e-9; t += window) {
     sim.schedule_at(t, [&, t] {
       const std::uint64_t now_attempts = engine.stats().attempts;
@@ -68,7 +69,8 @@ int run(const BenchOptions& opts) {
       last_attempts = now_attempts;
       const auto queries =
           uniform_queries(net.graph(), opts.scale_q(2000), qrng);
-      lookup.record(t, average_unstructured_lookup_latency(net, queries));
+      lookup.record(t, measure.average_lookup_latency(
+                           OverlaySnapshot::capture(net), queries));
     });
   }
 

@@ -18,6 +18,7 @@
 #include "measure/measure_engine.h"
 #include "sim/scheduler.h"
 #include "workload/host_selection.h"
+#include "workload/lookups.h"
 
 namespace propsim::bench {
 namespace {
@@ -67,7 +68,7 @@ int run(const BenchOptions& opts) {
     OverlayNetwork net = make_chord_overlay(ring, hosts, world.oracle);
     Rng qrng(opts.seed + 17);
     const auto queries =
-        sample_query_pairs(net.graph(), opts.scale_q(10000), qrng);
+        uniform_queries(net.graph(), opts.scale_q(10000), qrng);
     const auto router = chord_router(net, ring);
 
     Row row;
@@ -75,7 +76,7 @@ int run(const BenchOptions& opts) {
     row.before = measure.stretch(net, queries, router).stretch;
 
     Scheduler sim;
-    PropEngine engine(net, sim, paper_prop_params(PropMode::kPropG),
+    PropEngine engine(net, sim, PropParams{.mode = PropMode::kPropG},
                       opts.seed + 23);
     engine.start();
     sim.run_until(horizon);
@@ -102,14 +103,14 @@ int run(const BenchOptions& opts) {
       OverlayNetwork net = make_tapestry_overlay(mesh, hosts, world.oracle);
       Rng qrng(opts.seed + 17);
       const auto queries =
-          sample_query_pairs(net.graph(), opts.scale_q(10000), qrng);
+          uniform_queries(net.graph(), opts.scale_q(10000), qrng);
       const auto router = [&](const QueryPair& qp) {
         return path_latency(net,
                             mesh.lookup_path(qp.src, mesh.id_of(qp.dst)));
       };
       row.label = "Tapestry-prox";
       row.before = measure.stretch(net, queries, router).stretch;
-      PropEngine engine(net, sim, paper_prop_params(PropMode::kPropG),
+      PropEngine engine(net, sim, PropParams{.mode = PropMode::kPropG},
                         opts.seed + 23);
       engine.start();
       sim.run_until(horizon);
@@ -121,14 +122,14 @@ int run(const BenchOptions& opts) {
       OverlayNetwork net = make_pastry_overlay(mesh, hosts, world.oracle);
       Rng qrng(opts.seed + 17);
       const auto queries =
-          sample_query_pairs(net.graph(), opts.scale_q(10000), qrng);
+          uniform_queries(net.graph(), opts.scale_q(10000), qrng);
       const auto router = [&](const QueryPair& qp) {
         return path_latency(net,
                             mesh.lookup_path(qp.src, mesh.id_of(qp.dst)));
       };
       row.label = "Pastry-prox";
       row.before = measure.stretch(net, queries, router).stretch;
-      PropEngine engine(net, sim, paper_prop_params(PropMode::kPropG),
+      PropEngine engine(net, sim, PropParams{.mode = PropMode::kPropG},
                         opts.seed + 23);
       engine.start();
       sim.run_until(horizon);
@@ -156,7 +157,7 @@ int run(const BenchOptions& opts) {
     OverlayNetwork net = make_can_overlay(space, hosts, world.oracle);
     Rng qrng(opts.seed + 17);
     const auto queries =
-        sample_query_pairs(net.graph(), opts.scale_q(10000), qrng);
+        uniform_queries(net.graph(), opts.scale_q(10000), qrng);
     const auto router = [&](const QueryPair& q) {
       return path_latency(net,
                           space.route_path(q.src, space.zone(q.dst).center()));
@@ -165,7 +166,7 @@ int run(const BenchOptions& opts) {
     row.label = topo_aware ? "CAN-topo" : "CAN-plain";
     row.before = measure.stretch(net, queries, router).stretch;
     Scheduler sim;
-    PropEngine engine(net, sim, paper_prop_params(PropMode::kPropG),
+    PropEngine engine(net, sim, PropParams{.mode = PropMode::kPropG},
                       opts.seed + 23);
     engine.start();
     sim.run_until(horizon);

@@ -45,7 +45,7 @@ SubstrateResult drive(const std::string& name, OverlayNetwork& net,
   const Placement placement_before = net.placement();
 
   Scheduler sim;
-  PropEngine engine(net, sim, paper_prop_params(PropMode::kPropG),
+  PropEngine engine(net, sim, PropParams{.mode = PropMode::kPropG},
                     opts.seed + 3);
   engine.start();
   sim.run_until(opts.scale_t(3600.0));
@@ -72,6 +72,7 @@ int run(const BenchOptions& opts) {
   const std::size_t n = opts.scale_n(1000);
   const std::size_t q = opts.scale_q(5000);
   std::vector<SubstrateResult> results;
+  MeasureEngine measure(MeasureEngine::kAutoThreads);
 
   // --- Gnutella (unstructured; flood first-response latency). ---
   {
@@ -82,7 +83,10 @@ int run(const BenchOptions& opts) {
     const auto queries = uniform_queries(net.graph(), q, qrng);
     results.push_back(drive(
         "Gnutella", net,
-        [&] { return average_unstructured_lookup_latency(net, queries); },
+        [&] {
+          return measure.average_lookup_latency(OverlaySnapshot::capture(net),
+                                                queries);
+        },
         opts));
   }
 
@@ -94,11 +98,11 @@ int run(const BenchOptions& opts) {
     const auto ring = ChordRing::build_random(n, ChordConfig{}, rng);
     OverlayNetwork net = make_chord_overlay(ring, hosts, world.oracle);
     Rng qrng(opts.seed + 1);
-    const auto queries = sample_query_pairs(net.graph(), q, qrng);
+    const auto queries = uniform_queries(net.graph(), q, qrng);
     const auto router = chord_router(net, ring);
     results.push_back(drive(
         "Chord", net,
-        [&] { return average_route_latency(queries, router); }, opts));
+        [&] { return measure.average_route_latency(queries, router); }, opts));
   }
 
   // --- Pastry (prefix routing). ---
@@ -109,19 +113,14 @@ int run(const BenchOptions& opts) {
     const auto pastry = PastryNetwork::build_random(n, PastryConfig{}, rng);
     OverlayNetwork net = make_pastry_overlay(pastry, hosts, world.oracle);
     Rng qrng(opts.seed + 1);
-    const auto queries = sample_query_pairs(net.graph(), q, qrng);
+    const auto queries = uniform_queries(net.graph(), q, qrng);
+    const RouteLatencyFn router = [&](const QueryPair& pair) {
+      return path_latency(net,
+                          pastry.lookup_path(pair.src, pastry.id_of(pair.dst)));
+    };
     results.push_back(drive(
         "Pastry", net,
-        [&] {
-          double sum = 0.0;
-          for (const QueryPair& pair : queries) {
-            const auto path =
-                pastry.lookup_path(pair.src, pastry.id_of(pair.dst));
-            sum += path_latency(net, path);
-          }
-          return sum / static_cast<double>(queries.size());
-        },
-        opts));
+        [&] { return measure.average_route_latency(queries, router); }, opts));
   }
 
   // --- Tapestry (prefix routing with surrogate roots). ---
@@ -133,19 +132,14 @@ int run(const BenchOptions& opts) {
         TapestryNetwork::build_random(n, TapestryConfig{}, rng);
     OverlayNetwork net = make_tapestry_overlay(tapestry, hosts, world.oracle);
     Rng qrng(opts.seed + 1);
-    const auto queries = sample_query_pairs(net.graph(), q, qrng);
+    const auto queries = uniform_queries(net.graph(), q, qrng);
+    const RouteLatencyFn router = [&](const QueryPair& pair) {
+      return path_latency(
+          net, tapestry.lookup_path(pair.src, tapestry.id_of(pair.dst)));
+    };
     results.push_back(drive(
         "Tapestry", net,
-        [&] {
-          double sum = 0.0;
-          for (const QueryPair& pair : queries) {
-            const auto path =
-                tapestry.lookup_path(pair.src, tapestry.id_of(pair.dst));
-            sum += path_latency(net, path);
-          }
-          return sum / static_cast<double>(queries.size());
-        },
-        opts));
+        [&] { return measure.average_route_latency(queries, router); }, opts));
   }
 
   // --- CAN (greedy coordinate routing). ---

@@ -79,7 +79,7 @@ int run(const BenchOptions& opts) {
   OverlayNetwork plain = build_unstructured(world, n, rng);
   OverlayNetwork tuned = plain;
   Scheduler sim;
-  PropParams params = paper_prop_params(PropMode::kPropO);
+  PropParams params{.mode = PropMode::kPropO};
   PropEngine engine(tuned, sim, params, opts.seed + 1);
   engine.start();
   sim.run_until(opts.scale_t(3600.0));

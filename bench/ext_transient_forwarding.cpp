@@ -21,6 +21,7 @@
 #include "core/swap_log.h"
 #include "sim/scheduler.h"
 #include "workload/host_selection.h"
+#include "workload/lookups.h"
 
 namespace propsim::bench {
 namespace {
@@ -50,7 +51,7 @@ int run(const BenchOptions& opts) {
 
   Rng qrng(opts.seed + 1);
   const auto queries =
-      sample_query_pairs(net.graph(), opts.scale_q(4000), qrng);
+      uniform_queries(net.graph(), opts.scale_q(4000), qrng);
 
   auto measure = [&](const SwapLog* log, double now, double window) {
     double base_sum = 0.0;
@@ -75,7 +76,7 @@ int run(const BenchOptions& opts) {
   (void)unused1;
 
   Scheduler sim;
-  PropEngine engine(net, sim, paper_prop_params(PropMode::kPropG),
+  PropEngine engine(net, sim, PropParams{.mode = PropMode::kPropG},
                     opts.seed + 2);
   SwapLog log;
   engine.set_swap_log(&log);

@@ -63,8 +63,9 @@ int run(const BenchOptions& opts) {
   Rng qrng(opts.seed + 1);
   const auto queries =
       uniform_queries(base.graph(), opts.scale_q(5000), qrng);
+  MeasureEngine measure(MeasureEngine::kAutoThreads);
   const double before_ms =
-      average_unstructured_lookup_latency(base, queries);
+      measure.average_lookup_latency(OverlaySnapshot::capture(base), queries);
 
   // Vivaldi bootstrap: ~150 measurements per overlay host, the traffic a
   // live deployment observes anyway.
@@ -117,7 +118,8 @@ int run(const BenchOptions& opts) {
         ++r.commits;
       }
     }
-    r.final_lookup_ms = average_unstructured_lookup_latency(net, queries);
+    r.final_lookup_ms =
+        measure.average_lookup_latency(OverlaySnapshot::capture(net), queries);
     return r;
   };
 

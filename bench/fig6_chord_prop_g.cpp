@@ -15,6 +15,7 @@
 #include "metrics/convergence.h"
 #include "sim/scheduler.h"
 #include "workload/host_selection.h"
+#include "workload/lookups.h"
 
 namespace propsim::bench {
 namespace {
@@ -28,7 +29,8 @@ struct Scenario {
 };
 
 TimeSeries run_scenario(const Scenario& sc, const BenchOptions& opts,
-                        double horizon_s, double sample_s) {
+                        double horizon_s, double sample_s,
+                        MeasureEngine& measure) {
   Rng rng(opts.seed);
   World world(sc.ts_small ? TransitStubConfig::ts_small()
                           : TransitStubConfig::ts_large(),
@@ -39,17 +41,17 @@ TimeSeries run_scenario(const Scenario& sc, const BenchOptions& opts,
 
   Rng qrng(opts.seed ^ 0xda3e39cb94b95bdbULL);
   const auto queries =
-      sample_query_pairs(net.graph(), opts.scale_q(10000), qrng);
+      uniform_queries(net.graph(), opts.scale_q(10000), qrng);
   const auto router = chord_router(net, ring);
 
   Scheduler sim;
-  PropParams params = paper_prop_params(PropMode::kPropG);
+  PropParams params{.mode = PropMode::kPropG};
   params.nhops = sc.random_target ? 2 : sc.nhops;
   params.random_target = sc.random_target;
   PropEngine engine(net, sim, params, opts.seed + 11);
 
   ConvergenceSampler sampler(sim, sc.label, 0.0, horizon_s, sample_s, [&] {
-    return stretch(net, queries, router).stretch;
+    return measure.stretch(net, queries, router).stretch;
   });
   engine.start();
   sim.run_until(horizon_s);
@@ -69,18 +71,19 @@ int run(const BenchOptions& opts) {
   const double sample = horizon / 15.0;
   const std::size_t n_default = opts.scale_n(1000);
   bool all_hold = true;
+  MeasureEngine measure(MeasureEngine::kAutoThreads);
 
   if (opts.part.empty() || opts.part == "a") {
     std::printf("part (a): varying the TTL scale (n=%zu)\n", n_default);
     std::vector<TimeSeries> series;
     series.push_back(run_scenario({"nhops=1", n_default, 1, false, false},
-                                  opts, horizon, sample));
+                                  opts, horizon, sample, measure));
     series.push_back(run_scenario({"nhops=2", n_default, 2, false, false},
-                                  opts, horizon, sample));
+                                  opts, horizon, sample, measure));
     series.push_back(run_scenario({"nhops=4", n_default, 4, false, false},
-                                  opts, horizon, sample));
+                                  opts, horizon, sample, measure));
     series.push_back(run_scenario({"random", n_default, 2, true, false},
-                                  opts, horizon, sample));
+                                  opts, horizon, sample, measure));
     print_csv_block("fig6a", series_to_csv(series, 16));
     const double drop1 = series[0].first_value() - series[0].last_value();
     const double drop2 = series[1].first_value() - series[1].last_value();
@@ -110,7 +113,8 @@ int run(const BenchOptions& opts) {
     for (const std::size_t n : sizes) {
       const std::string label = "n=" + std::to_string(n);
       series.push_back(
-          run_scenario({label, n, 2, false, false}, opts, horizon, sample));
+          run_scenario({label, n, 2, false, false}, opts, horizon, sample,
+                       measure));
       drops.push_back(series.back().first_value() -
                       series.back().last_value());
     }
@@ -132,9 +136,9 @@ int run(const BenchOptions& opts) {
                 n_default);
     std::vector<TimeSeries> series;
     series.push_back(run_scenario({"ts-large", n_default, 2, false, false},
-                                  opts, horizon, sample));
+                                  opts, horizon, sample, measure));
     series.push_back(run_scenario({"ts-small", n_default, 2, false, true},
-                                  opts, horizon, sample));
+                                  opts, horizon, sample, measure));
     print_csv_block("fig6c", series_to_csv(series, 16));
     const double cut_large =
         series[0].first_value() - series[0].last_value();

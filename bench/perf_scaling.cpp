@@ -14,11 +14,10 @@
 // per snapshot tick) at overlay sizes ~1k/10k/50k across 1/2/4/8
 // worker threads, asserting the sampled series are bit-identical for
 // every thread count. Results go to BENCH_measure.json (stable schema
-// `propsim.bench.measure`, version 3: the fast-kernel rows and the
-// serial fast-vs-exact gate of v2 are gone with the fixed-point
-// kernel). The >= 2.5x speedup-at-4-threads gate runs at the 10k scale
-// and only when the host exposes >= 4 hardware threads (a 1-core dev
-// box runs it informationally).
+// `propsim.bench.measure`, version 4; docs/PERF.md lists its fields).
+// The >= 2.5x speedup-at-4-threads gate runs at the 10k scale and only
+// when the host exposes >= 4 hardware threads (a 1-core dev box runs it
+// informationally).
 //
 // `--quick` shrinks query counts and skips the 50k scale so the bench
 // fits in CI time; `--part 1k|10k|50k` runs a single scale of both
@@ -165,11 +164,12 @@ EndToEnd run_prop_g(const TransitStubTopology& topo,
   const auto queries = uniform_queries(net.graph(), query_count, qrng);
 
   Scheduler sim;
-  PropEngine engine(net, sim, paper_prop_params(PropMode::kPropG), seed + 7);
+  PropEngine engine(net, sim, PropParams{.mode = PropMode::kPropG}, seed + 7);
+  MeasureEngine measure(1);
   ConvergenceSampler sampler(sim, "lookup_ms", 0.0, horizon_s, horizon_s / 8.0,
                              [&] {
-                               return average_unstructured_lookup_latency(
-                                   net, queries);
+                               return measure.average_lookup_latency(
+                                   OverlaySnapshot::capture(net), queries);
                              });
   engine.start();
   sim.run_until(horizon_s);
@@ -243,40 +243,6 @@ SweepTiming time_sweeps(std::size_t threads, const OverlayNetwork& net,
   return t;
 }
 
-/// Pre-engine cost reference: the old serial metric path — one
-/// allocating flood_latencies per distinct query source, straight off
-/// the live overlay, no snapshot capture and no scratch reuse.
-double legacy_serial_ms(const OverlayNetwork& net,
-                        std::span<const QueryPair> queries,
-                        std::size_t snapshots) {
-  std::vector<std::size_t> order(queries.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return queries[a].src < queries[b].src;
-                   });
-  double checksum = 0.0;
-  const double start = now_ms();
-  for (std::size_t s = 0; s < snapshots; ++s) {
-    bool have = false;
-    SlotId current = 0;
-    std::vector<double> dist;
-    for (const std::size_t idx : order) {
-      const QueryPair& q = queries[idx];
-      if (!have || q.src != current) {
-        have = true;
-        current = q.src;
-        dist = net.flood_latencies(current);
-      }
-      checksum += dist[q.dst];
-    }
-  }
-  const double wall = now_ms() - start;
-  std::printf("  legacy serial reference: %.0f ms (checksum %.6g)\n", wall,
-              checksum);
-  return wall;
-}
-
 /// Runs the 1/2/4/8 thread matrix, checking that every parallel run
 /// reproduces the serial series bit-for-bit. Returns the serial timing;
 /// fills the JSON row list plus the 4-thread speedup.
@@ -318,7 +284,7 @@ SweepTiming run_thread_matrix(const OverlayNetwork& net,
 
 /// Part two driver: runs the thread matrix per scale, asserts the
 /// sampled series are bit-identical across thread counts, and writes
-/// BENCH_measure.json (schema v3). The 4-thread speedup gate needs real
+/// BENCH_measure.json (schema v4). The 4-thread speedup gate needs real
 /// cores, so it is exercised only when the host exposes >= 4 hardware
 /// threads. The determinism check always counts toward `pass`.
 bool run_measure(const BenchOptions& opts, bool* out_pass,
@@ -341,7 +307,7 @@ bool run_measure(const BenchOptions& opts, bool* out_pass,
 
   Json doc = Json::object();
   doc.set("schema", "propsim.bench.measure");
-  doc.set("version", 3);
+  doc.set("version", 4);
   doc.set("quick", opts.quick);
   doc.set("seed", opts.seed);
   doc.set("hardware", hardware_info());
@@ -369,8 +335,6 @@ bool run_measure(const BenchOptions& opts, bool* out_pass,
     Rng qrng(opts.seed ^ 0xd1b54a32d192ed03ULL);
     const auto queries = uniform_queries(net.graph(), query_count, qrng);
 
-    const double legacy_ms = legacy_serial_ms(net, queries, snapshots);
-
     Json thread_rows = Json::array();
     double speedup_4t = 0.0;
     bool identical = true;
@@ -389,7 +353,6 @@ bool run_measure(const BenchOptions& opts, bool* out_pass,
         .set("overlay_n", static_cast<std::uint64_t>(scale.overlay_n))
         .set("queries", static_cast<std::uint64_t>(query_count))
         .set("snapshots", static_cast<std::uint64_t>(snapshots))
-        .set("legacy_serial_ms", legacy_ms)
         .set("engine_serial_ms", serial.wall_ms)
         .set("threads", std::move(thread_rows))
         .set("identical", identical);

@@ -7,7 +7,9 @@
 // reports how the exchange success ratio, the converged lookup latency
 // and event-driven lookup success degrade. A fault-free reference run
 // anchors the convergence-slowdown column. The fault plan draws from
-// its own seeded RNG stream, so the whole curve is reproducible.
+// its own seeded RNG stream, so the whole curve is reproducible. The
+// runs are independent and go through run_sweep together, the runner
+// propsim_sweep uses.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -15,6 +17,7 @@
 #include "app/experiment.h"
 #include "bench_util.h"
 #include "common/config.h"
+#include "common/table.h"
 
 namespace propsim::bench {
 namespace {
@@ -34,8 +37,8 @@ struct Row {
   bool connected = false;
 };
 
-ExperimentSpec spec_for(const BenchOptions& opts, double loss,
-                        bool faults_on, std::size_t burst_len = 0) {
+Config config_for(const BenchOptions& opts, double loss, bool faults_on,
+                  std::size_t burst_len = 0) {
   const std::size_t n = opts.scale_n(400);
   const double horizon = opts.scale_t(7200.0);
   char text[768];
@@ -68,9 +71,7 @@ ExperimentSpec spec_for(const BenchOptions& opts, double loss,
       cfg += text;
     }
   }
-  const SpecResult parsed = ExperimentSpec::from_config(Config::parse(cfg));
-  PROPSIM_CHECK(parsed.ok() && "resilience_curve config must parse");
-  return parsed.spec();
+  return Config::parse(cfg);
 }
 
 int run(const BenchOptions& opts) {
@@ -81,26 +82,42 @@ int run(const BenchOptions& opts) {
       "exchange success ratio and slows convergence without breaking "
       "overlay connectivity");
 
-  const ExperimentResult reference =
-      run_experiment(spec_for(opts, 0.0, false));
-
   const double losses[] = {0.0, 0.01, 0.05, 0.20};
   // Burst rows rerun each lossy point under Gilbert-Elliott loss with
   // mean burst length 8 at the same stationary loss rate — same loss
   // budget, correlated arrivals.
   constexpr std::size_t kBurstLen = 8;
+  struct Point {
+    double loss;
+    std::size_t burst_len;
+  };
+  std::vector<Point> points;
+  for (const double loss : losses) points.push_back({loss, 0});
+  for (const double loss : losses) {
+    if (loss > 0.0) points.push_back({loss, kBurstLen});
+  }
+  // The fault-free reference runs first; combo i + 1 is points[i].
+  std::vector<SweepCombo> combos{
+      {config_for(opts, 0.0, false), "fault-free reference"}};
+  for (const Point& point : points) {
+    combos.push_back({config_for(opts, point.loss, true, point.burst_len),
+                      "loss=" + Table::fmt(point.loss, 2) + " burst_len=" +
+                          std::to_string(point.burst_len)});
+  }
+  const std::vector<ExperimentResult> results = run_or_exit(combos);
+  const ExperimentResult& reference = results[0];
+
   std::vector<Row> rows;
   std::vector<Row> burst_rows;
   std::string csv =
       "loss,burst_len,success_ratio,final_lookup_ms,slowdown,"
       "unreachable_frac,timeouts,retries,aborted_mid_commit,crashes,"
       "burst_losses\n";
-  const auto measure_row = [&](double loss, std::size_t burst_len) {
-    const ExperimentResult r =
-        run_experiment(spec_for(opts, loss, true, burst_len));
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const ExperimentResult& r = results[i + 1];
     Row row;
-    row.loss = loss;
-    row.burst_len = burst_len;
+    row.loss = points[i].loss;
+    row.burst_len = points[i].burst_len;
     row.success_ratio =
         r.attempts > 0
             ? static_cast<double>(r.exchanges) /
@@ -132,13 +149,7 @@ int run(const BenchOptions& opts) {
                   static_cast<unsigned long long>(row.crashes),
                   static_cast<unsigned long long>(row.burst_losses));
     csv += line;
-    return row;
-  };
-  for (const double loss : losses) {
-    rows.push_back(measure_row(loss, 0));
-  }
-  for (const double loss : losses) {
-    if (loss > 0.0) burst_rows.push_back(measure_row(loss, kBurstLen));
+    (row.burst_len > 0 ? burst_rows : rows).push_back(row);
   }
   print_csv_block("resilience_curve", csv);
 

@@ -48,7 +48,7 @@ Measurement measure(std::size_t attach_links, const BenchOptions& opts) {
     out.avg_degree = net.graph().average_active_degree();
 
     Scheduler sim;
-    PropParams params = paper_prop_params(mode);
+    PropParams params{.mode = mode};
     params.m = 2;  // fixed m for a clean nhops + 2m prediction
     PropEngine engine(net, sim, params, opts.seed + 3);
     engine.start();
@@ -115,7 +115,7 @@ int run(const BenchOptions& opts) {
     World world(TransitStubConfig::ts_large(), rng);
     OverlayNetwork net = build_unstructured(world, opts.scale_n(600), rng);
     Scheduler sim;
-    PropEngine engine(net, sim, paper_prop_params(PropMode::kPropG),
+    PropEngine engine(net, sim, PropParams{.mode = PropMode::kPropG},
                       opts.seed + 5);
     const double horizon = opts.scale_t(14400.0);
     const double window = horizon / 24.0;

@@ -13,11 +13,13 @@
 #include "baselines/pis.h"
 #include "chord/chord_ring.h"
 #include "core/prop_engine.h"
+#include "measure/measure_engine.h"
 #include "metrics/metrics.h"
 #include "overlay/isomorphism.h"
 #include "sim/scheduler.h"
 #include "topology/transit_stub.h"
 #include "workload/host_selection.h"
+#include "workload/lookups.h"
 
 namespace {
 
@@ -58,9 +60,10 @@ int main() {
   }
 
   Rng qrng(13);
-  const auto queries = sample_query_pairs(net.graph(), 5000, qrng);
+  const auto queries = uniform_queries(net.graph(), 5000, qrng);
   const auto router = chord_router(net, ring);
-  const auto before = stretch(net, queries, router);
+  MeasureEngine measure(MeasureEngine::kAutoThreads);
+  const auto before = measure.stretch(net, queries, router);
 
   // Snapshot for the isomorphism certificate.
   const auto edges_before = host_edges(net.graph(), net.placement());
@@ -72,7 +75,7 @@ int main() {
   engine.start();
   sim.run_until(3600.0);
 
-  const auto after = stretch(net, queries, router);
+  const auto after = measure.stretch(net, queries, router);
   std::printf("\nplain Chord + PROP-G (1 simulated hour, %llu exchanges):\n",
               static_cast<unsigned long long>(engine.stats().exchanges));
   std::printf("  avg lookup latency : %.1f ms -> %.1f ms\n",
@@ -103,12 +106,12 @@ int main() {
   const ChordRing pis_ring = ChordRing::build_with_ids(pis_ids, ChordConfig{});
   OverlayNetwork pis_net = make_chord_overlay(pis_ring, hosts, oracle);
   const auto pis_router = chord_router(pis_net, pis_ring);
-  const auto pis_before = stretch(pis_net, queries, pis_router);
+  const auto pis_before = measure.stretch(pis_net, queries, pis_router);
   Scheduler sim2;
   PropEngine engine2(pis_net, sim2, params, 22);
   engine2.start();
   sim2.run_until(3600.0);
-  const auto pis_after = stretch(pis_net, queries, pis_router);
+  const auto pis_after = measure.stretch(pis_net, queries, pis_router);
   std::printf("\nPIS Chord + PROP-G:\n");
   std::printf("  stretch            : %.2f (PIS alone) -> %.2f (with "
               "PROP-G)\n",

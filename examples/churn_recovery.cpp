@@ -9,7 +9,7 @@
 
 #include "core/prop_engine.h"
 #include "gnutella/gnutella.h"
-#include "metrics/metrics.h"
+#include "measure/measure_engine.h"
 #include "sim/scheduler.h"
 #include "topology/transit_stub.h"
 #include "workload/churn.h"
@@ -45,11 +45,12 @@ int main() {
   const double step = 600.0;       // report every 10 minutes
   std::uint64_t last_attempts = 0;
   Rng qrng(58);
+  MeasureEngine measure(MeasureEngine::kAutoThreads);
   for (double t = step; t <= horizon; t += step) {
     sim.schedule_at(t, [&, t] {
       const auto queries = uniform_queries(net.graph(), 1500, qrng);
-      const double lookup =
-          average_unstructured_lookup_latency(net, queries);
+      const double lookup = measure.average_lookup_latency(
+          OverlaySnapshot::capture(net), queries);
       const std::uint64_t attempts = engine.stats().attempts;
       const double probes_per_min =
           static_cast<double>(attempts - last_attempts) / (step / 60.0);

@@ -11,7 +11,7 @@
 #include "baselines/ltm.h"
 #include "core/prop_engine.h"
 #include "gnutella/gnutella.h"
-#include "metrics/metrics.h"
+#include "measure/measure_engine.h"
 #include "sim/scheduler.h"
 #include "topology/transit_stub.h"
 #include "workload/heterogeneity.h"
@@ -29,7 +29,8 @@ struct SwarmResult {
 };
 
 template <typename OptimizeFn>
-SwarmResult run_swarm(const char* label, OptimizeFn&& optimize) {
+SwarmResult run_swarm(const char* label, MeasureEngine& measure,
+                      OptimizeFn&& optimize) {
   Rng rng(33);
   const TransitStubTopology topo =
       make_transit_stub(TransitStubConfig::ts_large(), rng);
@@ -51,10 +52,9 @@ SwarmResult run_swarm(const char* label, OptimizeFn&& optimize) {
   const auto unpopular = biased_queries(net.graph(), fast, 0.0, 3000, qrng);
 
   SwarmResult r;
-  r.popular_ms =
-      average_unstructured_lookup_latency(net, popular, &proc);
-  r.unpopular_ms =
-      average_unstructured_lookup_latency(net, unpopular, &proc);
+  const OverlaySnapshot snap = OverlaySnapshot::capture(net);
+  r.popular_ms = measure.average_lookup_latency(snap, popular, &proc);
+  r.unpopular_ms = measure.average_lookup_latency(snap, unpopular, &proc);
   r.hub_min_degree = static_cast<std::size_t>(-1);
   for (const SlotId s : net.graph().active_slots()) {
     if (fast[s]) {
@@ -71,19 +71,22 @@ SwarmResult run_swarm(const char* label, OptimizeFn&& optimize) {
 
 int main() {
   std::printf("swarm: 600 peers, 20%% fast hubs, 90%% of demand on hubs\n\n");
+  MeasureEngine measure(MeasureEngine::kAutoThreads);
 
-  const SwarmResult plain = run_swarm("baseline", [](OverlayNetwork&) {});
+  const SwarmResult plain =
+      run_swarm("baseline", measure, [](OverlayNetwork&) {});
 
-  const SwarmResult prop_o = run_swarm("PROP-O", [](OverlayNetwork& net) {
-    Scheduler sim;
-    PropParams params;
-    params.mode = PropMode::kPropO;
-    PropEngine engine(net, sim, params, 36);
-    engine.start();
-    sim.run_until(3600.0);
-  });
+  const SwarmResult prop_o =
+      run_swarm("PROP-O", measure, [](OverlayNetwork& net) {
+        Scheduler sim;
+        PropParams params;
+        params.mode = PropMode::kPropO;
+        PropEngine engine(net, sim, params, 36);
+        engine.start();
+        sim.run_until(3600.0);
+      });
 
-  const SwarmResult ltm = run_swarm("LTM", [](OverlayNetwork& net) {
+  const SwarmResult ltm = run_swarm("LTM", measure, [](OverlayNetwork& net) {
     Scheduler sim;
     LtmParams params;
     LtmEngine engine(net, sim, params, 37);

@@ -14,7 +14,7 @@
 
 #include "core/prop_engine.h"
 #include "gnutella/gnutella.h"
-#include "metrics/metrics.h"
+#include "measure/measure_engine.h"
 #include "sim/scheduler.h"
 #include "topology/transit_stub.h"
 #include "workload/host_selection.h"
@@ -47,17 +47,21 @@ int main() {
   PropParams params;  // PropMode::kPropG by default
   PropEngine engine(net, sim, params, /*seed=*/7);
 
-  // A fixed workload to measure against: 5000 random lookups.
+  // A fixed workload to measure against: 5000 random lookups, each
+  // priced as its idealized flood's first response.
   Rng qrng(11);
   const auto queries = uniform_queries(net.graph(), 5000, qrng);
-  const double before = average_unstructured_lookup_latency(net, queries);
+  MeasureEngine measure(MeasureEngine::kAutoThreads);
+  const double before =
+      measure.average_lookup_latency(OverlaySnapshot::capture(net), queries);
 
   // 4. Simulate one hour.
   engine.start();
   sim.run_until(3600.0);
 
   // 5. Results.
-  const double after = average_unstructured_lookup_latency(net, queries);
+  const double after =
+      measure.average_lookup_latency(OverlaySnapshot::capture(net), queries);
   std::printf("\nafter 1 simulated hour of PROP-G:\n");
   std::printf("  exchanges committed : %llu (of %llu probe attempts)\n",
               static_cast<unsigned long long>(engine.stats().exchanges),

@@ -22,11 +22,12 @@
 // snapshot's minimum edge, or the overlay's lightest physical link),
 // clamped to [2^-4, 2^6] ms, so floor(d * 2^-e) is exact and every
 // bucket boundary is too. Its distances are bit-identical to the
-// binary-heap Dijkstra of OverlayNetwork::flood_latencies: every cost
-// is >= 0 and IEEE addition is monotone, so every correct
-// label-setting or label-correcting shortest-path search reaches the
-// same least fixpoint d[v] = min over edges (u, v) of fl(d[u] + c(u, v)).
-// Pop order does not matter, only that the search runs to that fixpoint
+// reference flood, the binary-heap Dijkstra of
+// OverlayNetwork::flood_latencies_into: every cost is >= 0 and IEEE
+// addition is monotone, so every correct label-setting or
+// label-correcting shortest-path search reaches the same least fixpoint
+// d[v] = min over edges (u, v) of fl(d[u] + c(u, v)). Pop order does
+// not matter, only that the search runs to that fixpoint
 // (docs/PERF.md); so does the width, as long as it is a power of two.
 // A flood given targets stops after the first drained bucket whose
 // upper edge lies above every target's distance: every entry still
@@ -107,8 +108,8 @@ struct MeasureScratch {
 };
 
 /// Single-source shortest latency over a snapshot, bit-identical to
-/// OverlayNetwork::flood_latencies over the live overlay (with the same
-/// link filter applied at capture). Edge latencies and processing
+/// OverlayNetwork::flood_latencies_into over the live overlay (with the
+/// same link filter applied at capture). Edge latencies and processing
 /// delays must be >= 0 (never NaN). Results land in `scratch`; read
 /// them through scratch.distance().
 ///
@@ -187,8 +188,8 @@ class MeasureEngine {
   /// Flood first-response latency of each query (queries grouped by
   /// source, one flood per distinct source that stops once its last
   /// destination is final, sources handed to the threads one at a
-  /// time). Mirrors metrics' unstructured_lookup_latencies. Every src must be an
-  /// active slot and every dst a slot of the snapshot (checked).
+  /// time). Every src must be an active slot and every dst a slot of
+  /// the snapshot (checked).
   std::vector<double> lookup_latencies(
       const OverlaySnapshot& snap, std::span<const QueryPair> queries,
       const std::vector<double>* processing_delay_ms = nullptr);

@@ -1,9 +1,9 @@
 // Measurement query primitives.
 //
-// These used to live in metrics/metrics.h; they sit here, below the
-// metrics layer, so both the metrics helpers and the parallel
-// measurement engine (measure/measure_engine.h) can share them without
-// a dependency cycle.
+// They sit below the metrics and workload layers, so the measurement
+// engine (measure/measure_engine.h), the routers (metrics/metrics.h)
+// and the query samplers (workload/lookups.h) share them without a
+// dependency cycle.
 #pragma once
 
 #include <functional>

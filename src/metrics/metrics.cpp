@@ -2,66 +2,6 @@
 
 namespace propsim {
 
-std::vector<QueryPair> sample_query_pairs(const LogicalGraph& graph,
-                                          std::size_t count, Rng& rng) {
-  const auto slots = graph.active_slots();
-  PROPSIM_CHECK(slots.size() >= 2);
-  std::vector<QueryPair> pairs;
-  pairs.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const SlotId src =
-        slots[static_cast<std::size_t>(rng.uniform(slots.size()))];
-    SlotId dst;
-    do {
-      dst = slots[static_cast<std::size_t>(rng.uniform(slots.size()))];
-    } while (dst == src);
-    pairs.push_back(QueryPair{src, dst});
-  }
-  return pairs;
-}
-
-// The serial helpers delegate to a one-worker MeasureEngine; the
-// engine's serial path performs the identical operations in the
-// identical order, so values are bit-equal to the pre-engine code.
-
-double average_route_latency(std::span<const QueryPair> queries,
-                             const RouteLatencyFn& fn) {
-  MeasureEngine serial(1);
-  return serial.average_route_latency(queries, fn);
-}
-
-double average_direct_latency(const OverlayNetwork& net,
-                              std::span<const QueryPair> queries) {
-  MeasureEngine serial(1);
-  return serial.average_direct_latency(net, queries);
-}
-
-StretchResult stretch(const OverlayNetwork& net,
-                      std::span<const QueryPair> queries,
-                      const RouteLatencyFn& fn) {
-  MeasureEngine serial(1);
-  return serial.stretch(net, queries, fn);
-}
-
-std::vector<double> unstructured_lookup_latencies(
-    const OverlayNetwork& net, std::span<const QueryPair> queries,
-    const std::vector<double>* processing_delay_ms) {
-  MeasureEngine serial(1);
-  return serial.lookup_latencies(OverlaySnapshot::capture(net), queries,
-                                 processing_delay_ms);
-}
-
-double average_unstructured_lookup_latency(
-    const OverlayNetwork& net, std::span<const QueryPair> queries,
-    const std::vector<double>* processing_delay_ms) {
-  PROPSIM_CHECK(!queries.empty());
-  const auto lat =
-      unstructured_lookup_latencies(net, queries, processing_delay_ms);
-  double sum = 0.0;
-  for (const double v : lat) sum += v;
-  return sum / static_cast<double>(lat.size());
-}
-
 RouteLatencyFn chord_router(const OverlayNetwork& net, const ChordRing& ring,
                             const std::vector<double>* processing_delay_ms) {
   return [&net, &ring, processing_delay_ms](const QueryPair& q) {

@@ -1,53 +1,16 @@
-// Evaluation metrics: average lookup latency, average latency (AL) and
-// stretch, exactly as defined in Section 4.2 of the paper.
+// Routers for the paper's stretch metric (Section 4.2). Every metric
+// itself — average lookup latency, average latency (AL) and stretch —
+// is computed by MeasureEngine (measure/measure_engine.h); query sets
+// come from workload/lookups.h.
 #pragma once
 
-#include <functional>
-#include <span>
 #include <vector>
 
 #include "chord/chord_ring.h"
-#include "common/rng.h"
-#include "measure/measure_engine.h"
+#include "measure/query.h"
 #include "overlay/overlay_network.h"
 
 namespace propsim {
-
-// QueryPair, RouteLatencyFn and StretchResult live in measure/query.h
-// (shared with the parallel measurement engine); the serial helpers
-// below delegate to a one-worker MeasureEngine and stay bit-identical
-// to their historical implementations.
-
-/// Samples `count` (src != dst) pairs uniformly over active slots.
-std::vector<QueryPair> sample_query_pairs(const LogicalGraph& graph,
-                                          std::size_t count, Rng& rng);
-
-/// Mean of fn over the queries.
-double average_route_latency(std::span<const QueryPair> queries,
-                             const RouteLatencyFn& fn);
-
-/// Mean *direct* (physical shortest-path) latency over the queries —
-/// the paper's physical AL restricted to the sampled pairs.
-double average_direct_latency(const OverlayNetwork& net,
-                              std::span<const QueryPair> queries);
-
-/// Stretch over the queries with the given router.
-StretchResult stretch(const OverlayNetwork& net,
-                      std::span<const QueryPair> queries,
-                      const RouteLatencyFn& fn);
-
-/// Unstructured-overlay lookup latencies: for each query, the idealized
-/// flood first-response latency (min-latency overlay path from source to
-/// destination, plus per-hop processing delay when provided). Queries
-/// are grouped by source so each source runs one Dijkstra.
-std::vector<double> unstructured_lookup_latencies(
-    const OverlayNetwork& net, std::span<const QueryPair> queries,
-    const std::vector<double>* processing_delay_ms = nullptr);
-
-/// Mean of unstructured_lookup_latencies.
-double average_unstructured_lookup_latency(
-    const OverlayNetwork& net, std::span<const QueryPair> queries,
-    const std::vector<double>* processing_delay_ms = nullptr);
 
 /// Router over a Chord ring under the overlay's current placement.
 RouteLatencyFn chord_router(const OverlayNetwork& net, const ChordRing& ring,

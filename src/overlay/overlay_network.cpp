@@ -176,14 +176,6 @@ bool OverlayNetwork::random_walk(SlotId from, SlotId first_hop,
   return true;
 }
 
-std::vector<double> OverlayNetwork::flood_latencies(
-    SlotId source, const std::vector<double>* processing_delay_ms,
-    const LinkFilter* link_ok) const {
-  FloodScratch scratch;
-  flood_latencies_into(scratch, source, processing_delay_ms, link_ok);
-  return std::move(scratch.dist);
-}
-
 const std::vector<double>& OverlayNetwork::flood_latencies_into(
     FloodScratch& scratch, SlotId source,
     const std::vector<double>* processing_delay_ms,
@@ -232,38 +224,6 @@ double path_latency(const OverlayNetwork& net, std::span<const SlotId> path,
     }
   }
   return total;
-}
-
-std::vector<std::uint32_t> OverlayNetwork::hop_distances(
-    SlotId source, std::uint32_t max_hops) const {
-  FloodScratch scratch;
-  hop_distances_into(scratch, source, max_hops);
-  return std::move(scratch.hops);
-}
-
-const std::vector<std::uint32_t>& OverlayNetwork::hop_distances_into(
-    FloodScratch& scratch, SlotId source, std::uint32_t max_hops) const {
-  constexpr auto kUnreached = std::numeric_limits<std::uint32_t>::max();
-  scratch.hops.assign(graph_.slot_count(), kUnreached);
-  std::vector<std::uint32_t>& dist = scratch.hops;
-  PROPSIM_CHECK(graph_.is_active(source));
-  dist[source] = 0;
-  scratch.frontier.assign(1, source);
-  std::vector<SlotId>& frontier = scratch.frontier;
-  std::vector<SlotId>& next = scratch.next;
-  for (std::uint32_t hop = 1; hop <= max_hops && !frontier.empty(); ++hop) {
-    next.clear();
-    for (const SlotId u : frontier) {
-      for (const SlotId v : graph_.neighbors(u)) {
-        if (dist[v] == kUnreached) {
-          dist[v] = hop;
-          next.push_back(v);
-        }
-      }
-    }
-    frontier.swap(next);
-  }
-  return dist;
 }
 
 OverlayNetwork bind_overlay(LogicalGraph graph, std::span<const NodeId> hosts,

@@ -115,48 +115,33 @@ class OverlayNetwork {
   /// only until the next such call. Simulation thread only.
   SlotMarks& scratch_marks() const { return marks_; }
 
-  /// Caller-owned scratch for flood_latencies_into / hop_distances_into:
-  /// hot-loop callers (metric kernels, event-driven lookup resolution)
-  /// reuse one of these instead of reallocating the distance vector and
+  /// Caller-owned scratch for flood_latencies_into: a caller that floods
+  /// many sources (the paranoid lookup cross-check, the tests) reuses
+  /// one of these instead of reallocating the distance vector and
   /// priority queue on every call. A default-constructed instance works
   /// for any overlay; buffers size themselves on first use.
   struct FloodScratch {
     std::vector<double> dist;
-    std::vector<std::uint32_t> hops;
-    std::vector<SlotId> frontier;
-    std::vector<SlotId> next;
     IndexedPriorityQueue<double> queue{0};
   };
 
-  /// Weighted single-source shortest latency over *logical* edges (each
-  /// edge costs the physical latency between the slot hosts, plus the
+  /// The reference flood: a binary-heap Dijkstra giving the weighted
+  /// single-source shortest latency over *logical* edges (each edge
+  /// costs the physical latency between the slot hosts, plus the
   /// receiving slot's processing delay when provided). This is the
   /// first-response latency of an idealized flood, and the routing
-  /// latency oracle for unstructured lookups. Inactive/unreachable slots
-  /// get +infinity. `link_ok` (optional) prunes logical edges the flood
-  /// may not traverse — e.g. links crossing a partitioned stub-domain
-  /// gateway; slots cut off by the filter come back +infinity too.
+  /// latency oracle for unstructured lookups; metric sweeps run the
+  /// bit-identical bucket kernel of MeasureEngine instead. Inactive or
+  /// unreachable slots get +infinity. `link_ok` (optional) prunes
+  /// logical edges the flood may not traverse — e.g. links crossing a
+  /// partitioned stub-domain gateway; slots cut off by the filter come
+  /// back +infinity too. The returned reference aliases scratch.dist
+  /// and is valid until the next call with the same scratch.
   using LinkFilter = std::function<bool(SlotId from, SlotId to)>;
-  std::vector<double> flood_latencies(
-      SlotId source, const std::vector<double>* processing_delay_ms = nullptr,
-      const LinkFilter* link_ok = nullptr) const;
-
-  /// flood_latencies into caller-owned scratch; the returned reference
-  /// aliases scratch.dist and is valid until the next _into call.
   const std::vector<double>& flood_latencies_into(
       FloodScratch& scratch, SlotId source,
       const std::vector<double>* processing_delay_ms = nullptr,
       const LinkFilter* link_ok = nullptr) const;
-
-  /// Hop-count BFS distances over logical edges, capped at max_hops
-  /// (entries beyond the cap are UINT32_MAX).
-  std::vector<std::uint32_t> hop_distances(SlotId source,
-                                           std::uint32_t max_hops) const;
-
-  /// hop_distances into caller-owned scratch; the returned reference
-  /// aliases scratch.hops and is valid until the next _into call.
-  const std::vector<std::uint32_t>& hop_distances_into(
-      FloodScratch& scratch, SlotId source, std::uint32_t max_hops) const;
 
  private:
   /// Re-prices slot s's row and the entry for s in each neighbour's row.

@@ -15,7 +15,7 @@
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/timeseries.h"
-#include "metrics/metrics.h"
+#include "measure/query.h"
 #include "overlay/overlay_network.h"
 #include "sim/scheduler.h"
 

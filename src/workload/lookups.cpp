@@ -4,7 +4,20 @@ namespace propsim {
 
 std::vector<QueryPair> uniform_queries(const LogicalGraph& graph,
                                        std::size_t count, Rng& rng) {
-  return sample_query_pairs(graph, count, rng);
+  const auto slots = graph.active_slots();
+  PROPSIM_CHECK(slots.size() >= 2);
+  std::vector<QueryPair> queries;
+  queries.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const SlotId src =
+        slots[static_cast<std::size_t>(rng.uniform(slots.size()))];
+    SlotId dst;
+    do {
+      dst = slots[static_cast<std::size_t>(rng.uniform(slots.size()))];
+    } while (dst == src);
+    queries.push_back(QueryPair{src, dst});
+  }
+  return queries;
 }
 
 std::vector<QueryPair> biased_queries(const LogicalGraph& graph,

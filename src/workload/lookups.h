@@ -4,11 +4,11 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "metrics/metrics.h"
+#include "measure/query.h"
 
 namespace propsim {
 
-/// Uniform (src != dst) queries over the active slots.
+/// `count` (src != dst) queries drawn uniformly over the active slots.
 std::vector<QueryPair> uniform_queries(const LogicalGraph& graph,
                                        std::size_t count, Rng& rng);
 

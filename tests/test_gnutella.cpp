@@ -1,7 +1,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -104,16 +103,26 @@ TEST(FloodSearch, TtlZeroOnlyChecksSource) {
 
 TEST(FloodSearch, TightTtlCanMiss) {
   auto fx = UnstructuredFixture::make(60, 1008, /*attach_links=*/2);
-  // Find a slot at hop distance > 1 from source 0.
-  const auto hops = fx.net.hop_distances(0, 10);
-  SlotId far = kInvalidSlot;
-  for (SlotId s = 0; s < hops.size(); ++s) {
-    if (hops[s] != std::numeric_limits<std::uint32_t>::max() && hops[s] >= 3) {
-      far = s;
-      break;
+  // Find a slot at hop distance 3 from source 0: breadth-first, one
+  // hop ring at a time.
+  const LogicalGraph& g = fx.net.graph();
+  std::vector<bool> seen(g.slot_count(), false);
+  std::vector<SlotId> ring{0};
+  seen[0] = true;
+  for (int hop = 1; hop <= 3; ++hop) {
+    std::vector<SlotId> next;
+    for (const SlotId u : ring) {
+      for (const SlotId v : g.neighbors(u)) {
+        if (!seen[v]) {
+          seen[v] = true;
+          next.push_back(v);
+        }
+      }
     }
+    ring.swap(next);
   }
-  ASSERT_NE(far, kInvalidSlot);
+  ASSERT_FALSE(ring.empty());
+  const SlotId far = ring.front();
   std::vector<bool> holders(fx.net.graph().slot_count(), false);
   holders[far] = true;
   EXPECT_FALSE(flood_search(fx.net, 0, holders, 1).found);
@@ -122,7 +131,8 @@ TEST(FloodSearch, TightTtlCanMiss) {
 
 TEST(FloodSearch, LatencyLowerBoundedByIdealizedFlood) {
   auto fx = UnstructuredFixture::make(50, 1009);
-  const auto ideal = fx.net.flood_latencies(0);
+  OverlayNetwork::FloodScratch scratch;
+  const auto& ideal = fx.net.flood_latencies_into(scratch, 0);
   std::vector<bool> holders(fx.net.graph().slot_count(), false);
   holders[20] = true;
   const auto res = flood_search(fx.net, 0, holders, 12);

@@ -12,6 +12,7 @@
 #include "core/prop_engine.h"
 #include "sim/scheduler.h"
 #include "fixtures.h"
+#include "measure/measure_engine.h"
 #include "metrics/convergence.h"
 #include "metrics/metrics.h"
 #include "workload/churn.h"
@@ -38,18 +39,21 @@ TEST(Integration, PropGImprovesGnutellaLookupLatency) {
   auto fx = UnstructuredFixture::make(80, 7001);
   Rng qrng(1);
   const auto queries = uniform_queries(fx.net.graph(), 400, qrng);
+  MeasureEngine measure(1);
   const double before =
-      average_unstructured_lookup_latency(fx.net, queries);
+      measure.average_lookup_latency(OverlaySnapshot::capture(fx.net), queries);
 
   Scheduler sim;
   PropEngine engine(fx.net, sim, quick_prop(PropMode::kPropG), 2);
   ConvergenceSampler sampler(sim, "lookup", 0.0, 2000.0, 200.0, [&] {
-    return average_unstructured_lookup_latency(fx.net, queries);
+    return measure.average_lookup_latency(OverlaySnapshot::capture(fx.net),
+                                          queries);
   });
   engine.start();
   sim.run_until(2000.0);
 
-  const double after = average_unstructured_lookup_latency(fx.net, queries);
+  const double after =
+      measure.average_lookup_latency(OverlaySnapshot::capture(fx.net), queries);
   EXPECT_LT(after, before * 0.9);
   EXPECT_LE(sampler.series().last_value(), sampler.series().first_value());
 }
@@ -65,15 +69,16 @@ TEST(Integration, PropGImprovesChordStretch) {
   OverlayNetwork net = make_chord_overlay(ring, hosts, oracle);
 
   Rng qrng(2);
-  const auto queries = sample_query_pairs(net.graph(), 300, qrng);
+  const auto queries = uniform_queries(net.graph(), 300, qrng);
   const auto router = chord_router(net, ring);
-  const double before = stretch(net, queries, router).stretch;
+  MeasureEngine measure(1);
+  const double before = measure.stretch(net, queries, router).stretch;
 
   Scheduler sim;
   PropEngine engine(net, sim, quick_prop(PropMode::kPropG), 3);
   engine.start();
   sim.run_until(2500.0);
-  const double after = stretch(net, queries, router).stretch;
+  const double after = measure.stretch(net, queries, router).stretch;
   EXPECT_GT(engine.stats().exchanges, 0u);
   EXPECT_LT(after, before);
   EXPECT_GT(after, 1.0);  // routed latency can never beat direct
@@ -131,7 +136,9 @@ TEST(Integration, PropOBeatsLtmForFastDestinedLookups) {
     const auto fast = delays.slot_fast(fx.net);
     const auto proc = delays.slot_delays(fx.net);
     const auto queries = biased_queries(fx.net.graph(), fast, 0.9, 400, qrng);
-    return average_unstructured_lookup_latency(fx.net, queries, &proc);
+    MeasureEngine measure(1);
+    return measure.average_lookup_latency(OverlaySnapshot::capture(fx.net),
+                                          queries, &proc);
   };
 
   const double prop_o = run([](UnstructuredFixture& fx,
@@ -166,15 +173,16 @@ TEST(Integration, PropGComposesWithPis) {
   OverlayNetwork net = make_chord_overlay(ring, hosts, oracle);
 
   Rng qrng(9);
-  const auto queries = sample_query_pairs(net.graph(), 300, qrng);
+  const auto queries = uniform_queries(net.graph(), 300, qrng);
   const auto router = chord_router(net, ring);
-  const double before = stretch(net, queries, router).stretch;
+  MeasureEngine measure(1);
+  const double before = measure.stretch(net, queries, router).stretch;
 
   Scheduler sim;
   PropEngine engine(net, sim, quick_prop(PropMode::kPropG), 10);
   engine.start();
   sim.run_until(2500.0);
-  const double after = stretch(net, queries, router).stretch;
+  const double after = measure.stretch(net, queries, router).stretch;
   EXPECT_LE(after, before + 1e-9);
 }
 
@@ -204,8 +212,9 @@ TEST(Integration, PropRecoversAfterChurnBurst) {
   sim.run_until(1000.0);  // converged phase
   Rng qrng(13);
   const auto pre_queries = uniform_queries(fx.net.graph(), 300, qrng);
-  const double converged =
-      average_unstructured_lookup_latency(fx.net, pre_queries);
+  MeasureEngine measure(1);
+  const double converged = measure.average_lookup_latency(
+      OverlaySnapshot::capture(fx.net), pre_queries);
 
   sim.run_until(1300.0);  // churn burst over
   sim.run_until(3500.0);  // recovery window
@@ -213,8 +222,8 @@ TEST(Integration, PropRecoversAfterChurnBurst) {
   ASSERT_TRUE(fx.net.graph().active_subgraph_connected());
   Rng qrng2(14);
   const auto post_queries = uniform_queries(fx.net.graph(), 300, qrng2);
-  const double recovered =
-      average_unstructured_lookup_latency(fx.net, post_queries);
+  const double recovered = measure.average_lookup_latency(
+      OverlaySnapshot::capture(fx.net), post_queries);
   EXPECT_GT(churn.joins() + churn.leaves(), 20u);
   // Recovery lands in the neighbourhood of the converged value.
   EXPECT_LT(recovered, converged * 1.5);

@@ -32,6 +32,7 @@
 #include "measure/snapshot_cache.h"
 #include "metrics/metrics.h"
 #include "topology/random_graphs.h"
+#include "workload/lookups.h"
 
 namespace propsim {
 namespace {
@@ -73,9 +74,10 @@ TEST(OverlaySnapshot, LinkFilterPrunesAtCapture) {
   // Pruned-at-capture == skipped-at-relax: floods over the snapshot must
   // equal live floods under the same filter, unreachable slots included.
   MeasureScratch scratch;
+  OverlayNetwork::FloodScratch heap;
   for (const SlotId src : {SlotId{0}, SlotId{5}, SlotId{17}}) {
     flood_snapshot(snap, src, nullptr, scratch);
-    const auto live = fx.net.flood_latencies(src, nullptr, &drop);
+    const auto& live = fx.net.flood_latencies_into(heap, src, nullptr, &drop);
     for (SlotId v = 0; v < live.size(); ++v) {
       EXPECT_EQ(scratch.distance(v), live[v]) << "src " << src << " v " << v;
     }
@@ -88,9 +90,10 @@ TEST(FloodSnapshot, MatchesLiveFloodWithProcessingDelays) {
   std::vector<double> proc(fx.net.graph().slot_count(), 0.0);
   for (std::size_t s = 0; s < proc.size(); s += 3) proc[s] = 7.5;
   MeasureScratch scratch;  // reused across every source
+  OverlayNetwork::FloodScratch heap;
   for (SlotId src = 0; src < 50; ++src) {
     flood_snapshot(snap, src, &proc, scratch);
-    const auto live = fx.net.flood_latencies(src, &proc);
+    const auto& live = fx.net.flood_latencies_into(heap, src, &proc);
     for (SlotId v = 0; v < live.size(); ++v) {
       EXPECT_EQ(scratch.distance(v), live[v]) << "src " << src << " v " << v;
     }
@@ -102,8 +105,9 @@ TEST(FloodSnapshot, MatchesLiveFloodWithProcessingDelays) {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// The binary-heap Dijkstra flood_snapshot ran before the bucket queue
-/// (and OverlayNetwork::flood_latencies still runs): the reference the
-/// bucket kernel must match bit for bit.
+/// (the one OverlayNetwork::flood_latencies_into runs over the live
+/// overlay), here over a snapshot: the reference the bucket kernel must
+/// match bit for bit.
 std::vector<double> reference_flood(const OverlaySnapshot& snap,
                                     SlotId source,
                                     const std::vector<double>* proc) {
@@ -522,7 +526,8 @@ TEST(FloodOverlay, MarginCoversRoundingFarFromTheSource) {
   // and v's key without a margin lies past it.
   const SlotId s = 0;
   const SlotId t = 12;
-  const double chain = net.flood_latencies(s)[t];
+  OverlayNetwork::FloodScratch heap;
+  const double chain = net.flood_latencies_into(heap, s)[t];
   EXPECT_EQ(chain, boundary - 3.0 * u);
   EXPECT_EQ(d_via_y + 0.5, boundary - u);
   EXPECT_EQ(d + oracle.latency(3, 13), boundary + u);
@@ -553,7 +558,7 @@ TEST(OverlaySnapshot, RecordsMinimumEdgeLatency) {
 TEST(MeasureEngine, LookupLatenciesBitIdenticalAcrossThreadCounts) {
   auto fx = UnstructuredFixture::make(60, 7004);
   Rng rng(9);
-  const auto queries = sample_query_pairs(fx.net.graph(), 400, rng);
+  const auto queries = uniform_queries(fx.net.graph(), 400, rng);
   const OverlaySnapshot snap = OverlaySnapshot::capture(fx.net);
   MeasureEngine serial(1);
   const auto want = serial.lookup_latencies(snap, queries);
@@ -569,7 +574,7 @@ TEST(MeasureEngine, LookupLatenciesBitIdenticalAcrossThreadCounts) {
 TEST(MeasureEngine, SweepMatchesPerQueryFullFloodsOnDelayedSnapshot) {
   auto fx = UnstructuredFixture::make(60, 7007);
   Rng rng(12);
-  auto queries = sample_query_pairs(fx.net.graph(), 500, rng);
+  auto queries = uniform_queries(fx.net.graph(), 500, rng);
   // Repeated pairs and self-queries share their source's run.
   queries.push_back(queries.front());
   queries.push_back({queries[1].src, queries[1].src});
@@ -594,23 +599,12 @@ TEST(MeasureEngine, SweepMatchesPerQueryFullFloodsOnDelayedSnapshot) {
   }
 }
 
-TEST(MeasureEngine, MatchesHistoricalSerialHelpers) {
-  auto fx = UnstructuredFixture::make(50, 7005);
-  Rng rng(10);
-  const auto queries = sample_query_pairs(fx.net.graph(), 250, rng);
-  MeasureEngine engine(4);
-  EXPECT_EQ(engine.lookup_latencies(OverlaySnapshot::capture(fx.net), queries),
-            unstructured_lookup_latencies(fx.net, queries));
-  EXPECT_EQ(engine.average_direct_latency(fx.net, queries),
-            average_direct_latency(fx.net, queries));
-}
-
 TEST(MeasureEngine, StretchBitIdenticalOnChordRouter) {
   Rng rng(11);
   auto fx = UnstructuredFixture::make(40, 7006);
   const auto ring = ChordRing::build_random(40, ChordConfig{}, rng);
   const auto router = chord_router(fx.net, ring);
-  const auto queries = sample_query_pairs(fx.net.graph(), 300, rng);
+  const auto queries = uniform_queries(fx.net.graph(), 300, rng);
   MeasureEngine serial(1);
   MeasureEngine parallel(4);
   EXPECT_EQ(serial.route_latencies(queries, router),
@@ -627,7 +621,7 @@ TEST(MeasureEngine, StretchBitIdenticalOnChordRouter) {
 TEST(MeasureEngine, ScratchReusedAcrossChangingSnapshots) {
   auto fx = UnstructuredFixture::make(40, 7007);
   Rng rng(12);
-  const auto queries = sample_query_pairs(fx.net.graph(), 200, rng);
+  const auto queries = uniform_queries(fx.net.graph(), 200, rng);
   MeasureEngine reused(4);
   const OverlaySnapshot before = OverlaySnapshot::capture(fx.net);
   const auto r_before = reused.lookup_latencies(before, queries);

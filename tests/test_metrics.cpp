@@ -1,84 +1,23 @@
-#include <algorithm>
-
 #include <gtest/gtest.h>
 
 #include "chord/chord_ring.h"
 #include "fixtures.h"
+#include "measure/measure_engine.h"
 #include "metrics/convergence.h"
 #include "metrics/metrics.h"
 #include "sim/scheduler.h"
+#include "workload/lookups.h"
 
 namespace propsim {
 namespace {
 
 using testing::UnstructuredFixture;
 
-TEST(Metrics, SampleQueryPairsValid) {
-  auto fx = UnstructuredFixture::make(30, 5001);
-  Rng rng(1);
-  const auto pairs = sample_query_pairs(fx.net.graph(), 100, rng);
-  EXPECT_EQ(pairs.size(), 100u);
-  for (const QueryPair& q : pairs) {
-    EXPECT_NE(q.src, q.dst);
-    EXPECT_TRUE(fx.net.graph().is_active(q.src));
-    EXPECT_TRUE(fx.net.graph().is_active(q.dst));
-  }
-}
-
-TEST(Metrics, SampleQueryPairsUnderChurnSkipsInactive) {
-  auto fx = UnstructuredFixture::make(40, 5006);
-  const LogicalGraph& g = fx.net.graph();
-  // A burst of departures: every third slot leaves.
-  std::vector<SlotId> gone;
-  for (SlotId s = 1; s < 40; s += 3) {
-    fx.net.leave(s);
-    gone.push_back(s);
-  }
-  Rng rng(6);
-  const auto pairs = sample_query_pairs(g, 200, rng);
-  EXPECT_EQ(pairs.size(), 200u);
-  for (const QueryPair& q : pairs) {
-    EXPECT_TRUE(g.is_active(q.src));
-    EXPECT_TRUE(g.is_active(q.dst));
-    EXPECT_FALSE(std::binary_search(gone.begin(), gone.end(), q.src));
-    EXPECT_FALSE(std::binary_search(gone.begin(), gone.end(), q.dst));
-  }
-}
-
-TEST(Metrics, SampleQueryPairsDeterministicAfterRejoin) {
-  auto fx = UnstructuredFixture::make(40, 5007);
-  const LogicalGraph& g = fx.net.graph();
-  // Leave/rejoin cycle: 2, 9 and 14 depart; 9 comes back isolated.
-  NodeId host_of_9 = kInvalidNode;
-  for (const SlotId s : {SlotId{2}, SlotId{9}, SlotId{14}}) {
-    const NodeId host = fx.net.leave(s);
-    if (s == 9) host_of_9 = host;
-  }
-  fx.net.rejoin(9, host_of_9);
-  Rng a(7);
-  Rng b(7);
-  const auto first = sample_query_pairs(g, 300, a);
-  const auto second = sample_query_pairs(g, 300, b);
-  ASSERT_EQ(first.size(), second.size());
-  bool saw_rejoined = false;
-  for (std::size_t i = 0; i < first.size(); ++i) {
-    EXPECT_EQ(first[i].src, second[i].src);
-    EXPECT_EQ(first[i].dst, second[i].dst);
-    EXPECT_NE(first[i].src, 2u);
-    EXPECT_NE(first[i].dst, 2u);
-    EXPECT_NE(first[i].src, 14u);
-    EXPECT_NE(first[i].dst, 14u);
-    saw_rejoined =
-        saw_rejoined || first[i].src == 9u || first[i].dst == 9u;
-  }
-  // The rejoined slot is sampled again (300 draws over 38 slots).
-  EXPECT_TRUE(saw_rejoined);
-}
-
 TEST(Metrics, AverageRouteLatencyIsMean) {
   const std::vector<QueryPair> pairs{{0, 1}, {1, 2}, {2, 0}};
   double next = 0.0;
-  const double avg = average_route_latency(
+  MeasureEngine measure(1);
+  const double avg = measure.average_route_latency(
       pairs, [&](const QueryPair&) { return next += 10.0; });
   EXPECT_DOUBLE_EQ(avg, 20.0);  // (10+20+30)/3
 }
@@ -86,9 +25,10 @@ TEST(Metrics, AverageRouteLatencyIsMean) {
 TEST(Metrics, StretchRatioComputation) {
   auto fx = UnstructuredFixture::make(30, 5002);
   Rng rng(2);
-  const auto pairs = sample_query_pairs(fx.net.graph(), 50, rng);
+  const auto pairs = uniform_queries(fx.net.graph(), 50, rng);
   // A router that always doubles the direct latency -> stretch 2.
-  const auto r = stretch(fx.net, pairs, [&](const QueryPair& q) {
+  MeasureEngine measure(1);
+  const auto r = measure.stretch(fx.net, pairs, [&](const QueryPair& q) {
     return 2.0 * fx.net.slot_latency(q.src, q.dst);
   });
   EXPECT_NEAR(r.stretch, 2.0, 1e-9);
@@ -98,10 +38,13 @@ TEST(Metrics, StretchRatioComputation) {
 TEST(Metrics, UnstructuredLookupMatchesPerPairDijkstra) {
   auto fx = UnstructuredFixture::make(40, 5003);
   Rng rng(3);
-  const auto pairs = sample_query_pairs(fx.net.graph(), 60, rng);
-  const auto grouped = unstructured_lookup_latencies(fx.net, pairs);
+  const auto pairs = uniform_queries(fx.net.graph(), 60, rng);
+  MeasureEngine measure(1);
+  const auto grouped =
+      measure.lookup_latencies(OverlaySnapshot::capture(fx.net), pairs);
+  OverlayNetwork::FloodScratch scratch;
   for (std::size_t i = 0; i < pairs.size(); ++i) {
-    const auto direct = fx.net.flood_latencies(pairs[i].src);
+    const auto& direct = fx.net.flood_latencies_into(scratch, pairs[i].src);
     EXPECT_DOUBLE_EQ(grouped[i], direct[pairs[i].dst]);
   }
 }
@@ -109,8 +52,10 @@ TEST(Metrics, UnstructuredLookupMatchesPerPairDijkstra) {
 TEST(Metrics, UnstructuredLookupNeverBeatsDirectLatency) {
   auto fx = UnstructuredFixture::make(40, 5004);
   Rng rng(4);
-  const auto pairs = sample_query_pairs(fx.net.graph(), 100, rng);
-  const auto lat = unstructured_lookup_latencies(fx.net, pairs);
+  const auto pairs = uniform_queries(fx.net.graph(), 100, rng);
+  MeasureEngine measure(1);
+  const auto lat =
+      measure.lookup_latencies(OverlaySnapshot::capture(fx.net), pairs);
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     EXPECT_GE(lat[i],
               fx.net.slot_latency(pairs[i].src, pairs[i].dst) - 1e-9);
@@ -124,7 +69,7 @@ TEST(Metrics, ChordRouterEndsAtDestination) {
   // Reuse the fixture's placement/hosts but the chord logical graph is
   // irrelevant for routing latency: chord_router uses ring + placement.
   const auto router = chord_router(fx.net, ring);
-  const auto pairs = sample_query_pairs(fx.net.graph(), 40, rng);
+  const auto pairs = uniform_queries(fx.net.graph(), 40, rng);
   for (const QueryPair& q : pairs) {
     const double lat = router(q);
     EXPECT_GE(lat, 0.0);

@@ -2,7 +2,6 @@
 #include <bit>
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <set>
@@ -305,7 +304,8 @@ TEST_F(OverlayNetworkTest, VersionFollowsGraphAndPlacement) {
   const std::uint64_t built = net.version();
   EXPECT_EQ(built, std::max(net.graph().version(), net.placement().version()));
   (void)net.neighbor_latency_sum(0);
-  (void)net.flood_latencies(0);
+  OverlayNetwork::FloodScratch scratch;
+  (void)net.flood_latencies_into(scratch, 0);
   EXPECT_EQ(net.version(), built);
   net.swap_hosts(0, 2);
   const std::uint64_t swapped = net.version();
@@ -407,7 +407,8 @@ TEST_F(OverlayNetworkTest, RandomWalkDeadEndReturnsFalse) {
 
 TEST_F(OverlayNetworkTest, FloodLatenciesAreOverlayShortestPaths) {
   auto net = make_net();
-  const auto d = net.flood_latencies(0);
+  OverlayNetwork::FloodScratch scratch;
+  const auto& d = net.flood_latencies_into(scratch, 0);
   EXPECT_DOUBLE_EQ(d[0], 0.0);
   EXPECT_DOUBLE_EQ(d[1], 1.0);
   EXPECT_DOUBLE_EQ(d[2], 2.0);  // via slot 1, latency 1+1
@@ -417,7 +418,8 @@ TEST_F(OverlayNetworkTest, FloodLatenciesAreOverlayShortestPaths) {
 TEST_F(OverlayNetworkTest, FloodLatenciesWithProcessingDelay) {
   auto net = make_net();
   const std::vector<double> proc{0.0, 10.0, 0.0, 0.0};
-  const auto d = net.flood_latencies(0, &proc);
+  OverlayNetwork::FloodScratch scratch;
+  const auto& d = net.flood_latencies_into(scratch, 0, &proc);
   // 0->1 pays 1 + proc(1)=10; 0->2 via 1 pays 12, via 3: 3+0+1+0=4.
   EXPECT_DOUBLE_EQ(d[1], 11.0);
   EXPECT_DOUBLE_EQ(d[2], 4.0);
@@ -678,7 +680,7 @@ TEST(StoredEdgeWeights, MatchProbesUnderRandomMutations) {
   EXPECT_GE(checked, 8 * 400 * 12);
 }
 
-TEST(FloodScratch, ReuseMatchesAllocatingAcrossSources) {
+TEST(FloodScratch, ReuseMatchesFreshScratchAcrossSources) {
   auto fx = testing::UnstructuredFixture::make(50, 6002);
   OverlayNetwork::FloodScratch scratch;  // one buffer for every call
   std::vector<double> proc(fx.net.graph().slot_count(), 0.0);
@@ -687,24 +689,14 @@ TEST(FloodScratch, ReuseMatchesAllocatingAcrossSources) {
     return a % 7 != 0 && b % 7 != 0;
   };
   for (const SlotId src : {SlotId{1}, SlotId{7}, SlotId{23}, SlotId{44}}) {
-    EXPECT_EQ(fx.net.flood_latencies(src, &proc),
+    OverlayNetwork::FloodScratch fresh;
+    EXPECT_EQ(fx.net.flood_latencies_into(fresh, src, &proc),
               fx.net.flood_latencies_into(scratch, src, &proc));
-    EXPECT_EQ(fx.net.flood_latencies(src, nullptr, &drop),
-              fx.net.flood_latencies_into(scratch, src, nullptr, &drop));
-    EXPECT_EQ(fx.net.hop_distances(src, 4),
-              fx.net.hop_distances_into(scratch, src, 4));
+    OverlayNetwork::FloodScratch fresh_filtered;
+    EXPECT_EQ(
+        fx.net.flood_latencies_into(fresh_filtered, src, nullptr, &drop),
+        fx.net.flood_latencies_into(scratch, src, nullptr, &drop));
   }
-}
-
-TEST_F(OverlayNetworkTest, HopDistancesBfs) {
-  auto net = make_net();
-  const auto h = net.hop_distances(0, 10);
-  EXPECT_EQ(h[0], 0u);
-  EXPECT_EQ(h[1], 1u);
-  EXPECT_EQ(h[3], 1u);
-  EXPECT_EQ(h[2], 2u);
-  const auto capped = net.hop_distances(0, 1);
-  EXPECT_EQ(capped[2], std::numeric_limits<std::uint32_t>::max());
 }
 
 // ------------------------------------------------------------ GraphIo ----

@@ -113,12 +113,66 @@ TEST(Heterogeneity, DelaysFollowHostsThroughSwaps) {
   EXPECT_DOUBLE_EQ(before[0], delays.host_delay_ms[host_a]);
 }
 
-TEST(Lookups, UniformQueriesValid) {
-  auto fx = UnstructuredFixture::make(30, 6001);
+TEST(UniformQueries, Valid) {
+  auto fx = UnstructuredFixture::make(30, 5001);
+  Rng rng(1);
+  const auto pairs = uniform_queries(fx.net.graph(), 100, rng);
+  EXPECT_EQ(pairs.size(), 100u);
+  for (const QueryPair& q : pairs) {
+    EXPECT_NE(q.src, q.dst);
+    EXPECT_TRUE(fx.net.graph().is_active(q.src));
+    EXPECT_TRUE(fx.net.graph().is_active(q.dst));
+  }
+}
+
+TEST(UniformQueries, UnderChurnSkipsInactive) {
+  auto fx = UnstructuredFixture::make(40, 5006);
+  const LogicalGraph& g = fx.net.graph();
+  // A burst of departures: every third slot leaves.
+  std::vector<SlotId> gone;
+  for (SlotId s = 1; s < 40; s += 3) {
+    fx.net.leave(s);
+    gone.push_back(s);
+  }
   Rng rng(6);
-  const auto queries = uniform_queries(fx.net.graph(), 200, rng);
-  EXPECT_EQ(queries.size(), 200u);
-  for (const auto& q : queries) EXPECT_NE(q.src, q.dst);
+  const auto pairs = uniform_queries(g, 200, rng);
+  EXPECT_EQ(pairs.size(), 200u);
+  for (const QueryPair& q : pairs) {
+    EXPECT_TRUE(g.is_active(q.src));
+    EXPECT_TRUE(g.is_active(q.dst));
+    EXPECT_FALSE(std::binary_search(gone.begin(), gone.end(), q.src));
+    EXPECT_FALSE(std::binary_search(gone.begin(), gone.end(), q.dst));
+  }
+}
+
+TEST(UniformQueries, DeterministicAfterRejoin) {
+  auto fx = UnstructuredFixture::make(40, 5007);
+  const LogicalGraph& g = fx.net.graph();
+  // Leave/rejoin cycle: 2, 9 and 14 depart; 9 comes back isolated.
+  NodeId host_of_9 = kInvalidNode;
+  for (const SlotId s : {SlotId{2}, SlotId{9}, SlotId{14}}) {
+    const NodeId host = fx.net.leave(s);
+    if (s == 9) host_of_9 = host;
+  }
+  fx.net.rejoin(9, host_of_9);
+  Rng a(7);
+  Rng b(7);
+  const auto first = uniform_queries(g, 300, a);
+  const auto second = uniform_queries(g, 300, b);
+  ASSERT_EQ(first.size(), second.size());
+  bool saw_rejoined = false;
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    EXPECT_EQ(first[i].src, second[i].src);
+    EXPECT_EQ(first[i].dst, second[i].dst);
+    EXPECT_NE(first[i].src, 2u);
+    EXPECT_NE(first[i].dst, 2u);
+    EXPECT_NE(first[i].src, 14u);
+    EXPECT_NE(first[i].dst, 14u);
+    saw_rejoined =
+        saw_rejoined || first[i].src == 9u || first[i].dst == 9u;
+  }
+  // The rejoined slot is sampled again (300 draws over 38 slots).
+  EXPECT_TRUE(saw_rejoined);
 }
 
 TEST(Lookups, BiasedQueriesHitFastFraction) {
@@ -188,9 +242,10 @@ TEST(LookupTraffic, ObservesOptimizationImprovement) {
   params.window_s = 200.0;
   LookupTrafficProcess traffic(
       fx.net, sim, params,
-      [&](const QueryPair& q) {
+      [&, scratch = OverlayNetwork::FloodScratch{}](
+          const QueryPair& q) mutable {
         // First-response flood latency under the *current* topology.
-        return fx.net.flood_latencies(q.src)[q.dst];
+        return fx.net.flood_latencies_into(scratch, q.src)[q.dst];
       },
       20);
   engine.start();
