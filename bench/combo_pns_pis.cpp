@@ -98,7 +98,7 @@ int run(const BenchOptions& opts) {
     Scheduler sim;
     double after = 0.0;
     if (use_tapestry) {
-      auto mesh = TapestryNetwork::build_random(n, TapestryConfig{}, rng);
+      auto mesh = TapestryNetwork::build_random(n, rng);
       mesh.apply_proximity(hosts, world.oracle);
       OverlayNetwork net = make_tapestry_overlay(mesh, hosts, world.oracle);
       Rng qrng(opts.seed + 17);
@@ -116,8 +116,7 @@ int run(const BenchOptions& opts) {
       sim.run_until(horizon);
       after = measure.stretch(net, queries, router).stretch;
     } else {
-      PastryConfig pcfg;
-      auto mesh = PastryNetwork::build_random(n, pcfg, rng);
+      auto mesh = PastryNetwork::build_random(n, rng);
       mesh.apply_proximity(hosts, world.oracle);
       OverlayNetwork net = make_pastry_overlay(mesh, hosts, world.oracle);
       Rng qrng(opts.seed + 17);

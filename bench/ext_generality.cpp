@@ -110,7 +110,7 @@ int run(const BenchOptions& opts) {
     Rng rng(opts.seed);
     World world(TransitStubConfig::ts_large(), rng);
     const auto hosts = select_stub_hosts(world.topo, n, rng);
-    const auto pastry = PastryNetwork::build_random(n, PastryConfig{}, rng);
+    const auto pastry = PastryNetwork::build_random(n, rng);
     OverlayNetwork net = make_pastry_overlay(pastry, hosts, world.oracle);
     Rng qrng(opts.seed + 1);
     const auto queries = uniform_queries(net.graph(), q, qrng);
@@ -128,8 +128,7 @@ int run(const BenchOptions& opts) {
     Rng rng(opts.seed);
     World world(TransitStubConfig::ts_large(), rng);
     const auto hosts = select_stub_hosts(world.topo, n, rng);
-    const auto tapestry =
-        TapestryNetwork::build_random(n, TapestryConfig{}, rng);
+    const auto tapestry = TapestryNetwork::build_random(n, rng);
     OverlayNetwork net = make_tapestry_overlay(tapestry, hosts, world.oracle);
     Rng qrng(opts.seed + 1);
     const auto queries = uniform_queries(net.graph(), q, qrng);

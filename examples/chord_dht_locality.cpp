@@ -24,7 +24,7 @@
 namespace {
 
 // A toy content hash (FNV-1a) mapping names to ring keys.
-propsim::ChordId key_of(const std::string& name) {
+propsim::DhtId key_of(const std::string& name) {
   std::uint64_t h = 1469598103934665603ULL;
   for (const char c : name) {
     h ^= static_cast<unsigned char>(c);

@@ -478,7 +478,7 @@ class ChordMonotonicityRule final : public LintRule {
       // clockwise monotonicity only holds for plain Chord tables.
       if (ring.config().pns_candidates > 1) continue;
       const auto fingers = ring.fingers(s);
-      ChordId prev = 0;
+      DhtId prev = 0;
       for (std::size_t k = 0; k < fingers.size(); ++k) {
         if (fingers[k] == s) {
           add_finding(findings, name(), LintSeverity::kError,
@@ -486,7 +486,7 @@ class ChordMonotonicityRule final : public LintRule {
                           " lists itself as a finger");
           break;
         }
-        const ChordId dist =
+        const DhtId dist =
             clockwise_distance(ring.id_of(s), ring.id_of(fingers[k]));
         if (k > 0 && dist <= prev) {
           add_finding(findings, name(), LintSeverity::kError,

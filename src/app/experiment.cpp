@@ -310,13 +310,12 @@ Substrate build_overlay(const S& spec, const World& world, Rng& rng,
             hosts, oracle, &bus);
       case S::Overlay::kPastry:
         return make_pastry_overlay(
-            routed_by(o, PastryNetwork::build_random(n, PastryConfig{}, rng)),
-            hosts, oracle, &bus);
+            routed_by(o, PastryNetwork::build_random(n, rng)), hosts, oracle,
+            &bus);
       case S::Overlay::kTapestry:
         return make_tapestry_overlay(
-            routed_by(o,
-                      TapestryNetwork::build_random(n, TapestryConfig{}, rng)),
-            hosts, oracle, &bus);
+            routed_by(o, TapestryNetwork::build_random(n, rng)), hosts, oracle,
+            &bus);
       case S::Overlay::kCan: {
         auto space = std::make_shared<const CanSpace>(CanSpace::build(n, rng));
         o.route = [space](const QueryPair& q) {

@@ -28,10 +28,10 @@ std::vector<std::uint32_t> landmark_ordering(NodeId host,
   return order;
 }
 
-std::vector<ChordId> pis_identifiers(std::span<const NodeId> hosts,
-                                     std::span<const NodeId> landmarks,
-                                     const LatencyOracle& oracle, Rng& rng,
-                                     obs::EventBus* trace) {
+std::vector<DhtId> pis_identifiers(std::span<const NodeId> hosts,
+                                   std::span<const NodeId> landmarks,
+                                   const LatencyOracle& oracle, Rng& rng,
+                                   obs::EventBus* trace) {
   PROPSIM_CHECK(!hosts.empty());
   PROPSIM_CHECK(!landmarks.empty());
   const std::size_t n = hosts.size();
@@ -54,10 +54,10 @@ std::vector<ChordId> pis_identifiers(std::span<const NodeId> hosts,
 
   // Evenly spaced ids in bin order; a small deterministic offset per
   // position keeps ids unique and non-zero-aligned.
-  std::vector<ChordId> ids(n);
-  const ChordId gap = ~ChordId{0} / n;
+  std::vector<DhtId> ids(n);
+  const DhtId gap = ~DhtId{0} / n;
   for (std::size_t pos = 0; pos < n; ++pos) {
-    ids[keyed[pos].index] = static_cast<ChordId>(pos) * gap + gap / 2;
+    ids[keyed[pos].index] = static_cast<DhtId>(pos) * gap + gap / 2;
   }
   return ids;
 }

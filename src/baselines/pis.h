@@ -9,7 +9,7 @@
 #include <span>
 #include <vector>
 
-#include "chord/id_space.h"
+#include "common/id_space.h"
 #include "common/rng.h"
 #include "obs/event_bus.h"
 #include "topology/latency_oracle.h"
@@ -28,9 +28,9 @@ std::vector<std::uint32_t> landmark_ordering(NodeId host,
 /// ordering (ties broken by a seeded shuffle so equal bins spread out),
 /// then ids are spaced evenly around the ring in that order. Hosts in the
 /// same bin become ring-adjacent.
-std::vector<ChordId> pis_identifiers(std::span<const NodeId> hosts,
-                                     std::span<const NodeId> landmarks,
-                                     const LatencyOracle& oracle, Rng& rng,
-                                     obs::EventBus* trace = nullptr);
+std::vector<DhtId> pis_identifiers(std::span<const NodeId> hosts,
+                                   std::span<const NodeId> landmarks,
+                                   const LatencyOracle& oracle, Rng& rng,
+                                   obs::EventBus* trace = nullptr);
 
 }  // namespace propsim

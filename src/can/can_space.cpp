@@ -1,8 +1,6 @@
 #include "can/can_space.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 
 namespace propsim {
 namespace {
@@ -193,28 +191,6 @@ LogicalGraph CanSpace::to_logical_graph() const {
     }
   }
   return g;
-}
-
-bool CanSpace::validate() const {
-  double volume = 0.0;
-  for (const CanZone& z : zones_) {
-    for (std::size_t d = 0; d < kCanDims; ++d) {
-      if (z.lo[d] >= z.hi[d] || z.hi[d] > kCanSpan) return false;
-    }
-    volume += z.volume_fraction();
-  }
-  if (std::abs(volume - 1.0) > 1e-9) return false;
-  for (std::size_t a = 0; a < zones_.size(); ++a) {
-    for (std::size_t b = 0; b < zones_.size(); ++b) {
-      if (a == b) continue;
-      const bool adj = zones_adjacent(zones_[a], zones_[b]);
-      const auto& na = neighbors_[a];
-      const bool listed =
-          std::find(na.begin(), na.end(), static_cast<SlotId>(b)) != na.end();
-      if (adj != listed) return false;
-    }
-  }
-  return true;
 }
 
 OverlayNetwork make_can_overlay(const CanSpace& space,

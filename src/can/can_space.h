@@ -71,10 +71,6 @@ class CanSpace {
   /// Neighbor relation as an undirected logical graph.
   LogicalGraph to_logical_graph() const;
 
-  /// Audit: zones tile the space (volumes sum to 1) and the neighbor
-  /// lists are symmetric and complete. O(n^2); for tests.
-  bool validate() const;
-
  private:
   explicit CanSpace(std::size_t reserve_hint);
   void rebuild_neighbors();

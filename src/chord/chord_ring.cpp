@@ -2,38 +2,23 @@
 
 #include <algorithm>
 #include <numeric>
-#include <unordered_set>
 
 namespace propsim {
 
-ChordRing::ChordRing(std::vector<ChordId> ids, const ChordConfig& config)
+ChordRing::ChordRing(std::vector<DhtId> ids, const ChordConfig& config)
     : config_(config), ids_(std::move(ids)) {
   PROPSIM_CHECK(!ids_.empty());
-  PROPSIM_CHECK(config_.successor_list >= 1);
-  PROPSIM_CHECK(config_.finger_bits >= 1 && config_.finger_bits <= 64);
   rebuild_tables();
 }
 
 ChordRing ChordRing::build_random(std::size_t slot_count,
                                   const ChordConfig& config, Rng& rng) {
-  PROPSIM_CHECK(slot_count >= 2);
-  // det-ok(D1): duplicate-id probe only; ids are emitted via the vector
-  std::unordered_set<ChordId> seen;
-  std::vector<ChordId> ids;
-  ids.reserve(slot_count);
-  while (ids.size() < slot_count) {
-    const ChordId id = rng.next();
-    if (seen.insert(id).second) ids.push_back(id);
-  }
-  return ChordRing(std::move(ids), config);
+  return ChordRing(draw_distinct_ids(slot_count, rng), config);
 }
 
-ChordRing ChordRing::build_with_ids(std::vector<ChordId> ids,
+ChordRing ChordRing::build_with_ids(std::vector<DhtId> ids,
                                     const ChordConfig& config) {
-  std::vector<ChordId> sorted = ids;
-  std::sort(sorted.begin(), sorted.end());
-  PROPSIM_CHECK(std::adjacent_find(sorted.begin(), sorted.end()) ==
-                sorted.end());
+  check_distinct_ids(ids);
   return ChordRing(std::move(ids), config);
 }
 
@@ -49,7 +34,7 @@ void ChordRing::rebuild_tables() {
   }
 
   succ_.assign(n, {});
-  const std::size_t list_len = std::min(config_.successor_list, n - 1);
+  const std::size_t list_len = std::min(kSuccessorList, n - 1);
   for (SlotId s = 0; s < n; ++s) {
     succ_[s].reserve(list_len);
     for (std::size_t k = 1; k <= list_len; ++k) {
@@ -60,8 +45,8 @@ void ChordRing::rebuild_tables() {
   fingers_.assign(n, {});
   for (SlotId s = 0; s < n; ++s) {
     auto& table = fingers_[s];
-    for (std::size_t k = 0; k < config_.finger_bits; ++k) {
-      const ChordId point = ids_[s] + (ChordId{1} << k);
+    for (std::size_t k = 0; k < kDhtIdBits; ++k) {
+      const DhtId point = ids_[s] + (DhtId{1} << k);
       const SlotId target = successor_of(point);
       if (target == s) continue;  // tiny rings: the point wraps to self
       if (std::find(table.begin(), table.end(), target) == table.end()) {
@@ -71,11 +56,11 @@ void ChordRing::rebuild_tables() {
   }
 }
 
-SlotId ChordRing::successor_of(ChordId key) const {
+SlotId ChordRing::successor_of(DhtId key) const {
   // First slot clockwise whose id >= key, wrapping to the smallest id.
   const auto it = std::lower_bound(
       ring_order_.begin(), ring_order_.end(), key,
-      [&](SlotId s, ChordId k) { return ids_[s] < k; });
+      [&](SlotId s, DhtId k) { return ids_[s] < k; });
   if (it == ring_order_.end()) return ring_order_.front();
   return *it;
 }
@@ -90,16 +75,16 @@ SlotId ChordRing::ring_predecessor(SlotId s, std::size_t steps) const {
   return ring_order_[(ring_pos_[s] + n - (steps % n)) % n];
 }
 
-SlotId ChordRing::closest_preceding(SlotId u, ChordId key) const {
+SlotId ChordRing::closest_preceding(SlotId u, DhtId key) const {
   // Scan fingers and successors for the id closest to (but before) key;
   // examining all table entries matches Chord's closest_preceding_finger
   // generalized to the whole routing table.
   SlotId best = kInvalidSlot;
-  ChordId best_dist = 0;
+  DhtId best_dist = 0;
   auto consider = [&](SlotId cand) {
     if (cand == u) return;
     if (!in_interval_oo(ids_[u], key, ids_[cand])) return;
-    const ChordId dist = clockwise_distance(ids_[cand], key);
+    const DhtId dist = clockwise_distance(ids_[cand], key);
     if (best == kInvalidSlot || dist < best_dist) {
       best = cand;
       best_dist = dist;
@@ -110,7 +95,7 @@ SlotId ChordRing::closest_preceding(SlotId u, ChordId key) const {
   return best;
 }
 
-std::vector<SlotId> ChordRing::lookup_path(SlotId source, ChordId key) const {
+std::vector<SlotId> ChordRing::lookup_path(SlotId source, DhtId key) const {
   PROPSIM_CHECK(source < ids_.size());
   const SlotId owner = successor_of(key);
   std::vector<SlotId> path{source};
@@ -153,8 +138,8 @@ void ChordRing::apply_pns(std::span<const NodeId> hosts,
   for (SlotId s = 0; s < n; ++s) {
     auto& table = fingers_[s];
     table.clear();
-    for (std::size_t k = 0; k < config_.finger_bits; ++k) {
-      const ChordId point = ids_[s] + (ChordId{1} << k);
+    for (std::size_t k = 0; k < kDhtIdBits; ++k) {
+      const DhtId point = ids_[s] + (DhtId{1} << k);
       // Candidates: the first pns_candidates slots clockwise from the
       // finger point; all of them own keys "near" the point, so any is a
       // legal finger. Pick the physically nearest.
@@ -167,7 +152,7 @@ void ChordRing::apply_pns(std::span<const NodeId> hosts,
         if (cand == s) continue;
         // Candidates must stay within the half-ring of the finger point
         // so greedy routing still makes clockwise progress.
-        if (!in_interval_oo(ids_[s], ids_[s] + (ChordId{1} << k) * 2,
+        if (!in_interval_oo(ids_[s], ids_[s] + (DhtId{1} << k) * 2,
                             ids_[cand]) &&
             c > 0) {
           break;

@@ -12,7 +12,7 @@
 #include <span>
 #include <vector>
 
-#include "chord/id_space.h"
+#include "common/id_space.h"
 #include "common/rng.h"
 #include "overlay/logical_graph.h"
 #include "overlay/overlay_network.h"
@@ -21,10 +21,6 @@
 namespace propsim {
 
 struct ChordConfig {
-  /// Successor-list length (fault tolerance and the final routing step).
-  std::size_t successor_list = 4;
-  /// Number of finger levels (2^k steps, k < finger_bits).
-  std::size_t finger_bits = 64;
   /// Proximity Neighbor Selection: when > 1, each finger slot is the
   /// physically nearest of this many candidate ring positions after the
   /// finger point (the PNS baseline; 1 = plain Chord).
@@ -33,20 +29,24 @@ struct ChordConfig {
 
 class ChordRing {
  public:
+  /// Successor-list length (fault tolerance and the final routing step);
+  /// rings of at most this many slots list every other slot.
+  static constexpr std::size_t kSuccessorList = 4;
+
   /// Random identifier assignment (plain Chord / PROP-G substrate).
   static ChordRing build_random(std::size_t slot_count,
                                 const ChordConfig& config, Rng& rng);
 
   /// Caller-chosen identifiers (the PIS baseline assigns ids by landmark
   /// bins). Ids must be distinct.
-  static ChordRing build_with_ids(std::vector<ChordId> ids,
+  static ChordRing build_with_ids(std::vector<DhtId> ids,
                                   const ChordConfig& config);
 
   std::size_t size() const { return ids_.size(); }
-  ChordId id_of(SlotId s) const { return ids_[s]; }
+  DhtId id_of(SlotId s) const { return ids_[s]; }
 
   /// Ground truth: the slot owning `key` (first id clockwise >= key).
-  SlotId successor_of(ChordId key) const;
+  SlotId successor_of(DhtId key) const;
 
   /// Immediate ring successor / predecessor slots of a slot.
   SlotId ring_successor(SlotId s, std::size_t steps = 1) const;
@@ -57,7 +57,7 @@ class ChordRing {
 
   /// Greedy iterative lookup from `source` for `key`; returns the slot
   /// sequence ending at the key's owner. Hop count is O(log n) w.h.p.
-  std::vector<SlotId> lookup_path(SlotId source, ChordId key) const;
+  std::vector<SlotId> lookup_path(SlotId source, DhtId key) const;
 
   /// Routing-table links as an undirected logical graph (fingers +
   /// successor lists + predecessor back-links, deduplicated) — the
@@ -72,13 +72,13 @@ class ChordRing {
   const ChordConfig& config() const { return config_; }
 
  private:
-  ChordRing(std::vector<ChordId> ids, const ChordConfig& config);
+  ChordRing(std::vector<DhtId> ids, const ChordConfig& config);
 
   void rebuild_tables();
-  SlotId closest_preceding(SlotId u, ChordId key) const;
+  SlotId closest_preceding(SlotId u, DhtId key) const;
 
   ChordConfig config_;
-  std::vector<ChordId> ids_;           // by slot
+  std::vector<DhtId> ids_;             // by slot
   std::vector<SlotId> ring_order_;     // slots sorted by id
   std::vector<std::size_t> ring_pos_;  // slot -> index in ring_order_
   std::vector<std::vector<SlotId>> fingers_;  // by slot, deduplicated

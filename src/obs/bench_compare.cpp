@@ -132,11 +132,11 @@ CompareReport compare_metrics(const Json& baseline, const Json& candidate,
   flatten_numeric(baseline, "", base_metrics);
   flatten_numeric(candidate, "", cand_metrics);
 
-  std::size_t missing = 0;
+  std::vector<std::string> missing;
   for (const auto& [path, base_value] : base_metrics) {
     const auto it = cand_metrics.find(path);
     if (it == cand_metrics.end()) {
-      ++missing;
+      missing.push_back(path);
       continue;
     }
     MetricDelta d;
@@ -177,9 +177,20 @@ CompareReport compare_metrics(const Json& baseline, const Json& candidate,
     }
     report.deltas.push_back(std::move(d));
   }
-  if (missing > 0) {
-    report.notes.push_back(std::to_string(missing) +
-                           " baseline metric(s) absent from candidate");
+  if (!missing.empty()) {
+    const std::string what = std::to_string(missing.size()) +
+                             " baseline metric(s) absent from candidate";
+    if (options.strict_baseline) {
+      // The candidate's schema shrank: name every path it lost.
+      std::string paths;
+      for (const std::string& path : missing) {
+        paths += (paths.empty() ? "" : ", ") + path;
+      }
+      report.required_failures.push_back(what + ": " + paths +
+                                         " (regenerate the baseline)");
+    } else {
+      report.notes.push_back(what);
+    }
   }
   std::size_t fresh = 0;
   for (const auto& [path, value] : cand_metrics) {

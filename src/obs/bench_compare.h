@@ -54,9 +54,11 @@ struct CompareOptions {
   /// Candidate matches with no baseline counterpart are warned about
   /// (the gate cannot compare them) — or fail, under strict_baseline.
   std::vector<std::string> require_metrics;
-  /// Escalates "required metric present in candidate but missing from
-  /// baseline" from a note to a failure, so a fresh bench field cannot
-  /// silently bypass the gate until the baseline is regenerated.
+  /// Escalates two notes to failures: "required metric present in
+  /// candidate but missing from baseline", so a fresh bench field cannot
+  /// silently bypass the gate until the baseline is regenerated, and
+  /// "baseline metric absent from candidate", so the candidate's schema
+  /// cannot silently shrink.
   bool strict_baseline = false;
 };
 
@@ -77,7 +79,8 @@ struct CompareReport {
   std::vector<std::string> notes;   // skipped/missing-metric diagnostics
   std::vector<std::string> errors;  // schema mismatch etc. => not ok
   /// --require-metric violations: needles the candidate does not carry,
-  /// plus (under strict_baseline) candidate matches the baseline lacks.
+  /// plus (under strict_baseline) candidate matches the baseline lacks
+  /// and baseline metrics the candidate lacks.
   /// Gate failures like regressions, not invocation errors.
   std::vector<std::string> required_failures;
   std::size_t regressions() const;

@@ -26,50 +26,11 @@ std::string graph_to_edge_list(const Graph& g) {
   return os.str();
 }
 
-Graph graph_from_edge_list(const std::string& text) {
-  std::istringstream in(text);
-  std::string line;
-  Graph g;
-  bool have_nodes = false;
-  while (std::getline(in, line)) {
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    std::istringstream fields(line);
-    std::string first;
-    if (!(fields >> first)) continue;  // blank line
-    if (first == "nodes") {
-      std::size_t n = 0;
-      PROPSIM_CHECK(static_cast<bool>(fields >> n));
-      PROPSIM_CHECK(!have_nodes);
-      g = Graph(n);
-      have_nodes = true;
-      continue;
-    }
-    PROPSIM_CHECK(have_nodes);
-    NodeId u = 0;
-    NodeId v = 0;
-    double w = 0.0;
-    u = static_cast<NodeId>(std::stoul(first));
-    PROPSIM_CHECK(static_cast<bool>(fields >> v >> w));
-    g.add_edge(u, v, w);
-  }
-  PROPSIM_CHECK(have_nodes);
-  return g;
-}
-
 void save_graph(const Graph& g, const std::string& path) {
   std::ofstream out(path);
   PROPSIM_CHECK(out.good());
   out << graph_to_edge_list(g);
   PROPSIM_CHECK(out.good());
-}
-
-Graph load_graph(const std::string& path) {
-  std::ifstream in(path);
-  PROPSIM_CHECK(in.good());
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return graph_from_edge_list(buf.str());
 }
 
 std::string graph_to_dot(const Graph& g, bool label_weights) {

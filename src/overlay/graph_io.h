@@ -1,6 +1,7 @@
 // Graph persistence and visualization export.
 //
-// Edge-list text format (round-trippable):
+// Edge-list text format (read back by snapshot_from_edge_list in
+// analysis/lint_rules.h, the reader propsim_lint uses):
 //   # comment
 //   nodes <N>
 //   <u> <v> <weight>
@@ -20,12 +21,8 @@ namespace propsim {
 /// Serializes a graph to the edge-list format.
 std::string graph_to_edge_list(const Graph& g);
 
-/// Parses the edge-list format; check-fails on malformed input.
-Graph graph_from_edge_list(const std::string& text);
-
-/// Writes/reads edge-list files.
+/// Writes an edge-list file.
 void save_graph(const Graph& g, const std::string& path);
-Graph load_graph(const std::string& path);
 
 /// Graphviz DOT of a physical graph (undirected; weight as edge label
 /// when label_weights is set).

@@ -44,23 +44,4 @@ std::vector<NodeId> Placement::bound_hosts() const {
   return hosts;
 }
 
-bool Placement::validate() const {
-  std::size_t bound = 0;
-  for (std::size_t s = 0; s < host_of_.size(); ++s) {
-    const NodeId h = host_of_[s];
-    if (h == kInvalidNode) continue;
-    ++bound;
-    if (h >= slot_of_.size()) return false;
-    if (slot_of_[h] != static_cast<SlotId>(s)) return false;
-  }
-  if (bound != bound_count_) return false;
-  for (std::size_t h = 0; h < slot_of_.size(); ++h) {
-    const SlotId s = slot_of_[h];
-    if (s == kInvalidSlot) continue;
-    if (s >= host_of_.size()) return false;
-    if (host_of_[s] != static_cast<NodeId>(h)) return false;
-  }
-  return true;
-}
-
 }  // namespace propsim

@@ -71,9 +71,6 @@ class Placement {
   /// Hosts of all bound slots, ordered by slot id.
   std::vector<NodeId> bound_hosts() const;
 
-  /// Internal-consistency audit (bijection both ways); O(slots + hosts).
-  bool validate() const;
-
  private:
   /// Draws a stamp and makes it the placement's version.
   std::uint64_t next_stamp() { return version_ = next_mutation_stamp(); }

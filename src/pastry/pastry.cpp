@@ -1,44 +1,29 @@
 #include "pastry/pastry.h"
 
 #include <algorithm>
+#include <functional>
 #include <numeric>
-#include <unordered_set>
 
 namespace propsim {
 
-PastryNetwork::PastryNetwork(std::vector<PastryId> ids,
-                             const PastryConfig& config)
-    : config_(config), ids_(std::move(ids)) {
+PastryNetwork::PastryNetwork(std::vector<DhtId> ids) : ids_(std::move(ids)) {
   PROPSIM_CHECK(ids_.size() >= 2);
-  PROPSIM_CHECK(config_.leaf_set_half >= 1);
-  rebuild_tables();
+  build_ring();
+  // apply_proximity() re-ranks by latency.
+  tables_ = prefix_tables(ids_, kInvalidSlot, id_ring_rank(ids_),
+                          std::less<>{});
 }
 
-PastryNetwork PastryNetwork::build_random(std::size_t slot_count,
-                                          const PastryConfig& config,
-                                          Rng& rng) {
-  PROPSIM_CHECK(slot_count >= 2);
-  // det-ok(D1): duplicate-id probe only; ids are emitted via the vector
-  std::unordered_set<PastryId> seen;
-  std::vector<PastryId> ids;
-  ids.reserve(slot_count);
-  while (ids.size() < slot_count) {
-    const PastryId id = rng.next();
-    if (seen.insert(id).second) ids.push_back(id);
-  }
-  return PastryNetwork(std::move(ids), config);
+PastryNetwork PastryNetwork::build_random(std::size_t slot_count, Rng& rng) {
+  return PastryNetwork(draw_distinct_ids(slot_count, rng));
 }
 
-PastryNetwork PastryNetwork::build_with_ids(std::vector<PastryId> ids,
-                                            const PastryConfig& config) {
-  std::vector<PastryId> sorted = ids;
-  std::sort(sorted.begin(), sorted.end());
-  PROPSIM_CHECK(std::adjacent_find(sorted.begin(), sorted.end()) ==
-                sorted.end());
-  return PastryNetwork(std::move(ids), config);
+PastryNetwork PastryNetwork::build_with_ids(std::vector<DhtId> ids) {
+  check_distinct_ids(ids);
+  return PastryNetwork(std::move(ids));
 }
 
-void PastryNetwork::rebuild_tables() {
+void PastryNetwork::build_ring() {
   const std::size_t n = ids_.size();
   ring_order_.resize(n);
   std::iota(ring_order_.begin(), ring_order_.end(), SlotId{0});
@@ -47,9 +32,9 @@ void PastryNetwork::rebuild_tables() {
   ring_pos_.resize(n);
   for (std::size_t i = 0; i < n; ++i) ring_pos_[ring_order_[i]] = i;
 
-  // Leaf sets: leaf_set_half ring neighbors on each side (the whole
+  // Leaf sets: kLeafSetHalf ring neighbors on each side (the whole
   // ring for tiny networks).
-  const std::size_t half = std::min(config_.leaf_set_half, (n - 1) / 2);
+  const std::size_t half = std::min(kLeafSetHalf, (n - 1) / 2);
   leaves_.assign(n, {});
   for (SlotId s = 0; s < n; ++s) {
     auto& set = leaves_[s];
@@ -60,36 +45,14 @@ void PastryNetwork::rebuild_tables() {
     }
     if (half == 0 && n == 2) set.push_back(ring_order_[(pos + 1) % 2]);
   }
-
-  // Routing tables: one pass over all ordered pairs; each candidate t
-  // lands in cell (shared, digit_t); keep the candidate with the
-  // smallest ring distance (deterministic, proximity-neutral).
-  tables_.assign(n, std::vector<SlotId>(kPastryDigits * kPastryBase,
-                                        kInvalidSlot));
-  for (SlotId s = 0; s < n; ++s) {
-    auto& table = tables_[s];
-    for (SlotId t = 0; t < n; ++t) {
-      if (t == s) continue;
-      const std::size_t shared = shared_prefix_len(ids_[s], ids_[t]);
-      if (shared == kPastryDigits) continue;  // impossible: distinct ids
-      const std::size_t cell =
-          shared * kPastryBase + pastry_digit(ids_[t], shared);
-      const SlotId cur = table[cell];
-      if (cur == kInvalidSlot ||
-          ring_distance(ids_[t], ids_[s]) <
-              ring_distance(ids_[cur], ids_[s])) {
-        table[cell] = t;
-      }
-    }
-  }
 }
 
-SlotId PastryNetwork::owner_of(PastryId key) const {
+SlotId PastryNetwork::owner_of(DhtId key) const {
   // Nearest id on the ring: check the two candidates around the key's
   // insertion point in ring order.
   const auto it = std::lower_bound(
       ring_order_.begin(), ring_order_.end(), key,
-      [&](SlotId s, PastryId k) { return ids_[s] < k; });
+      [&](SlotId s, DhtId k) { return ids_[s] < k; });
   const std::size_t n = ring_order_.size();
   const std::size_t hi_pos =
       (it == ring_order_.end()) ? 0
@@ -98,8 +61,8 @@ SlotId PastryNetwork::owner_of(PastryId key) const {
   const std::size_t lo_pos = (hi_pos + n - 1) % n;
   const SlotId hi = ring_order_[hi_pos];
   const SlotId lo = ring_order_[lo_pos];
-  const PastryId dh = ring_distance(ids_[hi], key);
-  const PastryId dl = ring_distance(ids_[lo], key);
+  const DhtId dh = id_ring_distance(ids_[hi], key);
+  const DhtId dl = id_ring_distance(ids_[lo], key);
   if (dh != dl) return dh < dl ? hi : lo;
   return ids_[hi] < ids_[lo] ? hi : lo;
 }
@@ -107,12 +70,12 @@ SlotId PastryNetwork::owner_of(PastryId key) const {
 SlotId PastryNetwork::table_entry(SlotId s, std::size_t row,
                                   std::size_t col) const {
   PROPSIM_DCHECK(s < ids_.size());
-  PROPSIM_DCHECK(row < kPastryDigits && col < kPastryBase);
-  return tables_[s][row * kPastryBase + col];
+  PROPSIM_DCHECK(row < kHexDigits && col < kHexBase);
+  return tables_[s][hex_cell(row, col)];
 }
 
 std::vector<SlotId> PastryNetwork::lookup_path(SlotId source,
-                                               PastryId key) const {
+                                               DhtId key) const {
   PROPSIM_CHECK(source < ids_.size());
   const SlotId owner = owner_of(key);
   std::vector<SlotId> path{source};
@@ -127,8 +90,8 @@ std::vector<SlotId> PastryNetwork::lookup_path(SlotId source,
       next = owner;
     } else {
       // Prefix step: the table cell for the key's next digit.
-      const std::size_t shared = shared_prefix_len(ids_[here], key);
-      next = tables_[here][shared * kPastryBase + pastry_digit(key, shared)];
+      const std::size_t shared = hex_shared_prefix(ids_[here], key);
+      next = tables_[here][hex_cell(shared, hex_digit(key, shared))];
       if (next == kInvalidSlot) {
         // Rare case: no entry — forward to a known node at least as
         // prefix-matched and strictly ring-closer to the key; if the
@@ -137,16 +100,16 @@ std::vector<SlotId> PastryNetwork::lookup_path(SlotId source,
         // greed, which the leaf set always satisfies: the ring neighbor
         // toward the key is strictly closer unless it *is* the owner,
         // and that case was handled above.
-        const PastryId here_dist = ring_distance(ids_[here], key);
+        const DhtId here_dist = id_ring_distance(ids_[here], key);
         auto consider = [&](SlotId cand, bool require_prefix) {
           if (cand == kInvalidSlot || cand == here) return;
           if (require_prefix &&
-              shared_prefix_len(ids_[cand], key) < shared) {
+              hex_shared_prefix(ids_[cand], key) < shared) {
             return;
           }
-          const PastryId d = ring_distance(ids_[cand], key);
+          const DhtId d = id_ring_distance(ids_[cand], key);
           if (d >= here_dist) return;
-          if (next == kInvalidSlot || d < ring_distance(ids_[next], key)) {
+          if (next == kInvalidSlot || d < id_ring_distance(ids_[next], key)) {
             next = cand;
           }
         };
@@ -183,25 +146,10 @@ LogicalGraph PastryNetwork::to_logical_graph() const {
 void PastryNetwork::apply_proximity(std::span<const NodeId> hosts,
                                     const LatencyOracle& oracle) {
   PROPSIM_CHECK(hosts.size() == ids_.size());
-  const std::size_t n = ids_.size();
-  // Same single pass as rebuild_tables but the per-cell winner is the
-  // physically nearest candidate instead of the id-nearest one.
-  for (SlotId s = 0; s < n; ++s) {
-    auto& table = tables_[s];
-    std::fill(table.begin(), table.end(), kInvalidSlot);
-    for (SlotId t = 0; t < n; ++t) {
-      if (t == s) continue;
-      const std::size_t shared = shared_prefix_len(ids_[s], ids_[t]);
-      const std::size_t cell =
-          shared * kPastryBase + pastry_digit(ids_[t], shared);
-      const SlotId cur = table[cell];
-      if (cur == kInvalidSlot ||
-          oracle.latency(hosts[s], hosts[t]) <
-              oracle.latency(hosts[s], hosts[cur])) {
-        table[cell] = t;
-      }
-    }
-  }
+  tables_ = prefix_tables(
+      ids_, kInvalidSlot,
+      [&](SlotId s, SlotId t) { return oracle.latency(hosts[s], hosts[t]); },
+      std::less<>{});
 }
 
 OverlayNetwork make_pastry_overlay(const PastryNetwork& pastry,

@@ -18,6 +18,7 @@
 #include <span>
 #include <vector>
 
+#include "common/id_space.h"
 #include "common/rng.h"
 #include "overlay/logical_graph.h"
 #include "overlay/overlay_network.h"
@@ -25,68 +26,36 @@
 
 namespace propsim {
 
-using PastryId = std::uint64_t;
-
-/// Digits per id and columns per row with b = 4 (hex digits).
-constexpr std::size_t kPastryDigits = 16;
-constexpr std::size_t kPastryBase = 16;
-
-/// Digit d (0 = most significant) of an id.
-constexpr std::uint32_t pastry_digit(PastryId id, std::size_t d) {
-  return static_cast<std::uint32_t>(
-      (id >> (4 * (kPastryDigits - 1 - d))) & 0xF);
-}
-
-/// Length of the common hex-digit prefix of two ids (0..16).
-constexpr std::size_t shared_prefix_len(PastryId a, PastryId b) {
-  std::size_t len = 0;
-  while (len < kPastryDigits && pastry_digit(a, len) == pastry_digit(b, len)) {
-    ++len;
-  }
-  return len;
-}
-
-/// Circular distance on the 64-bit id ring (min of both directions).
-constexpr PastryId ring_distance(PastryId a, PastryId b) {
-  const PastryId d = a - b;
-  const PastryId e = b - a;
-  return d < e ? d : e;
-}
-
-struct PastryConfig {
-  /// Leaf-set size (L/2 on each side).
-  std::size_t leaf_set_half = 4;
-};
-
 class PastryNetwork {
  public:
+  /// Leaf-set size L/2: ring neighbors kept on each side.
+  static constexpr std::size_t kLeafSetHalf = 4;
+
   /// Random distinct ids over `slot_count` slots.
-  static PastryNetwork build_random(std::size_t slot_count,
-                                    const PastryConfig& config, Rng& rng);
+  static PastryNetwork build_random(std::size_t slot_count, Rng& rng);
 
   /// Caller-chosen distinct ids (landmark-binned ids, tests).
-  static PastryNetwork build_with_ids(std::vector<PastryId> ids,
-                                      const PastryConfig& config);
+  static PastryNetwork build_with_ids(std::vector<DhtId> ids);
 
   std::size_t size() const { return ids_.size(); }
-  PastryId id_of(SlotId s) const { return ids_[s]; }
+  DhtId id_of(SlotId s) const { return ids_[s]; }
 
   /// Ground truth: the slot numerically closest to `key` on the ring
   /// (ties broken toward the lower id).
-  SlotId owner_of(PastryId key) const;
+  SlotId owner_of(DhtId key) const;
 
   /// Routing-table entry for (row, col); kInvalidSlot when empty.
   SlotId table_entry(SlotId s, std::size_t row, std::size_t col) const;
 
-  /// The leaf set of a slot: the leaf_set_half nearest ids on either
-  /// side, by ring order.
+  /// The leaf set of a slot: the kLeafSetHalf nearest ids on either
+  /// side, by ring order (the whole ring for tiny networks).
   std::span<const SlotId> leaf_set(SlotId s) const { return leaves_[s]; }
 
   /// Prefix routing from `source` toward `key`; the path ends at
   /// owner_of(key). Each hop either lengthens the shared prefix or
   /// (within the leaf set) jumps straight to the numerically closest
   /// node.
-  std::vector<SlotId> lookup_path(SlotId source, PastryId key) const;
+  std::vector<SlotId> lookup_path(SlotId source, DhtId key) const;
 
   /// Routing-state links (table entries + leaf sets) as an undirected
   /// logical graph — the neighbor set PROP operates on.
@@ -94,27 +63,21 @@ class PastryNetwork {
 
   /// Refills every routing-table cell with the physically nearest
   /// candidate among the nodes eligible for that cell (Castro et al.'s
-  /// proximity-aware Pastry). Leaf sets are constrained by id order and
-  /// stay as they are.
+  /// proximity-aware Pastry); of equally near candidates the lowest slot
+  /// wins. Leaf sets are constrained by id order and stay as they are.
   void apply_proximity(std::span<const NodeId> hosts,
                        const LatencyOracle& oracle);
 
-  const PastryConfig& config() const { return config_; }
-
  private:
-  PastryNetwork(std::vector<PastryId> ids, const PastryConfig& config);
+  explicit PastryNetwork(std::vector<DhtId> ids);
 
-  void rebuild_tables();
-  /// All slots whose id shares exactly `row` digits with s and whose
-  /// next digit is `col` (candidates for the table cell).
-  std::vector<SlotId> cell_candidates(SlotId s, std::size_t row,
-                                      std::size_t col) const;
+  /// Ring order and leaf sets.
+  void build_ring();
 
-  PastryConfig config_;
-  std::vector<PastryId> ids_;
+  std::vector<DhtId> ids_;
   std::vector<SlotId> ring_order_;     // slots sorted by id
   std::vector<std::size_t> ring_pos_;  // slot -> position in ring_order_
-  /// tables_[s][row * kPastryBase + col]
+  /// tables_[s][hex_cell(row, col)]; the earlier candidate keeps a tie.
   std::vector<std::vector<SlotId>> tables_;
   std::vector<std::vector<SlotId>> leaves_;
 };

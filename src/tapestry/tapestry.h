@@ -18,7 +18,7 @@
 #include <span>
 #include <vector>
 
-#include "common/hex_id.h"
+#include "common/id_space.h"
 #include "common/rng.h"
 #include "overlay/logical_graph.h"
 #include "overlay/overlay_network.h"
@@ -26,66 +26,44 @@
 
 namespace propsim {
 
-using TapestryId = std::uint64_t;
-
-struct TapestryConfig {
-  /// Redundant entries kept per (level, digit) cell; the first is the
-  /// primary route, the rest are fault-tolerance backups that also
-  /// widen the logical neighbor set PROP operates on.
-  std::size_t entries_per_cell = 1;
-};
-
 class TapestryNetwork {
  public:
-  static TapestryNetwork build_random(std::size_t slot_count,
-                                      const TapestryConfig& config, Rng& rng);
-  static TapestryNetwork build_with_ids(std::vector<TapestryId> ids,
-                                        const TapestryConfig& config);
+  static TapestryNetwork build_random(std::size_t slot_count, Rng& rng);
+  static TapestryNetwork build_with_ids(std::vector<DhtId> ids);
 
   std::size_t size() const { return ids_.size(); }
-  TapestryId id_of(SlotId s) const { return ids_[s]; }
+  DhtId id_of(SlotId s) const { return ids_[s]; }
 
   /// The unique root of `key` under surrogate routing: the digits of
   /// key are resolved one level at a time against the live prefix tree,
   /// each empty class replaced by the next non-empty digit upward
   /// (mod 16). Independent of any source node.
-  SlotId root_of(TapestryId key) const;
+  SlotId root_of(DhtId key) const;
 
-  /// Primary table entry for (level, digit); kInvalidSlot when the
-  /// class is empty. (Entry shares exactly `level` digits with s and
-  /// has `digit` at that position.)
+  /// Table entry for (level, digit); kInvalidSlot when the class is
+  /// empty. (Entry shares exactly `level` digits with s and has `digit`
+  /// at that position.)
   SlotId table_entry(SlotId s, std::size_t level, std::size_t digit) const;
-
-  /// All entries of a cell (primary first).
-  std::span<const SlotId> cell(SlotId s, std::size_t level,
-                               std::size_t digit) const;
 
   /// Routes from `source` toward `key`: at most one hop per level,
   /// ending at root_of(key).
-  std::vector<SlotId> lookup_path(SlotId source, TapestryId key) const;
+  std::vector<SlotId> lookup_path(SlotId source, DhtId key) const;
 
   /// Union of all table entries as an undirected logical graph.
   LogicalGraph to_logical_graph() const;
 
-  /// Refills every cell with the physically closest eligible nodes —
-  /// Tapestry's published neighbor-selection rule.
+  /// Refills every cell with the physically closest eligible node —
+  /// Tapestry's published neighbor-selection rule; of equally near
+  /// candidates the highest slot wins.
   void apply_proximity(std::span<const NodeId> hosts,
                        const LatencyOracle& oracle);
 
-  const TapestryConfig& config() const { return config_; }
-
  private:
-  TapestryNetwork(std::vector<TapestryId> ids, const TapestryConfig& config);
+  explicit TapestryNetwork(std::vector<DhtId> ids);
 
-  void rebuild_tables();
-  std::size_t cell_index(std::size_t level, std::size_t digit) const {
-    return level * kHexBase + digit;
-  }
-
-  TapestryConfig config_;
-  std::vector<TapestryId> ids_;
-  /// tables_[s][level*16+digit] = up to entries_per_cell slots.
-  std::vector<std::vector<std::vector<SlotId>>> tables_;
+  std::vector<DhtId> ids_;
+  /// tables_[s][hex_cell(level, digit)]; the later candidate takes a tie.
+  std::vector<std::vector<SlotId>> tables_;
 };
 
 /// OverlayNetwork over a Tapestry mesh: slot i bound to hosts[i].

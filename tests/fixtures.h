@@ -1,7 +1,12 @@
 // Shared small fixtures for propsim tests: a miniature transit-stub
-// physical network and overlay builders sized so suites stay fast.
+// physical network and overlay builders sized so suites stay fast, and
+// the one way a test audits a structural invariant (run_rule).
 #pragma once
 
+#include <string>
+#include <vector>
+
+#include "analysis/invariant_checker.h"
 #include "common/rng.h"
 #include "gnutella/gnutella.h"
 #include "overlay/overlay_network.h"
@@ -9,6 +14,12 @@
 #include "topology/transit_stub.h"
 
 namespace propsim::testing {
+
+/// Runs one named lint rule over `ctx`, e.g.
+/// run_rule("placement-bijection", {.placement = &net.placement()}).
+inline LintReport run_rule(const std::string& name, const LintContext& ctx) {
+  return InvariantChecker(std::vector<std::string>{name}).run(ctx);
+}
 
 /// 2 transit domains x 2 transit nodes x 2 stub domains x 12 stub nodes
 /// = 4 + 96 = 100 physical nodes.

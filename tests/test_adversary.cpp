@@ -21,6 +21,7 @@ namespace propsim {
 namespace {
 
 using testing::UnstructuredFixture;
+using testing::run_rule;
 
 PropParams adversary_test_params(PropMode mode) {
   PropParams p;
@@ -83,7 +84,9 @@ TEST(AdversaryModels, LiarsFlipGateDecisionsButPreserveStructure) {
   // (Theorem 1) and the placement bijection survive any lie.
   EXPECT_EQ(fx.net.graph().degree_multiset(), degrees);
   EXPECT_TRUE(fx.net.graph().active_subgraph_connected());
-  EXPECT_TRUE(fx.net.placement().validate());
+  EXPECT_TRUE(run_rule("placement-bijection",
+                       {.placement = &fx.net.placement()})
+                  .passed());
 }
 
 TEST(AdversaryModels, FreeRidersSkipProbesButHonestMajorityConverges) {
@@ -124,7 +127,9 @@ TEST(AdversaryModels, DroppersAbortPreparedCommits) {
       EXPECT_EQ(engine.negotiation_peer(peer), s);
     }
   }
-  EXPECT_TRUE(fx.net.placement().validate());
+  EXPECT_TRUE(run_rule("placement-bijection",
+                       {.placement = &fx.net.placement()})
+                  .passed());
 }
 
 TEST(AdversaryModels, EclipseCohortSteersButCannotFullyIsolate) {
@@ -143,7 +148,9 @@ TEST(AdversaryModels, EclipseCohortSteersButCannotFullyIsolate) {
   EXPECT_GT(adversary.stats().eclipse_attempts, 0u);
   // PROP-G moves hosts only: the logical graph is untouched, so the
   // target keeps its degree no matter how many seats are captured.
-  EXPECT_TRUE(fx.net.placement().validate());
+  EXPECT_TRUE(run_rule("placement-bijection",
+                       {.placement = &fx.net.placement()})
+                  .passed());
   const auto neighbors = fx.net.graph().neighbors(target);
   std::size_t cohort = 0;
   for (SlotId s = 0; s < static_cast<SlotId>(fx.net.graph().slot_count());
@@ -229,7 +236,9 @@ TEST(AdversaryFuzz, NoOrphanLocksOrPendingLeaksUnderAnyModel) {
             << c.name << " seed " << seed << " t=" << t << ":\n"
             << report.to_string();
       }
-      EXPECT_TRUE(fx.net.placement().validate()) << c.name;
+      EXPECT_TRUE(run_rule("placement-bijection",
+                           {.placement = &fx.net.placement()})
+                      .passed()) << c.name;
     }
   }
 }

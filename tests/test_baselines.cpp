@@ -124,7 +124,7 @@ TEST(Pis, IdentifiersAreDistinct) {
   const auto landmarks = select_landmarks(fx.topo, 3, rng);
   const auto hosts = fx.net.placement().bound_hosts();
   const auto ids = pis_identifiers(hosts, landmarks, fx.oracle, rng);
-  std::set<ChordId> uniq(ids.begin(), ids.end());
+  std::set<DhtId> uniq(ids.begin(), ids.end());
   EXPECT_EQ(uniq.size(), ids.size());
 }
 
@@ -135,7 +135,7 @@ TEST(Pis, RingNeighborsArePhysicallyCloserThanRandom) {
   const auto hosts = fx.net.placement().bound_hosts();
   const auto pis_ids = pis_identifiers(hosts, landmarks, fx.oracle, rng);
 
-  auto ring_neighbor_latency = [&](const std::vector<ChordId>& ids) {
+  auto ring_neighbor_latency = [&](const std::vector<DhtId>& ids) {
     const auto ring = ChordRing::build_with_ids(ids, ChordConfig{});
     double sum = 0.0;
     for (SlotId s = 0; s < ring.size(); ++s) {
@@ -144,10 +144,10 @@ TEST(Pis, RingNeighborsArePhysicallyCloserThanRandom) {
     return sum / static_cast<double>(ring.size());
   };
 
-  std::vector<ChordId> random_ids;
-  std::set<ChordId> seen;
+  std::vector<DhtId> random_ids;
+  std::set<DhtId> seen;
   while (random_ids.size() < hosts.size()) {
-    const ChordId id = rng.next();
+    const DhtId id = rng.next();
     if (seen.insert(id).second) random_ids.push_back(id);
   }
   EXPECT_LT(ring_neighbor_latency(pis_ids),

@@ -155,6 +155,27 @@ TEST(CompareMetrics, MissingMetricsAreNotedNotFatal) {
   EXPECT_FALSE(r.notes.empty());
 }
 
+TEST(CompareMetrics, StrictBaselineFailsWhenTheCandidateLosesMetrics) {
+  std::string error;
+  const auto base = Json::parse(
+      R"({"schema":"x","version":1,"wall_ms":5,"extra":7,"rows":[1,2]})",
+      &error);
+  const auto cand = Json::parse(
+      R"({"schema":"x","version":1,"wall_ms":5,"rows":[1]})", &error);
+  ASSERT_TRUE(base && cand);
+  CompareOptions opt;
+  opt.strict_baseline = true;
+  const CompareReport r = obs::compare_metrics(*base, *cand, opt);
+  EXPECT_FALSE(r.ok());
+  ASSERT_EQ(r.required_failures.size(), 1u);
+  const std::string& failure = r.required_failures[0];
+  EXPECT_NE(failure.find("2 baseline metric(s) absent"), std::string::npos);
+  EXPECT_NE(failure.find("extra"), std::string::npos);
+  EXPECT_NE(failure.find("rows.1"), std::string::npos);
+  // The same documents compare clean once nothing is missing.
+  EXPECT_TRUE(obs::compare_metrics(*base, *base, opt).ok());
+}
+
 TEST(CompareMetrics, RequireMetricPresentInBothPasses) {
   const Json base = doc("propsim.bench.oracle", 100.0, 5000.0, 2.0);
   CompareOptions opt;

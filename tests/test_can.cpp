@@ -6,10 +6,13 @@
 
 #include "can/can_space.h"
 #include "common/rng.h"
+#include "fixtures.h"
 #include "topology/random_graphs.h"
 
 namespace propsim {
 namespace {
+
+using testing::run_rule;
 
 TEST(CanZone, ContainsAndCenter) {
   CanZone z;
@@ -72,7 +75,7 @@ TEST(CanSpaceBuild, TilesAndValidates) {
   Rng rng(1);
   const auto space = CanSpace::build(40, rng);
   EXPECT_EQ(space.size(), 40u);
-  EXPECT_TRUE(space.validate());
+  EXPECT_TRUE(run_rule("can-tiling", {.can = &space}).passed());
 }
 
 TEST(CanSpaceBuild, OwnerIsUnique) {
@@ -153,7 +156,9 @@ TEST(CanOverlay, BindsHostsAndRoutes) {
   for (NodeId h = 0; h < 30; ++h) hosts.push_back(h);
   const OverlayNetwork net = make_can_overlay(space, hosts, oracle);
   EXPECT_EQ(net.size(), 30u);
-  EXPECT_TRUE(net.placement().validate());
+  EXPECT_TRUE(run_rule("placement-bijection",
+                       {.placement = &net.placement()})
+                  .passed());
   // Routed path latency is finite and consistent with slot latencies.
   const auto path = space.route_path(0, CanPoint{kCanSpan / 3, kCanSpan / 2});
   double manual = 0.0;

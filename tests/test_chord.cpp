@@ -5,44 +5,14 @@
 #include <gtest/gtest.h>
 
 #include "chord/chord_ring.h"
-#include "chord/id_space.h"
 #include "common/rng.h"
+#include "fixtures.h"
 #include "topology/random_graphs.h"
 
 namespace propsim {
 namespace {
 
-// ----------------------------------------------------------- IdSpace ----
-
-TEST(IdSpace, IntervalOpenClosed) {
-  EXPECT_TRUE(in_interval_oc(1, 5, 3));
-  EXPECT_TRUE(in_interval_oc(1, 5, 5));
-  EXPECT_FALSE(in_interval_oc(1, 5, 1));
-  EXPECT_FALSE(in_interval_oc(1, 5, 7));
-  // Wrapping interval.
-  EXPECT_TRUE(in_interval_oc(5, 1, 7));
-  EXPECT_TRUE(in_interval_oc(5, 1, 0));
-  EXPECT_TRUE(in_interval_oc(5, 1, 1));
-  EXPECT_FALSE(in_interval_oc(5, 1, 3));
-  // Degenerate (full ring).
-  EXPECT_TRUE(in_interval_oc(4, 4, 0));
-  EXPECT_TRUE(in_interval_oc(4, 4, 4));
-}
-
-TEST(IdSpace, IntervalOpenOpen) {
-  EXPECT_TRUE(in_interval_oo(1, 5, 3));
-  EXPECT_FALSE(in_interval_oo(1, 5, 5));
-  EXPECT_FALSE(in_interval_oo(1, 5, 1));
-  EXPECT_TRUE(in_interval_oo(5, 1, 0));
-  EXPECT_FALSE(in_interval_oo(5, 1, 1));
-  EXPECT_TRUE(in_interval_oo(4, 4, 9));
-  EXPECT_FALSE(in_interval_oo(4, 4, 4));
-}
-
-TEST(IdSpace, ClockwiseDistanceWraps) {
-  EXPECT_EQ(clockwise_distance(10, 15), 5u);
-  EXPECT_EQ(clockwise_distance(15, 10), ~std::uint64_t{0} - 4);
-}
+using testing::run_rule;
 
 // ----------------------------------------------------------- ChordRing ----
 
@@ -57,7 +27,7 @@ class ChordRingTest : public ::testing::Test {
 
 TEST_F(ChordRingTest, IdsAreDistinct) {
   const auto ring = make_ring(100, 1);
-  std::set<ChordId> ids;
+  std::set<DhtId> ids;
   for (SlotId s = 0; s < 100; ++s) ids.insert(ring.id_of(s));
   EXPECT_EQ(ids.size(), 100u);
 }
@@ -66,12 +36,12 @@ TEST_F(ChordRingTest, SuccessorOfMatchesBruteForce) {
   const auto ring = make_ring(64, 2);
   Rng rng(3);
   for (int i = 0; i < 200; ++i) {
-    const ChordId key = rng.next();
+    const DhtId key = rng.next();
     // Brute force: slot with minimal clockwise distance from key.
     SlotId best = 0;
-    ChordId best_dist = clockwise_distance(key, ring.id_of(0));
+    DhtId best_dist = clockwise_distance(key, ring.id_of(0));
     for (SlotId s = 1; s < 64; ++s) {
-      const ChordId d = clockwise_distance(key, ring.id_of(s));
+      const DhtId d = clockwise_distance(key, ring.id_of(s));
       if (d < best_dist) {
         best = s;
         best_dist = d;
@@ -100,7 +70,7 @@ TEST_F(ChordRingTest, SuccessorListsFollowRingOrder) {
   const auto ring = make_ring(20, 6);
   for (SlotId s = 0; s < 20; ++s) {
     const auto succ = ring.successors(s);
-    ASSERT_EQ(succ.size(), ring.config().successor_list);
+    ASSERT_EQ(succ.size(), ChordRing::kSuccessorList);
     for (std::size_t k = 0; k < succ.size(); ++k) {
       EXPECT_EQ(succ[k], ring.ring_successor(s, k + 1));
     }
@@ -112,7 +82,7 @@ TEST_F(ChordRingTest, LookupTerminatesAtOwner) {
   Rng rng(8);
   for (int i = 0; i < 300; ++i) {
     const SlotId src = static_cast<SlotId>(rng.uniform(128));
-    const ChordId key = rng.next();
+    const DhtId key = rng.next();
     const auto path = ring.lookup_path(src, key);
     ASSERT_FALSE(path.empty());
     EXPECT_EQ(path.front(), src);
@@ -139,7 +109,7 @@ TEST_F(ChordRingTest, LookupPathMakesClockwiseProgress) {
   Rng rng(12);
   for (int i = 0; i < 50; ++i) {
     const SlotId src = static_cast<SlotId>(rng.uniform(64));
-    const ChordId key = rng.next();
+    const DhtId key = rng.next();
     const auto path = ring.lookup_path(src, key);
     // Intermediate hops strictly approach the key clockwise; the final
     // hop lands on the owner, which sits at-or-past the key, so it is
@@ -152,7 +122,7 @@ TEST_F(ChordRingTest, LookupPathMakesClockwiseProgress) {
 }
 
 TEST_F(ChordRingTest, BuildWithIdsPreservesIds) {
-  const std::vector<ChordId> ids{100, 900, 42, 7000};
+  const std::vector<DhtId> ids{100, 900, 42, 7000};
   const auto ring = ChordRing::build_with_ids(ids, ChordConfig{});
   for (SlotId s = 0; s < 4; ++s) EXPECT_EQ(ring.id_of(s), ids[s]);
   EXPECT_EQ(ring.successor_of(43), 0u);    // next id >= 43 is 100
@@ -164,7 +134,7 @@ TEST_F(ChordRingTest, LogicalGraphConnectedAndSymmetric) {
   const LogicalGraph g = ring.to_logical_graph();
   EXPECT_TRUE(g.active_subgraph_connected());
   // Every slot at least links to its successor list.
-  EXPECT_GE(g.min_active_degree(), ring.config().successor_list);
+  EXPECT_GE(g.min_active_degree(), ChordRing::kSuccessorList);
 }
 
 TEST_F(ChordRingTest, TinyRingsWork) {
@@ -186,7 +156,9 @@ TEST(ChordOverlay, MakeOverlayBindsHosts) {
   for (NodeId h = 0; h < 20; ++h) hosts.push_back(h);
   const OverlayNetwork net = make_chord_overlay(ring, hosts, oracle);
   EXPECT_EQ(net.size(), 20u);
-  EXPECT_TRUE(net.placement().validate());
+  EXPECT_TRUE(run_rule("placement-bijection",
+                       {.placement = &net.placement()})
+                  .passed());
   EXPECT_TRUE(net.graph().active_subgraph_connected());
 }
 
@@ -226,7 +198,7 @@ TEST(ChordPns, LookupStillCorrectAfterPns) {
   ring.apply_pns(hosts, oracle);
   for (int i = 0; i < 200; ++i) {
     const SlotId src = static_cast<SlotId>(rng.uniform(64));
-    const ChordId key = rng.next();
+    const DhtId key = rng.next();
     const auto path = ring.lookup_path(src, key);
     EXPECT_EQ(path.back(), ring.successor_of(key));
     EXPECT_LE(path.size(), 40u);
@@ -243,7 +215,7 @@ TEST(ChordPns, ReducesAverageFingerLatency) {
   pns_cfg.pns_candidates = 8;
   auto pns = ChordRing::build_with_ids(
       [&] {
-        std::vector<ChordId> ids;
+        std::vector<DhtId> ids;
         for (SlotId s = 0; s < 80; ++s) ids.push_back(plain.id_of(s));
         return ids;
       }(),

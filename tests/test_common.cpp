@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <numeric>
 #include <set>
@@ -7,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/id_space.h"
 #include "common/indexed_priority_queue.h"
 #include "common/json.h"
 #include "common/rng.h"
@@ -16,6 +18,91 @@
 
 namespace propsim {
 namespace {
+
+// ----------------------------------------------------------- IdSpace ----
+
+TEST(IdSpace, IntervalOpenClosed) {
+  EXPECT_TRUE(in_interval_oc(1, 5, 3));
+  EXPECT_TRUE(in_interval_oc(1, 5, 5));
+  EXPECT_FALSE(in_interval_oc(1, 5, 1));
+  EXPECT_FALSE(in_interval_oc(1, 5, 7));
+  // Wrapping interval.
+  EXPECT_TRUE(in_interval_oc(5, 1, 7));
+  EXPECT_TRUE(in_interval_oc(5, 1, 0));
+  EXPECT_TRUE(in_interval_oc(5, 1, 1));
+  EXPECT_FALSE(in_interval_oc(5, 1, 3));
+  // Degenerate (full ring).
+  EXPECT_TRUE(in_interval_oc(4, 4, 0));
+  EXPECT_TRUE(in_interval_oc(4, 4, 4));
+}
+
+TEST(IdSpace, IntervalOpenOpen) {
+  EXPECT_TRUE(in_interval_oo(1, 5, 3));
+  EXPECT_FALSE(in_interval_oo(1, 5, 5));
+  EXPECT_FALSE(in_interval_oo(1, 5, 1));
+  EXPECT_TRUE(in_interval_oo(5, 1, 0));
+  EXPECT_FALSE(in_interval_oo(5, 1, 1));
+  EXPECT_TRUE(in_interval_oo(4, 4, 9));
+  EXPECT_FALSE(in_interval_oo(4, 4, 4));
+}
+
+TEST(IdSpace, ClockwiseDistanceWraps) {
+  EXPECT_EQ(clockwise_distance(10, 15), 5u);
+  EXPECT_EQ(clockwise_distance(15, 10), ~std::uint64_t{0} - 4);
+}
+
+TEST(IdSpace, RingDistanceSymmetricAndWrapping) {
+  EXPECT_EQ(id_ring_distance(10, 14), 4u);
+  EXPECT_EQ(id_ring_distance(14, 10), 4u);
+  EXPECT_EQ(id_ring_distance(0, ~DhtId{0}), 1u);
+}
+
+TEST(IdSpace, HexDigitsAndSharedPrefix) {
+  const DhtId id = 0x0123456789ABCDEFULL;
+  EXPECT_EQ(hex_digit(id, 0), 0x0u);
+  EXPECT_EQ(hex_digit(id, 1), 0x1u);
+  EXPECT_EQ(hex_digit(id, 15), 0xFu);
+  EXPECT_EQ(hex_shared_prefix(id, id), 16u);
+  EXPECT_EQ(hex_shared_prefix(0x1234ULL << 48, 0x1235ULL << 48), 3u);
+  EXPECT_EQ(hex_shared_prefix(0xFULL << 60, 0x1ULL << 60), 0u);
+}
+
+TEST(IdSpace, PrefixCellIsRowTimesBasePlusNextDigit) {
+  // Shared prefix "12" (row 2); the other id's next digit is 0xA.
+  EXPECT_EQ(prefix_cell(0x1234ULL << 48, 0x12A0ULL << 48), 2 * kHexBase + 0xA);
+  EXPECT_EQ(prefix_cell(0, ~DhtId{0}), 0xFu);
+  EXPECT_EQ(hex_cell(2, 0xA), 2 * kHexBase + 0xA);
+}
+
+TEST(IdSpace, PrefixTablesTieRuleIsTheComparator) {
+  // Ids 1 and 2 share slot 0's cell (row 0, digit 1); every rank ties.
+  const std::vector<DhtId> ids{0x00ULL << 56, 0x10ULL << 56, 0x11ULL << 56};
+  const auto flat = [](std::uint32_t, std::uint32_t) { return 0; };
+  const std::uint32_t empty = ~std::uint32_t{0};
+  const auto keep = prefix_tables(ids, empty, flat, std::less<>{});
+  const auto take = prefix_tables(ids, empty, flat, std::less_equal<>{});
+  EXPECT_EQ(keep[0][hex_cell(0, 1)], 1u);
+  EXPECT_EQ(take[0][hex_cell(0, 1)], 2u);
+  EXPECT_EQ(keep[0][hex_cell(0, 2)], empty);
+  // Slot 1 files slot 2 at row 1, digit 1, and slot 0 at row 0, digit 0.
+  EXPECT_EQ(keep[1][hex_cell(1, 1)], 2u);
+  EXPECT_EQ(keep[1][hex_cell(0, 0)], 0u);
+}
+
+TEST(IdSpace, DrawIsTheRngStreamWithRepeatsSkipped) {
+  Rng rng(31);
+  Rng reference(31);
+  const std::vector<DhtId> ids = draw_distinct_ids(500, rng);
+  ASSERT_EQ(ids.size(), 500u);
+  EXPECT_EQ(std::set<DhtId>(ids.begin(), ids.end()).size(), 500u);
+  for (const DhtId id : ids) EXPECT_EQ(id, reference.next());
+  EXPECT_EQ(rng.next(), reference.next());  // no draw beyond the last id
+}
+
+TEST(IdSpace, DuplicateIdsFailTheCheck) {
+  check_distinct_ids({7, 1, 9});
+  EXPECT_DEATH(check_distinct_ids({7, 1, 7}), "adjacent_find");
+}
 
 // ---------------------------------------------------------------- Rng ----
 

@@ -18,6 +18,7 @@ namespace propsim {
 namespace {
 
 using testing::UnstructuredFixture;
+using testing::run_rule;
 
 // ------------------------------------------------------------ topology ----
 
@@ -66,11 +67,11 @@ TEST(EdgeTopology, ZeroProbabilityExtrasStillConnected) {
 
 TEST(EdgeChord, SuccessorListLargerThanRing) {
   Rng rng(4);
-  ChordConfig cfg;
-  cfg.successor_list = 100;  // clamps to n-1
-  const auto ring = ChordRing::build_random(5, cfg, rng);
-  for (SlotId s = 0; s < 5; ++s) {
-    EXPECT_EQ(ring.successors(s).size(), 4u);
+  // kSuccessorList (4) entries do not fit a 4-slot ring: clamps to n-1.
+  static_assert(ChordRing::kSuccessorList >= 4);
+  const auto ring = ChordRing::build_random(4, ChordConfig{}, rng);
+  for (SlotId s = 0; s < 4; ++s) {
+    EXPECT_EQ(ring.successors(s).size(), 3u);
   }
   EXPECT_EQ(ring.lookup_path(0, ring.id_of(3)).back(), 3u);
 }
@@ -87,7 +88,7 @@ TEST(EdgeChord, KeyAtExactNodeId) {
 TEST(EdgeChord, ExtremeKeyValues) {
   Rng rng(6);
   const auto ring = ChordRing::build_random(16, ChordConfig{}, rng);
-  for (const ChordId key : {ChordId{0}, ~ChordId{0}, ChordId{1}}) {
+  for (const DhtId key : {DhtId{0}, ~DhtId{0}, DhtId{1}}) {
     const auto path = ring.lookup_path(3, key);
     EXPECT_EQ(path.back(), ring.successor_of(key));
   }
@@ -97,21 +98,20 @@ TEST(EdgeChord, ExtremeKeyValues) {
 
 TEST(EdgePastry, LeafHalfBiggerThanRing) {
   Rng rng(7);
-  PastryConfig cfg;
-  cfg.leaf_set_half = 50;
-  const auto net = PastryNetwork::build_random(6, cfg, rng);
-  // Clamped to (n-1)/2 per side.
+  // kLeafSetHalf (4) per side does not fit 6 ids: clamped to (n-1)/2.
+  static_assert(PastryNetwork::kLeafSetHalf > (6 - 1) / 2);
+  const auto net = PastryNetwork::build_random(6, rng);
   for (SlotId s = 0; s < 6; ++s) {
-    EXPECT_LE(net.leaf_set(s).size(), 5u);
+    EXPECT_EQ(net.leaf_set(s).size(), 4u);
   }
   EXPECT_EQ(net.lookup_path(0, net.id_of(4)).back(), 4u);
 }
 
 TEST(EdgePastry, AdjacentIdsRoute) {
   // Ids differing only in the last digit stress the deep table rows.
-  std::vector<PastryId> ids;
-  for (PastryId i = 0; i < 8; ++i) ids.push_back(0xABCD000000000000ULL + i);
-  const auto net = PastryNetwork::build_with_ids(ids, PastryConfig{});
+  std::vector<DhtId> ids;
+  for (DhtId i = 0; i < 8; ++i) ids.push_back(0xABCD000000000000ULL + i);
+  const auto net = PastryNetwork::build_with_ids(ids);
   for (SlotId s = 0; s < 8; ++s) {
     for (SlotId t = 0; t < 8; ++t) {
       EXPECT_EQ(net.lookup_path(s, net.id_of(t)).back(), t);
@@ -124,7 +124,7 @@ TEST(EdgePastry, AdjacentIdsRoute) {
 TEST(EdgeCan, TwoZones) {
   Rng rng(8);
   const auto space = CanSpace::build(2, rng);
-  EXPECT_TRUE(space.validate());
+  EXPECT_TRUE(run_rule("can-tiling", {.can = &space}).passed());
   EXPECT_EQ(space.neighbors(0).size(), 1u);
   const auto path = space.route_path(0, space.zone(1).center());
   EXPECT_EQ(path.back(), 1u);

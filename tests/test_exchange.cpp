@@ -17,6 +17,7 @@ namespace propsim {
 namespace {
 
 using testing::UnstructuredFixture;
+using testing::run_rule;
 
 // Draws a random (u, v, path) probe outcome like the engine would.
 struct Probe {
@@ -100,7 +101,9 @@ TEST(PropG, ApplyLeavesLogicalGraphUntouched) {
   }
   EXPECT_EQ(fx.net.graph().degree_multiset(), degrees_before);
   EXPECT_EQ(fx.net.graph().edge_count(), edges_before);
-  EXPECT_TRUE(fx.net.placement().validate());
+  EXPECT_TRUE(run_rule("placement-bijection",
+                       {.placement = &fx.net.placement()})
+                  .passed());
 }
 
 // Theorem 2: the host-labelled overlay stays isomorphic to the original

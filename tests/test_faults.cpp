@@ -19,6 +19,7 @@ namespace propsim {
 namespace {
 
 using testing::UnstructuredFixture;
+using testing::run_rule;
 
 PropParams fault_test_params(PropMode mode) {
   PropParams p;
@@ -38,10 +39,6 @@ std::vector<std::uint32_t> host_domains(const TransitStubTopology& topo) {
     if (topo.kind[h] == NodeKind::kStub) dom[h] = topo.domain[h];
   }
   return dom;
-}
-
-LintReport run_rule(const std::string& name, const LintContext& ctx) {
-  return InvariantChecker(std::vector<std::string>{name}).run(ctx);
 }
 
 // ------------------------------------------------------- FaultInjector --
@@ -211,7 +208,9 @@ TEST(PropEngineFaults, LossyNegotiationsStillConverge) {
   EXPECT_LT(fx.net.average_logical_link_latency(), before);
   EXPECT_EQ(fx.net.graph().degree_multiset(), degrees);
   EXPECT_TRUE(fx.net.graph().active_subgraph_connected());
-  EXPECT_TRUE(fx.net.placement().validate());
+  EXPECT_TRUE(run_rule("placement-bijection",
+                       {.placement = &fx.net.placement()})
+                  .passed());
 }
 
 TEST(PropEngineFaults, MidExchangeCrashAbortsCleanly) {
@@ -236,7 +235,9 @@ TEST(PropEngineFaults, MidExchangeCrashAbortsCleanly) {
   // Crashes removed peers; survivor repair kept the overlay whole and
   // the placement a bijection.
   EXPECT_TRUE(fx.net.graph().active_subgraph_connected());
-  EXPECT_TRUE(fx.net.placement().validate());
+  EXPECT_TRUE(run_rule("placement-bijection",
+                       {.placement = &fx.net.placement()})
+                  .passed());
 }
 
 // -------------------------------------------------- experiment wiring --

@@ -19,12 +19,15 @@
 #include "common/json.h"
 #include "common/rng.h"
 #include "core/neighbor_queue.h"
+#include "fixtures.h"
 #include "overlay/logical_graph.h"
 #include "overlay/placement.h"
 #include "sim/scheduler.h"
 
 namespace propsim {
 namespace {
+
+using testing::run_rule;
 
 TEST(FuzzLogicalGraph, RandomOpsKeepModelInSync) {
   Rng rng(71);
@@ -112,7 +115,7 @@ TEST(FuzzPlacement, RandomBindSwapUnbindStaysBijective) {
           bound[static_cast<std::size_t>(rng.uniform(bound.size()))];
       if (a != b) p.swap_slots(a, b);
     }
-    ASSERT_TRUE(p.validate());
+    ASSERT_TRUE(run_rule("placement-bijection", {.placement = &p}).passed());
     ASSERT_EQ(p.bound_count(), bound.size());
   }
 }

@@ -13,6 +13,7 @@ namespace propsim {
 namespace {
 
 using testing::UnstructuredFixture;
+using testing::run_rule;
 
 TEST(GnutellaBuild, ConnectedWithMinDegree) {
   auto fx = UnstructuredFixture::make(60, 1001, /*attach_links=*/4);
@@ -29,7 +30,9 @@ TEST(GnutellaBuild, PlacementBindsDistinctStubHosts) {
   for (const NodeId h : hosts) {
     EXPECT_EQ(fx.topo.kind[h], NodeKind::kStub);
   }
-  EXPECT_TRUE(fx.net.placement().validate());
+  EXPECT_TRUE(run_rule("placement-bijection",
+                       {.placement = &fx.net.placement()})
+                  .passed());
 }
 
 TEST(GnutellaBuild, PreferentialAttachmentSkewsDegrees) {
@@ -68,7 +71,9 @@ TEST(GnutellaJoin, AttachesNewSlot) {
   EXPECT_EQ(fx.net.graph().degree(joiner), 3u);
   EXPECT_EQ(fx.net.placement().host_of(joiner), host);
   EXPECT_TRUE(fx.net.graph().active_subgraph_connected());
-  EXPECT_TRUE(fx.net.placement().validate());
+  EXPECT_TRUE(run_rule("placement-bijection",
+                       {.placement = &fx.net.placement()})
+                  .passed());
 }
 
 TEST(FloodSearch, FindsHolderWithinTtl) {

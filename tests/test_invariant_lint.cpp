@@ -14,10 +14,7 @@
 namespace propsim {
 namespace {
 
-/// Runs one named rule over the context.
-LintReport run_rule(const std::string& name, const LintContext& ctx) {
-  return InvariantChecker(std::vector<std::string>{name}).run(ctx);
-}
+using testing::run_rule;
 
 SnapshotGraph triangle() {
   SnapshotGraph g;
@@ -255,8 +252,8 @@ TEST(LintRules, ChordMonotonicityHoldsForBuiltRings) {
   EXPECT_TRUE(run_rule("chord-monotonicity", ctx).passed());
 
   // Caller-chosen ids (the PIS baseline path) must audit clean too.
-  std::vector<ChordId> ids;
-  for (ChordId i = 0; i < 16; ++i) ids.push_back(i * 1000 + 17);
+  std::vector<DhtId> ids;
+  for (DhtId i = 0; i < 16; ++i) ids.push_back(i * 1000 + 17);
   const ChordRing pis_ring = ChordRing::build_with_ids(ids, {});
   ctx.chord = &pis_ring;
   EXPECT_TRUE(run_rule("chord-monotonicity", ctx).passed());

@@ -1,15 +1,18 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <set>
+#include <sstream>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "analysis/lint_rules.h"
 #include "common/rng.h"
 #include "fixtures.h"
 #include "overlay/graph_io.h"
@@ -21,6 +24,8 @@
 
 namespace propsim {
 namespace {
+
+using testing::run_rule;
 
 // ------------------------------------------------------- LogicalGraph ----
 
@@ -200,11 +205,11 @@ TEST(Placement, BindUnbindRoundTrip) {
   EXPECT_EQ(p.host_of(0), 7u);
   EXPECT_EQ(p.slot_of(7), 0u);
   EXPECT_EQ(p.bound_count(), 2u);
-  EXPECT_TRUE(p.validate());
+  EXPECT_TRUE(run_rule("placement-bijection", {.placement = &p}).passed());
   p.unbind(0);
   EXPECT_FALSE(p.slot_bound(0));
   EXPECT_FALSE(p.host_bound(7));
-  EXPECT_TRUE(p.validate());
+  EXPECT_TRUE(run_rule("placement-bijection", {.placement = &p}).passed());
 }
 
 TEST(Placement, SwapSlotsExchangesHosts) {
@@ -216,7 +221,7 @@ TEST(Placement, SwapSlotsExchangesHosts) {
   EXPECT_EQ(p.host_of(1), 5u);
   EXPECT_EQ(p.slot_of(5), 1u);
   EXPECT_EQ(p.slot_of(6), 0u);
-  EXPECT_TRUE(p.validate());
+  EXPECT_TRUE(run_rule("placement-bijection", {.placement = &p}).passed());
 }
 
 TEST(Placement, BoundHostsOrderedBySlot) {
@@ -249,7 +254,6 @@ TEST(Placement, VersionAdvancesOnEveryHostChange) {
   p.ensure_slot_capacity(5);  // no growth, no mutation
   (void)p.host_of(0);
   (void)p.bound_hosts();
-  (void)p.validate();
   EXPECT_FALSE(rose());
 }
 
@@ -258,7 +262,7 @@ TEST(Placement, EnsureSlotCapacityGrows) {
   p.ensure_slot_capacity(3);
   p.bind(2, 0);
   EXPECT_EQ(p.host_of(2), 0u);
-  EXPECT_TRUE(p.validate());
+  EXPECT_TRUE(run_rule("placement-bijection", {.placement = &p}).passed());
 }
 
 // ----------------------------------------------------- OverlayNetwork ----
@@ -701,36 +705,49 @@ TEST(FloodScratch, ReuseMatchesFreshScratchAcrossSources) {
 
 // ------------------------------------------------------------ GraphIo ----
 
+// Edge lists are read back by the lint reader, snapshot_from_edge_list.
+
 TEST(GraphIo, EdgeListRoundTrip) {
   Rng rng(21);
   const Graph g = make_connected_random_graph(30, 70, 2.5, rng);
-  const Graph back = graph_from_edge_list(graph_to_edge_list(g));
-  ASSERT_EQ(back.node_count(), g.node_count());
-  ASSERT_EQ(back.edge_count(), g.edge_count());
-  for (NodeId u = 0; u < g.node_count(); ++u) {
-    for (const Graph::Edge& e : g.neighbors(u)) {
-      ASSERT_TRUE(back.has_edge(u, e.to));
-      EXPECT_DOUBLE_EQ(back.edge_weight(u, e.to), e.weight);
-    }
+  const std::string text = graph_to_edge_list(g);
+  SnapshotGraph back;
+  ASSERT_TRUE(snapshot_from_edge_list(text, back));
+  EXPECT_EQ(back.node_count, g.node_count());
+  EXPECT_EQ(back.edges, snapshot_of(g).edges);
+  // Weights are written at full precision.
+  std::istringstream lines(text);
+  std::string line;
+  std::size_t weighted = 0;
+  while (std::getline(lines, line)) {
+    std::istringstream fields(line);
+    NodeId u = 0;
+    NodeId v = 0;
+    double w = 0.0;
+    if (!(fields >> u >> v >> w)) continue;  // comment or header
+    EXPECT_EQ(w, g.edge_weight(u, v));
+    ++weighted;
   }
+  EXPECT_EQ(weighted, g.edge_count());
 }
 
 TEST(GraphIo, EdgeListParsesCommentsAndBlankLines) {
-  const Graph g = graph_from_edge_list(
-      "# header\n\nnodes 3\n0 1 2.5  # inline\n\n1 2 7\n");
-  EXPECT_EQ(g.node_count(), 3u);
-  EXPECT_EQ(g.edge_count(), 2u);
-  EXPECT_DOUBLE_EQ(g.edge_weight(0, 1), 2.5);
+  SnapshotGraph g;
+  ASSERT_TRUE(snapshot_from_edge_list(
+      "# header\n\nnodes 3\n0 1 2.5  # inline\n\n1 2 7\n", g));
+  EXPECT_EQ(g.node_count, 3u);
+  EXPECT_EQ(g.edges, (std::vector<SnapshotGraph::Edge>{{0, 1}, {1, 2}}));
 }
 
-TEST(GraphIo, SaveLoadFile) {
+TEST(GraphIo, SaveGraphWritesTheEdgeList) {
   Rng rng(22);
   const Graph g = make_connected_random_graph(12, 25, 1.0, rng);
   const std::string path = ::testing::TempDir() + "propsim_graph_io.txt";
   save_graph(g, path);
-  const Graph back = load_graph(path);
-  EXPECT_EQ(back.edge_count(), g.edge_count());
-  EXPECT_TRUE(back.is_connected());
+  std::ifstream in(path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  EXPECT_EQ(text.str(), graph_to_edge_list(g));
 }
 
 TEST(GraphIo, DotExportContainsEdges) {

@@ -4,32 +4,14 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "fixtures.h"
 #include "pastry/pastry.h"
 #include "topology/random_graphs.h"
 
 namespace propsim {
 namespace {
 
-// ------------------------------------------------------- id helpers ----
-
-TEST(PastryId, DigitExtraction) {
-  const PastryId id = 0x123456789ABCDEF0ULL;
-  EXPECT_EQ(pastry_digit(id, 0), 0x1u);
-  EXPECT_EQ(pastry_digit(id, 1), 0x2u);
-  EXPECT_EQ(pastry_digit(id, 15), 0x0u);
-}
-
-TEST(PastryId, SharedPrefix) {
-  EXPECT_EQ(shared_prefix_len(0x1234ULL << 48, 0x1235ULL << 48), 3u);
-  EXPECT_EQ(shared_prefix_len(0xFULL << 60, 0x1ULL << 60), 0u);
-  EXPECT_EQ(shared_prefix_len(42, 42), 16u);
-}
-
-TEST(PastryId, RingDistanceSymmetricAndWrapping) {
-  EXPECT_EQ(ring_distance(10, 14), 4u);
-  EXPECT_EQ(ring_distance(14, 10), 4u);
-  EXPECT_EQ(ring_distance(0, ~PastryId{0}), 1u);
-}
+using testing::run_rule;
 
 // ---------------------------------------------------------- network ----
 
@@ -37,13 +19,13 @@ class PastryTest : public ::testing::Test {
  protected:
   static PastryNetwork make(std::size_t n, std::uint64_t seed) {
     Rng rng(seed);
-    return PastryNetwork::build_random(n, PastryConfig{}, rng);
+    return PastryNetwork::build_random(n, rng);
   }
 };
 
 TEST_F(PastryTest, IdsDistinct) {
   const auto net = make(100, 1);
-  std::set<PastryId> ids;
+  std::set<DhtId> ids;
   for (SlotId s = 0; s < 100; ++s) ids.insert(net.id_of(s));
   EXPECT_EQ(ids.size(), 100u);
 }
@@ -52,11 +34,11 @@ TEST_F(PastryTest, OwnerIsRingNearest) {
   const auto net = make(64, 2);
   Rng rng(3);
   for (int i = 0; i < 300; ++i) {
-    const PastryId key = rng.next();
+    const DhtId key = rng.next();
     const SlotId owner = net.owner_of(key);
-    const PastryId best = ring_distance(net.id_of(owner), key);
+    const DhtId best = id_ring_distance(net.id_of(owner), key);
     for (SlotId s = 0; s < 64; ++s) {
-      EXPECT_GE(ring_distance(net.id_of(s), key), best);
+      EXPECT_GE(id_ring_distance(net.id_of(s), key), best);
     }
   }
 }
@@ -72,7 +54,7 @@ TEST_F(PastryTest, LeafSetsAreRingNeighbors) {
   const auto net = make(40, 5);
   for (SlotId s = 0; s < 40; ++s) {
     const auto leaves = net.leaf_set(s);
-    EXPECT_EQ(leaves.size(), 2 * net.config().leaf_set_half);
+    EXPECT_EQ(leaves.size(), 2 * PastryNetwork::kLeafSetHalf);
     // Leaves must be closer in ring order than any non-leaf: check that
     // no non-leaf id lies strictly between s and a leaf going the short
     // way is overkill; instead check the defining property directly —
@@ -86,12 +68,12 @@ TEST_F(PastryTest, LeafSetsAreRingNeighbors) {
 TEST_F(PastryTest, TableEntriesHaveCorrectPrefixAndDigit) {
   const auto net = make(128, 6);
   for (SlotId s = 0; s < 128; ++s) {
-    for (std::size_t row = 0; row < kPastryDigits; ++row) {
-      for (std::size_t col = 0; col < kPastryBase; ++col) {
+    for (std::size_t row = 0; row < kHexDigits; ++row) {
+      for (std::size_t col = 0; col < kHexBase; ++col) {
         const SlotId t = net.table_entry(s, row, col);
         if (t == kInvalidSlot) continue;
-        EXPECT_EQ(shared_prefix_len(net.id_of(s), net.id_of(t)), row);
-        EXPECT_EQ(pastry_digit(net.id_of(t), row), col);
+        EXPECT_EQ(hex_shared_prefix(net.id_of(s), net.id_of(t)), row);
+        EXPECT_EQ(hex_digit(net.id_of(t), row), col);
       }
     }
   }
@@ -102,7 +84,7 @@ TEST_F(PastryTest, LookupTerminatesAtOwner) {
   Rng rng(8);
   for (int i = 0; i < 400; ++i) {
     const SlotId src = static_cast<SlotId>(rng.uniform(128));
-    const PastryId key = rng.next();
+    const DhtId key = rng.next();
     const auto path = net.lookup_path(src, key);
     ASSERT_FALSE(path.empty());
     EXPECT_EQ(path.front(), src);
@@ -130,9 +112,9 @@ TEST_F(PastryTest, BoundaryKeysRouteCorrectly) {
   // fallback where prefix match and ring proximity disagree.
   const auto net = make(64, 11);
   Rng rng(12);
-  for (const PastryId key :
-       {PastryId{0x7FFFFFFFFFFFFFFF}, PastryId{0x8000000000000000},
-        PastryId{0}, ~PastryId{0}, PastryId{0x0FFFFFFFFFFFFFFF}}) {
+  for (const DhtId key :
+       {DhtId{0x7FFFFFFFFFFFFFFF}, DhtId{0x8000000000000000},
+        DhtId{0}, ~DhtId{0}, DhtId{0x0FFFFFFFFFFFFFFF}}) {
     for (int i = 0; i < 16; ++i) {
       const SlotId src = static_cast<SlotId>(rng.uniform(64));
       const auto path = net.lookup_path(src, key);
@@ -149,9 +131,9 @@ TEST_F(PastryTest, LogicalGraphConnected) {
 }
 
 TEST_F(PastryTest, BuildWithIdsPreserved) {
-  const std::vector<PastryId> ids{0x1111ULL << 32, 0x2222ULL << 32,
-                                  0x9999ULL << 32, 0xFFFFULL << 32};
-  const auto net = PastryNetwork::build_with_ids(ids, PastryConfig{});
+  const std::vector<DhtId> ids{0x1111ULL << 32, 0x2222ULL << 32,
+                               0x9999ULL << 32, 0xFFFFULL << 32};
+  const auto net = PastryNetwork::build_with_ids(ids);
   for (SlotId s = 0; s < 4; ++s) EXPECT_EQ(net.id_of(s), ids[s]);
 }
 
@@ -165,14 +147,13 @@ TEST(PastryProximity, ReducesTableLatencyKeepsCorrectness) {
   Rng rng(15);
   const Graph phys = make_connected_random_graph(120, 300, 3.0, rng);
   LatencyOracle oracle(phys);
-  auto plain = PastryNetwork::build_random(100, PastryConfig{}, rng);
+  auto plain = PastryNetwork::build_random(100, rng);
   auto prox = PastryNetwork::build_with_ids(
       [&] {
-        std::vector<PastryId> ids;
+        std::vector<DhtId> ids;
         for (SlotId s = 0; s < 100; ++s) ids.push_back(plain.id_of(s));
         return ids;
-      }(),
-      PastryConfig{});
+      }());
   std::vector<NodeId> hosts;
   for (NodeId h = 0; h < 100; ++h) hosts.push_back(h);
   prox.apply_proximity(hosts, oracle);
@@ -181,8 +162,8 @@ TEST(PastryProximity, ReducesTableLatencyKeepsCorrectness) {
     double sum = 0.0;
     std::size_t count = 0;
     for (SlotId s = 0; s < 100; ++s) {
-      for (std::size_t row = 0; row < kPastryDigits; ++row) {
-        for (std::size_t col = 0; col < kPastryBase; ++col) {
+      for (std::size_t row = 0; row < kHexDigits; ++row) {
+        for (std::size_t col = 0; col < kHexBase; ++col) {
           const SlotId t = net.table_entry(s, row, col);
           if (t == kInvalidSlot) continue;
           sum += oracle.latency(hosts[s], hosts[t]);
@@ -198,21 +179,40 @@ TEST(PastryProximity, ReducesTableLatencyKeepsCorrectness) {
   Rng qrng(16);
   for (int i = 0; i < 200; ++i) {
     const SlotId src = static_cast<SlotId>(qrng.uniform(100));
-    const PastryId key = qrng.next();
+    const DhtId key = qrng.next();
     EXPECT_EQ(prox.lookup_path(src, key).back(), prox.owner_of(key));
   }
+}
+
+TEST(PastryProximity, LatencyTieKeepsTheEarlierCandidate) {
+  // Slot 0 (id 0) files slots 1-3 in its cell (row 0, column 1); slot 2
+  // is the id-ring nearest. Host 0 is the hub of a star, so all three
+  // candidates are one 5 ms link away: an exact latency tie, which the
+  // first candidate in slot order keeps.
+  const std::vector<DhtId> ids{0, 0x11ULL << 56, 0x10ULL << 56,
+                               0x12ULL << 56};
+  Graph star(4);
+  for (NodeId h = 1; h < 4; ++h) star.add_edge(0, h, 5.0);
+  LatencyOracle oracle(star);
+  auto net = PastryNetwork::build_with_ids(ids);
+  EXPECT_EQ(net.table_entry(0, 0, 1), 2u);
+  const std::vector<NodeId> hosts{0, 1, 2, 3};
+  net.apply_proximity(hosts, oracle);
+  EXPECT_EQ(net.table_entry(0, 0, 1), 1u);
 }
 
 TEST(PastryOverlay, BindsHosts) {
   Rng rng(17);
   const Graph phys = make_connected_random_graph(60, 140, 2.0, rng);
   LatencyOracle oracle(phys);
-  const auto pastry = PastryNetwork::build_random(40, PastryConfig{}, rng);
+  const auto pastry = PastryNetwork::build_random(40, rng);
   std::vector<NodeId> hosts;
   for (NodeId h = 0; h < 40; ++h) hosts.push_back(h);
   const OverlayNetwork net = make_pastry_overlay(pastry, hosts, oracle);
   EXPECT_EQ(net.size(), 40u);
-  EXPECT_TRUE(net.placement().validate());
+  EXPECT_TRUE(run_rule("placement-bijection",
+                       {.placement = &net.placement()})
+                  .passed());
   EXPECT_TRUE(net.graph().active_subgraph_connected());
 }
 

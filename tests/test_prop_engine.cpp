@@ -11,6 +11,7 @@ namespace propsim {
 namespace {
 
 using testing::UnstructuredFixture;
+using testing::run_rule;
 
 PropParams fast_params(PropMode mode) {
   PropParams p;
@@ -262,7 +263,9 @@ TEST(PropEngine, MessageDelaysStillConverge) {
   EXPECT_LT(fx.net.average_logical_link_latency(), before);
   EXPECT_EQ(fx.net.graph().degree_multiset(), degrees);
   EXPECT_TRUE(fx.net.graph().active_subgraph_connected());
-  EXPECT_TRUE(fx.net.placement().validate());
+  EXPECT_TRUE(run_rule("placement-bijection",
+                       {.placement = &fx.net.placement()})
+                  .passed());
 }
 
 TEST(PropEngine, MessageDelaysDetectConflicts) {
@@ -301,7 +304,9 @@ TEST(PropEngine, MessageDelaysWorkWithPropGAndChurnHooks) {
   engine.node_left(victim, former);
   sim.run_until(2000.0);
   EXPECT_GT(engine.stats().exchanges, 0u);
-  EXPECT_TRUE(fx.net.placement().validate());
+  EXPECT_TRUE(run_rule("placement-bijection",
+                       {.placement = &fx.net.placement()})
+                  .passed());
 }
 
 TEST(PropEngine, DelayedCommitInvalidatedByDepartureKeepsQueuesClean) {

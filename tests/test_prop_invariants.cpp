@@ -22,6 +22,8 @@
 namespace propsim {
 namespace {
 
+using testing::run_rule;
+
 enum class Substrate { kGnutella, kChord, kPastry, kTapestry, kCan };
 
 const char* substrate_name(Substrate s) {
@@ -67,14 +69,13 @@ Bundle make_bundle(Substrate substrate, std::size_t n, std::uint64_t seed) {
       break;
     }
     case Substrate::kPastry: {
-      const auto pastry = PastryNetwork::build_random(n, PastryConfig{}, rng);
+      const auto pastry = PastryNetwork::build_random(n, rng);
       b.net = std::make_unique<OverlayNetwork>(
           make_pastry_overlay(pastry, hosts, *b.oracle));
       break;
     }
     case Substrate::kTapestry: {
-      const auto tapestry =
-          TapestryNetwork::build_random(n, TapestryConfig{}, rng);
+      const auto tapestry = TapestryNetwork::build_random(n, rng);
       b.net = std::make_unique<OverlayNetwork>(
           make_tapestry_overlay(tapestry, hosts, *b.oracle));
       break;
@@ -118,7 +119,9 @@ TEST_P(PropGSubstrate, EngineRunPreservesStructureAndImproves) {
   EXPECT_EQ(net.graph().degree_multiset(), degrees);
   EXPECT_EQ(net.graph().edge_count(), edges);
   EXPECT_TRUE(net.graph().active_subgraph_connected());
-  EXPECT_TRUE(net.placement().validate());
+  EXPECT_TRUE(run_rule("placement-bijection",
+                       {.placement = &net.placement()})
+                  .passed());
 
   // Theorem 2 certificate at host level.
   const auto [hosts, phi] =
@@ -224,7 +227,9 @@ TEST_P(VarConsistency, PlannedVarEqualsMeasuredGain) {
     }
   }
   EXPECT_GT(checked, 0);
-  EXPECT_TRUE(net.placement().validate());
+  EXPECT_TRUE(run_rule("placement-bijection",
+                       {.placement = &net.placement()})
+                  .passed());
 }
 
 // §4.1's anonymity argument: PROP-G peers may only take *existing*
@@ -241,7 +246,7 @@ TEST(PropGAnonymity, IdentifierMultisetOnlyPermutes) {
   OverlayNetwork net = make_chord_overlay(ring, hosts, oracle);
 
   // host -> chord id before.
-  std::map<NodeId, ChordId> before;
+  std::map<NodeId, DhtId> before;
   for (SlotId s = 0; s < 48; ++s) {
     before[net.placement().host_of(s)] = ring.id_of(s);
   }
@@ -254,8 +259,8 @@ TEST(PropGAnonymity, IdentifierMultisetOnlyPermutes) {
   sim.run_until(1500.0);
   ASSERT_GT(engine.stats().exchanges, 0u);
 
-  std::multiset<ChordId> ids_before;
-  std::multiset<ChordId> ids_after;
+  std::multiset<DhtId> ids_before;
+  std::multiset<DhtId> ids_after;
   std::size_t moved = 0;
   for (SlotId s = 0; s < 48; ++s) {
     const NodeId h = net.placement().host_of(s);

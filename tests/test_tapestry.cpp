@@ -4,30 +4,20 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "fixtures.h"
 #include "tapestry/tapestry.h"
 #include "topology/random_graphs.h"
 
 namespace propsim {
 namespace {
 
-TEST(HexId, DigitAndPrefixHelpers) {
-  const std::uint64_t id = 0x0123456789ABCDEFULL;
-  EXPECT_EQ(hex_digit(id, 0), 0x0u);
-  EXPECT_EQ(hex_digit(id, 1), 0x1u);
-  EXPECT_EQ(hex_digit(id, 15), 0xFu);
-  EXPECT_EQ(hex_shared_prefix(id, id), 16u);
-  EXPECT_EQ(hex_shared_prefix(0x0123ULL << 48, 0x0124ULL << 48), 3u);
-  EXPECT_EQ(id_ring_distance(0, ~std::uint64_t{0}), 1u);
-}
+using testing::run_rule;
 
 class TapestryTest : public ::testing::Test {
  protected:
-  static TapestryNetwork make(std::size_t n, std::uint64_t seed,
-                              std::size_t redundancy = 1) {
+  static TapestryNetwork make(std::size_t n, std::uint64_t seed) {
     Rng rng(seed);
-    TapestryConfig cfg;
-    cfg.entries_per_cell = redundancy;
-    return TapestryNetwork::build_random(n, cfg, rng);
+    return TapestryNetwork::build_random(n, rng);
   }
 };
 
@@ -70,7 +60,7 @@ TEST_F(TapestryTest, RootIsSourceIndependent) {
   const auto net = make(128, 3);
   Rng rng(4);
   for (int i = 0; i < 100; ++i) {
-    const TapestryId key = rng.next();
+    const DhtId key = rng.next();
     const SlotId root = net.root_of(key);
     for (int src_trial = 0; src_trial < 8; ++src_trial) {
       const SlotId src = static_cast<SlotId>(rng.uniform(128));
@@ -108,27 +98,13 @@ TEST_F(TapestryTest, HopsBoundedByDigits) {
 TEST_F(TapestryTest, SurrogateRoutingOnBoundaryKeys) {
   const auto net = make(64, 8);
   Rng rng(9);
-  for (const TapestryId key :
-       {TapestryId{0}, ~TapestryId{0}, TapestryId{0x8000000000000000},
-        TapestryId{0x7FFFFFFFFFFFFFFF}}) {
+  for (const DhtId key :
+       {DhtId{0}, ~DhtId{0}, DhtId{0x8000000000000000},
+        DhtId{0x7FFFFFFFFFFFFFFF}}) {
     const SlotId root = net.root_of(key);
     for (int i = 0; i < 8; ++i) {
       const SlotId src = static_cast<SlotId>(rng.uniform(64));
       EXPECT_EQ(net.lookup_path(src, key).back(), root);
-    }
-  }
-}
-
-TEST_F(TapestryTest, RedundantCellsKeepOrderAndSize) {
-  const auto net = make(200, 10, /*redundancy=*/3);
-  for (SlotId s = 0; s < 200; ++s) {
-    for (std::size_t d = 0; d < kHexBase; ++d) {
-      const auto cell = net.cell(s, 0, d);
-      EXPECT_LE(cell.size(), 3u);
-      for (std::size_t i = 1; i < cell.size(); ++i) {
-        EXPECT_LE(id_ring_distance(net.id_of(cell[i - 1]), net.id_of(s)),
-                  id_ring_distance(net.id_of(cell[i]), net.id_of(s)));
-      }
     }
   }
 }
@@ -159,7 +135,7 @@ TEST(TapestryProximity, ClosestEntryWinsAndRoutingHolds) {
   Rng rng(14);
   const Graph phys = make_connected_random_graph(120, 300, 3.0, rng);
   LatencyOracle oracle(phys);
-  auto net = TapestryNetwork::build_random(100, TapestryConfig{}, rng);
+  auto net = TapestryNetwork::build_random(100, rng);
   std::vector<NodeId> hosts;
   for (NodeId h = 0; h < 100; ++h) hosts.push_back(h);
 
@@ -187,21 +163,40 @@ TEST(TapestryProximity, ClosestEntryWinsAndRoutingHolds) {
   Rng qrng(15);
   for (int i = 0; i < 150; ++i) {
     const SlotId src = static_cast<SlotId>(qrng.uniform(100));
-    const TapestryId key = qrng.next();
+    const DhtId key = qrng.next();
     EXPECT_EQ(net.lookup_path(src, key).back(), net.root_of(key));
   }
+}
+
+TEST(TapestryProximity, LatencyTieGoesToTheLaterCandidate) {
+  // Slot 0 (id 0) files slots 1-3 in its cell (level 0, digit 1); slot 2
+  // is the id-ring nearest. Host 0 is the hub of a star, so all three
+  // candidates are one 5 ms link away: an exact latency tie, which the
+  // last candidate in slot order wins.
+  const std::vector<DhtId> ids{0, 0x11ULL << 56, 0x10ULL << 56,
+                               0x12ULL << 56};
+  Graph star(4);
+  for (NodeId h = 1; h < 4; ++h) star.add_edge(0, h, 5.0);
+  LatencyOracle oracle(star);
+  auto net = TapestryNetwork::build_with_ids(ids);
+  EXPECT_EQ(net.table_entry(0, 0, 1), 2u);
+  const std::vector<NodeId> hosts{0, 1, 2, 3};
+  net.apply_proximity(hosts, oracle);
+  EXPECT_EQ(net.table_entry(0, 0, 1), 3u);
 }
 
 TEST(TapestryOverlay, BindsHosts) {
   Rng rng(16);
   const Graph phys = make_connected_random_graph(60, 140, 2.0, rng);
   LatencyOracle oracle(phys);
-  const auto net = TapestryNetwork::build_random(40, TapestryConfig{}, rng);
+  const auto net = TapestryNetwork::build_random(40, rng);
   std::vector<NodeId> hosts;
   for (NodeId h = 0; h < 40; ++h) hosts.push_back(h);
   const OverlayNetwork overlay = make_tapestry_overlay(net, hosts, oracle);
   EXPECT_EQ(overlay.size(), 40u);
-  EXPECT_TRUE(overlay.placement().validate());
+  EXPECT_TRUE(run_rule("placement-bijection",
+                       {.placement = &overlay.placement()})
+                  .passed());
   EXPECT_TRUE(overlay.graph().active_subgraph_connected());
 }
 

@@ -17,6 +17,7 @@ namespace propsim {
 namespace {
 
 using testing::UnstructuredFixture;
+using testing::run_rule;
 
 TEST(HostSelection, DistinctStubHosts) {
   Rng rng(1);
@@ -297,7 +298,9 @@ TEST(Churn, JoinAddsConnectedPeer) {
   EXPECT_TRUE(churn.do_join());
   EXPECT_EQ(fx.net.size(), before + 1);
   EXPECT_TRUE(fx.net.graph().active_subgraph_connected());
-  EXPECT_TRUE(fx.net.placement().validate());
+  EXPECT_TRUE(run_rule("placement-bijection",
+                       {.placement = &fx.net.placement()})
+                  .passed());
 }
 
 TEST(Churn, LeaveKeepsConnectivity) {
@@ -309,7 +312,9 @@ TEST(Churn, LeaveKeepsConnectivity) {
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(churn.do_leave());
     ASSERT_TRUE(fx.net.graph().active_subgraph_connected());
-    ASSERT_TRUE(fx.net.placement().validate());
+    ASSERT_TRUE(run_rule("placement-bijection",
+                         {.placement = &fx.net.placement()})
+                    .passed());
   }
   EXPECT_EQ(fx.net.size(), 30u);
 }
@@ -348,7 +353,9 @@ TEST(Churn, SuddenFailureRepairsOverlay) {
   for (int i = 0; i < 12; ++i) {
     ASSERT_TRUE(churn.do_fail());
     ASSERT_TRUE(fx.net.graph().active_subgraph_connected());
-    ASSERT_TRUE(fx.net.placement().validate());
+    ASSERT_TRUE(run_rule("placement-bijection",
+                         {.placement = &fx.net.placement()})
+                    .passed());
     // Survivors never end below the attach floor.
     for (const SlotId s : fx.net.graph().active_slots()) {
       EXPECT_GE(fx.net.graph().degree(s), 1u);
@@ -439,7 +446,9 @@ TEST(Churn, ScheduledProcessRunsWithEngine) {
   sim.run_until(800.0);
   EXPECT_GT(churn.joins() + churn.leaves(), 5u);
   EXPECT_TRUE(fx.net.graph().active_subgraph_connected());
-  EXPECT_TRUE(fx.net.placement().validate());
+  EXPECT_TRUE(run_rule("placement-bijection",
+                       {.placement = &fx.net.placement()})
+                  .passed());
   EXPECT_GT(engine.stats().attempts, 0u);
 }
 

@@ -12,7 +12,8 @@
 //                          path matching SUBSTR; candidate matches the
 //                          baseline lacks are warned about (repeatable)
 //   --strict-baseline      escalate those warnings to failures, so fresh
-//                          bench fields force a baseline refresh
+//                          bench fields force a baseline refresh; also
+//                          fail when the candidate lacks a baseline metric
 //   --list                 print every compared metric, not just the bad
 //
 // Exit codes: 0 = no regression, 1 = regression past threshold or a

@@ -9,10 +9,11 @@
 //   --strict          warnings also fail the audit
 //   --quiet           suppress the per-rule summary, print findings only
 //
-// Snapshots are graph_io edge-list dumps (save_graph / graph_to_edge_list).
-// Parsing is deliberately lenient: self-loops, parallel edges and
-// out-of-range endpoints load fine and are *flagged*, which is the point —
-// a corrupt dump must produce findings, not a crash.
+// Snapshots are graph_io edge-list dumps (save_graph / graph_to_edge_list),
+// read by snapshot_from_edge_list (analysis/lint_rules.h), the one
+// edge-list reader. Parsing is deliberately lenient: self-loops, parallel
+// edges and out-of-range endpoints load fine and are *flagged*, which is
+// the point — a corrupt dump must produce findings, not a crash.
 //
 // Exit codes: 0 clean, 1 findings at failing severity, 2 usage/IO error.
 #include <cstdio>
