@@ -1,5 +1,8 @@
 #include "bench_util.h"
 
+#include <sys/resource.h>
+
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -40,6 +43,19 @@ BenchOptions parse_options(int argc, char** argv) {
     }
   }
   return opts;
+}
+
+double now_ms() {
+  using clock = std::chrono::steady_clock;
+  return std::chrono::duration<double, std::milli>(
+             clock::now().time_since_epoch())
+      .count();
+}
+
+double peak_rss_mb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;
 }
 
 void print_header(const std::string& experiment, const std::string& claim) {

@@ -44,6 +44,13 @@ struct BenchOptions {
 /// Parses --quick, --part X, --seed N; exits on unknown flags.
 BenchOptions parse_options(int argc, char** argv);
 
+/// Monotonic wall clock in milliseconds, for timing bench phases.
+double now_ms();
+
+/// Peak resident set of this process so far, in MiB (ru_maxrss is KiB on
+/// Linux).
+double peak_rss_mb();
+
 /// Prints the standard experiment header.
 void print_header(const std::string& experiment, const std::string& claim);
 

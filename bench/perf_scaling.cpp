@@ -23,11 +23,9 @@
 // fits in CI time; `--part 1k|10k|50k` runs a single scale of both
 // parts. Exit code is 0 only when the exercised gates hold.
 #include <sched.h>
-#include <sys/resource.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -46,21 +44,6 @@
 
 namespace propsim::bench {
 namespace {
-
-double now_ms() {
-  using clock = std::chrono::steady_clock;
-  return std::chrono::duration<double, std::milli>(
-             clock::now().time_since_epoch())
-      .count();
-}
-
-/// Peak resident set of this process so far, in MiB (ru_maxrss is KiB on
-/// Linux).
-double peak_rss_mb() {
-  rusage usage{};
-  getrusage(RUSAGE_SELF, &usage);
-  return static_cast<double>(usage.ru_maxrss) / 1024.0;
-}
 
 /// Current resident set in MiB via /proc/self/statm (Linux); 0 if
 /// unreadable. Peak RSS only grows, so this is what shows the oracle's

@@ -14,10 +14,7 @@
 //
 // `--quick` shrinks to 120 chains x 2,500 events so the bench fits in
 // CI time.
-#include <sys/resource.h>
-
 #include <bit>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -29,21 +26,6 @@
 
 namespace propsim::bench {
 namespace {
-
-double now_ms() {
-  using clock = std::chrono::steady_clock;
-  return std::chrono::duration<double, std::milli>(
-             clock::now().time_since_epoch())
-      .count();
-}
-
-/// Peak resident set of this process so far, in MiB (ru_maxrss is KiB on
-/// Linux).
-double peak_rss_mb() {
-  rusage usage{};
-  getrusage(RUSAGE_SELF, &usage);
-  return static_cast<double>(usage.ru_maxrss) / 1024.0;
-}
 
 /// Self-rescheduling event chains; each owns its Rng and its checksum.
 class SimWorkload {
@@ -86,6 +68,7 @@ class SimWorkload {
   static constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 
   struct Chain {
+    // det-ok(D7): a member; the constructor seeds every chain's Rng
     Rng rng;
     std::uint32_t id;
     std::uint64_t remaining;

@@ -1,5 +1,6 @@
 #include "analysis/invariant_checker.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <utility>
@@ -31,32 +32,23 @@ std::string LintReport::to_string() const {
   return out;
 }
 
-InvariantChecker::InvariantChecker() {
-  register_builtin_lint_rules();
-  for (const auto& rule : LintRuleRegistry::instance().rules()) {
-    rules_.push_back(rule.get());
+LintReport run_lint(const LintContext& ctx,
+                    const std::vector<std::string>& names) {
+  for (const std::string& name : names) {
+    PROPSIM_CHECK(find_lint_rule(name) != nullptr && "unknown lint rule name");
   }
-}
-
-InvariantChecker::InvariantChecker(
-    const std::vector<std::string>& rule_names) {
-  register_builtin_lint_rules();
-  for (const std::string& name : rule_names) {
-    const LintRule* rule = LintRuleRegistry::instance().find(name);
-    PROPSIM_CHECK(rule != nullptr && "unknown lint rule name");
-    rules_.push_back(rule);
-  }
-}
-
-LintReport InvariantChecker::run(const LintContext& ctx) const {
   LintReport report;
-  for (const LintRule* rule : rules_) {
-    if (!rule->applicable(ctx)) {
+  for (const LintRule& rule : lint_rules()) {
+    if (!names.empty() &&
+        std::find(names.begin(), names.end(), rule.name) == names.end()) {
+      continue;
+    }
+    if (!rule.applicable(ctx)) {
       ++report.rules_skipped;
       continue;
     }
     ++report.rules_run;
-    rule->check(ctx, report.findings);
+    rule.check(rule, ctx, report.findings);
   }
   return report;
 }
@@ -111,13 +103,12 @@ bool install_paranoid_audit(Scheduler& sim, const OverlayNetwork& net,
   const bool audit_partitions = hooks.faults != nullptr && !churn_expected;
   if (audit_partitions) names.emplace_back("partition-closure");
   if (hooks.prop != nullptr) names.emplace_back("negotiation-locks");
-  // The hook owns its checker and baselines; all live as long as the
+  // The hook owns its rule names and baselines; all live as long as the
   // simulator keeps the callback.
-  auto checker = std::make_shared<InvariantChecker>(names);
   auto baseline = std::make_shared<SnapshotGraph>(snapshot_of(net.graph()));
   auto pstate = std::make_shared<PartitionAuditState>();
   sim.set_audit(
-      [checker, baseline, pstate, &net, hooks,
+      [names = std::move(names), baseline, pstate, &net, hooks,
        audit_partitions](const Scheduler& s) {
         const SnapshotGraph snap = snapshot_of(net.graph());
         LintContext ctx;
@@ -147,7 +138,7 @@ bool install_paranoid_audit(Scheduler& sim, const OverlayNetwork& net,
           locks = negotiation_lock_view(*hooks.prop, net.graph());
           ctx.locks = &locks;
         }
-        const LintReport report = checker->run(ctx);
+        const LintReport report = run_lint(ctx, names);
         if (!report.passed()) {
           std::fprintf(stderr,
                        "propsim: paranoid audit failed at t=%.6f after "

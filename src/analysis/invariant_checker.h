@@ -1,5 +1,5 @@
-// InvariantChecker: runs a selected set of lint rules over a snapshot of
-// simulator state and collects the findings.
+// run_lint: runs a selection of the lint rules (analysis/lint_rules.h)
+// over a snapshot of simulator state and collects the findings.
 //
 // Three consumers share it: the propsim_lint CLI (offline audits of
 // graph_io dumps), the unit tests (per-rule fixtures), and the paranoid
@@ -34,22 +34,12 @@ struct LintReport {
   std::string to_string() const;
 };
 
-class InvariantChecker {
- public:
-  /// Audits with every registered rule.
-  InvariantChecker();
-
-  /// Audits with a named subset; check-fails on an unknown rule name.
-  explicit InvariantChecker(const std::vector<std::string>& rule_names);
-
-  const std::vector<const LintRule*>& rules() const { return rules_; }
-
-  /// Runs each selected rule that is applicable to `ctx`.
-  LintReport run(const LintContext& ctx) const;
-
- private:
-  std::vector<const LintRule*> rules_;
-};
+/// Runs the rules named in `names` (every rule when empty) over `ctx`:
+/// each selected rule once, in table order, whatever the order or
+/// repetition of the names; inapplicable rules count as skipped.
+/// Check-fails on an unknown name.
+LintReport run_lint(const LintContext& ctx,
+                    const std::vector<std::string>& names = {});
 
 /// True when the library was compiled with PROPSIM_PARANOID (the in-run
 /// audit below does real work only then).

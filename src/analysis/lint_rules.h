@@ -4,13 +4,15 @@
 // structural invariants the PROP reproduction rests on: PROP-G must leave
 // the overlay unchanged up to isomorphism (Theorem 2), PROP-O must conserve
 // every node's degree, a Chord substrate must keep its ring strictly
-// monotone, a CAN substrate must keep its zones tiling the torus. Rules are
-// registered in a global registry so the propsim_lint CLI, the unit tests
-// and the paranoid in-simulation audit all see the same catalog.
+// monotone, a CAN substrate must keep its zones tiling the torus. The
+// catalog is one constant table of rows (name, description, applicable,
+// check) in lint_rules.cpp, so the propsim_lint CLI, the unit tests and
+// the paranoid in-simulation audit all see the same rules in the same
+// order; run_lint (analysis/invariant_checker.h) runs a selection of them.
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -120,42 +122,23 @@ struct LintFinding {
   std::string message;
 };
 
-/// One invariant audit. Implementations are stateless; `check` appends
-/// zero findings when the invariant holds.
-class LintRule {
- public:
-  virtual ~LintRule() = default;
-
-  virtual std::string_view name() const = 0;
-  virtual std::string_view description() const = 0;
-
-  /// True when the context carries the inputs this rule needs.
-  virtual bool applicable(const LintContext& ctx) const = 0;
-
-  virtual void check(const LintContext& ctx,
-                     std::vector<LintFinding>& findings) const = 0;
+/// One invariant audit: a row of the rule table. `applicable` is true
+/// when the context carries the inputs the rule needs; `check` appends
+/// zero findings when the invariant holds and receives its own row, so
+/// every finding carries the row's name.
+struct LintRule {
+  std::string_view name;
+  std::string_view description;
+  bool (*applicable)(const LintContext& ctx);
+  void (*check)(const LintRule& rule, const LintContext& ctx,
+                std::vector<LintFinding>& findings);
 };
 
-/// Global rule catalog. Rules self-register at static-init time; the
-/// registry is append-only and iteration order is registration order.
-class LintRuleRegistry {
- public:
-  static LintRuleRegistry& instance();
+/// The rule catalog in table order: the order of `--list-rules`, of a
+/// run and of its findings.
+std::span<const LintRule> lint_rules();
 
-  void add(std::unique_ptr<LintRule> rule);
-  const std::vector<std::unique_ptr<LintRule>>& rules() const {
-    return rules_;
-  }
-  /// Rule with the given name, or nullptr.
-  const LintRule* find(std::string_view name) const;
-
- private:
-  std::vector<std::unique_ptr<LintRule>> rules_;
-};
-
-/// Forces registration of the built-in rule set (safe to call repeatedly).
-/// Called by InvariantChecker and the CLI; direct registry users that skip
-/// InvariantChecker must call it once first.
-void register_builtin_lint_rules();
+/// Row with the given name, or nullptr.
+const LintRule* find_lint_rule(std::string_view name);
 
 }  // namespace propsim

@@ -31,7 +31,8 @@
 namespace propsim::obs {
 
 /// True when the library was compiled with PROPSIM_TRACE (emission
-/// paths active); mirrors analysis::paranoid_compiled_in().
+/// paths active); mirrors paranoid_checks_enabled()
+/// (analysis/invariant_checker.h).
 constexpr bool trace_compiled_in() {
 #ifdef PROPSIM_TRACE
   return true;

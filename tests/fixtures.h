@@ -18,7 +18,7 @@ namespace propsim::testing {
 /// Runs one named lint rule over `ctx`, e.g.
 /// run_rule("placement-bijection", {.placement = &net.placement()}).
 inline LintReport run_rule(const std::string& name, const LintContext& ctx) {
-  return InvariantChecker(std::vector<std::string>{name}).run(ctx);
+  return run_lint(ctx, {name});
 }
 
 /// 2 transit domains x 2 transit nodes x 2 stub domains x 12 stub nodes

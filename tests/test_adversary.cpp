@@ -229,9 +229,7 @@ TEST(AdversaryFuzz, NoOrphanLocksOrPendingLeaksUnderAnyModel) {
         const NegotiationLockView locks =
             negotiation_lock_view(engine, fx.net.graph());
         const LintContext ctx{.graph = &snap, .locks = &locks};
-        const LintReport report =
-            InvariantChecker(std::vector<std::string>{"negotiation-locks"})
-                .run(ctx);
+        const LintReport report = run_rule("negotiation-locks", ctx);
         EXPECT_TRUE(report.passed())
             << c.name << " seed " << seed << " t=" << t << ":\n"
             << report.to_string();

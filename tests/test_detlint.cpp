@@ -18,11 +18,8 @@ namespace {
 using namespace detlint;
 
 std::vector<const Rule*> all_rules() {
-  register_builtin_rules();
   std::vector<const Rule*> out;
-  for (const auto& rule : RuleRegistry::instance().rules()) {
-    out.push_back(rule.get());
-  }
+  for (const Rule& rule : rules()) out.push_back(&rule);
   return out;
 }
 
@@ -322,13 +319,17 @@ TEST(Report, JsonSchemaAndCounts) {
   EXPECT_EQ(doc->find("suppressions")->find("used")->as_double(), 1.0);
 }
 
-TEST(Report, RegistryFindsRulesByIdAndName) {
-  register_builtin_rules();
-  const RuleRegistry& reg = RuleRegistry::instance();
-  EXPECT_EQ(reg.rules().size(), 10u);
-  EXPECT_NE(reg.find("D1"), nullptr);
-  EXPECT_EQ(reg.find("D1"), reg.find("unordered-iteration"));
-  EXPECT_EQ(reg.find("nope"), nullptr);
+// find_rule returns the first matching row, so every row found by its
+// own id and name means ids and names are unique across the table.
+TEST(RuleTable, FindsEveryRowByIdAndName) {
+  EXPECT_EQ(rules().size(), 10u);
+  for (const Rule& rule : rules()) {
+    EXPECT_EQ(find_rule(rule.id), &rule) << rule.id;
+    EXPECT_EQ(find_rule(rule.name), &rule) << rule.name;
+    EXPECT_FALSE(rule.description.empty()) << rule.id;
+    EXPECT_FALSE(rule.hint.empty()) << rule.id;
+  }
+  EXPECT_EQ(find_rule("nope"), nullptr);
 }
 
 }  // namespace

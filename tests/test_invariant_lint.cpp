@@ -267,22 +267,33 @@ TEST(LintRules, CanTilingHoldsForBuiltSpaces) {
   EXPECT_TRUE(run_rule("can-tiling", ctx).passed());
 }
 
-// ------------------------------------------------------ checker plumbing
+// ------------------------------------------------------ table and runner
 
-TEST(InvariantChecker, RegistryContainsCatalog) {
-  register_builtin_lint_rules();
-  const auto& reg = LintRuleRegistry::instance();
-  for (const char* name :
-       {"edge-range", "no-self-loops", "no-parallel-edges", "connectivity",
-        "degree-conservation", "prop-g-isomorphism", "placement-bijection",
-        "chord-monotonicity", "can-tiling", "partition-closure",
-        "negotiation-locks"}) {
-    EXPECT_NE(reg.find(name), nullptr) << name;
+// find_lint_rule returns the first matching row, so every row found by
+// its own name means the names are unique.
+TEST(LintRuleTable, NamesUniqueAndDescribed) {
+  EXPECT_EQ(lint_rules().size(), 11u);
+  for (const LintRule& rule : lint_rules()) {
+    EXPECT_EQ(find_lint_rule(rule.name), &rule) << rule.name;
+    EXPECT_FALSE(rule.description.empty()) << rule.name;
   }
-  EXPECT_EQ(reg.find("no-such-rule"), nullptr);
+  EXPECT_EQ(find_lint_rule("no-such-rule"), nullptr);
 }
 
-TEST(InvariantChecker, FullRunOverLiveOverlayPasses) {
+TEST(RunLint, SelectionRunsEachRuleOnceInTableOrder) {
+  SnapshotGraph g;
+  g.node_count = 3;
+  g.edges = {{0, 1}, {1, 1}, {0, 1}};
+  const LintContext ctx{.graph = &g};
+  const LintReport report = run_lint(
+      ctx, {"no-parallel-edges", "no-self-loops", "no-parallel-edges"});
+  EXPECT_EQ(report.rules_run, 2u);
+  ASSERT_EQ(report.findings.size(), 2u);
+  EXPECT_EQ(report.findings[0].rule, "no-self-loops");
+  EXPECT_EQ(report.findings[1].rule, "no-parallel-edges");
+}
+
+TEST(RunLint, FullRunOverLiveOverlayPasses) {
   auto fx = testing::UnstructuredFixture::make(40, 7);
   const SnapshotGraph snap = snapshot_of(fx.net.graph());
   LintContext ctx;
@@ -290,14 +301,13 @@ TEST(InvariantChecker, FullRunOverLiveOverlayPasses) {
   ctx.baseline = &snap;
   ctx.placement = &fx.net.placement();
   ctx.baseline_placement = &fx.net.placement();
-  const InvariantChecker checker;  // every registered rule
-  const LintReport report = checker.run(ctx);
+  const LintReport report = run_lint(ctx);  // every rule
   EXPECT_TRUE(report.passed()) << report.to_string();
   // chord + can structures absent, partition + lock views not supplied.
   EXPECT_EQ(report.rules_skipped, 4u);
 }
 
-TEST(InvariantChecker, PropGRunPreservesAllInvariants) {
+TEST(RunLint, PropGRunPreservesAllInvariants) {
   auto fx = testing::UnstructuredFixture::make(40, 11);
   const SnapshotGraph baseline = snapshot_of(fx.net.graph());
   const Placement baseline_placement = fx.net.placement();
@@ -316,7 +326,7 @@ TEST(InvariantChecker, PropGRunPreservesAllInvariants) {
   ctx.baseline = &baseline;
   ctx.placement = &fx.net.placement();
   ctx.baseline_placement = &baseline_placement;
-  const LintReport report = InvariantChecker().run(ctx);
+  const LintReport report = run_lint(ctx);
   EXPECT_TRUE(report.passed()) << report.to_string();
 }
 
@@ -332,7 +342,7 @@ TEST(Scheduler, AuditHookFiresAtInterval) {
   sim.set_audit(nullptr, 0);  // uninstall must be accepted
 }
 
-TEST(InvariantChecker, ParanoidAuditMatchesBuildFlag) {
+TEST(ParanoidAudit, MatchesBuildFlag) {
   auto fx = testing::UnstructuredFixture::make(30, 5);
   Scheduler sim;
   const bool installed = install_paranoid_audit(sim, fx.net, 2);

@@ -1,7 +1,7 @@
 // detlint — determinism & concurrency static analysis for propsim.
 //
 // Scans C++ sources with a hand-rolled lexer (no clang dependency) and
-// applies the rule registry in rules.cpp: D1-D8 determinism hazards,
+// applies the rule table in rules.cpp: D1-D8 determinism hazards,
 // S1-S3 structural hygiene. Exit 0 when clean, 1 when unsuppressed
 // error findings remain (warnings too under --strict), 2 on usage or
 // I/O trouble.
@@ -136,12 +136,11 @@ bool collect_files(const fs::path& root, const std::string& rel,
 }
 
 void print_rule_catalog() {
-  for (const auto& rule : RuleRegistry::instance().rules()) {
-    std::cout << rule->id() << "  " << rule->name() << "  ("
-              << (rule->severity() == Severity::kError ? "error"
-                                                       : "warning")
-              << ")\n    " << rule->description() << "\n    fix: "
-              << rule->hint() << "\n";
+  for (const Rule& rule : rules()) {
+    std::cout << rule.id << "  " << rule.name << "  ("
+              << (rule.severity == Severity::kError ? "error" : "warning")
+              << ")\n    " << rule.description << "\n    fix: "
+              << rule.hint << "\n";
   }
 }
 
@@ -155,32 +154,28 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  register_builtin_rules();
   if (opt.list_rules) {
     print_rule_catalog();
     return 0;
   }
 
-  std::vector<const Rule*> rules;
-  if (opt.rule_filter.empty()) {
-    for (const auto& rule : RuleRegistry::instance().rules()) {
-      rules.push_back(rule.get());
+  for (const std::string& id : opt.rule_filter) {
+    if (find_rule(id) == nullptr) {
+      std::cerr << "detlint: unknown rule '" << id
+                << "' (see --list-rules)\n";
+      return 2;
     }
-  } else {
-    for (const std::string& id : opt.rule_filter) {
-      const Rule* rule = RuleRegistry::instance().find(id);
-      if (rule == nullptr) {
-        std::cerr << "detlint: unknown rule '" << id
-                  << "' (see --list-rules)\n";
-        return 2;
-      }
-      rules.push_back(rule);
-    }
-    // S3 always runs: a broken marker must surface even when the rule
-    // it names is filtered out.
-    const Rule* s3 = RuleRegistry::instance().find("S3");
-    if (std::find(rules.begin(), rules.end(), s3) == rules.end()) {
-      rules.push_back(s3);
+  }
+  // Each selected rule runs once, in table order. S3 always runs: a
+  // broken marker must surface even when the rule it names is filtered
+  // out.
+  std::vector<const Rule*> selected;
+  for (const Rule& rule : rules()) {
+    const bool named = std::any_of(
+        opt.rule_filter.begin(), opt.rule_filter.end(),
+        [&](const std::string& id) { return find_rule(id) == &rule; });
+    if (opt.rule_filter.empty() || named || rule.id == "S3") {
+      selected.push_back(&rule);
     }
   }
 
@@ -209,7 +204,7 @@ int main(int argc, char** argv) {
     ++report.files_scanned;
 
     std::vector<Finding> findings;
-    run_rules(scan, rules, findings);
+    run_rules(scan, selected, findings);
     std::vector<Suppression> sups = collect_suppressions(scan);
     apply_suppressions(sups, findings);
     std::stable_sort(findings.begin(), findings.end(),

@@ -1,9 +1,10 @@
-// detlint rule registry.
+// detlint rule catalog.
 //
-// Mirrors the runtime registry in src/analysis/lint_rules.h: stateless
-// rule objects self-describe (id, name, description, fix hint), declare
-// applicability per file, and append findings. Rules D1-D8 guard the
-// repo's bit-determinism ground rule (docs/PERF.md, ROADMAP); S1-S3 are
+// Same shape as the runtime catalog in src/analysis/lint_rules.h: one
+// constant table of rows (id, name, description, fix hint, severity,
+// applicable, check) in rules.cpp. A row declares applicability per
+// file and appends findings. Rules D1-D8 guard the repo's
+// bit-determinism ground rule (docs/PERF.md, ROADMAP); S1-S3 are
 // structural hygiene. Findings are suppressed line-by-line with inline
 // markers (syntax in docs/ANALYSIS.md and the CLI usage text): own-line
 // markers cover the next line, trailing markers their own line. Every
@@ -11,7 +12,7 @@
 // markers are themselves findings (S3).
 #pragma once
 
-#include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -34,40 +35,27 @@ struct Finding {
   std::string reason;  // the marker's reason when suppressed
 };
 
-class Rule {
- public:
-  virtual ~Rule() = default;
-
-  virtual std::string_view id() const = 0;
-  virtual std::string_view name() const = 0;
-  virtual std::string_view description() const = 0;
+/// One rule: a row of the rule table. `check` receives its own row, so
+/// every finding carries the row's id, name, severity and hint.
+struct Rule {
+  std::string_view id;    // short id: "D1"
+  std::string_view name;  // slug: "unordered-iteration"
+  std::string_view description;
   /// One-line fix suggestion attached to every finding.
-  virtual std::string_view hint() const = 0;
-  virtual Severity severity() const { return Severity::kError; }
-
+  std::string_view hint;
+  Severity severity;
   /// True when the rule wants to look at this file (path scoping).
-  virtual bool applicable(const FileScan& file) const = 0;
-  virtual void check(const FileScan& file,
-                     std::vector<Finding>& out) const = 0;
+  bool (*applicable)(const FileScan& file);
+  void (*check)(const Rule& rule, const FileScan& file,
+                std::vector<Finding>& out);
 };
 
-/// Append-only catalog; iteration order is registration order.
-class RuleRegistry {
- public:
-  static RuleRegistry& instance();
+/// The rule catalog in table order.
+std::span<const Rule> rules();
 
-  void add(std::unique_ptr<Rule> rule);
-  const std::vector<std::unique_ptr<Rule>>& rules() const { return rules_; }
-  /// Lookup by id ("D1") or name ("unordered-iteration"); nullptr when
-  /// unknown.
-  const Rule* find(std::string_view id_or_name) const;
-
- private:
-  std::vector<std::unique_ptr<Rule>> rules_;
-};
-
-/// Forces registration of the built-in rules (safe to call repeatedly).
-void register_builtin_rules();
+/// Row with the given id ("D1") or name ("unordered-iteration"); nullptr
+/// when unknown.
+const Rule* find_rule(std::string_view id_or_name);
 
 /// One parsed suppression marker, already exploded per rule id.
 struct Suppression {
@@ -88,8 +76,9 @@ std::vector<Suppression> collect_suppressions(const FileScan& file);
 void apply_suppressions(std::vector<Suppression>& suppressions,
                         std::vector<Finding>& findings);
 
-/// Runs each rule applicable to `file`, appending findings.
-void run_rules(const FileScan& file, const std::vector<const Rule*>& rules,
+/// Runs each selected rule applicable to `file`, appending findings.
+void run_rules(const FileScan& file,
+               const std::vector<const Rule*>& selected,
                std::vector<Finding>& out);
 
 }  // namespace detlint

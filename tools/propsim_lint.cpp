@@ -4,7 +4,8 @@
 //
 //   --baseline FILE   pre-run snapshot; enables the conservation rules
 //                     (degree-conservation, prop-g-isomorphism)
-//   --rules a,b,c     run only the named rules (default: all applicable)
+//   --rules a,b,c     run only the named rules, each once, in catalog
+//                     order (default: all applicable)
 //   --list-rules      print the rule catalog and exit
 //   --strict          warnings also fail the audit
 //   --quiet           suppress the per-rule summary, print findings only
@@ -61,10 +62,9 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (arg == "--list-rules") {
-      register_builtin_lint_rules();
-      for (const auto& rule : LintRuleRegistry::instance().rules()) {
-        std::printf("%-22s %s\n", std::string(rule->name()).c_str(),
-                    std::string(rule->description()).c_str());
+      for (const LintRule& rule : lint_rules()) {
+        std::printf("%-22s %s\n", std::string(rule.name).c_str(),
+                    std::string(rule.description).c_str());
       }
       return 0;
     }
@@ -100,9 +100,8 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  register_builtin_lint_rules();
   for (const std::string& name : rule_names) {
-    if (LintRuleRegistry::instance().find(name) == nullptr) {
+    if (find_lint_rule(name) == nullptr) {
       std::fprintf(stderr, "propsim_lint: unknown rule '%s'\n",
                    name.c_str());
       return 2;
@@ -134,9 +133,7 @@ int main(int argc, char** argv) {
     ctx.baseline = &baseline;
   }
 
-  const InvariantChecker checker =
-      rule_names.empty() ? InvariantChecker() : InvariantChecker(rule_names);
-  const LintReport report = checker.run(ctx);
+  const LintReport report = run_lint(ctx, rule_names);
 
   std::fputs(report.to_string().c_str(), stdout);
   if (!quiet) {
