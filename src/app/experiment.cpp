@@ -115,7 +115,7 @@ ExperimentResult::counters() const {
       {"commit_conflicts", commit_conflicts},
       {"lookups_issued", lookups_issued},
       {"lookups_unreachable", lookups_unreachable},
-      // v2: event-bus counters (all zero in a PROPSIM_TRACE=OFF build).
+      // v2: event-bus counters.
       {"walk_hops", trace.count(TraceEventKind::kWalkHop)},
       {"flood_hops", trace.count(TraceEventKind::kFloodHop)},
       {"lookup_hops", trace.count(TraceEventKind::kLookupHop)},
@@ -139,7 +139,7 @@ ExperimentResult::counters() const {
       {"sim_events_scheduled", sim_events_scheduled},
       {"sim_events_cancelled", sim_events_cancelled},
       // v5: measurement-engine counters, invariant across
-      // measure_threads and trace build modes.
+      // measure_threads and trace sinks.
       {"measure_exact_floods", measure_exact_floods},
       {"measure_fast_floods", measure_fast_floods},
       {"measure_snapshot_captures", measure_snapshot_captures},

@@ -108,8 +108,8 @@ struct ExperimentSpec {
   static constexpr double local_tick_period_s = 0.0;
 
   /// When non-empty, the run streams every trace event to this path as
-  /// `propsim.trace` v1 JSONL (requires a PROPSIM_TRACE=ON build; the
-  /// in-memory counters in ExperimentResult::trace work regardless).
+  /// `propsim.trace` v1 JSONL. The in-memory counters in
+  /// ExperimentResult::trace are kept with or without it.
   std::string trace_path;
   /// Sink ring-buffer capacity in events (flushed in batches on wrap).
   std::size_t trace_buffer_events = 8192;
@@ -167,7 +167,7 @@ struct ExperimentResult {
   /// v5: added the measurement counters (measure_exact_floods,
   /// measure_fast_floods, measure_snapshot_captures,
   /// measure_snapshot_reuses) — all invariant across measure_threads
-  /// and trace build modes. v1-v4 names are unchanged.
+  /// and trace sinks. v1-v4 names are unchanged.
   /// v6: added the threat-model counters (adversary_lies,
   /// adversary_drops, adversary_freeride_skips,
   /// adversary_eclipse_attempts, adversary_eclipse_captures,
@@ -232,7 +232,7 @@ struct ExperimentResult {
   std::size_t final_population = 0;
 
   /// Per-phase event counters and wall-clock phase timers from the run's
-  /// event bus (zeros in a PROPSIM_TRACE=OFF build).
+  /// event bus.
   obs::TraceSummary trace;
 
   /// Event-driven traffic results (lookup_rate > 0 only): windowed mean

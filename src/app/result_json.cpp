@@ -53,7 +53,7 @@ Json experiment_result_json(const ExperimentSpec& spec,
   out.set("sim", std::move(sim));
 
   // Measurement stanza (additive). The resolved kernel plus its work
-  // counters, all invariant across measure_threads and trace builds.
+  // counters, all invariant across measure_threads and trace sinks.
   Json measure = Json::object();
   measure.set("mode", to_string(spec.resolved_measure_mode()))
       .set("exact_floods", result.measure_exact_floods)
@@ -62,10 +62,11 @@ Json experiment_result_json(const ExperimentSpec& spec,
       .set("snapshot_reuses", result.measure_snapshot_reuses);
   out.set("measure", std::move(measure));
 
-  // Observability summary (additive; schema stays v1). Per-phase kind
-  // counts only list non-zero kinds to keep small results small.
+  // Observability summary (additive; schema stays v1). The bus always
+  // counts, so "enabled" is always true. Per-phase kind counts only list
+  // non-zero kinds to keep small results small.
   Json trace = Json::object();
-  trace.set("enabled", result.trace.compiled_in)
+  trace.set("enabled", true)
       .set("phase_boundary_s", result.trace.phase_boundary_s)
       .set("events", result.trace.events);
   Json phases = Json::object();

@@ -11,7 +11,6 @@
 
 #include "common/config.h"
 #include "common/table.h"
-#include "obs/event_bus.h"
 
 namespace propsim {
 namespace {
@@ -355,10 +354,7 @@ void engines_available(const S& s, const Config& c, Issues& out) {
           out, "oracle", "hierarchical oracle requires a transit-stub topology",
           "use topology = ts-large | ts-small, or oracle = dijkstra");
   const bool tracing = !s.trace_path.empty();
-  require(!tracing || obs::trace_compiled_in(), out, "trace",
-          "trace output requires a PROPSIM_TRACE=ON build",
-          "rebuild with -DPROPSIM_TRACE=ON (the default preset has it)");
-  if (tracing && obs::trace_compiled_in()) {
+  if (tracing) {
     const std::string problem = trace_path_problem(s.trace_path);
     require(problem.empty(), out, "trace", problem);
   }

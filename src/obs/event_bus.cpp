@@ -111,8 +111,8 @@ void EventBus::attach_sink(TraceSink* sink) {
   if (sink_ != nullptr) sink_->begin(boundary_s_);
 }
 
-void EventBus::do_emit(TraceEventKind kind, std::uint32_t a, std::uint32_t b,
-                       double value, std::uint64_t detail) {
+void EventBus::emit(TraceEventKind kind, std::uint32_t a, std::uint32_t b,
+                    double value, std::uint64_t detail) {
   PROPSIM_DCHECK(kind != TraceEventKind::kCount);
   TraceEvent event;
   event.time = clock_ ? clock_() : 0.0;

@@ -7,11 +7,9 @@
 // every event through a bounded ring-buffer TraceSink as `propsim.trace`
 // v1 JSONL.
 //
-// Like the paranoid invariant audit, emission compiles out: built with
-// -DPROPSIM_TRACE=OFF, emit() is an empty inline, counters stay zero and
-// sinks only ever hold a header — and because the bus never touches the
-// RNG or the event queue, simulation results are bit-identical in both
-// build modes (tests/test_trace.cpp holds this).
+// The bus always counts; a sink is opt-in at run time. The bus never
+// touches the RNG or the event queue, so attaching a sink leaves the
+// simulation results bit-identical (tests/test_trace.cpp holds this).
 //
 // The bus is single-threaded by design: one bus per simulation, owned by
 // whoever owns the Scheduler (parallel sweeps give each run its own).
@@ -30,16 +28,10 @@
 
 namespace propsim::obs {
 
-/// True when the library was compiled with PROPSIM_TRACE (emission
-/// paths active); mirrors paranoid_checks_enabled()
-/// (analysis/invariant_checker.h).
-constexpr bool trace_compiled_in() {
-#ifdef PROPSIM_TRACE
-  return true;
-#else
-  return false;
-#endif
-}
+/// Always true: the bus has one build mode. Kept only because
+/// perfbench/perfbench.cpp and perfbench/traced_run.cpp still call it;
+/// delete it together with those calls.
+constexpr bool trace_compiled_in() { return true; }
 
 /// Bounded ring-buffer JSONL writer for the `propsim.trace` v1 schema:
 /// one header line, then one object per event. Events accumulate in a
@@ -91,7 +83,6 @@ class TraceSink {
 /// Everything a finished run's observability adds up to; embedded in
 /// ExperimentResult and serialized under the result JSON's "trace" key.
 struct TraceSummary {
-  bool compiled_in = trace_compiled_in();
   double phase_boundary_s = 0.0;
   std::uint64_t events = 0;
   std::array<std::uint64_t, kTracePhaseCount> events_by_phase{};
@@ -147,19 +138,9 @@ class EventBus {
   /// `value`, so an emitter may skip computing it when this is false.
   bool has_sink() const { return sink_ != nullptr; }
 
-  /// The one hot call. Compiled out entirely under PROPSIM_TRACE=OFF.
+  /// The one hot call.
   void emit(TraceEventKind kind, std::uint32_t a = 0, std::uint32_t b = 0,
-            double value = 0.0, std::uint64_t detail = 0) {
-#ifdef PROPSIM_TRACE
-    do_emit(kind, a, b, value, detail);
-#else
-    (void)kind;
-    (void)a;
-    (void)b;
-    (void)value;
-    (void)detail;
-#endif
-  }
+            double value = 0.0, std::uint64_t detail = 0);
 
   std::uint64_t total_events() const { return total_; }
   std::uint64_t count(TracePhase phase, TraceEventKind kind) const {
@@ -183,9 +164,6 @@ class EventBus {
 
  private:
   using WallClock = std::chrono::steady_clock;
-
-  void do_emit(TraceEventKind kind, std::uint32_t a, std::uint32_t b,
-               double value, std::uint64_t detail);
 
   Clock clock_;
   double boundary_s_ = 0.0;

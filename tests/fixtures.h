@@ -1,9 +1,11 @@
 // Shared small fixtures for propsim tests: a miniature transit-stub
 // physical network and overlay builders sized so suites stay fast, and
-// the one way a test audits a structural invariant (run_rule).
+// the one way a test audits a structural invariant (run_rule). Result
+// dumps are compared across runs through without_wall_ms.
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/invariant_checker.h"
@@ -19,6 +21,23 @@ namespace propsim::testing {
 /// run_rule("placement-bijection", {.placement = &net.placement()}).
 inline LintReport run_rule(const std::string& name, const LintContext& ctx) {
   return run_lint(ctx, {name});
+}
+
+/// Drops the wall-clock lines (`"wall_ms": ...`) from a dumped result:
+/// they measure host time, the one legitimately nondeterministic field.
+inline std::string without_wall_ms(const std::string& json) {
+  std::string out;
+  std::size_t pos = 0;
+  while (pos < json.size()) {
+    const std::size_t eol = json.find('\n', pos);
+    const std::size_t end = eol == std::string::npos ? json.size() : eol + 1;
+    const std::string_view line(json.data() + pos, end - pos);
+    if (line.find("\"wall_ms\"") == std::string_view::npos) {
+      out.append(line);
+    }
+    pos = end;
+  }
+  return out;
 }
 
 /// 2 transit domains x 2 transit nodes x 2 stub domains x 12 stub nodes

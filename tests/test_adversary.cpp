@@ -1,6 +1,5 @@
 #include <array>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,6 +21,7 @@ namespace {
 
 using testing::UnstructuredFixture;
 using testing::run_rule;
+using testing::without_wall_ms;
 
 PropParams adversary_test_params(PropMode mode) {
   PropParams p;
@@ -330,23 +330,6 @@ const char kSmallBase[] =
     "nodes = 64\nhorizon = 400\nsample_interval = 100\n"
     "queries = 300\ninit_timer = 10\nprotocol = prop-o\n"
     "model_message_delays = true\n";
-
-/// Drops the wall-clock lines (`"wall_ms": ...`) from a dumped result:
-/// they measure host time, the one legitimately nondeterministic field.
-std::string without_wall_ms(const std::string& json) {
-  std::string out;
-  std::size_t pos = 0;
-  while (pos < json.size()) {
-    const std::size_t eol = json.find('\n', pos);
-    const std::size_t end = eol == std::string::npos ? json.size() : eol + 1;
-    const std::string_view line(json.data() + pos, end - pos);
-    if (line.find("\"wall_ms\"") == std::string_view::npos) {
-      out.append(line);
-    }
-    pos = end;
-  }
-  return out;
-}
 
 TEST(ExperimentAdversary, ZeroKnobsAreByteIdenticalToNoKeys) {
   // The acceptance contract: every adversary/storm/burst knob at zero

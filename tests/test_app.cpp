@@ -236,7 +236,6 @@ TEST(ExperimentSpec, RejectsMorePeersThanStubHosts) {
 }
 
 TEST(ExperimentSpec, RejectsTracePathThatCannotBeOpened) {
-  if (!obs::trace_compiled_in()) GTEST_SKIP() << "PROPSIM_TRACE=OFF build";
   for (const char* path : {"/nonexistent/dir/x.jsonl", "."}) {
     const auto result = ExperimentSpec::from_config(
         Config::parse(std::string("trace = ") + path + "\n"));
@@ -486,7 +485,6 @@ TEST(ExperimentResult, CountersViewIsStable) {
 }
 
 TEST(ExperimentResult, EventBusCountersMatchEngineStats) {
-  if (!obs::trace_compiled_in()) GTEST_SKIP() << "PROPSIM_TRACE=OFF build";
   const auto result = run_experiment(must_parse(small_base("")));
   // Every committed exchange and probe trial went over the bus.
   EXPECT_EQ(result.trace.count(obs::TraceEventKind::kExchangeCommit),
@@ -538,7 +536,6 @@ std::string committed_config_digest(const std::string& file,
 // constants untouched; a deliberate behaviour change re-records them
 // and says why.
 TEST(PinnedDigest, CommittedConfigsAtTestSize) {
-  if (!obs::trace_compiled_in()) GTEST_SKIP() << "PROPSIM_TRACE=OFF build";
   struct Case {
     const char* file;
     const char* overrides;

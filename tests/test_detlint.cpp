@@ -226,46 +226,56 @@ TEST(DetlintRules, CleanFixtureIsClean) {
 
 // --------------------------------------------------------- suppressions
 
+// A marker names its rules by short id or by name; both spellings
+// shield the same findings.
 TEST(Suppressions, TrailingMarkerCoversItsOwnLine) {
-  const FileScan scan = scan_source(
-      "src/x.cpp",
-      "std::unordered_map<int, int> m;  // det-ok(D1): probe only\n");
-  std::vector<Finding> findings;
-  run_rules(scan, all_rules(), findings);
-  auto sups = collect_suppressions(scan);
-  apply_suppressions(sups, findings);
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_TRUE(findings[0].suppressed);
-  EXPECT_EQ(findings[0].reason, "probe only");
+  for (const std::string rule : {"D1", "unordered-iteration"}) {
+    const FileScan scan = scan_source(
+        "src/x.cpp", "std::unordered_map<int, int> m;  // det-ok(" + rule +
+                         "): probe only\n");
+    std::vector<Finding> findings;
+    run_rules(scan, all_rules(), findings);
+    auto sups = collect_suppressions(scan);
+    apply_suppressions(sups, findings);
+    ASSERT_EQ(findings.size(), 1u) << rule;
+    EXPECT_TRUE(findings[0].suppressed) << rule;
+    EXPECT_EQ(findings[0].reason, "probe only") << rule;
+  }
 }
 
 TEST(Suppressions, OwnLineMarkerCoversNextLine) {
-  const FileScan scan =
-      scan_source("src/x.cpp",
-                  "// det-ok(D1): probe only\n"
-                  "std::unordered_map<int, int> m;\n"
-                  "std::unordered_map<int, int> n;\n");
-  std::vector<Finding> findings;
-  run_rules(scan, all_rules(), findings);
-  auto sups = collect_suppressions(scan);
-  apply_suppressions(sups, findings);
-  ASSERT_EQ(findings.size(), 2u);
-  EXPECT_TRUE(findings[0].suppressed);
-  EXPECT_FALSE(findings[1].suppressed);
+  for (const std::string rule : {"D1", "unordered-iteration"}) {
+    const FileScan scan =
+        scan_source("src/x.cpp",
+                    "// det-ok(" + rule + "): probe only\n"
+                    "std::unordered_map<int, int> m;\n"
+                    "std::unordered_map<int, int> n;\n");
+    std::vector<Finding> findings;
+    run_rules(scan, all_rules(), findings);
+    auto sups = collect_suppressions(scan);
+    apply_suppressions(sups, findings);
+    ASSERT_EQ(findings.size(), 2u) << rule;
+    EXPECT_TRUE(findings[0].suppressed) << rule;
+    EXPECT_FALSE(findings[1].suppressed) << rule;
+  }
 }
 
 TEST(Suppressions, CommaListCoversMultipleRules) {
-  const FileScan scan = scan_source(
-      "src/x.cpp",
-      "// det-ok(D1, D4): keyed probe by stable address\n"
-      "std::unordered_map<int*, int> m;\n");
-  std::vector<Finding> findings;
-  run_rules(scan, all_rules(), findings);
-  auto sups = collect_suppressions(scan);
-  apply_suppressions(sups, findings);
-  ASSERT_EQ(sups.size(), 2u);
-  for (const Finding& f : findings) {
-    EXPECT_TRUE(f.suppressed) << f.rule;
+  for (const std::string rules : {"D1, D4", "unordered-iteration, D4",
+                                  "D1, pointer-keyed-map"}) {
+    const FileScan scan = scan_source(
+        "src/x.cpp", "// det-ok(" + rules +
+                         "): keyed probe by stable address\n"
+                         "std::unordered_map<int*, int> m;\n");
+    std::vector<Finding> findings;
+    run_rules(scan, all_rules(), findings);
+    auto sups = collect_suppressions(scan);
+    apply_suppressions(sups, findings);
+    ASSERT_EQ(sups.size(), 2u) << rules;
+    ASSERT_FALSE(findings.empty()) << rules;
+    for (const Finding& f : findings) {
+      EXPECT_TRUE(f.suppressed) << rules << ": " << f.rule;
+    }
   }
 }
 
@@ -287,15 +297,19 @@ TEST(Suppressions, S3IsNeverSuppressible) {
 }
 
 TEST(Suppressions, UnusedMarkerIsTracked) {
-  const FileScan scan = scan_source(
-      "src/x.cpp", "int x = 1;  // det-ok(D1): nothing to shield\n");
-  std::vector<Finding> findings;
-  run_rules(scan, all_rules(), findings);
-  auto sups = collect_suppressions(scan);
-  apply_suppressions(sups, findings);
-  ASSERT_EQ(sups.size(), 1u);
-  EXPECT_FALSE(sups[0].used);
-  EXPECT_EQ(sups[0].file, "src/x.cpp");
+  for (const std::string rule : {"D1", "unordered-iteration"}) {
+    const FileScan scan = scan_source(
+        "src/x.cpp",
+        "int x = 1;  // det-ok(" + rule + "): nothing to shield\n");
+    std::vector<Finding> findings;
+    run_rules(scan, all_rules(), findings);
+    auto sups = collect_suppressions(scan);
+    apply_suppressions(sups, findings);
+    ASSERT_EQ(sups.size(), 1u) << rule;
+    EXPECT_FALSE(sups[0].used) << rule;
+    EXPECT_EQ(sups[0].rule, "D1") << rule;
+    EXPECT_EQ(sups[0].file, "src/x.cpp") << rule;
+  }
 }
 
 // --------------------------------------------------------------- report

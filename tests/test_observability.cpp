@@ -61,7 +61,6 @@ std::vector<Commit> run_reading_commits(OverlayNetwork& net, Scheduler& sim,
 }
 
 TEST(CommitStream, CarriesEveryCommittedExchange) {
-  if (!obs::trace_compiled_in()) GTEST_SKIP() << "PROPSIM_TRACE=OFF build";
   auto fx = UnstructuredFixture::make(40, 9501);
   Scheduler sim;
   PropParams params;
@@ -84,7 +83,6 @@ TEST(CommitStream, CarriesEveryCommittedExchange) {
 }
 
 TEST(CommitStream, PropOReportsTransferSizes) {
-  if (!obs::trace_compiled_in()) GTEST_SKIP() << "PROPSIM_TRACE=OFF build";
   auto fx = UnstructuredFixture::make(40, 9502);
   Scheduler sim;
   PropParams params;
@@ -102,7 +100,6 @@ TEST(CommitStream, PropOReportsTransferSizes) {
 }
 
 TEST(CommitStream, CarriesDelayedCommitsToo) {
-  if (!obs::trace_compiled_in()) GTEST_SKIP() << "PROPSIM_TRACE=OFF build";
   auto fx = UnstructuredFixture::make(40, 9503);
   Scheduler sim;
   PropParams params;

@@ -413,11 +413,13 @@ bool parse_marker(const std::string& comment, bool& present,
     const std::size_t comma = list.find(',', pos);
     const std::string id = trim(list.substr(
         pos, comma == std::string::npos ? std::string::npos : comma - pos));
-    if (id.empty() || find_rule(id) == nullptr) {
+    const Rule* rule = id.empty() ? nullptr : find_rule(id);
+    if (rule == nullptr) {
       ids.clear();
       return false;
     }
-    ids.push_back(id);
+    // Findings carry the short id, so a marker spelled by name stores it.
+    ids.emplace_back(rule->id);
     if (comma == std::string::npos) break;
     pos = comma + 1;
   }

@@ -30,7 +30,7 @@ void usage(const char* argv0) {
       "[key=value ...]\n"
       "\n"
       "  --trace <path>  stream propsim.trace v1 JSONL events to <path>\n"
-      "                  (same as trace=<path>; needs PROPSIM_TRACE=ON)\n"
+      "                  (same as trace=<path>)\n"
       "\n"
       "config keys:\n",
       argv0);
