@@ -88,6 +88,38 @@ PeerRole AdversaryLayer::role_of_host(NodeId host) const {
   return PeerRole::kHonest;
 }
 
+double endpoint_cost_now(const OverlayNetwork& net, SlotId endpoint) {
+  return net.neighbor_latency_sum(endpoint);
+}
+
+double endpoint_cost_after(const OverlayNetwork& net,
+                           const ExchangeView& view, SlotId endpoint) {
+  PROPSIM_DCHECK(endpoint == view.u || endpoint == view.v);
+  const SlotId other = endpoint == view.u ? view.v : view.u;
+  const LogicalGraph& g = net.graph();
+  if (view.prop_g) {
+    // The endpoint's host takes the other slot's seat; every other host
+    // stays put, so current slot latencies still describe the pairs —
+    // except the other slot's old seat, now occupied by the counterpart.
+    double cost = 0.0;
+    for (const SlotId n : g.neighbors(other)) {
+      cost += n == endpoint ? net.slot_latency(endpoint, other)
+                            : net.slot_latency(endpoint, n);
+    }
+    return cost;
+  }
+  const SlotId gives = endpoint == view.u ? view.from_u : view.from_v;
+  const SlotId takes = endpoint == view.u ? view.from_v : view.from_u;
+  return endpoint_cost_now(net, endpoint) -
+         net.slot_latency(endpoint, gives) + net.slot_latency(endpoint, takes);
+}
+
+double selfish_gain(const OverlayNetwork& net, const ExchangeView& view,
+                    SlotId endpoint) {
+  return endpoint_cost_now(net, endpoint) -
+         endpoint_cost_after(net, view, endpoint);
+}
+
 std::array<std::uint64_t, 5> AdversaryLayer::census(std::size_t hosts) const {
   std::array<std::uint64_t, 5> counts{};
   for (std::size_t h = 0; h < hosts; ++h) {

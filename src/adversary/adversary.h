@@ -16,8 +16,8 @@
 //  - latency liars    misreport the counterpart-side cost of a planned
 //                     exchange by a multiplicative deflation factor,
 //                     corrupting the MIN_VAR decision whenever the lie
-//                     serves the liar's selfish gain (selfish.h is the
-//                     seed for "what does this peer win").
+//                     serves the liar's selfish gain (`selfish_gain`
+//                     below: "what does this peer win").
 //  - free-riders      accept inbound exchanges but never probe or
 //                     initiate — they sit out their own probe timers.
 //  - selective        ack prepares, then drop the commit leg toward
@@ -36,7 +36,6 @@
 #include <array>
 #include <cstdint>
 
-#include "baselines/selfish.h"
 #include "common/rng.h"
 #include "obs/event_bus.h"
 #include "overlay/overlay_network.h"
@@ -77,6 +76,35 @@ struct AdversaryParams {
            dropper_fraction > 0.0 || eclipse_fraction > 0.0;
   }
 };
+
+/// A PROP exchange seen from one endpoint's selfish perspective.
+///
+/// Mirrors core's ExchangePlan without depending on it, so layers below
+/// core (the adversary models) can reason about what a single peer wins
+/// or loses from an exchange the cooperative Var metric would accept.
+struct ExchangeView {
+  bool prop_g = true;     // true: placement swap; false: neighbor transfer
+  SlotId u = kInvalidSlot;
+  SlotId v = kInvalidSlot;
+  SlotId from_u = kInvalidSlot;  // PROP-O: neighbor u hands to v
+  SlotId from_v = kInvalidSlot;  // PROP-O: neighbor v hands to u
+};
+
+/// Sum of latencies from endpoint's current host to its current logical
+/// neighbors — the cost a selfish peer wants to shrink.
+double endpoint_cost_now(const OverlayNetwork& net, SlotId endpoint);
+
+/// Cost `endpoint` would carry after the exchange executes. For PROP-G
+/// the endpoint's host moves to the other slot's seat (the logical graph
+/// is untouched); for PROP-O the transferred neighbors swap.
+double endpoint_cost_after(const OverlayNetwork& net,
+                           const ExchangeView& view, SlotId endpoint);
+
+/// Positive when the exchange improves `endpoint`'s own latency sum —
+/// the quantity a latency liar inflates and a free-rider never spends
+/// messages to discover.
+double selfish_gain(const OverlayNetwork& net, const ExchangeView& view,
+                    SlotId endpoint);
 
 class AdversaryLayer {
  public:

@@ -348,6 +348,32 @@ void workload_consistent(const S& s, const Config&, Issues& out) {
           "churn_end defaults to horizon");
 }
 
+/// A protocol fires each peer's timer at most once per init_timer, and
+/// the sampler runs one metric sweep per sample_interval, so the two
+/// ratios to horizon bound a run's work per peer. Measured on
+/// fig5_like.conf (1000 peers, 10000 queries, one measure thread):
+/// about 0.5 us per event and 61 ms per sample. At either bound that
+/// run costs about ten minutes; past it, a tiny interval no longer even
+/// advances the clock.
+constexpr double kMaxTimerIntervals = 1e6;
+constexpr double kMaxSamples = 1e4;
+
+void work_bounded(const S& s, const Config&, Issues& out) {
+  const double intervals = s.horizon_s / s.prop.init_timer_s;
+  require(s.protocol == S::Protocol::kNone || intervals <= kMaxTimerIntervals,
+          out, "init_timer",
+          "horizon / init_timer is " + Table::fmt(intervals, 6) +
+              " timer intervals; at most " + Table::fmt(kMaxTimerIntervals) +
+              " are allowed",
+          "raise init_timer or shorten horizon");
+  const double samples = s.horizon_s / s.sample_interval_s;
+  require(samples <= kMaxSamples, out, "sample_interval",
+          "horizon / sample_interval is " + Table::fmt(samples, 6) +
+              " metric samples; at most " + Table::fmt(kMaxSamples) +
+              " are allowed",
+          "raise sample_interval or shorten horizon");
+}
+
 void engines_available(const S& s, const Config& c, Issues& out) {
   require(s.oracle_mode != S::OracleMode::kHierarchical ||
               s.topology != S::Topology::kWaxman,
@@ -463,7 +489,7 @@ void adversaries_valid(const S& s, const Config& c, Issues& out) {
 }
 
 constexpr JointRule kJointRules[] = {
-    population_fits, workload_consistent, engines_available,
+    population_fits, workload_consistent, work_bounded,  engines_available,
     faults_valid,    gnutella_only,       adversaries_valid,
 };
 

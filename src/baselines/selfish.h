@@ -33,33 +33,4 @@ struct SelfishOutcome {
 SelfishOutcome selfish_step(OverlayNetwork& net, SlotId u,
                             const SelfishParams& params, Rng& rng);
 
-/// A PROP exchange seen from one endpoint's selfish perspective.
-///
-/// Mirrors core's ExchangePlan without depending on it, so layers below
-/// core (the adversary models) can reason about what a single peer wins
-/// or loses from an exchange the cooperative Var metric would accept.
-struct ExchangeView {
-  bool prop_g = true;     // true: placement swap; false: neighbor transfer
-  SlotId u = kInvalidSlot;
-  SlotId v = kInvalidSlot;
-  SlotId from_u = kInvalidSlot;  // PROP-O: neighbor u hands to v
-  SlotId from_v = kInvalidSlot;  // PROP-O: neighbor v hands to u
-};
-
-/// Sum of latencies from endpoint's current host to its current logical
-/// neighbors — the cost a selfish peer wants to shrink.
-double endpoint_cost_now(const OverlayNetwork& net, SlotId endpoint);
-
-/// Cost `endpoint` would carry after the exchange executes. For PROP-G
-/// the endpoint's host moves to the other slot's seat (the logical graph
-/// is untouched); for PROP-O the transferred neighbors swap.
-double endpoint_cost_after(const OverlayNetwork& net,
-                           const ExchangeView& view, SlotId endpoint);
-
-/// Positive when the exchange improves `endpoint`'s own latency sum —
-/// the quantity a latency liar inflates and a free-rider never spends
-/// messages to discover.
-double selfish_gain(const OverlayNetwork& net, const ExchangeView& view,
-                    SlotId endpoint);
-
 }  // namespace propsim

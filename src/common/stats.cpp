@@ -16,23 +16,6 @@ void RunningStats::add(double x) {
   max_ = std::max(max_, x);
 }
 
-void RunningStats::merge(const RunningStats& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const auto n1 = static_cast<double>(count_);
-  const auto n2 = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double n = n1 + n2;
-  mean_ += delta * n2 / n;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / n;
-  count_ += other.count_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 void RunningStats::reset() { *this = RunningStats(); }
 
 double RunningStats::variance() const {
@@ -66,30 +49,6 @@ double Samples::quantile(double q) const {
   const double frac = pos - static_cast<double>(idx);
   if (idx + 1 >= values_.size()) return values_.back();
   return values_[idx] * (1.0 - frac) + values_[idx + 1] * frac;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0) {
-  PROPSIM_CHECK(hi > lo);
-  PROPSIM_CHECK(buckets > 0);
-}
-
-void Histogram::add(double x) {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  auto idx = static_cast<std::ptrdiff_t>((x - lo_) / width);
-  idx = std::clamp<std::ptrdiff_t>(
-      idx, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bucket_lo(std::size_t i) const {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(i);
-}
-
-double Histogram::bucket_hi(std::size_t i) const {
-  return bucket_lo(i + 1);
 }
 
 }  // namespace propsim

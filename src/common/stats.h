@@ -12,7 +12,6 @@ namespace propsim {
 class RunningStats {
  public:
   void add(double x);
-  void merge(const RunningStats& other);
   void reset();
 
   std::size_t count() const { return count_; }
@@ -49,26 +48,6 @@ class Samples {
   mutable std::vector<double> values_;
   mutable bool sorted_ = false;
   void ensure_sorted() const;
-};
-
-/// Fixed-width histogram over [lo, hi); out-of-range samples clamp to the
-/// edge buckets so mass is never silently dropped.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x);
-  std::size_t total() const { return total_; }
-  std::size_t bucket_count() const { return counts_.size(); }
-  std::size_t bucket(std::size_t i) const { return counts_[i]; }
-  double bucket_lo(std::size_t i) const;
-  double bucket_hi(std::size_t i) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
 };
 
 }  // namespace propsim

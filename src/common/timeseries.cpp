@@ -23,13 +23,6 @@ double TimeSeries::last_value() const {
   return points_.back().value;
 }
 
-double TimeSeries::min_value() const {
-  PROPSIM_CHECK(!points_.empty());
-  double best = std::numeric_limits<double>::infinity();
-  for (const Point& p : points_) best = std::min(best, p.value);
-  return best;
-}
-
 double TimeSeries::value_at(double t) const {
   PROPSIM_CHECK(!points_.empty());
   PROPSIM_CHECK(t >= points_.front().time);
@@ -38,21 +31,6 @@ double TimeSeries::value_at(double t) const {
       points_.begin(), points_.end(), t,
       [](double lhs, const Point& rhs) { return lhs < rhs.time; });
   return std::prev(it)->value;
-}
-
-TimeSeries TimeSeries::resample(std::size_t buckets) const {
-  PROPSIM_CHECK(!points_.empty());
-  PROPSIM_CHECK(buckets >= 2);
-  TimeSeries out(name_);
-  const double t0 = points_.front().time;
-  const double t1 = points_.back().time;
-  for (std::size_t i = 0; i < buckets; ++i) {
-    const double t =
-        t0 + (t1 - t0) * static_cast<double>(i) /
-                 static_cast<double>(buckets - 1);
-    out.record(t, value_at(t));
-  }
-  return out;
 }
 
 std::string series_to_csv(const std::vector<TimeSeries>& series,

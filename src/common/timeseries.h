@@ -27,14 +27,9 @@ class TimeSeries {
 
   double first_value() const;
   double last_value() const;
-  double min_value() const;
   /// Value at the latest point with time <= t (step interpolation);
   /// requires at least one point at or before t.
   double value_at(double t) const;
-
-  /// Resamples onto a uniform grid of `buckets` steps spanning
-  /// [first.time, last.time] with step interpolation.
-  TimeSeries resample(std::size_t buckets) const;
 
  private:
   std::string name_;

@@ -62,8 +62,9 @@ void LatencyOracle::build_hierarchical(const TransitStubTopology& topo) {
     }
   }
   backbone_dist_.assign(backbone_n_ * backbone_n_, 0.0);
+  const CsrGraph backbone_csr(backbone);
   for (std::size_t i = 0; i < backbone_n_; ++i) {
-    const auto row = dijkstra(backbone, static_cast<NodeId>(i));
+    const auto row = dijkstra(backbone_csr, static_cast<NodeId>(i));
     for (std::size_t j = 0; j < backbone_n_; ++j) {
       PROPSIM_CHECK(row[j] != std::numeric_limits<double>::infinity());
       backbone_dist_[i * backbone_n_ + j] = row[j];
@@ -107,8 +108,9 @@ void LatencyOracle::build_hierarchical(const TransitStubTopology& topo) {
 
     table.dist.resize(static_cast<std::size_t>(meta.size) * meta.size);
     const std::uint32_t gateway_local = meta.gateway - meta.first;
+    const CsrGraph local_csr(local);
     for (std::uint32_t i = 0; i < meta.size; ++i) {
-      const auto row = dijkstra(local, static_cast<NodeId>(i));
+      const auto row = dijkstra(local_csr, static_cast<NodeId>(i));
       for (std::uint32_t j = 0; j < meta.size; ++j) {
         PROPSIM_CHECK(row[j] != std::numeric_limits<double>::infinity());
         table.dist[static_cast<std::size_t>(i) * meta.size + j] = row[j];
@@ -183,32 +185,6 @@ DistanceRow LatencyOracle::distances_from(NodeId source) const {
     return DistanceRow(std::move(row));
   }
   return DistanceRow(row_for(source));
-}
-
-double LatencyOracle::average_pairwise_latency(
-    std::span<const NodeId> hosts) const {
-  PROPSIM_CHECK(!hosts.empty());
-  double sum = 0.0;
-  if (hierarchical_) {
-    for (const NodeId a : hosts) {
-      for (const NodeId b : hosts) {
-        if (a != b) sum += hierarchical_latency(a, b);
-      }
-    }
-  } else {
-    for (const NodeId a : hosts) {
-      const auto row = row_for(a);
-      for (const NodeId b : hosts) sum += (*row)[b];
-    }
-  }
-  const auto n = static_cast<double>(hosts.size());
-  return sum / (n * n);
-}
-
-double LatencyOracle::average_physical_link_latency() const {
-  PROPSIM_CHECK(physical_.edge_count() > 0);
-  return physical_.total_edge_weight() /
-         static_cast<double>(physical_.edge_count());
 }
 
 std::size_t LatencyOracle::cached_sources() const {

@@ -94,14 +94,6 @@ class LatencyOracle {
   /// materialized on demand in O(V) — prefer latency() for point queries.
   DistanceRow distances_from(NodeId source) const;
 
-  /// Mean latency over all unordered pairs of `hosts` (self-pairs count as
-  /// zero, matching the paper's AL definition over n^2 ordered pairs).
-  double average_pairwise_latency(std::span<const NodeId> hosts) const;
-
-  /// Mean latency over the physical graph's direct links; the denominator
-  /// of the paper's stretch metric.
-  double average_physical_link_latency() const;
-
   /// Dijkstra rows currently resident (0 in hierarchical mode, which
   /// keeps no rows). Never exceeds options.max_cached_rows.
   std::size_t cached_sources() const;

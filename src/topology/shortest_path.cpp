@@ -1,44 +1,10 @@
 #include "topology/shortest_path.h"
 
-#include <algorithm>
 #include <limits>
 
 #include "common/indexed_priority_queue.h"
 
 namespace propsim {
-namespace {
-
-ShortestPathTree run_dijkstra(const Graph& g, NodeId source,
-                              bool want_parents) {
-  PROPSIM_CHECK(source < g.node_count());
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  ShortestPathTree tree;
-  tree.distance.assign(g.node_count(), kInf);
-  if (want_parents) tree.parent.assign(g.node_count(), kInvalidNode);
-
-  IndexedPriorityQueue<double> queue(g.node_count());
-  tree.distance[source] = 0.0;
-  queue.push_or_update(source, 0.0);
-  while (!queue.empty()) {
-    const auto u = static_cast<NodeId>(queue.pop());
-    const double du = tree.distance[u];
-    for (const Graph::Edge& e : g.neighbors(u)) {
-      const double candidate = du + e.weight;
-      if (candidate < tree.distance[e.to]) {
-        tree.distance[e.to] = candidate;
-        if (want_parents) tree.parent[e.to] = u;
-        queue.push_or_update(e.to, candidate);
-      }
-    }
-  }
-  return tree;
-}
-
-}  // namespace
-
-std::vector<double> dijkstra(const Graph& g, NodeId source) {
-  return run_dijkstra(g, source, /*want_parents=*/false).distance;
-}
 
 std::vector<double> dijkstra(const CsrGraph& g, NodeId source) {
   PROPSIM_CHECK(source < g.node_count());
@@ -64,24 +30,8 @@ std::vector<double> dijkstra(const CsrGraph& g, NodeId source) {
   return distance;
 }
 
-ShortestPathTree dijkstra_tree(const Graph& g, NodeId source) {
-  return run_dijkstra(g, source, /*want_parents=*/true);
-}
-
-std::vector<NodeId> extract_path(const ShortestPathTree& tree, NodeId source,
-                                 NodeId target) {
-  PROPSIM_CHECK(target < tree.distance.size());
-  std::vector<NodeId> path;
-  if (tree.distance[target] == std::numeric_limits<double>::infinity()) {
-    return path;
-  }
-  for (NodeId at = target; at != kInvalidNode; at = tree.parent[at]) {
-    path.push_back(at);
-    if (at == source) break;
-  }
-  std::reverse(path.begin(), path.end());
-  PROPSIM_CHECK(!path.empty() && path.front() == source);
-  return path;
+std::vector<double> dijkstra(const Graph& g, NodeId source) {
+  return dijkstra(CsrGraph(g), source);
 }
 
 }  // namespace propsim

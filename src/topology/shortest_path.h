@@ -7,25 +7,13 @@
 
 namespace propsim {
 
-/// Dijkstra from `source`; result[i] is the latency of the shortest path
-/// source -> i, or +infinity if unreachable.
-std::vector<double> dijkstra(const Graph& g, NodeId source);
-
-/// As above over a CSR snapshot — the form the latency oracle uses on its
-/// hot path, where the flat adjacency arrays matter.
+/// Dijkstra from `source` over a CSR snapshot; result[i] is the latency of
+/// the shortest path source -> i, or +infinity if unreachable. The CSR
+/// form keeps each node's neighbour order, so the relaxations (and the
+/// distances, bit for bit) are those of a walk over the `Graph`.
 std::vector<double> dijkstra(const CsrGraph& g, NodeId source);
 
-/// As above but also returns the predecessor of each node on its shortest
-/// path (kInvalidNode for the source and unreachable nodes).
-struct ShortestPathTree {
-  std::vector<double> distance;
-  std::vector<NodeId> parent;
-};
-ShortestPathTree dijkstra_tree(const Graph& g, NodeId source);
-
-/// Reconstructs the node sequence source -> ... -> target from a tree;
-/// empty if target is unreachable.
-std::vector<NodeId> extract_path(const ShortestPathTree& tree, NodeId source,
-                                 NodeId target);
+/// As above over a `Graph`: snapshots it and forwards to the CSR form.
+std::vector<double> dijkstra(const Graph& g, NodeId source);
 
 }  // namespace propsim

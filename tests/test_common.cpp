@@ -312,27 +312,6 @@ TEST(RunningStats, MeanVarianceMinMax) {
   EXPECT_DOUBLE_EQ(s.max(), 9.0);
 }
 
-TEST(RunningStats, MergeMatchesCombined) {
-  Rng rng(53);
-  RunningStats a;
-  RunningStats b;
-  RunningStats all;
-  for (int i = 0; i < 100; ++i) {
-    const double x = rng.uniform_double(0, 10);
-    a.add(x);
-    all.add(x);
-  }
-  for (int i = 0; i < 37; ++i) {
-    const double x = rng.uniform_double(5, 25);
-    b.add(x);
-    all.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-}
-
 TEST(RunningStats, EmptyIsZero) {
   RunningStats s;
   EXPECT_EQ(s.count(), 0u);
@@ -355,19 +334,6 @@ TEST(Samples, SingleValue) {
   EXPECT_DOUBLE_EQ(s.quantile(0.3), 42.0);
 }
 
-TEST(Histogram, BucketsAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);
-  h.add(9.9);
-  h.add(-100.0);  // clamps to first bucket
-  h.add(100.0);   // clamps to last bucket
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_EQ(h.bucket(0), 2u);
-  EXPECT_EQ(h.bucket(4), 2u);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.bucket_hi(1), 4.0);
-}
-
 // --------------------------------------------------------- timeseries ----
 
 TEST(TimeSeries, RecordAndQuery) {
@@ -377,22 +343,10 @@ TEST(TimeSeries, RecordAndQuery) {
   ts.record(10.0, 15.0);
   EXPECT_DOUBLE_EQ(ts.first_value(), 10.0);
   EXPECT_DOUBLE_EQ(ts.last_value(), 15.0);
-  EXPECT_DOUBLE_EQ(ts.min_value(), 10.0);
   EXPECT_DOUBLE_EQ(ts.value_at(0.0), 10.0);
   EXPECT_DOUBLE_EQ(ts.value_at(4.9), 10.0);
   EXPECT_DOUBLE_EQ(ts.value_at(5.0), 20.0);
   EXPECT_DOUBLE_EQ(ts.value_at(100.0), 15.0);
-}
-
-TEST(TimeSeries, ResampleUniformGrid) {
-  TimeSeries ts("x");
-  ts.record(0.0, 1.0);
-  ts.record(10.0, 2.0);
-  const TimeSeries r = ts.resample(11);
-  EXPECT_EQ(r.size(), 11u);
-  EXPECT_DOUBLE_EQ(r[0].value, 1.0);
-  EXPECT_DOUBLE_EQ(r[10].value, 2.0);
-  EXPECT_DOUBLE_EQ(r[5].value, 1.0);  // step interpolation
 }
 
 TEST(TimeSeries, CsvAlignment) {

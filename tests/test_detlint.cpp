@@ -207,6 +207,31 @@ TEST(DetlintRules, S2FiresOnIncludeHygiene) {
   ASSERT_EQ(s2.size(), 3u);
 }
 
+// The src/ layer order: an include of a higher or same-rank directory,
+// and a directory the order does not place, are S2 findings; includes of
+// the file's own and of lower layers are not.
+TEST(DetlintRules, S2FiresOnIncludeAboveTheLayer) {
+  const LintResult r = lint_fixture("src/overlay/s2_layer.cpp");
+  const auto s2 = by_rule(r, "S2");
+  ASSERT_EQ(s2.size(), 2u);
+  EXPECT_EQ(s2[0]->line, 10);  // core/
+  EXPECT_EQ(s2[1]->line, 12);  // chord/
+}
+
+TEST(DetlintRules, S2LayerOrderIsStrictAmongSiblings) {
+  const LintResult r = lint_fixture("src/chord/s2_sibling.cpp");
+  const auto s2 = by_rule(r, "S2");
+  ASSERT_EQ(s2.size(), 1u);
+  EXPECT_EQ(s2[0]->line, 5);  // can/
+}
+
+TEST(DetlintRules, S2FiresOnUnplacedSrcDirectory) {
+  const LintResult r = lint_fixture("src/newmod/s2_unplaced.cpp");
+  const auto s2 = by_rule(r, "S2");
+  ASSERT_EQ(s2.size(), 1u);
+  EXPECT_EQ(s2[0]->line, 1);
+}
+
 TEST(DetlintRules, S3FiresOnEveryMalformedMarker) {
   const LintResult r = lint_fixture("src/s3_bad_suppress.cpp");
   EXPECT_EQ(by_rule(r, "S3").size(), 3u);

@@ -185,22 +185,5 @@ TEST(LatencyOracleConcurrency, HierarchicalParallelQueriesAreConsistent) {
   EXPECT_EQ(mismatches.load(), 0);
 }
 
-// ----------------------------------------------------------- helpers ----
-
-TEST(LatencyOracle, AveragePairwiseMatchesBetweenEngines) {
-  Rng rng(31);
-  const TransitStubTopology topo = make_transit_stub(tiny_ts(), rng);
-  const LatencyOracle hier(topo);
-  const LatencyOracle dijk(topo.graph);
-
-  std::vector<NodeId> hosts;
-  Rng pick(32);
-  for (int i = 0; i < 24; ++i) hosts.push_back(pick.pick(topo.stub_nodes));
-  EXPECT_DOUBLE_EQ(hier.average_pairwise_latency(hosts),
-                   dijk.average_pairwise_latency(hosts));
-  EXPECT_DOUBLE_EQ(hier.average_physical_link_latency(),
-                   dijk.average_physical_link_latency());
-}
-
 }  // namespace
 }  // namespace propsim

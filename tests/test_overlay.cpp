@@ -750,36 +750,6 @@ TEST(GraphIo, SaveGraphWritesTheEdgeList) {
   EXPECT_EQ(text.str(), graph_to_edge_list(g));
 }
 
-TEST(GraphIo, DotExportContainsEdges) {
-  Graph g(3);
-  g.add_edge(0, 1, 5.0);
-  g.add_edge(1, 2, 7.0);
-  const std::string dot = graph_to_dot(g, /*label_weights=*/true);
-  EXPECT_NE(dot.find("graph physical {"), std::string::npos);
-  EXPECT_NE(dot.find("n0 -- n1"), std::string::npos);
-  EXPECT_NE(dot.find("label=\"7\""), std::string::npos);
-}
-
-TEST(GraphIo, OverlayDotColorsByLatency) {
-  Graph phys(4);
-  phys.add_edge(0, 1, 1.0);
-  phys.add_edge(1, 2, 1.0);
-  phys.add_edge(2, 3, 1.0);
-  LatencyOracle oracle(phys);
-  LogicalGraph g(3);
-  g.add_edge(0, 1);  // short link (1 ms)
-  g.add_edge(0, 2);  // long link (3 ms via hosts 0 and 3)
-  Placement p(3, 4);
-  p.bind(0, 0);
-  p.bind(1, 1);
-  p.bind(2, 3);
-  OverlayNetwork net(std::move(g), std::move(p), oracle);
-  const std::string dot = overlay_to_dot(net);
-  EXPECT_NE(dot.find("s0 -- s1 [color=\"0.330"), std::string::npos);  // green
-  EXPECT_NE(dot.find("s0 -- s2 [color=\"0.000"), std::string::npos);  // red
-  EXPECT_NE(dot.find("\"0/0\""), std::string::npos);  // slot/host label
-}
-
 // -------------------------------------------------------- Isomorphism ----
 
 TEST(Isomorphism, HostEdgesCanonical) {

@@ -124,6 +124,8 @@ TEST(SpecKeys, ValuesThatUsedToAbortAreSpecErrors) {
       {"measure_threads = 100000", "measure_threads"},
       {"trace = x.jsonl\ntrace_buffer = 99999999999", "trace_buffer"},
       {"seed = 99999999999999999999", "seed"},
+      {"init_timer = 1e-320", "init_timer"},
+      {"sample_interval = 1e-300", "sample_interval"},
   };
   for (const auto& [text, key] : cases) {
     const SpecResult r = ExperimentSpec::from_config(
@@ -133,6 +135,22 @@ TEST(SpecKeys, ValuesThatUsedToAbortAreSpecErrors) {
     for (const SpecIssue& issue : r.errors) named = named || issue.key == key;
     EXPECT_TRUE(named) << text << "\n" << r.error_report();
   }
+}
+
+// horizon / init_timer and horizon / sample_interval are bounded at 1e6
+// timer intervals and 1e4 samples: the bound itself is accepted, the next
+// step past it is not, and a run without a protocol has no timers.
+TEST(SpecKeys, TimerAndSampleBoundsAdmitTheirEdge) {
+  auto ok = [](const std::string& text) {
+    return ExperimentSpec::from_config(Config::parse("nodes = 50\n" + text))
+        .ok();
+  };
+  EXPECT_TRUE(ok("horizon = 1000000\ninit_timer = 1\nsample_interval = 1000"));
+  EXPECT_FALSE(ok("horizon = 1000001\ninit_timer = 1\nsample_interval = 1000"));
+  EXPECT_TRUE(ok("protocol = none\nhorizon = 1000001\ninit_timer = 1\n"
+                 "sample_interval = 1000"));
+  EXPECT_TRUE(ok("horizon = 10000\nsample_interval = 1"));
+  EXPECT_FALSE(ok("horizon = 10000\nsample_interval = 0.999"));
 }
 
 TEST(SpecKeys, UnknownKeysGetTheClosestKeyOrNone) {

@@ -234,19 +234,6 @@ TEST(ShortestPath, UnreachableIsInfinity) {
   EXPECT_TRUE(std::isinf(d[2]));
 }
 
-TEST(ShortestPath, PathExtraction) {
-  Graph g(4);
-  g.add_edge(0, 1, 1.0);
-  g.add_edge(1, 2, 1.0);
-  g.add_edge(2, 3, 1.0);
-  g.add_edge(0, 3, 10.0);
-  const auto tree = dijkstra_tree(g, 0);
-  const auto path = extract_path(tree, 0, 3);
-  ASSERT_EQ(path.size(), 4u);
-  EXPECT_EQ(path.front(), 0u);
-  EXPECT_EQ(path.back(), 3u);
-}
-
 TEST(ShortestPath, MatchesBruteForceOnRandomGraphs) {
   Rng rng(9);
   for (int trial = 0; trial < 5; ++trial) {
@@ -304,24 +291,6 @@ TEST(LatencyOracle, CachesPerSource) {
   // Reverse direction reuses the cached row.
   oracle.latency(2, 0);
   EXPECT_EQ(oracle.cached_sources(), 1u);
-}
-
-TEST(LatencyOracle, AveragePairwiseMatchesManual) {
-  Graph g(3);
-  g.add_edge(0, 1, 1.0);
-  g.add_edge(1, 2, 2.0);
-  LatencyOracle oracle(g);
-  const std::vector<NodeId> hosts{0, 1, 2};
-  // Ordered pairs incl. self: (0+1+3)+(1+0+2)+(3+2+0) = 12 over 9.
-  EXPECT_NEAR(oracle.average_pairwise_latency(hosts), 12.0 / 9.0, 1e-12);
-}
-
-TEST(LatencyOracle, AveragePhysicalLinkLatency) {
-  Graph g(3);
-  g.add_edge(0, 1, 1.0);
-  g.add_edge(1, 2, 2.0);
-  LatencyOracle oracle(g);
-  EXPECT_DOUBLE_EQ(oracle.average_physical_link_latency(), 1.5);
 }
 
 TEST(LatencyOracle, TriangleInequalityHolds) {

@@ -363,8 +363,47 @@ void check_pragma_once(const Rule& rule, const FileScan& file,
 }
 
 // ---------------------------------------------------- S2 include-hygiene
+// The layer order of src/ (CONTRIBUTING.md, "Dependency order"): a quoted
+// include in src/<dir>/ may name its own directory or one of strictly
+// lower rank. A src/ directory missing from the table is itself a
+// finding, so a new module has to be placed in the order.
+struct Layer {
+  std::string_view dir;
+  int rank;
+};
+constexpr Layer kLayers[] = {
+    {"common", 0}, {"obs", 1}, {"topology", 2}, {"sim", 3}, {"overlay", 4},
+    {"measure", 5}, {"faults", 5}, {"adversary", 5}, {"gnutella", 5},
+    {"chord", 5}, {"pastry", 5}, {"tapestry", 5}, {"can", 5},
+    {"core", 6},
+    {"analysis", 7}, {"baselines", 7}, {"metrics", 7}, {"workload", 7},
+    {"app", 8},
+};
+
+// Rank of a src/ directory; -1 when the table does not place it.
+int layer_rank(std::string_view dir) {
+  for (const Layer& layer : kLayers) {
+    if (layer.dir == dir) return layer.rank;
+  }
+  return -1;
+}
+
+// First path component of `path`; empty when it has no '/'.
+std::string first_dir(const std::string& path) {
+  const std::size_t slash = path.find('/');
+  return slash == std::string::npos ? std::string() : path.substr(0, slash);
+}
+
 void check_include_hygiene(const Rule& rule, const FileScan& file,
                            std::vector<Finding>& out) {
+  // Files directly in src/ (and everything outside it) have no layer.
+  const std::string dir =
+      starts_with(file.path, "src/") ? first_dir(file.path.substr(4)) : "";
+  const int rank = dir.empty() ? -1 : layer_rank(dir);
+  if (!dir.empty() && rank < 0) {
+    emit(rule, file, 1,
+         "src/" + dir + "/ has no place in the layer order", out);
+  }
   std::vector<std::string> seen;
   for (const Directive& d : file.directives) {
     std::string rest = trim(d.text.substr(1));  // past '#'
@@ -381,6 +420,15 @@ void check_include_hygiene(const Rule& rule, const FileScan& file,
         (starts_with(spec, "../") || contains(spec, "/../"))) {
       emit(rule, file, d.line,
            "parent-relative include \"" + spec + "\"", out);
+    } else if (open == '"' && rank >= 0) {
+      const std::string to = first_dir(spec);
+      const int to_rank = layer_rank(to);
+      if (!to.empty() && to != dir && (to_rank < 0 || to_rank >= rank)) {
+        emit(rule, file, d.line,
+             "layer order: src/" + dir + "/ may not include \"" + spec +
+                 "\"",
+             out);
+      }
     }
     if (open == '<' && starts_with(spec, "bits/")) {
       emit(rule, file, d.line,
@@ -510,9 +558,11 @@ constexpr Rule kRules[] = {
      Severity::kError, header_file, check_pragma_once},
     {"S2", "include-hygiene",
      "include hygiene: no parent-relative quoted includes, no "
-     "<bits/...> internals, no duplicate includes",
+     "<bits/...> internals, no duplicate includes, and no src/ "
+     "include against the layer order",
      "include project headers root-relative (the build exports "
-     "src/ and tools/) and public standard headers only, once",
+     "src/ and tools/) and public standard headers only, once; a "
+     "src/<dir>/ file names only its own or a lower layer",
      Severity::kError, any_file, check_include_hygiene},
     {"S3", "suppression-syntax",
      "malformed suppression marker: unknown rule id, missing "
