@@ -97,12 +97,11 @@ int run(const BenchOptions& opts) {
     OverlayNetwork net = build_unstructured(world, n, rng);
     selfish_before = snapshot(net, opts, measure);
     Rng pick(opts.seed + 37);
-    SelfishParams params;
     const auto slots = net.graph().active_slots();
     for (std::size_t i = 0; i < steps; ++i) {
       selfish_step(
           net, slots[static_cast<std::size_t>(pick.uniform(slots.size()))],
-          params, pick);
+          pick);
     }
     selfish_after = snapshot(net, opts, measure);
   }

@@ -16,10 +16,6 @@ namespace propsim::bench {
 
 BenchOptions parse_options(int argc, char** argv) {
   BenchOptions opts;
-  if (const char* env = std::getenv("PROPSIM_QUICK");
-      env != nullptr && env[0] == '1') {
-    opts.quick = true;
-  }
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--quick") {

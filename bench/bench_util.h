@@ -3,7 +3,7 @@
 // Every bench binary prints (a) a header describing the experiment, (b)
 // the same series/rows the paper's figure or table reports, as CSV, and
 // (c) a one-line verdict comparing the measured shape with the paper's
-// claim. `--quick` (or PROPSIM_QUICK=1) shrinks the scale so the whole
+// claim. `--quick` shrinks the scale so the whole
 // bench directory runs in CI time; default scale matches DESIGN.md.
 #pragma once
 

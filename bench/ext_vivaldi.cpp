@@ -70,8 +70,7 @@ int run(const BenchOptions& opts) {
   // Vivaldi bootstrap: ~150 measurements per overlay host, the traffic a
   // live deployment observes anyway.
   const auto hosts = base.placement().bound_hosts();
-  VivaldiSystem viv(world.topo.graph.node_count(), VivaldiConfig{},
-                    opts.seed + 2);
+  VivaldiSystem viv(world.topo.graph.node_count(), opts.seed + 2);
   Rng trng(opts.seed + 3);
   viv.train(hosts, world.oracle, 150 * hosts.size(), trng);
   Rng erng(opts.seed + 4);

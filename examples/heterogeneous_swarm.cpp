@@ -88,8 +88,7 @@ int main() {
 
   const SwarmResult ltm = run_swarm("LTM", measure, [](OverlayNetwork& net) {
     Scheduler sim;
-    LtmParams params;
-    LtmEngine engine(net, sim, params, 37);
+    LtmEngine engine(net, sim, /*interval_s=*/60.0, 37);
     engine.start();
     sim.run_until(3600.0);
   });

@@ -5,7 +5,7 @@
 #   scripts/run_detlint.sh [build-dir] [-- extra detlint args]
 #
 # Builds the `detlint` target if the binary is missing, then lints
-# src/ and tools/ in --strict mode (warnings fail too). Exit codes are
+# src/, tools/, bench/ and examples/ in --strict mode (warnings fail too). Exit codes are
 # detlint's own: 0 clean, 1 unsuppressed findings, 2 usage/IO error.
 set -euo pipefail
 
@@ -29,4 +29,4 @@ if [[ ! -x "$DETLINT" ]]; then
   cmake --build "$BUILD_DIR" --target detlint
 fi
 
-exec "$DETLINT" --strict "${EXTRA_ARGS[@]}" src tools
+exec "$DETLINT" --strict "${EXTRA_ARGS[@]}" src tools bench examples

@@ -89,6 +89,9 @@ bool snapshot_from_edge_list(const std::string& text, SnapshotGraph& out,
       if (!(fields >> count) || !parse_u32(count, n) || have_nodes) {
         return fail("malformed nodes header");
       }
+      if (n > kMaxSnapshotNodes) {
+        return fail("node count above the 2^24 limit");
+      }
       snap.node_count = n;
       have_nodes = true;
       continue;

@@ -8,6 +8,7 @@
 
 #include "analysis/invariant_checker.h"
 #include "app/spec_keys.h"
+#include "baselines/ltm.h"
 #include "can/can_space.h"
 #include "chord/chord_ring.h"
 #include "core/prop_engine.h"
@@ -227,8 +228,7 @@ std::unique_ptr<obs::TraceSink> wire_trace(const S& spec, Scheduler& sim,
                            static_cast<double>(spec.prop.max_init_trial));
   }
   if (spec.trace_path.empty()) return nullptr;
-  auto sink = std::make_unique<obs::TraceSink>(spec.trace_path,
-                                               spec.trace_buffer_events);
+  auto sink = std::make_unique<obs::TraceSink>(spec.trace_path);
   PROPSIM_CHECK(sink->ok() && "cannot open trace output file");
   bus.attach_sink(sink.get());
   return sink;
@@ -549,7 +549,8 @@ Engines build_engines(const S& spec, const World& world, OverlayNetwork& net,
     if (faults) e.prop->set_faults(faults);
     if (e.adversary) e.prop->set_adversary(e.adversary.get());
   } else if (spec.protocol == S::Protocol::kLtm) {
-    e.ltm = std::make_unique<LtmEngine>(net, sim, spec.ltm, spec.seed + 103);
+    e.ltm = std::make_unique<LtmEngine>(net, sim, spec.prop.init_timer_s,
+                                        spec.seed + 103);
   }
   if (membership_changes(spec)) {
     // Injected crashes and storms reuse the churn failure path

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "adversary/adversary.h"
-#include "baselines/ltm.h"
 #include "common/config.h"
 #include "common/timeseries.h"
 #include "core/params.h"
@@ -46,8 +45,8 @@ struct ExperimentSpec {
   double sample_interval_s = 240.0;
   std::size_t queries = 10000;
 
+  /// PROP's parameters; LTM's detector period is prop.init_timer_s too.
   PropParams prop;
-  LtmParams ltm;
 
   enum class Heterogeneity { kNone, kBimodal, kBimodalByDegree };
   Heterogeneity heterogeneity = Heterogeneity::kNone;
@@ -111,8 +110,6 @@ struct ExperimentSpec {
   /// `propsim.trace` v1 JSONL. The in-memory counters in
   /// ExperimentResult::trace are kept with or without it.
   std::string trace_path;
-  /// Sink ring-buffer capacity in events (flushed in batches on wrap).
-  std::size_t trace_buffer_events = 8192;
 
   /// Parses and validates. Never aborts on bad input: every problem —
   /// unknown key, malformed value, out-of-range value, invalid

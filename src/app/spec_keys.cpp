@@ -40,8 +40,6 @@ constexpr SpecRange kIndex{0.0, double(std::uint32_t(-1) - 1)};
 constexpr SpecRange kQueries{1.0, 1e7};
 /// Each metric worker is an OS thread with its own flood scratch.
 constexpr SpecRange kThreads{0.0, 256.0};
-/// The trace sink reserves its whole ring buffer up front.
-constexpr SpecRange kTraceBuffer{1.0, double(1 << 20)};
 
 /// The single window a partition or storm key triple describes.
 template <typename Window>
@@ -137,8 +135,6 @@ const std::vector<SpecKey>& table() {
        {"auto", "exact"}},
       {"trace", kText, nullptr, kAny, "propsim.trace v1 JSONL output",
        [](S& s, const V& v) { s.trace_path = v.text; }},
-      {"trace_buffer", kInt, "8192", kTraceBuffer, "trace ring size, events",
-       [](S& s, const V& v) { s.trace_buffer_events = v.as<size_t>(); }},
       {"fault_loss", kDouble, "0", kUnitOpen, "message loss probability",
        [](S& s, const V& v) { s.faults.message_loss = v.number; }},
       {"fault_jitter", kDouble, "0", kUnitOpen, "latency jitter amplitude",
@@ -318,17 +314,23 @@ bool runs_prop(const S& s) {
 }
 
 /// Peers and, when peers join, their churn spares are distinct stub
-/// hosts (a Waxman graph is sized from nodes). A PROP walk takes at least
-/// one hop, and being self-avoiding it visits nhops + 1 distinct peers.
+/// hosts (a Waxman graph is sized from nodes, up to kMaxWaxmanNodes). A
+/// PROP walk takes at least one hop, and being self-avoiding it visits
+/// nhops + 1 distinct peers.
 void population_fits(const S& s, const Config&, Issues& out) {
   const std::size_t most = s.nodes + churn_spares(s);
+  const bool waxman = s.topology == S::Topology::kWaxman;
   const std::size_t pool = transit_stub_config(s.topology).stub_nodes();
-  require(s.topology == S::Topology::kWaxman || most <= pool, out, "nodes",
+  require(waxman || most <= pool, out, "nodes",
           "needs " + std::to_string(most) +
               " stub hosts (nodes, plus a quarter for churn spares when "
               "churn_join_rate > 0), but " +
               to_string(s.topology) + " has " + std::to_string(pool),
           "lower nodes or use topology = waxman");
+  require(!waxman || s.nodes <= kMaxWaxmanNodes, out, "nodes",
+          "a waxman world grows with the cube of nodes; at most " +
+              std::to_string(kMaxWaxmanNodes) + " peers are allowed",
+          "lower nodes or use topology = ts-large | ts-small");
   if (!runs_prop(s) || s.prop.random_target) return;
   require(s.prop.nhops >= 1, out, "nhops", "a PROP walk needs nhops >= 1",
           "or set random_target = true");
@@ -374,18 +376,15 @@ void work_bounded(const S& s, const Config&, Issues& out) {
           "raise sample_interval or shorten horizon");
 }
 
-void engines_available(const S& s, const Config& c, Issues& out) {
+void engines_available(const S& s, const Config&, Issues& out) {
   require(s.oracle_mode != S::OracleMode::kHierarchical ||
               s.topology != S::Topology::kWaxman,
           out, "oracle", "hierarchical oracle requires a transit-stub topology",
           "use topology = ts-large | ts-small, or oracle = dijkstra");
-  const bool tracing = !s.trace_path.empty();
-  if (tracing) {
+  if (!s.trace_path.empty()) {
     const std::string problem = trace_path_problem(s.trace_path);
     require(problem.empty(), out, "trace", problem);
   }
-  require(tracing || !c.has("trace_buffer"), out, "trace_buffer",
-          "only meaningful together with trace = <path>");
 }
 
 /// A partition or storm window: its three keys come together, on a
@@ -552,7 +551,6 @@ SpecResult ExperimentSpec::from_config(const Config& config) {
     spec.sample_interval_s = spec.horizon_s / 15.0;
   }
   if (!config.has("churn_end")) spec.churn.end_s = spec.horizon_s;
-  spec.ltm.interval_s = spec.prop.init_timer_s;
   spec.prop.mode =
       spec.protocol == Protocol::kPropO ? PropMode::kPropO : PropMode::kPropG;
   // 4. Constraints across keys.

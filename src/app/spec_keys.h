@@ -65,6 +65,17 @@ std::span<const SpecKey> spec_keys();
 /// The generator preset behind a transit-stub topology choice.
 TransitStubConfig transit_stub_config(ExperimentSpec::Topology topology);
 
+/// The most peers a Waxman world may hold. Its 4 hosts per peer are
+/// linked with probability about 0.12 per pair, and the oracle runs one
+/// Dijkstra row per peer over that dense graph, so the world costs about
+/// nodes^3. Measured on one core of a 4-vCPU x86-64 container (graph
+/// plus one row per peer, seed 20070901): 500, 1000, 1500, 2000 and 3000
+/// peers took 0.7, 4.1, 15.7, 31.5 and 104 s and peaked at 28, 97, 217,
+/// 368 and 824 MB; a whole protocol-free fig5_like run at 2000 peers took
+/// 63 s. The bound keeps a Waxman world within about a minute of one
+/// core and 400 MB.
+inline constexpr std::size_t kMaxWaxmanNodes = 2000;
+
 /// Stub hosts held back for churn joins, their only consumer: a quarter
 /// of nodes when peers join, none otherwise.
 inline std::size_t churn_spares(const ExperimentSpec& spec) {

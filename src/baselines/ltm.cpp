@@ -18,9 +18,12 @@ void charge_detector(OverlayNetwork& net, SlotId u) {
                       messages);
 }
 
+/// At most this many link replacements per round per node.
+constexpr std::size_t kMaxAddsPerRound = 1;
+
 }  // namespace
 
-std::size_t ltm_round(OverlayNetwork& net, SlotId u, const LtmParams& params) {
+std::size_t ltm_round(OverlayNetwork& net, SlotId u) {
   const LogicalGraph& g = net.graph();
   if (!g.is_active(u) || g.degree(u) == 0) return 0;
   charge_detector(net, u);
@@ -34,8 +37,8 @@ std::size_t ltm_round(OverlayNetwork& net, SlotId u, const LtmParams& params) {
   std::vector<SlotId> snapshot(g.neighbors(u).begin(), g.neighbors(u).end());
   for (const SlotId j : snapshot) {
     if (!g.has_edge(u, j)) continue;  // already cut this round
-    if (g.degree(u) <= params.min_degree) break;
-    if (g.degree(j) <= params.min_degree) continue;
+    if (g.degree(u) <= kLtmMinDegree) break;
+    if (g.degree(j) <= kLtmMinDegree) continue;
     const double direct = net.slot_latency(u, j);
     // (u, j) is "low productive and redundant" when it is the longest
     // edge of a logical triangle u-i-j: the flood still reaches j through
@@ -61,7 +64,7 @@ std::size_t ltm_round(OverlayNetwork& net, SlotId u, const LtmParams& params) {
   }
 
   // --- Add phase: connect to the closest two-hop non-neighbor. ---
-  for (std::size_t add = 0; add < params.max_adds_per_round; ++add) {
+  for (std::size_t add = 0; add < kMaxAddsPerRound; ++add) {
     SlotId best = kInvalidSlot;
     double best_latency = std::numeric_limits<double>::infinity();
     for (const SlotId i : g.neighbors(u)) {
@@ -81,7 +84,7 @@ std::size_t ltm_round(OverlayNetwork& net, SlotId u, const LtmParams& params) {
     for (const SlotId i : g.neighbors(u)) {
       farthest = std::max(farthest, net.slot_latency(u, i));
     }
-    const bool short_of_links = g.degree(u) < params.min_degree;
+    const bool short_of_links = g.degree(u) < kLtmMinDegree;
     if (!short_of_links && best_latency >= farthest) break;
     net.add_edge(u, best);
     net.traffic().count(net.placement().host_of(u),
@@ -95,10 +98,10 @@ std::size_t ltm_round(OverlayNetwork& net, SlotId u, const LtmParams& params) {
   return changed;
 }
 
-LtmEngine::LtmEngine(OverlayNetwork& net, Scheduler& sim,
-                     const LtmParams& params, std::uint64_t seed)
-    : net_(net), sim_(sim), params_(params), rng_(seed) {
-  PROPSIM_CHECK(params_.interval_s > 0.0);
+LtmEngine::LtmEngine(OverlayNetwork& net, Scheduler& sim, double interval_s,
+                     std::uint64_t seed)
+    : net_(net), sim_(sim), interval_s_(interval_s), rng_(seed) {
+  PROPSIM_CHECK(interval_s_ > 0.0);
 }
 
 void LtmEngine::start() {
@@ -106,7 +109,7 @@ void LtmEngine::start() {
   started_ = true;
   pending_.assign(net_.graph().slot_count(), kInvalidEvent);
   for (const SlotId s : net_.graph().active_slots()) {
-    pending_[s] = sim_.schedule_in(rng_.uniform_double(0.0, params_.interval_s),
+    pending_[s] = sim_.schedule_in(rng_.uniform_double(0.0, interval_s_),
                                    [this, s] { on_timer(s); });
   }
 }
@@ -125,9 +128,8 @@ void LtmEngine::on_timer(SlotId s) {
   pending_[s] = kInvalidEvent;
   if (!net_.graph().is_active(s)) return;
   ++rounds_;
-  links_changed_ += ltm_round(net_, s, params_);
-  pending_[s] = sim_.schedule_in(params_.interval_s,
-                                 [this, s] { on_timer(s); });
+  links_changed_ += ltm_round(net_, s);
+  pending_[s] = sim_.schedule_in(interval_s_, [this, s] { on_timer(s); });
 }
 
 }  // namespace propsim

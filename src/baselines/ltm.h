@@ -18,23 +18,18 @@
 
 namespace propsim {
 
-struct LtmParams {
-  /// Detector flood period per node (seconds).
-  double interval_s = 60.0;
-  /// Never cut below this degree: the original LTM's "will not cut the
-  /// only link" guard, generalized.
-  std::size_t min_degree = 2;
-  /// At most this many link replacements per round per node.
-  std::size_t max_adds_per_round = 1;
-};
+/// Never cut below this degree: the original LTM's "will not cut the
+/// only link" guard, generalized.
+inline constexpr std::size_t kLtmMinDegree = 2;
 
 /// Runs one LTM round for peer u; returns the number of links changed
 /// (cuts + adds). Exposed for unit tests; the engine drives it on a timer.
-std::size_t ltm_round(OverlayNetwork& net, SlotId u, const LtmParams& params);
+std::size_t ltm_round(OverlayNetwork& net, SlotId u);
 
 class LtmEngine {
  public:
-  LtmEngine(OverlayNetwork& net, Scheduler& sim, const LtmParams& params,
+  /// Each active slot runs a detector round every `interval_s` seconds.
+  LtmEngine(OverlayNetwork& net, Scheduler& sim, double interval_s,
             std::uint64_t seed);
 
   /// Schedules the periodic detector round of every active slot.
@@ -49,7 +44,7 @@ class LtmEngine {
 
   OverlayNetwork& net_;
   Scheduler& sim_;
-  LtmParams params_;
+  double interval_s_;
   Rng rng_;
   std::vector<EventId> pending_;
   std::uint64_t rounds_ = 0;

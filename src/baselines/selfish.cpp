@@ -3,9 +3,14 @@
 #include <algorithm>
 
 namespace propsim {
+namespace {
 
-SelfishOutcome selfish_step(OverlayNetwork& net, SlotId u,
-                            const SelfishParams& params, Rng& rng) {
+/// Walk TTL used to discover candidates (PROP's default nhops).
+constexpr std::size_t kSelfishWalkTtl = 2;
+
+}  // namespace
+
+SelfishOutcome selfish_step(OverlayNetwork& net, SlotId u, Rng& rng) {
   SelfishOutcome outcome;
   const LogicalGraph& g = net.graph();
   if (!g.is_active(u) || g.degree(u) == 0) return outcome;
@@ -14,9 +19,9 @@ SelfishOutcome selfish_step(OverlayNetwork& net, SlotId u,
   const SlotId first =
       neighbors[static_cast<std::size_t>(rng.uniform(neighbors.size()))];
   std::vector<SlotId> walk;
-  const bool reached = net.random_walk(u, first, params.nhops, rng, walk);
+  const bool reached = net.random_walk(u, first, kSelfishWalkTtl, rng, walk);
   net.traffic().count(net.placement().host_of(u), MessageKind::kWalk,
-                      params.nhops);
+                      kSelfishWalkTtl);
   if (!reached) return outcome;
   const SlotId candidate = walk.back();
   if (g.has_edge(u, candidate)) return outcome;
@@ -26,7 +31,7 @@ SelfishOutcome selfish_step(OverlayNetwork& net, SlotId u,
   SlotId farthest = kInvalidSlot;
   double farthest_latency = -1.0;
   for (const SlotId i : neighbors) {
-    if (g.degree(i) <= params.min_degree) continue;
+    if (g.degree(i) <= kSelfishMinDegree) continue;
     if (std::find(walk.begin(), walk.end(), i) != walk.end()) continue;
     const double lat = net.slot_latency(u, i);
     if (lat > farthest_latency) {

@@ -15,12 +15,8 @@
 
 namespace propsim {
 
-struct SelfishParams {
-  /// Walk TTL used to discover candidates (same as PROP's nhops).
-  std::size_t nhops = 2;
-  /// Never leave any node below this degree.
-  std::size_t min_degree = 2;
-};
+/// Never leave any node below this degree.
+inline constexpr std::size_t kSelfishMinDegree = 2;
 
 struct SelfishOutcome {
   bool rewired = false;
@@ -30,7 +26,6 @@ struct SelfishOutcome {
 /// One selfish step for node u: random-walk to a candidate, and if it is
 /// closer than u's farthest neighbor, cut that neighbor and connect to
 /// the candidate. Preserves u's degree but not the ex-neighbor's.
-SelfishOutcome selfish_step(OverlayNetwork& net, SlotId u,
-                            const SelfishParams& params, Rng& rng);
+SelfishOutcome selfish_step(OverlayNetwork& net, SlotId u, Rng& rng);
 
 }  // namespace propsim

@@ -24,6 +24,10 @@ enum class SelectionPolicy {
 };
 
 struct PropParams {
+  /// MAX_TIMER = 2^kMaxBackoffDoublings * INIT_TIMER ("at most five
+  /// times of suspending").
+  static constexpr std::size_t kMaxBackoffDoublings = 5;
+
   PropMode mode = PropMode::kPropG;
 
   /// TTL of the counterpart-finding random walk (the paper's nhops).
@@ -49,10 +53,6 @@ struct PropParams {
   /// Base probe interval (seconds). The paper uses 1 minute.
   double init_timer_s = 60.0;
 
-  /// MAX_TIMER = 2^max_backoff_doublings * INIT_TIMER ("at most five
-  /// times of suspending").
-  std::size_t max_backoff_doublings = 5;
-
   /// Ablation switches: the Markov-chain timer backoff and the
   /// priority-ordered neighborQ can be disabled independently.
   bool use_backoff = true;
@@ -68,7 +68,7 @@ struct PropParams {
 
   double max_timer_s() const {
     return init_timer_s * static_cast<double>(std::size_t{1}
-                                              << max_backoff_doublings);
+                                              << kMaxBackoffDoublings);
   }
 };
 

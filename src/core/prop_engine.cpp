@@ -4,6 +4,13 @@
 #include <optional>
 
 namespace propsim {
+namespace {
+
+/// Retransmission timeout of a lost prepare leg, as a multiple of the
+/// negotiation delay.
+constexpr double kRtoFactor = 2.0;
+
+}  // namespace
 
 PropEngine::PropEngine(OverlayNetwork& net, Scheduler& sim,
                        const PropParams& params, std::uint64_t seed)
@@ -417,7 +424,7 @@ void PropEngine::begin_negotiation(SlotId u, SlotId first_hop, SlotId v,
     }
     if (retries_used < faults_->params().max_negotiation_retries) {
       ++stats_.retries;
-      const double rto = faults_->params().rto_factor * base_delay;
+      const double rto = kRtoFactor * base_delay;
       st.pending = sim_.schedule_in(
           rto, [this, u, first_hop, v, path = std::move(path),
                 retries_used]() mutable {

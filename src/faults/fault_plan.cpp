@@ -12,7 +12,6 @@ FaultInjector::FaultInjector(Scheduler& sim, const FaultParams& params,
                 params_.latency_jitter < 1.0);
   PROPSIM_CHECK(params_.crash_per_negotiation >= 0.0 &&
                 params_.crash_per_negotiation < 1.0);
-  PROPSIM_CHECK(params_.rto_factor > 0.0);
   for (const PartitionWindow& w : params_.partitions) {
     PROPSIM_CHECK(w.end_s > w.start_s);
     PROPSIM_CHECK(w.stub_domain != kPartitionDomainAuto &&

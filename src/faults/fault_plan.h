@@ -74,8 +74,6 @@ struct FaultParams {
   double crash_per_negotiation = 0.0;
   /// Prepare-leg retransmissions before the initiator gives up.
   std::size_t max_negotiation_retries = 2;
-  /// Retransmission timeout as a multiple of the negotiation delay.
-  double rto_factor = 2.0;
   std::vector<PartitionWindow> partitions;
   std::vector<StormWindow> storms;
 

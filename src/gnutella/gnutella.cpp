@@ -5,13 +5,18 @@
 namespace propsim {
 namespace {
 
+/// Share of each joiner's links chosen preferentially (endpoint of a
+/// uniformly random existing edge: probability proportional to degree);
+/// the rest are uniform over peers. Half and half gives the heavy degree
+/// tail measured on Gnutella.
+constexpr double kPreferentialFraction = 0.5;
+
 /// Picks attach targets among active slots: preferential picks follow a
 /// random edge endpoint (degree-proportional), uniform picks draw from
 /// `pool`. Repeats and `self` are rejected.
 std::vector<SlotId> pick_attach_targets(const LogicalGraph& g,
                                         std::span<const SlotId> pool,
                                         SlotId self, std::size_t want,
-                                        double preferential_fraction,
                                         Rng& rng) {
   std::vector<SlotId> targets;
   targets.reserve(want);
@@ -20,7 +25,7 @@ std::vector<SlotId> pick_attach_targets(const LogicalGraph& g,
   while (targets.size() < want && attempts < max_attempts) {
     ++attempts;
     SlotId candidate = kInvalidSlot;
-    if (g.edge_count() > 0 && rng.bernoulli(preferential_fraction)) {
+    if (g.edge_count() > 0 && rng.bernoulli(kPreferentialFraction)) {
       // Degree-biased: uniformly random slot from pool, then one of its
       // incident edges' endpoints; high-degree slots surface more often.
       const SlotId anchor = rng.pick(pool);
@@ -70,8 +75,7 @@ OverlayNetwork build_gnutella_overlay(const GnutellaConfig& config,
   for (std::size_t i = seed; i < n; ++i) {
     const SlotId joiner = order[i];
     const auto targets =
-        pick_attach_targets(graph, joined, joiner, config.attach_links,
-                            config.preferential_fraction, rng);
+        pick_attach_targets(graph, joined, joiner, config.attach_links, rng);
     PROPSIM_CHECK(targets.size() == config.attach_links);
     for (const SlotId t : targets) graph.add_edge(joiner, t);
     joined.push_back(joiner);
@@ -88,8 +92,7 @@ SlotId gnutella_join(OverlayNetwork& net, const GnutellaConfig& config,
   PROPSIM_CHECK(pool.size() >= config.attach_links);
   const SlotId joiner = net.join(host);
   const auto targets =
-      pick_attach_targets(net.graph(), pool, joiner, config.attach_links,
-                          config.preferential_fraction, rng);
+      pick_attach_targets(net.graph(), pool, joiner, config.attach_links, rng);
   PROPSIM_CHECK(!targets.empty());
   for (const SlotId t : targets) net.add_edge(joiner, t);
   if (obs::EventBus* bus = net.trace()) {

@@ -20,11 +20,6 @@ struct GnutellaConfig {
   /// (attach_links + 1) peers form a clique so the minimum degree of the
   /// finished overlay equals attach_links — the paper's delta(G).
   std::size_t attach_links = 4;
-
-  /// Share of each joiner's links chosen preferentially (endpoint of a
-  /// uniformly random existing edge: probability proportional to degree);
-  /// the rest are uniform over peers.
-  double preferential_fraction = 0.5;
 };
 
 /// Builds the overlay over `hosts` (distinct physical node ids); slot i is

@@ -59,14 +59,6 @@ bool Graph::is_connected() const {
   return reachable_count(0) == adjacency_.size();
 }
 
-double Graph::total_edge_weight() const {
-  double sum = 0.0;
-  for (const auto& adj : adjacency_) {
-    for (const Edge& e : adj) sum += e.weight;
-  }
-  return sum / 2.0;
-}
-
 std::size_t Graph::min_degree() const {
   PROPSIM_CHECK(!adjacency_.empty());
   std::size_t best = adjacency_.front().size();

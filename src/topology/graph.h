@@ -52,7 +52,6 @@ class Graph {
   /// Number of nodes reachable from `start`.
   std::size_t reachable_count(NodeId start) const;
 
-  double total_edge_weight() const;
   std::size_t min_degree() const;
   std::size_t max_degree() const;
   double average_degree() const;

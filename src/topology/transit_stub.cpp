@@ -84,7 +84,7 @@ TransitStubTopology make_transit_stub(const TransitStubConfig& config,
     }
     connect_random_subgraph(topo.graph, transit_by_domain[d],
                             config.transit_edge_probability,
-                            config.transit_transit_ms, rng);
+                            TransitStubConfig::kTransitTransitMs, rng);
   }
 
   // 2. Inter-domain backbone: spanning tree over domains + shortcuts, each
@@ -97,7 +97,7 @@ TransitStubTopology make_transit_stub(const TransitStubConfig& config,
       const std::size_t j = static_cast<std::size_t>(rng.uniform(i));
       const NodeId a = rng.pick(transit_by_domain[dorder[i]]);
       const NodeId b = rng.pick(transit_by_domain[dorder[j]]);
-      topo.graph.add_edge(a, b, config.transit_transit_ms);
+      topo.graph.add_edge(a, b, TransitStubConfig::kTransitTransitMs);
     }
     for (std::size_t k = 0; k < config.extra_interdomain_edges; ++k) {
       const std::size_t d1 =
@@ -108,7 +108,7 @@ TransitStubTopology make_transit_stub(const TransitStubConfig& config,
       const NodeId a = rng.pick(transit_by_domain[d1]);
       const NodeId b = rng.pick(transit_by_domain[d2]);
       if (!topo.graph.has_edge(a, b)) {
-        topo.graph.add_edge(a, b, config.transit_transit_ms);
+        topo.graph.add_edge(a, b, TransitStubConfig::kTransitTransitMs);
       }
     }
   }
@@ -128,16 +128,16 @@ TransitStubTopology make_transit_stub(const TransitStubConfig& config,
       }
       connect_random_subgraph(topo.graph, stub_members,
                               config.stub_edge_probability,
-                              config.stub_stub_ms, rng);
+                              TransitStubConfig::kStubStubMs, rng);
       // Attach the stub domain to its transit node through a random member.
       // Exactly one attachment edge per domain — the hierarchical oracle
       // relies on this (see StubDomain).
       const NodeId gateway = rng.pick(stub_members);
-      topo.graph.add_edge(gateway, transit, config.stub_transit_ms);
+      topo.graph.add_edge(gateway, transit, TransitStubConfig::kStubTransitMs);
       topo.stub_domains.push_back(
           StubDomain{stub_members.front(),
                      static_cast<std::uint32_t>(stub_members.size()), gateway,
-                     transit, config.stub_transit_ms});
+                     transit, TransitStubConfig::kStubTransitMs});
       ++stub_domain_index;
     }
   }

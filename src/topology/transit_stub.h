@@ -42,9 +42,9 @@ struct TransitStubConfig {
   std::size_t extra_interdomain_edges = 5;
 
   /// Link latencies in milliseconds by class (canonical GT-ITM assignment).
-  double stub_stub_ms = 5.0;
-  double stub_transit_ms = 20.0;
-  double transit_transit_ms = 100.0;
+  static constexpr double kStubStubMs = 5.0;
+  static constexpr double kStubTransitMs = 20.0;
+  static constexpr double kTransitTransitMs = 100.0;
 
   std::size_t total_nodes() const {
     return transit_domains * transit_nodes_per_domain *

@@ -7,17 +7,25 @@
 #include "common/stats.h"
 
 namespace propsim {
+namespace {
 
-VivaldiSystem::VivaldiSystem(std::size_t host_count,
-                             const VivaldiConfig& config, std::uint64_t seed)
-    : config_(config),
-      coords_(host_count * config.dimensions, 0.0),
-      height_(host_count, config.initial_height_ms),
-      error_(host_count, config.initial_error),
+constexpr std::size_t kDimensions = 3;
+/// Adaptive timestep gain (c_c in the paper).
+constexpr double kCc = 0.25;
+/// Error-average gain (c_e in the paper).
+constexpr double kCe = 0.25;
+/// Initial per-node error estimate (1.0 = know nothing).
+constexpr double kInitialError = 1.0;
+/// Initial height in milliseconds.
+constexpr double kInitialHeightMs = 1.0;
+
+}  // namespace
+
+VivaldiSystem::VivaldiSystem(std::size_t host_count, std::uint64_t seed)
+    : coords_(host_count * kDimensions, 0.0),
+      height_(host_count, kInitialHeightMs),
+      error_(host_count, kInitialError),
       rng_(seed) {
-  PROPSIM_CHECK(config_.dimensions >= 1);
-  PROPSIM_CHECK(config_.cc > 0.0 && config_.cc <= 1.0);
-  PROPSIM_CHECK(config_.ce > 0.0 && config_.ce <= 1.0);
   // Tiny jitter: two nodes at the exact same point cannot compute a
   // push direction deterministically.
   for (double& c : coords_) c = rng_.uniform_double(-0.01, 0.01);
@@ -25,7 +33,7 @@ VivaldiSystem::VivaldiSystem(std::size_t host_count,
 
 double VivaldiSystem::coordinate_distance(NodeId i, NodeId j) const {
   double sum = 0.0;
-  const std::size_t d = config_.dimensions;
+  const std::size_t d = kDimensions;
   for (std::size_t k = 0; k < d; ++k) {
     const double delta = coords_[i * d + k] - coords_[j * d + k];
     sum += delta * delta;
@@ -51,14 +59,14 @@ void VivaldiSystem::update(NodeId i, NodeId j, double rtt_ms) {
   const double sample_error =
       std::abs(predicted - rtt_ms) / std::max(rtt_ms, 1e-9);
   error_[i] = std::clamp(
-      sample_error * config_.ce * w + error_[i] * (1.0 - config_.ce * w),
+      sample_error * kCe * w + error_[i] * (1.0 - kCe * w),
       0.001, 10.0);
 
-  const double delta = config_.cc * w;
+  const double delta = kCc * w;
   const double force = rtt_ms - predicted;  // >0: too close, push apart
 
   // Unit vector from j toward i in coordinate space.
-  const std::size_t d = config_.dimensions;
+  const std::size_t d = kDimensions;
   double norm = coordinate_distance(i, j);
   if (norm < 1e-9) {
     // Coincident points: pick a deterministic random direction.
@@ -79,7 +87,7 @@ void VivaldiSystem::update(NodeId i, NodeId j, double rtt_ms) {
     }
   }
   // Height absorbs the non-Euclidean access-link share; never negative.
-  height_[i] = std::max(config_.initial_height_ms * 0.01,
+  height_[i] = std::max(kInitialHeightMs * 0.01,
                         height_[i] + delta * force *
                                          (height_[i] /
                                           std::max(predicted, 1e-9)));

@@ -8,8 +8,8 @@
 // quantifies that trade on the real overlay.
 //
 // Implementation: the classic adaptive-timestep spring relaxation in a
-// Euclidean space plus a non-negative "height" per node modelling the
-// access-link hop.
+// three-dimensional Euclidean space plus a non-negative "height" per node
+// modelling the access-link hop, with the paper's gains c_c = c_e = 0.25.
 #pragma once
 
 #include <cstddef>
@@ -21,24 +21,11 @@
 
 namespace propsim {
 
-struct VivaldiConfig {
-  std::size_t dimensions = 3;
-  /// Adaptive timestep gain (c_c in the paper).
-  double cc = 0.25;
-  /// Error-average gain (c_e in the paper).
-  double ce = 0.25;
-  /// Initial per-node error estimate (1.0 = know nothing).
-  double initial_error = 1.0;
-  /// Initial height in milliseconds.
-  double initial_height_ms = 1.0;
-};
-
 class VivaldiSystem {
  public:
   /// Coordinates for hosts [0, host_count); all start at the origin with
   /// tiny random jitter so springs have directions to push along.
-  VivaldiSystem(std::size_t host_count, const VivaldiConfig& config,
-                std::uint64_t seed);
+  VivaldiSystem(std::size_t host_count, std::uint64_t seed);
 
   std::size_t host_count() const { return error_.size(); }
 
@@ -66,8 +53,7 @@ class VivaldiSystem {
  private:
   double coordinate_distance(NodeId i, NodeId j) const;
 
-  VivaldiConfig config_;
-  /// coords_[host * dimensions + d]
+  /// coords_[host * kDimensions + d]
   std::vector<double> coords_;
   std::vector<double> height_;
   std::vector<double> error_;

@@ -75,7 +75,7 @@ bool ChurnProcess::do_join() {
 
 bool ChurnProcess::do_leave() {
   const auto actives = net_.graph().active_slots();
-  if (actives.size() <= params_.min_population) return false;
+  if (actives.size() <= kMinPopulation) return false;
   // Uniformly random departure, retried a few times if the victim is a
   // cut vertex whose removal would partition the overlay (real peers can
   // vanish arbitrarily, but the paper's protocols assume the overlay's
@@ -117,7 +117,7 @@ void ChurnProcess::add_repair_edge(SlotId a, SlotId b) {
 
 bool ChurnProcess::do_fail() {
   const auto actives = net_.graph().active_slots();
-  if (actives.size() <= params_.min_population) return false;
+  if (actives.size() <= kMinPopulation) return false;
   const SlotId victim =
       actives[static_cast<std::size_t>(rng_.uniform(actives.size()))];
   return fail_slot(victim);
@@ -125,7 +125,7 @@ bool ChurnProcess::do_fail() {
 
 bool ChurnProcess::fail_slot(SlotId victim) {
   if (!net_.graph().is_active(victim)) return false;
-  if (net_.graph().active_slots().size() <= params_.min_population) {
+  if (net_.graph().active_slots().size() <= kMinPopulation) {
     return false;
   }
   const auto neigh = net_.graph().neighbors(victim);

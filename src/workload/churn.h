@@ -27,13 +27,14 @@ struct ChurnParams {
   double fail_rate_per_s = 0.0;
   double start_s = 0.0;
   double end_s = 0.0;
-  /// Leaves/failures are refused when the overlay would drop below this
-  /// size.
-  std::size_t min_population = 8;
 };
 
 class ChurnProcess : public FailureExecutor {
  public:
+  /// Leaves and failures are refused while the overlay has at most this
+  /// many peers.
+  static constexpr std::size_t kMinPopulation = 8;
+
   /// `engine` may be null (churn without PROP, for baselines). `spares`
   /// seeds the pool of joinable hosts; departed peers' hosts are reused.
   ChurnProcess(OverlayNetwork& net, Scheduler& sim, PropEngine* engine,

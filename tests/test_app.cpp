@@ -8,6 +8,7 @@
 
 #include "app/experiment.h"
 #include "app/result_json.h"
+#include "app/spec_keys.h"
 #include "app/sweep.h"
 #include "common/config.h"
 #include "obs/event_bus.h"
@@ -230,8 +231,11 @@ TEST(ExperimentSpec, RejectsMorePeersThanStubHosts) {
       EXPECT_EQ(result.errors[0].key, "nodes");
     }
   }
+  // A Waxman world draws its spares from its own hosts.
   EXPECT_TRUE(ExperimentSpec::from_config(
-                  Config::parse("topology = waxman\nnodes = 20000\n"))
+                  Config::parse("topology = waxman\nchurn_join_rate = 0.1\n"
+                                "nodes = " +
+                                std::to_string(kMaxWaxmanNodes) + "\n"))
                   .ok());
 }
 

@@ -21,11 +21,9 @@ using testing::UnstructuredFixture;
 
 TEST(Ltm, RoundPreservesConnectivity) {
   auto fx = UnstructuredFixture::make(50, 4001);
-  LtmParams params;
-  Rng rng(1);
   for (int round = 0; round < 5; ++round) {
     for (const SlotId s : fx.net.graph().active_slots()) {
-      ltm_round(fx.net, s, params);
+      ltm_round(fx.net, s);
       ASSERT_TRUE(fx.net.graph().active_subgraph_connected());
     }
   }
@@ -33,46 +31,45 @@ TEST(Ltm, RoundPreservesConnectivity) {
 
 TEST(Ltm, RespectsMinDegreeFloor) {
   auto fx = UnstructuredFixture::make(50, 4002);
-  LtmParams params;
-  params.min_degree = 2;
   for (int round = 0; round < 5; ++round) {
     for (const SlotId s : fx.net.graph().active_slots()) {
-      ltm_round(fx.net, s, params);
+      ltm_round(fx.net, s);
     }
   }
-  EXPECT_GE(fx.net.graph().min_active_degree(), 2u);
+  EXPECT_GE(fx.net.graph().min_active_degree(), kLtmMinDegree);
 }
 
 TEST(Ltm, ReducesAverageLogicalLinkLatency) {
   auto fx = UnstructuredFixture::make(60, 4003);
   const double before = fx.net.average_logical_link_latency();
-  LtmParams params;
   for (int round = 0; round < 6; ++round) {
     for (const SlotId s : fx.net.graph().active_slots()) {
-      ltm_round(fx.net, s, params);
+      ltm_round(fx.net, s);
     }
   }
   EXPECT_LT(fx.net.average_logical_link_latency(), before);
 }
 
 TEST(Ltm, CutsDominatedTriangleEdge) {
-  // Triangle where (0,2) is strictly dominated by 0-1-2.
-  Graph phys(3);
+  // A logical clique over the physical path 3-0-1-2 (unit links): (0,2)
+  // is the longest edge of the triangle 0-1-2, and both its endpoints
+  // have degree 3, one above the floor, so the round cuts it. Re-adding
+  // it would not beat 0's farthest remaining neighbor.
+  Graph phys(4);
+  phys.add_edge(3, 0, 1.0);
   phys.add_edge(0, 1, 1.0);
   phys.add_edge(1, 2, 1.0);
-  phys.add_edge(0, 2, 10.0);
   LatencyOracle oracle(phys);
-  LogicalGraph g(3);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(0, 2);
-  Placement p(3, 3);
-  for (SlotId s = 0; s < 3; ++s) p.bind(s, s);
+  LogicalGraph g(4);
+  for (SlotId a = 0; a < 4; ++a) {
+    for (SlotId b = a + 1; b < 4; ++b) g.add_edge(a, b);
+  }
+  Placement p(4, 4);
+  for (SlotId s = 0; s < 4; ++s) p.bind(s, s);
   OverlayNetwork net(std::move(g), std::move(p), oracle);
-  LtmParams params;
-  params.min_degree = 1;
-  ltm_round(net, 0, params);
+  EXPECT_EQ(ltm_round(net, 0), 1u);
   EXPECT_FALSE(net.graph().has_edge(0, 2));
+  EXPECT_EQ(net.graph().degree(0), kLtmMinDegree);
   EXPECT_TRUE(net.graph().active_subgraph_connected());
 }
 
@@ -80,10 +77,9 @@ TEST(Ltm, DoesNotPreserveDegrees) {
   // LTM's defining difference from PROP-O: degree distribution drifts.
   auto fx = UnstructuredFixture::make(60, 4004);
   const auto before = fx.net.graph().degree_multiset();
-  LtmParams params;
   for (int round = 0; round < 6; ++round) {
     for (const SlotId s : fx.net.graph().active_slots()) {
-      ltm_round(fx.net, s, params);
+      ltm_round(fx.net, s);
     }
   }
   EXPECT_NE(fx.net.graph().degree_multiset(), before);
@@ -92,9 +88,7 @@ TEST(Ltm, DoesNotPreserveDegrees) {
 TEST(Ltm, EngineRunsPeriodically) {
   auto fx = UnstructuredFixture::make(40, 4005);
   Scheduler sim;
-  LtmParams params;
-  params.interval_s = 10.0;
-  LtmEngine engine(fx.net, sim, params, 2);
+  LtmEngine engine(fx.net, sim, /*interval_s=*/10.0, 2);
   engine.start();
   sim.run_until(100.0);
   EXPECT_GE(engine.rounds(), 40u * 8u);
@@ -208,14 +202,13 @@ TEST(TopoCan, NeighborZonesArePhysicallyCloserThanRandom) {
 TEST(Selfish, StepImprovesActingNode) {
   auto fx = UnstructuredFixture::make(50, 4008);
   Rng rng(5);
-  SelfishParams params;
   int rewired = 0;
   for (int i = 0; i < 300 && rewired < 30; ++i) {
     const auto slots = fx.net.graph().active_slots();
     const SlotId u =
         slots[static_cast<std::size_t>(rng.uniform(slots.size()))];
     const double before = fx.net.neighbor_latency_sum(u);
-    const auto outcome = selfish_step(fx.net, u, params, rng);
+    const auto outcome = selfish_step(fx.net, u, rng);
     if (outcome.rewired) {
       ++rewired;
       EXPECT_GT(outcome.gain, 0.0);
@@ -229,7 +222,6 @@ TEST(Selfish, StepImprovesActingNode) {
 TEST(Selfish, PreservesOwnDegreeButNotOthers) {
   auto fx = UnstructuredFixture::make(50, 4009);
   Rng rng(6);
-  SelfishParams params;
   const auto before = fx.net.graph().degree_multiset();
   int rewired = 0;
   for (int i = 0; i < 500 && rewired < 60; ++i) {
@@ -237,7 +229,7 @@ TEST(Selfish, PreservesOwnDegreeButNotOthers) {
     const SlotId u =
         slots[static_cast<std::size_t>(rng.uniform(slots.size()))];
     const std::size_t deg_u = fx.net.graph().degree(u);
-    if (selfish_step(fx.net, u, params, rng).rewired) {
+    if (selfish_step(fx.net, u, rng).rewired) {
       ++rewired;
       EXPECT_EQ(fx.net.graph().degree(u), deg_u);
     }
@@ -247,17 +239,20 @@ TEST(Selfish, PreservesOwnDegreeButNotOthers) {
 }
 
 TEST(Selfish, RespectsMinDegreeGuard) {
-  auto fx = UnstructuredFixture::make(50, 4010);
+  // Two attach links per joiner: the overlay starts at the guard's degree,
+  // so every step meets neighbors the guard protects.
+  auto fx = UnstructuredFixture::make(50, 4010, /*attach_links=*/2);
+  ASSERT_EQ(fx.net.graph().min_active_degree(), kSelfishMinDegree);
   Rng rng(7);
-  SelfishParams params;
-  params.min_degree = 3;
+  int rewired = 0;
   for (int i = 0; i < 400; ++i) {
     const auto slots = fx.net.graph().active_slots();
     const SlotId u =
         slots[static_cast<std::size_t>(rng.uniform(slots.size()))];
-    selfish_step(fx.net, u, params, rng);
+    if (selfish_step(fx.net, u, rng).rewired) ++rewired;
   }
-  EXPECT_GE(fx.net.graph().min_active_degree(), 3u);
+  EXPECT_GT(rewired, 0);
+  EXPECT_GE(fx.net.graph().min_active_degree(), kSelfishMinDegree);
 }
 
 }  // namespace

@@ -209,13 +209,12 @@ TEST(EdgeLtm, CompleteGraphOnlyCuts) {
   Placement p(6, 6);
   for (SlotId s = 0; s < 6; ++s) p.bind(s, s);
   OverlayNetwork net(std::move(g), std::move(p), oracle);
-  LtmParams params;
   for (int round = 0; round < 4; ++round) {
-    for (SlotId s = 0; s < 6; ++s) ltm_round(net, s, params);
+    for (SlotId s = 0; s < 6; ++s) ltm_round(net, s);
   }
   EXPECT_TRUE(net.graph().active_subgraph_connected());
   EXPECT_LT(net.graph().edge_count(), 15u);  // clique got pruned
-  EXPECT_GE(net.graph().min_active_degree(), params.min_degree);
+  EXPECT_GE(net.graph().min_active_degree(), kLtmMinDegree);
 }
 
 // ---------------------------------------------------------------- misc ----

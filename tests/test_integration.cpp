@@ -150,9 +150,7 @@ TEST(Integration, PropOBeatsLtmForFastDestinedLookups) {
   });
   const double ltm = run([](UnstructuredFixture& fx, const BimodalDelays&) {
     Scheduler sim;
-    LtmParams params;
-    params.interval_s = 10.0;
-    LtmEngine engine(fx.net, sim, params, 8);
+    LtmEngine engine(fx.net, sim, /*interval_s=*/10.0, 8);
     engine.start();
     sim.run_until(2500.0);
   });

@@ -64,12 +64,30 @@ TEST(SnapshotGraph, ParserRejectsValuesOutsideUnsigned32Bits) {
         << bad;
     EXPECT_EQ(err, "malformed nodes header at line 1") << bad;
   }
+  // Endpoints keep all 32 bits: one past the node count loads, for the
+  // edge-range rule to flag.
   SnapshotGraph snap;
-  ASSERT_TRUE(snapshot_from_edge_list("nodes 4294967295\n4294967294 0 1.5\n",
-                                      snap, nullptr));
-  EXPECT_EQ(snap.node_count, 4294967295u);
+  ASSERT_TRUE(snapshot_from_edge_list("nodes 4\n4294967295 0 1.5\n", snap,
+                                      nullptr));
   ASSERT_EQ(snap.edges.size(), 1u);
-  EXPECT_EQ(snap.edges[0], SnapshotGraph::Edge(4294967294u, 0u));
+  EXPECT_EQ(snap.edges[0], SnapshotGraph::Edge(4294967295u, 0u));
+}
+
+TEST(SnapshotGraph, ParserRejectsNodeCountsAboveTheBound) {
+  // The rules allocate per-node counters, so a header is a memory request:
+  // the bound itself loads (nothing is allocated while parsing), one more
+  // node does not, nor does the largest 32-bit count.
+  SnapshotGraph snap;
+  ASSERT_TRUE(snapshot_from_edge_list(
+      "nodes " + std::to_string(kMaxSnapshotNodes) + "\n0 1\n", snap));
+  EXPECT_EQ(snap.node_count, kMaxSnapshotNodes);
+  for (const std::size_t n : {kMaxSnapshotNodes + 1, std::size_t{4294967295}}) {
+    std::string err;
+    EXPECT_FALSE(snapshot_from_edge_list(
+        "nodes " + std::to_string(n) + "\n0 1\n", snap, &err))
+        << n;
+    EXPECT_EQ(err, "node count above the 2^24 limit at line 1") << n;
+  }
 }
 
 TEST(SnapshotGraph, SnapshotOfLogicalGraphMatchesEdges) {

@@ -58,7 +58,7 @@ class MutationRun {
         rng_(seed + 1),
         faults_(sim_, partition_params(fx_), seed + 2),
         churn_(fx_.net, sim_, /*engine=*/nullptr, gnutella_config(),
-               churn_params(), spare_hosts(fx_), seed + 3) {
+               ChurnParams{}, spare_hosts(fx_), seed + 3) {
     std::vector<std::uint32_t> host_domain(fx_.topo.graph.node_count(),
                                            FaultInjector::kNoDomain);
     for (const NodeId h : fx_.topo.stub_nodes) {
@@ -91,12 +91,6 @@ class MutationRun {
   static GnutellaConfig gnutella_config() {
     GnutellaConfig c;
     c.attach_links = 2;
-    return c;
-  }
-
-  static ChurnParams churn_params() {
-    ChurnParams c;
-    c.min_population = 24;
     return c;
   }
 
@@ -161,10 +155,10 @@ class MutationRun {
         churn_.do_fail();
         break;
       case 6:
-        ltm_round(net, random_slot(), LtmParams{});
+        ltm_round(net, random_slot());
         break;
       case 7:
-        selfish_step(net, random_slot(), SelfishParams{}, rng_);
+        selfish_step(net, random_slot(), rng_);
         break;
       default: {  // a second PROP-G swap: the common commit in a run
         const SlotId u = random_slot();

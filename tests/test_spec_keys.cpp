@@ -122,7 +122,6 @@ TEST(SpecKeys, ValuesThatUsedToAbortAreSpecErrors) {
       {"adversary_eclipse_fraction = 0.1\nadversary_eclipse_target = 5000",
        "adversary_eclipse_target"},
       {"measure_threads = 100000", "measure_threads"},
-      {"trace = x.jsonl\ntrace_buffer = 99999999999", "trace_buffer"},
       {"seed = 99999999999999999999", "seed"},
       {"init_timer = 1e-320", "init_timer"},
       {"sample_interval = 1e-300", "sample_interval"},
@@ -371,6 +370,25 @@ TEST(SpecFuzz, StubPoolBoundaryIsRejectedOrRuns) {
           EXPECT_GT(run_experiment(parsed.spec()).series.size(), 0u);
         }
       }
+    }
+  }
+}
+
+TEST(SpecFuzz, WaxmanBoundaryIsRejected) {
+  // A Waxman world costs about nodes^3: the bound is accepted and one peer
+  // more is rejected on nodes. The bound itself is not run here (about a
+  // minute of one core); small Waxman runs are in test_app.
+  for (const std::size_t nodes : {kMaxWaxmanNodes, kMaxWaxmanNodes + 1}) {
+    const std::string text =
+        "topology = waxman\nprotocol = none\nnodes = " +
+        std::to_string(nodes) + "\n";
+    SCOPED_TRACE(text);
+    const SpecResult parsed = ExperimentSpec::from_config(Config::parse(text));
+    if (nodes == kMaxWaxmanNodes) {
+      EXPECT_TRUE(parsed.ok()) << parsed.error_report();
+    } else {
+      ASSERT_EQ(parsed.errors.size(), 1u) << parsed.error_report();
+      EXPECT_EQ(parsed.errors[0].key, "nodes");
     }
   }
 }

@@ -56,7 +56,6 @@ TEST(Graph, DegreeStatistics) {
   EXPECT_EQ(g.min_degree(), 1u);
   EXPECT_EQ(g.max_degree(), 3u);
   EXPECT_DOUBLE_EQ(g.average_degree(), 1.5);
-  EXPECT_DOUBLE_EQ(g.total_edge_weight(), 6.0);
 }
 
 // -------------------------------------------------------- TransitStub ----
@@ -116,11 +115,11 @@ TEST(TransitStub, LatencyClassesRespected) {
       const bool ut = topo.kind[u] == NodeKind::kTransit;
       const bool vt = topo.kind[e.to] == NodeKind::kTransit;
       if (ut && vt) {
-        EXPECT_DOUBLE_EQ(e.weight, c.transit_transit_ms);
+        EXPECT_DOUBLE_EQ(e.weight, TransitStubConfig::kTransitTransitMs);
       } else if (ut != vt) {
-        EXPECT_DOUBLE_EQ(e.weight, c.stub_transit_ms);
+        EXPECT_DOUBLE_EQ(e.weight, TransitStubConfig::kStubTransitMs);
       } else {
-        EXPECT_DOUBLE_EQ(e.weight, c.stub_stub_ms);
+        EXPECT_DOUBLE_EQ(e.weight, TransitStubConfig::kStubStubMs);
       }
     }
   }

@@ -159,10 +159,16 @@ TEST(TraceSink, ReportsUnopenablePath) {
 
 // ------------------------------------------------------- Spec parsing ---
 
-TEST(TraceSpec, TraceBufferWithoutTraceIsAnError) {
-  const SpecResult r = ExperimentSpec::from_config(
-      Config::parse("trace_buffer = 64\n"));
-  EXPECT_FALSE(r.ok());
+TEST(TraceSpec, TraceBufferIsAnUnknownKey) {
+  // The sink's ring size is fixed; the retired key is rejected like any
+  // other unknown key, with or without a trace path.
+  for (const std::string extra : {"", "trace = /tmp/x.jsonl\n"}) {
+    const SpecResult r = ExperimentSpec::from_config(
+        Config::parse(extra + "trace_buffer = 64\n"));
+    ASSERT_EQ(r.errors.size(), 1u) << r.error_report();
+    EXPECT_EQ(r.errors[0].key, "trace_buffer");
+    EXPECT_EQ(r.errors[0].message, "unknown config key");
+  }
 }
 
 TEST(TraceSpec, TraceKeyIsAccepted) {

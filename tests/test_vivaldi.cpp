@@ -10,7 +10,7 @@ namespace {
 using testing::UnstructuredFixture;
 
 TEST(Vivaldi, EstimateIsSymmetricAndZeroOnSelf) {
-  VivaldiSystem viv(10, VivaldiConfig{}, 1);
+  VivaldiSystem viv(10, 1);
   EXPECT_DOUBLE_EQ(viv.estimate(3, 3), 0.0);
   EXPECT_NEAR(viv.estimate(2, 7), viv.estimate(7, 2), 1e-12);
   EXPECT_GT(viv.estimate(2, 7), 0.0);  // heights keep it positive
@@ -19,7 +19,7 @@ TEST(Vivaldi, EstimateIsSymmetricAndZeroOnSelf) {
 TEST(Vivaldi, SingleSpringConverges) {
   // Two nodes, true latency 50 ms: alternating updates must drive the
   // estimate toward 50.
-  VivaldiSystem viv(2, VivaldiConfig{}, 2);
+  VivaldiSystem viv(2, 2);
   for (int i = 0; i < 500; ++i) {
     viv.update(0, 1, 50.0);
     viv.update(1, 0, 50.0);
@@ -31,7 +31,7 @@ TEST(Vivaldi, SingleSpringConverges) {
 TEST(Vivaldi, TriangleEmbedsExactly) {
   // Latencies 30/40/50 satisfy the triangle inequality and embed in the
   // plane, so a 3-d space must fit them well.
-  VivaldiSystem viv(3, VivaldiConfig{}, 3);
+  VivaldiSystem viv(3, 3);
   Rng rng(4);
   for (int round = 0; round < 3000; ++round) {
     const int pick = static_cast<int>(rng.uniform(6));
@@ -48,7 +48,7 @@ TEST(Vivaldi, TriangleEmbedsExactly) {
 TEST(Vivaldi, TrainingReducesMedianErrorOnTransitStub) {
   auto fx = UnstructuredFixture::make(60, 9701);
   const auto hosts = fx.net.placement().bound_hosts();
-  VivaldiSystem viv(fx.topo.graph.node_count(), VivaldiConfig{}, 5);
+  VivaldiSystem viv(fx.topo.graph.node_count(), 5);
   Rng rng(6);
   const double before =
       viv.median_relative_error(hosts, fx.oracle, 500, rng);
@@ -66,7 +66,7 @@ TEST(Vivaldi, TrainingReducesMedianErrorOnTransitStub) {
 TEST(Vivaldi, ErrorsShrinkWithTraining) {
   auto fx = UnstructuredFixture::make(30, 9702);
   const auto hosts = fx.net.placement().bound_hosts();
-  VivaldiSystem viv(fx.topo.graph.node_count(), VivaldiConfig{}, 8);
+  VivaldiSystem viv(fx.topo.graph.node_count(), 8);
   Rng trng(9);
   viv.train(hosts, fx.oracle, 20000, trng);
   double avg_error = 0.0;
@@ -77,7 +77,7 @@ TEST(Vivaldi, ErrorsShrinkWithTraining) {
 
 TEST(Vivaldi, DeterministicForSeed) {
   auto run = [] {
-    VivaldiSystem viv(4, VivaldiConfig{}, 42);
+    VivaldiSystem viv(4, 42);
     for (int i = 0; i < 100; ++i) {
       viv.update(0, 1, 20.0);
       viv.update(1, 2, 30.0);

@@ -320,14 +320,18 @@ TEST(Churn, LeaveKeepsConnectivity) {
 }
 
 TEST(Churn, LeaveRefusesBelowMinPopulation) {
-  auto fx = UnstructuredFixture::make(10, 6005, /*attach_links=*/3);
+  // One peer above the floor may leave or crash; at the floor neither can.
+  auto fx = UnstructuredFixture::make(ChurnProcess::kMinPopulation + 1, 6005,
+                                      /*attach_links=*/3);
   Scheduler sim;
   GnutellaConfig gcfg;
   ChurnParams params;
-  params.min_population = 10;
   ChurnProcess churn(fx.net, sim, nullptr, gcfg, params, {}, 10);
+  ASSERT_TRUE(churn.do_leave());
+  EXPECT_EQ(fx.net.size(), ChurnProcess::kMinPopulation);
   EXPECT_FALSE(churn.do_leave());
-  EXPECT_EQ(fx.net.size(), 10u);
+  EXPECT_FALSE(churn.do_fail());
+  EXPECT_EQ(fx.net.size(), ChurnProcess::kMinPopulation);
 }
 
 TEST(Churn, DepartedHostsAreReusedForJoins) {

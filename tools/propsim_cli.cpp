@@ -1,15 +1,15 @@
 // propsim_cli — run a config-driven overlay-optimization experiment.
 //
-//   propsim_cli [--format csv|json] [--trace out.jsonl] experiment.conf
-//               [key=value ...]
+//   propsim_cli [--format csv|json] experiment.conf [key=value ...]
 //   propsim_cli key=value [key=value ...]
 //
 // `--help` lists every config key (src/app/spec_keys.cpp); command-line
 // key=value pairs override file values. The default output is a human
 // summary plus the metric time series as CSV; `--format json` emits the
 // full result under the stable `propsim.result` schema
-// (src/app/result_json.h). Bad configs, unreadable config files and
-// malformed lines are reported with exit code 2.
+// (src/app/result_json.h); `trace=<path>` also streams every trace event
+// to <path> as propsim.trace v1 JSONL. Bad configs, unreadable config
+// files and malformed lines are reported with exit code 2.
 //
 // Example:
 //   propsim_cli overlay=chord protocol=prop-g nodes=500 horizon=1800
@@ -26,11 +26,9 @@ namespace {
 
 void usage(const char* argv0) {
   std::printf(
-      "usage: %s [--format csv|json] [--trace out.jsonl] [config-file] "
-      "[key=value ...]\n"
+      "usage: %s [--format csv|json] [config-file] [key=value ...]\n"
       "\n"
-      "  --trace <path>  stream propsim.trace v1 JSONL events to <path>\n"
-      "                  (same as trace=<path>)\n"
+      "  trace=<path>  stream propsim.trace v1 JSONL events to <path>\n"
       "\n"
       "config keys:\n",
       argv0);
@@ -53,10 +51,6 @@ int main(int argc, char** argv) {
     if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
       return 0;
-    }
-    if (arg == "--trace" && i + 1 < argc) {
-      config.set("trace", argv[++i]);
-      continue;
     }
     if (arg == "--format" && i + 1 < argc) {
       const std::string format = argv[++i];
