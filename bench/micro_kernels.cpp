@@ -131,12 +131,16 @@ void BM_PropGPlanAndVarChord(benchmark::State& state) {
 }
 BENCHMARK(BM_PropGPlanAndVarChord);
 
+/// One random walk plus one greedy plan of m = state.range(0) per side.
+/// m = 4 is the paper's δ(G); m = 1000 is above every degree, so each
+/// plan keeps every candidate of the smaller side.
 void BM_PropOPlan(benchmark::State& state) {
   Rng rng(9);
   World world(small_config(), rng);
   OverlayNetwork net = build_unstructured(world, 256, rng);
   Rng prng(10);
   const auto slots = net.graph().active_slots();
+  const auto m = static_cast<std::size_t>(state.range(0));
   // One walk buffer, plan and scratch for every iteration, as PropEngine
   // reuses its own.
   std::vector<SlotId> walk;
@@ -150,11 +154,11 @@ void BM_PropOPlan(benchmark::State& state) {
         neigh[static_cast<std::size_t>(prng.uniform(neigh.size()))];
     if (!net.random_walk(u, first, 2, prng, walk)) continue;
     benchmark::DoNotOptimize(plan_prop_o(plan, scratch, net, u, walk.back(),
-                                         walk, 4, SelectionPolicy::kGreedy,
+                                         walk, m, SelectionPolicy::kGreedy,
                                          prng));
   }
 }
-BENCHMARK(BM_PropOPlan);
+BENCHMARK(BM_PropOPlan)->Arg(4)->Arg(1000);
 
 /// A fig5-sized metric sweep: 10k uniform queries over a 1,000-slot
 /// Gnutella snapshot on the ts-large world.

@@ -32,20 +32,19 @@ struct ExchangePlan {
 /// sets, this Var}; it always exists, and the caller gates on var.
 double prop_g_var(const OverlayNetwork& net, SlotId u, SlotId v);
 
-/// Caller-owned working memory for plan_prop_o: the stored weights of
-/// the transferable neighbours (parallel to the plan's from_u / from_v
-/// before selection), and greedy selection's scores, one per candidate.
+/// Caller-owned working memory for plan_prop_o: greedy selection's
+/// best candidates per side, each kept in greedy order (gain descending,
+/// then slot ascending) and holding at most min(m, deg u, deg v) scores.
 /// A caller that reuses one instance (and one ExchangePlan) plans
-/// without allocating once the buffers have grown to the largest
-/// degree seen.
+/// without allocating once the buffers have grown to the largest such
+/// bound seen.
 struct PlanScratch {
   struct Scored {
     double gain;
     SlotId slot;
   };
-  std::vector<double> from_u_ms;  // d(u, x) for each x in from_u
-  std::vector<double> from_v_ms;  // d(v, y) for each y in from_v
-  std::vector<Scored> scored;
+  std::vector<Scored> best_u;  // u's kept candidates, d(u,x) - d(v,x)
+  std::vector<Scored> best_v;  // v's kept candidates, d(v,y) - d(u,y)
 };
 
 /// Plans a PROP-O exchange of up to `m` neighbors per side into `out`,

@@ -107,8 +107,10 @@ bool paranoid_build() {
 #endif
 }
 
-TEST(AllocFree, PropOGreedyGnutellaAttemptsAllocateNothing) {
-  if (paranoid_build()) GTEST_SKIP() << "paranoid cross-checks allocate";
+/// Warms a greedy PROP-O Gnutella engine at exchange size `m` (0: the
+/// minimum degree), then checks that its failed attempts allocate
+/// nothing.
+void expect_prop_o_greedy_attempts_allocate_nothing(std::size_t m) {
   Rng rng(7101);
   const World world(160, rng);
   ASSERT_TRUE(world.oracle.hierarchical());
@@ -120,6 +122,7 @@ TEST(AllocFree, PropOGreedyGnutellaAttemptsAllocateNothing) {
   PropParams params;
   params.mode = PropMode::kPropO;
   params.selection = SelectionPolicy::kGreedy;
+  params.m = m;
   params.nhops = 3;
   params.init_timer_s = 10.0;
   Scheduler sim;
@@ -129,6 +132,18 @@ TEST(AllocFree, PropOGreedyGnutellaAttemptsAllocateNothing) {
   ASSERT_GT(engine.stats().exchanges, 0u);
 
   expect_failed_attempts_allocate_nothing(engine, net);
+}
+
+TEST(AllocFree, PropOGreedyGnutellaAttemptsAllocateNothing) {
+  if (paranoid_build()) GTEST_SKIP() << "paranoid cross-checks allocate";
+  expect_prop_o_greedy_attempts_allocate_nothing(0);  // m = min degree
+}
+
+// Above most degrees, so the kept-candidate buffers grow to the largest
+// min(deg u, deg v) probed rather than to m.
+TEST(AllocFree, PropOGreedyLargeMAttemptsAllocateNothing) {
+  if (paranoid_build()) GTEST_SKIP() << "paranoid cross-checks allocate";
+  expect_prop_o_greedy_attempts_allocate_nothing(64);
 }
 
 TEST(AllocFree, PropGChordAttemptsAllocateNothing) {

@@ -439,10 +439,38 @@ struct TwoHubWorld {
   }
 };
 
-/// Plans every (m, policy) variant of `probe` with both planners and
-/// requires identical transfer sets (same order) and Var bits. Random
-/// selection runs each planner on its own copy of one RNG state, so both
-/// draw the same shuffle. Returns the greedy plan at m = 2.
+/// Plans `probe` at (m, policy) with both planners and requires
+/// identical transfer sets (same order) and Var bits. Random selection
+/// runs each planner on its own copy of one RNG state, so both draw the
+/// same shuffle; `rng` then advances to a fresh state. The plan and
+/// scratch are the caller's, reused across calls. Returns the plan.
+std::optional<ExchangePlan> expect_plan_matches(const OverlayNetwork& net,
+                                                const Probe& probe,
+                                                std::size_t m,
+                                                SelectionPolicy policy,
+                                                Rng& rng, ExchangePlan& got,
+                                                PlanScratch& scratch) {
+  Rng want_rng = rng;
+  Rng got_rng = rng;
+  const auto want = reference::plan_prop_o(net, probe.u, probe.v, probe.path,
+                                           m, policy, want_rng);
+  const bool planned = plan_prop_o(got, scratch, net, probe.u, probe.v,
+                                   probe.path, m, policy, got_rng);
+  rng.next();
+  EXPECT_EQ(planned, want.has_value()) << "m=" << m;
+  if (!planned || !want) return std::nullopt;
+  EXPECT_EQ(got.from_u, want->from_u) << "m=" << m;
+  EXPECT_EQ(got.from_v, want->from_v) << "m=" << m;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.var),
+            std::bit_cast<std::uint64_t>(want->var))
+      << "m=" << m << " var " << got.var << " vs " << want->var;
+  EXPECT_EQ(got_rng.next(), want_rng.next());
+  return got;
+}
+
+/// Plans every (m, policy) variant of `probe` with both planners, for m
+/// in {1, 2, 4, deg u, 1000}; 1000 is above both degrees, so k is bound
+/// by the smaller transferable set. Returns the greedy plan at m = 2.
 std::optional<ExchangePlan> expect_plans_match(const OverlayNetwork& net,
                                                const Probe& probe,
                                                Rng& rng) {
@@ -451,26 +479,12 @@ std::optional<ExchangePlan> expect_plans_match(const OverlayNetwork& net,
   ExchangePlan got;
   PlanScratch scratch;
   for (const std::size_t m : {std::size_t{1}, std::size_t{2}, std::size_t{4},
-                              degree}) {
+                              degree, std::size_t{1000}}) {
     for (const SelectionPolicy policy :
          {SelectionPolicy::kGreedy, SelectionPolicy::kRandom}) {
-      Rng want_rng = rng;
-      Rng got_rng = rng;
-      const auto want = reference::plan_prop_o(net, probe.u, probe.v,
-                                               probe.path, m, policy,
-                                               want_rng);
-      const bool planned = plan_prop_o(got, scratch, net, probe.u, probe.v,
-                                       probe.path, m, policy, got_rng);
-      rng.next();  // a fresh shuffle state for the next variant
-      EXPECT_EQ(planned, want.has_value());
-      if (!planned || !want) continue;
-      EXPECT_EQ(got.from_u, want->from_u) << "m=" << m;
-      EXPECT_EQ(got.from_v, want->from_v) << "m=" << m;
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.var),
-                std::bit_cast<std::uint64_t>(want->var))
-          << "m=" << m << " var " << got.var << " vs " << want->var;
-      EXPECT_EQ(got_rng.next(), want_rng.next());
-      if (m == 2 && policy == SelectionPolicy::kGreedy) greedy_m2 = got;
+      auto plan = expect_plan_matches(net, probe, m, policy, rng, got,
+                                      scratch);
+      if (m == 2 && policy == SelectionPolicy::kGreedy) greedy_m2 = plan;
     }
   }
   return greedy_m2;
@@ -534,6 +548,117 @@ TEST(PropOPlanEquivalence, FractionalLatenciesKeepVarBits) {
   TwoHubWorld world(80, &spokes);
   OverlayNetwork net = world.gnutella(4, 3202);
   EXPECT_GE(compare_planners(net, 500, 3203), 300);
+}
+
+/// Probes between the highest-degree slots, through a common neighbour:
+/// the 2-hop walk's heavy tail, where both sides have many candidates.
+TEST(PropOPlanEquivalence, HubToHubProbesMatch) {
+  int planned = 0;
+  for (const auto& [seed, attach] :
+       {std::pair<std::uint64_t, std::size_t>{3301, 4}, {3302, 8}}) {
+    auto fx = UnstructuredFixture::make(80, seed, attach);
+    const LogicalGraph& g = fx.net.graph();
+    std::vector<SlotId> hubs = g.active_slots();
+    std::sort(hubs.begin(), hubs.end(), [&](SlotId a, SlotId b) {
+      return g.degree(a) != g.degree(b) ? g.degree(a) > g.degree(b) : a < b;
+    });
+    hubs.resize(12);
+    ASSERT_GE(g.degree(hubs.back()), 2 * attach);
+    Rng rng(seed + 1);
+    for (const SlotId u : hubs) {
+      for (const SlotId v : hubs) {
+        if (u == v) continue;
+        const auto nu = g.neighbors(u);
+        const auto w = std::find_if(nu.begin(), nu.end(), [&](SlotId x) {
+          return x != v && g.has_edge(x, v);
+        });
+        if (w == nu.end()) continue;
+        if (expect_plans_match(fx.net, Probe{u, v, {u, *w, v}}, rng)) {
+          ++planned;
+        }
+      }
+    }
+  }
+  EXPECT_GE(planned, 200);
+}
+
+/// m strictly between the two transferable set sizes, either way round:
+/// k is bound by the other side, so one side keeps fewer than m.
+TEST(PropOPlanEquivalence, KBoundByTheOtherSide) {
+  int v_binds = 0;  // |from_v| < m < |from_u|
+  int u_binds = 0;  // |from_u| < m < |from_v|
+  ExchangePlan got;
+  PlanScratch scratch;
+  for (const auto& [seed, attach] :
+       {std::pair<std::uint64_t, std::size_t>{3401, 3}, {3402, 6}}) {
+    auto fx = UnstructuredFixture::make(80, seed, attach);
+    Rng rng(seed + 1);
+    for (int i = 0; i < 600; ++i) {
+      const auto probe = random_probe(fx.net, 2, rng);
+      if (!probe) continue;
+      const std::size_t n_u = reference::transferable_neighbors(
+                                  fx.net, probe->u, probe->v, probe->path)
+                                  .size();
+      const std::size_t n_v = reference::transferable_neighbors(
+                                  fx.net, probe->v, probe->u, probe->path)
+                                  .size();
+      const std::size_t lo = std::min(n_u, n_v);
+      if (lo == 0 || lo + 1 >= std::max(n_u, n_v)) continue;
+      ++(n_v < n_u ? v_binds : u_binds);
+      for (const SelectionPolicy policy :
+           {SelectionPolicy::kGreedy, SelectionPolicy::kRandom}) {
+        const auto plan = expect_plan_matches(fx.net, *probe, lo + 1, policy,
+                                              rng, got, scratch);
+        ASSERT_TRUE(plan.has_value());
+        EXPECT_EQ(plan->from_u.size(), lo);
+      }
+    }
+  }
+  EXPECT_GE(v_binds, 200);
+  EXPECT_GE(u_binds, 400);
+}
+
+/// A hand-built exchange whose candidates tie the worst kept gain. Slots
+/// hang off one of two hubs one unit apart, with unit spokes, so a
+/// candidate on v's hub gains 1 for u and one on u's hub gains -1. u's
+/// candidates arrive as 8 (gain 1), then 7, 6, 3, 5 (gain -1): at m = 2,
+/// 6 and then 3 tie the worst kept gain with a smaller slot id and each
+/// must displace it, while 5 ties with a larger id and must not. v's
+/// candidates 10, 9, 4 all gain 1 and arrive in descending slot order.
+TEST(PropOPlanEquivalence, TiedCandidateWithSmallerSlotDisplacesWorstKept) {
+  constexpr std::size_t kSlots = 11;
+  const std::vector<int> hub = {0, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0};
+  Graph phys(kSlots + 2);
+  phys.add_edge(0, 1, 1.0);
+  for (std::size_t s = 0; s < kSlots; ++s) {
+    phys.add_edge(static_cast<NodeId>(hub[s]), static_cast<NodeId>(s + 2),
+                  1.0);
+  }
+  LatencyOracle oracle(phys);
+  LogicalGraph g(kSlots);
+  // The probe path u=0, w=2, v=1, then each side's candidates in order.
+  for (const auto& [a, b] : std::vector<std::pair<SlotId, SlotId>>{
+           {0, 2}, {2, 1}, {0, 8}, {0, 7}, {0, 6}, {0, 3}, {0, 5},
+           {1, 10}, {1, 9}, {1, 4}}) {
+    g.add_edge(a, b);
+  }
+  Placement p(kSlots, kSlots + 2);
+  for (SlotId s = 0; s < kSlots; ++s) p.bind(s, static_cast<NodeId>(s + 2));
+  OverlayNetwork net(std::move(g), std::move(p), oracle);
+
+  const Probe probe{0, 1, {0, 2, 1}};
+  Rng rng(3501);
+  ExchangePlan plan;
+  PlanScratch scratch;
+  ASSERT_TRUE(plan_prop_o(plan, scratch, net, probe.u, probe.v, probe.path,
+                          2, SelectionPolicy::kGreedy, rng));
+  EXPECT_EQ(plan.from_u, (std::vector<SlotId>{8, 3}));
+  EXPECT_EQ(plan.from_v, (std::vector<SlotId>{4, 9}));
+  EXPECT_EQ(plan.var, 2.0);
+  for (std::size_t m = 1; m <= 4; ++m) {
+    expect_plan_matches(net, probe, m, SelectionPolicy::kGreedy, rng, plan,
+                        scratch);
+  }
 }
 
 /// Totals of a reuse_against_reference run.
